@@ -28,8 +28,8 @@ coordinator run the *identical* round algorithm over the identical
 partitions — same horizons, same message routing, same sorted
 injection order — so same-seed runs produce byte-identical event
 sequences, and with them byte-identical latency traces.  This is
-gated in ``tests/test_parallel_sim.py`` and the parallel perf-smoke
-CI job.
+gated in ``tests/test_parallel_sim.py`` and
+``tests/test_parallel_testbed.py``.
 """
 
 from repro.sim.parallel.coordinator import (
@@ -38,7 +38,6 @@ from repro.sim.parallel.coordinator import (
     PartitionStats,
     RunStats,
     SerialExecutor,
-    merged_profile_stats,
 )
 from repro.sim.parallel.partition import (
     ChannelSpec,
@@ -88,7 +87,6 @@ __all__ = [
     "build_replay",
     "build_replay_specs",
     "channel_id",
-    "merged_profile_stats",
     "partition_topology",
     "replay_topology",
     "run_replay",

@@ -42,11 +42,10 @@ sequence — the latency traces come out byte-identical, which
 
 Per-partition counters (events processed, busy wall-clock,
 packet/null message counts) are collected into :class:`RunStats` —
-including the payload/null round split — so benchmark reports can
-expose load imbalance and synchronization overhead
-(`BENCH_PR8.json`).  Pass ``profile_dir`` to either executor to dump
-per-worker ``cProfile`` data (merge with
-:func:`merged_profile_stats`).
+including the payload/null round split — so the bench's
+``shard_replay`` workload can expose load imbalance and
+synchronization overhead.  Pass ``profile_dir`` to either executor to
+dump per-worker ``cProfile`` data (``pstats.Stats.add`` merges them).
 """
 
 from __future__ import annotations
@@ -305,24 +304,6 @@ def _maybe_profile(profile_path: str | None) -> _t.Iterator[None]:
     finally:
         profiler.disable()
         profiler.dump_stats(profile_path)
-
-
-def merged_profile_stats(profile_dir: str | os.PathLike) -> _t.Any | None:
-    """Merge every per-worker ``*.pstats`` dump under ``profile_dir``
-    into one :class:`pstats.Stats` (None if no dumps were written)."""
-    import pstats
-
-    paths = sorted(
-        os.path.join(profile_dir, name)
-        for name in os.listdir(profile_dir)
-        if name.endswith(".pstats")
-    )
-    if not paths:
-        return None
-    stats = pstats.Stats(paths[0])
-    for path in paths[1:]:
-        stats.add(path)
-    return stats
 
 
 def _step_partition(

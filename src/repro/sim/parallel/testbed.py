@@ -1,7 +1,6 @@
 """The *real* federated testbed sharded onto the parallel kernel.
 
-Where ``repro.sim.parallel.model`` replays a synthetic approximation of
-the federation, this module builds each site's **full stack** — gNB
+This module builds each site's **full stack** — gNB
 :class:`~repro.net.openflow.OpenFlowSwitch`, EGS host, containerd +
 Docker cluster, client hosts, and the site's own
 :class:`~repro.core.federation.SiteController` — inside its own
@@ -87,7 +86,6 @@ from repro.ops import OPS_PORT, FlowStatsCollector, OpsApp, OpsReadModel
 from repro.services import DEFAULT_CALIBRATION, build_catalog
 from repro.services.catalog import template_by_key
 from repro.sim.events import NORMAL
-from repro.sim.parallel.model import BACKBONE
 from repro.sim.parallel.partition import Partition, PartitionSpec, Portal
 from repro.sim.parallel.partitioner import (
     CutLink,
@@ -95,11 +93,11 @@ from repro.sim.parallel.partitioner import (
     TopologySpec,
     channel_id,
 )
+from repro.testbed.federation import BACKBONE, BackboneApp, FederationConfig
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.device import NetworkInterface
     from repro.net.packet import Packet
-    from repro.testbed.federation import FederationConfig
 
 __all__ = [
     "MigrationSpec",
@@ -598,7 +596,7 @@ class SitePartitionModel:
             env,
             default_capacity_bps=int(
                 config.trunk_bandwidth_bps
-                * getattr(config, "migration_budget_fraction", 0.4)
+                * config.migration_budget_fraction
             ),
         )
         self.manager = MigrationManager(
@@ -615,10 +613,9 @@ class SitePartitionModel:
         # (post-fork) — Host pickling strips listeners, so the port
         # must open inside the worker.  Both executors run this same
         # setup, so serial/parallel parity is preserved with the ops
-        # surface on.  ``getattr``: a replay plan pickled by an older
-        # tree lacks the ops knobs.
+        # surface on.
         self.collector: FlowStatsCollector | None = None
-        if getattr(config, "flow_stats_period_s", None) is not None:
+        if config.flow_stats_period_s is not None:
             self.collector = FlowStatsCollector(
                 env,
                 self.name,
@@ -637,7 +634,7 @@ class SitePartitionModel:
             collector=self.collector,
         )
         self.ops_app: OpsApp | None = None
-        if getattr(config, "ops_api", True):
+        if config.ops_api:
             self.ops_app = OpsApp(self.ops)
             self.egs.open_port(OPS_PORT, self.ops_app)
 
@@ -785,10 +782,6 @@ class BackbonePartitionModel:
         self.replay = replay
 
     def setup(self, partition: Partition) -> None:
-        # Deferred import: repro.testbed imports this module's
-        # siblings; importing it lazily keeps the package acyclic.
-        from repro.testbed.federation import BackboneApp
-
         self.partition = partition
         env = self.env = partition.env
         config = self.replay.config
@@ -910,28 +903,15 @@ def build_replay_specs(replay: TestbedReplay) -> list[PartitionSpec]:
     return replay_topology(replay).partitions()
 
 
-def run_replay(
-    replay: TestbedReplay,
-    parallel: bool = False,
-    profile_dir: _t.Any = None,
-):
-    """Run the full-testbed replay; returns a ``ParallelRun``.
-
-    ``profile_dir`` (a directory path) enables per-worker ``cProfile``
-    dumps — merge them with
-    :func:`repro.sim.parallel.coordinator.merged_profile_stats`.
-    """
+def run_replay(replay: TestbedReplay, parallel: bool = False):
+    """Run the full-testbed replay; returns a ``ParallelRun``."""
     from repro.sim.parallel.coordinator import (
         ParallelCoordinator,
         SerialExecutor,
     )
 
     specs = build_replay_specs(replay)
-    executor = (
-        ParallelCoordinator(specs, profile_dir=profile_dir)
-        if parallel
-        else SerialExecutor(specs, profile_dir=profile_dir)
-    )
+    executor = ParallelCoordinator(specs) if parallel else SerialExecutor(specs)
     return executor.run(until=replay.horizon_s)
 
 

@@ -54,7 +54,6 @@ from repro.services.catalog import template_by_key
 from repro.sim import Environment
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.parallel.model import EdgeWorkload
     from repro.sim.parallel.partitioner import TopologySpec
     from repro.sim.parallel.testbed import TestbedReplay
 
@@ -63,7 +62,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 SHARED_STATE = "shared-state"
 
 #: Name under which a site's trunk (gNB <-> backbone) link appears in
-#: ``named_links`` (pair it with the site name to partition it).
+#: ``named_links`` (pair it with the site name to partition it), and
+#: partition name of the backbone/cloud island on the sharded kernel.
 BACKBONE = "backbone"
 
 
@@ -135,44 +135,6 @@ class FederationConfig:
         """
         return self.propagation_delay_s
 
-    def partition_plan(
-        self,
-        n_clients: int | None = None,
-        n_requests: int = 100_000,
-        duration_s: float = 60.0,
-        seed: int = 42,
-    ) -> tuple["EdgeWorkload", "TopologySpec"]:
-        """Derive a partitioned-replay plan from this federation shape.
-
-        Maps the testbed's latency knobs onto the synthetic replay
-        workload of ``repro.sim.parallel.model`` and cuts the topology
-        at the trunk links — one partition per site plus the backbone.
-        Validates the cut eagerly, so a federation configured with a
-        zero-latency trunk (no lookahead window) raises
-        :class:`~repro.sim.parallel.PartitionError` here rather than
-        deadlocking a run later.
-        """
-        from repro.sim.parallel import model as _parallel_model
-
-        workload = _parallel_model.EdgeWorkload(
-            n_sites=self.n_sites,
-            n_clients=(
-                n_clients
-                if n_clients is not None
-                else self.n_sites * self.clients_per_site
-            ),
-            n_requests=n_requests,
-            duration_s=duration_s,
-            client_latency_s=self.client_link_latency_s,
-            egs_latency_s=self.egs_link_latency_s,
-            trunk_latency_s=self.trunk_latency_s,
-            cloud_latency_s=self.cloud_link_latency_s,
-            seed=seed,
-        )
-        topology = _parallel_model.topology_spec(workload)
-        topology.partitions()  # eager validation (e.g. zero-latency trunk)
-        return workload, topology
-
     def testbed_replay(
         self,
         n_requests: int = 40,
@@ -182,9 +144,8 @@ class FederationConfig:
     ) -> tuple["TestbedReplay", "TopologySpec"]:
         """Derive a *full-testbed* partitioned replay from this shape.
 
-        Unlike :meth:`partition_plan` (a synthetic approximation), the
-        replay builds the real stack — gNB switches, EGS hosts, Docker
-        clusters, clients, and per-site :class:`SiteController`\\ s —
+        The replay builds the real stack — gNB switches, EGS hosts,
+        Docker clusters, clients, and per-site :class:`SiteController`\\ s —
         inside each partition, with shared-state replication riding a
         dedicated control channel per site.  The cut is validated
         eagerly: a zero-latency trunk *or* zero propagation delay

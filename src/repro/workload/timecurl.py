@@ -14,7 +14,7 @@ import typing as _t
 
 from repro.core.service_registry import EdgeService
 from repro.metrics import MetricsRecorder
-from repro.net.host import ConnectionRefused, ConnectionTimeout, Host
+from repro.net.host import ConnectionRefused, ConnectionReset, ConnectionTimeout, Host
 from repro.net.packet import HTTPRequest
 
 
@@ -60,7 +60,7 @@ class TimecurlClient:
             result = yield from self.host.http_request(
                 service.cloud_ip, service.port, request, timeout=self.timeout_s
             )
-        except (ConnectionRefused, ConnectionTimeout) as exc:
+        except (ConnectionRefused, ConnectionReset, ConnectionTimeout) as exc:
             sample = TimecurlSample(
                 service_name=service.name,
                 started_at=started,

@@ -8,7 +8,7 @@ sick), the circuit breaker opens, probes, and finally readmits the
 recovered cluster — and the whole trajectory is byte-identical across
 two runs of the same seed.
 
-Run just these with ``pytest -m chaos`` (the CI chaos-smoke job).
+Run just these with ``pytest -m chaos``.
 """
 
 from __future__ import annotations

@@ -367,3 +367,20 @@ class TestPlanner:
         proc = tb.env.process(probe())
         result = tb.env.run(until=proc)
         assert result.response.status == 404
+
+
+# ---------------------------------------------------------------------------
+# The M1 experiment end to end
+# ---------------------------------------------------------------------------
+
+
+def test_m1_experiment_rows_meet_the_acceptance_criteria():
+    from repro.experiments import run_extension_m1_migration
+
+    result = run_extension_m1_migration(n_clients=4)
+    rows = {row[0]: dict(zip(result.headers, row)) for row in result.rows}
+    pre, stop = rows["storm precopy"], rows["storm stopcopy"]
+    assert pre["availability"] == stop["availability"] == 1.0
+    assert pre["downtime_s"] < stop["downtime_s"]
+    assert rows["planner batch x3"]["deferred"] >= 1
+    assert all(row["oversub"] == 0 for row in rows.values())

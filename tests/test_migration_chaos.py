@@ -8,7 +8,7 @@ bandwidth ledger drains to zero — and must never produce a
 client-visible error beyond a bounded freeze stall.  All of it
 byte-identical across two runs of the same seed.
 
-Run just these with ``pytest -m chaos`` (the CI chaos-smoke job).
+Run just these with ``pytest -m chaos``.
 """
 
 from __future__ import annotations

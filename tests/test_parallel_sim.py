@@ -22,12 +22,8 @@ from repro.sim.parallel import (
     PartitionError,
     SerialExecutor,
     SyncError,
-)
-from repro.sim.parallel.model import (
-    EdgeWorkload,
-    build_specs,
-    combined_fingerprint,
-    totals,
+    build_replay,
+    build_replay_specs,
 )
 from repro.sim.parallel.partition import Partition
 from repro.sim.parallel.partitioner import (
@@ -36,6 +32,8 @@ from repro.sim.parallel.partitioner import (
     channel_id,
     partition_topology,
 )
+from repro.sim.parallel.testbed import combined_fingerprint, totals
+from repro.testbed.federation import FederationConfig
 
 LOOKAHEAD = 1.0
 
@@ -146,19 +144,25 @@ def _pair_specs(builder_a, kwargs_a, builder_b, kwargs_b, latency=LOOKAHEAD):
 class TestSerialParallelParity:
     """The tentpole guarantee: same seed -> byte-identical traces."""
 
-    def test_latency_fingerprints_identical(self):
-        workload = EdgeWorkload(
-            n_sites=2, n_clients=2_000, n_requests=10_000, duration_s=60
+    @staticmethod
+    def _replay(n_requests: int):
+        return build_replay(
+            FederationConfig(n_sites=2, clients_per_site=4),
+            n_requests=n_requests,
+            duration_s=10.0,
         )
-        specs = build_specs(workload)
-        serial = SerialExecutor(specs).run(workload.until_s)
-        parallel = ParallelCoordinator(specs).run(workload.until_s)
+
+    def test_latency_fingerprints_identical(self):
+        replay = self._replay(1_000)
+        specs = build_replay_specs(replay)
+        serial = SerialExecutor(specs).run(replay.horizon_s)
+        parallel = ParallelCoordinator(specs).run(replay.horizon_s)
 
         assert combined_fingerprint(
-            serial.results, workload.n_sites
-        ) == combined_fingerprint(parallel.results, workload.n_sites)
+            serial.results, replay.n_sites
+        ) == combined_fingerprint(parallel.results, replay.n_sites)
         # Not just the digests: every per-site counter agrees too.
-        for site in range(workload.n_sites):
+        for site in range(replay.n_sites):
             assert (
                 serial.results[f"site{site}"]
                 == parallel.results[f"site{site}"]
@@ -169,14 +173,12 @@ class TestSerialParallelParity:
             serial.stats.cross_partition_messages
             == parallel.stats.cross_partition_messages
         )
-        counts = totals(serial.results, workload.n_sites)
+        counts = totals(serial.results, replay.n_sites)
         assert counts["completed"] == counts["issued"] > 0
 
     def test_stats_expose_per_partition_counters(self):
-        workload = EdgeWorkload(
-            n_sites=2, n_clients=500, n_requests=2_000, duration_s=30
-        )
-        run = SerialExecutor(build_specs(workload)).run(workload.until_s)
+        replay = self._replay(200)
+        run = SerialExecutor(build_replay_specs(replay)).run(replay.horizon_s)
         by_id = {p.partition_id: p for p in run.stats.partitions}
         assert set(by_id) == {"backbone", "site0", "site1"}
         for stats in by_id.values():
@@ -460,28 +462,19 @@ class TestHostPickling:
 # -- testbed tie-in ----------------------------------------------------------
 
 
-class TestFederationPartitionPlan:
+class TestFederationReplayPlan:
+    # The zero-latency trunk -> PartitionError-at-plan-time case lives in
+    # tests/test_parallel_testbed.py (TestKindAwarePartitioner).
     def test_plan_derives_from_config(self):
-        from repro.testbed.federation import FederationConfig
-
         config = FederationConfig(n_sites=3, trunk_latency_s=0.004)
-        workload, topology = config.partition_plan(
-            n_clients=300, n_requests=1_000, duration_s=5.0
-        )
-        assert workload.n_sites == 3
-        assert workload.trunk_latency_s == 0.004
+        replay, topology = config.testbed_replay(n_requests=6)
+        assert replay.n_sites == 3
         assert len(topology.nodes) == 4  # 3 sites + backbone
-        assert all(link.latency_s == 0.004 for link in topology.links)
-        specs = topology.partitions()
-        assert all(
-            channel.lookahead_s == 0.004
-            for spec in specs
+        data = [
+            channel
+            for spec in topology.partitions()
             for channel in spec.out_channels
-        )
-
-    def test_zero_latency_trunk_rejected_at_plan_time(self):
-        from repro.testbed.federation import FederationConfig
-
-        config = FederationConfig(n_sites=2, trunk_latency_s=0.0)
-        with pytest.raises(PartitionError, match="strictly positive"):
-            config.partition_plan()
+            if channel.kind == "data"
+        ]
+        assert len(data) == 6  # one per direction per trunk
+        assert all(channel.lookahead_s == 0.004 for channel in data)

@@ -27,7 +27,6 @@ from repro.services import DEFAULT_CALIBRATION, build_catalog
 from repro.services.behavior import AppFactory
 from repro.sim import Environment
 from repro.sim.parallel import PartitionError
-from repro.sim.parallel.model import BACKBONE
 from repro.sim.parallel.partitioner import (
     CutLink,
     NodeSpec,
@@ -44,7 +43,7 @@ from repro.sim.parallel.testbed import (
     service_ip,
     totals,
 )
-from repro.testbed.federation import FederationConfig
+from repro.testbed.federation import BACKBONE, FederationConfig
 
 
 def _small_replay(n_sites: int, seed: int = 42, **kwargs):

@@ -242,9 +242,8 @@ def test_expiry_wakes_only_when_needed():
 
 
 def test_trace_replay_latencies_byte_identical():
-    from benchmarks.perf.harness import fingerprint_latencies
-    from repro.experiments.trace_replay import run_trace_replay
     from repro.workload import BigFlowsParams
+    from tests.replayhelpers import replay_time_totals
 
     params = BigFlowsParams(
         n_services=6,
@@ -253,12 +252,6 @@ def test_trace_replay_latencies_byte_identical():
         min_requests_per_service=4,
         n_clients=5,
     )
-
-    def one_run():
-        result = run_trace_replay(params=params, seed=7)
-        summary = result.extras["summary"]
-        return [s.time_total for s in summary.samples]
-
-    first, second = one_run(), one_run()
-    assert first == second  # full float precision, not rounded
-    assert fingerprint_latencies(first) == fingerprint_latencies(second)
+    first = replay_time_totals(params=params, seed=7)
+    assert len(first) == 132
+    assert first == replay_time_totals(params=params, seed=7)  # full float precision

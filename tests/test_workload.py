@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.services.catalog import NGINX
+from repro.sim import Environment
 from repro.testbed import C3Testbed, TestbedConfig
 from repro.workload import BigFlowsParams, TimecurlClient, generate_trace
 from repro.workload.bigflows import (
@@ -15,6 +18,7 @@ from repro.workload.bigflows import (
     first_occurrences,
     requests_per_bucket,
 )
+from tests.nethelpers import EchoApp, MiniNet
 
 
 class TestBigFlowsTrace:
@@ -130,3 +134,24 @@ class TestTimecurl:
         assert not sample.ok
         assert sample.error == "ConnectionTimeout"
         assert tb.recorder.samples("timecurl_errors/nginx") == [1.0]
+
+    def test_fetch_records_error_on_reset(self):
+        # The idle-scale-down race: the port closes between the
+        # handshake (t = 0.2 ms) and the request's arrival (0.3 ms),
+        # so the server answers the request with an RST.
+        env = Environment()
+        net = MiniNet(env)
+        client, server = net.host("client"), net.host("server")
+        net.wire(client, server, latency_s=100e-6)
+        server.open_port(80, EchoApp(env))
+        env.call_at(250e-6, server.close_port, 80)
+        svc = types.SimpleNamespace(
+            name="echo", cloud_ip=server.ip, port=80, template_key=None
+        )
+        tc = TimecurlClient(client)
+
+        sample = env.run(until=env.process(tc.fetch(svc)))
+        assert not sample.ok
+        assert sample.error == "ConnectionReset"
+        assert tc.samples == [sample]
+        assert tc.recorder.samples("timecurl_errors/echo") == [1.0]

@@ -19,7 +19,7 @@ Typical invocations::
     # selected experiments, ignoring (but refreshing) the cache
     PYTHONPATH=src python tools/run_experiments.py --fresh fig11 fig14
 
-    # wall-clock accounting as JSON (for BENCH_PR2.json's suite block)
+    # wall-clock accounting as JSON
     PYTHONPATH=src python tools/run_experiments.py --report-json report.json
 
 The cache lives in ``.cache/experiments`` by default (``--cache-dir``
