@@ -4,14 +4,21 @@ Every CRUD call is a generator that pays ``api_latency_s``; every
 watcher receives ADDED/MODIFIED/DELETED events after
 ``watch_latency_s``, preserving per-watch ordering — the informer
 behaviour the control loops are built on.
+
+Like an informer cache, each kind's store is kept in uid order and
+indexed by what is fixed when an object is written — uid, namespace,
+owner, labels — so synchronous reads visit only what they return;
+``status`` and ``spec`` are written in place by the control loops and
+are therefore never indexed, only filtered by the reader.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import typing as _t
 
-from repro.k8s.objects import KINDS, ObjectMeta, matches_selector
+from repro.k8s.objects import KINDS, ObjectMeta
 from repro.k8s.profile import K8sProfile
 from repro.sim import Environment, Store
 
@@ -49,15 +56,92 @@ class Watch:
         self.active = False
 
 
+def _uid_of(obj: _t.Any) -> str:
+    return obj.metadata.uid
+
+
+class _KindStore:
+    """One kind's objects: by key, in uid order, and by index term.
+
+    A term is ``("uid", uid)``, ``("namespace", ns)``, ``("owner",
+    owner_uid)`` or ``("label", key, value)``; ``postings`` maps each
+    term to the objects carrying it.  Terms are those of the last
+    :meth:`put`: a field mutated in place is re-indexed by the next
+    ``update()``, not before.
+    """
+
+    def __init__(self) -> None:
+        #: key -> (object, the terms it is indexed under; uid term first).
+        self.records: dict[tuple[str, str], tuple[_t.Any, tuple]] = {}
+        #: Indexed uids, sorted, and the objects in the same order (uids
+        #: are allocated at construction, so this is not insertion order).
+        self.uids: list[str] = []
+        self.objects: list[_t.Any] = []
+        self.postings: dict[tuple, dict[tuple[str, str], _t.Any]] = {}
+
+    def get(self, key: tuple[str, str]) -> _t.Any:
+        record = self.records.get(key)
+        return None if record is None else record[0]
+
+    def put(self, key: tuple[str, str], obj: _t.Any) -> None:
+        """Store ``obj`` under ``key``, replacing and re-indexing."""
+        meta = obj.metadata
+        terms = (
+            ("uid", meta.uid),
+            ("namespace", key[0]),
+            ("owner", meta.owner_uid),
+            *(("label", *pair) for pair in meta.labels.items()),
+        )
+        self.pop(key)
+        at = bisect.bisect_right(self.uids, meta.uid)
+        self.uids.insert(at, meta.uid)
+        self.objects.insert(at, obj)
+        for term in terms:
+            self.postings.setdefault(term, {})[key] = obj
+        self.records[key] = (obj, terms)
+
+    def pop(self, key: tuple[str, str]) -> _t.Any:
+        """Remove and return the object under ``key`` (``None`` if absent)."""
+        record = self.records.pop(key, None)
+        if record is None:
+            return None
+        obj, terms = record
+        at = bisect.bisect_left(self.uids, terms[0][1])
+        while self.objects[at] is not obj:
+            at += 1
+        del self.uids[at], self.objects[at]
+        for term in terms:
+            posting = self.postings[term]
+            del posting[key]
+            if not posting:
+                del self.postings[term]
+        return obj
+
+    def select(self, terms: list[tuple]) -> list[_t.Any]:
+        """Objects carrying every term (none: all), a fresh list in uid
+        order; only the shortest posting is walked."""
+        if not terms:
+            return list(self.objects)
+        postings = [self.postings.get(term) for term in terms]
+        if not all(postings):
+            return []
+        shortest, *rest = sorted(postings, key=len)
+        found = [
+            obj
+            for key, obj in shortest.items()
+            if all(key in posting for posting in rest)
+        ]
+        found.sort(key=_uid_of)
+        return found
+
+
 class APIServer:
     """Stores all cluster objects and fans out watch events."""
 
     def __init__(self, env: Environment, profile: K8sProfile | None = None) -> None:
         self.env = env
         self.profile = profile or K8sProfile()
-        self._objects: dict[str, dict[tuple[str, str], _t.Any]] = {
-            kind: {} for kind in KINDS
-        }
+        self._stores: dict[str, _KindStore] = {kind: _KindStore() for kind in KINDS}
         self._watches: dict[str, list[Watch]] = {kind: [] for kind in KINDS}
         self._resource_version = 0
         #: API request counter, for tests.
@@ -135,18 +219,23 @@ class APIServer:
         kind = self._kind_of(obj)
         yield from self._latency()
         key = obj.metadata.key
-        if key in self._objects[kind]:
+        if key in self._stores[kind].records:
             raise Conflict(f"{kind} {key} already exists")
         obj.metadata.creation_time = self.env.now
         self._bump(obj.metadata)
-        self._objects[kind][key] = obj
+        self._stores[kind].put(key, obj)
         self._notify(kind, "ADDED", obj)
         return obj
+
+    def inject(self, obj: _t.Any) -> None:
+        """Failure injection: store ``obj`` at once, with no watch event
+        — what the control loops see after a lost notification."""
+        self._stores[self._kind_of(obj)].put(obj.metadata.key, obj)
 
     def get(self, kind: str, name: str, namespace: str = "default"):
         """Fetch one object (generator)."""
         yield from self._latency()
-        obj = self._objects[kind].get((namespace, name))
+        obj = self._stores[kind].get((namespace, name))
         if obj is None:
             raise NotFound(f"{kind} {namespace}/{name}")
         return obj
@@ -154,7 +243,7 @@ class APIServer:
     def try_get(self, kind: str, name: str, namespace: str = "default"):
         """Like :meth:`get` but returns ``None`` instead of raising."""
         yield from self._latency()
-        return self._objects[kind].get((namespace, name))
+        return self._stores[kind].get((namespace, name))
 
     def list(
         self,
@@ -171,34 +260,37 @@ class APIServer:
         kind: str,
         namespace: str | None = "default",
         selector: _t.Mapping[str, str] | None = None,
+        owner_uid: str | None = None,
     ) -> list[_t.Any]:
-        """Synchronous (informer-cache style) list, no API latency."""
-        result = []
-        for (ns, _), obj in self._objects[kind].items():
-            if namespace is not None and ns != namespace:
-                continue
-            if selector and not matches_selector(obj.metadata.labels, selector):
-                continue
-            result.append(obj)
-        result.sort(key=lambda o: o.metadata.uid)
-        return result
+        """Synchronous (informer-cache style) list, no API latency:
+        a fresh list in uid order, read through the indexes."""
+        terms: list[tuple] = [("label", *pair) for pair in (selector or {}).items()]
+        if owner_uid is not None:
+            terms.append(("owner", owner_uid))
+        if namespace is not None:
+            terms.append(("namespace", namespace))
+        return self._stores[kind].select(terms)
+
+    def by_uid_nowait(self, kind: str, uid: str) -> _t.Any:
+        """The ``kind`` object with this uid, or ``None`` (synchronous)."""
+        return next(iter(self._stores[kind].select([("uid", uid)])), None)
 
     def update(self, obj: _t.Any):
         """Persist a mutation and notify watchers (generator)."""
         kind = self._kind_of(obj)
         yield from self._latency()
         key = obj.metadata.key
-        if key not in self._objects[kind]:
+        if key not in self._stores[kind].records:
             raise NotFound(f"{kind} {key}")
         self._bump(obj.metadata)
-        self._objects[kind][key] = obj
+        self._stores[kind].put(key, obj)
         self._notify(kind, "MODIFIED", obj)
         return obj
 
     def delete(self, kind: str, name: str, namespace: str = "default"):
         """Delete an object (generator returning it)."""
         yield from self._latency()
-        obj = self._objects[kind].pop((namespace, name), None)
+        obj = self._stores[kind].pop((namespace, name))
         if obj is None:
             raise NotFound(f"{kind} {namespace}/{name}")
         self._notify(kind, "DELETED", obj)

@@ -53,11 +53,9 @@ class DeploymentController:
             owner = event.obj.metadata.owner_uid
             if owner is None or event.type == "DELETED":
                 continue
-            # Find the owning deployment lazily at reconcile time.
-            for dep in self.api.list_nowait("Deployment", namespace=None):
-                if dep.metadata.uid == owner:
-                    self._queue.put(("sync", dep.metadata.key))
-                    break
+            dep = self.api.by_uid_nowait("Deployment", owner)
+            if dep is not None:
+                self._queue.put(("sync", dep.metadata.key))
 
     def _worker(self):
         while True:
@@ -99,12 +97,13 @@ class DeploymentController:
 
     def _cascade_delete(self, deployment: Deployment):
         namespace = deployment.metadata.namespace
-        for rs in self.api.list_nowait("ReplicaSet", namespace):
-            if rs.metadata.owner_uid == deployment.metadata.uid:
-                try:
-                    yield from self.api.delete("ReplicaSet", rs.metadata.name, namespace)
-                except KeyError:
-                    pass
+        for rs in self.api.list_nowait(
+            "ReplicaSet", namespace, owner_uid=deployment.metadata.uid
+        ):
+            try:
+                yield from self.api.delete("ReplicaSet", rs.metadata.name, namespace)
+            except KeyError:
+                pass
 
 
 class ReplicaSetController:
@@ -134,10 +133,9 @@ class ReplicaSetController:
             owner = event.obj.metadata.owner_uid
             if owner is None:
                 continue
-            for rs in self.api.list_nowait("ReplicaSet", namespace=None):
-                if rs.metadata.uid == owner:
-                    self._queue.put(("sync", rs.metadata.key))
-                    break
+            rs = self.api.by_uid_nowait("ReplicaSet", owner)
+            if rs is not None:
+                self._queue.put(("sync", rs.metadata.key))
 
     def _worker(self):
         while True:
@@ -149,13 +147,11 @@ class ReplicaSetController:
                 yield from self._reconcile(payload)
 
     def _pods_of(self, rs: ReplicaSet) -> list[Pod]:
-        pods = self.api.list_nowait("Pod", rs.metadata.namespace)
-        return [
-            p
-            for p in pods
-            if p.metadata.owner_uid == rs.metadata.uid
-            and p.status.phase not in ("Succeeded", "Failed")
-        ]
+        pods = self.api.list_nowait(
+            "Pod", rs.metadata.namespace, owner_uid=rs.metadata.uid
+        )
+        # The kubelet writes the phase in place: read it, never index it.
+        return [p for p in pods if p.status.phase not in ("Succeeded", "Failed")]
 
     def _reconcile(self, key: tuple[str, str]):
         namespace, name = key

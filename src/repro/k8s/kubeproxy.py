@@ -85,15 +85,16 @@ class KubeProxy:
 
     def _reconcile_all(self) -> None:
         services = self.api.list_nowait("Service", namespace=None)
-        pods = self.api.list_nowait("Pod", namespace=None)
+        selected = self._select_pods(services)
         desired: dict[tuple[str, str], tuple[int, list[_t.Any]]] = {}
 
         for service in services:
+            pods = selected.get(service.metadata.uid, ())
             for port in service.spec.ports:
                 if port.node_port is None:
                     continue
                 for node_name, apps in self._backends(
-                    service, port.target_port, pods
+                    port.target_port, pods
                 ).items():
                     desired[(service.metadata.uid, node_name)] = (
                         port.node_port,
@@ -124,16 +125,36 @@ class KubeProxy:
                     kubelet.node_host.open_port(node_port, balancer)
                 self._bound[key] = node_port
 
-    def _backends(
-        self, service: Service, target_port: int, pods: _t.Sequence[Pod]
-    ) -> dict[str, list[_t.Any]]:
-        """Ready backend apps per node, in pod-uid order."""
-        result: dict[str, list[_t.Any]] = {}
-        for pod in pods:
+    def _select_pods(self, services: _t.Sequence[Service]) -> dict[str, list[Pod]]:
+        """Service uid -> its ready, bound pods in uid order.
+
+        A full resync, but a join instead of services x pods: services
+        are keyed by the first pair of their selector, so a ready pod
+        meets only those one of its labels names (or that select all).
+        Readiness and binding are read live — kubelet and scheduler
+        write them in place before their ``update``.
+        """
+        by_pair: dict[tuple[str, str] | None, list[Service]] = {}
+        for service in services:
+            pair = next(iter(service.spec.selector.items()), None)
+            by_pair.setdefault(pair, []).append(service)
+        selected: dict[str, list[Pod]] = {}
+        for pod in self.api.list_nowait("Pod", namespace=None):
             if not pod.status.ready or pod.spec.node_name is None:
                 continue
-            if not matches_selector(pod.metadata.labels, service.spec.selector):
-                continue
+            labels = pod.metadata.labels
+            for pair in (None, *labels.items()):
+                for service in by_pair.get(pair, ()):
+                    if matches_selector(labels, service.spec.selector):
+                        selected.setdefault(service.metadata.uid, []).append(pod)
+        return selected
+
+    def _backends(
+        self, target_port: int, pods: _t.Sequence[Pod]
+    ) -> dict[str, list[_t.Any]]:
+        """Backend apps per node of ready, bound ``pods``, in their order."""
+        result: dict[str, list[_t.Any]] = {}
+        for pod in pods:
             kubelet = self.kubelets.get(pod.spec.node_name)
             if kubelet is None:
                 continue

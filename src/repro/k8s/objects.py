@@ -26,7 +26,10 @@ def new_uid() -> str:
 
 def matches_selector(labels: _t.Mapping[str, str], selector: _t.Mapping[str, str]) -> bool:
     """Kubernetes equality-based selector semantics."""
-    return all(labels.get(key) == value for key, value in selector.items())
+    for key, value in selector.items():
+        if labels.get(key) != value:
+            return False
+    return True
 
 
 @dataclasses.dataclass

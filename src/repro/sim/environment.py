@@ -319,7 +319,7 @@ class Environment:
         """
         queue = self._queue
         pop = heapq.heappop
-        events = self.events_processed
+        events = 0
         try:
             while queue and queue[0][0] < limit:
                 item = pop(queue)
@@ -345,7 +345,9 @@ class Environment:
                 if not event._ok and not event._defused:
                     raise _t.cast(BaseException, event._value)
         finally:
-            self.events_processed = events
+            # The delta, not the total: a run nested inside one of our
+            # events has added its own count meanwhile.
+            self.events_processed += events
 
     def run(self, until: float | Event | None = None) -> _t.Any:
         """Run the simulation.
@@ -393,7 +395,7 @@ class Environment:
         # run() observes stock collector behaviour.
         queue = self._queue
         pop = heapq.heappop
-        events = self.events_processed
+        events = 0
         gc_thresholds = gc.get_threshold()
         gc.set_threshold(1_000_000, *gc_thresholds[1:])
         try:
@@ -437,8 +439,10 @@ class Environment:
             return None
         finally:
             # One write on exit instead of one per event; covers every
-            # path out of the loop, including escaping exceptions.
-            self.events_processed = events
+            # path out of the loop, including escaping exceptions.  It
+            # adds the delta: a run() nested inside a process (settle in
+            # move_client) has added its own count meanwhile.
+            self.events_processed += events
             gc.set_threshold(*gc_thresholds)
 
     @staticmethod

@@ -130,9 +130,9 @@ class TestSelfHealing:
         host, runtime = nodes[0]
         image = _image()
         registry.publish(image)
-        # Create a pod pre-bound to the node directly in the store,
-        # bypassing the watch notification entirely — only the
-        # housekeeping loop can find it.
+        # Inject a pod pre-bound to the node: stored and indexed, but
+        # with no watch notification — only the housekeeping loop can
+        # find it.
         from repro.k8s.objects import ContainerDef, ObjectMeta, Pod, PodSpec
 
         pod = Pod(
@@ -145,6 +145,6 @@ class TestSelfHealing:
             ),
         )
         # Inject silently (no watch notification).
-        cluster.api._objects["Pod"][pod.metadata.key] = pod
+        cluster.api.inject(pod)
         env.run(until=10.0)
         assert pod.status.phase == "Running"

@@ -255,3 +255,55 @@ def test_trace_replay_latencies_byte_identical():
     first = replay_time_totals(params=params, seed=7)
     assert len(first) == 132
     assert first == replay_time_totals(params=params, seed=7)  # full float precision
+
+
+# ---------------------------------------------------------------------------
+# (d) Kubernetes host work per deployment does not grow with the cluster
+# ---------------------------------------------------------------------------
+
+
+def _k8s_first_requests(n_services: int) -> dict[str, float]:
+    """Fig. 12's protocol on Kubernetes — one first request at a time to
+    never-requested services — under cProfile: exact counts per
+    deployment, no host time."""
+    import cProfile
+    import pstats
+
+    from repro.services.catalog import NGINX
+    from repro.testbed import C3Testbed, TestbedConfig
+
+    tb = C3Testbed(TestbedConfig(cluster_types=("k8s",)))
+    services = [tb.register_template(NGINX) for _ in range(n_services)]
+    tb.settle(1.0)
+    profile = cProfile.Profile()
+    profile.enable()
+    for service in services:
+        assert tb.run_request(tb.clients[0], service).response.ok
+        tb.settle(0.27)
+    profile.disable()
+    k8s_calls = sum(
+        row[1]
+        for (filename, _line, _name), row in pstats.Stats(profile).stats.items()
+        if "repro/k8s/" in filename.replace("\\", "/")
+    )
+    api = tb.kubernetes.api.stats
+    return {
+        "k8s_calls": k8s_calls / n_services,
+        "api_requests": api["requests"] / n_services,
+        "watch_events": api["events"] / n_services,
+    }
+
+
+def test_k8s_calls_per_deployment_do_not_scale_with_services():
+    """4x the services may cost at most 3x the ``repro/k8s`` calls per
+    deployment (each kube-proxy resync is still a full one, so linear
+    in the services it reprograms; the nested services x pods loop made
+    it 861 -> 6 041, 7.0x), and API traffic per deployment is flat."""
+    small, large = _k8s_first_requests(10), _k8s_first_requests(40)
+    assert large["k8s_calls"] <= 3.0 * small["k8s_calls"], (small, large)
+    assert large["watch_events"] == small["watch_events"] == 17.0
+    # 22 requests per deployment, plus one try_get whenever the kubelet's
+    # 1 s housekeeping tick lands in a pod's Pending window (about one
+    # deployment in thirty, at any size: 220 and 881 requests).
+    assert small["api_requests"] == 22.0
+    assert 22.0 <= large["api_requests"] <= 22.05

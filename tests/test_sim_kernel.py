@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
+import types
+
 import pytest
 
 from repro.sim import (
@@ -15,6 +18,7 @@ from repro.sim import (
     Resource,
     SimulationError,
     Store,
+    environment,
 )
 
 
@@ -200,6 +204,40 @@ class TestScheduledCallbacks:
         env.call_later(2.0, lambda: None)
         env.run()
         assert env.events_processed == 2
+
+    def test_nested_run_keeps_the_inner_count(self, monkeypatch):
+        """A run() nested inside a process (move_client's settle) adds
+        to the counter; the outer loop must not overwrite it on exit."""
+        pops = []
+
+        def counting_pop(queue):
+            item = heapq.heappop(queue)
+            pops.append(item[0])
+            return item
+
+        monkeypatch.setattr(
+            environment,
+            "heapq",
+            types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop),
+        )
+        env = Environment()
+        for k in range(6):
+            env.call_later(0.5 + k, lambda: None)  # 0.5 .. 5.5
+
+        def settles(env):
+            yield env.timeout(1.0)
+            env.run(until=4.0)  # 1.5, 2.5, 3.5 and its own stop event
+            env.run_below(5.0)  # 4.5
+            yield env.timeout(1.0)
+
+        env.process(settles(env))
+        env.run()
+        assert env.now == 5.5
+        assert len(pops) > 6
+        assert env.events_processed == len(pops)
+        env.call_later(1.0, lambda: None)
+        env.step()
+        assert env.events_processed == len(pops)
 
 
 class TestEvent:
