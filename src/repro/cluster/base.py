@@ -10,6 +10,8 @@ from __future__ import annotations
 import abc
 import typing as _t
 
+import numpy as np
+
 from repro.cluster.plan import DeployError, DeploymentPlan, ServiceEndpoint
 from repro.sim import Environment
 
@@ -137,7 +139,9 @@ class EdgeCluster(abc.ABC):
         the window before Create has assigned an endpoint (no port to
         subscribe to yet), and for subclasses that override
         :meth:`is_running` with a notion of readiness that is not
-        observable as a port-open event on the ingress host.
+        observable as a port-open event on the ingress host.  That twin
+        is reachable — ``core/federation/remote.py``'s ``RemoteCluster``
+        overrides ``is_running`` — so it stays.
         """
         deadline = None if timeout_s is None else self.env.now + timeout_s
         if type(self).is_running is not EdgeCluster.is_running:
@@ -173,7 +177,17 @@ class EdgeCluster(abc.ABC):
             if deadline is None:
                 yield open_ev
             else:
+                # First grid tick at or after the deadline.  The grid is
+                # a *sequence* of float additions (tick + k * interval
+                # rounds differently), which accumulate() performs in
+                # order; it stops a few steps short and the loop, which
+                # is the definition, finishes.
                 deadline_tick = tick
+                steps = int((deadline - tick) / poll_interval_s) - 4
+                if steps > 0:
+                    grid = np.full(steps + 1, poll_interval_s)
+                    grid[0] = tick
+                    deadline_tick = float(np.add.accumulate(grid)[-1])
                 while deadline_tick < deadline:
                     deadline_tick += poll_interval_s
                 yield open_ev | self.env.timeout_at(deadline_tick)

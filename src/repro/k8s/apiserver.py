@@ -10,6 +10,12 @@ indexed by what is fixed when an object is written — uid, namespace,
 owner, labels — so synchronous reads visit only what they return;
 ``status`` and ``spec`` are written in place by the control loops and
 are therefore never indexed, only filtered by the reader.
+
+Readers that follow *changes* subscribe to a kind's journal
+(:meth:`APIServer.journal`): every store write records the object when
+it lands in the store — not when its watch event is delivered — at no
+request, event or latency.  A control loop that writes a stored object
+in place announces that with :meth:`APIServer.touch`.
 """
 
 from __future__ import annotations
@@ -83,8 +89,9 @@ class _KindStore:
         record = self.records.get(key)
         return None if record is None else record[0]
 
-    def put(self, key: tuple[str, str], obj: _t.Any) -> None:
-        """Store ``obj`` under ``key``, replacing and re-indexing."""
+    def put(self, key: tuple[str, str], obj: _t.Any) -> _t.Any:
+        """Store ``obj`` under ``key``, replacing and re-indexing;
+        returns what was stored there before (``None``: nothing)."""
         meta = obj.metadata
         terms = (
             ("uid", meta.uid),
@@ -92,13 +99,14 @@ class _KindStore:
             ("owner", meta.owner_uid),
             *(("label", *pair) for pair in meta.labels.items()),
         )
-        self.pop(key)
+        replaced = self.pop(key)
         at = bisect.bisect_right(self.uids, meta.uid)
         self.uids.insert(at, meta.uid)
         self.objects.insert(at, obj)
         for term in terms:
             self.postings.setdefault(term, {})[key] = obj
         self.records[key] = (obj, terms)
+        return replaced
 
     def pop(self, key: tuple[str, str]) -> _t.Any:
         """Remove and return the object under ``key`` (``None`` if absent)."""
@@ -143,6 +151,8 @@ class APIServer:
         self.profile = profile or K8sProfile()
         self._stores: dict[str, _KindStore] = {kind: _KindStore() for kind in KINDS}
         self._watches: dict[str, list[Watch]] = {kind: [] for kind in KINDS}
+        #: kind -> its journal subscribers, each a dict uid -> object.
+        self._journals: dict[str, list[dict[str, _t.Any]]] = {kind: [] for kind in KINDS}
         self._resource_version = 0
         #: API request counter, for tests.
         self.stats = {"requests": 0, "events": 0}
@@ -212,6 +222,32 @@ class APIServer:
             raise TypeError(f"not an API object: {obj!r}")
         return kind
 
+    # -- change journal (synchronous) ----------------------------------------
+
+    def journal(self, kind: str) -> dict[str, _t.Any]:
+        """Subscribe to ``kind``'s change journal: a dict ``uid ->
+        object``, starting with what is stored now, that every later
+        store write and :meth:`touch` adds to at once.  The subscriber
+        empties it when it has caught up."""
+        entries = {obj.metadata.uid: obj for obj in self._stores[kind].objects}
+        self._journals[kind].append(entries)
+        return entries
+
+    def touch(self, obj: _t.Any) -> None:
+        """Journal ``obj`` as changed (no request, event or latency): how
+        an in-place write to a stored object — the kubelet's
+        ``status.ready``, the scheduler's ``spec.node_name`` — is
+        announced, in the same step, ahead of its ``update``."""
+        for entries in self._journals[self._kind_of(obj)]:
+            entries[obj.metadata.uid] = obj
+
+    def _put(self, kind: str, obj: _t.Any) -> None:
+        """Store ``obj`` and journal it, with whatever it replaced."""
+        replaced = self._stores[kind].put(obj.metadata.key, obj)
+        if replaced is not None and replaced is not obj:
+            self.touch(replaced)
+        self.touch(obj)
+
     # -- CRUD (generators) ---------------------------------------------------
 
     def create(self, obj: _t.Any):
@@ -223,14 +259,14 @@ class APIServer:
             raise Conflict(f"{kind} {key} already exists")
         obj.metadata.creation_time = self.env.now
         self._bump(obj.metadata)
-        self._stores[kind].put(key, obj)
+        self._put(kind, obj)
         self._notify(kind, "ADDED", obj)
         return obj
 
     def inject(self, obj: _t.Any) -> None:
         """Failure injection: store ``obj`` at once, with no watch event
         — what the control loops see after a lost notification."""
-        self._stores[self._kind_of(obj)].put(obj.metadata.key, obj)
+        self._put(self._kind_of(obj), obj)
 
     def get(self, kind: str, name: str, namespace: str = "default"):
         """Fetch one object (generator)."""
@@ -283,7 +319,7 @@ class APIServer:
         if key not in self._stores[kind].records:
             raise NotFound(f"{kind} {key}")
         self._bump(obj.metadata)
-        self._stores[kind].put(key, obj)
+        self._put(kind, obj)
         self._notify(kind, "MODIFIED", obj)
         return obj
 
@@ -293,6 +329,7 @@ class APIServer:
         obj = self._stores[kind].pop((namespace, name))
         if obj is None:
             raise NotFound(f"{kind} {namespace}/{name}")
+        self.touch(obj)
         self._notify(kind, "DELETED", obj)
         return obj
 

@@ -11,6 +11,11 @@ Pod startup (the fig. 11 K8s Scale-Up critical path through the node):
 
 A housekeeping loop (``kubelet_loop_period_s``) re-reconciles pods in
 case a watch event was missed, mirroring the kubelet's sync loop.
+
+Readiness is written in place on the stored pod ahead of its
+``update``; each such write, and each change to ``pod_containers``
+(what :meth:`Kubelet.ready_app_for` answers from), is announced with
+``api.touch(pod)`` in the same step — kube-proxy resyncs from that.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro.containers.containerd import (
     PullError,
 )
 from repro.containers.registry import Registry
-from repro.k8s.apiserver import APIServer, WatchEvent
+from repro.k8s.apiserver import APIServer, NotFound, WatchEvent
 from repro.k8s.objects import ContainerDef, Pod
 from repro.sim import AllOf, Environment, Store
 
@@ -128,6 +133,7 @@ class Kubelet:
             self._starting.discard(pod.metadata.uid)
             return
         self.pod_containers[pod.metadata.uid] = containers
+        self.api.touch(pod)
 
         ready_events = [c.ready for c in containers if not c.ready.triggered]
         if ready_events:
@@ -137,13 +143,13 @@ class Kubelet:
         pod.status.ready = True
         pod.status.host = self.node_name
         pod.status.started_at = self.env.now
+        self.api.touch(pod)
         yield self.env.timeout(profile.status_update_s)
         self._starting.discard(pod.metadata.uid)
         current = yield from self.api.try_get(
             "Pod", pod.metadata.name, pod.metadata.namespace
         )
-        if current is pod:
-            yield from self.api.update(pod)
+        if current is pod and (yield from self._update_status(pod)):
             for container in containers:
                 self.env.process(
                     self._restart_monitor(pod, container),
@@ -164,7 +170,9 @@ class Kubelet:
                 return  # pod torn down
             # The pod lost readiness until the container is back.
             pod.status.ready = False
-            yield from self.api.update(pod)
+            self.api.touch(pod)
+            if not (yield from self._update_status(pod)):
+                return
             yield self.env.timeout(self.RESTART_BACKOFF_S)
             if pod.metadata.uid not in self.pod_containers:
                 return
@@ -181,8 +189,18 @@ class Kubelet:
             others = self.pod_containers.get(pod.metadata.uid, [])
             if all(c.state.value == "running" for c in others):
                 pod.status.ready = True
+                self.api.touch(pod)
                 yield self.env.timeout(self.api.profile.status_update_s)
-                yield from self.api.update(pod)
+                yield from self._update_status(pod)
+
+    def _update_status(self, pod: Pod):
+        """``update(pod)`` (generator); False if the pod was deleted
+        while the request was under way — its teardown is on its way."""
+        try:
+            yield from self.api.update(pod)
+        except NotFound:
+            return False
+        return True
 
     def _container_spec(self, pod: Pod, cdef: ContainerDef) -> ContainerSpec:
         return ContainerSpec(
@@ -200,6 +218,7 @@ class Kubelet:
 
     def _teardown_pod(self, pod: Pod):
         containers = self.pod_containers.pop(pod.metadata.uid, [])
+        self.api.touch(pod)
         self._starting.discard(pod.metadata.uid)
         for container in containers:
             yield from self.runtime.remove(container)

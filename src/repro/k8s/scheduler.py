@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.k8s.apiserver import APIServer, WatchEvent
+from repro.k8s.apiserver import APIServer, NotFound, WatchEvent
 from repro.k8s.objects import Pod
 from repro.sim import Environment, Store
 
@@ -104,7 +104,11 @@ class KubeScheduler:
                 continue
             yield self.env.timeout(self.api.profile.bind_latency_s)
             pod.spec.node_name = choice
-            yield from self.api.update(pod)
+            self.api.touch(pod)  # an in-place write: see APIServer.touch
+            try:
+                yield from self.api.update(pod)
+            except NotFound:
+                pass  # deleted while the bind was under way
 
     def _requeue_later(self, key):
         yield self.env.timeout(self.unschedulable_retry_s)

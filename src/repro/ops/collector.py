@@ -48,6 +48,17 @@ __all__ = ["FlowStatsCollector", "DEFAULT_BYTES_PER_PACKET"]
 DEFAULT_BYTES_PER_PACKET = 600.0
 
 
+def _service_of(cookie: _t.Any) -> str | None:
+    """The service a flow cookie names (``redirect:<service>:<client>``,
+    ``drain:<service>:<client>``, ``intercept:<service>``), else ``None``."""
+    text = str(cookie or "")
+    if text.startswith(("redirect:", "drain:")):
+        return text.split(":", 2)[1]
+    if text.startswith("intercept:"):
+        return text.split(":", 1)[1]
+    return None
+
+
 class FlowStatsCollector:
     """Polls one site's switch counters on a fixed period.
 
@@ -90,6 +101,9 @@ class FlowStatsCollector:
         self._last_time = env.now
         self._last_tx = int(switch.stats["tx"])
         self._last_service_packets: dict[str, int] = {}
+        #: Flow cookie -> the service it counts for (None: none), parsed
+        #: once per distinct cookie rather than per entry per tick.
+        self._cookie_service: dict[_t.Any, str | None] = {}
         # Latest local observations (tuples of frozen views).
         self._link_views: tuple[LinkStatsView, ...] = ()
         self._rate_views: tuple[ServiceRateView, ...] = ()
@@ -173,15 +187,14 @@ class FlowStatsCollector:
     ) -> tuple[ServiceRateView, ...]:
         """Per-service packet rates from flow-cookie counter deltas."""
         totals: dict[str, int] = {}
+        services = self._cookie_service
         for entry in self.switch.table:
-            cookie = str(entry.cookie or "")
-            if cookie.startswith("redirect:") or cookie.startswith("drain:"):
-                service = cookie.split(":", 2)[1]
-            elif cookie.startswith("intercept:"):
-                service = cookie.split(":", 1)[1]
-            else:
-                continue
-            totals[service] = totals.get(service, 0) + int(entry.packet_count)
+            try:
+                service = services[entry.cookie]
+            except KeyError:
+                service = services[entry.cookie] = _service_of(entry.cookie)
+            if service is not None:
+                totals[service] = totals.get(service, 0) + int(entry.packet_count)
         views: list[ServiceRateView] = []
         for service in sorted(totals):
             previous = self._last_service_packets.get(service, 0)

@@ -307,6 +307,13 @@ class TestCollectorMath:
             "x": FlowEntry(
                 FlowMatch(tcp_dst=83), [Drop()], cookie="infra:arp"
             ),
+            # The same service through another client's cookie, and an
+            # entry without one: cookies resolve once, totals still add.
+            "a2": FlowEntry(
+                FlowMatch(tcp_dst=84), [Drop()],
+                cookie="redirect:svcA:10.0.0.10",
+            ),
+            "n": FlowEntry(FlowMatch(tcp_dst=85), [Drop()]),
         }
         for entry in entries.values():
             sw.table.install(entry, 0.0)
@@ -314,6 +321,8 @@ class TestCollectorMath:
         entries["b"].packet_count = 10
         entries["c"].packet_count = 4
         entries["x"].packet_count = 99  # non-service cookie: ignored
+        entries["a2"].packet_count = 5  # idle afterwards
+        entries["n"].packet_count = 7  # no cookie: ignored
 
         env.call_at(1.0, lambda: collector.collect())
 

@@ -262,48 +262,93 @@ def test_trace_replay_latencies_byte_identical():
 # ---------------------------------------------------------------------------
 
 
-def _k8s_first_requests(n_services: int) -> dict[str, float]:
+def _k8s_first_requests(n_services: int, labels_of=None) -> dict[str, float]:
     """Fig. 12's protocol on Kubernetes — one first request at a time to
     never-requested services — under cProfile: exact counts per
-    deployment, no host time."""
+    deployment, no host time.  ``labels_of(service name)`` replaces the
+    labels (and so the selectors) the adapter would give the objects."""
+    import contextlib
     import cProfile
     import pstats
+    from unittest import mock
 
+    from repro.cluster.k8s_cluster import K8sEdgeCluster
     from repro.services.catalog import NGINX
     from repro.testbed import C3Testbed, TestbedConfig
+
+    build_deployment = K8sEdgeCluster.build_deployment
+    build_service = K8sEdgeCluster.build_service
+
+    def relabelled_deployment(self, plan):
+        deployment = build_deployment(self, plan)
+        for holder in (deployment.metadata, deployment.spec.template):
+            holder.labels = labels_of(plan.service_name)
+        deployment.spec.selector = labels_of(plan.service_name)
+        return deployment
+
+    def relabelled_service(self, plan, node_port):
+        service = build_service(self, plan, node_port)
+        service.metadata.labels = labels_of(plan.service_name)
+        service.spec.selector = labels_of(plan.service_name)
+        return service
 
     tb = C3Testbed(TestbedConfig(cluster_types=("k8s",)))
     services = [tb.register_template(NGINX) for _ in range(n_services)]
     tb.settle(1.0)
     profile = cProfile.Profile()
-    profile.enable()
-    for service in services:
-        assert tb.run_request(tb.clients[0], service).response.ok
-        tb.settle(0.27)
-    profile.disable()
-    k8s_calls = sum(
-        row[1]
-        for (filename, _line, _name), row in pstats.Stats(profile).stats.items()
-        if "repro/k8s/" in filename.replace("\\", "/")
+    relabel = mock.patch.multiple(
+        K8sEdgeCluster,
+        build_deployment=relabelled_deployment,
+        build_service=relabelled_service,
     )
+    with relabel if labels_of else contextlib.nullcontext():
+        profile.enable()
+        for service in services:
+            assert tb.run_request(tb.clients[0], service).response.ok
+            tb.settle(0.27)
+        profile.disable()
+    calls = {"k8s_calls": 0, "selector_matches": 0}
+    for (filename, _line, name), row in pstats.Stats(profile).stats.items():
+        if "repro/k8s/" in filename.replace("\\", "/"):
+            calls["k8s_calls"] += row[1]
+            if name == "matches_selector":
+                calls["selector_matches"] += row[1]
     api = tb.kubernetes.api.stats
     return {
-        "k8s_calls": k8s_calls / n_services,
+        "k8s_calls": calls["k8s_calls"] / n_services,
+        "selector_matches": calls["selector_matches"] / n_services,
         "api_requests": api["requests"] / n_services,
         "watch_events": api["events"] / n_services,
     }
 
 
 def test_k8s_calls_per_deployment_do_not_scale_with_services():
-    """4x the services may cost at most 3x the ``repro/k8s`` calls per
-    deployment (each kube-proxy resync is still a full one, so linear
-    in the services it reprograms; the nested services x pods loop made
-    it 861 -> 6 041, 7.0x), and API traffic per deployment is flat."""
+    """4x the services cost at most 1.15x the ``repro/k8s`` calls per
+    deployment: a kube-proxy resync reprograms the services its journal
+    names, not the cluster (a full resync three times per deployment
+    made it 523 -> 703, 1.34x; the nested services x pods loop before
+    that 861 -> 6 041, 7.0x), and API traffic per deployment is flat."""
     small, large = _k8s_first_requests(10), _k8s_first_requests(40)
-    assert large["k8s_calls"] <= 3.0 * small["k8s_calls"], (small, large)
+    assert large["k8s_calls"] <= 1.15 * small["k8s_calls"], (small, large)
     assert large["watch_events"] == small["watch_events"] == 17.0
     # 22 requests per deployment, plus one try_get whenever the kubelet's
     # 1 s housekeeping tick lands in a pod's Pending window (about one
     # deployment in thirty, at any size: 220 and 881 requests).
     assert small["api_requests"] == 22.0
     assert 22.0 <= large["api_requests"] <= 22.05
+
+
+def test_selectors_sharing_their_first_pair_cost_no_more_matches():
+    """40 services whose selectors all *start* with ``tier=edge`` cost no
+    more ``matches_selector`` calls per deployment than 40 whose first
+    pairs are distinct: a changed pod finds its services through one
+    pair per selector, the rarest, whichever comes first (keyed by the
+    first pair, every ready pod met every service: services x pods)."""
+    shared = _k8s_first_requests(
+        40, lambda name: {"tier": "edge", "edge.service": name}
+    )
+    distinct = _k8s_first_requests(
+        40, lambda name: {"edge.service": name, "tier": "edge"}
+    )
+    assert shared["selector_matches"] <= distinct["selector_matches"], (shared, distinct)
+    assert distinct["selector_matches"] <= 10

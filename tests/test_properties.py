@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -28,6 +29,15 @@ from repro.services.catalog import NGINX
 from repro.sim import Environment, Resource, Store
 from repro.testbed import C3Testbed, TestbedConfig
 from repro.workload import BigFlowsParams, TraceDriver, generate_trace
+
+from tests.kubeproxy_oracle import (
+    Backend,
+    FullResync,
+    RecordingNode,
+    assert_nothing_left_to_program,
+    assert_same_programming,
+    serve,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -284,139 +294,385 @@ def test_indexed_list_matches_brute_force_scan(ops, uid_order, selectors):
     assert "scribble" not in api.list_nowait("Pod", None)
 
 
-class _Node:
-    """Stands in for a kubelet and its host: what kube-proxy calls."""
-
-    def __init__(self) -> None:
-        self.node_host = self
-        self.ports: dict[int, object] = {}
-        #: (pod uid, container port) -> the app listening there.
-        self.apps: dict[tuple[str, int], object] = {}
-
-    def port_is_open(self, port):
-        return port in self.ports
-
-    def open_port(self, port, handler):
-        self.ports[port] = handler
-
-    def close_port(self, port):
-        del self.ports[port]
-
-    def ready_app_for(self, pod, target_port):
-        return self.apps.get((pod.metadata.uid, target_port))
-
-
 #: Small alphabets, so that generated pods and services meet often.
 _few_labels = st.dictionaries(
     st.sampled_from(["app", "tier"]), st.sampled_from(["x", "y"]), max_size=2
 )
 _node_names = st.sampled_from(["n0", "n0", "n1", None, "ghost"])  # ghost: no kubelet
+_container_ports = st.sampled_from([{80}, {80, 81}, set()])
+#: Few node ports, so that services collide on one and change to another's.
+_node_ports = st.sampled_from([None, 30001, 30001, 30002, 30003])
+_service_ports = st.lists(
+    st.builds(ServicePort, st.just(80), st.sampled_from([80, 80, 81]), node_port=_node_ports),
+    min_size=1,
+    max_size=2,
+)
+_victim = st.integers(0, 7)
 _proxy_ops = st.one_of(
+    # A name from a small pool: create, re-create after a delete, or — if
+    # the name is live — a different pod (new uid) under the same key.
     st.tuples(
-        st.just("pod"),
-        _few_labels,
-        _node_names,
-        st.booleans(),
-        st.sampled_from([{80}, {80, 81}, set()]),
+        st.just("pod"), st.integers(0, 5), _few_labels, _node_names,
+        st.booleans(), _container_ports,
     ),
-    st.tuples(
-        st.just("service"),
-        _few_labels,
-        st.sampled_from([80, 80, 81]),
-        st.sampled_from([True, True, False]),
-    ),
-    st.tuples(st.just("flip-ready"), st.integers(0, 7)),
-    st.tuples(st.just("rebind"), st.integers(0, 7), _node_names),
-    st.tuples(st.just("relabel"), st.integers(0, 7), _few_labels),
-    st.tuples(st.just("delete-pod"), st.integers(0, 7)),
-    st.tuples(st.just("delete-service"), st.integers(0, 7)),
+    st.tuples(st.just("service"), _few_labels, _service_ports),
+    st.tuples(st.just("flip-ready"), _victim),
+    st.tuples(st.just("rebind"), _victim, _node_names),
+    st.tuples(st.just("containers"), _victim, _container_ports),
+    st.tuples(st.just("relabel"), _victim, _few_labels),
+    st.tuples(st.just("reapply"), _victim, _few_labels),
+    st.tuples(st.just("reselect"), _victim, _few_labels),
+    st.tuples(st.just("node-ports"), _victim, _service_ports),
+    st.tuples(st.just("delete-pod"), _victim),
+    st.tuples(st.just("delete-service"), _victim),
+    st.tuples(st.just("request"), _victim),
 )
 
 
+#: Ops of the kube-proxy property whose victim is a service.
+_SERVICE_OPS = ("reselect", "node-ports", "delete-service")
+#: Every example starts from a programmed cluster — two services behind
+#: node ports, ready pods on both nodes, two replicas on one of them, a
+#: rotation under way — so that the generated ops change bindings
+#: instead of mostly missing each other.
+_PROXY_PRELUDE = [
+    [
+        ("pod", 0, {"app": "x"}, "n0", True, {80}),
+        ("pod", 1, {"app": "x", "tier": "y"}, "n0", True, {80, 81}),
+        ("pod", 2, {"tier": "y"}, "n1", True, {80, 81}),
+        ("service", {"app": "x"}, [ServicePort(80, 80, node_port=30001)]),
+        ("service", {"tier": "y"}, [ServicePort(80, 81, node_port=30002)]),
+    ],
+    [("request", 0), ("request", 0), ("request", 1)],
+]
+
+
 def _nested_loop_backends(services, pods, nodes):
-    """node -> node port -> backend apps: services x pods, the loop
-    kube-proxy's resync used to be."""
-    want: dict[str, dict[int, list]] = {name: {} for name in nodes}
-    for service in sorted(services, key=lambda s: s.metadata.uid):
-        port = service.spec.ports[0]
-        if port.node_port is None:
-            continue
-        for pod in sorted(pods, key=lambda p: p.metadata.uid):
-            if not pod.status.ready or pod.spec.node_name not in nodes:
+    """(service uid, node) -> backend apps: services x ports x pods, the
+    loop kube-proxy's resync once was.  A later port of a service wins a
+    node it shares with an earlier one."""
+    want: dict[tuple[str, str], list] = {}
+    for service in services:
+        for port in service.spec.ports:
+            if port.node_port is None:
                 continue
-            if not matches_selector(pod.metadata.labels, service.spec.selector):
-                continue
-            app = nodes[pod.spec.node_name].ready_app_for(pod, port.target_port)
-            if app is not None:
-                want[pod.spec.node_name].setdefault(port.node_port, []).append(app)
+            per_node: dict[str, list] = {}
+            for pod in sorted(pods, key=lambda p: p.metadata.uid):
+                if not pod.status.ready or pod.spec.node_name not in nodes:
+                    continue
+                if not matches_selector(pod.metadata.labels, service.spec.selector):
+                    continue
+                app = nodes[pod.spec.node_name].ready_app_for(pod, port.target_port)
+                if app is not None:
+                    per_node.setdefault(pod.spec.node_name, []).append(app)
+            for node_name, apps in per_node.items():
+                want[service.metadata.uid, node_name] = apps
     return want
 
 
 @settings(max_examples=150, deadline=None)
 @given(rounds=st.lists(st.lists(_proxy_ops, max_size=10), min_size=1, max_size=4))
 def test_kubeproxy_join_matches_nested_loop(rounds):
-    """Per-node backend lists after each full resync equal the
-    services x pods nested loop — pods ready and not, bound, unbound
-    and bound to an unknown node, readiness and binding flipped in
-    place without an update, selectors empty, multi-key and unmatched."""
+    """After *every* resync the journal-driven reconciler has done what
+    a full resync does on the same live store: the same ``open_port`` /
+    ``close_port`` calls in the same order, the same bindings in the
+    same order, the same backends and the same rotation position in
+    every balancer (``FullResync``, the old code, is the oracle; the
+    nested loop checks the oracle's backends in turn).
+
+    The contract for an in-place write is exercised as the kubelet and
+    the scheduler honour it: whoever writes ``status.ready``,
+    ``spec.node_name``, a service's ``spec`` or the containers behind a
+    pod on the stored object says so with ``api.touch(obj)`` in the same
+    step.  Labels are different: the store indexes them, so they change
+    with the ``update`` that re-indexes them, not before — the in-place
+    relabel below first lets pending resyncs fire, so that no resync
+    falls between the write and its ``update``."""
     env = Environment()
     api = APIServer(env)
-    nodes = {"n0": _Node(), "n1": _Node()}
-    KubeProxy(env, api, nodes)
-    pods: list[Pod] = []
+    calls: list = []
+    twin_calls: list = []
+    nodes = {name: RecordingNode(name, calls) for name in ("n0", "n1")}
+    twins = {
+        name: RecordingNode(name, twin_calls, apps=node.apps)
+        for name, node in nodes.items()
+    }
+    proxy = KubeProxy(env, api, nodes)
+    oracle = FullResync(api, twins)
+    pods: dict[str, Pod] = {}
     services: list[Service] = []
     serial = itertools.count()
-    # Updating this port-less service is what triggers each resync.
-    trigger = Service(ObjectMeta("trigger"), ServiceSpec(ports=[ServicePort(1, 1)]))
-    _call(env, api.create(trigger))
+    resyncs = itertools.count()
+    journal_driven_resync = proxy._reconcile_all
 
-    for ops in rounds:
+    def checked_resync():
+        journal_driven_resync()
+        oracle.reconcile_all()
+        next(resyncs)
+        assert calls == twin_calls
+        assert_same_programming(proxy, oracle)
+        assert {
+            key: balancer.backends for key, balancer in proxy._balancers.items()
+        } == _nested_loop_backends(services, pods.values(), nodes)
+
+    proxy._reconcile_all = checked_resync
+
+    def set_apps(pod, container_ports):
+        for node in nodes.values():
+            for port in (80, 81):
+                node.apps.pop((pod.metadata.uid, port), None)
+            for port in container_ports:
+                node.apps[pod.metadata.uid, port] = Backend()
+
+    # Updating this port-less, select-everything service is what
+    # triggers each round's resync.
+    trigger = Service(ObjectMeta("trigger"), ServiceSpec(ports=[ServicePort(1, 1)]))
+    services.append(_call(env, api.create(trigger)))
+
+    for ops in (*_PROXY_PRELUDE, *rounds):
         for op in ops:
-            victims = services if op[0] == "delete-service" else pods
+            live_pods = list(pods.values())
+            victims = services[1:] if op[0] in _SERVICE_OPS else live_pods
             if op[0] == "pod":
-                _, labels, node_name, ready, container_ports = op
+                _, n, labels, node_name, ready, container_ports = op
                 new = Pod(
-                    ObjectMeta(f"pod-{next(serial)}", labels=dict(labels)),
+                    ObjectMeta(f"pod-{n}", labels=dict(labels)),
                     PodSpec(node_name=node_name),
                 )
                 new.status.ready = ready
-                for node in nodes.values():
-                    for container_port in container_ports:
-                        node.apps[new.metadata.uid, container_port] = object()
-                pods.append(_call(env, api.create(new)))
+                set_apps(new, container_ports)
+                write = api.update if new.metadata.name in pods else api.create
+                pods[new.metadata.name] = _call(env, write(new))
             elif op[0] == "service":
-                _, selector, target_port, exposed = op
-                n = next(serial)
-                node_port = 30000 + n if exposed else None
                 new = Service(
-                    ObjectMeta(f"svc-{n}"),
-                    ServiceSpec(
-                        selector=dict(selector),
-                        ports=[ServicePort(target_port, target_port, node_port=node_port)],
-                    ),
+                    ObjectMeta(f"svc-{next(serial)}"),
+                    ServiceSpec(selector=dict(op[1]), ports=list(op[2])),
                 )
                 services.append(_call(env, api.create(new)))
+            elif op[0] == "request":
+                open_ports = [
+                    (name, port) for name in nodes for port in sorted(nodes[name].ports)
+                ]
+                if open_ports:
+                    name, port = open_ports[op[1] % len(open_ports)]
+                    assert serve(nodes[name].ports[port]) is serve(twins[name].ports[port])
             elif not victims:
                 continue
             elif op[0] == "flip-ready":  # in place, as the kubelet does
                 victim = victims[op[1] % len(victims)]
                 victim.status.ready = not victim.status.ready
+                api.touch(victim)
             elif op[0] == "rebind":  # in place, as the scheduler does
-                victims[op[1] % len(victims)].spec.node_name = op[2]
+                victim = victims[op[1] % len(victims)]
+                victim.spec.node_name = op[2]
+                api.touch(victim)
+            elif op[0] == "containers":  # the kubelet's pod_containers
+                victim = victims[op[1] % len(victims)]
+                set_apps(victim, op[2])
+                api.touch(victim)
             elif op[0] == "relabel":
                 victim = victims[op[1] % len(victims)]
+                env.run(until=env.now + 1.0)  # no resync pending any more
                 victim.metadata.labels = dict(op[2])
                 _call(env, api.update(victim))
+            elif op[0] == "reapply":  # a new object, same uid, same key
+                victim = victims[op[1] % len(victims)]
+                meta = dataclasses.replace(victim.metadata, labels=dict(op[2]))
+                new = Pod(meta, victim.spec, victim.status)
+                pods[meta.name] = _call(env, api.update(new))
+            elif op[0] == "reselect":
+                victim = victims[op[1] % len(victims)]
+                victim.spec.selector = dict(op[2])
+                api.touch(victim)
+                _call(env, api.update(victim))
+            elif op[0] == "node-ports":
+                victim = victims[op[1] % len(victims)]
+                victim.spec.ports = list(op[2])
+                api.touch(victim)
+                _call(env, api.update(victim))
+            elif op[0] == "delete-pod":
+                victim = victims[op[1] % len(victims)]
+                del pods[victim.metadata.name]
+                _call(env, api.delete("Pod", victim.metadata.name))
             else:
-                victim = victims.pop(op[1] % len(victims))
-                _call(env, api.delete(victim.kind, victim.metadata.name))
+                victim = victims[op[1] % len(victims)]
+                services.remove(victim)
+                _call(env, api.delete("Service", victim.metadata.name))
+        seen = next(resyncs)
         _call(env, api.update(trigger))
         env.run(until=env.now + 1.0)  # watch + endpoints + kube-proxy sync
-        got = {
-            name: {port: handler.backends for port, handler in node.ports.items()}
-            for name, node in nodes.items()
-        }
-        assert got == _nested_loop_backends(services, pods, nodes)
+        assert next(resyncs) > seen + 1  # the round ended on a checked resync
+
+
+_cluster_ops = st.lists(
+    st.tuples(
+        st.floats(0.0, 1.5),  # simulated seconds before the op
+        st.one_of(
+            st.tuples(
+                st.just("deploy"),
+                st.integers(1, 2),  # replicas
+                st.sampled_from([None, None, 0.7, 2.0]),  # crash_after_s
+            ),
+            st.tuples(st.just("scale"), _victim, st.integers(0, 3)),
+            st.tuples(st.just("delete-pod"), _victim),
+            st.tuples(st.just("crash-node"), st.integers(0, 1), st.floats(0.5, 3.0)),
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _resync_inputs(cluster, pods, services):
+    """uid -> everything about the object a kube-proxy resync reads
+    (``container.app`` aside: containerd sets it at boot, in the same
+    instant the kubelet turns the pod ready and says so)."""
+    api = cluster.api
+    seen = {}
+    for pod in pods:
+        uid = pod.metadata.uid
+        seen[uid] = (
+            api.by_uid_nowait("Pod", uid) is pod,
+            pod.status.ready,
+            pod.spec.node_name,
+            tuple(pod.metadata.labels.items()),
+            [
+                tuple(id(c) for c in kubelet.pod_containers.get(uid, ()))
+                for kubelet in cluster.kubelets.values()
+            ],
+        )
+    for service in services:
+        uid = service.metadata.uid
+        seen[uid] = (
+            api.by_uid_nowait("Service", uid) is service,
+            tuple(service.spec.selector.items()),
+            [dataclasses.astuple(port) for port in service.spec.ports],
+        )
+    return seen
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=_cluster_ops)
+def test_kubeproxy_follows_a_real_cluster(ops):
+    """The same equivalence on the real thing — kubelets, scheduler,
+    controllers, containerd — through deploys, scalings, crash-looping
+    containers, pod deletes and node crashes.  At *every* simulated
+    instant (not only when a resync happens to be due):
+
+    * whatever a resync reads has been journaled if it changed — which
+      is what a forgotten ``api.touch`` breaks, at any of the write
+      sites, including those (the scheduler's bind, the kubelet's
+      ``pod_containers``) whose effect on the bindings is nil as long as
+      pods become ready last;
+    * after a journal-driven resync, a full one would change nothing.
+    """
+    from tests.test_k8s import _cluster, _deployment, _image, _service
+    from repro.k8s import ContainerDef, KubernetesClient, NotFound
+    from tests.nethelpers import EchoApp
+
+    env = Environment()
+    cluster, registry, nodes = _cluster(env, node_count=2)
+    api = cluster.api
+    client = KubernetesClient(api)
+    image = _image()
+    registry.publish(image)
+    deployed: list[str] = []
+
+    def restore(runtime):
+        runtime.down = False
+
+    def driver():
+        for delay, op in ops:
+            yield env.timeout(delay)
+            if op[0] == "deploy":
+                name = f"web{len(deployed)}"
+                labels = {"edge.service": name}
+                containers = [
+                    ContainerDef(
+                        name="main", image=image, container_port=80,
+                        boot_time_s=0.05, app_factory=EchoApp, crash_after_s=op[2],
+                    )
+                ]
+                yield from client.create_deployment(
+                    _deployment(name, image, labels, op[1], containers)
+                )
+                yield from client.create_service(
+                    _service(name, labels, node_port=30080 + len(deployed))
+                )
+                deployed.append(name)
+            elif op[0] == "scale" and deployed:
+                yield from client.scale_deployment(deployed[op[1] % len(deployed)], op[2])
+            elif op[0] == "delete-pod":
+                live = api.list_nowait("Pod")
+                if live:
+                    try:
+                        yield from api.delete("Pod", live[op[1] % len(live)].metadata.name)
+                    except NotFound:
+                        pass  # its ReplicaSet was quicker
+            elif op[0] == "crash-node":
+                runtime = nodes[op[1]][1]
+                runtime.down = True
+                runtime.kill_all()
+                env.call_later(op[2], restore, runtime)
+
+    journals = {"Pod": api.journal("Pod"), "Service": api.journal("Service")}
+    known: dict[str, dict] = {"Pod": {}, "Service": {}}
+    before: dict = {}
+    driving = env.process(driver())
+    settled_at = None
+    while settled_at is None or env.peek() < settled_at:
+        if settled_at is None and driving.triggered:
+            settled_at = env.now + 8.0
+        instant = env.peek()
+        while env.peek() == instant:
+            env.step()
+        for kind, objects in known.items():
+            objects.update((o.metadata.uid, o) for o in api.list_nowait(kind, None))
+        after = _resync_inputs(cluster, known["Pod"].values(), known["Service"].values())
+        written = {uid for journal in journals.values() for uid in journal}
+        changed = {uid for uid, inputs in after.items() if before.get(uid) != inputs}
+        assert changed <= written, (env.now, changed - written)
+        for journal in journals.values():
+            journal.clear()
+        before = after
+        assert_nothing_left_to_program(cluster.kube_proxy)
+
+
+# ---------------------------------------------------------------------------
+# wait_ready: the deadline on the poll grid
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.floats(0.0, 5000.0),
+    timeout_s=st.one_of(st.just(120.0), st.floats(0.0, 300.0)),
+    interval=st.one_of(st.just(0.02), st.floats(0.005, 1.0)),
+)
+def test_wait_ready_gives_up_on_the_poll_loops_tick(start, timeout_s, interval):
+    """A wait on a port that never opens gives up at the very instant
+    (bit for bit) at which the literal poll loop does — the first tick
+    of ``start + interval + interval + ...`` at or after the deadline —
+    although it computes that tick without walking the grid."""
+    import types
+
+    from repro.cluster.base import EdgeCluster
+    from tests.nethelpers import MiniNet
+    from tests.test_dispatcher_unit import FakeCluster
+
+    class PortCluster(FakeCluster):
+        is_running = EdgeCluster.is_running  # readiness is the port again
+
+    def gave_up_at(cluster_type):
+        env = Environment(initial_time=start)
+        cluster = cluster_type(env, "edge", MiniNet(env).host("egs"))
+        plan = types.SimpleNamespace(service_name="svc")  # all a FakeCluster reads
+        cluster.created.add(plan.service_name)  # an endpoint, never a listener
+        wait = cluster.wait_ready(plan, poll_interval_s=interval, timeout_s=timeout_s)
+        assert env.run(until=env.process(wait)) is False
+        return env.now
+
+    assert gave_up_at(PortCluster) == gave_up_at(FakeCluster)
 
 
 # ---------------------------------------------------------------------------
