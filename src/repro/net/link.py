@@ -80,7 +80,9 @@ class LinkEndpoint:
         "_deliver_cb",
     )
 
-    def __init__(self, link: "Link", iface: "NetworkInterface") -> None:
+    def __init__(
+        self, link: "Link | HalfLinkEndpoint", iface: "NetworkInterface"
+    ) -> None:
         self.link = link
         self.iface = iface
         self.peer: "LinkEndpoint | None" = None
@@ -88,9 +90,9 @@ class LinkEndpoint:
         self._busy = False
         self._env = link.env
         # Hot-parameter mirror, kept in sync by the Link setters.
-        self._bw = link._bandwidth_bps
-        self._lat = link._latency_s
-        self._down = link._down
+        self._bw = link.bandwidth_bps
+        self._lat = link.latency_s
+        self._down = link.down
         # Delivery target (peer device + interface), bound by
         # Link.__init__ once both endpoints exist.  The device, not its
         # bound ``receive``, is cached: tests monkey-patch ``receive``
@@ -173,6 +175,63 @@ class LinkEndpoint:
     def _deliver(self, packet: "Packet") -> None:
         if self._recv_dev is not None and not self._down:
             self._recv_dev.receive(packet, self._recv_iface)
+
+
+class HalfLinkEndpoint(LinkEndpoint):
+    """The near side of a link cut at its propagation leg.
+
+    The far side lives in another event loop (a partition of the
+    sharded kernel).  ``transmit`` and ``_serialize`` are inherited, so
+    the FIFO discipline and the serialization float are
+    :class:`LinkEndpoint`'s by construction.  Only the end of
+    serialization differs: instead of scheduling a local delivery, the
+    packet goes to ``send(packet, arrival_ts=now + latency)`` — the
+    instant ``_deliver`` would have fired.  Route-cache state is
+    stripped first: a recording holds env-bound hops (unpicklable, and a
+    traversal across event loops is not replayable), so flows through a
+    cut link stay on the slow path.
+
+    There is no two-ended :class:`Link` to belong to, so the endpoint is
+    its own ``link``: it carries the ``epoch``, ``down`` and
+    ``bandwidth_bps`` that the route cache, a handover and the
+    flow-stats collector read there.  The parameters are fixed for life
+    (``epoch`` never moves), and ``peer`` stays ``None``, which makes an
+    inbound ``_record_hop`` abort its recording.
+    """
+
+    __slots__ = ("send", "env", "epoch", "bandwidth_bps", "latency_s", "down")
+
+    def __init__(
+        self,
+        env: Environment,
+        iface: "NetworkInterface",
+        bandwidth_bps: float,
+        latency_s: float,
+        send: _t.Callable[..., None],
+    ) -> None:
+        self.send = send
+        self.env = env
+        self.epoch = 0
+        self.bandwidth_bps = float(bandwidth_bps)
+        self.latency_s = float(latency_s)
+        self.down = False
+        super().__init__(self, iface)
+        iface.endpoint = self
+
+    def _serialized(self, packet: "Packet") -> None:
+        hop = packet._fp_next
+        if hop is not None:
+            # A fused fast hop can never target a cut link (recordings
+            # through it never finalize), but a stale pointer from an
+            # upstream invalidation may survive: kill it before pickling.
+            hop.route.invalidate()
+            packet._fp_next = None
+        packet._fp_rec = None
+        self.send(packet, arrival_ts=self._env._now + self._lat)
+        if self._pending:
+            self._serialize(self._pending.popleft())
+        else:
+            self._busy = False
 
 
 class Link:

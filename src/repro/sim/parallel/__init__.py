@@ -56,7 +56,6 @@ from repro.sim.parallel.partitioner import (
     partition_topology,
 )
 from repro.sim.parallel.testbed import (
-    PortalEndpoint,
     ServiceSpec,
     TestbedReplay,
     build_replay,
@@ -77,7 +76,6 @@ __all__ = [
     "PartitionSpec",
     "PartitionStats",
     "Portal",
-    "PortalEndpoint",
     "RunStats",
     "SerialExecutor",
     "ServiceSpec",

@@ -1,27 +1,29 @@
 """The *real* federated testbed sharded onto the parallel kernel.
 
-This module builds each site's **full stack** — gNB
-:class:`~repro.net.openflow.OpenFlowSwitch`, EGS host, containerd +
-Docker cluster, client hosts, and the site's own
-:class:`~repro.core.federation.SiteController` — inside its own
-partition, with the backbone switch, :class:`BackboneApp`, cloud host,
-and :class:`~repro.core.federation.SharedStateHub` in a partition of
-their own.  Every component is the same class the monolithic
-:class:`~repro.testbed.federation.FederatedTestbed` runs; only the
-wiring differs:
+Each site's :class:`~repro.testbed.site.Site` stack runs inside its
+own partition, and the :class:`~repro.testbed.site.Backbone` island
+(switch, static app, cloud host, shared-state hub) in one more — the
+very builders the monolithic
+:class:`~repro.testbed.federation.FederatedTestbed` puts into one event
+loop.  Only the two seams are wired differently:
 
 * the trunk :class:`~repro.net.link.Link` between a site switch and
-  the backbone becomes a pair of :class:`PortalEndpoint` half-links,
-  one per partition, whose serialization timeline mirrors
-  :class:`~repro.net.link.LinkEndpoint` float-for-float and whose
-  propagation leg rides the cut-edge channel (lookahead = trunk
-  latency);
+  the backbone becomes two :class:`~repro.net.link.HalfLinkEndpoint`
+  halves, one per partition: the transmitter is the one
+  :class:`~repro.net.link.LinkEndpoint` has, the propagation leg
+  rides the cut-edge channel (lookahead = trunk latency);
 * shared-state replication rides a second, ``control``-kind channel
   per site: the site's :class:`~repro.core.federation.SiteReplica`
   talks to a :class:`~repro.core.federation.RemoteHubHandle`, the hub
   fans out through :meth:`SharedStateHub.attach_remote` sends — each
   leg paying exactly the ``propagation_delay_s`` the in-process hub
   charges (lookahead = propagation delay).
+
+What the monolith has once per federation, a partition has for itself:
+catalog and registries (pull traffic is site-local; the profiles make
+it deterministic), MAC allocator, recorder, bandwidth ledger, and a
+conntrack over its own clients.  Addresses are computed, not
+allocated, so no object crosses the fork boundary.
 
 Build-in-worker: partitions are constructed *inside* the forked worker
 from a picklable :class:`TestbedReplay` (config + service schedule +
@@ -41,10 +43,10 @@ Determinism notes:
   module counter is re-based per partition index), so two sites'
   clients can never collide at a shared server's ``conn_id`` demux —
   in serial and parallel execution alike;
-* route-cache recordings are aborted at the portal (a cross-partition
-  traversal is not replayable, and a recording holds env-bound hop
-  objects that must never be pickled), so cross-site flows take the
-  slow path under *both* executors — identically.
+* route-cache recordings are aborted at the cut trunk (a
+  cross-partition traversal is not replayable, and a recording holds
+  env-bound hop objects that must never be pickled), so cross-site
+  flows take the slow path under *both* executors — identically.
 """
 
 from __future__ import annotations
@@ -54,54 +56,38 @@ import hashlib
 import itertools
 import random
 import typing as _t
-from collections import deque
 from functools import partial
-from heapq import heappush
 
 import repro.net.host as _host_mod
-from repro.cluster import DockerCluster
-from repro.containers import Containerd, DockerEngine, Registry
-from repro.containers.registry import PRIVATE_PROFILE, PUBLIC_PROFILE
-from repro.core import (
-    Annotator,
-    ControllerConfig,
-    LowLatencyScheduler,
-    ServiceRegistry,
-    SwitchTopology,
-)
-from repro.core.federation import (
-    RemoteHubHandle,
-    SharedStateHub,
-    SiteController,
-    SiteReplica,
-)
+from repro.core import LowLatencyScheduler
+from repro.core.federation import RemoteHubHandle, SiteReplica
 from repro.core.federation.state import ReplicaLink
+from repro.faults import Injector
 from repro.metrics import MetricsRecorder
-from repro.net import Host, Link
 from repro.net.addressing import IPv4Address, MACAllocator
-from repro.net.cloud import CloudHost
-from repro.net.packet import HEADER_BYTES
-from repro.net.openflow import OpenFlowSwitch
-from repro.ops import OPS_PORT, FlowStatsCollector, OpsApp, OpsReadModel
-from repro.services import DEFAULT_CALIBRATION, build_catalog
+from repro.net.link import HalfLinkEndpoint
 from repro.services.catalog import template_by_key
-from repro.sim.events import NORMAL
-from repro.sim.parallel.partition import Partition, PartitionSpec, Portal
+from repro.sim.parallel.coordinator import ParallelCoordinator, SerialExecutor
+from repro.sim.parallel.partition import Partition, PartitionSpec
 from repro.sim.parallel.partitioner import (
     CutLink,
     NodeSpec,
     TopologySpec,
     channel_id,
 )
-from repro.testbed.federation import BACKBONE, BackboneApp, FederationConfig
-
-if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.net.device import NetworkInterface
-    from repro.net.packet import Packet
+from repro.testbed.site import (
+    BACKBONE,
+    Backbone,
+    Catalog,
+    FederationConfig,
+    Site,
+    TrunkWiring,
+    conntrack_over,
+    migration_ledger,
+)
 
 __all__ = [
     "MigrationSpec",
-    "PortalEndpoint",
     "ServiceSpec",
     "TestbedReplay",
     "build_backbone_partition",
@@ -120,6 +106,11 @@ _CONN_ID_STRIDE = 1 << 40
 
 # -- deterministic addressing (no objects cross the fork boundary) ---------
 
+#: Each site owns the /24 ``10.0.<site+1>.0``; clients start at ``.10``.
+MAX_SITES = 254
+MAX_CLIENTS_PER_SITE = 245
+
+
 def egs_ip(site: int) -> IPv4Address:
     """Site ``site``'s EGS address: ``10.0.<site+1>.1``."""
     return IPv4Address(0x0A000000 + ((site + 1) << 8) + 1)
@@ -130,8 +121,11 @@ def client_ip(site: int, client: int) -> IPv4Address:
     return IPv4Address(0x0A000000 + ((site + 1) << 8) + 10 + client)
 
 
-def cloud_ip() -> IPv4Address:
-    return IPv4Address.parse("198.51.100.1")
+def host_ips(config: FederationConfig, site: int) -> list[IPv4Address]:
+    """Every host at ``site``: its EGS first, then its clients."""
+    return [egs_ip(site)] + [
+        client_ip(site, j) for j in range(config.clients_per_site)
+    ]
 
 
 def service_ip(index: int) -> IPv4Address:
@@ -181,7 +175,7 @@ class TestbedReplay:
     in :func:`build_replay`.
     """
 
-    config: "FederationConfig"
+    config: FederationConfig
     services: tuple[ServiceSpec, ...]
     #: Per site: tuple of (issue time, client index, service index,
     #: request id) in issue order.
@@ -214,7 +208,7 @@ class TestbedReplay:
 
 
 def build_replay(
-    config: "FederationConfig",
+    config: FederationConfig,
     n_requests: int = 40,
     duration_s: float = 4.0,
     seed: int = 42,
@@ -228,6 +222,17 @@ def build_replay(
     installation settle before the request window opens at
     ``request_start_s``.
     """
+    if config.n_sites > MAX_SITES:
+        raise ValueError(
+            f"n_sites={config.n_sites} exceeds the replay's address plan: "
+            f"at most {MAX_SITES} sites (one /24 each under 10.0.0.0/16)"
+        )
+    if config.clients_per_site > MAX_CLIENTS_PER_SITE:
+        raise ValueError(
+            f"clients_per_site={config.clients_per_site} exceeds the "
+            f"replay's address plan: at most {MAX_CLIENTS_PER_SITE} clients "
+            f"fit a site's /24 (10.0.<site+1>.10 upward)"
+        )
     services = []
     for i, key in enumerate(service_keys):
         origin = 0 if i % 2 == 0 else config.n_sites - 1
@@ -271,7 +276,7 @@ def build_replay(
 
 
 def build_migration_replay(
-    config: "FederationConfig",
+    config: FederationConfig,
     n_requests: int = 40,
     duration_s: float = 4.0,
     seed: int = 42,
@@ -307,124 +312,6 @@ def build_migration_replay(
     return dataclasses.replace(replay, migrations=migrations)
 
 
-# -- the half-link: a LinkEndpoint whose far side is another partition ------
-
-class _PortalLinkStub:
-    """Stands in for :class:`~repro.net.link.Link` on a portal endpoint.
-
-    The route cache snapshots ``endpoint.link.epoch`` when a recorded
-    hop egresses here; the epoch never moves because a portal's
-    parameters never change mid-run (recordings through it are aborted
-    at serialization end anyway).
-    """
-
-    __slots__ = ("epoch", "down", "bandwidth_bps")
-
-    def __init__(self) -> None:
-        self.epoch = 0
-        self.down = False
-        #: Stamped by :class:`PortalEndpoint` so the flow-stats
-        #: collector's utilization math sees the same trunk bandwidth
-        #: as the monolithic testbed's real ``Link``.
-        self.bandwidth_bps = 0.0
-
-
-class PortalEndpoint:
-    """One side of a cut trunk link, transmitting into a portal.
-
-    Mirrors :class:`~repro.net.link.LinkEndpoint`'s FIFO transmitter
-    exactly — same busy/deque discipline, same
-    ``(HEADER_BYTES + payload) * 8 / bandwidth`` serialization float,
-    same end-of-serialization scheduling — but the propagation leg is
-    a ``portal.send`` with ``arrival_ts = now + latency`` instead of a
-    local delivery callback, so the packet lands on the peer
-    partition's heap at the exact instant ``LinkEndpoint._deliver``
-    would have fired.  Route-cache state is stripped before the send:
-    recordings hold env-bound hops (unpicklable, and a cross-partition
-    traversal is not replayable anyway), so cross-site flows stay on
-    the slow path under both executors.
-    """
-
-    __slots__ = (
-        "portal",
-        "iface",
-        "peer",
-        "link",
-        "_pending",
-        "_busy",
-        "_env",
-        "_bw",
-        "_lat",
-        "_serialized_cb",
-    )
-
-    def __init__(
-        self,
-        portal: Portal,
-        iface: "NetworkInterface",
-        bandwidth_bps: float,
-        latency_s: float,
-    ) -> None:
-        if latency_s < portal.lookahead_s:
-            raise ValueError(
-                f"portal endpoint latency {latency_s!r}s undercuts channel "
-                f"{portal.channel_id!r} lookahead {portal.lookahead_s!r}s"
-            )
-        self.portal = portal
-        self.iface = iface
-        #: No peer endpoint in this partition: inbound ``_record_hop``
-        #: sees ``in_ep.peer is None`` and aborts recording, exactly
-        #: the packet-out-injection fallback of the monolithic path.
-        self.peer = None
-        self.link = _PortalLinkStub()
-        self.link.bandwidth_bps = float(bandwidth_bps)
-        self._pending: deque["Packet"] = deque()
-        self._busy = False
-        self._env = iface.device.env
-        self._bw = float(bandwidth_bps)
-        self._lat = float(latency_s)
-        self._serialized_cb = self._serialized
-        iface.endpoint = self
-
-    def _serialize(self, packet: "Packet") -> None:
-        env = self._env
-        heappush(
-            env._queue,
-            (
-                env._now
-                + (HEADER_BYTES + packet.tcp.payload_bytes) * 8 / self._bw,
-                NORMAL,
-                next(env._seq),
-                self._serialized_cb,
-                (packet,),
-            ),
-        )
-
-    def transmit(self, packet: "Packet") -> None:
-        if self._busy:
-            self._pending.append(packet)
-        else:
-            self._busy = True
-            self._serialize(packet)
-
-    def _serialized(self, packet: "Packet") -> None:
-        env = self._env
-        hop = packet._fp_next
-        if hop is not None:
-            # A fused fast hop can never target a portal (recordings
-            # through it never finalize), but a stale pointer from an
-            # upstream invalidation may survive: kill it before pickling.
-            hop.route.invalidate()
-            packet._fp_next = None
-        if packet._fp_rec is not None:
-            packet._fp_rec = None  # cross-partition traversals don't replay
-        self.portal.send(packet, arrival_ts=env._now + self._lat)
-        if self._pending:
-            self._serialize(self._pending.popleft())
-        else:
-            self._busy = False
-
-
 # -- partition models -------------------------------------------------------
 
 def _rebase_conn_ids(partition_index: int) -> None:
@@ -441,6 +328,20 @@ def _rebase_conn_ids(partition_index: int) -> None:
     _host_mod._conn_ids = itertools.count(partition_index * _CONN_ID_STRIDE + 1)
 
 
+def _cut_trunk(
+    partition: Partition, channel: str, config: FederationConfig
+) -> TrunkWiring:
+    """The near half of a trunk whose far half is across ``channel``."""
+    send = partition.portals[channel].send
+    return lambda iface: HalfLinkEndpoint(
+        partition.env,
+        iface,
+        config.trunk_bandwidth_bps,
+        config.trunk_latency_s,
+        send,
+    )
+
+
 def build_site_partition(
     replay: TestbedReplay, site: int
 ) -> "SitePartitionModel":
@@ -452,7 +353,8 @@ def build_backbone_partition(replay: TestbedReplay) -> "BackbonePartitionModel":
 
 
 class SitePartitionModel:
-    """One site's full stack, built inside its own partition."""
+    """One site's full stack in its own partition, plus its share of
+    the replay's schedule."""
 
     def __init__(self, replay: TestbedReplay, site: int) -> None:
         self.replay = replay
@@ -464,218 +366,71 @@ class SitePartitionModel:
         self._digest = hashlib.md5()
 
     def setup(self, partition: Partition) -> None:
-        self.partition = partition
         env = self.env = partition.env
-        config = self.replay.config
+        replay = self.replay
+        config = replay.config
         _rebase_conn_ids(partition.spec.index)
-        calibration = DEFAULT_CALIBRATION
-        macs = MACAllocator()
-
-        # gNB switch with the trunk as a portal half-link.
-        dpid = self.site + 2  # backbone owns dpid 1
-        self.switch = OpenFlowSwitch(env, f"gnb-{self.name}", datapath_id=dpid)
-        self.topology = SwitchTopology()
-        trunk_port, trunk_iface = self.switch.add_port(macs.allocate())
-        self.trunk_iface = trunk_iface
-        PortalEndpoint(
-            partition.portals[channel_id(self.name, BACKBONE)],
-            trunk_iface,
-            config.trunk_bandwidth_bps,
-            config.trunk_latency_s,
-        )
-        self.topology.set_cloud_port(dpid, trunk_port)
-
-        # Image registries + catalog are per-partition (pull traffic is
-        # site-local; the profiles make it deterministic).
-        images, behaviors = build_catalog(calibration)
-        self.public_registry = public = Registry(env, "docker-hub", PUBLIC_PROFILE)
-        self.private_registry = private = Registry(env, "private-lan", PRIVATE_PROFILE)
-        for image in images.values():
-            public.publish(image)
-            private.publish(image)
-        self.active_registry = active = (
-            private if config.registry == "private" else public
-        )
-
-        # EGS with its runtime and Docker cluster.
-        self.egs = Host(env, f"{self.name}-egs", macs.allocate(), egs_ip(self.site))
-        self._wire_host(
-            self.egs,
-            macs,
-            config.egs_link_bandwidth_bps,
-            config.egs_link_latency_s,
-        )
-        containerd = Containerd(env, self.egs)
-        engine = DockerEngine(env, containerd)
-        self.cluster = DockerCluster(
-            env, f"{self.name}-docker", self.egs, engine, active, distance=0
-        )
-
-        self.clients = []
-        for j in range(config.clients_per_site):
-            client = Host(
-                env,
-                f"{self.name}-rpi{j:02d}",
-                macs.allocate(),
-                client_ip(self.site, j),
-            )
-            self._wire_host(
-                client,
-                macs,
-                config.client_link_bandwidth_bps,
-                config.client_link_latency_s,
-            )
-            self.clients.append(client)
-
-        # Remote hosts are reachable through the trunk.
-        for other in range(config.n_sites):
-            if other == self.site:
-                continue
-            self.topology.register_host(dpid, egs_ip(other), trunk_port)
-            for j in range(config.clients_per_site):
-                self.topology.register_host(
-                    dpid, client_ip(other, j), trunk_port
-                )
 
         # Shared state over the control channel: replica -> remote hub.
         handle = RemoteHubHandle(
-            partition.portals[
-                channel_id(self.name, BACKBONE, "control")
-            ].send
+            partition.portals[channel_id(self.name, BACKBONE, "control")].send
         )
-        self.replica = SiteReplica(
-            env, self.name, ReplicaLink(env, handle, self.name)
-        )
-        handle.link = self.replica.link
-        partition.on_message(
-            channel_id(BACKBONE, self.name, "control"),
-            self.replica.apply_remote,
-        )
-        partition.on_message(
-            channel_id(BACKBONE, self.name), self._packet_from_backbone
-        )
-
-        self.recorder = MetricsRecorder()
-        registry = ServiceRegistry(
-            Annotator(images, behaviors), state=self.replica
-        )
-        controller_config = dataclasses.replace(
-            ControllerConfig.from_calibration(calibration),
-            auto_scale_down=config.auto_scale_down,
-        )
-        self.controller = SiteController(
+        replica = SiteReplica(env, self.name, ReplicaLink(env, handle, self.name))
+        handle.link = replica.link
+        stack = self.stack = Site(
             env,
-            registry,
-            [self.cluster],
-            LowLatencyScheduler(),
-            self.topology,
-            self.replica,
-            config=controller_config,
-            calibration=calibration,
-            recorder=self.recorder,
-            remote_distance_penalty=config.remote_distance_penalty,
-        )
-        self.controller.attach(
-            self.switch, latency_s=config.control_channel_latency_s
-        )
-
-        # Live migration: daemon + manager on every site, identically
-        # under both executors.  The ledger is partition-private; the
-        # serial executor builds the same per-site ledgers, so planner
-        # admission is byte-identical.
-        from repro.core.migration import BandwidthLedger, MigrationManager
-
-        clients_by_ip = {client.ip: client for client in self.clients}
-
-        def _conntrack(ip, dst_ip, dst_port):
-            host = clients_by_ip.get(ip)
-            return host.tracked_ports(dst_ip, dst_port) if host else ()
-
-        self.controller.conntrack = _conntrack
-        self.ledger = BandwidthLedger(
-            env,
-            default_capacity_bps=int(
-                config.trunk_bandwidth_bps
-                * config.migration_budget_fraction
+            self.site,
+            config,
+            wire_trunk=_cut_trunk(
+                partition, channel_id(self.name, BACKBONE), config
             ),
+            replica=replica,
+            catalog=Catalog(env, registry=config.registry),
+            macs=MACAllocator(),
+            egs_ip=egs_ip(self.site),
+            client_ips=[
+                client_ip(self.site, j) for j in range(config.clients_per_site)
+            ],
+            scheduler=LowLatencyScheduler(),
+            recorder=MetricsRecorder(),
         )
-        self.manager = MigrationManager(
-            env,
-            self.name,
-            self.controller,
-            self.cluster,
-            self.egs,
+        self.clients = stack.clients
+        self.recorder = stack.recorder
+        self.controller = stack.controller
+        partition.on_message(
+            channel_id(BACKBONE, self.name, "control"), replica.apply_remote
+        )
+        partition.on_message(
+            channel_id(BACKBONE, self.name), stack.receive_from_trunk
+        )
+        for other in range(config.n_sites):
+            if other != self.site:
+                stack.reach_via_trunk(host_ips(config, other))
+        stack.attach()
+        stack.start_ops(
             {f"site{i}": egs_ip(i) for i in range(config.n_sites)},
-            self.ledger,
+            migration_ledger(env, config),
+            conntrack_over(stack.clients),
         )
-        # Operational surface: same per-site wiring as the monolithic
-        # testbed.  Listeners and scheduled ticks are created *here*
-        # (post-fork) — Host pickling strips listeners, so the port
-        # must open inside the worker.  Both executors run this same
-        # setup, so serial/parallel parity is preserved with the ops
-        # surface on.
-        self.collector: FlowStatsCollector | None = None
-        if config.flow_stats_period_s is not None:
-            self.collector = FlowStatsCollector(
-                env,
-                self.name,
-                self.switch,
-                {f"trunk:{self.name}": trunk_iface.endpoint.link},
-                state=self.replica,
-                period_s=config.flow_stats_period_s,
-                recorder=self.recorder,
-            ).start()
-        self.ops = OpsReadModel(
-            env,
-            self.controller,
-            site=self.name,
-            switches=(self.switch,),
-            manager=self.manager,
-            collector=self.collector,
-        )
-        self.ops_app: OpsApp | None = None
-        if config.ops_api:
-            self.ops_app = OpsApp(self.ops)
-            self.egs.open_port(OPS_PORT, self.ops_app)
 
-        for mig in self.replay.migrations:
+        # This site's share of the schedule.
+        for mig in replay.migrations:
             if mig.to_site == self.site:
                 env.call_at(mig.at_s, self._start_migration, mig)
-
-        # Schedule this site's service registrations and requests.
-        for spec in self.replay.services:
+        for spec in replay.services:
             if spec.origin_site == self.site:
                 env.call_at(spec.register_at_s, self._register_service, spec)
         for at, client_idx, service_idx, req_id in (
-            self.replay.requests_by_site[self.site]
+            replay.requests_by_site[self.site]
         ):
             env.call_at(at, self._start_request, client_idx, service_idx, req_id)
 
-        # Fault wiring: the plan crossed the fork boundary as plain
-        # data; arm it against this site's components only.
-        faults = self.replay.faults_by_site
+        # The fault plan crossed the fork boundary as plain data; the
+        # site is the view it resolves targets on, so it cannot reach
+        # across the partition boundary.
+        faults = replay.faults_by_site
         if faults and faults[self.site] is not None:
-            from repro.faults import Injector
-
-            self.injector = Injector(
-                _SiteFaultView(self), faults[self.site]
-            ).arm()
-
-    # -- wiring helpers ---------------------------------------------------
-
-    def _wire_host(
-        self,
-        host: Host,
-        macs: MACAllocator,
-        bandwidth_bps: float,
-        latency_s: float,
-    ) -> None:
-        port_no, iface = self.switch.add_port(macs.allocate())
-        Link(self.env, host.iface, iface, bandwidth_bps, latency_s)
-        self.topology.register_host(self.switch.datapath_id, host.ip, port_no)
-
-    def _packet_from_backbone(self, packet: "Packet") -> None:
-        self.switch.receive(packet, self.trunk_iface)
+            self.injector = Injector(stack, faults[self.site]).arm()
 
     # -- workload ---------------------------------------------------------
 
@@ -702,7 +457,7 @@ class SitePartitionModel:
             # Registration never replicated in (e.g. faulted replay):
             # identical no-op under both executors.
             return
-        self.manager.request_migration(
+        self.stack.manager.request_migration(
             service.name, f"site{spec.from_site}", mode=spec.mode
         )
 
@@ -729,8 +484,10 @@ class SitePartitionModel:
     # -- results ----------------------------------------------------------
 
     def result(self) -> dict[str, _t.Any]:
+        outcomes = self.stack.manager.outcomes
+        switch = self.stack.switch
         migration_digest = hashlib.md5()
-        for o in self.manager.outcomes:
+        for o in outcomes:
             migration_digest.update(
                 f"{o.service_name}:{o.from_site}->{o.to_site}:{o.mode}:"
                 f"{o.rounds}:{o.bytes_moved}:{int(o.completed)}:"
@@ -743,124 +500,59 @@ class SitePartitionModel:
             "failed": self.failed,
             "latency_md5": self._digest.hexdigest(),
             "migration_md5": migration_digest.hexdigest(),
-            "migrations_completed": sum(
-                1 for o in self.manager.outcomes if o.completed
-            ),
-            "migrations_aborted": sum(
-                1 for o in self.manager.outcomes if not o.completed
-            ),
-            "peak_flow_table": int(self.switch.table.peak_size),
-            "switch_stats": dict(self.switch.stats),
+            "migrations_completed": sum(1 for o in outcomes if o.completed),
+            "migrations_aborted": sum(1 for o in outcomes if not o.completed),
+            "peak_flow_table": int(switch.table.peak_size),
+            "switch_stats": dict(switch.stats),
         }
 
 
-class _SiteFaultView:
-    """Duck-typed testbed view the fault Injector resolves targets on.
-
-    Exposes exactly one site's components (hosts, switch, cluster,
-    registries, controller), so a site's fault plan cannot reach
-    across the partition boundary.
-    """
-
-    def __init__(self, model: SitePartitionModel) -> None:
-        self.env = model.env
-        self.egs = model.egs
-        self.clients = model.clients
-        self.clusters = [model.cluster]
-        self.switches = {model.switch.datapath_id: model.switch}
-        self.public_registry = model.public_registry
-        self.private_registry = model.private_registry
-        self.active_registry = model.active_registry
-        self.controllers = [model.controller]
-        self.recorder = model.recorder
-
-
 class BackbonePartitionModel:
-    """The backbone island: switch, static app, cloud, shared-state hub."""
+    """The backbone island in its own partition, every trunk cut."""
 
     def __init__(self, replay: TestbedReplay) -> None:
         self.replay = replay
 
     def setup(self, partition: Partition) -> None:
-        self.partition = partition
-        env = self.env = partition.env
+        env = partition.env
         config = self.replay.config
         _rebase_conn_ids(partition.spec.index)
-        macs = MACAllocator()
-
-        self.switch = OpenFlowSwitch(env, "backbone", datapath_id=1)
-        self.topology = SwitchTopology()
-        self.app = BackboneApp(env, self.topology)
-        self.cloud = CloudHost(env, "cloud", macs.allocate(), cloud_ip())
-        cloud_port, cloud_iface = self.switch.add_port(macs.allocate())
-        Link(
-            env,
-            self.cloud.iface,
-            cloud_iface,
-            config.cloud_link_bandwidth_bps,
-            config.cloud_link_latency_s,
-        )
-        self.topology.set_cloud_port(1, cloud_port)
-
-        # One portal half-link per site trunk; every host of a site is
-        # reachable through that site's port.
-        self.hub = SharedStateHub(
-            env, propagation_delay_s=config.propagation_delay_s
-        )
+        backbone = self.backbone = Backbone(env, config, MACAllocator())
         for site in range(config.n_sites):
             name = f"site{site}"
-            port_no, iface = self.switch.add_port(macs.allocate())
-            PortalEndpoint(
-                partition.portals[channel_id(BACKBONE, name)],
-                iface,
-                config.trunk_bandwidth_bps,
-                config.trunk_latency_s,
-            )
-            self.topology.register_host(1, egs_ip(site), port_no)
-            for j in range(config.clients_per_site):
-                self.topology.register_host(1, client_ip(site, j), port_no)
+            iface = backbone.add_trunk_port(name)
+            _cut_trunk(partition, channel_id(BACKBONE, name), config)(iface)
+            backbone.route_hosts(name, host_ips(config, site))
             partition.on_message(
                 channel_id(name, BACKBONE),
-                partial(self._packet_from_site, iface),
+                partial(backbone.switch.receive, iface=iface),
             )
             # Control plane: site writes arrive here having already
             # paid the site -> hub delay (channel lookahead); fan-out
             # to other remote sites pays hub -> site over their portals.
-            self.hub.attach_remote(
+            backbone.hub.attach_remote(
                 name,
                 partition.portals[channel_id(BACKBONE, name, "control")].send,
             )
             partition.on_message(
                 channel_id(name, BACKBONE, "control"),
-                partial(self.hub.deliver, name),
+                partial(backbone.hub.deliver, name),
             )
-
-        self.app.attach(
-            self.switch, latency_s=config.control_channel_latency_s
-        )
+        backbone.attach()
 
         # Cloud side of every service is up from t=0 (the monolithic
         # testbed opens it at registration; opening early only means
         # the cloud answers requests that could not yet arrive).
-        _images, behaviors = build_catalog(DEFAULT_CALIBRATION)
+        catalog = Catalog(env)
         for spec in self.replay.services:
-            template = template_by_key(spec.key)
-            behavior = behaviors.get(template.images[0].reference)
-            factory = behavior.app_factory()
-            if factory is not None:
-                self.cloud.open_service(
-                    service_ip(spec.index), 80, factory(env)
-                )
-
-    def _packet_from_site(
-        self, iface: "NetworkInterface", packet: "Packet"
-    ) -> None:
-        self.switch.receive(packet, iface)
+            catalog.serve_from_cloud(
+                backbone.cloud, template_by_key(spec.key), service_ip(spec.index)
+            )
 
     def result(self) -> dict[str, _t.Any]:
         return {
-            "switch_stats": dict(self.switch.stats),
-            "hub_entries": len(self.hub._values),
+            "switch_stats": dict(self.backbone.switch.stats),
+            "hub_entries": len(self.backbone.hub._values),
         }
 
 
@@ -905,11 +597,6 @@ def build_replay_specs(replay: TestbedReplay) -> list[PartitionSpec]:
 
 def run_replay(replay: TestbedReplay, parallel: bool = False):
     """Run the full-testbed replay; returns a ``ParallelRun``."""
-    from repro.sim.parallel.coordinator import (
-        ParallelCoordinator,
-        SerialExecutor,
-    )
-
     specs = build_replay_specs(replay)
     executor = ParallelCoordinator(specs) if parallel else SerialExecutor(specs)
     return executor.run(until=replay.horizon_s)

@@ -10,13 +10,10 @@ hence one image store), exactly as on the real EGS.
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.cluster import DockerCluster, EdgeCluster, K8sEdgeCluster
-from repro.containers import Containerd, DockerEngine, Registry
-from repro.containers.registry import PRIVATE_PROFILE, PUBLIC_PROFILE
+from repro.containers import Containerd, DockerEngine
 from repro.core import (
-    Annotator,
     ControllerConfig,
     EdgeController,
     GlobalScheduler,
@@ -28,16 +25,15 @@ from repro.core.service_registry import EdgeService
 from repro.core.state import InMemoryState
 from repro.k8s import KubernetesCluster
 from repro.k8s.profile import K8sProfile
-from repro.metrics import MetricsRecorder
 from repro.net import Host, Link
-from repro.net.addressing import IPAllocator, IPv4Address, MACAllocator
+from repro.net.addressing import IPv4Address
 from repro.net.cloud import CloudHost
 from repro.net.link import GBPS
 from repro.net.openflow import OpenFlowSwitch
 from repro.ops import OPS_PORT, FlowStatsCollector, OpsApp, OpsReadModel
-from repro.services import DEFAULT_CALIBRATION, Calibration, ServiceTemplate, build_catalog
+from repro.services import DEFAULT_CALIBRATION, Calibration, ServiceTemplate
 from repro.services.catalog import template_by_key
-from repro.sim import Environment
+from repro.testbed.site import CLOUD_IP, BaseTestbed
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,7 +81,7 @@ class TestbedConfig:
             raise ValueError("flow_stats_period_s must be positive")
 
 
-class C3Testbed:
+class C3Testbed(BaseTestbed):
     """A fully wired simulation of the evaluation setup."""
 
     def __init__(
@@ -96,12 +92,9 @@ class C3Testbed:
         k8s_profile: K8sProfile | None = None,
     ) -> None:
         self.config = config or TestbedConfig()
-        self.calibration = calibration
-        self.env = Environment()
-        self.recorder = MetricsRecorder()
-        self._ips = IPAllocator("10.0.0.0")
-        self._macs = MACAllocator()
-        self._service_ips = IPAllocator("203.0.113.0")
+        super().__init__(
+            calibration, self.config.registry, self.config.k8s_local_scheduler
+        )
 
         # -- hosts ---------------------------------------------------------
         self.egs = Host(
@@ -116,12 +109,7 @@ class C3Testbed:
             )
             for i in range(self.config.n_clients)
         ]
-        self.cloud = CloudHost(
-            self.env,
-            "cloud",
-            self._macs.allocate(),
-            IPv4Address.parse("198.51.100.1"),
-        )
+        self.cloud = CloudHost(self.env, "cloud", self._macs.allocate(), CLOUD_IP)
 
         # -- switch + links --------------------------------------------------
         self.switch = OpenFlowSwitch(self.env, "ovs", datapath_id=1)
@@ -149,19 +137,6 @@ class C3Testbed:
             register=False,
         )
         self.topology.set_cloud_port(self.switch.datapath_id, cloud_port)
-
-        # -- registries + catalog ------------------------------------------------
-        self.public_registry = Registry(self.env, "docker-hub", PUBLIC_PROFILE)
-        self.private_registry = Registry(self.env, "private-lan", PRIVATE_PROFILE)
-        self.images, self.behaviors = build_catalog(calibration)
-        for image in self.images.values():
-            self.public_registry.publish(image)
-            self.private_registry.publish(image)
-        self.active_registry = (
-            self.private_registry
-            if self.config.registry == "private"
-            else self.public_registry
-        )
 
         # -- shared container runtime on the EGS -------------------------------------
         self.containerd = Containerd(self.env, self.egs)
@@ -201,11 +176,6 @@ class C3Testbed:
             self.clusters.append(self.k8s_cluster)
 
         # -- controller --------------------------------------------------------------------
-        self.annotator = Annotator(
-            self.images,
-            self.behaviors,
-            scheduler_name=self.config.k8s_local_scheduler,
-        )
         self.state = InMemoryState()
         self.service_registry = ServiceRegistry(self.annotator, state=self.state)
         self.scheduler = scheduler or NearestScheduler()
@@ -264,16 +234,10 @@ class C3Testbed:
             self.ops_app = OpsApp(self.ops, register=self._register_template_key)
             self.egs.open_port(OPS_PORT, self.ops_app)
 
-        self._cloud_apps: dict[str, _t.Any] = {}
         # Let the controller finish installing the infrastructure rules
         # (default route, per-host forwarding) before any traffic flows;
         # each flow-mod pays a control-channel hop.
         self.settle(0.05)
-
-    def settle(self, duration_s: float = 0.01) -> None:
-        """Advance simulated time so in-flight control-plane messages
-        (flow-mods, watch events) land before the next measurement."""
-        self.env.run(until=self.env.now + duration_s)
 
     # -- wiring helpers ---------------------------------------------------------
 
@@ -441,37 +405,19 @@ class C3Testbed:
     ) -> EdgeService:
         """Register one catalog service; also serve it from the cloud
         (the *perceived cloud* of fig. 1 really answers)."""
-        service = self._register_catalog(template, cloud_ip, port)
+        service = self._register_catalog(self.controller, template, cloud_ip, port)
         # The interception rule must be live before the first request
         # arrives (registration happens well before use in practice).
         self.settle(0.005)
         return service
 
-    def _register_catalog(
-        self,
-        template: ServiceTemplate,
-        cloud_ip: IPv4Address | None = None,
-        port: int = 80,
-    ) -> EdgeService:
-        ip = cloud_ip if cloud_ip is not None else self._service_ips.allocate()
-        service = self.controller.register_service(
-            template.definition_yaml, ip, port, template_key=template.key
-        )
-        behavior = self.behaviors.get(template.images[0].reference)
-        factory = behavior.app_factory()
-        if factory is not None:
-            app = factory(self.env)
-            self.cloud.open_service(ip, port, app)
-            self._cloud_apps[service.name] = app
-        return service
-
     def _register_template_key(self, key: str) -> EdgeService:
         """``POST /services`` hook: register a catalog template.
 
-        Runs *inside* the simulation (from the ops API handler), so it
-        must not :meth:`settle` — the interception flow-mod simply
-        lands one control-channel hop after the response."""
-        return self._register_catalog(template_by_key(key))
+        Runs *inside* the simulation (from the ops API handler): the
+        interception flow-mod simply lands one control-channel hop
+        after the response."""
+        return self._register_catalog(self.controller, template_by_key(key))
 
     def register_yaml_file(
         self,
@@ -492,43 +438,3 @@ class C3Testbed:
         )
         self.settle(0.005)
         return service
-
-    # -- driving requests ------------------------------------------------------------------
-
-    def http_request(
-        self,
-        client: Host,
-        service: EdgeService,
-        request=None,
-        timeout: float | None = 120.0,
-    ):
-        """One measured request (generator returning HTTPResult)."""
-        template_request = request
-        if template_request is None:
-            from repro.net.packet import HTTPRequest
-
-            template_request = HTTPRequest("GET", "/", body_bytes=0)
-        result = yield from client.http_request(
-            service.cloud_ip, service.port, template_request, timeout=timeout
-        )
-        return result
-
-    def run_request(self, client: Host, service: EdgeService, request=None, timeout=120.0):
-        """Drive one request to completion from outside the simulation."""
-        proc = self.env.process(
-            self.http_request(client, service, request, timeout)
-        )
-        return self.env.run(until=proc)
-
-    # -- deployment-state helpers for experiments ----------------------------------------------
-
-    def prepare_pulled(self, cluster: EdgeCluster, service: EdgeService) -> None:
-        """Synchronously pre-pull a service's images onto a cluster."""
-        proc = self.env.process(cluster.pull(service.plan))
-        self.env.run(until=proc)
-
-    def prepare_created(self, cluster: EdgeCluster, service: EdgeService) -> None:
-        """Pre-pull and pre-create (so only Scale Up remains)."""
-        self.prepare_pulled(cluster, service)
-        proc = self.env.process(cluster.create(service.plan))
-        self.env.run(until=proc)

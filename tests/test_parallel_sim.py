@@ -33,7 +33,7 @@ from repro.sim.parallel.partitioner import (
     partition_topology,
 )
 from repro.sim.parallel.testbed import combined_fingerprint, totals
-from repro.testbed.federation import FederationConfig
+from repro.testbed.site import FederationConfig
 
 LOOKAHEAD = 1.0
 

@@ -34,6 +34,8 @@ from repro.sim.parallel.partitioner import (
     partition_topology,
 )
 from repro.sim.parallel.testbed import (
+    MAX_CLIENTS_PER_SITE,
+    MAX_SITES,
     build_migration_replay,
     build_replay,
     client_ip,
@@ -43,7 +45,7 @@ from repro.sim.parallel.testbed import (
     service_ip,
     totals,
 )
-from repro.testbed.federation import BACKBONE, FederationConfig
+from repro.testbed.site import BACKBONE, FederationConfig
 
 
 def _small_replay(n_sites: int, seed: int = 42, **kwargs):
@@ -89,6 +91,39 @@ class TestReplayPlan:
         ips += [client_ip(i, j) for i in range(4) for j in range(3)]
         ips += [service_ip(k) for k in range(4)]
         assert len(set(ips)) == len(ips)
+        # ... and up to the largest plan build_replay accepts, in the
+        # two corners where a /24 could spill into its neighbour.
+        last = MAX_CLIENTS_PER_SITE - 1
+        for site in (0, MAX_SITES - 2):
+            own = {client_ip(site, j) for j in range(MAX_CLIENTS_PER_SITE)}
+            assert len(own) == MAX_CLIENTS_PER_SITE
+            assert str(client_ip(site, last)) == f"10.0.{site + 1}.254"
+            assert egs_ip(site + 1) not in own
+            assert client_ip(site + 1, 0) not in own
+
+    @pytest.mark.parametrize(
+        "shape, limit",
+        [
+            ({"n_sites": 2, "clients_per_site": MAX_CLIENTS_PER_SITE + 1}, "245"),
+            ({"n_sites": 2, "clients_per_site": 300}, "245"),
+            ({"n_sites": MAX_SITES + 1, "clients_per_site": 1}, "254"),
+        ],
+    )
+    def test_plan_beyond_the_address_space_is_rejected(self, shape, limit):
+        # client_ip(0, 247) == egs_ip(1) and client_ip(0, 256) ==
+        # client_ip(1, 0): such a plan used to be accepted silently.
+        config = FederationConfig(**shape)
+        with pytest.raises(ValueError, match=f"at most {limit}"):
+            build_replay(config, n_requests=4)
+        with pytest.raises(ValueError, match=f"at most {limit}"):
+            config.testbed_replay(n_requests=4)
+
+    def test_plan_at_the_address_limits_is_accepted(self):
+        config = FederationConfig(
+            n_sites=MAX_SITES, clients_per_site=MAX_CLIENTS_PER_SITE
+        )
+        replay = build_replay(config, n_requests=MAX_SITES)
+        assert replay.n_sites == MAX_SITES
 
 
 class TestFullTestbedParity:

@@ -1,0 +1,258 @@
+"""One site stack, two wirings (`repro.testbed.site`).
+
+The federation's sites and backbone are built by the same code whether
+they share one event loop (`FederatedTestbed`) or get a partition each
+(`repro.sim.parallel.testbed`); the cut trunk is `LinkEndpoint`'s own
+transmitter with the propagation leg handed to a callable.  Two
+differentials hold the wirings together:
+
+* the same plan, request for request, takes the same time on both;
+* the same packet burst arrives at the same instants through a whole
+  `Link` and through a `HalfLinkEndpoint`.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+
+import pytest
+
+from repro.net.addressing import IPv4Address, MACAllocator
+from repro.net.device import NetDevice
+from repro.net.link import GBPS, HalfLinkEndpoint, Link
+from repro.net.packet import Packet, TCPFlags, TCPSegment
+from repro.services.catalog import template_by_key
+from repro.sim import Environment
+from repro.sim.parallel.coordinator import SerialExecutor
+from repro.sim.parallel.testbed import (
+    SitePartitionModel,
+    build_replay,
+    build_replay_specs,
+    build_site_partition,
+    service_ip,
+)
+from repro.testbed import FederatedTestbed, FederationConfig
+
+# -- monolithic ≡ sharded ----------------------------------------------------
+
+
+def _own_service_plan(site1_shift_s: float):
+    """200 requests at 2 sites, site *s* asking only for service *s*.
+
+    No two sites ever pull the same image at once, so the one thing the
+    wirings do differently on purpose — the monolith's sites share a
+    `Registry` and its download slots, partitions have one each — stays
+    out of the picture.
+    """
+    replay = build_replay(
+        FederationConfig(n_sites=2, clients_per_site=3), n_requests=200, seed=7
+    )
+    shifts = (0.0, site1_shift_s)
+    return dataclasses.replace(
+        replay,
+        requests_by_site=tuple(
+            tuple(
+                (at + shifts[site], client, site, req_id)
+                for at, client, _service, req_id in requests
+            )
+            for site, requests in enumerate(replay.requests_by_site)
+        ),
+        horizon_s=replay.horizon_s + site1_shift_s,
+    )
+
+
+def _recording(http_request, times):
+    def observed(*args, **kwargs):
+        try:
+            result = yield from http_request(*args, **kwargs)
+        except Exception as exc:
+            times.append(type(exc).__name__)
+            raise
+        times.append(result.time_total)
+        return result
+
+    return observed
+
+
+class _TimedSite(SitePartitionModel):
+    """Reports every request's latency, in completion order."""
+
+    def setup(self, partition):
+        super().setup(partition)
+        self.times = []
+        for client in self.clients:
+            client.http_request = _recording(client.http_request, self.times)
+
+    def result(self):
+        return {**super().result(), "times": self.times}
+
+
+def _sharded_times(replay):
+    specs = [
+        dataclasses.replace(spec, builder=_TimedSite)
+        if spec.builder is build_site_partition
+        else spec
+        for spec in build_replay_specs(replay)
+    ]
+    results = SerialExecutor(specs).run(until=replay.horizon_s).results
+    return [results[f"site{site}"]["times"] for site in range(replay.n_sites)]
+
+
+def _monolithic_times(replay):
+    """The plan's registrations and requests, at the plan's instants
+    and service addresses, on one `FederatedTestbed`."""
+    tb = FederatedTestbed(replay.config)
+    env = tb.env
+    times = [[] for _ in tb.sites]
+    for site, recorded in zip(tb.sites, times):
+        for client in site.clients:
+            client.http_request = _recording(client.http_request, recorded)
+
+    def register(spec):
+        template = template_by_key(spec.key)
+        ip = service_ip(spec.index)
+        tb.sites[spec.origin_site].controller.register_service(
+            template.definition_yaml, ip, 80, template_key=template.key
+        )
+        tb.serve_from_cloud(tb.cloud, template, ip)
+
+    def request(site, client, service):
+        template = template_by_key(replay.services[service].key)
+        env.process(
+            tb.sites[site].clients[client].http_request(
+                service_ip(service),
+                80,
+                template.request,
+                timeout=replay.request_timeout_s,
+            )
+        )
+
+    for spec in replay.services:
+        env.call_at(spec.register_at_s, register, spec)
+    for site, requests in enumerate(replay.requests_by_site):
+        for at, client, service, _req_id in requests:
+            env.call_at(at, request, site, client, service)
+    env.run(until=replay.horizon_s)
+    return times
+
+
+@pytest.mark.parametrize("site1_shift_s", [0.0, 20.0])
+def test_monolithic_and_sharded_wiring_agree_request_for_request(site1_shift_s):
+    replay = _own_service_plan(site1_shift_s)
+    monolithic = _monolithic_times(replay)
+    sharded = _sharded_times(replay)
+    # Not vacuous: (nearly) every request finished inside the horizon.
+    assert all(len(times) >= 95 for times in sharded)
+    for site in range(replay.n_sites):
+        differing = sum(
+            a != b for a, b in zip(monolithic[site], sharded[site])
+        )
+        assert monolithic[site] == sharded[site], (
+            f"site{site}: {differing} of {len(sharded[site])} requests took "
+            f"a different time on the two wirings"
+        )
+
+
+# -- whole link ≡ cut half-link ----------------------------------------------
+
+BANDWIDTH_BPS = 1 * GBPS
+LATENCY_S = 0.002
+#: (send time, payload bytes): three back to back behind a busy line,
+#: one on an idle line, two more queued behind a jumbo payload.
+BURST = [(0.0, 1400), (0.0, 0), (0.0, 700), (0.5, 64), (0.9, 9000), (0.9, 1), (0.9, 1400)]
+#: Index of the packet that carries a memoized next hop recorded for
+#: some other endpoint: stale, so the fused fast hop must be declined.
+STALE = 4
+
+
+class _Sink(NetDevice):
+    def __init__(self, env, name):
+        super().__init__(env, name)
+        self.arrivals = []
+
+    def receive(self, packet, iface):
+        self.arrivals.append((packet.packet_id, self.env.now))
+
+
+class _Route:
+    invalidated = 0
+
+    def invalidate(self):
+        self.invalidated += 1
+
+
+def _burst():
+    macs = MACAllocator()
+    a, b = IPv4Address.parse("10.0.0.1"), IPv4Address.parse("10.0.0.2")
+    packets = [
+        Packet(
+            macs.allocate(),
+            macs.allocate(),
+            a,
+            b,
+            TCPSegment(40000, 80, TCPFlags.ACK, payload_bytes=size),
+            packet_id=i,
+        )
+        for i, (_at, size) in enumerate(BURST)
+    ]
+    route = _Route()
+    packets[STALE]._fp_next = types.SimpleNamespace(
+        src_ep=None, in_epoch=-1, route=route
+    )
+    packets[STALE + 1]._fp_rec = object()  # a recording in flight
+    return packets, route
+
+
+def _transmit_burst(env, iface):
+    packets, route = _burst()
+    for (at, _size), packet in zip(BURST, packets):
+        env.call_at(at, iface.send, packet)
+    env.run(until=2.0)
+    return route
+
+
+def test_half_link_delivers_when_the_whole_link_does():
+    macs = MACAllocator()
+
+    env = Environment()
+    near, far = _Sink(env, "near"), _Sink(env, "far")
+    Link(
+        env,
+        near.add_interface(macs.allocate()),
+        far.add_interface(macs.allocate()),
+        BANDWIDTH_BPS,
+        LATENCY_S,
+    )
+    whole_route = _transmit_burst(env, near.interfaces[0])
+
+    env = Environment()
+    near = _Sink(env, "near")
+    sent = []
+
+    def send(packet, arrival_ts):
+        # What crosses the cut carries no route-cache state.
+        assert packet._fp_next is None and packet._fp_rec is None
+        sent.append((packet.packet_id, arrival_ts))
+
+    half = HalfLinkEndpoint(
+        env, near.add_interface(macs.allocate()), BANDWIDTH_BPS, LATENCY_S, send
+    )
+    half_route = _transmit_burst(env, near.interfaces[0])
+
+    assert len(sent) == len(BURST)
+    assert sent == far.arrivals  # same packets, same order, same floats
+    assert whole_route.invalidated == half_route.invalidated == 1
+    # The line really was busy: queued packets left later than they came.
+    assert [ts for _id, ts in sent[:3]] == sorted({ts for _id, ts in sent[:3]})
+    assert not half._busy and not half._pending
+
+
+def test_half_link_is_its_own_link():
+    env = Environment()
+    near = _Sink(env, "near")
+    iface = near.add_interface(MACAllocator().allocate())
+    half = HalfLinkEndpoint(env, iface, BANDWIDTH_BPS, LATENCY_S, lambda *a, **k: None)
+    assert iface.endpoint is half and half.link is half
+    assert half.peer is None  # an inbound recording aborts here
+    assert (half.epoch, half.down, half.bandwidth_bps) == (0, False, BANDWIDTH_BPS)
