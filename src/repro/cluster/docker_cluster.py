@@ -46,33 +46,6 @@ class DockerCluster(PhasedCluster, EdgeCluster):
         self._init_ports(host_port_base)
         self._containers: dict[str, list[Container]] = {}
 
-    def __getstate__(self) -> dict:
-        """Pickle as a *cold* cluster: identity, port table, and the
-        engine/registry chain (cold themselves) survive; env-bound
-        container instances do not.  Re-attach with :meth:`rebind`."""
-        state = self.__dict__.copy()
-        state["env"] = None
-        state["_containers"] = {}
-        return state
-
-    def rebind(self, env: Environment) -> None:
-        """Attach an unpickled (cold) cluster to ``env``, cascading to
-        its ingress host, engine (and through it the runtime and node
-        host), and image registry — each only while still cold, since
-        the EGS host is shared between the cluster and the runtime."""
-        if self.env is not None:
-            raise RuntimeError(
-                f"{self.name}: already bound to an environment; only a "
-                "cold (unpickled) cluster can be rebound"
-            )
-        self.env = env
-        if self.ingress_host.env is None:
-            self.ingress_host.rebind(env)
-        if self.engine.env is None:
-            self.engine.rebind(env)
-        if self.image_registry.env is None:
-            self.image_registry.rebind(env)
-
     # -- runtime steps (driver hooks) --------------------------------------
 
     def _pull_image(self, image: ImageSpec):

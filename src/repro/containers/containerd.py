@@ -182,32 +182,6 @@ class Containerd:
         #: :class:`NodeDown` (set by the Injector on a node crash).
         self.down = False
 
-    def __getstate__(self) -> dict:
-        """Pickle as a *cold* runtime: the image cache (a cold-started
-        node keeps its pulled layers on disk) and profile survive;
-        running containers, LRU timestamps from the old clock, and the
-        env-bound start-slot resource do not."""
-        state = self.__dict__.copy()
-        state["env"] = None
-        state["containers"] = {}
-        state["_image_last_used"] = {}
-        state["_start_slots"] = None
-        return state
-
-    def rebind(self, env: Environment) -> None:
-        """Attach an unpickled (cold) runtime to ``env``, cascading to
-        the node host when it is still cold itself (the host may be
-        shared with — and already rebound by — a cluster adapter)."""
-        if self.env is not None:
-            raise RuntimeError(
-                f"{self.node.name}: runtime already bound to an "
-                "environment; only a cold (unpickled) one can be rebound"
-            )
-        self.env = env
-        self._start_slots = Resource(env, self.profile.start_concurrency)
-        if self.node.env is None:
-            self.node.rebind(env)
-
     # -- pull phase ------------------------------------------------------
 
     def pull(self, image: ImageSpec, registry: Registry):

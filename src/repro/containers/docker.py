@@ -38,24 +38,6 @@ class DockerEngine:
         self.runtime = runtime
         self.api_latency_s = float(api_latency_s)
 
-    def __getstate__(self) -> dict:
-        """Pickle as a *cold* engine (see :meth:`Containerd.__getstate__`)."""
-        state = self.__dict__.copy()
-        state["env"] = None
-        return state
-
-    def rebind(self, env: Environment) -> None:
-        """Attach an unpickled (cold) engine to ``env``, cascading to
-        its runtime when that is still cold."""
-        if self.env is not None:
-            raise RuntimeError(
-                "engine already bound to an environment; only a cold "
-                "(unpickled) one can be rebound"
-            )
-        self.env = env
-        if self.runtime.env is None:
-            self.runtime.rebind(env)
-
     def _api_call(self):
         yield self.env.timeout(self.api_latency_s)
 

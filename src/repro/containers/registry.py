@@ -101,27 +101,6 @@ class Registry:
             "failures": 0,
         }
 
-    def __getstate__(self) -> dict:
-        """Pickle as a *cold* registry: catalogue, profile, and seeded
-        failure streams survive; the env-bound download-slot resource
-        does not.  Re-attach with :meth:`rebind` before use."""
-        state = self.__dict__.copy()
-        state["env"] = None
-        state["_download_slots"] = None
-        return state
-
-    def rebind(self, env: Environment) -> None:
-        """Attach an unpickled (cold) registry to ``env``."""
-        if self.env is not None:
-            raise RuntimeError(
-                f"{self.name}: already bound to an environment; only a "
-                "cold (unpickled) registry can be rebound"
-            )
-        self.env = env
-        self._download_slots = Resource(
-            env, self.profile.max_concurrent_downloads
-        )
-
     def set_fault_rate(self, rate: float) -> None:
         """Adjust the failure rate at runtime (Injector outage windows).
 

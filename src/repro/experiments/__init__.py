@@ -2,8 +2,8 @@
 
 Each ``run_*`` function builds the testbed(s), executes the paper's
 measurement protocol, and returns an :class:`ExperimentResult` whose
-rows mirror the corresponding figure.  The benchmark harness under
-``benchmarks/`` and EXPERIMENTS.md are both generated from these.
+rows mirror the corresponding figure.  The shape tests under
+``tests/figures/`` and EXPERIMENTS.md are both generated from these.
 """
 
 from repro.experiments.base import ExperimentResult

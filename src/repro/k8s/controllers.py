@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import typing as _t
 
-from repro.k8s.apiserver import APIServer, Conflict, WatchEvent
+from repro.k8s.apiserver import APIServer, Conflict, NotFound, WatchEvent
 from repro.k8s.objects import (
     Deployment,
     ObjectMeta,
@@ -93,7 +93,10 @@ class DeploymentController:
                 return
         elif rs.spec.replicas != deployment.spec.replicas:
             rs.spec.replicas = deployment.spec.replicas
-            yield from self.api.update(rs)
+            try:
+                yield from self.api.update(rs)
+            except NotFound:
+                pass  # deleted while the update was under way
 
     def _cascade_delete(self, deployment: Deployment):
         namespace = deployment.metadata.namespace

@@ -1,8 +1,8 @@
 """Plain-text rendering of tables, bar charts, and histograms.
 
-The benchmark harness prints the same rows/series the paper's figures
+The figure tests print the same rows/series the paper's figures
 show; these helpers format them for terminal output so
-``pytest benchmarks/ --benchmark-only -s`` shows figure-shaped data.
+``pytest tests/figures -s`` shows figure-shaped data.
 """
 
 from __future__ import annotations

@@ -43,15 +43,6 @@ class NetworkInterface:
     def attached(self) -> bool:
         return self.endpoint is not None
 
-    def __getstate__(self) -> dict[str, _t.Any]:
-        # A link endpoint drags in the Link, the far-side device, and
-        # ultimately a whole Environment — none of which belong in a
-        # pickled snapshot.  Interfaces rematerialize detached; the
-        # receiving partition re-wires them to its own links.
-        state = self.__dict__.copy()
-        state["endpoint"] = None
-        return state
-
     def send(self, packet: "Packet") -> None:
         """Queue ``packet`` for transmission on the attached link."""
         if self.endpoint is None:

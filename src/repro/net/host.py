@@ -321,52 +321,6 @@ class Host(NetDevice):
             route.invalidate()
         self._routes.clear()
 
-    # -- checkpoint / migration support -------------------------------------
-
-    #: Runtime state that never survives pickling: listeners bind
-    #: arbitrary application callbacks, connections and handshake
-    #: waiters hold live events on the old environment's heap, and
-    #: memoized routes reference link hops in the old topology.
-    _EPHEMERAL_STATE = (
-        "_listeners",
-        "_connections",
-        "_pending",
-        "_half_open",
-        "_port_waiters",
-        "_routes",
-    )
-
-    def __getstate__(self) -> dict[str, _t.Any]:
-        """Pickle as a *cold* host: identity and addressing survive,
-        event-loop-bound runtime state does not.
-
-        This is what lets partition builders ship prebuilt host
-        inventories across the fork boundary (``repro.sim.parallel``
-        constructs partitions inside workers from picklable specs):
-        the snapshot carries name, MAC/IP, interface metadata, and the
-        ephemeral-port cursor, while ``env`` and everything scheduled
-        on it is stripped.  Re-attach with :meth:`rebind` before use.
-        """
-        state = self.__dict__.copy()
-        state["env"] = None
-        for name in self._EPHEMERAL_STATE:
-            state[name] = {}
-        return state
-
-    def rebind(self, env: Environment) -> None:
-        """Attach an unpickled (cold) host to ``env``.
-
-        Refuses to steal a host that is still bound — rebinding a live
-        host would leave its scheduled callbacks running on the old
-        loop while new ones land on the new loop.
-        """
-        if self.env is not None:
-            raise RuntimeError(
-                f"{self.name}: already bound to an environment; only a "
-                "cold (unpickled) host can be rebound"
-            )
-        self.env = env
-
     def port_open_event(self, port: int) -> _t.Any:
         """An event firing when ``port`` opens (readiness subscription).
 

@@ -11,15 +11,6 @@ from repro.net.openflow.actions import Action
 from repro.net.openflow.match import FlowMatch
 from repro.net.packet import Packet
 
-try:  # numpy is an optional accelerator (present in CI, not required)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the loop path
-    _np = None  # type: ignore[assignment]
-
-#: Table size at which the vectorized sweep beats the fused loop; below
-#: it, four ``fromiter`` passes cost more than one interpreted pass.
-_VECTOR_SWEEP_MIN = 256
-
 _entry_ids = itertools.count(1)
 
 #: FlowRemoved reason codes (mirrors OpenFlow).
@@ -366,17 +357,10 @@ class FlowTable:
         single loop over inlined timeout arithmetic.  Returns
         ``(expired, earliest)`` where ``expired`` is the
         :meth:`sweep_expired` list and ``earliest`` the surviving
-        entries' earliest possible expiry (or ``None``).
-
-        Large tables take a numpy-vectorized path (gathered timeout
-        columns, C-level comparisons) that is bit-identical to the
-        loop: same hard-before-idle reason priority, same master-list
-        expiry order, and float64 arithmetic matching Python floats
-        exactly — so which path runs (a function of table size alone,
-        itself deterministic) can never change a latency trace.
+        entries' earliest possible expiry (or ``None``).  A hard timeout
+        wins over an idle one that fired at the same instant, and
+        ``expired`` is in master-list order.
         """
-        if _np is not None and len(self._entries) >= _VECTOR_SWEEP_MIN:
-            return self._sweep_vectorized(now)
         expired: list[tuple[FlowEntry, str]] = []
         earliest: float | None = None
         for entry in self._entries:
@@ -400,51 +384,6 @@ class FlowTable:
                 earliest = deadline
         if expired:
             self._bulk_remove([entry for entry, _reason in expired])
-        return expired, earliest
-
-    def _sweep_vectorized(self, now: float) -> tuple[list, float | None]:
-        """Column-at-a-time :meth:`sweep_and_deadline` for big tables."""
-        np = _t.cast(_t.Any, _np)
-        entries = self._entries
-        n = len(entries)
-        # map+attrgetter keeps the per-entry gather in C; a genexpr
-        # here costs a frame resume per element per column.
-        installed = np.fromiter(
-            map(operator.attrgetter("installed_at"), entries), np.float64, n
-        )
-        last = np.fromiter(
-            map(operator.attrgetter("last_used"), entries), np.float64, n
-        )
-        hard = np.fromiter(
-            map(operator.attrgetter("hard_timeout"), entries), np.float64, n
-        )
-        idle = np.fromiter(
-            map(operator.attrgetter("idle_timeout"), entries), np.float64, n
-        )
-        has_hard = hard > 0.0
-        has_idle = idle > 0.0
-        # Hard timeout wins when both fired — same reason priority as
-        # the loop's hard-first ``continue``.
-        hard_hit = has_hard & (now - installed >= hard)
-        idle_hit = ~hard_hit & has_idle & (now - last >= idle)
-        dead = hard_hit | idle_hit
-        deadline = np.where(has_hard, installed + hard, np.inf)
-        np.minimum(
-            deadline, np.where(has_idle, last + idle, np.inf), out=deadline
-        )
-        deadline[dead] = np.inf
-        earliest_v = deadline.min()
-        earliest = float(earliest_v) if earliest_v != np.inf else None
-        if not dead.any():
-            return [], earliest
-        expired = [
-            (
-                entries[i],
-                REASON_HARD_TIMEOUT if hard_hit[i] else REASON_IDLE_TIMEOUT,
-            )
-            for i in np.flatnonzero(dead)
-        ]
-        self._bulk_remove([entry for entry, _reason in expired])
         return expired, earliest
 
     def earliest_deadline(self) -> float | None:

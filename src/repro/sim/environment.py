@@ -10,16 +10,6 @@ from itertools import count
 from repro.sim.events import Event, NORMAL, PENDING, Timeout
 from repro.sim.process import Process
 
-#: Guard delays at or above this many seconds go to the deadline
-#: side-heap (cancellable, off the main heap); shorter ones stay plain
-#: Timeouts with exact legacy scheduling.  The split keeps short,
-#: frequently-*firing* test timeouts byte-identical while the long
-#: almost-never-firing request guards (120 s by default) stop
-#: occupying the main heap — at 50x replay tens of thousands of live
-#: guard timeouts otherwise sit in the heap at once, and their depth
-#: taxes every push and pop of the run.
-DEADLINE_SIDE_HEAP_MIN_S = 30.0
-
 
 class SimulationError(RuntimeError):
     """Raised when the event loop encounters an unrecoverable state."""
@@ -124,13 +114,13 @@ class Environment:
         Use for deadlines that usually do *not* fire (request guards,
         watchdogs): call ``.cancel()`` on the returned event once the
         guarded operation wins the race and the deadline stops costing
-        anything.  Long delays are parked in a side-heap so they never
-        inflate the main event heap; short ones fall back to a plain
-        :class:`Timeout` (whose base-class ``cancel()`` is a no-op)
-        with exact legacy scheduling — see ``DEADLINE_SIDE_HEAP_MIN_S``.
+        anything.  The deadline is parked in a side-heap, so a live
+        guard never occupies the main event heap — at 50x replay tens
+        of thousands of 120 s request guards are pending at once, and
+        their depth would tax every push and pop of the run.
         """
-        if delay < DEADLINE_SIDE_HEAP_MIN_S:
-            return Timeout(self, delay, value)
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         event = Deadline(self, value)
         at = self._now + delay
         heapq.heappush(

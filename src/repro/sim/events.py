@@ -102,8 +102,8 @@ class Event:
         :class:`~repro.sim.environment.Deadline` guards — override
         this so an abandoned waiter stops costing anything.  Calling
         it on an event that cannot be cancelled is deliberately
-        harmless, which lets guard-timeout code cancel its deadline
-        without caring which concrete type the environment handed out.
+        harmless, which lets guard-timeout code cancel the event it
+        guards without caring about its concrete type.
         """
 
     # -- triggering -----------------------------------------------------

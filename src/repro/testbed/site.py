@@ -530,8 +530,6 @@ class Site:
             collector=self.collector,
         )
         if config.ops_api:
-            # Opened here, not before a fork: pickling a Host strips
-            # its listeners.
             self.ops_app = OpsApp(self.ops, register=register)
             self.egs.open_port(OPS_PORT, self.ops_app)
 

@@ -2,11 +2,11 @@
 
 from repro.experiments import run_ablation_flow_occupancy
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_ablation_flow_occupancy(benchmark):
-    result = run_experiment(benchmark, run_ablation_flow_occupancy)
+def test_ablation_flow_occupancy():
+    result = run_experiment(run_ablation_flow_occupancy)
     rows = {row[0]: row for row in result.rows}
     low = rows["low idle (5 s) + FlowMemory"]
     high = rows["high idle (120 s)"]

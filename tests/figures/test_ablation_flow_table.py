@@ -2,11 +2,11 @@
 
 from repro.experiments import run_ablation_flow_table
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_ablation_flow_table(benchmark):
-    result = run_experiment(benchmark, run_ablation_flow_table)
+def test_ablation_flow_table():
+    result = run_experiment(run_ablation_flow_table)
     medians = {row[0]: row[1] for row in result.rows}
     cold = medians["cold (dispatch + deployment)"]
     installed = medians["installed flow (switch only)"]

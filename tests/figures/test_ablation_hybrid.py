@@ -2,11 +2,11 @@
 
 from repro.experiments import run_ablation_hybrid
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_ablation_hybrid(benchmark):
-    result = run_experiment(benchmark, run_ablation_hybrid)
+def test_ablation_hybrid():
+    result = run_experiment(run_ablation_hybrid)
     rows = {row[0]: row for row in result.rows}
     hybrid = rows["hybrid (Docker first, K8s steady-state)"]
     pure = rows["pure Kubernetes"]

@@ -2,11 +2,11 @@
 
 from repro.experiments import run_ablation_layer_cache
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_ablation_layer_cache(benchmark):
-    result = run_experiment(benchmark, run_ablation_layer_cache)
+def test_ablation_layer_cache():
+    result = run_experiment(run_ablation_layer_cache)
     medians = {row[0]: row[1] for row in result.rows}
     cold = medians["derived image, cold cache"]
     warm = medians["derived image, base layers cached"]

@@ -2,11 +2,11 @@
 
 from repro.experiments import run_ablation_waiting_modes
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_ablation_waiting_modes(benchmark):
-    result = run_experiment(benchmark, run_ablation_waiting_modes)
+def test_ablation_waiting_modes():
+    result = run_experiment(run_ablation_waiting_modes)
     medians = {row[0]: row[1] for row in result.rows}
     waiting = medians["with-waiting (near deploys)"]
     far = medians["without-waiting (far instance)"]

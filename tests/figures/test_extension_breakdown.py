@@ -2,11 +2,11 @@
 
 from repro.experiments import run_extension_breakdown
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_extension_breakdown(benchmark):
-    result = run_experiment(benchmark, run_extension_breakdown)
+def test_extension_breakdown():
+    result = run_experiment(run_extension_breakdown)
     rows = {row[0]: row for row in result.rows}
 
     def parts(key):

@@ -2,11 +2,11 @@
 
 from repro.experiments import run_extension_hierarchy
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_extension_hierarchy(benchmark):
-    result = run_experiment(benchmark, run_extension_hierarchy)
+def test_extension_hierarchy():
+    result = run_experiment(run_extension_hierarchy)
     metrics = {row[0]: row[1] for row in result.rows}
 
     # No request is lost.

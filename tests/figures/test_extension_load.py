@@ -2,11 +2,11 @@
 
 from repro.experiments import run_extension_load
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_extension_load(benchmark):
-    result = run_experiment(benchmark, run_extension_load)
+def test_extension_load():
+    result = run_experiment(run_extension_load)
 
     # The file server stays flat across the sweep.
     nginx = [result.cell("Nginx", f"x{n} median (s)") for n in (1, 4, 8, 16)]

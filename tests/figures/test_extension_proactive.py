@@ -2,11 +2,11 @@
 
 from repro.experiments import run_extension_proactive
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_extension_proactive(benchmark):
-    result = run_experiment(benchmark, run_extension_proactive)
+def test_extension_proactive():
+    result = run_experiment(run_extension_proactive)
     rows = {row[0]: row for row in result.rows}
     reactive, proactive = rows["reactive"], rows["proactive"]
 

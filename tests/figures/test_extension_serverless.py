@@ -2,11 +2,11 @@
 
 from repro.experiments import run_extension_serverless
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_extension_serverless(benchmark):
-    result = run_experiment(benchmark, run_extension_serverless)
+def test_extension_serverless():
+    result = run_experiment(run_extension_serverless)
     cold = {row[0]: row[1] for row in result.rows}
     warm = {row[0]: row[2] for row in result.rows}
 

@@ -2,11 +2,11 @@
 
 from repro.experiments import run_fig09_request_distribution
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_fig09_request_distribution(benchmark):
-    result = run_experiment(benchmark, run_fig09_request_distribution)
+def test_fig09_request_distribution():
+    result = run_experiment(run_fig09_request_distribution)
     assert result.extras["total"] == 1708
     counts = result.extras["per_service_counts"]
     assert len(counts) == 42

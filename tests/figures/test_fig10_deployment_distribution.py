@@ -2,11 +2,11 @@
 
 from repro.experiments import run_fig10_deployment_distribution
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_fig10_deployment_distribution(benchmark):
-    result = run_experiment(benchmark, run_fig10_deployment_distribution)
+def test_fig10_deployment_distribution():
+    result = run_experiment(run_fig10_deployment_distribution)
     assert result.extras["total"] == 42
     # "up to eight deployments per second in the beginning"
     assert result.extras["max_per_second"] >= 4

@@ -2,11 +2,11 @@
 
 from repro.experiments import run_fig11_scale_up
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_fig11_scale_up(benchmark):
-    result = run_experiment(benchmark, run_fig11_scale_up, n_instances=42)
+def test_fig11_scale_up():
+    result = run_experiment(run_fig11_scale_up, n_instances=42)
     docker = {row[0]: row[1] for row in result.rows}
     k8s = {row[0]: row[2] for row in result.rows}
 

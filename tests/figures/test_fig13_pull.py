@@ -2,11 +2,11 @@
 
 from repro.experiments import run_fig13_pull
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_fig13_pull(benchmark):
-    result = run_experiment(benchmark, run_fig13_pull)
+def test_fig13_pull():
+    result = run_experiment(run_fig13_pull)
     public = {row[0]: row[1] for row in result.rows}
     saving = {row[0]: row[3] for row in result.rows}
 

@@ -2,13 +2,11 @@
 
 from repro.experiments import run_fig11_scale_up, run_fig14_wait_after_scale_up
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_fig14_wait_after_scale_up(benchmark):
-    result = run_experiment(
-        benchmark, run_fig14_wait_after_scale_up, n_instances=42
-    )
+def test_fig14_wait_after_scale_up():
+    result = run_experiment(run_fig14_wait_after_scale_up, n_instances=42)
     fig11 = run_fig11_scale_up(n_instances=42)  # shares the cached runs
 
     for service in ("Asm", "Nginx", "ResNet", "Nginx+Py"):

@@ -5,13 +5,11 @@ from repro.experiments import (
     run_fig15_wait_after_create_scale_up,
 )
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_fig15_wait_after_create_scale_up(benchmark):
-    result = run_experiment(
-        benchmark, run_fig15_wait_after_create_scale_up, n_instances=42
-    )
+def test_fig15_wait_after_create_scale_up():
+    result = run_experiment(run_fig15_wait_after_create_scale_up, n_instances=42)
     fig14 = run_fig14_wait_after_scale_up(n_instances=42)
 
     # Same ordering as fig. 14, and creating first doesn't change the

@@ -2,11 +2,11 @@
 
 from repro.experiments import run_fig16_warm_requests
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_fig16_warm_requests(benchmark):
-    result = run_experiment(benchmark, run_fig16_warm_requests)
+def test_fig16_warm_requests():
+    result = run_experiment(run_fig16_warm_requests)
     docker = {row[0]: row[1] for row in result.rows}
     k8s = {row[0]: row[2] for row in result.rows}
 

@@ -4,11 +4,11 @@ from repro.containers.image import KIB, MIB
 from repro.experiments import run_table1
 from repro.services.catalog import ASM, NGINX, NGINX_PY, RESNET
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_table1_services(benchmark):
-    result = run_experiment(benchmark, run_table1)
+def test_table1_services():
+    result = run_experiment(run_table1)
     # Exact catalog values from the paper.
     assert result.cell("Asm", "Containers") == 1
     assert result.cell("Nginx+Py", "Containers") == 2

@@ -3,13 +3,11 @@
 from repro.experiments import run_trace_replay
 from repro.services.catalog import NGINX
 
-from benchmarks.conftest import run_experiment
+from tests.figures.conftest import run_experiment
 
 
-def test_trace_replay_nginx_docker(benchmark):
-    result = run_experiment(
-        benchmark, run_trace_replay, template=NGINX, cluster_type="docker"
-    )
+def test_trace_replay_nginx_docker():
+    result = run_experiment(run_trace_replay, template=NGINX, cluster_type="docker")
     metrics = {row[0]: row[1] for row in result.rows}
     assert metrics["requests issued"] == 1708
     assert metrics["request errors"] == 0
@@ -23,13 +21,11 @@ def test_trace_replay_nginx_docker(benchmark):
     assert metrics["max time_total (s)"] > 0.3
 
 
-def test_trace_replay_nginx_k8s(benchmark):
+def test_trace_replay_nginx_k8s():
     """The same methodology on Kubernetes: every request still succeeds
     — cold ones simply wait the ~3 s orchestration (the §VII argument
     that K8s 'might be too much' for the first request)."""
-    result = run_experiment(
-        benchmark, run_trace_replay, template=NGINX, cluster_type="k8s"
-    )
+    result = run_experiment(run_trace_replay, template=NGINX, cluster_type="k8s")
     metrics = {row[0]: row[1] for row in result.rows}
     assert metrics["requests issued"] == 1708
     assert metrics["request errors"] == 0

@@ -1,5 +1,5 @@
 """Tests for the experiment runners (reduced sizes; full sizes run in
-``benchmarks/``)."""
+``tests/figures/``)."""
 
 from __future__ import annotations
 

@@ -315,6 +315,46 @@ class TestControlPlane:
         assert cluster.api.list_nowait("ReplicaSet") == []
         assert cluster.api.list_nowait("Pod") == []
 
+    def test_replicaset_deleted_under_the_controllers_update(self):
+        """A ReplicaSet that disappears while the Deployment
+        controller's ``update(rs)`` pays its API latency must not kill
+        the worker (``NotFound`` used to escape ``env.run``).  The
+        Deployment's own delete cannot open that window — its cascade
+        queues behind the reconcile on the one worker — so the
+        ReplicaSet is deleted the way the cascade (or ``kubectl delete
+        rs``) does it, through the API."""
+        env = Environment()
+        cluster, registry, nodes = _cluster(env)
+        image = _image()
+        registry.publish(image)
+        client = KubernetesClient(cluster.api)
+        profile = cluster.api.profile
+        # scale -> watch event -> work-queue dwell -> two try_gets; the
+        # delete is sent half an API latency before update(rs) starts
+        # and so lands in the middle of it.
+        into_update = (
+            profile.watch_latency_s
+            + profile.deployment_sync_s
+            + 1.5 * profile.api_latency_s
+        )
+
+        def go(env):
+            yield from client.create_deployment(_deployment("web", image, replicas=1))
+            yield env.timeout(8.0)
+            yield from client.scale_deployment("web", 2)
+            yield env.timeout(into_update)
+            yield from cluster.api.delete("ReplicaSet", "web-rs")
+            yield from client.delete_deployment("web")
+            yield env.timeout(8.0)
+            # The worker is still there: a new Deployment gets its pods.
+            yield from client.create_deployment(_deployment("web", image, replicas=1))
+
+        env.process(go(env))
+        env.run(until=30.0)
+        (rs,) = cluster.api.list_nowait("ReplicaSet")
+        assert rs.spec.replicas == 1
+        assert [p.status.ready for p in cluster.api.list_nowait("Pod")] == [True]
+
     def test_kubelet_pulls_missing_image(self):
         env = Environment()
         cluster, registry, nodes = _cluster(env)

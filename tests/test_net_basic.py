@@ -276,6 +276,24 @@ class TestHTTP:
         with pytest.raises(ConnectionTimeout):
             run_request(env, a, b.ip, 80, timeout=2.0)
 
+    def test_short_recv_guard_fires_at_exactly_now_plus_delay(self):
+        env = Environment()
+        net = MiniNet(env)
+        a, b = net.host("a"), net.host("b")
+        net.wire(a, b)
+        b.open_port(80, EchoApp(env))
+
+        def go(env):
+            conn = yield from a.connect(b.ip, 80)
+            started = env.now
+            with pytest.raises(ConnectionTimeout):
+                yield from conn.recv(timeout=0.25)  # nothing was asked
+            return started, env.now
+
+        started, failed = env.run_process(go(env))
+        assert started > 0
+        assert failed == started + 0.25
+
     def test_concurrent_clients_isolated(self):
         env = Environment()
         net = MiniNet(env)

@@ -125,8 +125,9 @@ class TestFlowTable:
         assert len(table) == len(order)
 
 
-class TestVectorizedSweep:
-    """The numpy sweep path must be indistinguishable from the loop."""
+class TestFusedSweep:
+    """``sweep_and_deadline`` is ``sweep_expired`` + ``earliest_deadline``
+    in one pass; the two-pass pair is the reference."""
 
     @staticmethod
     def _populated_table(n: int = 400) -> tuple[FlowTable, list[FlowEntry]]:
@@ -146,31 +147,24 @@ class TestVectorizedSweep:
             entries.append(entry)
         return table, entries
 
-    def test_matches_loop_path_exactly(self, monkeypatch):
-        import repro.net.openflow.table as table_mod
-
-        if table_mod._np is None:
-            pytest.skip("numpy not available")
+    def test_matches_two_pass_reference(self):
         now = 5.0
-        vec_table, _ = self._populated_table()
-        loop_table, _ = self._populated_table()
-        vec_expired, vec_earliest = vec_table.sweep_and_deadline(now)
-        monkeypatch.setattr(table_mod, "_VECTOR_SWEEP_MIN", 10**9)
-        loop_expired, loop_earliest = loop_table.sweep_and_deadline(now)
+        fused_table, _ = self._populated_table()
+        ref_table, _ = self._populated_table()
+        expired, earliest = fused_table.sweep_and_deadline(now)
+        ref_expired = ref_table.sweep_expired(now)
 
-        assert vec_earliest == loop_earliest
-        assert [
-            (e.match.tcp_dst, reason) for e, reason in vec_expired
-        ] == [(e.match.tcp_dst, reason) for e, reason in loop_expired]
-        assert len(vec_table) == len(loop_table)
-        assert vec_expired  # the workload actually expired something
+        assert earliest == ref_table.earliest_deadline()
+        assert [(e.match.tcp_dst, reason) for e, reason in expired] == [
+            (e.match.tcp_dst, reason) for e, reason in ref_expired
+        ]
+        assert len(fused_table) == len(ref_table)
+        assert {reason for _e, reason in expired} == {
+            REASON_HARD_TIMEOUT,
+            REASON_IDLE_TIMEOUT,
+        }
 
-    def test_vector_path_reports_hard_before_idle(self, monkeypatch):
-        import repro.net.openflow.table as table_mod
-
-        if table_mod._np is None:
-            pytest.skip("numpy not available")
-        monkeypatch.setattr(table_mod, "_VECTOR_SWEEP_MIN", 1)
+    def test_reports_hard_before_idle(self):
         table = FlowTable()
         both = FlowEntry(
             FlowMatch(tcp_dst=80), [Drop()], idle_timeout=1.0, hard_timeout=2.0
@@ -181,7 +175,7 @@ class TestVectorizedSweep:
         table.install(both, 0.0)
         table.install(survivor, 0.0)
         expired, earliest = table.sweep_and_deadline(3.0)
-        # Both timeouts fired; hard wins the reason, as in the loop.
+        # Both timeouts fired; hard wins the reason.
         assert expired == [(both, REASON_HARD_TIMEOUT)]
         assert earliest == 10.0  # survivor's last_used + idle
         assert len(table) == 1

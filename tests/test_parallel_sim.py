@@ -9,8 +9,6 @@ alive by null messages, horizon-exact arrivals ordered like serial.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.net.addressing import IPv4Address, MACAddress
@@ -408,52 +406,15 @@ class TestAdaptiveSync:
         portal.send("at-promise", arrival_ts=10.0 + LOOKAHEAD)
 
 
-# -- host picklability (partition builders ship host inventories) ------------
+# -- the cut's lookahead is the link's latency --------------------------------
 
 
-class TestHostPickling:
-    def _host_pair(self):
+class TestLinkLookahead:
+    def test_link_lookahead_property(self):
         env = Environment()
         a = Host(env, "a", MACAddress(1), IPv4Address(0x0A000001))
         b = Host(env, "b", MACAddress(2), IPv4Address(0x0A000002))
         link = Link(env, a.iface, b.iface, bandwidth_bps=1e9, latency_s=0.001)
-        return env, a, b, link
-
-    def test_round_trip_strips_runtime_state(self):
-        env, a, _b, _link = self._host_pair()
-        a._pending[1] = env.event()
-        a._port_waiters[80] = [env.event()]
-
-        clone = pickle.loads(pickle.dumps(a))
-
-        assert clone.name == a.name
-        assert clone.ip == a.ip
-        assert clone.iface.mac == a.iface.mac
-        assert clone.iface.ip == a.iface.ip
-        assert clone.env is None
-        assert clone.iface.endpoint is None
-        assert clone.iface.attached is False
-        for attr in Host._EPHEMERAL_STATE:
-            assert getattr(clone, attr) == {}
-        # The original is untouched: pickling must never mutate a live
-        # host's bindings.
-        assert a.env is env
-        assert a.iface.endpoint is not None
-        assert a._pending and a._port_waiters
-
-    def test_rebind_attaches_cold_host_once(self):
-        _env, a, _b, _link = self._host_pair()
-        clone = pickle.loads(pickle.dumps(a))
-        fresh = Environment()
-        clone.rebind(fresh)
-        assert clone.env is fresh
-        with pytest.raises(RuntimeError, match="already bound"):
-            clone.rebind(fresh)
-        with pytest.raises(RuntimeError, match="already bound"):
-            a.rebind(fresh)
-
-    def test_link_lookahead_property(self):
-        _env, _a, _b, link = self._host_pair()
         assert link.lookahead_s == link.latency_s == 0.001
         link.latency_s = 0.5
         assert link.lookahead_s == 0.5

@@ -7,7 +7,7 @@ produce byte-identical latency fingerprints under the forked parallel
 coordinator and the single-process serial reference, at 1, 2, 4, and
 8 sites.  Alongside it: pickle round-trips for everything that crosses
 the fork boundary (the replay plan, packets, replicated state updates,
-fault plans, and the cold-snapshot cluster chain), and the kind-aware
+fault plans), and the kind-aware
 partitioner that lets a data trunk and a control channel share a cut.
 """
 
@@ -18,11 +18,7 @@ import pickle
 
 import pytest
 
-from repro.cluster import DockerCluster
-from repro.containers import Containerd, DockerEngine, Registry
-from repro.containers.registry import PUBLIC_PROFILE
 from repro.faults import FaultPlan
-from repro.net.addressing import IPv4Address, MACAllocator
 from repro.services import DEFAULT_CALIBRATION, build_catalog
 from repro.services.behavior import AppFactory
 from repro.sim import Environment
@@ -246,8 +242,8 @@ class TestAdaptiveRoundCollapse:
 
 
 class TestForkBoundaryPickling:
-    """Everything the new site build plan ships across the fork pipe
-    must pickle — mirroring the PR 6 Host/NetworkInterface tests."""
+    """Everything the site build plan ships across the fork pipe must
+    pickle; all of it is plain data."""
 
     def test_app_factory_round_trip(self):
         factory = AppFactory(handle_time_s=0.004, response_bytes=64, workers=4)
@@ -281,55 +277,6 @@ class TestForkBoundaryPickling:
         assert clone.plan.containers[0].app_factory == (
             service.plan.containers[0].app_factory
         )
-
-    def _cluster_chain(self, env):
-        macs = MACAllocator()
-        from repro.net import Host
-
-        egs = Host(env, "egs", macs.allocate(), IPv4Address.parse("10.0.1.1"))
-        registry = Registry(env, "docker-hub", PUBLIC_PROFILE)
-        images, _ = build_catalog(DEFAULT_CALIBRATION)
-        for image in images.values():
-            registry.publish(image)
-        runtime = Containerd(env, egs)
-        engine = DockerEngine(env, runtime)
-        return DockerCluster(env, "docker", egs, engine, registry)
-
-    def test_docker_cluster_cold_snapshot(self):
-        cluster = self._cluster_chain(Environment())
-        cold = pickle.loads(pickle.dumps(cluster))
-        for obj in (
-            cold,
-            cold.engine,
-            cold.engine.runtime,
-            cold.image_registry,
-            cold.ingress_host,
-        ):
-            assert obj.env is None
-        # Identity is preserved through the pickle memo: the runtime's
-        # node and the cluster's ingress host are the same EGS.
-        assert cold.engine.runtime.node is cold.ingress_host
-        # The image cache (disk contents) survives the cold snapshot.
-        assert len(cold.image_registry._images) > 0
-
-    def test_docker_cluster_rebind_cascades_once(self):
-        cold = pickle.loads(pickle.dumps(self._cluster_chain(Environment())))
-        env = Environment()
-        cold.rebind(env)
-        assert cold.env is env
-        assert cold.engine.env is env
-        assert cold.engine.runtime.env is env
-        assert cold.engine.runtime._start_slots is not None
-        assert cold.image_registry.env is env
-        assert cold.image_registry._download_slots is not None
-        assert cold.ingress_host.env is env
-
-    @pytest.mark.parametrize("attr", ["engine", "image_registry"])
-    def test_rebind_refuses_live_objects(self, attr):
-        env = Environment()
-        cluster = self._cluster_chain(env)
-        with pytest.raises(RuntimeError, match="cold"):
-            getattr(cluster, attr).rebind(env)
 
     def test_state_update_round_trip(self):
         from repro.core.federation.state import VersionStamp

@@ -69,6 +69,18 @@ class TestEnvironment:
         env = Environment()
         with pytest.raises(ValueError):
             env.timeout(-1)
+        with pytest.raises(ValueError):
+            env.deadline(-1)
+
+    def test_cancelled_deadlines_cost_no_events(self):
+        env = Environment()
+        for i in range(100):
+            env.deadline(1.0 + i).cancel()
+        # One armed wakeup for the earliest guard, whatever their number.
+        assert len(env) == 1
+        env.run()
+        assert env.events_processed == 1
+        assert len(env) == 0
 
     def test_simultaneous_events_run_in_schedule_order(self):
         env = Environment()
