@@ -16,14 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments import EXPERIMENTS, ExperimentResult
-from repro.experiments.engine import run_experiment_shard
-
-
-def _run_one(name: str, fast: bool) -> ExperimentResult:
-    # One experiment, in-process; the engine owns the --fast parameter
-    # table so the serial CLI and the parallel suite runner agree.
-    return run_experiment_shard(name, fast)
+from repro.docs import generate_experiments_md
+from repro.experiments import EXPERIMENTS, run_experiment
 
 
 def cmd_list() -> int:
@@ -34,29 +28,26 @@ def cmd_list() -> int:
 
 
 def cmd_run(names: list[str], fast: bool) -> int:
-    targets = list(EXPERIMENTS) if names == ["all"] else names
-    unknown = [n for n in targets if n not in EXPERIMENTS]
+    unknown = [n for n in names if n != "all" and n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    for name in targets:
-        result = _run_one(name, fast)
-        print(result.render())
+    # "all" anywhere among the names means the whole registry, once.
+    for name in list(EXPERIMENTS) if "all" in names else names:
+        print(run_experiment(name, fast).render())
         print()
     return 0
 
 
 def cmd_experiments_md(fast: bool, output: str | None) -> int:
-    from repro.docs import generate_experiments_md
-
-    text = generate_experiments_md(fast=fast, run=_run_one)
+    text = generate_experiments_md(fast=fast)
     if output:
         with open(output, "w") as handle:
             handle.write(text)
         print(f"wrote {output}")
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 

@@ -145,10 +145,6 @@ class Container:
         self.restart_count = 0
         self._bound_port: int | None = None
 
-    @property
-    def is_ready(self) -> bool:
-        return self.ready.triggered and self.state is ContainerState.RUNNING
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Container {self.container_id} {self.spec.name} {self.state.value}>"
 

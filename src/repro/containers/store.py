@@ -30,9 +30,6 @@ class ImageStore:
             return False
         return all(layer.digest in self._layers for layer in image.layers)
 
-    def has_layer(self, digest: str) -> bool:
-        return digest in self._layers
-
     def missing_layers(self, image: ImageSpec) -> list[Layer]:
         """Layers of ``image`` that still need to be pulled."""
         return [l for l in image.layers if l.digest not in self._layers]

@@ -374,20 +374,15 @@ class EdgeController(SDNApp):
         resolution: Resolution = yield from self.dispatcher.resolve(service, client)
         if resolution.endpoint is None:
             self.stats["cloud_fallbacks"] += 1
-            self._remember(client_ip, service, resolution)
-            self._install_path(
-                datapath, client_ip, message.in_port, service, None, message.buffer_id
-            )
-        else:
-            self._remember(client_ip, service, resolution)
-            self._install_path(
-                datapath,
-                client_ip,
-                message.in_port,
-                service,
-                resolution.endpoint,
-                message.buffer_id,
-            )
+        self._remember(client_ip, service, resolution)
+        self._install_path(
+            datapath,
+            client_ip,
+            message.in_port,
+            service,
+            resolution.endpoint,
+            message.buffer_id,
+        )
 
     def _remember(
         self, client_ip: IPv4Address, service: EdgeService, resolution: Resolution

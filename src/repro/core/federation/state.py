@@ -135,9 +135,9 @@ class ReplicaLink:
 class SharedStateHub:
     """The logically centralised shared-state service.
 
-    Holds the authoritative (most recently arrived, LWW-resolved) copy
-    of every replicated entry and fans writes out to all other site
-    replicas.  The authoritative versions also let the metrics layer
+    Holds the authoritative (most recently arrived, LWW-resolved)
+    version of every replicated entry and fans writes out to all other
+    site replicas.  The authoritative versions let the metrics layer
     ask "was this site's view stale when it decided?" without
     perturbing the data path.
     """
@@ -156,7 +156,6 @@ class SharedStateHub:
         self._remote_sites: dict[
             str, _t.Callable[[StateUpdate], None]
         ] = {}
-        self._values: dict[StateKey, _t.Any] = {}
         self._versions: dict[StateKey, VersionStamp] = {}
 
     @property
@@ -207,15 +206,14 @@ class SharedStateHub:
 
     def deliver(self, origin: str, update: StateUpdate) -> None:
         """One write *arriving at the hub* (site -> hub delay already
-        paid): LWW-store it, then fan out to every other site — local
+        paid): LWW-stamp it, then fan out to every other site — local
         replicas via ``call_later``, remote partitions via their
         control-channel send."""
-        domain, key, value, stamp = update
+        domain, key, _value, stamp = update
         state_key = (domain, key)
         current = self._versions.get(state_key)
         if current is None or stamp > current:
             self._versions[state_key] = stamp
-            self._values[state_key] = value
         for site, replica in self.replicas.items():
             if site == origin:
                 continue
@@ -230,9 +228,6 @@ class SharedStateHub:
             if site == origin:
                 continue
             send(update)
-
-    # Pre-partitioning internal name, kept for API stability.
-    _receive = deliver
 
     def on_link_restored(self, site: str) -> None:
         """Drain both directions of a healed site link."""
@@ -251,9 +246,6 @@ class SharedStateHub:
 
     def version_of(self, domain: str, key: _t.Any) -> VersionStamp | None:
         return self._versions.get((domain, key))
-
-    def value_of(self, domain: str, key: _t.Any) -> _t.Any:
-        return self._values.get((domain, key))
 
 
 class SiteReplica(ControlPlaneState):

@@ -6,6 +6,8 @@ rows mirror the corresponding figure.  The shape tests under
 ``tests/figures/`` and EXPERIMENTS.md are both generated from these.
 """
 
+import typing as _t
+
 from repro.experiments.base import ExperimentResult
 from repro.experiments.table1 import run_table1
 from repro.experiments.fig09_10_workload import (
@@ -37,6 +39,7 @@ from repro.experiments.extension_breakdown import run_extension_breakdown
 from repro.experiments.extension_hierarchy import run_extension_hierarchy
 from repro.experiments.extension_d1_federation import run_extension_d1_federation
 from repro.experiments.extension_m1_migration import run_extension_m1_migration
+from repro.workload import BigFlowsParams
 
 #: Name -> runner, for the CLI and docs generation.
 EXPERIMENTS = {
@@ -65,8 +68,54 @@ EXPERIMENTS = {
     "resilience": run_resilience,
 }
 
+#: Reduced parameters per experiment for ``--fast`` runs; an experiment
+#: without an entry is already quick at full size.
+FAST_KWARGS: dict[str, dict[str, _t.Any]] = {
+    "fig11": {"n_instances": 8},
+    "fig12": {"n_instances": 8},
+    "fig13": {"repetitions": 2},
+    "fig14": {"n_instances": 8},
+    "fig15": {"n_instances": 8},
+    "fig16": {"n_requests": 10},
+    "trace": {
+        "params": BigFlowsParams(n_services=10, n_requests=220, duration_s=60.0)
+    },
+    "ablation_waiting": {"n_instances": 3},
+    "ablation_hybrid": {"n_instances": 3},
+    "ablation_layer_cache": {"repetitions": 2},
+    "ablation_flow_table": {"n_requests": 5},
+    "ablation_flow_occupancy": {
+        "n_services": 4,
+        "n_clients": 4,
+        "duration_s": 60.0,
+    },
+    "extension_serverless": {"n_instances": 3, "n_warm": 5},
+    "extension_proactive": {"n_visits": 6},
+    "extension_load": {"concurrency_levels": (1, 8), "rounds": 2},
+    "extension_breakdown": {"n_instances": 3},
+    "extension_federation": {
+        "site_counts": (1, 2),
+        "delays": (0.025,),
+        "fixed_sites": 2,
+    },
+    "extension_migration": {"n_clients": 3, "with_planner": False},
+    "resilience": {"failure_rates": (0.0, 0.9), "n_rounds": 4},
+}
+
+
+def run_experiment(name: str, fast: bool = False) -> ExperimentResult:
+    """Run one registered experiment, at ``--fast`` size if asked."""
+    if name not in EXPERIMENTS:
+        raise KeyError(
+            f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}"
+        )
+    kwargs = FAST_KWARGS.get(name, {}) if fast else {}
+    return EXPERIMENTS[name](**kwargs)
+
+
 __all__ = [
     "EXPERIMENTS",
+    "FAST_KWARGS",
     "ExperimentResult",
     "run_ablation_flow_occupancy",
     "run_ablation_flow_table",
@@ -80,6 +129,7 @@ __all__ = [
     "run_fig13_pull",
     "run_fig14_wait_after_scale_up",
     "run_fig15_wait_after_create_scale_up",
+    "run_experiment",
     "run_extension_breakdown",
     "run_extension_d1_federation",
     "run_extension_hierarchy",

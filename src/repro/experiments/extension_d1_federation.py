@@ -17,8 +17,7 @@ Two sweeps:
   a view the hub has already superseded are counted as stale.
 
 Both sweeps are pure discrete-event simulations driven from seeded
-state, so results are byte-identical across runs and across the
-parallel experiment engine's worker placements.
+state, so results are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -114,25 +113,8 @@ def run_extension_d1_federation(
     delays: _t.Sequence[float] = (0.005, 0.025, 0.1),
     fixed_delay_s: float = 0.025,
     fixed_sites: int = 4,
-    kernel: str | None = None,
-    replay_sites: int = 2,
-    replay_requests: int = 12,
 ) -> ExperimentResult:
-    """Sweep federation size and state-propagation delay.
-
-    ``kernel`` additionally runs the *full-testbed partitioned replay*
-    (``repro.sim.parallel.testbed``) under the chosen executor —
-    ``"serial"`` (single-process reference) or ``"parallel"`` (one
-    forked worker per partition) — and appends one row carrying only
-    kernel-independent values (request counts and the latency
-    fingerprint, byte-identical across executors by construction), so
-    a serial and a parallel run of the same experiment must produce
-    *equal* rows while caching under distinct keys.
-    """
-    if kernel not in (None, "serial", "parallel"):
-        raise ValueError(
-            f"kernel must be 'serial' or 'parallel' (or None), got {kernel!r}"
-        )
+    """Sweep federation size and state-propagation delay."""
     rows: list[list[_t.Any]] = []
 
     def fmt(value: float | None) -> _t.Any:
@@ -169,53 +151,6 @@ def run_extension_d1_federation(
             ]
         )
 
-    extras: dict[str, _t.Any] = {
-        "site_counts": list(site_counts),
-        "delays": list(delays),
-    }
-    if kernel is not None:
-        from repro.sim.parallel.testbed import (
-            build_replay,
-            combined_fingerprint,
-            run_replay,
-            totals,
-        )
-
-        replay = build_replay(
-            FederationConfig(
-                n_sites=replay_sites,
-                clients_per_site=2,
-                propagation_delay_s=fixed_delay_s,
-            ),
-            n_requests=replay_requests,
-            duration_s=3.0,
-        )
-        run = run_replay(replay, parallel=kernel == "parallel")
-        counts = totals(run.results, replay_sites)
-        fingerprint = combined_fingerprint(run.results, replay_sites)
-        # Only kernel-independent values may enter the row: the serial
-        # and parallel executors must produce equal tables.
-        rows.append(
-            [
-                f"replay sites={replay_sites} md5={fingerprint[:12]}",
-                "-",
-                "-",
-                "-",
-                "-",
-                "-",
-                "-",
-                "-",
-                f"{counts['completed']}/{counts['issued']}",
-            ]
-        )
-        extras["replay"] = {
-            "kernel": kernel,
-            "sites": replay_sites,
-            "requests": replay_requests,
-            "fingerprint": fingerprint,
-            **counts,
-        }
-
     return ExperimentResult(
         experiment_id="Extension D1",
         title="Distributed control plane: per-site controllers over shared state",
@@ -238,8 +173,7 @@ def run_extension_d1_federation(
             "window deploys its own copy, so duplicate deployments "
             "track the site count at every tested delay — simultaneous "
             "cold starts land inside even a 5 ms window; all requests "
-            "succeed at every size.  A kernel replay row, when present, "
-            "is identical whichever executor produced it."
+            "succeed at every size."
         ),
-        extras=extras,
+        extras={"site_counts": list(site_counts), "delays": list(delays)},
     )

@@ -22,7 +22,7 @@ Two questions, two sweeps:
   instead of oversubscribing.
 
 Everything is a seeded discrete-event run: byte-identical across
-repetitions and across experiment-engine worker placements.
+repetitions.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def run_extension_m1_migration(
         )
 
     return ExperimentResult(
-        experiment_id="extension_m1",
+        experiment_id="Extension M1",
         title="Live migration under a handover storm (make-before-break)",
         headers=headers,
         rows=rows,

@@ -23,14 +23,8 @@ from repro.testbed import C3Testbed, TestbedConfig
 #: figure (11/12) and its wait-time companion (14/15).
 _CACHE: dict[tuple, "ScaleUpRun"] = {}
 
-#: Templates by key, for the by-name cell entry point used by the
-#: parallel experiment engine (template objects don't travel across
-#: process boundaries; their keys do).
-_TEMPLATES: dict[str, ServiceTemplate] = {t.key: t for t in PAPER_SERVICES}
-
-#: Figure metadata shared by the serial runners below and the engine's
-#: per-cell shard plans: each figure is a (pre_create, value) view over
-#: the same per-(service, cluster) measurement cells.
+#: Each figure is a (pre_create, value) view over the same
+#: per-(service, cluster) measurement cells.
 FIGURE_SPECS: dict[str, dict[str, _t.Any]] = {
     "fig11": {
         "experiment_id": "Fig. 11",
@@ -73,38 +67,6 @@ FIGURE_SPECS: dict[str, dict[str, _t.Any]] = {
 }
 
 
-def template_by_key(key: str) -> ServiceTemplate:
-    """The paper-catalog template with the given key."""
-    try:
-        return _TEMPLATES[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown service template {key!r}; available: "
-            f"{', '.join(sorted(_TEMPLATES))}"
-        ) from None
-
-
-def scale_up_cell(
-    template_key: str,
-    cluster_type: str,
-    pre_create: bool = True,
-    n_instances: int = 42,
-) -> "ScaleUpRun":
-    """One measurement cell, addressed entirely by plain values.
-
-    This is the engine's shard entry point for figs. 11/12/14/15: the
-    (service × cluster) cells of a deployment figure are independent
-    simulations, so the engine fans them out across workers and merges
-    them back with :func:`figure_from_runs`.
-    """
-    return run_scale_up_experiment(
-        template_by_key(template_key),
-        cluster_type,
-        n_instances=n_instances,
-        pre_create=pre_create,
-    )
-
-
 @dataclasses.dataclass
 class ScaleUpRun:
     """Raw outcome of one (service, cluster, mode) measurement."""
@@ -131,7 +93,6 @@ def run_scale_up_experiment(
     cluster_type: str,
     n_instances: int = 42,
     pre_create: bool = True,
-    use_cache: bool = True,
 ) -> ScaleUpRun:
     """Deploy ``n_instances`` fresh instances and measure first requests.
 
@@ -141,7 +102,7 @@ def run_scale_up_experiment(
     separate experiment.
     """
     key = (template.key, cluster_type, pre_create, n_instances)
-    if use_cache and key in _CACHE:
+    if key in _CACHE:
         return _CACHE[key]
 
     tb = C3Testbed(TestbedConfig(cluster_types=(cluster_type,)))
@@ -176,64 +137,8 @@ def run_scale_up_experiment(
         scale_up_api=tb.recorder.samples(f"scale_up/{cluster.name}/{template.key}"),
         create=tb.recorder.samples(f"create/{cluster.name}/{template.key}"),
     )
-    if use_cache:
-        _CACHE[key] = run
+    _CACHE[key] = run
     return run
-
-
-def figure_from_runs(
-    experiment_id: str,
-    title: str,
-    value: str,
-    paper_shape: str,
-    runs: _t.Mapping[tuple[str, str], ScaleUpRun],
-    services: _t.Sequence[ServiceTemplate],
-    cluster_types: _t.Sequence[str],
-) -> ExperimentResult:
-    """Assemble a deployment figure from its measurement cells.
-
-    ``runs`` maps (template key, cluster type) to the cell's raw
-    measurement.  The serial path below and the parallel engine both
-    funnel through this merge, which is what makes their results
-    comparable row for row.
-    """
-    rows = []
-    for template in services:
-        row: list[_t.Any] = [template.title]
-        for cluster_type in cluster_types:
-            run = runs[(template.key, cluster_type)]
-            summary = run.total_summary if value == "total" else run.wait_summary
-            row.append(round(summary.median, 4))
-        rows.append(row)
-    return ExperimentResult(
-        experiment_id=experiment_id,
-        title=title,
-        headers=["Service"] + [f"{c} median (s)" for c in cluster_types],
-        rows=rows,
-        paper_shape=paper_shape,
-        extras={"runs": dict(runs)},
-    )
-
-
-def _deployment_figure(
-    experiment_id: str,
-    title: str,
-    pre_create: bool,
-    value: str,
-    paper_shape: str,
-    services: _t.Sequence[ServiceTemplate] = PAPER_SERVICES,
-    cluster_types: _t.Sequence[str] = ("docker", "k8s"),
-    n_instances: int = 42,
-) -> ExperimentResult:
-    runs: dict[tuple[str, str], ScaleUpRun] = {}
-    for template in services:
-        for cluster_type in cluster_types:
-            runs[(template.key, cluster_type)] = run_scale_up_experiment(
-                template, cluster_type, n_instances=n_instances, pre_create=pre_create
-            )
-    return figure_from_runs(
-        experiment_id, title, value, paper_shape, runs, services, cluster_types
-    )
 
 
 def _figure_from_spec(
@@ -242,16 +147,31 @@ def _figure_from_spec(
     cluster_types: _t.Sequence[str],
     n_instances: int,
 ) -> ExperimentResult:
+    """Measure every (service, cluster) cell and tabulate the medians."""
     spec = FIGURE_SPECS[name]
-    return _deployment_figure(
-        spec["experiment_id"],
-        spec["title"],
-        pre_create=spec["pre_create"],
-        value=spec["value"],
+    runs: dict[tuple[str, str], ScaleUpRun] = {}
+    rows = []
+    for template in services:
+        row: list[_t.Any] = [template.title]
+        for cluster_type in cluster_types:
+            run = runs[(template.key, cluster_type)] = run_scale_up_experiment(
+                template,
+                cluster_type,
+                n_instances=n_instances,
+                pre_create=spec["pre_create"],
+            )
+            summary = (
+                run.total_summary if spec["value"] == "total" else run.wait_summary
+            )
+            row.append(round(summary.median, 4))
+        rows.append(row)
+    return ExperimentResult(
+        experiment_id=spec["experiment_id"],
+        title=spec["title"],
+        headers=["Service"] + [f"{c} median (s)" for c in cluster_types],
+        rows=rows,
         paper_shape=spec["paper_shape"],
-        services=services,
-        cluster_types=cluster_types,
-        n_instances=n_instances,
+        extras={"runs": runs},
     )
 
 

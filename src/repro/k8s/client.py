@@ -11,7 +11,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.k8s.apiserver import APIServer, NotFound
-from repro.k8s.objects import Deployment, Pod, Service
+from repro.k8s.objects import Deployment, Service
 
 
 class KubernetesClient:
@@ -31,14 +31,6 @@ class KubernetesClient:
         deployment.metadata.namespace = self.namespace
         result = yield from self.api.create(deployment)
         return result
-
-    def read_deployment(self, name: str):
-        result = yield from self.api.get("Deployment", name, self.namespace)
-        return result
-
-    def deployment_exists(self, name: str):
-        result = yield from self.api.try_get("Deployment", name, self.namespace)
-        return result is not None
 
     def scale_deployment(self, name: str, replicas: int):
         """Equivalent of ``patch_namespaced_deployment_scale``."""
@@ -64,10 +56,6 @@ class KubernetesClient:
         result = yield from self.api.create(service)
         return result
 
-    def read_service(self, name: str):
-        result = yield from self.api.get("Service", name, self.namespace)
-        return result
-
     def delete_service(self, name: str):
         try:
             result = yield from self.api.delete("Service", name, self.namespace)
@@ -80,7 +68,3 @@ class KubernetesClient:
     def list_pods(self, selector: _t.Mapping[str, str] | None = None):
         result = yield from self.api.list("Pod", self.namespace, selector)
         return result
-
-    def ready_pods(self, selector: _t.Mapping[str, str] | None = None):
-        pods: list[Pod] = yield from self.list_pods(selector)
-        return [p for p in pods if p.status.ready]

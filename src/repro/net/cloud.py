@@ -35,12 +35,6 @@ class CloudHost(Host):
             raise ValueError(f"{self.name}: service {ip}:{port} already open")
         self._services[key] = Listener(port, app)
 
-    def close_service(self, ip: IPv4Address, port: int) -> None:
-        self._services.pop((ip, port), None)
-
-    def service_is_open(self, ip: IPv4Address, port: int) -> bool:
-        return (ip, port) in self._services
-
     def _listener_for(self, ip: IPv4Address, port: int) -> Listener | None:
         listener = self._services.get((ip, port))
         if listener is not None:

@@ -125,7 +125,6 @@ class OpenFlowSwitch(NetDevice):
         self.table = FlowTable()
         self.channel: ControlChannel | None = None
         self._ports: dict[int, NetworkInterface] = {}
-        self._port_numbers: dict[NetworkInterface, int] = {}
         self._next_port = itertools.count(1)
         self._buffers: dict[int, tuple[Packet, int]] = {}
         self._next_buffer = itertools.count(1)
@@ -152,11 +151,7 @@ class OpenFlowSwitch(NetDevice):
         iface = self.add_interface(mac, ip=None, name=f"port{port_no}")
         iface.port_no = port_no
         self._ports[port_no] = iface
-        self._port_numbers[iface] = port_no
         return port_no, iface
-
-    def port_of(self, iface: NetworkInterface) -> int:
-        return self._port_numbers[iface]
 
     def ports(self) -> list[NetworkInterface]:
         """All port interfaces (Injector crashes walk the attached links)."""

@@ -228,10 +228,6 @@ class Packet:
             )
         return mk
 
-    def flow_key(self) -> tuple:
-        """The 5-tuple-ish key used for exact-match flow rules."""
-        return self.match_values()
-
     def copy(self) -> "Packet":
         """A fresh packet with the same headers (new identity).
 

@@ -31,13 +31,12 @@ horizon) is exactly the one the fixed-step engine enforced.
 
 The serial executor steps partitions in index order inside one
 process; the parallel coordinator forks one worker per partition
-(reusing the experiment engine's fork-pool idiom: module-level
-builders, picklable specs, nothing env-bound crossing the boundary)
-and overlaps their ``advance`` phases, exchanging the identical
-batches over pipes.  Because horizons, floors, routing, and injection
-order are all derived from the same deterministic round state, both
-executions drive every partition's event heap through the identical
-sequence — the latency traces come out byte-identical, which
+(module-level builders, picklable specs, nothing env-bound crossing
+the boundary) and overlaps their ``advance`` phases, exchanging the
+identical batches over pipes.  Because horizons, floors, routing, and
+injection order are all derived from the same deterministic round
+state, both executions drive every partition's event heap through the
+identical sequence — the latency traces come out byte-identical, which
 ``tests/test_parallel_sim.py`` gates with md5 fingerprints.
 
 Per-partition counters (events processed, busy wall-clock,

@@ -27,11 +27,11 @@ allocated, so no object crosses the fork boundary.
 
 Build-in-worker: partitions are constructed *inside* the forked worker
 from a picklable :class:`TestbedReplay` (config + service schedule +
-request schedule — plain data, no env-bound objects), the same idiom
-as the experiment engine's fork pool.  Because the serial executor and
-the parallel coordinator drive the identical partition builds through
-the identical round algorithm, latency traces are byte-identical by
-construction — gated in ``tests/test_parallel_testbed.py``.
+request schedule — plain data, no env-bound objects).  Because the
+serial executor and the parallel coordinator drive the identical
+partition builds through the identical round algorithm, latency traces
+are byte-identical by construction — gated in
+``tests/test_parallel_testbed.py``.
 
 Determinism notes:
 
@@ -550,10 +550,7 @@ class BackbonePartitionModel:
             )
 
     def result(self) -> dict[str, _t.Any]:
-        return {
-            "switch_stats": dict(self.backbone.switch.stats),
-            "hub_entries": len(self.backbone.hub._values),
-        }
+        return {"switch_stats": dict(self.backbone.switch.stats)}
 
 
 # -- topology + runners -----------------------------------------------------

@@ -340,11 +340,6 @@ def _logical_lines(text: str) -> list[_Line]:
     return lines
 
 
-def _raw_literal_lines(text: str) -> dict[int, str]:
-    """Map line numbers to raw content (for literal blocks, pre-comment)."""
-    return {n: raw for n, raw in enumerate(text.splitlines(), start=1)}
-
-
 def load(text: str) -> _t.Any:
     """Parse a single-document YAML string.
 

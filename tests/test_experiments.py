@@ -3,13 +3,18 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.experiments import (
     EXPERIMENTS,
+    FAST_KWARGS,
+    run_experiment,
     run_fig11_scale_up,
     run_fig12_create_scale_up,
     run_fig13_pull,
+    run_fig14_wait_after_scale_up,
     run_fig16_warm_requests,
     run_scale_up_experiment,
     run_table1,
@@ -90,19 +95,32 @@ class TestExperimentResult:
         assert set(EXPERIMENTS) == expected
 
 
+class TestRunExperiment:
+    def test_matches_direct_runner(self):
+        assert run_experiment("table1").rows == run_table1().rows
+
+    def test_unknown_experiment_names_the_available_ones(self):
+        with pytest.raises(KeyError, match="unknown experiment 'fig99'") as excinfo:
+            run_experiment("fig99")
+        assert "table1" in str(excinfo.value)
+
+    def test_fast_kwargs_name_real_parameters(self):
+        # Catches a typo in the table without running anything.
+        assert set(FAST_KWARGS) <= set(EXPERIMENTS)
+        for name, kwargs in FAST_KWARGS.items():
+            parameters = inspect.signature(EXPERIMENTS[name]).parameters
+            assert set(kwargs) <= set(parameters), name
+
+
 class TestScaleUpExperiment:
     def test_scale_up_only_skips_pull_and_create(self):
-        run = run_scale_up_experiment(
-            ASM, "docker", n_instances=3, pre_create=True, use_cache=False
-        )
+        run = run_scale_up_experiment(ASM, "docker", n_instances=3, pre_create=True)
         assert run.totals and len(run.totals) == 3
         assert run.create == []  # nothing created during the dispatch
         assert len(run.wait_ready) == 3
 
     def test_create_mode_records_create(self):
-        run = run_scale_up_experiment(
-            ASM, "docker", n_instances=3, pre_create=False, use_cache=False
-        )
+        run = run_scale_up_experiment(ASM, "docker", n_instances=3, pre_create=False)
         assert len(run.create) == 3
 
     def test_cache_returns_same_object(self):
@@ -122,6 +140,14 @@ class TestFigureRunners:
         assert len(result.rows) == 2
         assert result.cell("Asm", "docker median (s)") < 1.0
         assert result.cell("Asm", "k8s median (s)") > 2.0
+
+    def test_fig14_waits_never_exceed_fig11_totals(self):
+        # Wait-until-ready is a component of the total, cell by cell.
+        fig11 = run_fig11_scale_up(n_instances=2, services=(ASM, NGINX))
+        fig14 = run_fig14_wait_after_scale_up(n_instances=2, services=(ASM, NGINX))
+        for row11, row14 in zip(fig11.rows, fig14.rows):
+            assert row11[0] == row14[0]
+            assert all(w <= t for w, t in zip(row14[1:], row11[1:]))
 
     def test_fig12_exceeds_fig11(self):
         fig11 = run_fig11_scale_up(n_instances=3, services=(NGINX,))

@@ -356,53 +356,3 @@ class TestKindAwarePartitioner:
 
 def _NullBuilder():  # noqa: N802 - builder stand-in, never called
     raise AssertionError("builder must not run during planning")
-
-
-class TestD1KernelRows:
-    """Satellite 6: the D1 replay row is kernel-value-free — serial and
-    parallel executors must yield equal rows (distinct cache keys are
-    the engine's job, asserted in test_experiment_engine.py idiom)."""
-
-    def test_rows_identical_across_kernels(self):
-        from repro.experiments.extension_d1_federation import (
-            run_extension_d1_federation,
-        )
-
-        kwargs = dict(
-            site_counts=[1],
-            delays=[0.025],
-            fixed_sites=1,
-            replay_sites=2,
-            replay_requests=6,
-        )
-        serial = run_extension_d1_federation(kernel="serial", **kwargs)
-        parallel = run_extension_d1_federation(kernel="parallel", **kwargs)
-        assert serial.rows == parallel.rows
-        assert serial.extras["replay"]["fingerprint"] == (
-            parallel.extras["replay"]["fingerprint"]
-        )
-        assert serial.extras["replay"]["kernel"] == "serial"
-        assert parallel.extras["replay"]["kernel"] == "parallel"
-
-    def test_kernel_shards_cache_under_distinct_keys(self):
-        from repro.experiments.engine import plan_experiment
-
-        keys = {
-            plan_experiment(
-                "extension_federation",
-                fast=True,
-                overrides={"kernel": kernel, "site_counts": [1]},
-            )
-            .shards[0]
-            .cache_key("same-source-fingerprint")
-            for kernel in ("serial", "parallel")
-        }
-        assert len(keys) == 2
-
-    def test_unknown_kernel_rejected(self):
-        from repro.experiments.extension_d1_federation import (
-            run_extension_d1_federation,
-        )
-
-        with pytest.raises(ValueError, match="kernel"):
-            run_extension_d1_federation(kernel="distributed")
