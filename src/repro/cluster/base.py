@@ -139,9 +139,10 @@ class EdgeCluster(abc.ABC):
         the window before Create has assigned an endpoint (no port to
         subscribe to yet), and for subclasses that override
         :meth:`is_running` with a notion of readiness that is not
-        observable as a port-open event on the ingress host.  That twin
-        is reachable — ``core/federation/remote.py``'s ``RemoteCluster``
-        overrides ``is_running`` — so it stays.
+        observable as a port-open event on the ingress host.  No
+        cluster under ``src/`` does; the twin stays because it lets a
+        test substitute a fake cluster that opens no port
+        (``tests/test_dispatcher_unit.py::FakeCluster``).
         """
         deadline = None if timeout_s is None else self.env.now + timeout_s
         if type(self).is_running is not EdgeCluster.is_running:

@@ -19,7 +19,7 @@ Components (fig. 6/7):
 
 from repro.core.service_registry import EdgeService, ServiceRegistry
 from repro.core.annotator import AnnotationError, Annotator
-from repro.core.state import ControlPlaneState, InMemoryState, InstanceRecord
+from repro.core.state import ControlPlaneState, InstanceRecord
 from repro.core.flow_memory import FlowMemory, MemorizedFlow
 from repro.core.schedulers import (
     ClusterState,
@@ -39,7 +39,6 @@ __all__ = [
     "ClusterState",
     "ControlPlaneState",
     "ControllerConfig",
-    "InMemoryState",
     "InstanceRecord",
     "Decision",
     "DeploymentOutcome",

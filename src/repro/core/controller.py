@@ -23,13 +23,16 @@ from repro.core.dispatcher import Dispatcher, Resolution
 from repro.core.flow_memory import FlowMemory, MemorizedFlow
 from repro.core.schedulers.base import GlobalScheduler
 from repro.core.service_registry import EdgeService, ServiceRegistry
-from repro.core.state import ControlPlaneState, InMemoryState, InstanceRecord
+from repro.core.state import ControlPlaneState, InstanceRecord
 from repro.metrics import MetricsRecorder
 from repro.net.addressing import IPv4Address
 from repro.net.openflow import FlowMatch, Output, PacketIn, SetField
 from repro.sdnfw import Datapath, SDNApp
 from repro.services.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.sim import Environment
+
+if _t.TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.ops.model import ServiceRateView
 
 #: Flow priorities, lowest to highest.
 PRIORITY_DEFAULT = 0  # match-all -> cloud uplink
@@ -115,7 +118,7 @@ class EdgeController(SDNApp):
         #: The typed control-plane state every stateful component
         #: operates on: plain in-memory dicts here, a per-site replica
         #: of the shared state in the federated configuration.
-        self.state = state if state is not None else InMemoryState()
+        self.state = state if state is not None else ControlPlaneState()
         self.flow_memory = FlowMemory(
             env,
             idle_timeout_s=self.config.memory_idle_timeout_s,
@@ -186,22 +189,16 @@ class EdgeController(SDNApp):
         predictor=None,
         check_interval_s: float = 5.0,
         lead_time_s: float = 10.0,
-        sample_flow_stats: bool = False,
-        stats_poll_interval_s: float = 5.0,
     ):
         """Attach a request predictor and start the proactive deployer.
 
-        With ``sample_flow_stats`` the controller also polls the
-        switches' redirect-flow statistics so the predictor sees *warm*
-        traffic (which never produces packet-ins).
+        The predictor hears of cold arrivals from packet-ins and of
+        *warm* traffic (which never produces one) from the testbed's
+        flow-stats collector, if it has one (:meth:`observe_service_rates`).
 
         Returns the :class:`~repro.core.predictor.ProactiveDeployer`.
         """
-        from repro.core.predictor import (
-            EWMAPredictor,
-            FlowStatsSampler,
-            ProactiveDeployer,
-        )
+        from repro.core.predictor import EWMAPredictor, ProactiveDeployer
 
         self.predictor = predictor if predictor is not None else EWMAPredictor()
         self.proactive_deployer = ProactiveDeployer(
@@ -212,14 +209,19 @@ class EdgeController(SDNApp):
             check_interval_s=check_interval_s,
             lead_time_s=lead_time_s,
         )
-        if sample_flow_stats:
-            self.flow_stats_sampler = FlowStatsSampler(
-                self.env,
-                self,
-                self.predictor,
-                poll_interval_s=stats_poll_interval_s,
-            )
         return self.proactive_deployer
+
+    def observe_service_rates(
+        self, rates: "_t.Iterable[ServiceRateView]"
+    ) -> None:
+        """One flow-stats window (``FlowStatsCollector.on_service_rates``):
+        a service whose counters advanced had an arrival, at the
+        window's resolution."""
+        if self.predictor is None:
+            return
+        for rate in rates:
+            if rate.packets_per_s > 0:
+                self.predictor.observe(rate.service_name, rate.observed_at)
 
     def add_cluster(self, cluster: EdgeCluster) -> None:
         """Register an additional edge cluster at runtime."""

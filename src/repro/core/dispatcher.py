@@ -35,7 +35,7 @@ from repro.core.schedulers.base import (
     GlobalScheduler,
 )
 from repro.core.service_registry import EdgeService
-from repro.core.state import ControlPlaneState, InMemoryState, InstanceRecord
+from repro.core.state import ControlPlaneState, InstanceRecord
 from repro.faults.breaker import BreakerState, CircuitBreaker
 from repro.metrics import MetricsRecorder
 from repro.services.calibration import Calibration, DEFAULT_CALIBRATION
@@ -120,7 +120,7 @@ class Dispatcher:
         #: All mutable dispatcher state lives here (breakers and client
         #: locations); the federated configuration hands every site
         #: component one shared replica.
-        self.state = state if state is not None else InMemoryState()
+        self.state = state if state is not None else ControlPlaneState()
         #: Publication hook for instance-state changes (None on the
         #: single-controller path: one ``is not None`` check per
         #: deployment is the whole cost).  The federated configuration

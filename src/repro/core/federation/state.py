@@ -41,11 +41,8 @@ from repro.core.state.base import (
 from repro.sim import Environment
 
 if _t.TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.flow_memory import MemorizedFlow
     from repro.core.schedulers.base import ClientInfo
     from repro.core.service_registry import EdgeService
-    from repro.faults.breaker import CircuitBreaker
-    from repro.net.addressing import IPv4Address
 
 __all__ = [
     "HubLike",
@@ -251,15 +248,18 @@ class SharedStateHub:
 class SiteReplica(ControlPlaneState):
     """One site's replica of the shared control-plane state.
 
-    Implements :class:`~repro.core.state.ControlPlaneState`, so every
-    existing component (registry, flow memory, dispatcher, controller)
-    runs unmodified against it.  Replicated writes apply locally first
-    (read-your-writes), then travel ``site -> hub -> other sites`` with
-    one one-way delay per leg; incoming remote writes apply through
-    last-writer-wins version comparison.
+    The plain :class:`~repro.core.state.ControlPlaneState` plus
+    replication: the stores and every read are inherited, so each
+    component (registry, flow memory, dispatcher, controller) runs
+    unmodified against it; the five writes are overridden.  Replicated
+    writes apply locally first (read-your-writes), then travel
+    ``site -> hub -> other sites`` with one one-way delay per leg;
+    incoming remote writes apply through last-writer-wins version
+    comparison.
     """
 
     def __init__(self, env: Environment, site: str, link: ReplicaLink) -> None:
+        super().__init__()
         self.env = env
         self.site = site
         self.link = link
@@ -272,15 +272,6 @@ class SiteReplica(ControlPlaneState):
         #: flip LWW winners — breaking the md5-neutrality guarantee.
         self._stats_clock = 0
         self._stats_versions: dict[StateKey, VersionStamp] = {}
-        # Replicated stores (local views).
-        self._by_address: dict[tuple[IPv4Address, int], EdgeService] = {}
-        self._by_name: dict[str, EdgeService] = {}
-        self._clients: dict[_t.Any, ClientInfo] = {}
-        self._instances: dict[tuple[str, str, str], InstanceRecord] = {}
-        self._link_stats: dict[tuple[str, str], LinkStatsRecord] = {}
-        # Site-local stores.
-        self._flows: dict[tuple[IPv4Address, str], MemorizedFlow] = {}
-        self._breakers: dict[str, CircuitBreaker] = {}
         #: Fired when a *remote* write adds/removes a service —
         #: the site controller uses these to (un)install intercepts.
         self.on_service_added: _t.Callable[[EdgeService], None] | None = None
@@ -368,27 +359,13 @@ class SiteReplica(ControlPlaneState):
             return False
         return self._versions.get(("instance", key)) != authoritative
 
-    # -- ControlPlaneState: services ---------------------------------------
+    # -- the five writes, replicated ---------------------------------------
 
     def put_service(self, service: "EdgeService") -> None:
         self._local_write("service", service.address, service)
 
     def remove_service(self, service: "EdgeService") -> None:
         self._local_write("service", service.address, None)
-
-    def service_at(self, ip: "IPv4Address", port: int) -> "EdgeService | None":
-        return self._by_address.get((ip, port))
-
-    def service_named(self, name: str) -> "EdgeService | None":
-        return self._by_name.get(name)
-
-    def services(self) -> "list[EdgeService]":
-        return sorted(self._by_address.values(), key=lambda s: s.name)
-
-    def service_count(self) -> int:
-        return len(self._by_address)
-
-    # -- ControlPlaneState: client locations -------------------------------
 
     def put_client(self, info: "ClientInfo") -> None:
         """Record a client observation.
@@ -403,15 +380,6 @@ class SiteReplica(ControlPlaneState):
         else:
             self._clients[info.ip] = info
 
-    def client(self, ip: object) -> "ClientInfo | None":
-        return self._clients.get(ip)
-
-    @property
-    def client_map(self) -> "_t.MutableMapping[_t.Any, ClientInfo]":
-        return self._clients
-
-    # -- ControlPlaneState: instance views ---------------------------------
-
     def publish_instance(self, record: InstanceRecord) -> None:
         key = (record.service_name, record.site, record.cluster_name)
         self._local_write("instance", key, record)
@@ -420,18 +388,6 @@ class SiteReplica(ControlPlaneState):
         self, service_name: str, site: str, cluster_name: str
     ) -> InstanceRecord | None:
         return self._instances.get((service_name, site, cluster_name))
-
-    def instances_for(self, service_name: str) -> list[InstanceRecord]:
-        return sorted(
-            (
-                record
-                for record in self._instances.values()
-                if record.service_name == service_name
-            ),
-            key=lambda r: (r.site, r.cluster_name),
-        )
-
-    # -- ControlPlaneState: link-utilization views -------------------------
 
     def publish_link_stats(self, record: LinkStatsRecord) -> None:
         """Publish a link observation on the dedicated stats clock.
@@ -451,23 +407,6 @@ class SiteReplica(ControlPlaneState):
             self.link.outbox.append(update)
         else:
             self.link.hub.submit(self.site, update)
-
-    def link_stats(self) -> list[LinkStatsRecord]:
-        return sorted(
-            self._link_stats.values(), key=lambda r: (r.site, r.link)
-        )
-
-    # -- ControlPlaneState: site-local stores ------------------------------
-
-    @property
-    def flows(
-        self,
-    ) -> "_t.MutableMapping[tuple[IPv4Address, str], MemorizedFlow]":
-        return self._flows
-
-    @property
-    def breakers(self) -> "_t.MutableMapping[str, CircuitBreaker]":
-        return self._breakers
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SiteReplica {self.site} clock={self._clock}>"

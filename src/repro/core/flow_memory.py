@@ -16,7 +16,7 @@ import typing as _t
 
 from repro.cluster.base import ServiceEndpoint
 from repro.core.service_registry import EdgeService
-from repro.core.state import ControlPlaneState, InMemoryState
+from repro.core.state import ControlPlaneState
 from repro.net.addressing import IPv4Address
 from repro.sim import Environment
 
@@ -66,7 +66,7 @@ class FlowMemory:
         # Memorized flows are *site-local* control-plane state: the
         # state object owns the mapping, we bind it once (it is stable
         # for the state's lifetime) and use it directly on the hot path.
-        self.state = state if state is not None else InMemoryState()
+        self.state = state if state is not None else ControlPlaneState()
         self._flows = self.state.flows
         # Sweep via a self-rechaining slim callback instead of a
         # generator process: one heap entry per tick, no suspended

@@ -95,66 +95,6 @@ class EWMAPredictor(RequestPredictor):
         return state.ewma_interval if state else None
 
 
-class FlowStatsSampler:
-    """Feeds the predictor from switch flow statistics.
-
-    Packet-ins only reveal *cold* arrivals; traffic on installed
-    redirect flows never reaches the controller.  This sampler polls
-    each datapath's redirect-flow statistics (an ordinary OpenFlow
-    flow-stats request) and reports an arrival to the predictor
-    whenever a service's packet count advanced since the last poll —
-    arrival timing at poll resolution, enough for the EWMA."""
-
-    def __init__(
-        self,
-        env: Environment,
-        controller,  # EdgeController (duck-typed to avoid the import cycle)
-        predictor: RequestPredictor,
-        poll_interval_s: float = 5.0,
-    ) -> None:
-        if poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
-        self.env = env
-        self.controller = controller
-        self.predictor = predictor
-        self.poll_interval_s = poll_interval_s
-        #: (datapath id, cookie) -> packet count at the previous poll.
-        self._last_counts: dict[tuple[int, _t.Any], int] = {}
-        self.stats = {"polls": 0, "observed_arrivals": 0}
-        env.process(self._loop(), name="flowstats-sampler")
-
-    def _loop(self):
-        while True:
-            yield self.env.timeout(self.poll_interval_s)
-            self.stats["polls"] += 1
-            for datapath in list(self.controller.datapaths.values()):
-                reply = yield datapath.request_flow_stats(
-                    cookie_prefix="redirect:"
-                )
-                self._ingest(datapath.id, reply.stats)
-
-    def _ingest(self, dpid: int, stats) -> None:
-        now = self.env.now
-        advanced: set[str] = set()
-        for entry in stats:
-            cookie = str(entry.cookie or "")
-            # cookie format: "redirect:<service name>:<client ip>"
-            parts = cookie.split(":", 2)
-            if len(parts) < 3:
-                continue
-            service_name = parts[1]
-            # Forward and reverse entries share a cookie; the match
-            # disambiguates them.
-            key = (dpid, entry.cookie, entry.match)
-            previous = self._last_counts.get(key, 0)
-            self._last_counts[key] = entry.packet_count
-            if entry.packet_count > previous:
-                advanced.add(service_name)
-        for service_name in advanced:
-            self.stats["observed_arrivals"] += 1
-            self.predictor.observe(service_name, now)
-
-
 class ProactiveDeployer:
     """Pre-deploys services predicted to be requested soon.
 

@@ -12,7 +12,7 @@ import typing as _t
 
 from repro.cluster.plan import DeploymentPlan
 from repro.core.annotator import Annotator
-from repro.core.state import ControlPlaneState, InMemoryState
+from repro.core.state import ControlPlaneState
 from repro.net.addressing import IPv4Address
 from repro.net.packet import HTTPRequest
 
@@ -55,7 +55,7 @@ class ServiceRegistry:
         state: ControlPlaneState | None = None,
     ) -> None:
         self.annotator = annotator
-        self.state = state if state is not None else InMemoryState()
+        self.state = state if state is not None else ControlPlaneState()
 
     def register(
         self,

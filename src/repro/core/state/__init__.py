@@ -1,8 +1,8 @@
 """Typed control-plane state (DESIGN.md §9).
 
-:class:`ControlPlaneState` is the interface every mutable controller
-store hides behind; :class:`InMemoryState` is the single-controller
-implementation.  The federated, replicated implementation lives in
+:class:`ControlPlaneState` holds every mutable controller store in
+plain dicts — the single-controller configuration.  The federated,
+replicated configuration subclasses it in
 :mod:`repro.core.federation.state`.
 """
 
@@ -11,11 +11,9 @@ from repro.core.state.base import (
     InstanceRecord,
     LinkStatsRecord,
 )
-from repro.core.state.memory import InMemoryState
 
 __all__ = [
     "ControlPlaneState",
-    "InMemoryState",
     "InstanceRecord",
     "LinkStatsRecord",
 ]

@@ -1,25 +1,26 @@
-"""The typed control-plane state interface.
+"""The typed control-plane state.
 
 Every piece of *mutable* controller state — registered services,
 client locations, memorized flows, circuit breakers, and published
-instance views — lives behind :class:`ControlPlaneState`.  The
+instance and link views — lives in a :class:`ControlPlaneState`.  The
 components (:class:`~repro.core.service_registry.ServiceRegistry`,
 :class:`~repro.core.flow_memory.FlowMemory`,
 :class:`~repro.core.dispatcher.Dispatcher`) hold *logic only* and
-operate on whichever state implementation they are handed:
+operate on whichever state object they are handed:
 
-* :class:`~repro.core.state.memory.InMemoryState` — plain dicts, the
-  single-controller configuration (today's behaviour, bit for bit);
-* :class:`~repro.core.federation.state.SiteReplica` — a per-site
-  replica of the shared control plane with simulated propagation
-  latency and last-writer-wins versioning (the distributed
-  configuration of DESIGN.md §9).
+* :class:`ControlPlaneState` itself — plain dicts, the
+  single-controller configuration: every read observes every prior
+  write immediately, iteration order is dict insertion order;
+* :class:`~repro.core.federation.state.SiteReplica` — the subclass
+  that adds replication: it overrides the five writes so they are
+  versioned (last writer wins) and propagate to the other sites with
+  simulated latency (DESIGN.md §9), and inherits every read.
 
 The split follows the consistency needs of each store:
 
-* **Replicated stores** (services, client locations, instance views)
-  are accessed through *methods*, so a replica can version writes and
-  schedule their propagation.
+* **Replicated stores** (services, client locations, instance and
+  link views) are written through *methods*, so a replica can version
+  writes and schedule their propagation.
 * **Site-local stores** (memorized flows, circuit breakers) are
   exposed as raw mutable mappings — each site owns its switches'
   flows and its own failure detectors outright, so there is nothing
@@ -29,7 +30,6 @@ The split follows the consistency needs of each store:
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import typing as _t
 
@@ -93,83 +93,106 @@ class LinkStatsRecord:
     utilization: float
 
 
-class ControlPlaneState(abc.ABC):
-    """All mutable control-plane state, behind one typed interface."""
+class ControlPlaneState:
+    """All mutable control-plane state, in local dictionaries."""
+
+    def __init__(self) -> None:
+        # Replicated stores (a replica's local views).
+        self._by_address: dict[tuple[IPv4Address, int], EdgeService] = {}
+        self._by_name: dict[str, EdgeService] = {}
+        self._clients: dict[_t.Any, ClientInfo] = {}
+        self._instances: dict[tuple[str, str, str], InstanceRecord] = {}
+        self._link_stats: dict[tuple[str, str], LinkStatsRecord] = {}
+        # Site-local stores.
+        self._flows: dict[tuple[IPv4Address, str], MemorizedFlow] = {}
+        self._breakers: dict[str, CircuitBreaker] = {}
 
     # -- registered services (replicated) ----------------------------------
 
-    @abc.abstractmethod
     def put_service(self, service: "EdgeService") -> None:
         """Add a registered service (last writer wins on conflicts)."""
+        self._by_address[service.address] = service
+        self._by_name[service.name] = service
 
-    @abc.abstractmethod
     def remove_service(self, service: "EdgeService") -> None:
         """Drop a service registration (idempotent)."""
+        self._by_address.pop(service.address, None)
+        self._by_name.pop(service.name, None)
 
-    @abc.abstractmethod
     def service_at(self, ip: "IPv4Address", port: int) -> "EdgeService | None":
         """The service registered at ``ip:port``, if any."""
+        return self._by_address.get((ip, port))
 
-    @abc.abstractmethod
     def service_named(self, name: str) -> "EdgeService | None":
         """The service with worldwide-unique ``name``, if any."""
+        return self._by_name.get(name)
 
-    @abc.abstractmethod
     def services(self) -> "list[EdgeService]":
         """All registered services, sorted by name."""
+        return sorted(self._by_address.values(), key=lambda s: s.name)
 
-    @abc.abstractmethod
     def service_count(self) -> int:
         """Number of registered services."""
+        return len(self._by_address)
 
     # -- client locations (replicated) -------------------------------------
 
-    @abc.abstractmethod
     def put_client(self, info: "ClientInfo") -> None:
         """Record a client's latest observed location."""
+        self._clients[info.ip] = info
 
-    @abc.abstractmethod
     def client(self, ip: object) -> "ClientInfo | None":
         """Last known location of ``ip``, if any."""
+        return self._clients.get(ip)
 
     @property
-    @abc.abstractmethod
     def client_map(self) -> "_t.MutableMapping[_t.Any, ClientInfo]":
         """The local view of client locations (read-mostly access)."""
+        return self._clients
 
     # -- instance views (replicated) ----------------------------------------
 
-    @abc.abstractmethod
     def publish_instance(self, record: InstanceRecord) -> None:
         """Publish an instance observation for remote consumption."""
+        key = (record.service_name, record.site, record.cluster_name)
+        self._instances[key] = record
 
-    @abc.abstractmethod
     def instances_for(self, service_name: str) -> list[InstanceRecord]:
         """All known instance observations for ``service_name``,
         ordered deterministically by (site, cluster name)."""
+        return sorted(
+            (
+                record
+                for record in self._instances.values()
+                if record.service_name == service_name
+            ),
+            key=lambda r: (r.site, r.cluster_name),
+        )
 
     # -- link-utilization views (replicated) ---------------------------------
 
-    @abc.abstractmethod
     def publish_link_stats(self, record: LinkStatsRecord) -> None:
         """Publish a link-utilization observation for remote consumption."""
+        self._link_stats[(record.site, record.link)] = record
 
-    @abc.abstractmethod
     def link_stats(self) -> list[LinkStatsRecord]:
         """All known link observations, ordered by (site, link)."""
+        return sorted(
+            self._link_stats.values(), key=lambda r: (r.site, r.link)
+        )
 
     # -- memorized flows (site-local) ----------------------------------------
 
     @property
-    @abc.abstractmethod
     def flows(
         self,
     ) -> "_t.MutableMapping[tuple[IPv4Address, str], MemorizedFlow]":
         """This site's memorized (client, service) flows."""
+        return self._flows
 
     # -- circuit breakers (site-local) ---------------------------------------
 
     @property
-    @abc.abstractmethod
     def breakers(self) -> "_t.MutableMapping[str, CircuitBreaker]":
         """This site's per-cluster circuit breakers."""
+        return self._breakers

@@ -88,39 +88,6 @@ class FlowRemoved:
 
 
 @dataclasses.dataclass
-class FlowStatsRequest:
-    """Controller → switch: read statistics of matching entries."""
-
-    match: FlowMatch | None = None
-    cookie: _t.Any = None
-    #: Restrict to cookies with this string prefix (convenience the
-    #: edge controller uses to select its redirect flows).
-    cookie_prefix: str | None = None
-    xid: int = dataclasses.field(default_factory=next_xid)
-
-
-@dataclasses.dataclass
-class FlowStatEntry:
-    """One entry's statistics snapshot."""
-
-    match: FlowMatch
-    cookie: _t.Any
-    priority: int
-    packet_count: int
-    installed_at: float
-    last_used: float
-
-
-@dataclasses.dataclass
-class FlowStatsReply:
-    """Switch → controller: the requested statistics."""
-
-    datapath_id: int
-    xid: int
-    stats: list[FlowStatEntry]
-
-
-@dataclasses.dataclass
 class BarrierRequest:
     """Controller → switch: fence message ordering."""
 

@@ -14,9 +14,6 @@ from repro.net.openflow.messages import (
     BarrierRequest,
     FlowMod,
     FlowRemoved,
-    FlowStatEntry,
-    FlowStatsReply,
-    FlowStatsRequest,
     PacketIn,
     PacketOut,
 )
@@ -360,8 +357,6 @@ class OpenFlowSwitch(NetDevice):
             self._handle_flow_mod(message)
         elif isinstance(message, PacketOut):
             self._handle_packet_out(message)
-        elif isinstance(message, FlowStatsRequest):
-            self._handle_flow_stats(message)
         elif isinstance(message, BarrierRequest):
             if self.channel is not None:
                 self.channel.send_to_controller(
@@ -392,35 +387,6 @@ class OpenFlowSwitch(NetDevice):
             )
             for entry in removed:
                 self._notify_removed(entry, REASON_DELETE)
-
-    def _handle_flow_stats(self, request: FlowStatsRequest) -> None:
-        if self.channel is None:
-            return
-        stats: list[FlowStatEntry] = []
-        for entry in self.table:
-            if request.match is not None and entry.match != request.match:
-                continue
-            if request.cookie is not None and entry.cookie != request.cookie:
-                continue
-            if request.cookie_prefix is not None and not str(
-                entry.cookie or ""
-            ).startswith(request.cookie_prefix):
-                continue
-            stats.append(
-                FlowStatEntry(
-                    match=entry.match,
-                    cookie=entry.cookie,
-                    priority=entry.priority,
-                    packet_count=entry.packet_count,
-                    installed_at=entry.installed_at,
-                    last_used=entry.last_used,
-                )
-            )
-        self.channel.send_to_controller(
-            FlowStatsReply(
-                datapath_id=self.datapath_id, xid=request.xid, stats=stats
-            )
-        )
 
     def _handle_packet_out(self, out: PacketOut) -> None:
         if out.buffer_id is not None:

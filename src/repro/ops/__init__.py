@@ -6,7 +6,7 @@ Layering (bottom up):
 1. components expose raw introspection (counters, tables, state),
 2. :class:`FlowStatsCollector` periodically derives link-utilization
    and per-service rate windows and replicates them,
-3. :class:`OpsReadModel` renders everything into the frozen views of
+3. :class:`OpsReadModel` renders everything into the immutable rows of
    :mod:`repro.ops.model`,
 4. :class:`OpsApp` serves those views over simulated HTTP on
    :data:`OPS_PORT` of every site's EGS host.
@@ -24,8 +24,6 @@ from repro.ops.model import (
     ClusterView,
     FlowView,
     InstanceView,
-    LinkStatsView,
-    MigrationView,
     OpsSnapshot,
     ServiceRateView,
     ServiceView,
@@ -44,8 +42,6 @@ __all__ = [
     "ClusterView",
     "FlowView",
     "InstanceView",
-    "LinkStatsView",
-    "MigrationView",
     "OpsSnapshot",
     "ServiceRateView",
     "ServiceView",

@@ -32,6 +32,7 @@ Every GET payload is ``{"schema_version": ..., "site": ..., "now": ...,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import typing as _t
 
@@ -151,9 +152,8 @@ class OpsApp:
         )
 
     def _get_migrations(self, params: dict[str, str]) -> HTTPResponse:
-        return self._envelope(
-            migrations=[v.as_dict() for v in self.readmodel.migrations()]
-        )
+        rows = self.readmodel.migrations()
+        return self._envelope(migrations=[dataclasses.asdict(o) for o in rows])
 
     def _get_clusters(self, params: dict[str, str]) -> HTTPResponse:
         return self._envelope(
@@ -165,8 +165,9 @@ class OpsApp:
         return _json_response(200, self.readmodel.metrics())
 
     def _metrics_links(self) -> HTTPResponse:
+        links = self.readmodel.link_stats()
         return self._envelope(
-            links=[v.as_dict() for v in self.readmodel.link_stats()],
+            links=[dataclasses.asdict(r) for r in links],
             service_rates=[
                 v.as_dict() for v in self.readmodel.service_rates()
             ],

@@ -1,14 +1,13 @@
 """Periodic flow/port-counter collection with delta/rate windows.
 
-The original deployment scrapes switch counters out-of-band
-(josefhammer's ``flowStats.sh``); the RL-SDN controller derives
-``/metrics/links`` the same way.  This collector is the simulated
-equivalent, built to be **md5-neutral**: it reads the switch's counter
-dictionaries and flow-table entries directly inside a scheduled
-callback — never through OpenFlow request messages (which would inject
-data-plane traffic the way the predictor's ``FlowStatsSampler`` does),
-never drawing random numbers, never mutating anything the data path
-reads.  The only events it adds are its own periodic ticks and the
+The one poller of switch counters, out of band the way the RL-SDN
+controller derives ``/metrics/links``.  It is built to be
+**md5-neutral**: it reads the switch's counter dictionaries and
+flow-table entries directly inside a scheduled callback — never
+through OpenFlow request messages (which would put real messages on
+the control channel and perturb the timing being measured), never
+drawing random numbers, never mutating anything the data path reads.
+The only events it adds are its own periodic ticks and the
 shared-state propagation of the published rows, both timing-isolated
 from request traffic; the parity tests in ``tests/test_ops_api.py``
 gate that byte-identity.
@@ -23,7 +22,10 @@ Per tick it derives:
   plane's replicated state, so remote sites see this site's load.
 * **per-service packet rates** — flow-entry ``packet_count`` deltas
   grouped by the ``redirect:{service}:{client}`` / ``intercept:{service}``
-  cookie prefixes the controller stamps on its entries.
+  cookie prefixes the controller stamps on its entries.  Warm traffic
+  never produces a packet-in, so these rates are also how a request
+  predictor hears about it (``on_service_rates`` ->
+  :meth:`~repro.core.controller.EdgeController.observe_service_rates`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.core.state import ControlPlaneState, LinkStatsRecord
-from repro.ops.model import LinkStatsView, ServiceRateView
+from repro.ops.model import ServiceRateView
 
 if _t.TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.metrics import MetricsRecorder
@@ -94,6 +96,11 @@ class FlowStatsCollector:
         self.period_s = float(period_s)
         self.bytes_per_packet = float(bytes_per_packet)
         self.recorder = recorder
+        #: Called with each window's rates at the end of :meth:`collect`
+        #: (set by the testbed builders, not by users).
+        self.on_service_rates: (
+            _t.Callable[[tuple[ServiceRateView, ...]], None] | None
+        ) = None
         #: Ticks executed (diagnostics; counters only).
         self.collections = 0
         self._running = False
@@ -104,8 +111,8 @@ class FlowStatsCollector:
         #: Flow cookie -> the service it counts for (None: none), parsed
         #: once per distinct cookie rather than per entry per tick.
         self._cookie_service: dict[_t.Any, str | None] = {}
-        # Latest local observations (tuples of frozen views).
-        self._link_views: tuple[LinkStatsView, ...] = ()
+        # Latest local observations (tuples of frozen rows).
+        self._link_views: tuple[LinkStatsRecord, ...] = ()
         self._rate_views: tuple[ServiceRateView, ...] = ()
 
     # -- lifecycle ---------------------------------------------------------
@@ -119,19 +126,13 @@ class FlowStatsCollector:
             self.env.call_later(self.period_s, self._tick)
         return self
 
-    def stop(self) -> None:
-        """Stop after the currently scheduled tick fires (it no-ops)."""
-        self._running = False
-
     def _tick(self) -> None:
-        if not self._running:
-            return
         self.collect()
         self.env.call_later(self.period_s, self._tick)
 
     # -- one collection ----------------------------------------------------
 
-    def collect(self) -> tuple[LinkStatsView, ...]:
+    def collect(self) -> tuple[LinkStatsRecord, ...]:
         """Read counters, derive rates for the elapsed window, publish.
 
         Exposed for tests (hand-computed counter checks) and for
@@ -147,12 +148,12 @@ class FlowStatsCollector:
         packets_per_s = delta_tx / window
         bits_per_s = packets_per_s * self.bytes_per_packet * 8.0
 
-        link_views: list[LinkStatsView] = []
+        records: list[LinkStatsRecord] = []
         for name in sorted(self.links):
             link = self.links[name]
             bandwidth = float(getattr(link, "bandwidth_bps", 0.0) or 0.0)
             utilization = bits_per_s / bandwidth if bandwidth > 0 else 0.0
-            view = LinkStatsView(
+            record = LinkStatsRecord(
                 site=self.site,
                 link=name,
                 observed_at=now,
@@ -161,25 +162,17 @@ class FlowStatsCollector:
                 bits_per_s=bits_per_s,
                 utilization=utilization,
             )
-            link_views.append(view)
+            records.append(record)
             if self.state is not None:
-                self.state.publish_link_stats(
-                    LinkStatsRecord(
-                        site=self.site,
-                        link=name,
-                        observed_at=now,
-                        window_s=window,
-                        packets_per_s=packets_per_s,
-                        bits_per_s=bits_per_s,
-                        utilization=utilization,
-                    )
-                )
-        self._link_views = tuple(link_views)
+                self.state.publish_link_stats(record)
+        self._link_views = tuple(records)
         self._rate_views = self._collect_service_rates(now, window)
         self._last_time = now
         self._last_tx = tx
         if self.recorder is not None:
             self.recorder.count(f"ops/collections/{self.site}")
+        if self.on_service_rates is not None:
+            self.on_service_rates(self._rate_views)
         return self._link_views
 
     def _collect_service_rates(
@@ -218,7 +211,7 @@ class FlowStatsCollector:
 
     # -- read-model accessors ----------------------------------------------
 
-    def link_views(self) -> tuple[LinkStatsView, ...]:
+    def link_views(self) -> tuple[LinkStatsRecord, ...]:
         """This site's latest local link observations."""
         return self._link_views
 

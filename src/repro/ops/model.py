@@ -1,22 +1,26 @@
 """Versioned snapshot views of the operational read-model.
 
 Every observable surface of the testbed — services, instances, flows,
-breakers, migrations, clusters, switches, link stats — is frozen into
-one of these dataclasses before it leaves the control plane.  The REST
-API, the experiments, and the schedulers consume *these*, never the
-live objects, so:
+breakers, migrations, clusters, switches, link stats — leaves the
+control plane as an immutable row.  The REST API, the experiments, and
+the schedulers consume *these*, never the live objects, so:
 
 * a snapshot taken mid-dispatch stays self-consistent (nothing mutates
   under the consumer's feet),
-* the JSON shape over the wire is exactly ``as_dict()`` of a view, and
+* the JSON shape over the wire is exactly the row's fields, and
   :data:`SCHEMA_VERSION` stamps every API payload so clients can
-  detect incompatible changes,
-* internals can be refactored freely as long as the views keep their
-  fields.
+  detect incompatible changes.
 
-Views hold only JSON-safe scalars (str / int / float / bool / None and
-tuples thereof) — an :class:`~repro.net.addressing.IPv4Address` is
-rendered to its dotted string at snapshot time.
+A view class exists where the row *reshapes* its source: the seven
+below flatten addresses and endpoints to JSON-safe scalars (an
+:class:`~repro.net.addressing.IPv4Address` becomes its dotted string)
+or gather counters that have no source record.  A migration row and a
+link row have no view — their source already is a flat record of
+JSON-safe scalars: a copy of the
+:class:`~repro.core.migration.MigrationOutcome` and the frozen
+:class:`~repro.core.state.LinkStatsRecord` itself, rendered with
+:func:`dataclasses.asdict` (``tests/test_ops_api.py`` pins both key
+sets: their fields are the wire format).
 """
 
 from __future__ import annotations
@@ -24,21 +28,23 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+if _t.TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.core.migration import MigrationOutcome
+    from repro.core.state import LinkStatsRecord
+
 __all__ = [
     "SCHEMA_VERSION",
     "BreakerView",
     "ClusterView",
     "FlowView",
     "InstanceView",
-    "LinkStatsView",
-    "MigrationView",
     "ServiceRateView",
     "ServiceView",
     "SwitchView",
     "OpsSnapshot",
 ]
 
-#: Bumped whenever a view gains/loses/renames a field.  Stamped into
+#: Bumped whenever a row gains/loses/renames a field.  Stamped into
 #: every API payload as ``schema_version``.
 SCHEMA_VERSION = 1
 
@@ -116,29 +122,6 @@ class BreakerView:
 
 
 @dataclasses.dataclass(frozen=True)
-class MigrationView:
-    """One migration outcome (``GET /migrations``)."""
-
-    service_name: str
-    from_site: str
-    to_site: str
-    mode: str
-    started_at: float
-    rounds: int
-    bytes_moved: int
-    bytes_final: int
-    downtime_s: float
-    total_s: float
-    completed: bool
-    failed_phase: str | None
-    error: str | None
-    rolled_back: bool
-
-    def as_dict(self) -> dict[str, _t.Any]:
-        return dataclasses.asdict(self)
-
-
-@dataclasses.dataclass(frozen=True)
 class ClusterView:
     """One local edge cluster's node state (``GET /clusters``)."""
 
@@ -171,27 +154,6 @@ class SwitchView:
 
 
 @dataclasses.dataclass(frozen=True)
-class LinkStatsView:
-    """One link-utilization observation (``GET /metrics/links``).
-
-    Mirrors :class:`repro.core.state.LinkStatsRecord` — the replicated
-    row — field for field; the view exists so API payloads never
-    depend on the state layer's wire types.
-    """
-
-    site: str
-    link: str
-    observed_at: float
-    window_s: float
-    packets_per_s: float
-    bits_per_s: float
-    utilization: float
-
-    def as_dict(self) -> dict[str, _t.Any]:
-        return dataclasses.asdict(self)
-
-
-@dataclasses.dataclass(frozen=True)
 class ServiceRateView:
     """Per-service packet rate over the collector's last window
     (``GET /metrics/links``), derived from redirect/intercept flow
@@ -218,10 +180,10 @@ class OpsSnapshot:
     instances: tuple[InstanceView, ...]
     flows: tuple[FlowView, ...]
     breakers: tuple[BreakerView, ...]
-    migrations: tuple[MigrationView, ...]
+    migrations: tuple[MigrationOutcome, ...]
     clusters: tuple[ClusterView, ...]
     switches: tuple[SwitchView, ...]
-    links: tuple[LinkStatsView, ...]
+    links: tuple[LinkStatsRecord, ...]
     service_rates: tuple[ServiceRateView, ...]
     controller_stats: dict[str, int]
 
@@ -234,10 +196,10 @@ class OpsSnapshot:
             "instances": [v.as_dict() for v in self.instances],
             "flows": [v.as_dict() for v in self.flows],
             "breakers": [v.as_dict() for v in self.breakers],
-            "migrations": [v.as_dict() for v in self.migrations],
+            "migrations": [dataclasses.asdict(o) for o in self.migrations],
             "clusters": [v.as_dict() for v in self.clusters],
             "switches": [v.as_dict() for v in self.switches],
-            "links": [v.as_dict() for v in self.links],
+            "links": [dataclasses.asdict(r) for r in self.links],
             "service_rates": [v.as_dict() for v in self.service_rates],
             "controller_stats": dict(self.controller_stats),
         }

@@ -3,7 +3,7 @@
 One object per site binds every introspectable layer — controller and
 dispatcher counters, the typed control-plane state, switch/link
 counters, breaker machines, migration outcomes, the metrics recorder,
-and the flow-stats collector — and renders them into the frozen views
+and the flow-stats collector — and renders them into the immutable rows
 of :mod:`repro.ops.model`.  The REST API serves these views verbatim;
 experiments and schedulers that used to reach into component internals
 read them here instead, so there is exactly one definition of "what
@@ -17,6 +17,7 @@ fingerprints.
 
 from __future__ import annotations
 
+import dataclasses
 import typing as _t
 
 from repro.ops.model import (
@@ -25,8 +26,6 @@ from repro.ops.model import (
     ClusterView,
     FlowView,
     InstanceView,
-    LinkStatsView,
-    MigrationView,
     OpsSnapshot,
     ServiceRateView,
     ServiceView,
@@ -35,7 +34,8 @@ from repro.ops.model import (
 
 if _t.TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.controller import EdgeController
-    from repro.core.migration import MigrationManager
+    from repro.core.migration import MigrationManager, MigrationOutcome
+    from repro.core.state import LinkStatsRecord
     from repro.net.openflow.switch import OpenFlowSwitch
     from repro.ops.collector import FlowStatsCollector
     from repro.sim import Environment
@@ -166,28 +166,13 @@ class OpsReadModel:
 
     # -- migrations ----------------------------------------------------------
 
-    def migrations(self) -> tuple[MigrationView, ...]:
+    def migrations(self) -> "tuple[MigrationOutcome, ...]":
+        """Copies: the manager keeps writing to an outcome until the
+        migration ends, and a snapshot must not change under its
+        consumer."""
         if self.manager is None:
             return ()
-        return tuple(
-            MigrationView(
-                service_name=outcome.service_name,
-                from_site=outcome.from_site,
-                to_site=outcome.to_site,
-                mode=outcome.mode,
-                started_at=outcome.started_at,
-                rounds=outcome.rounds,
-                bytes_moved=outcome.bytes_moved,
-                bytes_final=outcome.bytes_final,
-                downtime_s=outcome.downtime_s,
-                total_s=outcome.total_s,
-                completed=outcome.completed,
-                failed_phase=outcome.failed_phase,
-                error=outcome.error,
-                rolled_back=outcome.rolled_back,
-            )
-            for outcome in self.manager.outcomes
-        )
+        return tuple(dataclasses.replace(o) for o in self.manager.outcomes)
 
     # -- cluster / node state ------------------------------------------------
 
@@ -223,25 +208,14 @@ class OpsReadModel:
 
     # -- link stats ------------------------------------------------------------
 
-    def link_stats(self) -> tuple[LinkStatsView, ...]:
+    def link_stats(self) -> "tuple[LinkStatsRecord, ...]":
         """Federation-wide link rows: the replicated state's view (this
         site's publishes apply locally first, so it always includes our
         own), falling back to the collector's local observations when
         nothing was published through the state layer."""
         records = self.controller.state.link_stats()
         if records:
-            return tuple(
-                LinkStatsView(
-                    site=record.site,
-                    link=record.link,
-                    observed_at=record.observed_at,
-                    window_s=record.window_s,
-                    packets_per_s=record.packets_per_s,
-                    bits_per_s=record.bits_per_s,
-                    utilization=record.utilization,
-                )
-                for record in records
-            )
+            return tuple(records)
         if self.collector is not None:
             return self.collector.link_views()
         return ()

@@ -11,8 +11,6 @@ from repro.net.openflow.messages import (
     BarrierRequest,
     FlowMod,
     FlowRemoved,
-    FlowStatsReply,
-    FlowStatsRequest,
     PacketIn,
     PacketOut,
 )
@@ -89,22 +87,6 @@ class Datapath:
         self.channel.send_to_switch(request)
         return event
 
-    def request_flow_stats(
-        self,
-        match: FlowMatch | None = None,
-        cookie: _t.Any = None,
-        cookie_prefix: str | None = None,
-    ) -> Event:
-        """Query flow statistics; the event fires with the
-        :class:`FlowStatsReply`."""
-        request = FlowStatsRequest(
-            match=match, cookie=cookie, cookie_prefix=cookie_prefix
-        )
-        event = self.app.env.event()
-        self.app._stats_waiters[(self.id, request.xid)] = event
-        self.channel.send_to_switch(request)
-        return event
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Datapath {self.id} ({self.switch.name})>"
 
@@ -122,7 +104,6 @@ class SDNApp:
         self.name = name
         self.datapaths: dict[int, Datapath] = {}
         self._barriers: dict[tuple[int, int], Event] = {}
-        self._stats_waiters: dict[tuple[int, int], Event] = {}
 
     def attach(
         self, switch: OpenFlowSwitch, latency_s: float = 200e-6
@@ -173,10 +154,6 @@ class SDNApp:
             self.on_flow_removed(datapath, message)
         elif isinstance(message, BarrierReply):
             event = self._barriers.pop((datapath.id, message.xid), None)
-            if event is not None and not event.triggered:
-                event.succeed(message)
-        elif isinstance(message, FlowStatsReply):
-            event = self._stats_waiters.pop((datapath.id, message.xid), None)
             if event is not None and not event.triggered:
                 event.succeed(message)
         else:  # pragma: no cover - defensive

@@ -22,7 +22,7 @@ from repro.core import (
     SwitchTopology,
 )
 from repro.core.service_registry import EdgeService
-from repro.core.state import InMemoryState
+from repro.core.state import ControlPlaneState
 from repro.k8s import KubernetesCluster
 from repro.k8s.profile import K8sProfile
 from repro.net import Host, Link
@@ -33,7 +33,17 @@ from repro.net.openflow import OpenFlowSwitch
 from repro.ops import OPS_PORT, FlowStatsCollector, OpsApp, OpsReadModel
 from repro.services import DEFAULT_CALIBRATION, Calibration, ServiceTemplate
 from repro.services.catalog import template_by_key
-from repro.testbed.site import CLOUD_IP, BaseTestbed
+from repro.testbed.site import (
+    CLIENT_LINK_BANDWIDTH_BPS,
+    CLIENT_LINK_LATENCY_S,
+    CLOUD_IP,
+    CLOUD_LINK_BANDWIDTH_BPS,
+    CLOUD_LINK_LATENCY_S,
+    CONTROL_CHANNEL_LATENCY_S,
+    EGS_LINK_BANDWIDTH_BPS,
+    EGS_LINK_LATENCY_S,
+    BaseTestbed,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,23 +58,12 @@ class TestbedConfig:
     #: Pull images from the "public" (Docker Hub/GCR) or the LAN
     #: "private" registry (fig. 13's comparison).
     registry: str = "public"
-    client_link_latency_s: float = 200e-6
-    client_link_bandwidth_bps: float = 1 * GBPS
-    egs_link_latency_s: float = 50e-6
-    egs_link_bandwidth_bps: float = 10 * GBPS
-    cloud_link_latency_s: float = 0.015
-    cloud_link_bandwidth_bps: float = 1 * GBPS
-    control_channel_latency_s: float = 150e-6
     auto_scale_down: bool = False
     #: Name of a custom Kubernetes scheduler to use as the Local
     #: Scheduler (§IV-B/§V): the annotator sets it as ``schedulerName``
     #: on every edge Deployment, and the cluster runs it alongside the
     #: default scheduler.
     k8s_local_scheduler: str | None = None
-    #: Serve the operational REST API (:mod:`repro.ops`) on the EGS
-    #: host at :data:`repro.ops.OPS_PORT`.  Opening the port installs
-    #: no events, so leaving it on does not perturb replays.
-    ops_api: bool = True
     #: Poll switch flow/port counters every this many seconds with a
     #: :class:`~repro.ops.FlowStatsCollector` (``None``: no collector).
     flow_stats_period_s: float | None = None
@@ -119,21 +118,15 @@ class C3Testbed(BaseTestbed):
         #: topology: every gNB trunks to the main switch).
         self._trunk_ports: dict[tuple[int, int], int] = {}
         self.topology = SwitchTopology()
-        self._attach_host(
-            self.egs,
-            self.config.egs_link_bandwidth_bps,
-            self.config.egs_link_latency_s,
-        )
+        self._attach_host(self.egs, EGS_LINK_BANDWIDTH_BPS, EGS_LINK_LATENCY_S)
         for client in self.clients:
             self._attach_host(
-                client,
-                self.config.client_link_bandwidth_bps,
-                self.config.client_link_latency_s,
+                client, CLIENT_LINK_BANDWIDTH_BPS, CLIENT_LINK_LATENCY_S
             )
         cloud_port = self._attach_host(
             self.cloud,
-            self.config.cloud_link_bandwidth_bps,
-            self.config.cloud_link_latency_s,
+            CLOUD_LINK_BANDWIDTH_BPS,
+            CLOUD_LINK_LATENCY_S,
             register=False,
         )
         self.topology.set_cloud_port(self.switch.datapath_id, cloud_port)
@@ -176,7 +169,7 @@ class C3Testbed(BaseTestbed):
             self.clusters.append(self.k8s_cluster)
 
         # -- controller --------------------------------------------------------------------
-        self.state = InMemoryState()
+        self.state = ControlPlaneState()
         self.service_registry = ServiceRegistry(self.annotator, state=self.state)
         self.scheduler = scheduler or NearestScheduler()
         controller_config = dataclasses.replace(
@@ -195,7 +188,7 @@ class C3Testbed(BaseTestbed):
             state=self.state,
         )
         self.datapath = self.controller.attach(
-            self.switch, latency_s=self.config.control_channel_latency_s
+            self.switch, latency_s=CONTROL_CHANNEL_LATENCY_S
         )
 
         def _conntrack(client_ip, dst_ip, dst_port):
@@ -222,6 +215,9 @@ class C3Testbed(BaseTestbed):
                 period_s=self.config.flow_stats_period_s,
                 recorder=self.recorder,
             ).start()
+            self.collector.on_service_rates = (
+                self.controller.observe_service_rates
+            )
         self.ops = OpsReadModel(
             self.env,
             self.controller,
@@ -229,10 +225,10 @@ class C3Testbed(BaseTestbed):
             switches=self.switches.values(),
             collector=self.collector,
         )
-        self.ops_app: OpsApp | None = None
-        if self.config.ops_api:
-            self.ops_app = OpsApp(self.ops, register=self._register_template_key)
-            self.egs.open_port(OPS_PORT, self.ops_app)
+        # Opening the port installs no events, so serving the API does
+        # not perturb replays.
+        self.ops_app = OpsApp(self.ops, register=self._register_template_key)
+        self.egs.open_port(OPS_PORT, self.ops_app)
 
         # Let the controller finish installing the infrastructure rules
         # (default route, per-host forwarding) before any traffic flows;
@@ -315,9 +311,7 @@ class C3Testbed(BaseTestbed):
             self.topology.register_host(dpid, ip, gnb_port)
         self.topology.set_cloud_port(dpid, gnb_port)
         self.switches[dpid] = gnb
-        self.controller.attach(
-            gnb, latency_s=self.config.control_channel_latency_s
-        )
+        self.controller.attach(gnb, latency_s=CONTROL_CHANNEL_LATENCY_S)
         self.settle(0.1)
         return gnb
 
@@ -342,8 +336,8 @@ class C3Testbed(BaseTestbed):
             self.env,
             client.iface,
             iface,
-            self.config.client_link_bandwidth_bps,
-            self.config.client_link_latency_s,
+            CLIENT_LINK_BANDWIDTH_BPS,
+            CLIENT_LINK_LATENCY_S,
         )
         self.topology.register_host(switch.datapath_id, client.ip, port_no)
         for dpid in self.switches:

@@ -88,6 +88,16 @@ BACKBONE = "backbone"
 
 CLOUD_IP = IPv4Address.parse("198.51.100.1")
 
+#: The links of the evaluation setup (fig. 8), the same in every wiring:
+#: RPi clients, the EGS, the cloud's WAN uplink, the control channel.
+CLIENT_LINK_LATENCY_S = 200e-6
+CLIENT_LINK_BANDWIDTH_BPS = 1 * GBPS
+EGS_LINK_LATENCY_S = 50e-6
+EGS_LINK_BANDWIDTH_BPS = 10 * GBPS
+CLOUD_LINK_LATENCY_S = 0.015
+CLOUD_LINK_BANDWIDTH_BPS = 1 * GBPS
+CONTROL_CHANNEL_LATENCY_S = 150e-6
+
 #: Puts a link on a site's trunk interface and returns it (the
 #: data-plane seam).
 TrunkWiring = _t.Callable[[NetworkInterface], Link | HalfLinkEndpoint]
@@ -109,23 +119,10 @@ class FederationConfig:
     #: Added scheduler distance for serving from another site.
     remote_distance_penalty: int = 2
     registry: str = "public"
-    client_link_latency_s: float = 200e-6
-    client_link_bandwidth_bps: float = 1 * GBPS
-    egs_link_latency_s: float = 50e-6
-    egs_link_bandwidth_bps: float = 10 * GBPS
     #: Site gNB <-> backbone.
     trunk_latency_s: float = 0.002
     trunk_bandwidth_bps: float = 10 * GBPS
-    cloud_link_latency_s: float = 0.015
-    cloud_link_bandwidth_bps: float = 1 * GBPS
-    control_channel_latency_s: float = 150e-6
     auto_scale_down: bool = False
-    #: Share of each trunk's bandwidth the migration planner may
-    #: commit to checkpoint transfers (the rest stays with data).
-    migration_budget_fraction: float = 0.4
-    #: Serve the operational REST API (:mod:`repro.ops`) on every
-    #: site's EGS host at :data:`repro.ops.OPS_PORT`.
-    ops_api: bool = True
     #: Poll each site's gNB switch counters every this many seconds
     #: with a :class:`~repro.ops.FlowStatsCollector`; the trunk-link
     #: utilization rows replicate through the shared-state hub
@@ -323,12 +320,17 @@ class BaseTestbed(Catalog):
         self.env.run(until=proc)
 
 
+#: Share of each trunk's bandwidth the migration planner may commit to
+#: checkpoint transfers (the rest stays with data).
+MIGRATION_BUDGET_FRACTION = 0.4
+
+
 def migration_ledger(env: Environment, config: FederationConfig) -> BandwidthLedger:
     """A ledger holding the migration planner's share of every trunk."""
     return BandwidthLedger(
         env,
         default_capacity_bps=int(
-            config.trunk_bandwidth_bps * config.migration_budget_fraction
+            config.trunk_bandwidth_bps * MIGRATION_BUDGET_FRACTION
         ),
     )
 
@@ -374,7 +376,7 @@ class Site:
     manager: MigrationManager
     collector: FlowStatsCollector | None = None
     ops: OpsReadModel
-    ops_app: OpsApp | None = None
+    ops_app: OpsApp
 
     def __init__(
         self,
@@ -411,9 +413,7 @@ class Site:
         self.private_registry = catalog.private_registry
         self.active_registry = catalog.active_registry
         self.egs = Host(env, f"{name}-egs", macs.allocate(), egs_ip)
-        self._wire_host(
-            self.egs, config.egs_link_bandwidth_bps, config.egs_link_latency_s
-        )
+        self._wire_host(self.egs, EGS_LINK_BANDWIDTH_BPS, EGS_LINK_LATENCY_S)
         engine = DockerEngine(env, Containerd(env, self.egs))
         self.cluster = DockerCluster(
             env, f"{name}-docker", self.egs, engine, self.active_registry, distance=0
@@ -454,9 +454,7 @@ class Site:
     def add_client(self, client: Host) -> int:
         """Attach ``client`` to this site's gNB; returns its port."""
         port_no = self._wire_host(
-            client,
-            self.config.client_link_bandwidth_bps,
-            self.config.client_link_latency_s,
+            client, CLIENT_LINK_BANDWIDTH_BPS, CLIENT_LINK_LATENCY_S
         )
         self.clients.append(client)
         return port_no
@@ -479,9 +477,7 @@ class Site:
     # -- stages 2 and 3 ----------------------------------------------------
 
     def attach(self) -> None:
-        self.controller.attach(
-            self.switch, latency_s=self.config.control_channel_latency_s
-        )
+        self.controller.attach(self.switch, latency_s=CONTROL_CHANNEL_LATENCY_S)
 
     def start_ops(
         self,
@@ -521,6 +517,9 @@ class Site:
                 period_s=config.flow_stats_period_s,
                 recorder=self.recorder,
             ).start()
+            self.collector.on_service_rates = (
+                self.controller.observe_service_rates
+            )
         self.ops = OpsReadModel(
             self.env,
             self.controller,
@@ -529,9 +528,8 @@ class Site:
             manager=self.manager,
             collector=self.collector,
         )
-        if config.ops_api:
-            self.ops_app = OpsApp(self.ops, register=register)
-            self.egs.open_port(OPS_PORT, self.ops_app)
+        self.ops_app = OpsApp(self.ops, register=register)
+        self.egs.open_port(OPS_PORT, self.ops_app)
 
 
 class BackboneApp(SDNApp):
@@ -583,7 +581,6 @@ class Backbone:
     def __init__(
         self, env: Environment, config: FederationConfig, macs: MACAllocator
     ) -> None:
-        self.config = config
         self._macs = macs
         self.switch = OpenFlowSwitch(env, BACKBONE, datapath_id=1)
         self.topology = SwitchTopology()
@@ -594,8 +591,8 @@ class Backbone:
             env,
             self.cloud.iface,
             cloud_iface,
-            config.cloud_link_bandwidth_bps,
-            config.cloud_link_latency_s,
+            CLOUD_LINK_BANDWIDTH_BPS,
+            CLOUD_LINK_LATENCY_S,
         )
         self.topology.set_cloud_port(1, cloud_port)
         self.hub = SharedStateHub(
@@ -615,6 +612,4 @@ class Backbone:
             self.topology.register_host(1, ip, self.site_ports[site])
 
     def attach(self) -> None:
-        self.app.attach(
-            self.switch, latency_s=self.config.control_channel_latency_s
-        )
+        self.app.attach(self.switch, latency_s=CONTROL_CHANNEL_LATENCY_S)

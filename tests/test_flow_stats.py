@@ -1,144 +1,51 @@
-"""Tests for OpenFlow flow statistics and the stats-fed predictor."""
+"""Tests for the stats-fed predictor: warm traffic reaches it through
+the flow-stats collector, the one poller of switch counters."""
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
-from repro.net.openflow import Drop, FlowEntry, FlowMatch
-from repro.sdnfw import SDNApp
 from repro.services import DEFAULT_CALIBRATION
 from repro.services.catalog import NGINX
-from repro.sim import Environment
 from repro.testbed import C3Testbed, TestbedConfig
 
-from tests.nethelpers import MiniNet
 
-
-class TestFlowStats:
-    def _setup(self):
-        env = Environment()
-        net = MiniNet(env)
-        sw = net.switch()
-        app = SDNApp(env)
-        dp = app.attach(sw)
-        return env, sw, app, dp
-
-    def test_stats_reply_contains_matching_entries(self):
-        env, sw, app, dp = self._setup()
-        sw.table.install(
-            FlowEntry(FlowMatch(tcp_dst=80), [Drop()], cookie="redirect:svc-a:ip"),
-            0.0,
-        )
-        sw.table.install(
-            FlowEntry(FlowMatch(tcp_dst=81), [Drop()], cookie="infra:x"), 0.0
-        )
-        replies = []
-
-        def go(env):
-            reply = yield dp.request_flow_stats(cookie_prefix="redirect:")
-            replies.append(reply)
-
-        env.process(go(env))
-        env.run(until=1.0)
-        assert len(replies) == 1
-        stats = replies[0].stats
-        assert len(stats) == 1
-        assert stats[0].cookie == "redirect:svc-a:ip"
-        assert stats[0].packet_count == 0
-
-    def test_stats_by_exact_cookie_and_match(self):
-        env, sw, app, dp = self._setup()
-        match = FlowMatch(tcp_dst=443)
-        sw.table.install(FlowEntry(match, [Drop()], cookie="a"), 0.0)
-        sw.table.install(FlowEntry(FlowMatch(tcp_dst=80), [Drop()], cookie="b"), 0.0)
-        result = {}
-
-        def go(env):
-            by_cookie = yield dp.request_flow_stats(cookie="a")
-            by_match = yield dp.request_flow_stats(match=match)
-            everything = yield dp.request_flow_stats()
-            result["cookie"] = len(by_cookie.stats)
-            result["match"] = len(by_match.stats)
-            result["all"] = len(everything.stats)
-
-        env.process(go(env))
-        env.run(until=1.0)
-        assert result == {"cookie": 1, "match": 1, "all": 2}
-
-    def test_packet_counts_advance_with_traffic(self):
-        tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
-        svc = tb.register_template(NGINX)
-        tb.prepare_created(tb.docker_cluster, svc)
+def _warm_testbed(flow_stats_period_s: float | None) -> tuple[C3Testbed, object]:
+    """One cold request, then a warm request every 6 s: all warm
+    traffic rides the installed flow (idle timeout is huge)."""
+    calibration = dataclasses.replace(
+        DEFAULT_CALIBRATION, switch_idle_timeout_s=600.0
+    )
+    tb = C3Testbed(
+        TestbedConfig(
+            cluster_types=("docker",), flow_stats_period_s=flow_stats_period_s
+        ),
+        calibration=calibration,
+    )
+    tb.controller.enable_proactive(check_interval_s=1e6)  # deployer off
+    svc = tb.register_template(NGINX)
+    tb.prepare_created(tb.docker_cluster, svc)
+    for _ in range(6):
         tb.run_request(tb.clients[0], svc, NGINX.request)
-        counts = []
-
-        def go(env):
-            reply = yield tb.datapath.request_flow_stats(
-                cookie_prefix="redirect:"
-            )
-            counts.append(sum(s.packet_count for s in reply.stats))
-
-        tb.env.process(go(tb.env))
-        tb.env.run(until=tb.env.now + 1.0)
-        assert counts and counts[0] >= 3  # SYN+ACK+request at least
+        tb.env.run(until=tb.env.now + 6.0)
+    assert tb.controller.stats["packet_in"] == 1
+    return tb, svc
 
 
 class TestStatsFedPredictor:
     def test_sampler_sees_warm_traffic(self):
         """Warm requests never reach the controller as packet-ins, but
-        the stats sampler still feeds the predictor."""
-        calibration = dataclasses.replace(
-            DEFAULT_CALIBRATION, switch_idle_timeout_s=600.0
-        )
-        tb = C3Testbed(
-            TestbedConfig(cluster_types=("docker",)), calibration=calibration
-        )
-        tb.controller.enable_proactive(
-            check_interval_s=1e6,  # deployer effectively off
-            sample_flow_stats=True,
-            stats_poll_interval_s=2.0,
-        )
-        svc = tb.register_template(NGINX)
-        tb.prepare_created(tb.docker_cluster, svc)
-
-        # One cold request, then a warm request every 6 s: all warm
-        # traffic rides the installed flow (idle timeout is huge).
-        for _ in range(6):
-            tb.run_request(tb.clients[0], svc, NGINX.request)
-            tb.env.run(until=tb.env.now + 6.0)
-
-        sampler = tb.controller.flow_stats_sampler
-        assert sampler.stats["polls"] > 5
-        # Several warm arrivals observed (one packet-in only).
-        assert sampler.stats["observed_arrivals"] >= 4
-        assert tb.controller.stats["packet_in"] == 1
-        # The predictor learned the ~6 s period from stats alone.
+        a testbed with a collector feeds its per-service rates to the
+        predictor — no option to set."""
+        tb, svc = _warm_testbed(flow_stats_period_s=2.0)
+        assert tb.collector.collections > 5
+        # The predictor learned the ~6 s period from one packet-in plus
+        # the collector's windows.
         interval = tb.controller.predictor.interval_estimate(svc.name)
         assert interval is not None and 3.0 < interval < 10.0
 
     def test_without_sampler_predictor_is_blind_to_warm_traffic(self):
-        calibration = dataclasses.replace(
-            DEFAULT_CALIBRATION, switch_idle_timeout_s=600.0
-        )
-        tb = C3Testbed(
-            TestbedConfig(cluster_types=("docker",)), calibration=calibration
-        )
-        tb.controller.enable_proactive(check_interval_s=1e6)
-        svc = tb.register_template(NGINX)
-        tb.prepare_created(tb.docker_cluster, svc)
-        for _ in range(5):
-            tb.run_request(tb.clients[0], svc, NGINX.request)
-            tb.env.run(until=tb.env.now + 6.0)
+        tb, svc = _warm_testbed(flow_stats_period_s=None)
+        assert tb.collector is None
         # Only the single cold packet-in was observed: no interval yet.
         assert tb.controller.predictor.interval_estimate(svc.name) is None
-
-    def test_sampler_validation(self):
-        from repro.core.predictor import EWMAPredictor, FlowStatsSampler
-
-        tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
-        with pytest.raises(ValueError):
-            FlowStatsSampler(
-                tb.env, tb.controller, EWMAPredictor(), poll_interval_s=0
-            )
