@@ -330,7 +330,7 @@ class EdgeController(SDNApp):
 
     def on_packet_in(self, datapath: Datapath, message: PacketIn) -> None:
         self.stats["packet_in"] += 1
-        self.env.process(
+        self.env.spawn(
             self._handle_packet_in(datapath, message),
             name=f"pktin:{message.buffer_id}",
         )

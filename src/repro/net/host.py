@@ -34,7 +34,6 @@ from repro.net.packet import (
 from repro.net.route_cache import Recording
 from repro.sim import Environment, Store
 from repro.sim.events import guard_timeout
-from repro.sim.process import Process
 
 _conn_ids = itertools.count(1)
 
@@ -574,9 +573,9 @@ class Host(NetDevice):
         # Hot start (and no per-request name string): the handler's
         # first segment runs synchronously here — where the old start
         # event would have run it within the same timestep anyway —
-        # saving a heap entry per served request.
-        Process(self.env, self._run_handler(listener.app, conn, request),
-                hot=True)
+        # saving a heap entry per served request; nobody waits on the
+        # handler, so its end costs none either.
+        self.env.spawn(self._run_handler(listener.app, conn, request), hot=True)
 
     def _run_handler(self, app: "Application", conn: Connection, request: HTTPRequest):
         response = yield from app.handle(request)

@@ -26,57 +26,83 @@ MBPS = 1_000_000
 
 
 class LinkEndpoint:
-    """One side of a link; owns the transmit queue for its direction.
+    """One side of a link; the FIFO transmitter for its direction.
 
-    The transmitter is callback-driven: while the line is busy,
-    packets queue in a plain deque; each packet costs exactly two slim
-    scheduled callbacks (end of serialization, end of propagation)
-    instead of a store hand-off plus a propagation process.  The
-    serialization timeline — one packet on the wire at a time,
-    propagation pipelined — is unchanged.
+    One packet is on the wire at a time and propagation is pipelined,
+    but serialization is arithmetic, not an event: the endpoint keeps
+    the instant its line falls free, and ``transmit`` computes ::
 
-    (A one-event-per-packet variant that schedules delivery directly
-    at transmit time — tracking only a ``busy-until`` timestamp — was
-    tried and rejected: it moves the delivery's heap sequence number
-    from serialization end to transmit time, which reorders
-    same-timestamp events and breaks byte-identical replay.)
+        begin = max(now, free_at)
+        end = begin + (HEADER_BYTES + payload) * 8 / bandwidth
+        free_at = end
+
+    and schedules the packet's *arrival* at ``end + latency`` — one
+    heap entry per packet-hop.  The float sums are those of an event at
+    ``begin`` scheduling one at ``end`` scheduling the arrival (the
+    expression keeps the exact ``wire_size * 8 / bandwidth``
+    association), so every timestamp downstream is bit for bit what
+    that chain would produce.
+
+    **Tie order.**  Among entries firing at the same instant the heap
+    orders by ``(sched_at, parent_sched_at, seq)``
+    (:class:`repro.sim.Environment`).  An arrival is pushed at
+    ``transmit`` but stores ``sched_at = end``, ``parent_sched_at =
+    begin`` and the sequence number drawn when the line last went from
+    idle to busy (queued packets draw none; a packet handed over at
+    the very instant the line falls free finds it idle): the order it
+    would have had if an end-of-serialization event, itself scheduled
+    at ``begin``, had scheduled it at ``end``.  That is exact against any
+    entry scheduled at another instant than ``end``, and among link
+    arrivals whenever their last two serialization boundaries differ or
+    their busy periods run in lockstep from the first packet (same
+    boundaries at every depth: the busy period that started first stays
+    first).  What it leaves undetermined needs float-exact coincidence
+    more than two boundaries deep — two arrivals with equal ``end`` and
+    ``begin`` out of busy periods that did *not* start together — or a
+    non-link entry scheduled exactly at ``end`` that fires exactly at
+    the arrival instant; there the key decides (the arrival first)
+    where an event chain would have gone by its own pop order.
+    ``tests/test_properties.py`` holds the endpoint to the two-event
+    reference (``tests/link_oracle.py``) inside that boundary.
+
+    **Link changes under a packet.**  ``bandwidth_bps`` and
+    ``latency_s`` are sampled when the packet is handed to
+    ``transmit``; a later change applies to later packets.  ``down`` is
+    the parameter that does change with traffic in flight (handover,
+    fault injection) and is read at the arrival instant: a packet is
+    dropped iff the link is down at ``end + latency``, whatever it was
+    at ``transmit``.
+
+    **Fast-path dispatch.**  When a packet carries a memoized next hop
+    recorded for *this* endpoint (see ``repro.net.route_cache``), the
+    arrival and the switch's lookup delay fuse into one scheduled
+    ``_fast_hop`` call at ``(end + latency) + lookup_delay`` — the two
+    float additions the unfused path performs — skipping the delivery
+    callback and ``switch.receive``.  The fusion is declined when the
+    link is down or its epoch moved since the hop was recorded; a
+    change that lands after ``transmit`` is caught by ``_fast_hop``,
+    which obeys the same arrival rule (``Link.down_at``) and re-enters
+    the slow-path pipeline at its own instant.
 
     Heap entries are pushed inline (env internals poked directly, like
-    ``events.py`` does) and the per-hop callbacks are pre-bound: at two
-    pushes per packet-hop this is one of the two hottest scheduling
+    ``events.py`` does): this is one of the two hottest scheduling
     sites in the simulator.  The link's bandwidth/latency/down state is
     mirrored into endpoint slots (refreshed by the Link property
-    setters) so the serialization expression reads locals, not a
-    property chain; the float expression itself is unchanged, keeping
-    the exact ``wire_size * 8 / bandwidth`` rounding of the replay
-    fingerprint.
-
-    Fast-path dispatch: when a packet carries a memoized next hop
-    recorded for *this* endpoint (see ``repro.net.route_cache``), the
-    end-of-serialization callback fuses the propagation delay and the
-    switch's lookup delay into a single scheduled ``_fast_hop`` call,
-    skipping the delivery callback and ``switch.receive`` entirely.
-    The fire time is composed as ``(now + latency) + lookup_delay`` —
-    the same two float additions the unfused path performs — so
-    delivery-chain timestamps stay byte-identical.  The fusion is
-    declined (falling back to the plain delivery callback) when the
-    link is down or its epoch moved, so parameter changes invalidate
-    the route and re-enter the slow path.
+    setters) so the expressions read locals, not a property chain.
     """
 
     __slots__ = (
         "link",
         "iface",
         "peer",
-        "_pending",
-        "_busy",
+        "_free_at",
+        "_period_seq",
         "_env",
         "_bw",
         "_lat",
         "_down",
         "_recv_dev",
         "_recv_iface",
-        "_serialized_cb",
         "_deliver_cb",
     )
 
@@ -86,9 +112,11 @@ class LinkEndpoint:
         self.link = link
         self.iface = iface
         self.peer: "LinkEndpoint | None" = None
-        self._pending: deque["Packet"] = deque()
-        self._busy = False
         self._env = link.env
+        #: When the line falls free, and the sequence number drawn when
+        #: it last went from idle to busy.
+        self._free_at = self._env._now
+        self._period_seq = 0
         # Hot-parameter mirror, kept in sync by the Link setters.
         self._bw = link.bandwidth_bps
         self._lat = link.latency_s
@@ -99,78 +127,39 @@ class LinkEndpoint:
         # on device instances and must keep seeing deliveries.
         self._recv_dev = None
         self._recv_iface: "NetworkInterface | None" = None
-        self._serialized_cb = self._serialized
         self._deliver_cb = self._deliver
 
-    def _serialize(self, packet: "Packet") -> None:
-        # Serialization at line rate, then propagation.  Pre-bound
-        # method + operand on the heap entry: no per-packet closure.
-        # The delay keeps the exact ``wire_size * 8 / bandwidth``
-        # association (a precomputed 8/bandwidth factor would change
-        # the float rounding and with it the replay fingerprint); the
-        # wire size is inlined to skip the property descriptor.
-        env = self._env
-        heappush(
-            env._queue,
-            (
-                env._now
-                + (HEADER_BYTES + packet.tcp.payload_bytes) * 8 / self._bw,
-                NORMAL,
-                next(env._seq),
-                self._serialized_cb,
-                (packet,),
-            ),
-        )
-
     def transmit(self, packet: "Packet") -> None:
-        """Enqueue a packet for transmission towards the peer."""
-        if self._busy:
-            self._pending.append(packet)
-        else:
-            self._busy = True
-            self._serialize(packet)
-
-    def _serialized(self, packet: "Packet") -> None:
+        """Hand a packet to the transmitter; schedules its arrival."""
         env = self._env
+        begin = self._free_at
+        if begin <= env._now:
+            begin = env._now
+            self._period_seq = next(env._seq)
+        # The wire size is inlined to skip the property descriptor.
+        self._free_at = end = (
+            begin + (HEADER_BYTES + packet.tcp.payload_bytes) * 8 / self._bw
+        )
+        at = arrival = end + self._lat
+        fn, args = self._deliver_cb, (packet,)
         hop = packet._fp_next
-        if (
-            hop is not None
-            and hop.src_ep is self
-            and not self._down
-            and hop.in_epoch == self.link.epoch
-        ):
-            # Fused fast hop: one event for propagation + switch lookup.
-            # ``(now + lat) + lookup`` reproduces the unfused float sums.
-            heappush(
-                env._queue,
-                (
-                    (env._now + self._lat) + hop.switch.lookup_delay_s,
-                    NORMAL,
-                    next(env._seq),
-                    hop.fire,
-                    (packet, hop),
-                ),
-            )
-        else:
-            if hop is not None:
+        if hop is not None:
+            if (
+                hop.src_ep is self
+                and not self._down
+                and hop.in_epoch == self.link.epoch
+            ):
+                # Fused fast hop: one entry for propagation + lookup.
+                at = arrival + hop.switch.lookup_delay_s
+                fn, args = hop.fire, (packet, hop, arrival)
+            else:
                 # Link state moved under the route: discard it so the
                 # next packet of the flow re-records on the slow path.
                 hop.route.invalidate()
                 packet._fp_next = None
-            heappush(
-                env._queue,
-                (
-                    env._now + self._lat,
-                    NORMAL,
-                    next(env._seq),
-                    self._deliver_cb,
-                    (packet,),
-                ),
-            )
-        if self._pending:
-            self._serialize(self._pending.popleft())
-        else:
-            self._busy = False
+        heappush(
+            env._queue, (at, NORMAL, end, begin, self._period_seq, fn, args)
+        )
 
     def _deliver(self, packet: "Packet") -> None:
         if self._recv_dev is not None and not self._down:
@@ -181,15 +170,16 @@ class HalfLinkEndpoint(LinkEndpoint):
     """The near side of a link cut at its propagation leg.
 
     The far side lives in another event loop (a partition of the
-    sharded kernel).  ``transmit`` and ``_serialize`` are inherited, so
-    the FIFO discipline and the serialization float are
-    :class:`LinkEndpoint`'s by construction.  Only the end of
-    serialization differs: instead of scheduling a local delivery, the
-    packet goes to ``send(packet, arrival_ts=now + latency)`` — the
-    instant ``_deliver`` would have fired.  Route-cache state is
-    stripped first: a recording holds env-bound hops (unpicklable, and a
-    traversal across event loops is not replayable), so flows through a
-    cut link stay on the slow path.
+    sharded kernel), and the hand-off happens at the end of
+    serialization: ``send(packet, arrival_ts=now + latency)`` — the
+    instant ``_deliver`` would have fired — is what the other partition
+    may rely on from then on.  So this endpoint keeps that instant as
+    an event, with a deque and a busy flag: the FIFO discipline and the
+    serialization float are :class:`LinkEndpoint`'s, computed one
+    packet at a time.  Route-cache state is stripped first: a recording
+    holds env-bound hops (unpicklable, and a traversal across event
+    loops is not replayable), so flows through a cut link stay on the
+    slow path.
 
     There is no two-ended :class:`Link` to belong to, so the endpoint is
     its own ``link``: it carries the ``epoch``, ``down`` and
@@ -199,7 +189,16 @@ class HalfLinkEndpoint(LinkEndpoint):
     inbound ``_record_hop`` abort its recording.
     """
 
-    __slots__ = ("send", "env", "epoch", "bandwidth_bps", "latency_s", "down")
+    __slots__ = (
+        "send",
+        "env",
+        "epoch",
+        "bandwidth_bps",
+        "latency_s",
+        "down",
+        "_pending",
+        "_busy",
+    )
 
     def __init__(
         self,
@@ -215,8 +214,25 @@ class HalfLinkEndpoint(LinkEndpoint):
         self.bandwidth_bps = float(bandwidth_bps)
         self.latency_s = float(latency_s)
         self.down = False
+        self._pending: deque["Packet"] = deque()
+        self._busy = False
         super().__init__(self, iface)
         iface.endpoint = self
+
+    def transmit(self, packet: "Packet") -> None:
+        """Enqueue a packet for transmission towards the far side."""
+        if self._busy:
+            self._pending.append(packet)
+        else:
+            self._busy = True
+            self._serialize(packet)
+
+    def _serialize(self, packet: "Packet") -> None:
+        self._env.call_later(
+            (HEADER_BYTES + packet.tcp.payload_bytes) * 8 / self._bw,
+            self._serialized,
+            packet,
+        )
 
     def _serialized(self, packet: "Packet") -> None:
         hop = packet._fp_next
@@ -242,7 +258,9 @@ class Link:
     memoized route crossing the link (cached routes store the epoch
     they were recorded under and fall back to the slow path on
     mismatch).  The setters also refresh the per-endpoint parameter
-    mirrors the hot transmit path reads.
+    mirrors the hot transmit path reads.  ``down`` changes are also
+    recorded with their instant (:meth:`down_at`): an arrival that was
+    scheduled ahead obeys the state at its arrival instant.
     """
 
     def __init__(
@@ -261,6 +279,8 @@ class Link:
         self._bandwidth_bps = float(bandwidth_bps)
         self._latency_s = float(latency_s)
         self._down = False
+        #: ``(instant, down)`` per change of the administrative state.
+        self._down_changes: list[tuple[float, bool]] = []
         #: Parameter-change counter consulted by the route cache.
         self.epoch = 0
 
@@ -327,7 +347,17 @@ class Link:
     @down.setter
     def down(self, value: bool) -> None:
         self._down = bool(value)
+        self._down_changes.append((self.env.now, self._down))
         self._sync_endpoints()
+
+    def down_at(self, when: float) -> bool:
+        """The administrative state at instant ``when`` (a change made
+        at ``when`` itself counts: it was scheduled before the arrival
+        it meets there, so it ran first)."""
+        for at, down in reversed(self._down_changes):
+            if at <= when:
+                return down
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -171,8 +171,8 @@ class OpenFlowSwitch(NetDevice):
         self.stats["rx"] += 1
         # A packet landing here on the delivery path may still carry a
         # fast-path hop whose fusion was declined (link epoch moved or
-        # link down at serialization end): drop the stale pointer so
-        # the slow path owns the packet from here on.
+        # link down at transmit): drop the stale pointer so the slow
+        # path owns the packet from here on.
         if packet._fp_next is not None:
             packet._fp_next.route.invalidate()
             packet._fp_next = None
@@ -180,11 +180,14 @@ class OpenFlowSwitch(NetDevice):
         # pipeline body runs after the lookup delay and never blocks.
         # Operands travel on the heap entry itself — no closure.
         env = self.env
+        now = env._now
         heappush(
             env._queue,
             (
-                env._now + self.lookup_delay_s,
+                now + self.lookup_delay_s,
                 NORMAL,
+                now,
+                now,
                 next(env._seq),
                 self._pipeline,
                 (packet, iface.port_no),
@@ -249,7 +252,7 @@ class OpenFlowSwitch(NetDevice):
         self.stats["tx"] += 1
         out_iface.send(packet)
 
-    def _fast_hop(self, packet: Packet, hop: RouteHop) -> None:
+    def _fast_hop(self, packet: Packet, hop: RouteHop, arrival: float) -> None:
         """Replay one memoized hop (fused propagation + lookup delay).
 
         Runs at the exact simulated instant the slow path's
@@ -271,7 +274,21 @@ class OpenFlowSwitch(NetDevice):
         egress-link epoch) kills the route and the packet re-enters
         ``_pipeline`` here and now — byte-identical to never having
         fused.
+
+        The entry was scheduled when the ingress link took the packet,
+        so the link may have changed under it.  Its epoch tells: the
+        route dies, and the packet meets the slow path's rule for
+        ``arrival``, the instant it reached this switch — lost if the
+        link was down then, otherwise received and looked up afresh.
         """
+        in_link = hop.src_ep.link
+        if in_link.epoch != hop.in_epoch:
+            hop.route.invalidate()
+            packet._fp_next = None
+            if not in_link.down_at(arrival):
+                self.stats["rx"] += 1
+                self._pipeline(packet, hop.in_port)
+            return
         self.stats["rx"] += 1
         table = self.table
         if table.epoch != hop.table_epoch:

@@ -71,8 +71,8 @@ class RouteHop:
     ``last_used`` refresh), the compiled rewrites, the egress interface
     — plus the epoch guards: the flow table's epoch at lookup time and
     the ingress link's epoch at recording time.  ``src_ep`` is the
-    *sending* endpoint of the ingress link (the one whose
-    end-of-serialization callback performs the fused dispatch).
+    *sending* endpoint of the ingress link (the one whose ``transmit``
+    performs the fused dispatch).
     """
 
     __slots__ = (

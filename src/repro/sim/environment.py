@@ -8,7 +8,7 @@ import typing as _t
 from itertools import count
 
 from repro.sim.events import Event, NORMAL, PENDING, Timeout
-from repro.sim.process import Process
+from repro.sim.process import Process, _Detached
 
 
 class SimulationError(RuntimeError):
@@ -50,20 +50,29 @@ class Environment:
     """A deterministic discrete-event environment.
 
     Time is a float in seconds, starting at ``initial_time``.  The event
-    heap orders by ``(time, priority, sequence)``; the sequence number is
-    a strictly increasing counter, so simultaneous events always run in
-    the order they were scheduled — the source of the kernel's
-    reproducibility.
+    heap orders by ``(time, priority, sched_at, parent_sched_at, seq)``.
+    ``seq`` is a strictly increasing counter and every entry pushed
+    through this class or the event primitives stores the current time
+    in both scheduling instants, so simultaneous events run in the
+    order they were scheduled — the source of the kernel's
+    reproducibility.  The two instants exist for the one transmitter
+    that schedules ahead of itself: a link arrival
+    (:class:`repro.net.link.LinkEndpoint`) is pushed when the packet is
+    handed over, but ties as if scheduled when its serialization ended
+    (``sched_at``) by an entry scheduled when its serialization began
+    (``parent_sched_at``) — the order a chain of two events would have
+    given it, without the first event.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        # Heap entries are (time, priority, seq, event) 4-tuples for
-        # real events, or (time, priority, seq, fn, args) 5-tuples for
-        # the slim scheduled callbacks of call_at / call_later.  The
-        # strictly-increasing seq guarantees comparisons never reach
-        # the heterogeneous tail elements, so the two shapes can share
-        # one heap; the loop discriminates by tuple length.
+        # Heap entries are (time, priority, sched_at, parent_sched_at,
+        # seq, event) 6-tuples for real events, or (..., seq, fn, args)
+        # 7-tuples for the slim scheduled callbacks of call_at /
+        # call_later.  Entries drawing a fresh seq never compare equal
+        # ahead of the heterogeneous tail; a link's arrivals share the
+        # seq of their busy period but differ in sched_at.  So the two
+        # shapes can share one heap; the loop discriminates by length.
         self._queue: list[tuple] = []
         self._seq = count()
         self._active_process: Process | None = None
@@ -170,6 +179,23 @@ class Environment:
         idiom in one call)."""
         return self.run(until=self.process(generator, name=name))
 
+    def spawn(
+        self,
+        generator: _t.Generator[Event, _t.Any, _t.Any],
+        name: str | None = None,
+        hot: bool = False,
+    ) -> None:
+        """Start ``generator`` as a process nobody will wait on.
+
+        Returns nothing, so no caller can yield the process or register
+        on it — which is what lets a successful end cost no heap entry:
+        with no callback to run, popping its completion would do
+        nothing.  A failure is scheduled like any process's, so an
+        unhandled exception stops the run exactly as it does under
+        :meth:`process`.  ``hot`` is :class:`Process`'s.
+        """
+        _Detached(self, generator, name=name, hot=hot)
+
     # -- scheduling ------------------------------------------------------
 
     def schedule(
@@ -181,8 +207,9 @@ class Environment:
         """Push ``event`` onto the heap ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
+        now = self._now
         heapq.heappush(
-            self._queue, (self._now + delay, priority, next(self._seq), event)
+            self._queue, (now + delay, priority, now, now, next(self._seq), event)
         )
 
     def schedule_at(
@@ -201,7 +228,10 @@ class Environment:
         """
         if time < self._now:
             raise ValueError(f"time {time!r} lies in the past (now={self._now})")
-        heapq.heappush(self._queue, (time, priority, next(self._seq), event))
+        now = self._now
+        heapq.heappush(
+            self._queue, (time, priority, now, now, next(self._seq), event)
+        )
 
     def timeout_at(self, time: float, value: _t.Any = None) -> Event:
         """An event firing at absolute simulated ``time`` (yieldable)."""
@@ -232,8 +262,9 @@ class Environment:
         """
         if time < self._now:
             raise ValueError(f"time {time!r} lies in the past (now={self._now})")
+        now = self._now
         heapq.heappush(
-            self._queue, (time, NORMAL, next(self._seq), fn, args)
+            self._queue, (time, NORMAL, now, now, next(self._seq), fn, args)
         )
 
     def call_later(
@@ -250,8 +281,10 @@ class Environment:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
+        now = self._now
         heapq.heappush(
-            self._queue, (self._now + delay, NORMAL, next(self._seq), fn, args)
+            self._queue,
+            (now + delay, NORMAL, now, now, next(self._seq), fn, args),
         )
 
     # -- execution -------------------------------------------------------
@@ -265,30 +298,29 @@ class Environment:
         self._now = item[0]
         self.events_processed += 1
 
-        if len(item) == 5:
+        if len(item) == 7:
             # Slim path: no callback list, no value, no defuse protocol.
             try:
-                item[3](*item[4])
+                item[5](*item[6])
             except (_StopRun, SimulationError):
                 raise
             except Exception as exc:
                 raise SimulationError(
-                    f"scheduled callback {item[3]!r} raised {exc!r}"
+                    f"scheduled callback {item[5]!r} raised {exc!r}"
                 ) from exc
             return
-        event = item[3]
+        event: Event = item[5]
 
         # Mark processed *before* running callbacks so conditions and
         # late registrations observe a consistent state.
         callbacks, event.callbacks = event.callbacks, None
-        for callback in _t.cast(list, callbacks):
+        for callback in callbacks:  # type: ignore[union-attr]
             callback(event)
 
         if not event._ok and not event._defused:
             # A failure nobody waited for: surface it loudly instead of
             # silently dropping the exception.
-            exc = _t.cast(BaseException, event._value)
-            raise exc
+            raise event._value
 
     def run_below(self, limit: float) -> None:
         """Process every event with time strictly below ``limit``.
@@ -316,24 +348,24 @@ class Environment:
                 self._now = item[0]
                 events += 1
 
-                if len(item) == 5:
+                if len(item) == 7:
                     try:
-                        item[3](*item[4])
+                        item[5](*item[6])
                     except SimulationError:
                         raise
                     except Exception as exc:
                         raise SimulationError(
-                            f"scheduled callback {item[3]!r} raised {exc!r}"
+                            f"scheduled callback {item[5]!r} raised {exc!r}"
                         ) from exc
                     continue
 
-                event = item[3]
+                event: Event = item[5]
                 callbacks, event.callbacks = event.callbacks, None
-                for callback in _t.cast(list, callbacks):
+                for callback in callbacks:  # type: ignore[union-attr]
                     callback(event)
 
                 if not event._ok and not event._defused:
-                    raise _t.cast(BaseException, event._value)
+                    raise event._value
         finally:
             # The delta, not the total: a run nested inside one of our
             # events has added its own count meanwhile.
@@ -366,7 +398,10 @@ class Environment:
                 stop._ok = True
                 stop._value = None
                 # Urgent so the deadline fires before same-time events.
-                heapq.heappush(self._queue, (at, -1, next(self._seq), stop))
+                now = self._now
+                heapq.heappush(
+                    self._queue, (at, -1, now, now, next(self._seq), stop)
+                )
                 stop.callbacks.append(self._stop_callback)
 
         # The loop below is step() unrolled with the hot locals bound
@@ -397,24 +432,24 @@ class Environment:
                 self._now = item[0]
                 events += 1
 
-                if len(item) == 5:
+                if len(item) == 7:
                     try:
-                        item[3](*item[4])
+                        item[5](*item[6])
                     except (_StopRun, SimulationError):
                         raise
                     except Exception as exc:
                         raise SimulationError(
-                            f"scheduled callback {item[3]!r} raised {exc!r}"
+                            f"scheduled callback {item[5]!r} raised {exc!r}"
                         ) from exc
                     continue
 
-                event = item[3]
+                event: Event = item[5]
                 callbacks, event.callbacks = event.callbacks, None
-                for callback in _t.cast(list, callbacks):
+                for callback in callbacks:  # type: ignore[union-attr]
                     callback(event)
 
                 if not event._ok and not event._defused:
-                    raise _t.cast(BaseException, event._value)
+                    raise event._value
         except _StopRun as marker:
             return marker.args[0]
         except EmptySchedule:

@@ -118,7 +118,8 @@ class Event:
         # hand-off, process resumption and condition fire, and the
         # zero-delay case needs none of schedule()'s generality.
         env = self.env
-        heapq.heappush(env._queue, (env._now, NORMAL, next(env._seq), self))
+        now = env._now
+        heapq.heappush(env._queue, (now, NORMAL, now, now, next(env._seq), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -130,7 +131,8 @@ class Event:
         self._ok = False
         self._value = exception
         env = self.env
-        heapq.heappush(env._queue, (env._now, NORMAL, next(env._seq), self))
+        now = env._now
+        heapq.heappush(env._queue, (now, NORMAL, now, now, next(env._seq), self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -173,7 +175,10 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         # Inlined env.schedule (delay already validated above).
-        heapq.heappush(env._queue, (env._now + delay, NORMAL, next(env._seq), self))
+        now = env._now
+        heapq.heappush(
+            env._queue, (now + delay, NORMAL, now, now, next(env._seq), self)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Timeout delay={self.delay} at {id(self):#x}>"

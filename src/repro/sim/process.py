@@ -192,3 +192,23 @@ class Process(Event):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name!r} at {id(self):#x}>"
+
+
+class _Detached(Process):
+    """The process behind :meth:`Environment.spawn`.
+
+    Nobody holds it, so when it ends successfully there is normally no
+    callback to run and it is marked processed on the spot instead of
+    through a heap entry that would pop to do nothing.  (A callback can
+    still appear — the generator may hand out ``env.active_process`` —
+    and then the completion is scheduled as usual.)
+    """
+
+    __slots__ = ()
+
+    def succeed(self, value: _t.Any = None) -> "Event":
+        if self.callbacks:
+            return super().succeed(value)
+        self._value = value
+        self.callbacks = None
+        return self

@@ -6,6 +6,7 @@ import typing as _t
 
 from repro.net import Host, HTTPRequest, HTTPResponse, Link
 from repro.net.addressing import IPAllocator, MACAllocator
+from repro.net.device import NetDevice
 from repro.net.link import GBPS
 from repro.net.openflow import OpenFlowSwitch
 from repro.sim import Environment
@@ -27,6 +28,17 @@ class EchoApp:
         return HTTPResponse(status=200, body_bytes=self.body_bytes)
         # generator form required even when service_time == 0
         yield  # pragma: no cover
+
+
+class Sink(NetDevice):
+    """A device that only logs what reaches it: ``(packet id, time)``."""
+
+    def __init__(self, env: Environment, name: str = "sink") -> None:
+        super().__init__(env, name)
+        self.arrivals: list[tuple[int, float]] = []
+
+    def receive(self, packet, iface) -> None:
+        self.arrivals.append((packet.packet_id, self.env.now))
 
 
 class MiniNet:

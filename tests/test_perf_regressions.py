@@ -9,6 +9,9 @@ Three contracts the optimisations must not bend:
   simulated times* as the old fixed-interval sweeper;
 * a full trace replay is byte-identical across repeated runs (the
   determinism contract, now including the callback-based pipelines).
+
+And two budgets in exact counts, no host time: kernel events per warm
+request, Kubernetes-model calls per deployment.
 """
 
 from __future__ import annotations
@@ -258,7 +261,67 @@ def test_trace_replay_latencies_byte_identical():
 
 
 # ---------------------------------------------------------------------------
-# (d) Kubernetes host work per deployment does not grow with the cluster
+# (d) a warm request's kernel events, exactly
+# ---------------------------------------------------------------------------
+
+
+def test_warm_request_event_budget(monkeypatch):
+    """One request to a running, already-redirected service costs 17
+    kernel events:
+
+    * 10 — its 5 packets (SYN, SYN-ACK, ACK, request, response) cross 2
+      links each, one heap entry per packet per link: 7 plain arrivals
+      and 3 arrivals fused with the switch's lookup (``_fast_hop``);
+    * 2 — the switch's slow-path pipeline for the SYN and the SYN-ACK,
+      which record the connection's two routes;
+    * 4 — the client's process: its start, its resumption when the
+      connection opens and when the response is in, and its completion
+      (``run_request`` waits on it);
+    * 1 — the server's service time.
+
+    The handler the server starts per request ends without an entry
+    (``Environment.spawn``).
+    """
+    import heapq
+    import types
+
+    from repro.services.catalog import NGINX
+    from repro.sim import environment
+    from repro.testbed import C3Testbed, TestbedConfig
+
+    popped = []
+
+    def recording_pop(queue):
+        item = heapq.heappop(queue)
+        popped.append(item[5])
+        return item
+
+    monkeypatch.setattr(
+        environment,
+        "heapq",
+        types.SimpleNamespace(heappush=heapq.heappush, heappop=recording_pop),
+    )
+    tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
+    service = tb.register_template(NGINX)
+    tb.prepare_created(tb.docker_cluster, service)
+    assert tb.run_request(tb.clients[0], service).response.ok  # installs the flows
+
+    del popped[:]
+    events, packets = tb.env.events_processed, tb.switch.stats["rx"]
+    assert tb.run_request(tb.clients[0], service).response.ok
+    packets = tb.switch.stats["rx"] - packets
+    assert tb.env.events_processed - events == len(popped) == 17
+
+    names = [getattr(entry, "__name__", "") for entry in popped]
+    link_entries = names.count("_deliver") + names.count("_fast_hop")
+    assert packets == 5
+    assert link_entries == 2 * packets  # a link hop is one entry
+    assert names.count("_fast_hop") == 3
+    assert names.count("_pipeline") == 2
+
+
+# ---------------------------------------------------------------------------
+# (e) Kubernetes host work per deployment does not grow with the cluster
 # ---------------------------------------------------------------------------
 
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.federation import SharedStateHub
@@ -26,9 +27,12 @@ from repro.k8s import (
     matches_selector,
 )
 from repro.k8s.kubeproxy import KubeProxy
+from repro.net import link as link_module
 from repro.net.addressing import IPv4Address, MACAddress
+from repro.net.device import NetDevice
+from repro.net.link import Link, LinkEndpoint
 from repro.net.openflow import Drop, FlowEntry, FlowMatch, FlowTable, Output
-from repro.net.packet import Packet, TCPFlags, TCPSegment
+from repro.net.packet import HEADER_BYTES, Packet, TCPFlags, TCPSegment
 from repro.services.catalog import NGINX
 from repro.sim import Environment, Resource, Store
 from repro.testbed import C3Testbed, TestbedConfig
@@ -42,6 +46,8 @@ from tests.kubeproxy_oracle import (
     assert_same_programming,
     serve,
 )
+from tests.link_oracle import TwoEventEndpoint
+from tests.nethelpers import Sink
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +751,126 @@ def test_wait_ready_gives_up_on_the_poll_loops_tick(start, timeout_s, interval):
 
 
 # ---------------------------------------------------------------------------
+# Link transmitter: one event per hop vs the two-event chain
+# ---------------------------------------------------------------------------
+
+#: A byte serializes in 1/1024 s — a binary fraction, so boundaries that
+#: coincide on paper coincide float for float — and the wire sizes add
+#: up to one another, so partial sums of different links do coincide.
+_LINK_BPS = 8 * 1024.0
+_WIRE_BYTES = (100, 200, 300)
+#: Hand-over instants and latencies are multiples of half the smallest
+#: serialization time.
+_SLOT_S = 50 / 1024
+_wire_sequences = st.lists(st.sampled_from(_WIRE_BYTES), min_size=1, max_size=4)
+
+
+@st.composite
+def _link_bursts(draw):
+    """``(latency slots per link, [(slot, link, wire bytes), ...])``:
+    the transmit calls of one burst on 2-4 links into one receiver, in
+    call order."""
+    links = range(draw(st.integers(2, 4)))
+    latency = [draw(st.sampled_from((0, 1, 2))) for _ in links]
+    shared = draw(_wire_sequences)
+    packets = []  # per link: (slot, wire bytes) in FIFO order
+    for _ in links:
+        burst = shared if draw(st.booleans()) else draw(_wire_sequences)
+        # The burst is handed over at slot 1, in lockstep with the
+        # other links (offset 0) or staggered ...
+        start = 1 + draw(st.sampled_from((0, 0, 0, 1, 2, 3, 5)))
+        # ... to an idle line, or to one busy with an earlier packet.
+        earlier = draw(st.sampled_from((0, 0) + _WIRE_BYTES))
+        packets.append(
+            [(0, earlier)] * bool(earlier) + [(start, wire) for wire in burst]
+        )
+    # Calls of one instant interleave the links in drawn order.
+    turns = draw(st.permutations([i for i in links for _ in packets[i]]))
+    calls = [(*packets[link].pop(0), link) for link in turns]
+    calls.sort(key=lambda call: call[0])
+    return latency, [(slot, link, wire) for slot, wire, link in calls]
+
+
+def _beyond_the_key(latency, calls) -> bool:
+    """Whether two arrivals tie deeper than ``LinkEndpoint``'s key
+    looks (see its docstring): same instant, same last two
+    serialization boundaries, out of busy periods that did not run in
+    lockstep from their first packet."""
+    free_at, boundaries, rows = {}, {}, []
+    for slot, link, wire in calls:
+        now = slot * _SLOT_S
+        if link not in free_at or now > free_at[link]:
+            begin, boundaries[link] = now, (now,)
+        else:
+            begin = free_at[link]
+            if now == begin:
+                # Handed over the instant the line fell free: a chain
+                # of events may or may not have seen the line idle.
+                boundaries[link] = None
+        free_at[link] = end = begin + wire * 8 / _LINK_BPS
+        if boundaries[link] is not None:
+            boundaries[link] += (end,)
+        rows.append(
+            (end + latency[link] * _SLOT_S, end, begin, link, boundaries[link])
+        )
+    return any(
+        a[:3] == b[:3] and a[3] != b[3] and (a[4] is None or a[4] != b[4])
+        for a, b in itertools.combinations(rows, 2)
+    )
+
+
+def _arrivals(endpoint_type, latency, calls):
+    env = Environment()
+    sink = Sink(env)
+    ends = []
+    with mock.patch.object(link_module, "LinkEndpoint", endpoint_type):
+        for i, slots in enumerate(latency):
+            sender = NetDevice(env, f"sender{i}")
+            link = Link(
+                env,
+                sender.add_interface(MACAddress(2 * i + 1)),
+                sink.add_interface(MACAddress(2 * i + 2)),
+                _LINK_BPS,
+                slots * _SLOT_S,
+            )
+            ends.append(link.end_a)
+    for packet_id, (slot, link, wire) in enumerate(calls):
+        packet = Packet(
+            eth_src=MACAddress(1),
+            eth_dst=MACAddress(2),
+            ip_src=IPv4Address(1),
+            ip_dst=IPv4Address(2),
+            tcp=TCPSegment(1, 2, TCPFlags.PSH, payload_bytes=wire - HEADER_BYTES),
+            packet_id=packet_id,
+        )
+        env.call_at(slot * _SLOT_S, ends[link].transmit, packet)
+    env.run()
+    return sink.arrivals
+
+
+@settings(max_examples=300, deadline=None)
+@given(burst=_link_bursts())
+# Two links in lockstep whose calls interleave 0, 1, 1, 0: link 0 stays
+# first at every depth (a sequence number drawn per transmit call would
+# put link 1's second packet first).
+@example(burst=([0, 0], [(0, 0, 100), (0, 1, 100), (0, 1, 100), (0, 0, 100)]))
+# Two serializations ending together, the busy period that started
+# first holding the packet that started last: order is by serialization
+# start (a key without ``begin`` would go by busy period).
+@example(burst=([0, 0], [(0, 0, 300), (0, 0, 100), (4, 1, 200)]))
+def test_one_event_link_delivers_in_the_two_event_order(burst):
+    """The ``(packet, time)`` sequence at a receiver fed by several
+    links is equal, float for float, whether each hop is one heap entry
+    (``LinkEndpoint``) or the chain of two it replaces (the oracle) —
+    wherever the endpoint's tie key is documented to decide."""
+    latency, calls = burst
+    assume(not _beyond_the_key(latency, calls))
+    assert _arrivals(LinkEndpoint, latency, calls) == _arrivals(
+        TwoEventEndpoint, latency, calls
+    )
+
+
+# ---------------------------------------------------------------------------
 # End-to-end determinism
 # ---------------------------------------------------------------------------
 
@@ -771,3 +897,12 @@ def test_full_system_is_deterministic():
 
 def test_different_seeds_differ():
     assert _run_small_trace(seed=11) != _run_small_trace(seed=12)
+
+
+def test_full_system_is_the_same_on_the_two_event_transmitter(monkeypatch):
+    """The whole testbed on the oracle's links — two events per hop and
+    no fused fast hop — gives every request the latency it has on the
+    real ones."""
+    real = _run_small_trace(seed=11)
+    monkeypatch.setattr(link_module, "LinkEndpoint", TwoEventEndpoint)
+    assert _run_small_trace(seed=11) == real

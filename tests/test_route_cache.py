@@ -11,7 +11,9 @@ force a re-record, never a stale replay.
 
 from __future__ import annotations
 
-from repro.net import HTTPRequest, Link
+import pytest
+
+from repro.net import ConnectionTimeout, HTTPRequest, Link
 from repro.net import route_cache
 from repro.net.link import GBPS
 from repro.net.openflow import FlowEntry, FlowMatch, Output
@@ -235,6 +237,70 @@ class TestInvalidation:
         pre = hot_times[1] - hot_times[0] - gaps[0]
         post = hot_times[7] - hot_times[6] - gaps[6]
         assert post > pre
+
+
+class TestLinkCutInFlight:
+    """A link that goes down under a packet (a handover downs the old
+    radio link with segments in flight): the packet is lost iff the
+    link is down at its arrival instant, on the fast path as on the
+    slow one."""
+
+    # The 266-byte request is on the wire for 2.128 us, propagates for
+    # 100 us and spends 10 us in the switch's lookup.
+    @pytest.mark.parametrize(
+        "cut_after, reaches_server",
+        [
+            pytest.param(1e-6, False, id="while-serializing"),
+            pytest.param(50e-6, False, id="while-propagating"),
+            pytest.param(105e-6, True, id="during-switch-lookup"),
+        ],
+    )
+    def test_hot_and_cold_agree(self, monkeypatch, cut_after, reaches_server):
+        def run(rig):
+            env = rig.env
+            at_server, times, routes = [], [], []
+            receive = rig.server.receive
+
+            def spy(packet, iface):
+                at_server.append((env.now, packet.tcp.payload_bytes))
+                receive(packet, iface)
+
+            rig.server.receive = spy
+
+            def driver():
+                conn = yield from rig.client.connect(
+                    rig.server.ip, 80, timeout=5.0
+                )
+                rig.conn = conn
+                for cut in (None, cut_after):
+                    routes.append(rig.route())
+                    if cut is not None:
+                        del at_server[:]
+                        env.call_later(
+                            cut, setattr, rig.client_link, "down", True
+                        )
+                    conn.send_payload(REQ, REQ.total_bytes)
+                    try:
+                        yield from conn.recv(timeout=1.0)
+                    except ConnectionTimeout:
+                        pass
+                    times.append(env.now)
+                    yield env.timeout(0.01)
+
+            env.run(until=env.process(driver()))
+            return at_server, times, routes
+
+        hot_seen, hot_times, hot_routes = run(_Rig())
+        # The second request left on a memoized route ...
+        assert hot_routes[1] is not None
+        # ... and the cut decided its fate by where it found the packet.
+        assert [size for _, size in hot_seen] == [REQ.total_bytes] * reaches_server
+
+        with monkeypatch.context() as m:
+            _cold(m)
+            cold_seen, cold_times, _ = run(_Rig())
+        assert hot_seen == cold_seen
+        assert hot_times == cold_times
 
 
 class TestScaleDownUnderFastPath:

@@ -252,6 +252,167 @@ class TestScheduledCallbacks:
         assert env.events_processed == len(pops)
 
 
+def _one_of_each(env, order, at=1.0):
+    """Schedule, through every entry point that can aim at a later
+    instant, one entry firing at ``at``; returns the tags in scheduling
+    order."""
+    def note(tag):
+        return lambda _event: order.append(tag)
+
+    tags = []
+    for kind in ("schedule", "call_at", "timeout", "schedule_at", "call_later"):
+        tag = f"{kind}@{env.now}"
+        tags.append(tag)
+        if kind == "call_at":
+            env.call_at(at, order.append, tag)
+        elif kind == "call_later":
+            env.call_later(at - env.now, order.append, tag)
+        elif kind == "timeout":
+            env.timeout(at - env.now).callbacks.append(note(tag))
+        else:
+            event = env.event()
+            event._value = None
+            event.callbacks.append(note(tag))
+            if kind == "schedule":
+                env.schedule(event, delay=at - env.now)
+            else:
+                env.schedule_at(event, at)
+    return tags
+
+
+def _tie_scenario():
+    """Entries of every kind, made at three instants, all firing at 1.0."""
+    env = Environment()
+    order = []
+    expected = _one_of_each(env, order)
+
+    def again():
+        expected.extend(_one_of_each(env, order))
+
+    def at_the_instant():
+        # Zero-delay work made at the instant itself goes last.
+        env.event().succeed().callbacks.append(lambda _e: order.append("succeed"))
+        env.call_later(0.0, order.append, "call_later@1.0")
+        expected.extend(["succeed", "call_later@1.0"])
+
+    env.call_at(0.5, again)
+    env.call_at(1.0, at_the_instant)
+    return env, order, expected
+
+
+class TestTieOrder:
+    """The heap key is (time, priority, sched_at, parent_sched_at, seq);
+    whatever pushes through the kernel stores ``now`` in both instants,
+    so same-time entries fire in the order they were scheduled."""
+
+    def test_same_time_entries_keep_scheduling_order(self):
+        env, order, expected = _tie_scenario()
+        env.run()
+        assert order == expected
+        assert len(expected) == 12
+
+    def test_time_limited_run_stops_ahead_of_same_time_entries(self):
+        env, order, expected = _tie_scenario()
+        env.run(until=1.0)
+        assert env.now == 1.0 and order == []
+        env.run()
+        assert order == expected
+
+    def test_step_is_run(self):
+        ran, ran_order, _ = _tie_scenario()
+        ran.run()
+        stepped, stepped_order, _ = _tie_scenario()
+        while len(stepped):
+            stepped.step()
+        assert stepped_order == ran_order
+        assert stepped.events_processed == ran.events_processed
+        assert stepped.now == ran.now
+
+    def test_an_entry_ties_by_the_instants_it_stores(self):
+        """What a transmitter that schedules ahead of itself relies on:
+        an entry pushed late sorts by its claimed scheduling instants,
+        ahead of the sequence number."""
+        env = Environment()
+        order = []
+        env.call_at(1.0, order.append, "scheduled at 0")
+
+        def late():
+            env.call_at(1.0, order.append, "scheduled at 0.5")
+            for sched_at, parent in ((0.25, 0.125), (0.25, 0.0625), (0.75, 0.0)):
+                heapq.heappush(
+                    env._queue,
+                    (1.0, 1, sched_at, parent, next(env._seq),
+                     order.append, (f"claims {sched_at}, {parent}",)),
+                )
+
+        env.call_at(0.5, late)
+        env.run()
+        assert order == [
+            "scheduled at 0",
+            "claims 0.25, 0.0625",
+            "claims 0.25, 0.125",
+            "scheduled at 0.5",
+            "claims 0.75, 0.0",
+        ]
+
+
+class TestSpawn:
+    def test_returns_nothing_and_a_successful_end_costs_no_entry(self):
+        def work(env, log):
+            yield env.timeout(1.0)
+            log.append(env.now)
+
+        spawned, held = Environment(), Environment()
+        log = []
+        assert spawned.spawn(work(spawned, log)) is None
+        held.process(work(held, log))
+        spawned.run()
+        held.run()
+        assert log == [1.0, 1.0]
+        # Start event + timeout, and for the held process its completion.
+        assert (spawned.events_processed, held.events_processed) == (2, 3)
+
+    def test_hot_start_runs_the_first_segment_at_once(self):
+        env = Environment()
+        log = []
+
+        def work():
+            log.append("started")
+            return
+            yield  # pragma: no cover - makes this a generator
+
+        env.spawn(work(), hot=True)
+        assert log == ["started"]
+        assert len(env) == 0
+
+    def test_failure_still_stops_the_run(self):
+        env = Environment()
+
+        def work():
+            yield env.timeout(1.0)
+            raise RuntimeError("nobody is waiting")
+
+        env.spawn(work())
+        with pytest.raises(RuntimeError, match="nobody is waiting"):
+            env.run()
+
+    def test_a_waiter_found_through_active_process_is_served(self):
+        env = Environment()
+        handed_out = []
+
+        def work():
+            handed_out.append(env.active_process)
+            yield env.timeout(1.0)
+            return "done"
+
+        def waiter():
+            return (yield handed_out[0])
+
+        env.spawn(work())
+        env.run(until=0.5)
+        assert env.run_process(waiter()) == "done"
+
+
 class TestEvent:
     def test_succeed_delivers_value(self):
         env = Environment()

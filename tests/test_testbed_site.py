@@ -19,7 +19,6 @@ import types
 import pytest
 
 from repro.net.addressing import IPv4Address, MACAllocator
-from repro.net.device import NetDevice
 from repro.net.link import GBPS, HalfLinkEndpoint, Link
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.services.catalog import template_by_key
@@ -33,6 +32,8 @@ from repro.sim.parallel.testbed import (
     service_ip,
 )
 from repro.testbed import FederatedTestbed, FederationConfig
+
+from tests.nethelpers import Sink
 
 # -- monolithic ≡ sharded ----------------------------------------------------
 
@@ -166,15 +167,6 @@ BURST = [(0.0, 1400), (0.0, 0), (0.0, 700), (0.5, 64), (0.9, 9000), (0.9, 1), (0
 STALE = 4
 
 
-class _Sink(NetDevice):
-    def __init__(self, env, name):
-        super().__init__(env, name)
-        self.arrivals = []
-
-    def receive(self, packet, iface):
-        self.arrivals.append((packet.packet_id, self.env.now))
-
-
 class _Route:
     invalidated = 0
 
@@ -216,7 +208,7 @@ def test_half_link_delivers_when_the_whole_link_does():
     macs = MACAllocator()
 
     env = Environment()
-    near, far = _Sink(env, "near"), _Sink(env, "far")
+    near, far = Sink(env, "near"), Sink(env, "far")
     Link(
         env,
         near.add_interface(macs.allocate()),
@@ -227,7 +219,7 @@ def test_half_link_delivers_when_the_whole_link_does():
     whole_route = _transmit_burst(env, near.interfaces[0])
 
     env = Environment()
-    near = _Sink(env, "near")
+    near = Sink(env, "near")
     sent = []
 
     def send(packet, arrival_ts):
@@ -250,7 +242,7 @@ def test_half_link_delivers_when_the_whole_link_does():
 
 def test_half_link_is_its_own_link():
     env = Environment()
-    near = _Sink(env, "near")
+    near = Sink(env, "near")
     iface = near.add_interface(MACAllocator().allocate())
     half = HalfLinkEndpoint(env, iface, BANDWIDTH_BPS, LATENCY_S, lambda *a, **k: None)
     assert iface.endpoint is half and half.link is half
