@@ -598,11 +598,10 @@ class EdgeController(SDNApp):
         covered client the conntrack snapshot, the per-connection drain
         entries, and the redirect swap are one indivisible switch-over:
         connections opened before it drain on the old path, connections
-        opened after it ride the new one, and the flow-table epoch bump
-        from the add/delete revalidates every memoized route at the
-        same instant.  With ``from_endpoint`` only flows currently
-        pointing there are touched (a migration flips exactly the
-        instance it moved).  Returns the number of flows repointed.
+        opened after it ride the new one.  With ``from_endpoint`` only
+        flows currently pointing there are touched (a migration flips
+        exactly the instance it moved).  Returns the number of flows
+        repointed.
         """
         repointed = 0
         now = self.env.now

@@ -26,8 +26,7 @@ make-before-break (Fondo-Ferreiro et al., arXiv:2009.01716):
   gNB-conntrack snapshot, per-connection drain entries at
   :data:`~repro.core.controller.PRIORITY_DRAIN`, and the redirect swap
   are indivisible — so in-flight packets drain on the old path while
-  new connections take the new one, and the flow-table epoch bump
-  revalidates every memoized route at the same instant.
+  new connections take the new one.
 * **Abort safety**: every phase is hardened against the fault layer
   (node crash, link partition, registry outage).  Any failure aborts
   to a consistent state — the destination half-install is rolled back,

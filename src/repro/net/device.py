@@ -81,5 +81,20 @@ class NetDevice:
         """Handle an arriving packet.  Subclasses override."""
         raise NotImplementedError
 
+    def fused_ingress(self) -> "_t.Callable[[Packet, int, float], None] | None":
+        """How a :class:`~repro.net.link.Link` built onto this device
+        delivers to it, asked once per link end.
+
+        ``None`` (the default): the link calls :meth:`receive` at the
+        packet's arrival instant.  A device that acts on a packet a
+        fixed ``lookup_delay_s`` after it arrives (a switch) returns the
+        callable that does so; the link then schedules
+        ``ingress(packet, port_no, arrival)`` at ``arrival +
+        lookup_delay_s`` in one heap entry, and the ingress — running
+        after the arrival instant — applies the link's drop rule for
+        ``arrival`` itself.
+        """
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"

@@ -31,7 +31,6 @@ from repro.net.packet import (
     TCPFlags,
     TCPSegment,
 )
-from repro.net.route_cache import Recording
 from repro.sim import Environment, Store
 from repro.sim.events import guard_timeout
 
@@ -197,11 +196,6 @@ class Connection:
         """Tear down this endpoint (no FIN exchange is modelled)."""
         self.established = False
         self.host._connections.pop(self.conn_id, None)
-        route = self.host._routes.pop(self.conn_id, None)
-        if route is not None:
-            # Already popped; invalidate() just flags it dead and
-            # breaks the route → hop → route cycle for refcounting.
-            route.invalidate()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -238,10 +232,6 @@ class Host(NetDevice):
         #: Readiness subscriptions: port -> events fired on open_port.
         self._port_waiters: dict[int, list[_t.Any]] = {}
         self._next_ephemeral = EPHEMERAL_BASE
-        #: Established-flow route cache: conn_id -> memoized traversal
-        #: (see ``repro.net.route_cache``).  Entries leave on
-        #: connection close or epoch-guard invalidation.
-        self._routes: dict[int, _t.Any] = {}
 
     # -- listener management ------------------------------------------------
 
@@ -304,10 +294,10 @@ class Host(NetDevice):
         """Power-fail this host (failure injection).
 
         Listeners close, every established connection is reset (peers
-        blocked in ``recv`` get a :class:`ConnectionReset`), pending
-        handshakes are left to time out, and all memoized routes die.
-        Links and containers are the Injector's business — this only
-        covers the host's own TCP/route state.
+        blocked in ``recv`` get a :class:`ConnectionReset`) and pending
+        handshakes are left to time out.  Links and containers are the
+        Injector's business — this only covers the host's own TCP
+        state.
         """
         self._listeners.clear()
         for conn in list(self._connections.values()):
@@ -316,9 +306,6 @@ class Host(NetDevice):
             if store is not None:
                 store.put_nowait(ConnectionReset(f"{self.name} crashed"))
         self._connections.clear()
-        for route in list(self._routes.values()):
-            route.invalidate()
-        self._routes.clear()
 
     def port_open_event(self, port: int) -> _t.Any:
         """An event firing when ``port`` opens (readiness subscription).
@@ -467,13 +454,6 @@ class Host(NetDevice):
     # -- packet processing -------------------------------------------------------
 
     def receive(self, packet: Packet, iface: NetworkInterface) -> None:
-        rec = packet._fp_rec
-        if rec is not None:
-            # The packet completed a recordable traversal: install the
-            # route into the *sending* host's cache so the next packet
-            # of the connection replays it.
-            packet._fp_rec = None
-            rec.finalize()
         seg = packet.tcp
         flag_bits = seg.flags.value
 
@@ -590,30 +570,15 @@ class Host(NetDevice):
         segment: TCPSegment,
         src_ip: IPv4Address | None = None,
     ) -> None:
-        ip_src = src_ip if src_ip is not None else self.ip
-        packet = Packet(
-            eth_src=self.iface.mac,
-            eth_dst=_BROADCAST_MAC,
-            ip_src=ip_src,
-            ip_dst=dst_ip,
-            tcp=segment,
+        self.iface.send(
+            Packet(
+                eth_src=self.iface.mac,
+                eth_dst=_BROADCAST_MAC,
+                ip_src=src_ip if src_ip is not None else self.ip,
+                ip_dst=dst_ip,
+                tcp=segment,
+            )
         )
-        conn_id = segment.conn_id
-        if conn_id:
-            # Established-flow fast path: replay the memoized route if
-            # one exists for this connection *and* it was recorded for
-            # the same header tuple (rewrites along the path mean the
-            # tuple, not just the connection, identifies the route);
-            # otherwise start a fresh recording.
-            mk = (ip_src, dst_ip, segment.src_port, segment.dst_port)
-            route = self._routes.get(conn_id)
-            if route is not None and route.mk == mk:
-                packet._mk = route.mk
-                packet._fp_next = route.first
-            else:
-                packet._mk = mk
-                packet._fp_rec = Recording(self._routes, conn_id, mk)
-        self.iface.send(packet)
 
     def _allocate_port(self) -> int:
         port = self._next_ephemeral

@@ -73,16 +73,27 @@ class LinkEndpoint:
     dropped iff the link is down at ``end + latency``, whatever it was
     at ``transmit``.
 
-    **Fast-path dispatch.**  When a packet carries a memoized next hop
-    recorded for *this* endpoint (see ``repro.net.route_cache``), the
-    arrival and the switch's lookup delay fuse into one scheduled
-    ``_fast_hop`` call at ``(end + latency) + lookup_delay`` — the two
-    float additions the unfused path performs — skipping the delivery
-    callback and ``switch.receive``.  The fusion is declined when the
-    link is down or its epoch moved since the hop was recorded; a
-    change that lands after ``transmit`` is caught by ``_fast_hop``,
-    which obeys the same arrival rule (``Link.down_at``) and re-enters
-    the slow-path pipeline at its own instant.
+    **Into a switch.**  When the far end is an OpenFlow switch (it
+    answered :meth:`~repro.net.device.NetDevice.fused_ingress` when the
+    link was built), the arrival and the switch's table lookup are one
+    entry: ``transmit`` schedules the switch's ingress at ``(end +
+    latency) + lookup_delay_s`` — the two float additions an arrival
+    that then scheduled the lookup would perform, ``lookup_delay_s``
+    sampled at ``transmit`` like bandwidth and latency — under the
+    *arrival's* key ``(end, begin, busy-period seq)``.  Lookups whose
+    arrivals coincide therefore run in the order the arrivals would
+    have popped and pushed them, which is the whole guarantee: a fresh
+    sequence number drawn at ``transmit`` reorders them.  The boundary
+    is the one above, one step on: exact among switch lookups whose
+    arrivals coincide; decided, not derived, against a non-link entry
+    scheduled inside ``[end, arrival]`` that fires exactly at the lookup
+    instant (the lookup goes first).  A weaker key, ``(arrival,
+    arrival, busy-period seq)``, keeps every bench digest it was tried
+    on (20 of 20), so the latency md5s cannot tell it from this one;
+    ``tests/test_properties.py`` can, and holds the fused ingress to
+    the two-event reference through a real switch.  The ingress obeys
+    the arrival rule itself (``Link.down_at(arrival)``): it runs after
+    the arrival instant, so the link may have changed since.
 
     Heap entries are pushed inline (env internals poked directly, like
     ``events.py`` does): this is one of the two hottest scheduling
@@ -104,6 +115,7 @@ class LinkEndpoint:
         "_recv_dev",
         "_recv_iface",
         "_deliver_cb",
+        "_ingress",
     )
 
     def __init__(
@@ -128,6 +140,8 @@ class LinkEndpoint:
         self._recv_dev = None
         self._recv_iface: "NetworkInterface | None" = None
         self._deliver_cb = self._deliver
+        #: The far device's fused ingress (a switch), or ``None``.
+        self._ingress: _t.Callable[..., None] | None = None
 
     def transmit(self, packet: "Packet") -> None:
         """Hand a packet to the transmitter; schedules its arrival."""
@@ -140,23 +154,13 @@ class LinkEndpoint:
         self._free_at = end = (
             begin + (HEADER_BYTES + packet.tcp.payload_bytes) * 8 / self._bw
         )
-        at = arrival = end + self._lat
-        fn, args = self._deliver_cb, (packet,)
-        hop = packet._fp_next
-        if hop is not None:
-            if (
-                hop.src_ep is self
-                and not self._down
-                and hop.in_epoch == self.link.epoch
-            ):
-                # Fused fast hop: one entry for propagation + lookup.
-                at = arrival + hop.switch.lookup_delay_s
-                fn, args = hop.fire, (packet, hop, arrival)
-            else:
-                # Link state moved under the route: discard it so the
-                # next packet of the flow re-records on the slow path.
-                hop.route.invalidate()
-                packet._fp_next = None
+        arrival = end + self._lat
+        ingress = self._ingress
+        if ingress is None:
+            at, fn, args = arrival, self._deliver_cb, (packet,)
+        else:
+            at = arrival + self._recv_dev.lookup_delay_s
+            fn, args = ingress, (packet, self._recv_iface.port_no, arrival)
         heappush(
             env._queue, (at, NORMAL, end, begin, self._period_seq, fn, args)
         )
@@ -176,23 +180,18 @@ class HalfLinkEndpoint(LinkEndpoint):
     may rely on from then on.  So this endpoint keeps that instant as
     an event, with a deque and a busy flag: the FIFO discipline and the
     serialization float are :class:`LinkEndpoint`'s, computed one
-    packet at a time.  Route-cache state is stripped first: a recording
-    holds env-bound hops (unpicklable, and a traversal across event
-    loops is not replayable), so flows through a cut link stay on the
-    slow path.
+    packet at a time.  The far partition hands the packet to its device
+    with ``receive``; nothing is fused across the cut.
 
     There is no two-ended :class:`Link` to belong to, so the endpoint is
-    its own ``link``: it carries the ``epoch``, ``down`` and
-    ``bandwidth_bps`` that the route cache, a handover and the
-    flow-stats collector read there.  The parameters are fixed for life
-    (``epoch`` never moves), and ``peer`` stays ``None``, which makes an
-    inbound ``_record_hop`` abort its recording.
+    its own ``link``: it carries the ``down`` and ``bandwidth_bps`` that
+    a handover and the flow-stats collector read there.  The parameters
+    are fixed for life and ``peer`` stays ``None``.
     """
 
     __slots__ = (
         "send",
         "env",
-        "epoch",
         "bandwidth_bps",
         "latency_s",
         "down",
@@ -210,7 +209,6 @@ class HalfLinkEndpoint(LinkEndpoint):
     ) -> None:
         self.send = send
         self.env = env
-        self.epoch = 0
         self.bandwidth_bps = float(bandwidth_bps)
         self.latency_s = float(latency_s)
         self.down = False
@@ -235,14 +233,6 @@ class HalfLinkEndpoint(LinkEndpoint):
         )
 
     def _serialized(self, packet: "Packet") -> None:
-        hop = packet._fp_next
-        if hop is not None:
-            # A fused fast hop can never target a cut link (recordings
-            # through it never finalize), but a stale pointer from an
-            # upstream invalidation may survive: kill it before pickling.
-            hop.route.invalidate()
-            packet._fp_next = None
-        packet._fp_rec = None
         self.send(packet, arrival_ts=self._env._now + self._lat)
         if self._pending:
             self._serialize(self._pending.popleft())
@@ -253,14 +243,12 @@ class HalfLinkEndpoint(LinkEndpoint):
 class Link:
     """A bidirectional point-to-point link between two interfaces.
 
-    ``bandwidth_bps`` / ``latency_s`` / ``down`` are epoch-guarded
-    properties: any change bumps :attr:`epoch`, which invalidates every
-    memoized route crossing the link (cached routes store the epoch
-    they were recorded under and fall back to the slow path on
-    mismatch).  The setters also refresh the per-endpoint parameter
-    mirrors the hot transmit path reads.  ``down`` changes are also
-    recorded with their instant (:meth:`down_at`): an arrival that was
-    scheduled ahead obeys the state at its arrival instant.
+    ``bandwidth_bps`` / ``latency_s`` / ``down`` are properties whose
+    setters refresh the per-endpoint parameter mirrors the hot transmit
+    path reads.  ``down`` changes are also recorded with their instant
+    (:attr:`down_changes`, :meth:`down_at`): a packet handed to a
+    switch's fused ingress acts after its arrival instant and obeys
+    the state the link had *at* that instant.
     """
 
     def __init__(
@@ -279,10 +267,9 @@ class Link:
         self._bandwidth_bps = float(bandwidth_bps)
         self._latency_s = float(latency_s)
         self._down = False
-        #: ``(instant, down)`` per change of the administrative state.
-        self._down_changes: list[tuple[float, bool]] = []
-        #: Parameter-change counter consulted by the route cache.
-        self.epoch = 0
+        #: ``(instant, down)`` per change of the administrative state;
+        #: empty (falsy) on a link that never changed it.
+        self.down_changes: list[tuple[float, bool]] = []
 
         self.end_a = LinkEndpoint(self, a)
         self.end_b = LinkEndpoint(self, b)
@@ -295,9 +282,9 @@ class Link:
             assert peer is not None
             end._recv_dev = peer.iface.device
             end._recv_iface = peer.iface
+            end._ingress = peer.iface.device.fused_ingress()
 
     def _sync_endpoints(self) -> None:
-        self.epoch += 1
         for end in (self.end_a, self.end_b):
             end._bw = self._bandwidth_bps
             end._lat = self._latency_s
@@ -347,14 +334,14 @@ class Link:
     @down.setter
     def down(self, value: bool) -> None:
         self._down = bool(value)
-        self._down_changes.append((self.env.now, self._down))
+        self.down_changes.append((self.env.now, self._down))
         self._sync_endpoints()
 
     def down_at(self, when: float) -> bool:
         """The administrative state at instant ``when`` (a change made
         at ``when`` itself counts: it was scheduled before the arrival
         it meets there, so it ran first)."""
-        for at, down in reversed(self._down_changes):
+        for at, down in reversed(self.down_changes):
             if at <= when:
                 return down
         return False

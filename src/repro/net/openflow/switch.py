@@ -19,7 +19,6 @@ from repro.net.openflow.messages import (
 )
 from repro.net.openflow.table import FlowEntry, FlowTable, REASON_DELETE
 from repro.net.packet import Packet
-from repro.net.route_cache import RouteHop, compile_rewrites
 from repro.sim import Environment
 from repro.sim.events import NORMAL
 
@@ -104,6 +103,14 @@ class OpenFlowSwitch(NetDevice):
     packet is released later by a flow-mod carrying its ``buffer_id``
     or an explicit packet-out — the "held request" of on-demand
     deployment with waiting.
+
+    A packet costs one heap entry per switch hop.  A link schedules
+    :meth:`_ingress` directly at ``arrival + lookup_delay_s``
+    (:meth:`fused_ingress`; the key and its guarantee are stated at
+    :class:`repro.net.link.LinkEndpoint`); :meth:`receive` — arrival
+    now, lookup after the delay — remains for a caller that is not a
+    link: a cut trunk's hand-off from another partition, and the
+    two-event test oracle.
     """
 
     def __init__(
@@ -157,25 +164,36 @@ class OpenFlowSwitch(NetDevice):
     def power_cycle(self) -> None:
         """Lose all volatile state (failure injection: switch crash).
 
-        Flow entries and held packet-in buffers are gone; the table
-        epoch bump invalidates memoized routes through this switch.
-        The controller replays ``on_datapath_join`` when the switch
-        comes back, exactly as a real datapath re-handshakes.
+        Flow entries and held packet-in buffers are gone.  The
+        controller replays ``on_datapath_join`` when the switch comes
+        back, exactly as a real datapath re-handshakes.
         """
         self.table.clear()
         self._buffers.clear()
 
     # -- data plane ---------------------------------------------------------
 
+    def fused_ingress(self) -> _t.Callable[[Packet, int, float], None]:
+        return self._ingress
+
+    def _ingress(self, packet: Packet, in_port: int, arrival: float) -> None:
+        """A link's arrival and the lookup in one: runs at the lookup
+        instant for a packet that reached ``in_port`` at ``arrival``.
+
+        The entry was scheduled when the link took the packet, so the
+        link may have changed under it: the packet is lost iff the link
+        was down at ``arrival``, as a delivery at that instant would
+        have found it (one falsy test on a link that never changed
+        state).
+        """
+        link = self._ports[in_port].endpoint.link
+        if link.down_changes and link.down_at(arrival):
+            return
+        self.stats["rx"] += 1
+        self._pipeline(packet, in_port)
+
     def receive(self, packet: Packet, iface: NetworkInterface) -> None:
         self.stats["rx"] += 1
-        # A packet landing here on the delivery path may still carry a
-        # fast-path hop whose fusion was declined (link epoch moved or
-        # link down at transmit): drop the stale pointer so the slow
-        # path owns the packet from here on.
-        if packet._fp_next is not None:
-            packet._fp_next.route.invalidate()
-            packet._fp_next = None
         # One slim callback per packet instead of a full process: the
         # pipeline body runs after the lookup delay and never blocks.
         # Operands travel on the heap entry itself — no closure.
@@ -198,133 +216,11 @@ class OpenFlowSwitch(NetDevice):
         entry = self.table.lookup(packet)
         if entry is None:
             self.stats["miss"] += 1
-            packet._fp_rec = None  # a punted traversal is not replayable
             self._punt(packet, in_port, reason="no_match")
             return
         entry.last_used = self.env._now
         entry.packet_count += 1
-        if packet._fp_rec is not None:
-            self._record_hop(entry, packet, in_port)
-        else:
-            self._apply_actions(entry.actions, packet, in_port)
-
-    def _record_hop(
-        self, entry: FlowEntry, packet: Packet, in_port: int
-    ) -> None:
-        """Slow-path hop with recording: apply ``entry``'s actions and
-        append a replayable :class:`RouteHop` to the packet's in-flight
-        recording.  Any action shape the replayer can't reproduce
-        exactly aborts the recording and falls back wholesale."""
-        compiled = entry._compiled
-        if compiled is False:
-            compiled = entry._compiled = compile_rewrites(entry.actions)
-        if compiled is None:
-            packet._fp_rec = None
-            self._apply_actions(entry.actions, packet, in_port)
-            return
-        rewrites, out_port = compiled
-        # Epoch snapshots *at lookup time*: equality at replay time
-        # proves the memoized lookup/egress still match a fresh run.
-        table_epoch = self.table.epoch
-        in_ep = self._ports[in_port].endpoint
-        src_ep = in_ep.peer if in_ep is not None else None
-        out_iface = self._ports.get(out_port)
-        if src_ep is None or out_iface is None or not out_iface.attached:
-            # Not a replayable traversal (packet-out injection or a
-            # drop on output); run the plain slow path for this hop.
-            packet._fp_rec = None
-            self._apply_actions(entry.actions, packet, in_port)
-            return
-        for action in entry.actions[:-1]:
-            action.apply(packet)
-        hop = RouteHop(
-            self,
-            in_port,
-            entry,
-            table_epoch,
-            src_ep,
-            src_ep.link.epoch,
-            out_iface,
-            rewrites,
-            packet.match_values(),
-        )
-        packet._fp_rec.hops.append(hop)
-        self.stats["tx"] += 1
-        out_iface.send(packet)
-
-    def _fast_hop(self, packet: Packet, hop: RouteHop, arrival: float) -> None:
-        """Replay one memoized hop (fused propagation + lookup delay).
-
-        Runs at the exact simulated instant the slow path's
-        ``_pipeline`` would have: epoch equality then proves the
-        memoized lookup result is what a fresh lookup would return, so
-        the hop reproduces the slow path's side effects — rx/tx
-        counters, the entry's ``last_used``/``packet_count`` refresh,
-        header rewrites, match-key cache — without running it.
-
-        Epoch inequality only means *something* in the table moved, not
-        that this flow's lookup changed — and installs for unrelated
-        flows are constant background traffic, so discarding on every
-        bump would thrash the cache.  A mismatch therefore triggers a
-        one-shot revalidation: one fresh (pure) indexed lookup at
-        exactly the instant the slow path would have performed it.  The
-        same entry back proves the replay is still what the slow path
-        would do (entry action programs are immutable), and the hop's
-        epoch snapshot moves forward; a different result (or a dead
-        egress-link epoch) kills the route and the packet re-enters
-        ``_pipeline`` here and now — byte-identical to never having
-        fused.
-
-        The entry was scheduled when the ingress link took the packet,
-        so the link may have changed under it.  Its epoch tells: the
-        route dies, and the packet meets the slow path's rule for
-        ``arrival``, the instant it reached this switch — lost if the
-        link was down then, otherwise received and looked up afresh.
-        """
-        in_link = hop.src_ep.link
-        if in_link.epoch != hop.in_epoch:
-            hop.route.invalidate()
-            packet._fp_next = None
-            if not in_link.down_at(arrival):
-                self.stats["rx"] += 1
-                self._pipeline(packet, hop.in_port)
-            return
-        self.stats["rx"] += 1
-        table = self.table
-        if table.epoch != hop.table_epoch:
-            if table.lookup(packet) is hop.entry:
-                hop.table_epoch = table.epoch
-            else:
-                hop.route.invalidate()
-                packet._fp_next = None
-                self._pipeline(packet, hop.in_port)
-                return
-        if hop.out_link.epoch != hop.out_epoch:
-            hop.route.invalidate()
-            packet._fp_next = None
-            self._pipeline(packet, hop.in_port)
-            return
-        entry = hop.entry
-        entry.last_used = self.env._now
-        entry.packet_count += 1
-        tcp = packet.tcp
-        for slot, value in hop.rewrites:
-            if slot == 1:
-                packet.ip_dst = value
-            elif slot == 3:
-                tcp.dst_port = value
-            elif slot == 0:
-                packet.ip_src = value
-            elif slot == 2:
-                tcp.src_port = value
-            elif slot == 4:
-                packet.eth_src = value
-            else:
-                packet.eth_dst = value
-        packet._mk = hop.mk_after
-        self.stats["tx"] += 1
-        packet._fp_next = hop.next
-        hop.out_ep.transmit(packet)
+        self._apply_actions(entry.actions, packet, in_port)
 
     def _apply_actions(
         self, actions: _t.Sequence[Action], packet: Packet, in_port: int

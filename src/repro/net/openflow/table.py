@@ -81,7 +81,6 @@ class FlowEntry:
         "last_used",
         "packet_count",
         "_order",
-        "_compiled",
     )
 
     def __init__(
@@ -109,11 +108,6 @@ class FlowEntry:
         self.packet_count: int = 0
         #: Table-assigned install order (tie-break within a priority).
         self._order: int = 0
-        #: Fast-path compilation cache: ``False`` until first asked,
-        #: then ``compile_rewrites(actions)``'s result.  Valid because
-        #: an entry's action program is never mutated after install —
-        #: FlowMod modify is delete + add of a *new* entry here.
-        self._compiled: _t.Any = False
 
     def touch(self, now: float) -> None:
         self.last_used = now
@@ -177,10 +171,9 @@ class FlowTable:
         self._entries: list[FlowEntry] = []
         #: Mutation counter: bumped on every install and every removal
         #: (FlowMod delete, idle/hard-timeout sweep, direct remove).
-        #: The data plane's route cache records the epoch a traversal
-        #: was recorded under; equality at replay time proves the table
-        #: has not changed since, so the memoized lookup result is
-        #: still exactly what a fresh lookup would return.
+        #: Published per switch by the ops read model
+        #: (``SwitchView.table_epoch``): equal epochs mean an unchanged
+        #: table.
         self.epoch = 0
         # shape -> {field-values key -> sorted [(-prio, order, entry)]}
         self._index: dict[tuple[str, ...], dict[_t.Any, list]] = {}
@@ -255,8 +248,7 @@ class FlowTable:
         """Drop every entry at once (switch power-cycle).
 
         No FlowRemoved notifications fire — a dead switch cannot
-        notify — and the epoch bumps exactly once so memoized routes
-        through this table revalidate on their next packet.
+        notify — and the epoch bumps exactly once.
         """
         self.epoch += 1
         self._entries.clear()
@@ -334,32 +326,20 @@ class FlowTable:
         for entry in removed:
             self._index_discard(entry)
 
-    def sweep_expired(self, now: float) -> list[tuple[FlowEntry, str]]:
-        """Remove and return all expired entries with their reason."""
-        expired: list[tuple[FlowEntry, str]] = []
-        for entry in self._entries:
-            reason = entry.expired(now)
-            if reason is not None:
-                expired.append((entry, reason))
-        if expired:
-            # Rebuild the master list only when something actually
-            # expired — most deadline wakes find nothing to do.
-            self._bulk_remove([entry for entry, _reason in expired])
-        return expired
-
     def sweep_and_deadline(self, now: float) -> tuple[list, float | None]:
-        """One-pass :meth:`sweep_expired` + :meth:`earliest_deadline`.
+        """Remove what expired and find when the rest could, in one pass.
 
         The deadline-driven expiry wake needs both — what expired, and
         when the next survivor *could* expire — and with low idle
-        timeouts the table is scanned at every sweep-grid tick, so the
-        two passes (plus two method calls per entry) are fused into a
-        single loop over inlined timeout arithmetic.  Returns
-        ``(expired, earliest)`` where ``expired`` is the
-        :meth:`sweep_expired` list and ``earliest`` the surviving
-        entries' earliest possible expiry (or ``None``).  A hard timeout
-        wins over an idle one that fired at the same instant, and
-        ``expired`` is in master-list order.
+        timeouts the table is scanned at every sweep-grid tick, so it
+        is a single loop over inlined timeout arithmetic
+        (:meth:`FlowEntry.expired` and :meth:`FlowEntry.next_deadline`
+        define it; ``tests/flowtable_oracle.py`` is the two-pass
+        reference over them).  Returns ``(expired, earliest)``:
+        ``expired`` lists the removed ``(entry, reason)`` pairs in
+        master-list order — a hard timeout wins over an idle one that
+        fired at the same instant — and ``earliest`` is the surviving
+        entries' earliest possible expiry (or ``None``).
         """
         expired: list[tuple[FlowEntry, str]] = []
         earliest: float | None = None
@@ -385,15 +365,6 @@ class FlowTable:
         if expired:
             self._bulk_remove([entry for entry, _reason in expired])
         return expired, earliest
-
-    def earliest_deadline(self) -> float | None:
-        """Soonest possible expiry across all entries (lower bound)."""
-        earliest: float | None = None
-        for entry in self._entries:
-            deadline = entry.next_deadline()
-            if deadline is not None and (earliest is None or deadline < earliest):
-                earliest = deadline
-        return earliest
 
     # -- index maintenance ----------------------------------------------
 

@@ -175,8 +175,6 @@ class Packet:
         "tcp",
         "packet_id",
         "_mk",
-        "_fp_next",
-        "_fp_rec",
     )
 
     def __init__(
@@ -198,12 +196,6 @@ class Packet:
         #: ``None`` until the first flow-table lookup and after any
         #: header rewrite (see ``SetField.apply``).
         self._mk: tuple | None = None
-        #: Established-flow fast path (see ``repro.net.route_cache``):
-        #: the next memoized hop to replay, and the in-flight recording
-        #: being built by the slow path.  Both stay ``None`` for
-        #: packets outside a cached flow.
-        self._fp_next = None
-        self._fp_rec = None
 
     @property
     def wire_size(self) -> int:

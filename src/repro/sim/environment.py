@@ -412,9 +412,8 @@ class Environment:
         # Cyclic gc is the other per-event tax: the default gen-0
         # threshold (700) makes the collector scan the young generation
         # tens of thousands of times per run, yet nearly all per-event
-        # garbage (heap tuples, events, segments) dies by refcount and
-        # the few real cycles are broken explicitly at disposal (see
-        # route_cache.Route.invalidate).  Raising the threshold for the
+        # garbage (heap tuples, events, packets, segments) dies by
+        # refcount.  Raising the threshold for the
         # duration of the loop removes ~15% of wall-clock; the old
         # thresholds are restored on every exit path so code outside
         # run() observes stock collector behaviour.

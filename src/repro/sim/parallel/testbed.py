@@ -42,11 +42,7 @@ Determinism notes:
 * host connection ids come from disjoint per-partition ranges (the
   module counter is re-based per partition index), so two sites'
   clients can never collide at a shared server's ``conn_id`` demux —
-  in serial and parallel execution alike;
-* route-cache recordings are aborted at the cut trunk (a
-  cross-partition traversal is not replayable, and a recording holds
-  env-bound hop objects that must never be pickled), so cross-site
-  flows take the slow path under *both* executors — identically.
+  in serial and parallel execution alike.
 """
 
 from __future__ import annotations

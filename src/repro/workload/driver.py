@@ -14,7 +14,10 @@ heap whose log-factor taxes every single event.  The pacer arms one
 request process inline, in trace order, at exactly the instant the old
 per-request timeout would have fired (same ``base + time_s`` float),
 so request launch times — and the recorded latency sequences — are
-byte-identical.
+byte-identical.  Requests are detached (``Environment.spawn``): each
+counts itself off when its fetch returns, so a finished request costs
+no heap entry, and one that raises stops ``run()`` like any unhandled
+process failure.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from repro.core.service_registry import EdgeService
 from repro.metrics import MetricsRecorder, summarize
 from repro.net.packet import HTTPRequest
 from repro.sim import Environment
-from repro.sim.process import Process
 from repro.workload.bigflows import RequestEvent
 from repro.workload.timecurl import TimecurlClient, TimecurlSample
 
@@ -89,19 +91,14 @@ class TraceDriver:
         if not remaining:
             done.succeed(None)
 
-        def finished(proc: Process) -> None:
-            # Countdown replacing AllOf: no per-process result dict,
-            # fail-fast on the first crashed request (fetch() already
-            # absorbs the expected connection errors into samples, so
-            # a failure here is a real bug surfacing through run()).
+        def request(client: TimecurlClient, service: EdgeService):
+            # fetch() absorbs the expected connection errors into
+            # samples; anything else it raises is a real bug and fails
+            # this process, which stops run().
             nonlocal remaining
-            if not proc._ok:
-                proc.defuse()
-                if not done.triggered:
-                    done.fail(_t.cast(BaseException, proc._value))
-                return
+            yield from client.fetch(service, requests.get(service.name))
             remaining -= 1
-            if not remaining and not done.triggered:
+            if not remaining:
                 done.succeed(None)
 
         services = self.services
@@ -125,17 +122,13 @@ class TraceDriver:
                     return
                 event = pending
                 pending = next(iterator, None)
-                service = services[event.service_index]
-                client = timecurls[event.client_index % n_timecurls]
-                proc = Process(
-                    env,
-                    client.fetch(service, requests.get(service.name)),
+                env.spawn(
+                    request(
+                        timecurls[event.client_index % n_timecurls],
+                        services[event.service_index],
+                    ),
                     hot=True,
                 )
-                if proc.callbacks is not None:
-                    proc.callbacks.append(finished)
-                else:  # pragma: no cover - fetch always yields first
-                    finished(proc)
 
         if pending is not None:
             pace()

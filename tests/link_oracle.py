@@ -4,13 +4,14 @@
 serialization was an event: a packet costs one scheduled callback at
 the end of its serialization and one at the end of its propagation,
 and packets handed over while the line is busy wait in a deque.  It is
-verbatim but for two things: heap entries have the kernel's present
-shape (both scheduling instants are ``now``), and the fused fast hop is
-left out — a packet that carries one has it declined, which is what the
-slow path does — because the fast path has its own reference, the cold
-run of ``tests/test_route_cache.py``.  Whatever order this chain gives
-simultaneous arrivals *is* the order: sequence numbers are drawn when
-each event runs, nothing is computed ahead.
+verbatim but that heap entries have the kernel's present shape (both
+scheduling instants are ``now``).  It delivers through the device's
+``receive`` at the arrival instant — into a switch too, whose
+``receive`` then schedules the lookup as a third event — so it is also
+the reference for the ingress ``LinkEndpoint`` fuses with the arrival.
+Whatever order this chain gives simultaneous arrivals and lookups *is*
+the order: sequence numbers are drawn when each event runs, nothing is
+computed ahead.
 
 A :class:`~repro.net.link.Link` builds its ends from the module global
 ``repro.net.link.LinkEndpoint``; tests patch that name to this class.
@@ -62,10 +63,6 @@ class TwoEventEndpoint(LinkEndpoint):
     def _serialized(self, packet) -> None:
         env = self._env
         now = env._now
-        hop = packet._fp_next
-        if hop is not None:
-            hop.route.invalidate()
-            packet._fp_next = None
         heappush(
             env._queue,
             (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+import types
 import typing as _t
 
 from repro.net import Host, HTTPRequest, HTTPResponse, Link
@@ -9,7 +11,7 @@ from repro.net.addressing import IPAllocator, MACAllocator
 from repro.net.device import NetDevice
 from repro.net.link import GBPS
 from repro.net.openflow import OpenFlowSwitch
-from repro.sim import Environment
+from repro.sim import Environment, environment
 
 
 class EchoApp:
@@ -86,3 +88,21 @@ def run_request(env: Environment, client: Host, dst_ip, dst_port, request=None, 
     request = request or HTTPRequest("GET", "/", body_bytes=0)
     proc = env.process(client.http_request(dst_ip, dst_port, request, timeout=timeout))
     return env.run(until=proc)
+
+
+def record_popped_entries(monkeypatch) -> list:
+    """Every heap entry any ``Environment`` pops from here on, as its
+    payload (the event, or the slim callback's function), in pop order."""
+    popped: list = []
+
+    def recording_pop(queue):
+        item = heapq.heappop(queue)
+        popped.append(item[5])
+        return item
+
+    monkeypatch.setattr(
+        environment,
+        "heapq",
+        types.SimpleNamespace(heappush=heapq.heappush, heappop=recording_pop),
+    )
+    return popped

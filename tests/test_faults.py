@@ -637,13 +637,12 @@ class TestInjector:
 
 
 # ---------------------------------------------------------------------------
-# Route-cache correctness under faults (satellite): a mid-path switch
-# crash must invalidate memoized routes; replayed flows fall back to
-# the slow path and re-resolve through the controller.
+# A mid-path switch crash under a live conversation: the table comes
+# back empty, so the flow re-resolves through the controller.
 
 
-class TestSwitchCrashRouteCache:
-    def test_switch_crash_forces_slow_path_and_reresolution(self):
+class TestSwitchCrashMidConversation:
+    def test_switch_crash_forces_controller_reresolution(self):
         tb = C3Testbed(TestbedConfig(cluster_types=("docker",), n_clients=1))
         svc = tb.register_template(NGINX)
         tb.prepare_created(tb.docker_cluster, svc)
@@ -658,11 +657,10 @@ class TestSwitchCrashRouteCache:
 
         def driver():
             conn = yield from client.connect(svc.cloud_ip, svc.port, timeout=5.0)
-            for _ in range(3):  # rounds at ~0, ~1, ~2: fast path warms
+            for _ in range(3):  # rounds at ~0, ~1, ~2: all data plane
                 conn.send_payload(NGINX.request, NGINX.request.total_bytes)
                 yield from conn.recv(timeout=5.0)
                 yield env.timeout(1.0)
-            observed["route_before"] = client._routes.get(conn.conn_id)
             observed["punts_before"] = tb.switch.stats["punt"]
             observed["hits_before"] = tb.controller.stats["memory_hits"]
             # Sit out the crash (2.5..3.5) plus reinstall latency.
@@ -671,19 +669,12 @@ class TestSwitchCrashRouteCache:
                 conn.send_payload(NGINX.request, NGINX.request.total_bytes)
                 yield from conn.recv(timeout=10.0)
                 yield env.timeout(0.1)
-            observed["route_after"] = client._routes.get(conn.conn_id)
             conn.close()
 
         proc = env.process(driver())
         env.run(until=proc)
 
-        route_before = observed["route_before"]
-        assert route_before is not None  # fast path really was active
-        assert not route_before.valid  # the crash's epoch bumps killed it
         # The first post-crash packet punted (empty table after the
         # power cycle) and the controller re-resolved from FlowMemory.
         assert tb.switch.stats["punt"] > observed["punts_before"]
         assert tb.controller.stats["memory_hits"] > observed["hits_before"]
-        # A fresh route was recorded over the reinstalled path.
-        assert observed["route_after"] is not None
-        assert observed["route_after"] is not route_before

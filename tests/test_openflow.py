@@ -27,6 +27,7 @@ from repro.net.addressing import MACAddress
 from repro.sdnfw import SDNApp
 from repro.sim import Environment
 
+from tests.flowtable_oracle import earliest_deadline, sweep_expired
 from tests.nethelpers import EchoApp, MiniNet, run_request
 
 
@@ -82,10 +83,10 @@ class TestFlowTable:
         table = FlowTable()
         entry = FlowEntry(FlowMatch(), [Drop()], idle_timeout=5.0)
         table.install(entry, 0.0)
-        assert table.sweep_expired(4.0) == []
+        assert sweep_expired(table, 4.0) == []
         entry.touch(4.0)
-        assert table.sweep_expired(8.0) == []  # used at t=4, idle until 9
-        assert table.sweep_expired(9.5) == [(entry, REASON_IDLE_TIMEOUT)]
+        assert sweep_expired(table, 8.0) == []  # used at t=4, idle until 9
+        assert sweep_expired(table, 9.5) == [(entry, REASON_IDLE_TIMEOUT)]
         assert len(table) == 0
 
     def test_hard_timeout_beats_activity(self):
@@ -93,13 +94,13 @@ class TestFlowTable:
         entry = FlowEntry(FlowMatch(), [Drop()], hard_timeout=10.0)
         table.install(entry, 0.0)
         entry.touch(9.9)
-        assert table.sweep_expired(10.0) == [(entry, REASON_HARD_TIMEOUT)]
+        assert sweep_expired(table, 10.0) == [(entry, REASON_HARD_TIMEOUT)]
 
     def test_zero_timeout_never_expires(self):
         table = FlowTable()
         entry = FlowEntry(FlowMatch(), [Drop()])
         table.install(entry, 0.0)
-        assert table.sweep_expired(1e9) == []
+        assert sweep_expired(table, 1e9) == []
 
     def test_remove_matching_by_cookie(self):
         table = FlowTable()
@@ -127,7 +128,8 @@ class TestFlowTable:
 
 class TestFusedSweep:
     """``sweep_and_deadline`` is ``sweep_expired`` + ``earliest_deadline``
-    in one pass; the two-pass pair is the reference."""
+    in one pass; the two-pass pair (``tests/flowtable_oracle.py``) is
+    the reference."""
 
     @staticmethod
     def _populated_table(n: int = 400) -> tuple[FlowTable, list[FlowEntry]]:
@@ -152,9 +154,9 @@ class TestFusedSweep:
         fused_table, _ = self._populated_table()
         ref_table, _ = self._populated_table()
         expired, earliest = fused_table.sweep_and_deadline(now)
-        ref_expired = ref_table.sweep_expired(now)
+        ref_expired = sweep_expired(ref_table, now)
 
-        assert earliest == ref_table.earliest_deadline()
+        assert earliest == earliest_deadline(ref_table)
         assert [(e.match.tcp_dst, reason) for e, reason in expired] == [
             (e.match.tcp_dst, reason) for e, reason in ref_expired
         ]

@@ -28,6 +28,8 @@ from repro.net.openflow.switch import OpenFlowSwitch
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.sim import Environment
 
+from tests.flowtable_oracle import sweep_expired
+
 
 def _packet(src, dst, sport, dport):
     if not isinstance(src, IPv4Address):
@@ -154,7 +156,7 @@ def _reference_sweeper(env: Environment, table: FlowTable, interval: float):
     def loop():
         while True:
             yield env.timeout(interval)
-            for entry, reason in table.sweep_expired(env.now):
+            for entry, reason in sweep_expired(table, env.now):
                 removals.append((env.now, entry.cookie, reason))
 
     env.process(loop())
@@ -266,14 +268,14 @@ def test_trace_replay_latencies_byte_identical():
 
 
 def test_warm_request_event_budget(monkeypatch):
-    """One request to a running, already-redirected service costs 17
+    """One request to a running, already-redirected service costs 15
     kernel events:
 
     * 10 — its 5 packets (SYN, SYN-ACK, ACK, request, response) cross 2
-      links each, one heap entry per packet per link: 7 plain arrivals
-      and 3 arrivals fused with the switch's lookup (``_fast_hop``);
-    * 2 — the switch's slow-path pipeline for the SYN and the SYN-ACK,
-      which record the connection's two routes;
+      links each, one heap entry per packet per link: 5 arrivals at a
+      host (``_deliver``) and 5 at the switch, each of them the arrival
+      and the table lookup in one (``_ingress``) — no lookup is ever an
+      entry of its own (``_pipeline``);
     * 4 — the client's process: its start, its resumption when the
       connection opens and when the response is in, and its completion
       (``run_request`` waits on it);
@@ -282,25 +284,12 @@ def test_warm_request_event_budget(monkeypatch):
     The handler the server starts per request ends without an entry
     (``Environment.spawn``).
     """
-    import heapq
-    import types
-
     from repro.services.catalog import NGINX
-    from repro.sim import environment
     from repro.testbed import C3Testbed, TestbedConfig
 
-    popped = []
+    from tests.nethelpers import record_popped_entries
 
-    def recording_pop(queue):
-        item = heapq.heappop(queue)
-        popped.append(item[5])
-        return item
-
-    monkeypatch.setattr(
-        environment,
-        "heapq",
-        types.SimpleNamespace(heappush=heapq.heappush, heappop=recording_pop),
-    )
+    popped = record_popped_entries(monkeypatch)
     tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
     service = tb.register_template(NGINX)
     tb.prepare_created(tb.docker_cluster, service)
@@ -310,14 +299,12 @@ def test_warm_request_event_budget(monkeypatch):
     events, packets = tb.env.events_processed, tb.switch.stats["rx"]
     assert tb.run_request(tb.clients[0], service).response.ok
     packets = tb.switch.stats["rx"] - packets
-    assert tb.env.events_processed - events == len(popped) == 17
+    assert tb.env.events_processed - events == len(popped) == 15
 
     names = [getattr(entry, "__name__", "") for entry in popped]
-    link_entries = names.count("_deliver") + names.count("_fast_hop")
     assert packets == 5
-    assert link_entries == 2 * packets  # a link hop is one entry
-    assert names.count("_fast_hop") == 3
-    assert names.count("_pipeline") == 2
+    assert names.count("_deliver") == names.count("_ingress") == packets
+    assert names.count("_pipeline") == 0
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,14 @@ from repro.net import link as link_module
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.device import NetDevice
 from repro.net.link import Link, LinkEndpoint
-from repro.net.openflow import Drop, FlowEntry, FlowMatch, FlowTable, Output
+from repro.net.openflow import (
+    Drop,
+    FlowEntry,
+    FlowMatch,
+    FlowTable,
+    OpenFlowSwitch,
+    Output,
+)
 from repro.net.packet import HEADER_BYTES, Packet, TCPFlags, TCPSegment
 from repro.services.catalog import NGINX
 from repro.sim import Environment, Resource, Store
@@ -819,6 +826,17 @@ def _beyond_the_key(latency, calls) -> bool:
     )
 
 
+def _burst_packet(packet_id: int, wire: int, tcp_dst: int = 2) -> Packet:
+    return Packet(
+        eth_src=MACAddress(1),
+        eth_dst=MACAddress(2),
+        ip_src=IPv4Address(1),
+        ip_dst=IPv4Address(2),
+        tcp=TCPSegment(1, tcp_dst, TCPFlags.PSH, payload_bytes=wire - HEADER_BYTES),
+        packet_id=packet_id,
+    )
+
+
 def _arrivals(endpoint_type, latency, calls):
     env = Environment()
     sink = Sink(env)
@@ -835,15 +853,9 @@ def _arrivals(endpoint_type, latency, calls):
             )
             ends.append(link.end_a)
     for packet_id, (slot, link, wire) in enumerate(calls):
-        packet = Packet(
-            eth_src=MACAddress(1),
-            eth_dst=MACAddress(2),
-            ip_src=IPv4Address(1),
-            ip_dst=IPv4Address(2),
-            tcp=TCPSegment(1, 2, TCPFlags.PSH, payload_bytes=wire - HEADER_BYTES),
-            packet_id=packet_id,
+        env.call_at(
+            slot * _SLOT_S, ends[link].transmit, _burst_packet(packet_id, wire)
         )
-        env.call_at(slot * _SLOT_S, ends[link].transmit, packet)
     env.run()
     return sink.arrivals
 
@@ -867,6 +879,133 @@ def test_one_event_link_delivers_in_the_two_event_order(burst):
     assume(not _beyond_the_key(latency, calls))
     assert _arrivals(LinkEndpoint, latency, calls) == _arrivals(
         TwoEventEndpoint, latency, calls
+    )
+
+
+# ---------------------------------------------------------------------------
+# Into a switch: arrival + lookup in one entry vs the chain of three
+# ---------------------------------------------------------------------------
+
+#: A packet's ``tcp_dst`` picks its fate in the switch: forwarded out of
+#: the one egress port, a table miss punted to the controller, dropped.
+_FORWARD, _MISS, _DROP = 2, 3, 4
+
+
+class _PuntLog:
+    """Stub control channel: ``(time, packet id)`` per packet-in."""
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self.punts: list[tuple[float, int]] = []
+
+    def send_to_controller(self, message) -> None:
+        self.punts.append((self.env.now, message.packet.packet_id))
+
+
+@st.composite
+def _switch_bursts(draw):
+    """A ``_link_bursts`` burst aimed at a switch: a fate per packet,
+    the lookup delay in slots, and up to two ``link.down`` flips as
+    ``(slot, link, down)``."""
+    latency, calls = draw(_link_bursts())
+    fates = draw(
+        st.lists(
+            st.sampled_from((_FORWARD, _FORWARD, _MISS, _DROP)),
+            min_size=len(calls),
+            max_size=len(calls),
+        )
+    )
+    # Half a slot keeps lookups off the grid of hand-overs and flips;
+    # one or two put them on it.
+    lookup = draw(st.sampled_from((0.5, 1, 2)))
+    flips = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 20),
+                st.integers(0, len(latency) - 1),
+                st.booleans(),
+            ),
+            max_size=2,
+        )
+    )
+    return latency, calls, fates, lookup, flips
+
+
+def _through_a_switch(endpoint_type, latency, calls, fates, lookup, flips):
+    env = Environment()
+    switch = OpenFlowSwitch(env, "sw", 1, lookup_delay_s=lookup * _SLOT_S)
+    switch.channel = punts = _PuntLog(env)
+    far = Sink(env, "far")
+    looked_up = []
+    pipeline = switch._pipeline
+
+    def spy(packet, in_port):
+        looked_up.append((env.now, packet.packet_id))
+        pipeline(packet, in_port)
+
+    switch._pipeline = spy
+    links = []
+    with mock.patch.object(link_module, "LinkEndpoint", endpoint_type):
+        out_port, out_iface = switch.add_port(MACAddress(100))
+        Link(env, out_iface, far.add_interface(MACAddress(101)), _LINK_BPS, _SLOT_S)
+        for i, slots in enumerate(latency):
+            sender = NetDevice(env, f"sender{i}")
+            links.append(
+                Link(
+                    env,
+                    sender.add_interface(MACAddress(2 * i + 1)),
+                    switch.add_port(MACAddress(2 * i + 2))[1],
+                    _LINK_BPS,
+                    slots * _SLOT_S,
+                )
+            )
+    switch.table.install(FlowEntry(FlowMatch(tcp_dst=_FORWARD), [Output(out_port)]), 0.0)
+    switch.table.install(FlowEntry(FlowMatch(tcp_dst=_DROP), [Drop()]), 0.0)
+    for slot, link, down in flips:
+        env.call_at(slot * _SLOT_S, setattr, links[link], "down", down)
+    for packet_id, ((slot, link, wire), fate) in enumerate(zip(calls, fates)):
+        env.call_at(
+            slot * _SLOT_S,
+            links[link].end_a.transmit,
+            _burst_packet(packet_id, wire, tcp_dst=fate),
+        )
+    env.run()
+    return looked_up, far.arrivals, punts.punts, switch.stats
+
+
+@settings(max_examples=300, deadline=None)
+@given(burst=_switch_bursts())
+# Two arrivals at slot 6, the packet handed over *later* (slot 2, done
+# serializing at 4) ahead of the one handed over first (slot 0, done at
+# 6): lookups go in arrival order — the arrival's own key.  A sequence
+# number drawn per transmit call with ``now, now`` goes by hand-over
+# order, and ``(arrival, arrival, busy-period seq)`` by busy period;
+# both put packet 0 first.
+@example(
+    burst=([0, 2], [(0, 0, 300), (2, 1, 100)], [_FORWARD, _FORWARD], 1, [])
+)
+# The link goes down at the lookup instant (slot 3) of a packet that
+# arrived at slot 2: delivered, the link was up when it arrived
+# (reading ``link.down`` in the ingress loses it).
+@example(burst=([0, 0], [(0, 0, 100)], [_FORWARD], 1, [(3, 0, True)]))
+# ... and down at the arrival instant itself, up again by the lookup:
+# lost.
+@example(
+    burst=([0, 0], [(0, 0, 100)], [_MISS], 1, [(2, 0, True), (3, 0, False)])
+)
+def test_fused_switch_ingress_is_the_two_event_arrival_then_lookup(burst):
+    """Through a real ``OpenFlowSwitch`` fed by several links, the
+    ``(time, packet)`` sequence at the table lookup and at the host
+    behind the switch, the punt order and the switch's counters are
+    equal, float for float, whether a link schedules the switch's
+    ingress directly (``LinkEndpoint``) or delivers to
+    ``switch.receive`` at the arrival instant, which then schedules the
+    lookup (the oracle) — with links going down and up under packets in
+    flight, wherever the endpoint's tie key is documented to decide."""
+    latency, calls, *_ = burst
+    assume(not _beyond_the_key(latency, calls))
+    assert _through_a_switch(LinkEndpoint, *burst) == _through_a_switch(
+        TwoEventEndpoint, *burst
     )
 
 
@@ -901,8 +1040,8 @@ def test_different_seeds_differ():
 
 def test_full_system_is_the_same_on_the_two_event_transmitter(monkeypatch):
     """The whole testbed on the oracle's links — two events per hop and
-    no fused fast hop — gives every request the latency it has on the
-    real ones."""
+    a third for every switch lookup — gives every request the latency
+    it has on the real ones."""
     real = _run_small_trace(seed=11)
     monkeypatch.setattr(link_module, "LinkEndpoint", TwoEventEndpoint)
     assert _run_small_trace(seed=11) == real

@@ -14,7 +14,6 @@ differentials hold the wirings together:
 from __future__ import annotations
 
 import dataclasses
-import types
 
 import pytest
 
@@ -162,22 +161,12 @@ LATENCY_S = 0.002
 #: (send time, payload bytes): three back to back behind a busy line,
 #: one on an idle line, two more queued behind a jumbo payload.
 BURST = [(0.0, 1400), (0.0, 0), (0.0, 700), (0.5, 64), (0.9, 9000), (0.9, 1), (0.9, 1400)]
-#: Index of the packet that carries a memoized next hop recorded for
-#: some other endpoint: stale, so the fused fast hop must be declined.
-STALE = 4
-
-
-class _Route:
-    invalidated = 0
-
-    def invalidate(self):
-        self.invalidated += 1
 
 
 def _burst():
     macs = MACAllocator()
     a, b = IPv4Address.parse("10.0.0.1"), IPv4Address.parse("10.0.0.2")
-    packets = [
+    return [
         Packet(
             macs.allocate(),
             macs.allocate(),
@@ -188,20 +177,12 @@ def _burst():
         )
         for i, (_at, size) in enumerate(BURST)
     ]
-    route = _Route()
-    packets[STALE]._fp_next = types.SimpleNamespace(
-        src_ep=None, in_epoch=-1, route=route
-    )
-    packets[STALE + 1]._fp_rec = object()  # a recording in flight
-    return packets, route
 
 
 def _transmit_burst(env, iface):
-    packets, route = _burst()
-    for (at, _size), packet in zip(BURST, packets):
+    for (at, _size), packet in zip(BURST, _burst()):
         env.call_at(at, iface.send, packet)
     env.run(until=2.0)
-    return route
 
 
 def test_half_link_delivers_when_the_whole_link_does():
@@ -216,25 +197,22 @@ def test_half_link_delivers_when_the_whole_link_does():
         BANDWIDTH_BPS,
         LATENCY_S,
     )
-    whole_route = _transmit_burst(env, near.interfaces[0])
+    _transmit_burst(env, near.interfaces[0])
 
     env = Environment()
     near = Sink(env, "near")
     sent = []
 
     def send(packet, arrival_ts):
-        # What crosses the cut carries no route-cache state.
-        assert packet._fp_next is None and packet._fp_rec is None
         sent.append((packet.packet_id, arrival_ts))
 
     half = HalfLinkEndpoint(
         env, near.add_interface(macs.allocate()), BANDWIDTH_BPS, LATENCY_S, send
     )
-    half_route = _transmit_burst(env, near.interfaces[0])
+    _transmit_burst(env, near.interfaces[0])
 
     assert len(sent) == len(BURST)
     assert sent == far.arrivals  # same packets, same order, same floats
-    assert whole_route.invalidated == half_route.invalidated == 1
     # The line really was busy: queued packets left later than they came.
     assert [ts for _id, ts in sent[:3]] == sorted({ts for _id, ts in sent[:3]})
     assert not half._busy and not half._pending
@@ -246,5 +224,5 @@ def test_half_link_is_its_own_link():
     iface = near.add_interface(MACAllocator().allocate())
     half = HalfLinkEndpoint(env, iface, BANDWIDTH_BPS, LATENCY_S, lambda *a, **k: None)
     assert iface.endpoint is half and half.link is half
-    assert half.peer is None  # an inbound recording aborts here
-    assert (half.epoch, half.down, half.bandwidth_bps) == (0, False, BANDWIDTH_BPS)
+    assert half.peer is None
+    assert (half.down, half.bandwidth_bps) == (False, BANDWIDTH_BPS)

@@ -12,13 +12,18 @@ from hypothesis import strategies as st
 from repro.services.catalog import NGINX
 from repro.sim import Environment
 from repro.testbed import C3Testbed, TestbedConfig
-from repro.workload import BigFlowsParams, TimecurlClient, generate_trace
+from repro.workload import (
+    BigFlowsParams,
+    TimecurlClient,
+    TraceDriver,
+    generate_trace,
+)
 from repro.workload.bigflows import (
     RequestEvent,
     first_occurrences,
     requests_per_bucket,
 )
-from tests.nethelpers import EchoApp, MiniNet
+from tests.nethelpers import EchoApp, MiniNet, record_popped_entries
 
 
 class TestBigFlowsTrace:
@@ -155,3 +160,55 @@ class TestTimecurl:
         assert sample.error == "ConnectionReset"
         assert tc.samples == [sample]
         assert tc.recorder.samples("timecurl_errors/echo") == [1.0]
+
+
+class TestTraceDriver:
+    @staticmethod
+    def _warm_testbed():
+        tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
+        svc = tb.register_template(NGINX)
+        tb.prepare_created(tb.docker_cluster, svc)
+        assert tb.run_request(tb.clients[0], svc).response.ok  # installs the flows
+        return tb, svc
+
+    def test_a_finished_request_costs_no_entry_of_its_own(self, monkeypatch):
+        """A replayed warm request pops 13 entries — its 10 link hops
+        (5 ``_deliver`` at a host, 5 ``_ingress`` at the switch), the
+        client's two resumptions (handshake reply, response) and the
+        server's service time — plus the pacer's re-arm for the next
+        launch instant.  Its process is hot-started and detached: no
+        start entry, no completion entry."""
+        from repro.sim.process import Process
+
+        tb, svc = self._warm_testbed()
+        popped = record_popped_entries(monkeypatch)
+        k = 5
+        events = [RequestEvent(0.1 * i, service_index=0, client_index=0) for i in range(k)]
+        summary = TraceDriver(tb.env, tb.clients, [svc], recorder=tb.recorder).run(events)
+        assert summary.n_ok == k
+
+        assert not any(isinstance(entry, Process) for entry in popped)
+        names = [getattr(entry, "__name__", type(entry).__name__) for entry in popped]
+        assert names.count("_deliver") == names.count("_ingress") == 5 * k
+        assert names.count("Timeout") == k  # service time
+        assert names.count("StoreGet") == k  # the response is in
+        assert names.count("Event") == k + 1  # handshake replies, and run()'s ``done``
+        assert names.count("pace") == k - 1  # the first launch runs inline
+        # 13 per request, k - 1 paces and ``done`` make 14 k; what is
+        # left is the controller's clockwork (FlowMemory's sweep tick),
+        # too little of it to be anything per request.
+        assert 0 <= len(popped) - 14 * k < k
+
+    def test_a_request_that_raises_stops_the_run(self, monkeypatch):
+        """``fetch`` turns the expected connection errors into samples;
+        anything else is a bug and must surface through ``run()``."""
+        tb, svc = self._warm_testbed()
+
+        def broken_fetch(self, service, request=None, label=None):
+            yield self.host.env.timeout(0.01)
+            raise RuntimeError("fetch blew up")
+
+        monkeypatch.setattr(TimecurlClient, "fetch", broken_fetch)
+        events = [RequestEvent(0.1 * i, service_index=0, client_index=0) for i in range(3)]
+        with pytest.raises(RuntimeError, match="fetch blew up"):
+            TraceDriver(tb.env, tb.clients, [svc]).run(events)
