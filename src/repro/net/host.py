@@ -31,8 +31,8 @@ from repro.net.packet import (
     TCPFlags,
     TCPSegment,
 )
-from repro.sim import Environment, Store
-from repro.sim.events import guard_timeout
+from repro.sim import Environment, Event
+from repro.sim.events import PENDING, guard_timeout
 
 _conn_ids = itertools.count(1)
 
@@ -99,22 +99,23 @@ class Application(_t.Protocol):
 class Connection:
     """One endpoint of an established TCP connection.
 
-    Slotted, with a lazily created inbound queue: connections are
-    allocated twice per request (client and server side), and the
-    server side of the HTTP exchange never reads ``incoming`` — its
-    requests dispatch straight to the application handler — so the
-    Store (and its three internal lists) is only built on first use.
+    Slotted: connections are allocated twice per request (client and
+    server side).  Inbound payloads have one reader and no capacity, so
+    the queue is the one event a blocked :meth:`recv` waits on plus an
+    inbox list for what arrives while nobody reads — built on first
+    use, since the server side of the HTTP exchange never reads (its
+    requests dispatch straight to the application handler).
     """
 
     __slots__ = (
         "host",
-        "env",
         "conn_id",
         "local_ip",
         "local_port",
         "remote_ip",
         "remote_port",
-        "_incoming",
+        "_inbox",
+        "_reader",
         "established",
         "last_seen_remote_ip",
     )
@@ -129,7 +130,6 @@ class Connection:
         local_ip: IPv4Address | None = None,
     ) -> None:
         self.host = host
-        self.env = host.env
         self.conn_id = conn_id
         #: The IP this endpoint speaks as.  Normally the host's own
         #: address; the cloud host answers from each service's address.
@@ -137,20 +137,33 @@ class Connection:
         self.local_port = local_port
         self.remote_ip = remote_ip
         self.remote_port = remote_port
-        self._incoming: Store | None = None
+        self._inbox: list[_t.Any] | None = None
+        self._reader: Event | None = None
         self.established = True
         #: Source IP of the most recent packet received — tests use it
         #: to assert transparency (the client must only ever see the
         #: service's cloud address).
         self.last_seen_remote_ip: IPv4Address | None = None
 
-    @property
-    def incoming(self) -> Store:
-        """Inbound payload queue, created on first access."""
-        store = self._incoming
-        if store is None:
-            store = self._incoming = Store(self.env)
-        return store
+    def _offer(self, item: _t.Any) -> Event | None:
+        """Take an inbound ``item``: the blocked reader to wake with it
+        (the caller's to ``succeed``), or ``None`` once it is queued."""
+        reader = self._reader
+        if reader is not None and reader._value is PENDING:
+            self._reader = None
+            return reader
+        if self._inbox is None:
+            self._inbox = [item]
+        else:
+            self._inbox.append(item)
+        return None
+
+    def _reset(self, why: str) -> None:
+        """Hand the reader a reset — through the heap: callers go on."""
+        reset = ConnectionReset(why)
+        reader = self._offer(reset)
+        if reader is not None:
+            reader.succeed(reset)
 
     def send_payload(self, payload: _t.Any, payload_bytes: int) -> None:
         """Transmit an application payload burst to the peer."""
@@ -171,11 +184,16 @@ class Connection:
 
     def recv(self, timeout: float | None = None):
         """Wait for the next payload (generator; raises on timeout/reset)."""
-        get_ev = self.incoming.get()
+        env = self.host.env
+        get_ev = Event(env)
+        if self._inbox:
+            get_ev.succeed(self._inbox.pop(0))
+        else:
+            self._reader = get_ev
         if timeout is None:
             item = yield get_ev
         else:
-            deadline = self.env.deadline(timeout)
+            deadline = env.deadline(timeout)
             guard_timeout(
                 deadline,
                 get_ev,
@@ -300,11 +318,9 @@ class Host(NetDevice):
         state.
         """
         self._listeners.clear()
-        for conn in list(self._connections.values()):
+        for conn in self._connections.values():
             conn.established = False
-            store = conn._incoming
-            if store is not None:
-                store.put_nowait(ConnectionReset(f"{self.name} crashed"))
+            conn._reset(f"{self.name} crashed")
         self._connections.clear()
 
     def port_open_event(self, port: int) -> _t.Any:
@@ -454,6 +470,14 @@ class Host(NetDevice):
     # -- packet processing -------------------------------------------------------
 
     def receive(self, packet: Packet, iface: NetworkInterface) -> None:
+        """Demultiplex an arriving segment.
+
+        Waking a waiting client (SYN-ACK; payload for a reader blocked
+        in ``recv``) is this method's last act, and the link's
+        ``_deliver`` that called it is the whole of a heap entry: the
+        tail position :meth:`~repro.sim.events.Event.succeed_tail`
+        requires.  Whatever wraps ``receive`` must call it last.
+        """
         seg = packet.tcp
         flag_bits = seg.flags.value
 
@@ -469,15 +493,13 @@ class Host(NetDevice):
                 return
             conn = self._connections.get(seg.conn_id)
             if conn is not None:
-                conn.incoming.put_nowait(
-                    ConnectionReset("peer reset the connection")
-                )
+                conn._reset("peer reset the connection")
             return
 
         if flag_bits & _SYN_ACK_BITS == _SYN_ACK_BITS:
             pending = self._pending.get(seg.conn_id)
             if pending is not None and not pending.triggered:
-                pending.succeed(packet)
+                pending.succeed_tail(packet)
             return
 
         if flag_bits & _SYN_BIT:
@@ -494,7 +516,9 @@ class Host(NetDevice):
             if isinstance(seg.payload, HTTPRequest):
                 self._serve_request(conn, seg.payload)
             else:
-                conn.incoming.put_nowait(seg.payload)
+                reader = conn._offer(seg.payload)
+                if reader is not None:
+                    reader.succeed_tail(seg.payload)
 
     def _handle_syn(self, packet: Packet) -> None:
         seg = packet.tcp

@@ -109,22 +109,10 @@ class FlowEntry:
         #: Table-assigned install order (tie-break within a priority).
         self._order: int = 0
 
-    def touch(self, now: float) -> None:
-        self.last_used = now
-        self.packet_count += 1
-
-    def expired(self, now: float) -> str | None:
-        """Return the expiry reason, or ``None`` if still live."""
-        if self.hard_timeout and now - self.installed_at >= self.hard_timeout:
-            return REASON_HARD_TIMEOUT
-        if self.idle_timeout and now - self.last_used >= self.idle_timeout:
-            return REASON_IDLE_TIMEOUT
-        return None
-
     def next_deadline(self) -> float | None:
         """Earliest simulated time this entry *could* expire.
 
-        The idle deadline moves forward on every :meth:`touch`, so a
+        The idle deadline moves forward with every matched packet, so a
         deadline computed now is a lower bound — the entry is never
         expired before it, but may survive past it.
         """
@@ -333,9 +321,9 @@ class FlowTable:
         when the next survivor *could* expire — and with low idle
         timeouts the table is scanned at every sweep-grid tick, so it
         is a single loop over inlined timeout arithmetic
-        (:meth:`FlowEntry.expired` and :meth:`FlowEntry.next_deadline`
-        define it; ``tests/flowtable_oracle.py`` is the two-pass
-        reference over them).  Returns ``(expired, earliest)``:
+        (``tests/flowtable_oracle.py`` is the two-pass reference:
+        ``expired`` per entry, then :meth:`FlowEntry.next_deadline`).
+        Returns ``(expired, earliest)``:
         ``expired`` lists the removed ``(entry, reason)`` pairs in
         master-list order — a hard timeout wins over an idle one that
         fired at the same instant — and ``earliest`` is the surviving

@@ -117,7 +117,7 @@ class Environment:
         """Create an event firing after ``delay`` simulated seconds."""
         return Timeout(self, delay, value)
 
-    def deadline(self, delay: float, value: _t.Any = None) -> Event:
+    def deadline(self, delay: float, value: _t.Any = None) -> Deadline:
         """A guard timeout: like :meth:`timeout`, but cancellable.
 
         Use for deadlines that usually do *not* fire (request guards,

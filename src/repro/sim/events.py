@@ -10,6 +10,10 @@ An :class:`Event` moves through three states:
 ``processed``
     The event loop has popped it and run all its callbacks.
 
+An event may also go from pending straight to processed, never
+scheduled: :meth:`Event.succeed_tail` runs the callbacks on the spot
+when the entry ``succeed`` would push is provably the next to pop.
+
 Callbacks are plain callables taking the event itself.  Processes use
 them to resume; condition events use them to count completions.
 """
@@ -95,17 +99,6 @@ class Event:
         """Mark a failed event as handled."""
         self._defused = True
 
-    def cancel(self) -> None:
-        """Withdraw interest in this event (no-op for plain events).
-
-        Subclasses with retained scheduling state — store gets,
-        :class:`~repro.sim.environment.Deadline` guards — override
-        this so an abandoned waiter stops costing anything.  Calling
-        it on an event that cannot be cancelled is deliberately
-        harmless, which lets guard-timeout code cancel the event it
-        guards without caring about its concrete type.
-        """
-
     # -- triggering -----------------------------------------------------
 
     def succeed(self, value: _t.Any = None) -> "Event":
@@ -120,6 +113,54 @@ class Event:
         env = self.env
         now = env._now
         heapq.heappush(env._queue, (now, NORMAL, now, now, next(env._seq), self))
+        return self
+
+    def succeed_tail(self, value: _t.Any = None) -> "Event":
+        """:meth:`succeed` for a caller in tail position: resume the
+        waiters on the spot when nothing else is due at this instant.
+
+        If the heap's top is due at or before now this *is*
+        ``succeed(value)``.  Otherwise the value is set, the event is
+        marked processed and its callbacks run here in registration
+        order — no heap entry, no sequence number drawn (the draws that
+        remain keep their relative order), ``env._active_process`` saved
+        and restored as a hot-started process does.
+
+        **Contract.**  Exact iff the call is its caller's last act and
+        every frame between the caller and the kernel loop returns
+        without acting: the entry ``succeed`` would have pushed is then
+        the sole entry at this instant and would pop next.  Anything
+        else due now would see the waiter run early — hence the guard,
+        and its ``<=``: an entry due now pops before one pushed now.
+
+        The callers are the two tails of ``Host.receive`` (handshake
+        reply, payload to a blocked reader), reached from
+        ``LinkEndpoint._deliver``, itself the whole of a heap entry.  It
+        is **not** for ``ControlChannel._deliver_up`` / ``_deliver_down``
+        (they schedule the next message *after* dispatching this one),
+        ``Store._dispatch`` (loops on), ``Host.crash`` (loops over
+        connections), ``Host.open_port`` or a process that goes on to
+        act; ``fail`` (RST, timeouts) stays on the heap.
+        ``tests/test_properties.py`` holds it to ``succeed`` and names
+        the mutations it fails under: without the guard, or with ``<``,
+        every bench digest tried stays equal — the md5s cannot tell;
+        used for the barrier reply under ``_deliver_up`` it is caught
+        by the property (a switch, a controller stub) and by no digest
+        (no bench workload sends a barrier).
+        """
+        env = self.env
+        queue = env._queue
+        if queue and queue[0][0] <= env._now:
+            return self.succeed(value)
+        if self._value is not PENDING:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        active = env._active_process
+        for callback in callbacks:  # type: ignore[union-attr]
+            callback(self)
+        env._active_process = active
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -272,46 +313,6 @@ class AnyOf(Condition):
         super().__init__(env, _any_done, events)
 
 
-class FirstOf(Event):
-    """Lean two-event race: triggers when either child does.
-
-    The guarded waits on the request path (``reply | deadline``,
-    ``data | deadline``) are among the hottest allocation sites in the
-    simulator; this is :class:`AnyOf` stripped to that exact shape —
-    no child tuple, no count, no per-child value dict (the value is
-    always ``None``; callers inspect the children directly).  The
-    trigger/failure push sequence matches AnyOf's, so swapping one for
-    the other does not move any heap sequence numbers.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", a: Event, b: Event) -> None:
-        super().__init__(env)
-        on_child = self._on_child
-        if a.callbacks is None:
-            on_child(a)
-        else:
-            a.callbacks.append(on_child)
-        if b.callbacks is None:
-            on_child(b)
-        else:
-            b.callbacks.append(on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self._value is not PENDING:
-            if not event._ok:
-                # Sibling failed after the race was decided; the race
-                # can no longer surface it.
-                event.defuse()
-            return
-        if not event._ok:
-            event.defuse()
-            self.fail(_t.cast(BaseException, event._value))
-            return
-        self.succeed(None)
-
-
 def guard_timeout(
     deadline: Event,
     event: Event,
@@ -321,11 +322,10 @@ def guard_timeout(
     """Arm ``deadline`` to *fail* ``event`` when it fires first.
 
     The cheapest shape for a timeout-guarded wait: the process yields
-    the primary ``event`` directly (no :class:`FirstOf` race object,
-    and — on the success path — no extra heap entry for the race's own
-    trigger).  If the deadline fires while the primary is still
-    pending, the primary is cancelled (a no-op for plain events;
-    store gets leave their queue) and failed with
+    the primary ``event`` directly (no race object, and — on the
+    success path — no extra heap entry for a race's own trigger).  If
+    the deadline fires while the primary is still pending, the primary
+    is failed with
     ``exc_type("".join(map(str, parts)))``, which the waiting process
     receives as a thrown exception at its ``yield``.  The exception
     message is assembled lazily — winners never pay for the
@@ -335,7 +335,6 @@ def guard_timeout(
 
     def _fire(_deadline: Event) -> None:
         if event._value is PENDING:
-            event.cancel()
             event.fail(exc_type("".join(map(str, parts))))
 
     _t.cast(list, deadline.callbacks).append(_fire)

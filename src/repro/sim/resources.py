@@ -119,13 +119,6 @@ class StoreGet(Event):
         store._gets.append(self)
         store._dispatch()
 
-    def cancel(self) -> None:
-        """Withdraw an unfulfilled get (used by timeout races)."""
-        if not self.triggered:
-            # Locate the owning store lazily via linear scan is avoided:
-            # the store prunes cancelled gets on dispatch instead.
-            self._defused = True
-
 
 class Store:
     """A FIFO buffer of items with optional capacity."""
@@ -145,20 +138,6 @@ class Store:
     def put(self, item: _t.Any) -> StorePut:
         """Insert ``item``; fires once there is room."""
         return StorePut(self, item)
-
-    def put_nowait(self, item: _t.Any) -> None:
-        """Insert ``item`` immediately, without a :class:`StorePut`.
-
-        Fire-and-forget insertions into an unbounded store (nobody
-        yields the put, and it can never block) otherwise pay for a
-        put event that is scheduled, popped, and runs zero callbacks.
-        Raises :class:`RuntimeError` if the store is full — callers
-        that can block must use :meth:`put`.
-        """
-        if len(self.items) >= self.capacity:
-            raise RuntimeError("put_nowait on a full store")
-        self._store_item(item)
-        self._dispatch()
 
     def get(self) -> StoreGet:
         """Remove and return the next item; fires once one exists."""
@@ -182,12 +161,9 @@ class Store:
                 self._store_item(put.item)
                 put.succeed(None)
                 progress = True
-            # Serve gets while items exist (skipping cancelled ones).
+            # Serve gets while items exist.
             while self._gets and self.items:
-                get = self._gets.pop(0)
-                if get.triggered or get.defused:
-                    continue
-                get.succeed(self._take_item())
+                self._gets.pop(0).succeed(self._take_item())
                 progress = True
 
 
@@ -203,9 +179,6 @@ class PriorityStore(Store):
 
     def _take_item(self) -> _t.Any:
         return heapq.heappop(self.items)[0]
-
-    def _dispatch(self) -> None:  # items are (item, seq) tuples internally
-        super()._dispatch()
 
 
 class ContainerPut(Event):

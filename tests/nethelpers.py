@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import types
 import typing as _t
+from unittest import mock
 
 from repro.net import Host, HTTPRequest, HTTPResponse, Link
 from repro.net.addressing import IPAllocator, MACAllocator
 from repro.net.device import NetDevice
 from repro.net.link import GBPS
 from repro.net.openflow import OpenFlowSwitch
-from repro.sim import Environment, environment
+from repro.sim import Environment, Event, environment
 
 
 class EchoApp:
@@ -106,3 +108,30 @@ def record_popped_entries(monkeypatch) -> list:
         types.SimpleNamespace(heappush=heapq.heappush, heappop=recording_pop),
     )
     return popped
+
+
+@contextlib.contextmanager
+def handoff_on_the_heap():
+    """The tail hand-off's slow twin: ``Event.succeed_tail`` always
+    takes its ``succeed`` branch, so every wake-up is a heap entry of
+    its own — the kernel as it was before the hand-off existed."""
+    with mock.patch.object(Event, "succeed_tail", Event.succeed):
+        yield
+
+
+@contextlib.contextmanager
+def counted_handoffs() -> _t.Iterator[list[float]]:
+    """The instants at which ``Event.succeed_tail`` resumed its waiters
+    on the spot (the event is processed when the call returns) rather
+    than through ``succeed`` and the heap."""
+    taken: list[float] = []
+    succeed_tail = Event.succeed_tail
+
+    def counting(event, value=None):
+        succeed_tail(event, value)
+        if event.callbacks is None:
+            taken.append(event.env.now)
+        return event
+
+    with mock.patch.object(Event, "succeed_tail", counting):
+        yield taken

@@ -73,6 +73,9 @@ class TestConnectionEdgeCases:
     def test_handler_response_after_client_close_is_dropped(self):
         env, a, b = self._pair()
         b.open_port(80, EchoApp(env, service_time=1.0))
+        arrived = []
+        receive = a.receive
+        a.receive = lambda p, i: (arrived.append(p.tcp.payload), receive(p, i))
 
         def go(env):
             conn = yield from a.connect(b.ip, 80)
@@ -80,10 +83,47 @@ class TestConnectionEdgeCases:
             yield env.timeout(0.1)
             conn.close()  # client gives up before the response
             yield env.timeout(5.0)
-            return True
+            return conn
 
         proc = env.process(go(env))
-        assert env.run(until=proc) is True  # nothing blows up
+        conn = env.run(until=proc)  # nothing blows up
+        # The response did come, met no connection and went nowhere.
+        assert isinstance(arrived[-1], HTTPResponse)
+        assert conn._inbox is None and conn._reader is None
+
+    def test_crash_resets_a_reader_blocked_in_recv(self):
+        """``Host.crash`` fails over every connection of the host: a
+        process blocked in ``recv`` gets the reset (through the heap —
+        the crash goes on to the next connection), and a connection
+        nobody was reading finds it queued."""
+        env, a, b = self._pair()
+        b.open_port(80, EchoApp(env))
+        outcome = []
+
+        def reader(env):
+            conn = yield from a.connect(b.ip, 80)
+            try:
+                yield from conn.recv()
+            except ConnectionReset as exc:
+                outcome.append((env.now == 1.0, "blocked", str(exc)))
+
+        def sleeper(env):
+            conn = yield from a.connect(b.ip, 80)
+            yield env.timeout(2.0)
+            assert not conn.established
+            try:
+                yield from conn.recv()
+            except ConnectionReset as exc:
+                outcome.append((env.now > 2.0, "queued", str(exc)))
+
+        env.process(reader(env))
+        env.process(sleeper(env))
+        env.call_at(1.0, a.crash)
+        env.run()
+        assert outcome == [
+            (True, "blocked", "a crashed"),
+            (True, "queued", "a crashed"),
+        ]
 
     def test_many_sequential_requests_reuse_ports_safely(self):
         env, a, b = self._pair()

@@ -27,7 +27,7 @@ from repro.net.addressing import MACAddress
 from repro.sdnfw import SDNApp
 from repro.sim import Environment
 
-from tests.flowtable_oracle import earliest_deadline, sweep_expired
+from tests.flowtable_oracle import earliest_deadline, sweep_expired, touch
 from tests.nethelpers import EchoApp, MiniNet, run_request
 
 
@@ -84,7 +84,7 @@ class TestFlowTable:
         entry = FlowEntry(FlowMatch(), [Drop()], idle_timeout=5.0)
         table.install(entry, 0.0)
         assert sweep_expired(table, 4.0) == []
-        entry.touch(4.0)
+        touch(entry, 4.0)
         assert sweep_expired(table, 8.0) == []  # used at t=4, idle until 9
         assert sweep_expired(table, 9.5) == [(entry, REASON_IDLE_TIMEOUT)]
         assert len(table) == 0
@@ -93,7 +93,7 @@ class TestFlowTable:
         table = FlowTable()
         entry = FlowEntry(FlowMatch(), [Drop()], hard_timeout=10.0)
         table.install(entry, 0.0)
-        entry.touch(9.9)
+        touch(entry, 9.9)
         assert sweep_expired(table, 10.0) == [(entry, REASON_HARD_TIMEOUT)]
 
     def test_zero_timeout_never_expires(self):
@@ -145,7 +145,7 @@ class TestFusedSweep:
             )
             table.install(entry, i * 0.01)
             if i % 5 == 0:
-                entry.touch(i * 0.01 + 0.5)
+                touch(entry, i * 0.01 + 0.5)
             entries.append(entry)
         return table, entries
 

@@ -28,7 +28,7 @@ from repro.net.openflow.switch import OpenFlowSwitch
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.sim import Environment
 
-from tests.flowtable_oracle import sweep_expired
+from tests.flowtable_oracle import sweep_expired, touch
 
 
 def _packet(src, dst, sport, dport):
@@ -193,7 +193,7 @@ def _apply_script(env: Environment, table: FlowTable, script) -> None:
             table.install(entry, env.now)
             for t_touch in touches:
                 yield env.timeout(t_touch - env.now)
-                entry.touch(env.now)
+                touch(entry, env.now)
 
         env.process(installer())
 
@@ -268,7 +268,7 @@ def test_trace_replay_latencies_byte_identical():
 
 
 def test_warm_request_event_budget(monkeypatch):
-    """One request to a running, already-redirected service costs 15
+    """One request to a running, already-redirected service costs 13
     kernel events:
 
     * 10 — its 5 packets (SYN, SYN-ACK, ACK, request, response) cross 2
@@ -276,13 +276,15 @@ def test_warm_request_event_budget(monkeypatch):
       host (``_deliver``) and 5 at the switch, each of them the arrival
       and the table lookup in one (``_ingress``) — no lookup is ever an
       entry of its own (``_pipeline``);
-    * 4 — the client's process: its start, its resumption when the
-      connection opens and when the response is in, and its completion
+    * 2 — the client's process: its start and its completion
       (``run_request`` waits on it);
     * 1 — the server's service time.
 
-    The handler the server starts per request ends without an entry
-    (``Environment.spawn``).
+    The client's resumptions when the connection opens and when the
+    response is in happen inside the ``_deliver`` that brought the
+    SYN-ACK / the response (``Event.succeed_tail``): no popped entry is
+    the handshake ``Event`` or a ``StoreGet``.  The handler the server
+    starts per request ends without an entry (``Environment.spawn``).
     """
     from repro.services.catalog import NGINX
     from repro.testbed import C3Testbed, TestbedConfig
@@ -299,12 +301,83 @@ def test_warm_request_event_budget(monkeypatch):
     events, packets = tb.env.events_processed, tb.switch.stats["rx"]
     assert tb.run_request(tb.clients[0], service).response.ok
     packets = tb.switch.stats["rx"] - packets
-    assert tb.env.events_processed - events == len(popped) == 15
+    assert tb.env.events_processed - events == len(popped) == 13
 
-    names = [getattr(entry, "__name__", "") for entry in popped]
+    names = [getattr(entry, "__name__", type(entry).__name__) for entry in popped]
     assert packets == 5
     assert names.count("_deliver") == names.count("_ingress") == packets
     assert names.count("_pipeline") == 0
+    # What is left: the service time, and the client's start and end.
+    assert sorted(set(names) - {"_deliver", "_ingress"}) == [
+        "Process", "Timeout", "_Initialize",
+    ]
+
+
+def _connect_pairs(starts):
+    """One client-server pair per start instant on identical links,
+    each client connecting at its instant: the order in which packets
+    were received (``"rx"``) and clients resumed (``"connected"``), the
+    instants ``Event.succeed_tail`` handed off at, and the environment."""
+    from tests.nethelpers import EchoApp, MiniNet, counted_handoffs
+
+    env = Environment()
+    net = MiniNet(env)
+    order = []
+
+    def spy_on(host):
+        receive = host.receive
+
+        def spy(packet, iface):
+            order.append(("rx", host.name))
+            receive(packet, iface)  # last: the wake-up stays in tail position
+
+        host.receive = spy
+
+    def connect(client, server):
+        yield from client.connect(server.ip, 80)
+        order.append(("connected", client.name))
+
+    for i, start in enumerate(starts):
+        client, server = net.host(f"client{i}"), net.host(f"server{i}")
+        net.wire(client, server)
+        server.open_port(80, EchoApp(env))
+        spy_on(client)
+        env.call_at(start, env.spawn, connect(client, server))
+    with counted_handoffs() as taken:
+        env.run()
+    return order, taken, env
+
+
+def test_simultaneous_syn_acks_fall_back_to_the_heap():
+    """Two SYN-ACKs reaching two clients at one instant: each delivery
+    finds something else due now (the other delivery, then the first
+    wake-up), so both wake-ups are heap entries and the clients resume
+    after both deliveries, in arrival order."""
+    order, taken, env = _connect_pairs([0.0, 0.0])
+    assert order == [
+        ("rx", "client0"),
+        ("rx", "client1"),
+        ("connected", "client0"),
+        ("connected", "client1"),
+    ]
+    assert taken == []
+    # Per pair: launch, process start, SYN, SYN-ACK, the wake-up, ACK.
+    assert env.events_processed == 2 * 6
+
+
+def test_a_receive_spy_that_calls_the_original_last_keeps_the_handoff():
+    """Apart by more than nothing, each client resumes inside the
+    delivery of its SYN-ACK — through the wrapper every ``receive`` spy
+    in the repo is (``bench/workloads.spy_sources`` included)."""
+    order, taken, env = _connect_pairs([0.0, 1e-6])
+    assert order == [
+        ("rx", "client0"),
+        ("connected", "client0"),
+        ("rx", "client1"),
+        ("connected", "client1"),
+    ]
+    assert len(taken) == 2
+    assert env.events_processed == 2 * 5
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ from repro.k8s import (
     matches_selector,
 )
 from repro.k8s.kubeproxy import KubeProxy
+from repro.net import ConnectionTimeout, Host, HTTPRequest, HTTPResponse
 from repro.net import link as link_module
-from repro.net.addressing import IPv4Address, MACAddress
+from repro.net.addressing import IPAllocator, IPv4Address, MACAddress, MACAllocator
 from repro.net.device import NetDevice
 from repro.net.link import Link, LinkEndpoint
 from repro.net.openflow import (
@@ -40,6 +41,7 @@ from repro.net.openflow import (
     Output,
 )
 from repro.net.packet import HEADER_BYTES, Packet, TCPFlags, TCPSegment
+from repro.sdnfw.app import SDNApp
 from repro.services.catalog import NGINX
 from repro.sim import Environment, Resource, Store
 from repro.testbed import C3Testbed, TestbedConfig
@@ -54,7 +56,7 @@ from tests.kubeproxy_oracle import (
     serve,
 )
 from tests.link_oracle import TwoEventEndpoint
-from tests.nethelpers import Sink
+from tests.nethelpers import Sink, counted_handoffs, handoff_on_the_heap
 
 
 # ---------------------------------------------------------------------------
@@ -1007,6 +1009,370 @@ def test_fused_switch_ingress_is_the_two_event_arrival_then_lookup(burst):
     assert _through_a_switch(LinkEndpoint, *burst) == _through_a_switch(
         TwoEventEndpoint, *burst
     )
+
+
+# ---------------------------------------------------------------------------
+# Tail hand-off: a wake-up inside the delivery vs a heap entry of its own
+# ---------------------------------------------------------------------------
+
+#: A bare segment (SYN, SYN-ACK, ACK) serializes in one unit, a payload
+#: of ``u`` units in ``u + 1``; latencies, the lookup delay, service and
+#: think times are whole or half units.  Every instant is then a whole
+#: number of 1/2048 s, and instants that coincide on paper — at
+#: different hosts, at different stages of their conversations —
+#: coincide float for float.
+_UNIT_S = HEADER_BYTES * 8 / _LINK_BPS
+#: The status of a response nobody asked for (the courier's).
+_PUSHED = 299
+
+_rounds = st.lists(
+    st.tuples(
+        st.sampled_from((1, 2, 3)),  # request, units
+        st.sampled_from((1, 2, 3)),  # response, units
+        # Think time between sending and ``recv``: long enough for the
+        # response to be in first.
+        st.sampled_from((0, 0, 0, 12)),
+        # The ``recv`` deadline, relative to the instant the response
+        # arrives when nothing is planted.
+        st.sampled_from((None, None, "exact", "late", "early")),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def _conversations(draw):
+    """2-4 clients holding keep-alive conversations with a server over
+    equal links, and up to two things planted at instants replies
+    arrive at: ``(topology, latency, service, clients, plants)``."""
+    topology = draw(st.sampled_from(("direct", "switch", "reactive")))
+    latency = draw(st.sampled_from((1, 2)))
+    service = draw(st.sampled_from((0, 1, 3)))
+    shared = draw(_rounds)
+    clients = []
+    for _ in range(draw(st.integers(2, 4))):
+        # In lockstep with the others (offset 0), or staggered.
+        start = draw(st.sampled_from((0, 0, 0, 1, 2, 4)))
+        rounds = shared if draw(st.booleans()) else draw(_rounds)
+        # One round may go through ``http_request`` (curl's samples).
+        curl = len(rounds) == 1 and draw(st.booleans())
+        clients.append((start, curl, rounds))
+    plants = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 40),  # which arrival at a client
+                # At that very instant, scheduled from time 0 — ahead
+                # of the delivery it meets — or from inside the
+                # packet's propagation: behind it, where the heap puts
+                # the wake-up too.  Or a quarter unit later, an instant
+                # nothing else on the grid shares.
+                st.sampled_from(("ahead", "behind", "apart")),
+                st.sampled_from(("mark", "push")),
+                st.integers(0, len(clients) - 1),  # whom to push to
+            ),
+            max_size=2,
+        )
+    )
+    return topology, latency, service, clients, plants
+
+
+class _SizedApp:
+    """Answers with as many units as the request's path says."""
+
+    def __init__(self, env: Environment, service: int) -> None:
+        self.env = env
+        self.service = service
+
+    def handle(self, request):
+        if self.service:
+            yield self.env.timeout(self.service * _UNIT_S)
+        return HTTPResponse(
+            200, body_bytes=int(request.path) * HEADER_BYTES, header_bytes=0
+        )
+
+
+class _Installer(SDNApp):
+    """Controller stub: a table miss installs the entry towards the
+    packet's destination, waits for the barrier, releases the packet."""
+
+    def __init__(self, env: Environment, ports, log) -> None:
+        super().__init__(env)
+        self.ports = ports
+        self.log = log
+
+    def on_packet_in(self, datapath, message) -> None:
+        self.log.append((self.env.now, "ctl", "packet-in"))
+        self.env.spawn(self._install(datapath, message))
+
+    def _install(self, datapath, message):
+        actions = [Output(self.ports[message.packet.ip_dst])]
+        datapath.add_flow(FlowMatch(ip_dst=message.packet.ip_dst), actions)
+        yield datapath.barrier()
+        self.log.append((self.env.now, "ctl", "barrier-reply"))
+        datapath.packet_out(actions, buffer_id=message.buffer_id)
+
+
+def _log_traffic(host: Host, log) -> None:
+    """Every packet in and out of ``host``; the spy calls the real
+    ``receive`` last, so the wake-up stays in tail position."""
+    env, name = host.env, host.name
+    receive, send = host.receive, host.iface.send
+
+    def spy_receive(packet, iface):
+        log.append((env.now, name, "rx", packet.tcp.flags.value, packet.tcp.payload_bytes))
+        receive(packet, iface)
+
+    def spy_send(packet):
+        log.append((env.now, name, "tx", packet.tcp.flags.value, packet.tcp.payload_bytes))
+        send(packet)
+
+    host.receive = spy_receive
+    host.iface.send = spy_send
+
+
+def _conversation(host, server_ip, rounds, deadlines, log, samples):
+    env, name = host.env, host.name
+    start = env.now
+    conn = yield from host.connect(server_ip, 80)
+    time_connect = env.now - start
+    log.append((env.now, name, "connected"))
+    for index, (request, response, think, _deadline) in enumerate(rounds):
+        sent = env.now
+        conn.send_payload(
+            HTTPRequest("GET", str(response), request * HEADER_BYTES, 0),
+            request * HEADER_BYTES,
+        )
+        if think:
+            yield env.timeout(think * _UNIT_S)
+            log.append((env.now, name, "thought"))
+        deadline = deadlines.get(index)
+        if deadline is not None and deadline < env.now:
+            deadline = None
+        try:
+            got = yield from conn.recv(
+                timeout=None if deadline is None else deadline - env.now
+            )
+        except ConnectionTimeout:
+            log.append((env.now, name, "timeout"))
+            break
+        log.append((env.now, name, "response", got.status))
+        samples.append((name, index, env.now - sent, time_connect))
+    conn.close()
+
+
+def _curl(host, server_ip, round_, deadline, log, samples):
+    env, name = host.env, host.name
+    request, response, _think, _deadline = round_
+    try:
+        result = yield from host.http_request(
+            server_ip,
+            80,
+            HTTPRequest("GET", str(response), request * HEADER_BYTES, 0),
+            timeout=None if deadline is None else deadline - env.now,
+        )
+    except ConnectionTimeout:
+        log.append((env.now, name, "timeout"))
+        return
+    log.append((env.now, name, "response", result.response.status))
+    samples.append((name, 0, result.time_total, result.time_connect))
+
+
+def _courier(env: Environment, at: float, client: Host, log, samples):
+    """A process that hands ``client`` a payload nobody asked for —
+    straight to ``receive``, as its last act — on whatever connection
+    the client has open at ``at``.  What it reads afterwards (is it
+    still the active process?) goes to ``samples``, not into the
+    ordered log: reading is not acting."""
+    me = env.active_process
+    yield env.timeout_at(at)
+    conn = next(iter(client._connections.values()), None)
+    log.append((env.now, "courier", conn is not None))
+    if conn is not None:
+        client.receive(
+            Packet(
+                eth_src=MACAddress(1),
+                eth_dst=MACAddress(2),
+                ip_src=conn.remote_ip,
+                ip_dst=client.ip,
+                tcp=TCPSegment(
+                    conn.remote_port,
+                    conn.local_port,
+                    TCPFlags.PSH | TCPFlags.ACK,
+                    payload_bytes=HEADER_BYTES,
+                    payload=HTTPResponse(_PUSHED),
+                    conn_id=conn.conn_id,
+                ),
+            ),
+            client.iface,
+        )
+    samples.append(("courier", env.active_process is me))
+
+
+def _converse(topology, latency, service, clients, plants, replies=None):
+    """Run the conversations; ``(log, samples, events processed)`` —
+    the log in the order things happened, the samples sorted.
+
+    ``replies`` is ``(arrivals, response_at)`` of a run without it —
+    the instants packets reached clients, and ``{(client, round):
+    instant}`` of each response — which is where deadlines and plants
+    are aimed; without it nothing is planted and nothing has a
+    deadline."""
+    env = Environment()
+    log: list[tuple] = []
+    samples: list[tuple] = []
+    macs, ips = MACAllocator(), IPAllocator("10.0.0.0")
+    lat = latency * _UNIT_S
+
+    def host(name: str) -> Host:
+        made = Host(env, name, mac=macs.allocate(), ip=ips.allocate())
+        _log_traffic(made, log)
+        return made
+
+    hosts = [host(f"c{i}") for i in range(len(clients))]
+    if topology == "direct":
+        servers = [host(f"s{i}") for i in range(len(clients))]
+        for client, server in zip(hosts, servers):
+            Link(env, client.iface, server.iface, _LINK_BPS, lat)
+    else:
+        servers = [host("s")] * len(clients)
+        switch = OpenFlowSwitch(env, "sw", 1, lookup_delay_s=_UNIT_S / 2)
+        ports = {}
+        for attached in (*hosts, servers[0]):
+            ports[attached.ip], iface = switch.add_port(macs.allocate())
+            Link(env, attached.iface, iface, _LINK_BPS, lat)
+        _Installer(env, ports, log).attach(switch, latency_s=_UNIT_S)
+        handle = switch.handle_controller_message
+
+        def spy_handle(message):
+            log.append((env.now, "sw", type(message).__name__))
+            handle(message)
+
+        switch.handle_controller_message = spy_handle
+        if topology == "switch":
+            for ip, port in ports.items():
+                switch.table.install(
+                    FlowEntry(FlowMatch(ip_dst=ip), [Output(port)]), 0.0
+                )
+    for server in set(servers):
+        server.open_port(80, _SizedApp(env, service))
+
+    arrivals, response_at = replies or ([], {})
+    for i, (client, server, (start, curl, rounds)) in enumerate(
+        zip(hosts, servers, clients)
+    ):
+        deadlines = {}
+        for index, round_ in enumerate(rounds):
+            if round_[3] is not None and (i, index) in response_at:
+                shift = {"early": -1, "exact": 0, "late": 1}[round_[3]]
+                deadlines[index] = response_at[i, index] + shift * _UNIT_S
+        if curl:
+            talk = _curl(client, server.ip, rounds[0], deadlines.get(0), log, samples)
+        else:
+            talk = _conversation(client, server.ip, rounds, deadlines, log, samples)
+        env.call_at(start * _UNIT_S, env.spawn, talk)
+    for which, where, kind, target in plants if arrivals else ():
+        at = arrivals[which % len(arrivals)] + (where == "apart") * _UNIT_S / 4
+        if kind == "mark":
+            plant = (env.call_at, at, log.append, (at, "mark"))
+        else:
+            plant = (env.spawn, _courier(env, at, hosts[target], log, samples))
+        env.call_at(at - _UNIT_S / 2 if where == "behind" else 0.0, *plant)
+    env.run()
+    return log, sorted(samples), env.events_processed
+
+
+def _client_replies(log, n_clients):
+    """``replies`` for :func:`_converse`, out of a run's log."""
+    names = {f"c{i}": i for i in range(n_clients)}
+    arrivals, response_at, seen = [], {}, dict.fromkeys(names.values(), 0)
+    for at, name, what, *detail in log:
+        if what == "rx" and name in names:
+            arrivals.append(at)
+            if detail[1]:  # a payload: the next response
+                client = names[name]
+                response_at[client, seen[client]] = at
+                seen[client] += 1
+    return arrivals, response_at
+
+
+_ONE_ROUND = [(1, 1, 0, None)]
+# Two clients in lockstep, host to host: their SYN-ACKs (and responses)
+# land at one instant, so the first delivery finds the second due now
+# and must go through the heap — rx, rx, connected, connected.  Without
+# the guard the first client resumes between the two deliveries.
+_LOCKSTEP = ("direct", 1, 0, [(0, False, _ONE_ROUND)] * 2, [])
+# A mark planted from inside the propagation of the first client's
+# SYN-ACK, at its arrival instant: it pops after the delivery and
+# before the wake-up.
+_MARK_BEHIND = (
+    "direct", 1, 0, [(0, False, _ONE_ROUND), (1, False, _ONE_ROUND)],
+    [(0, "behind", "mark", 0)],
+)
+# A courier pushes a payload to a client blocked in ``recv``, a quarter
+# unit after its SYN-ACK came in — an instant of its own: the client
+# resumes inside the courier's process, which must still be the active
+# one afterwards.
+_PUSH_TO_READER = (
+    "direct", 1, 0, [(0, False, _ONE_ROUND)] * 2, [(0, "apart", "push", 0)],
+)
+# Table misses in lockstep: packet-ins queue on the control channel
+# behind one another, and a barrier reply is delivered up with the next
+# message still to schedule.
+_REACTIVE = (
+    "reactive", 1, 0, [(0, False, _ONE_ROUND)] * 3 + [(4, False, _ONE_ROUND)], [],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=_conversations())
+@example(scenario=_LOCKSTEP)
+@example(scenario=_MARK_BEHIND)
+@example(scenario=_PUSH_TO_READER)
+@example(scenario=_REACTIVE)
+def test_tail_handoff_is_the_heap_entry_it_replaces(scenario):
+    """Real hosts on real links (host to host, or through a real switch
+    with entries installed ahead or by a controller stub on table
+    miss), conversations in lockstep and staggered, several rounds per
+    connection, ``recv`` deadlines that fire exactly when the response
+    arrives, payloads that are in before ``recv`` is called, entries
+    planted exactly at a reply's arrival instant ahead of and behind
+    the delivery, and a courier process calling ``receive`` itself: the
+    full trace — every packet in and out of every host, every
+    resumption, every control message, in the order things happened,
+    and every sample's ``time_total`` / ``time_connect`` — is equal
+    whether ``Event.succeed_tail`` hands off or always goes through the
+    heap (``tests/nethelpers.handoff_on_the_heap``, the kernel as it
+    was), and the event counts differ by exactly the hand-offs taken.
+
+    Mutations of ``succeed_tail`` this fails under (run on a scratch
+    copy; the examples above are what hypothesis shrank them to):
+
+    (a) no "nothing else due now" guard — ``_LOCKSTEP``: the first
+        client is connected before the second's SYN-ACK is received.
+        All 12 bench digests tried (six workloads, seeds 42 and 1)
+        stay equal under it: the latency md5s cannot tell.
+    (b) the guard ``<`` instead of ``<=`` — the same example, the same
+        12 digests.
+    (c) ``env._active_process`` not restored — ``_PUSH_TO_READER``: the
+        courier is no longer the active process after ``receive``.
+    (d) the hand-off used for the barrier reply
+        (``SDNApp.dispatch_switch_message``, the one ``succeed``
+        reached from ``ControlChannel._deliver_up``, which schedules
+        the next message afterwards) — ``_REACTIVE``: the waiter's
+        packet-out is scheduled ahead of the next packet-in instead of
+        behind it.  The same 12 digests stay equal, trivially: nothing
+        under ``src/`` sends a barrier, only this stub does.
+    """
+    n_clients = len(scenario[3])
+    with handoff_on_the_heap():
+        replies = _client_replies(_converse(*scenario)[0], n_clients)
+        heap_log, heap_samples, heap_events = _converse(*scenario, replies)
+    with counted_handoffs() as taken:
+        log, samples, events = _converse(*scenario, replies)
+    assert log == heap_log
+    assert samples == heap_samples
+    assert heap_events - events == len(taken)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.k8s import APIServer, Deployment, DeploymentSpec, ObjectMeta
 from repro.net.openflow import Drop, FlowEntry, FlowMatch
 from repro.sim import Environment
 
+from tests.flowtable_oracle import touch
 from tests.nethelpers import MiniNet
 
 
@@ -67,7 +68,7 @@ class TestSwitchHardTimeout:
 
         def keep_touching(env):
             while len(sw.table):
-                entry.touch(env.now)
+                touch(entry, env.now)
                 yield env.timeout(0.1)
 
         env.process(keep_touching(env))
