@@ -296,7 +296,7 @@ class Containerd:
         container.state = ContainerState.RUNNING
         container.started_at = self.env.now
         container.exit_code = None
-        self.env.process(
+        self.env.spawn(
             self._boot_application(container), name=f"boot:{container.spec.name}"
         )
 
@@ -317,7 +317,7 @@ class Containerd:
         if not container.ready.triggered:
             container.ready.succeed(self.env.now)
         if spec.crash_after_s is not None:
-            self.env.process(
+            self.env.spawn(
                 self._crash_later(container, container.exited),
                 name=f"crash:{container.spec.name}",
             )

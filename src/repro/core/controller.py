@@ -261,7 +261,7 @@ class EdgeController(SDNApp):
         if remove_deployments:
             for cluster in self.clusters:
                 if cluster.is_created(service.plan):
-                    self.env.process(
+                    self.env.spawn(
                         self._teardown(cluster, service),
                         name=f"teardown:{service.name}@{cluster.name}",
                     )
@@ -330,9 +330,17 @@ class EdgeController(SDNApp):
 
     def on_packet_in(self, datapath: Datapath, message: PacketIn) -> None:
         self.stats["packet_in"] += 1
+        # Hot: the handler's first segment only arms its processing-delay
+        # timer, and we return to the kernel.  The one push that timer
+        # now precedes is ``ControlChannel._deliver_up``'s chain push,
+        # one channel hop ahead: a tie only if ``latency_s ==
+        # processing_delay_s`` float for float (defaults 200 µs and
+        # 800 µs), and then the next packet-in's delivery would pop
+        # after this handler's timer instead of before it.
         self.env.spawn(
             self._handle_packet_in(datapath, message),
             name=f"pktin:{message.buffer_id}",
+            hot=True,
         )
 
     def _handle_packet_in(self, datapath: Datapath, message: PacketIn):
@@ -710,7 +718,7 @@ class EdgeController(SDNApp):
         for flow in stale:
             if not (flow.degraded or "/" in flow.cluster_name):
                 continue
-            self.env.process(
+            self.env.spawn(
                 self._redispatch(flow.service, client_ip),
                 name=f"redispatch:{flow.service.name}:{client_ip}",
             )

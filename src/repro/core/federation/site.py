@@ -219,7 +219,7 @@ class SiteController(EdgeController):
             if flow.cluster_name != withdrawn:
                 continue
             self.flow_memory.forget(flow)
-            self.env.process(
+            self.env.spawn(
                 self._redispatch(flow.service, flow.client_ip),
                 name=f"heal:{flow.service.name}:{flow.client_ip}",
             )

@@ -458,7 +458,7 @@ class MigrationManager:
     def _start_admitted(
         self, request: _MigrationRequest, links: tuple[str, ...]
     ) -> None:
-        self.env.process(
+        self.env.spawn(
             self._run_admitted(request, links),
             name=f"migrate:{request.service_name}:{request.from_site}->{self.site}",
         )
@@ -915,7 +915,7 @@ class MigrationManager:
         if export.gate is not None and export.gate.frozen:
             export.gate.thaw()
         policy = policy_for(service)
-        self.env.process(
+        self.env.spawn(
             self._drain_and_scale_down(service, cluster, policy.drain_s),
             name=f"migrate-drain:{service.name}@{self.site}",
         )

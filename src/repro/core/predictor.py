@@ -126,7 +126,7 @@ class ProactiveDeployer:
         self.lead_time_s = lead_time_s
         self.select_cluster = select_cluster or self._nearest
         self.stats = {"checks": 0, "proactive_deployments": 0}
-        env.process(self._loop(), name="proactive-deployer")
+        env.spawn(self._loop(), name="proactive-deployer")
 
     @staticmethod
     def _nearest(

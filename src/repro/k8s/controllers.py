@@ -33,9 +33,9 @@ class DeploymentController:
         self.env = env
         self.api = api
         self._queue: Store = Store(env)
-        env.process(self._watch_deployments(), name="depctl-watch-dep")
-        env.process(self._watch_replicasets(), name="depctl-watch-rs")
-        env.process(self._worker(), name="depctl-worker")
+        env.spawn(self._watch_deployments(), name="depctl-watch-dep")
+        env.spawn(self._watch_replicasets(), name="depctl-watch-rs")
+        env.spawn(self._worker(), name="depctl-worker")
 
     def _watch_deployments(self):
         watch = self.api.watch("Deployment")
@@ -116,9 +116,9 @@ class ReplicaSetController:
         self.env = env
         self.api = api
         self._queue: Store = Store(env)
-        env.process(self._watch_replicasets(), name="rsctl-watch-rs")
-        env.process(self._watch_pods(), name="rsctl-watch-pod")
-        env.process(self._worker(), name="rsctl-worker")
+        env.spawn(self._watch_replicasets(), name="rsctl-watch-rs")
+        env.spawn(self._watch_pods(), name="rsctl-watch-pod")
+        env.spawn(self._worker(), name="rsctl-worker")
 
     def _watch_replicasets(self):
         watch = self.api.watch("ReplicaSet")

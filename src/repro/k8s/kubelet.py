@@ -60,9 +60,9 @@ class Kubelet:
         self.pod_containers: dict[str, list[Container]] = {}
         self._starting: set[str] = set()
         self._queue: Store = Store(env)
-        env.process(self._watch_pods(), name=f"kubelet-{node_name}-watch")
-        env.process(self._worker(), name=f"kubelet-{node_name}-worker")
-        env.process(self._housekeeping(), name=f"kubelet-{node_name}-loop")
+        env.spawn(self._watch_pods(), name=f"kubelet-{node_name}-watch")
+        env.spawn(self._worker(), name=f"kubelet-{node_name}-worker")
+        env.spawn(self._housekeeping(), name=f"kubelet-{node_name}-loop")
 
     # -- event intake ------------------------------------------------------
 
@@ -104,7 +104,7 @@ class Kubelet:
                 continue
             self._starting.add(uid)
             # Pod startups run concurrently (one pod worker each).
-            self.env.process(
+            self.env.spawn(
                 self._start_pod(pod), name=f"podworker:{pod.metadata.name}"
             )
 
@@ -151,7 +151,7 @@ class Kubelet:
         )
         if current is pod and (yield from self._update_status(pod)):
             for container in containers:
-                self.env.process(
+                self.env.spawn(
                     self._restart_monitor(pod, container),
                     name=f"restart-mon:{container.spec.name}",
                 )

@@ -96,9 +96,9 @@ class KubeProxy:
         #: Pod uid -> the services (uids) it was last seen backing.
         self._serving: dict[str, set[str]] = {}
         self._queue: Store = Store(env)
-        env.process(self._watch("Service"), name="kubeproxy-watch-svc")
-        env.process(self._watch("Pod"), name="kubeproxy-watch-pod")
-        env.process(self._worker(), name="kubeproxy-worker")
+        env.spawn(self._watch("Service"), name="kubeproxy-watch-svc")
+        env.spawn(self._watch("Pod"), name="kubeproxy-watch-pod")
+        env.spawn(self._worker(), name="kubeproxy-worker")
 
     def _watch(self, kind: str):
         watch = self.api.watch(kind)

@@ -59,8 +59,8 @@ class KubeScheduler:
         self.unschedulable_retry_s = unschedulable_retry_s
         self._node_names = list(node_names)
         self._queue: Store = Store(env)
-        env.process(self._watch_pods(), name=f"sched-{name}-watch")
-        env.process(self._worker(), name=f"sched-{name}-worker")
+        env.spawn(self._watch_pods(), name=f"sched-{name}-watch")
+        env.spawn(self._worker(), name=f"sched-{name}-worker")
 
     def register_node(self, name: str) -> None:
         if name not in self._node_names:
@@ -98,7 +98,7 @@ class KubeScheduler:
             if choice is None:
                 # Unschedulable now: retry with backoff (nodes may join,
                 # pods may leave).
-                self.env.process(
+                self.env.spawn(
                     self._requeue_later(key), name=f"sched-{self.name}-retry"
                 )
                 continue

@@ -49,10 +49,6 @@ class NetworkInterface:
             raise RuntimeError(f"{self} is not attached to a link")
         self.endpoint.transmit(packet)
 
-    def deliver(self, packet: "Packet") -> None:
-        """Called by the link when a packet arrives here."""
-        self.device.receive(packet, self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Interface {self.device.name}:{self.name} {self.ip or self.mac}>"
 

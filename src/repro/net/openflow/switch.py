@@ -32,15 +32,15 @@ class ControlChannel:
     Both directions preserve FIFO order (a TCP control connection in
     the real system); each message is delayed by ``latency_s``.
 
-    Each direction is a callback busy-chain rather than a Store plus a
-    pump process: the first message in a burst schedules its own
-    delivery, later ones queue in a deque, and each delivery chains the
-    next.  That keeps the old pump's timeline — message *n+1* of a
-    burst departs when message *n* lands, so back-to-back messages
-    space out by ``latency_s`` — at two heap entries per message
-    instead of a store hand-off plus a process resumption.  On
-    delivery the message is dispatched *before* the next one is
-    scheduled, matching the pump's resume-dispatch-then-wait order.
+    Each direction is a callback busy-chain: the first message in a
+    burst schedules its own delivery, later ones queue in a deque, and
+    each delivery chains the next — one heap entry per message.
+    Message *n+1* of a burst departs when message *n* lands, so
+    back-to-back messages space out by ``latency_s``; a burst of four
+    flow-mods therefore lands on a 200 µs grid, which is the grid a
+    controller handler's 800 µs timer also lands on (see
+    ``Dispatcher.ensure_deployed``).  On delivery the message is
+    dispatched *before* the next one is scheduled.
     """
 
     def __init__(self, env: Environment, latency_s: float = 200e-6) -> None:

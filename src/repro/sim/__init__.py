@@ -16,8 +16,7 @@ reproduction is fully self-contained:
   suspends it until the event fires.
 * :class:`Timeout` — an event that fires after a simulated delay.
 * :class:`AllOf` / :class:`AnyOf` — condition events for fan-in.
-* :class:`Resource`, :class:`Store`, :class:`PriorityStore`,
-  :class:`Container` — shared-resource primitives.
+* :class:`Resource`, :class:`Store` — shared-resource primitives.
 
 Simulated time is a ``float`` in **seconds**; determinism does not depend
 on float tie-breaking because every scheduled event carries a strictly
@@ -27,17 +26,15 @@ increasing sequence number.
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.sim.environment import Environment, SimulationError
-from repro.sim.resources import Container, PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityStore",
     "Process",
     "Resource",
     "SimulationError",

@@ -107,6 +107,20 @@ class Environment:
     def __len__(self) -> int:
         return len(self._queue)
 
+    def quiet_now(self) -> bool:
+        """Whether nothing else is due at this instant: the heap is
+        empty or its top is later than now.
+
+        The one test behind every way of doing *now*, in place, what an
+        entry pushed now would do at its pop (:meth:`Event.succeed_tail`,
+        ``Dispatcher.ensure_deployed``): such an entry pops after
+        everything already due at this instant, so acting in its stead
+        is only the same thing when there is nothing of the kind.
+        Strictly later — an entry due exactly now pops first.
+        """
+        queue = self._queue
+        return not queue or queue[0][0] > self._now
+
     # -- factories -------------------------------------------------------
 
     def event(self) -> Event:
@@ -174,10 +188,10 @@ class Environment:
         generator: _t.Generator[Event, _t.Any, _t.Any],
         name: str | None = None,
     ) -> _t.Any:
-        """Convenience: start ``generator`` and run until it finishes,
-        returning its value (the ``env.run(until=env.process(...))``
-        idiom in one call)."""
-        return self.run(until=self.process(generator, name=name))
+        """Start ``generator`` and run until it finishes, returning its
+        value.  The start is hot: the creator's next act is to enter
+        the kernel loop, :class:`Process`'s documented condition."""
+        return self.run(until=Process(self, generator, name=name, hot=True))
 
     def spawn(
         self,

@@ -119,38 +119,39 @@ class Event:
         """:meth:`succeed` for a caller in tail position: resume the
         waiters on the spot when nothing else is due at this instant.
 
-        If the heap's top is due at or before now this *is*
-        ``succeed(value)``.  Otherwise the value is set, the event is
-        marked processed and its callbacks run here in registration
-        order — no heap entry, no sequence number drawn (the draws that
-        remain keep their relative order), ``env._active_process`` saved
-        and restored as a hot-started process does.
+        If something else is due now (``Environment.quiet_now`` says no)
+        this *is* ``succeed(value)``.  Otherwise the value is set, the
+        event is marked processed and its callbacks run here in
+        registration order — no heap entry, no sequence number drawn (the
+        draws that remain keep their relative order),
+        ``env._active_process`` saved and restored as a hot-started
+        process does.
 
         **Contract.**  Exact iff the call is its caller's last act and
         every frame between the caller and the kernel loop returns
         without acting: the entry ``succeed`` would have pushed is then
         the sole entry at this instant and would pop next.  Anything
         else due now would see the waiter run early — hence the guard,
-        and its ``<=``: an entry due now pops before one pushed now.
+        and its strictness: an entry due now pops before one pushed now.
 
         The callers are the two tails of ``Host.receive`` (handshake
         reply, payload to a blocked reader), reached from
         ``LinkEndpoint._deliver``, itself the whole of a heap entry.  It
         is **not** for ``ControlChannel._deliver_up`` / ``_deliver_down``
         (they schedule the next message *after* dispatching this one),
-        ``Store._dispatch`` (loops on), ``Host.crash`` (loops over
+        ``Store.put`` (its caller goes on), ``Host.crash`` (loops over
         connections), ``Host.open_port`` or a process that goes on to
         act; ``fail`` (RST, timeouts) stays on the heap.
         ``tests/test_properties.py`` holds it to ``succeed`` and names
-        the mutations it fails under: without the guard, or with ``<``,
-        every bench digest tried stays equal — the md5s cannot tell;
+        the mutations it fails under: without the guard, or with one that
+        lets an entry due exactly now through, every bench digest tried
+        stays equal — the md5s cannot tell;
         used for the barrier reply under ``_deliver_up`` it is caught
         by the property (a switch, a controller stub) and by no digest
         (no bench workload sends a barrier).
         """
         env = self.env
-        queue = env._queue
-        if queue and queue[0][0] <= env._now:
+        if not env.quiet_now():
             return self.succeed(value)
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")

@@ -301,23 +301,20 @@ class BaseTestbed(Catalog):
         timeout: float | None = 120.0,
     ) -> _t.Any:
         """Drive one request to completion from outside the simulation."""
-        proc = self.env.process(
+        return self.env.run_process(
             self.http_request(client, service, request, timeout)
         )
-        return self.env.run(until=proc)
 
     # -- deployment-state helpers for experiments --------------------------
 
     def prepare_pulled(self, cluster: EdgeCluster, service: EdgeService) -> None:
         """Synchronously pre-pull a service's images onto a cluster."""
-        proc = self.env.process(cluster.pull(service.plan))
-        self.env.run(until=proc)
+        self.env.run_process(cluster.pull(service.plan))
 
     def prepare_created(self, cluster: EdgeCluster, service: EdgeService) -> None:
         """Pre-pull and pre-create (so only Scale Up remains)."""
         self.prepare_pulled(cluster, service)
-        proc = self.env.process(cluster.create(service.plan))
-        self.env.run(until=proc)
+        self.env.run_process(cluster.create(service.plan))
 
 
 #: Share of each trunk's bandwidth the migration planner may commit to

@@ -92,14 +92,19 @@ def run_request(env: Environment, client: Host, dst_ip, dst_port, request=None, 
     return env.run(until=proc)
 
 
-def record_popped_entries(monkeypatch) -> list:
+def record_popped_entries(monkeypatch, note=None) -> list:
     """Every heap entry any ``Environment`` pops from here on, as its
-    payload (the event, or the slim callback's function), in pop order."""
+    payload (the event, or the slim callback's function), in pop order.
+    ``note(item)`` sees each whole entry as it pops — before the loop
+    takes the event's callbacks."""
     popped: list = []
 
     def recording_pop(queue):
         item = heapq.heappop(queue)
-        popped.append(item[5])
+        if len(item) >= 6:  # not the deadline side-heap's 3-tuples
+            popped.append(item[5])
+            if note is not None:
+                note(item)
         return item
 
     monkeypatch.setattr(

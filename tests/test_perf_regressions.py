@@ -267,25 +267,10 @@ def test_trace_replay_latencies_byte_identical():
 # ---------------------------------------------------------------------------
 
 
-def test_warm_request_event_budget(monkeypatch):
-    """One request to a running, already-redirected service costs 13
-    kernel events:
-
-    * 10 — its 5 packets (SYN, SYN-ACK, ACK, request, response) cross 2
-      links each, one heap entry per packet per link: 5 arrivals at a
-      host (``_deliver``) and 5 at the switch, each of them the arrival
-      and the table lookup in one (``_ingress``) — no lookup is ever an
-      entry of its own (``_pipeline``);
-    * 2 — the client's process: its start and its completion
-      (``run_request`` waits on it);
-    * 1 — the server's service time.
-
-    The client's resumptions when the connection opens and when the
-    response is in happen inside the ``_deliver`` that brought the
-    SYN-ACK / the response (``Event.succeed_tail``): no popped entry is
-    the handshake ``Event`` or a ``StoreGet``.  The handler the server
-    starts per request ends without an entry (``Environment.spawn``).
-    """
+def _warm_docker_testbed(monkeypatch):
+    """A C³ testbed whose Docker instance of one service is running and
+    whose first client has its flows installed, the (emptied) record of
+    popped heap entries, and the service."""
     from repro.services.catalog import NGINX
     from repro.testbed import C3Testbed, TestbedConfig
 
@@ -296,21 +281,131 @@ def test_warm_request_event_budget(monkeypatch):
     service = tb.register_template(NGINX)
     tb.prepare_created(tb.docker_cluster, service)
     assert tb.run_request(tb.clients[0], service).response.ok  # installs the flows
-
     del popped[:]
+    return tb, popped, service
+
+
+def _popped_names(popped) -> list[str]:
+    return [getattr(entry, "__name__", type(entry).__name__) for entry in popped]
+
+
+def test_warm_request_event_budget(monkeypatch):
+    """One request to a running, already-redirected service costs 12
+    kernel events:
+
+    * 10 — its 5 packets (SYN, SYN-ACK, ACK, request, response) cross 2
+      links each, one heap entry per packet per link: 5 arrivals at a
+      host (``_deliver``) and 5 at the switch, each of them the arrival
+      and the table lookup in one (``_ingress``) — no lookup is ever an
+      entry of its own (``_pipeline``);
+    * 1 — the client's process ending (``run_request`` waits on it; it
+      started hot, ``Environment.run_process``, so no ``_Initialize``);
+    * 1 — the server's service time.
+
+    The client's resumptions when the connection opens and when the
+    response is in happen inside the ``_deliver`` that brought the
+    SYN-ACK / the response (``Event.succeed_tail``): no popped entry is
+    the handshake ``Event`` or a ``StoreGet``.  The handler the server
+    starts per request ends without an entry (``Environment.spawn``).
+    """
+    tb, popped, service = _warm_docker_testbed(monkeypatch)
     events, packets = tb.env.events_processed, tb.switch.stats["rx"]
     assert tb.run_request(tb.clients[0], service).response.ok
     packets = tb.switch.stats["rx"] - packets
-    assert tb.env.events_processed - events == len(popped) == 13
+    assert tb.env.events_processed - events == len(popped) == 12
 
-    names = [getattr(entry, "__name__", type(entry).__name__) for entry in popped]
+    names = _popped_names(popped)
     assert packets == 5
     assert names.count("_deliver") == names.count("_ingress") == packets
     assert names.count("_pipeline") == 0
-    # What is left: the service time, and the client's start and end.
-    assert sorted(set(names) - {"_deliver", "_ingress"}) == [
-        "Process", "Timeout", "_Initialize",
-    ]
+    # What is left: the service time, and the client's end.
+    assert sorted(set(names) - {"_deliver", "_ingress"}) == ["Process", "Timeout"]
+
+
+def test_flow_memory_miss_event_budget(monkeypatch):
+    """A first request from a new client to an instance that already
+    runs costs the warm request's 12 plus the control path's 4: the
+    packet-in's channel hop (``_deliver_up``), the handler's
+    processing-delay timer, and one channel hop per flow-mod
+    (``_deliver_down``: reverse, then forward + release).  The handler
+    starts inside the packet-in's delivery and ends without an entry;
+    with nothing to deploy ``Dispatcher.ensure_deployed`` is not a
+    process — so nothing is started (``_Initialize``) and the only
+    ``Process`` that pops is the client's own, which ``run_request``
+    waits on."""
+    tb, popped, service = _warm_docker_testbed(monkeypatch)
+    events = tb.env.events_processed
+    deployments = tb.controller.dispatcher.recorder.series("deployments")
+    assert tb.run_request(tb.clients[1], service).response.ok
+    assert len(deployments) == 1  # the first client's; none for this one
+    assert tb.env.events_processed - events == len(popped) == 12 + 4
+
+    names = _popped_names(popped)
+    assert names.count("_deliver") == names.count("_ingress") == 5
+    assert names.count("_deliver_up") == 1
+    assert names.count("_deliver_down") == 2
+    assert names.count("Timeout") == 2  # handler delay, service time
+    assert names.count("Process") == 1
+    assert names.count("_Initialize") == 0
+
+
+def test_nothing_pops_to_do_nothing(monkeypatch):
+    """Over a Kubernetes first request, then one first request /
+    FlowMemory-expiry scale-down / re-scale-up cycle on Kubernetes and
+    on Docker, every popped ``Event`` has somebody to tell — a non-empty
+    callback list — except a latch: an event a *later* waiter may still
+    yield, so it fires whether or not one is there yet.  There are two
+    under ``src/``: ``Container.ready``, fired by
+    ``Containerd._boot_application`` (the Docker adapter polls the port
+    instead of yielding it; caught here by identity), and the ``done``
+    event ``MigrationManager.migrate`` hands out, fired by
+    ``_run_admitted`` (no migration runs here).  A ``Store.put`` nobody
+    can wait on, or the end of a process nobody holds, is not an entry
+    at all (before that rule, each ``put`` popped an event of its own)."""
+    import dataclasses
+
+    from repro.containers.containerd import Containerd
+    from repro.services import DEFAULT_CALIBRATION
+    from repro.services.catalog import NGINX
+    from repro.sim.events import Event
+    from repro.testbed import C3Testbed, TestbedConfig
+
+    from tests.nethelpers import record_popped_entries
+
+    latches: list[Event] = []
+    idle: list[Event] = []
+    boot = Containerd._boot_application
+
+    def booting(self, container):
+        latches.append(container.ready)
+        return boot(self, container)
+
+    def note(item):
+        if isinstance(item[5], Event) and not item[5].callbacks:
+            idle.append(item[5])
+
+    monkeypatch.setattr(Containerd, "_boot_application", booting)
+    popped = record_popped_entries(monkeypatch, note)
+    assert _k8s_first_requests(1)["watch_events"] == 17.0
+    calibration = dataclasses.replace(
+        DEFAULT_CALIBRATION, switch_idle_timeout_s=5.0, memory_idle_timeout_s=20.0
+    )
+    for kind in ("k8s", "docker"):
+        tb = C3Testbed(
+            TestbedConfig(cluster_types=(kind,), auto_scale_down=True),
+            calibration=calibration,
+        )
+        service = tb.register_template(NGINX)
+        tb.settle(1.0)
+        assert tb.run_request(tb.clients[0], service).response.ok
+        tb.settle(30.0)  # switch flows lapse, then memory: scale-down
+        assert tb.controller.stats["scale_downs"] == 1
+        assert not tb.clusters[0].is_running(service.plan)
+        assert tb.run_request(tb.clients[0], service).response.ok
+        tb.settle(1.0)
+    assert len(popped) > 500
+    assert [event for event in idle if event not in latches] == []
+    assert len(idle) == 2  # Docker's two boots
 
 
 def _connect_pairs(starts):

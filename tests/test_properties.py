@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -27,11 +29,20 @@ from repro.k8s import (
     matches_selector,
 )
 from repro.k8s.kubeproxy import KubeProxy
-from repro.net import ConnectionTimeout, Host, HTTPRequest, HTTPResponse
+from repro.cluster.base import DeployError
+from repro.net import (
+    ConnectionRefused,
+    ConnectionTimeout,
+    Host,
+    HTTPRequest,
+    HTTPResponse,
+)
 from repro.net import link as link_module
 from repro.net.addressing import IPAllocator, IPv4Address, MACAddress, MACAllocator
 from repro.net.device import NetDevice
 from repro.net.link import Link, LinkEndpoint
+from repro.net.openflow.messages import FlowRemoved
+from repro.net.openflow.switch import ControlChannel
 from repro.net.openflow import (
     Drop,
     FlowEntry,
@@ -42,11 +53,13 @@ from repro.net.openflow import (
 )
 from repro.net.packet import HEADER_BYTES, Packet, TCPFlags, TCPSegment
 from repro.sdnfw.app import SDNApp
+from repro.services import DEFAULT_CALIBRATION
 from repro.services.catalog import NGINX
 from repro.sim import Environment, Resource, Store
 from repro.testbed import C3Testbed, TestbedConfig
 from repro.workload import BigFlowsParams, TraceDriver, generate_trace
 
+from tests.controlhelpers import counted_shortcuts, deployments_on_the_heap
 from tests.kubeproxy_oracle import (
     Backend,
     FullResync,
@@ -187,24 +200,39 @@ def test_resource_never_exceeds_capacity(capacity, jobs):
 
 
 @settings(max_examples=50, deadline=None)
-@given(items=st.lists(st.integers(), min_size=0, max_size=30))
-def test_store_preserves_fifo_order(items):
+@given(
+    items=st.lists(st.integers(), min_size=0, max_size=30),
+    getters=st.integers(1, 4),
+)
+def test_store_preserves_fifo_order(items, getters):
+    """Items leave in the order they entered — queued ahead of the
+    getter or handed to it while it is blocked — and blocked getters are
+    served oldest first (``put`` waking the *newest* one is the mutation
+    this fails under, at ``getters=2``; no ``Store`` under ``src/`` has
+    a second consumer to notice)."""
     env = Environment()
     store = Store(env)
     received = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
 
     def consumer(env):
         for _ in items:
             received.append((yield store.get()))
 
-    env.process(producer(env))
+    cut = len(items) // 2
+    for item in items[:cut]:
+        store.put(item)
     env.process(consumer(env))
     env.run()
+    for item in items[cut:]:
+        store.put(item)
+        env.run()
     assert received == items
+
+    blocked = [store.get() for _ in range(getters)]
+    for served in range(getters):
+        store.put(served)
+    env.run()
+    assert [get.value for get in blocked] == list(range(getters))
 
 
 # ---------------------------------------------------------------------------
@@ -1352,8 +1380,9 @@ def test_tail_handoff_is_the_heap_entry_it_replaces(scenario):
         client is connected before the second's SYN-ACK is received.
         All 12 bench digests tried (six workloads, seeds 42 and 1)
         stay equal under it: the latency md5s cannot tell.
-    (b) the guard ``<`` instead of ``<=`` — the same example, the same
-        12 digests.
+    (b) the guard letting an entry due exactly now through
+        (``Environment.quiet_now`` with ``>=``) — the same example, the
+        same 12 digests.
     (c) ``env._active_process`` not restored — ``_PUSH_TO_READER``: the
         courier is no longer the active process after ``receive``.
     (d) the hand-off used for the barrier reply
@@ -1373,6 +1402,292 @@ def test_tail_handoff_is_the_heap_entry_it_replaces(scenario):
     assert log == heap_log
     assert samples == heap_samples
     assert heap_events - events == len(taken)
+
+
+# ---------------------------------------------------------------------------
+# Nothing to deploy, no process: the shortcut vs the process it replaces
+# ---------------------------------------------------------------------------
+
+#: The control channel's hop.  A handler's processing delay is four of
+#: them, so a burst of packet-ins one hop apart puts handler timers on
+#: the instants queued flow-mods are delivered at.
+_HOP_S = 200e-6
+
+_storm_clients = st.lists(
+    st.tuples(
+        st.booleans(),  # behind the second switch, when there is one
+        st.sampled_from((0, 0, 0, 1, 2, 3, 4, 5)),  # first SYN, hops after the launch
+    ),
+    min_size=2,
+    max_size=4,
+)
+_storm_plants = st.lists(
+    st.tuples(
+        st.integers(0, 7),  # which handler's instant
+        st.sampled_from(("observe", "scale-down", "flow-removed")),
+        # Scheduled from the launch — ahead of the handler's timer — or
+        # from half a hop before the instant: behind it.
+        st.sampled_from(("ahead", "behind")),
+    ),
+    max_size=2,
+)
+_storms = st.tuples(
+    st.booleans(),  # a second switch (a gNB trunked to the first)
+    # The instance when the SYNs arrive: up; created but scaled down (the
+    # first packet-in deploys, the others join it); its port open this
+    # instant with ``wait_ready`` still to poll; or refusing to start, a
+    # farther cluster running it.
+    st.sampled_from(("running", "running", "created", "opening", "failing")),
+    _storm_clients,
+    _storm_plants,
+)
+
+
+def _message_summary(message) -> tuple:
+    return (
+        type(message).__name__,
+        getattr(message, "cookie", None),
+        getattr(message, "buffer_id", None),
+    )
+
+
+@contextlib.contextmanager
+def _logged_channels(log):
+    """Every control message of every channel, when sent and when
+    delivered, in both directions."""
+
+    def logged(name):
+        method = getattr(ControlChannel, name)
+
+        def spy(channel, message):
+            log.append(
+                (channel.env.now, channel.switch.name, name, *_message_summary(message))
+            )
+            method(channel, message)
+
+        return mock.patch.object(ControlChannel, name, spy)
+
+    with contextlib.ExitStack() as stack:
+        for name in (
+            "send_to_controller", "_deliver_up", "send_to_switch", "_deliver_down"
+        ):
+            stack.enter_context(logged(name))
+        yield
+
+
+def _log_ports(host: Host, log) -> None:
+    for name in ("open_port", "close_port"):
+
+        def spy(port, *args, _name=name, _method=getattr(host, name)):
+            log.append((host.env.now, host.name, _name, port))
+            return _method(port, *args)
+
+        setattr(host, name, spy)
+
+
+def _sent_to_land_at(at: float, delay: float) -> float | None:
+    """The instant ``x`` with ``x + delay == at`` float for float."""
+    for x in (at - delay, math.nextafter(at - delay, 0.0), math.nextafter(at - delay, math.inf)):
+        if x + delay == at:
+            return x
+    return None
+
+
+def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
+    """Run one storm of first requests on a real C³ control plane;
+    ``(log, samples, events processed, packet-ins, handler instants)``.
+
+    ``handler_instants`` are those of a run without them — where the
+    plants are aimed; without them nothing is planted."""
+    log: list[tuple] = []
+    samples: list[tuple] = []
+    with _logged_channels(log):
+        tb = C3Testbed(
+            TestbedConfig(n_clients=1, cluster_types=("docker",)),
+            # 35 ms: a boot (60 ms) ends between two polls, not on one.
+            calibration=dataclasses.replace(
+                DEFAULT_CALIBRATION, port_poll_interval_s=0.035
+            ),
+        )
+        env, controller = tb.env, tb.controller
+        dispatcher, cluster = controller.dispatcher, tb.docker_cluster
+        gnb = tb.add_gnb() if two_switches else None
+        service = tb.register_template(NGINX)
+        tb.prepare_created(cluster, service)
+        hosts = [tb.new_client(gnb if on_gnb else None) for on_gnb, _ in clients]
+        _log_ports(tb.egs, log)
+        if state == "running":
+            env.run_process(dispatcher.ensure_deployed(service, cluster))
+        elif state == "failing":
+            far = tb.add_far_edge()
+            tb.prepare_created(far, service)
+            env.run_process(dispatcher.ensure_deployed(service, far))
+
+            def refuse(plan):
+                yield env.timeout(0.05)
+                raise DeployError(f"{plan.service_name}: will not start")
+
+            cluster._start_instance = refuse
+        del log[:]
+
+        def curl(host):
+            try:
+                result = yield from tb.http_request(host, service, timeout=5.0)
+            except (ConnectionTimeout, ConnectionRefused) as exc:
+                samples.append((host.name, type(exc).__name__))
+            else:
+                samples.append((host.name, result.time_total))
+
+        def launch():
+            for host, (_, hops) in zip(hosts, clients):
+                env.call_at(env.now + hops * _HOP_S, env.spawn, curl(host))
+
+        def observe(scale_down):
+            log.append(
+                (
+                    env.now,
+                    "observer",
+                    sorted(
+                        (str(flow.client_ip), flow.cluster_name)
+                        for flow in controller.flow_memory.flows_for_service(service)
+                    ),
+                    sorted(
+                        (str(ip), sorted(cookies))
+                        for ip, cookies in controller._client_cookies.items()
+                    ),
+                    cluster.is_running(service.plan),
+                )
+            )
+            if scale_down:
+                dispatcher.scale_down_idle(service)
+
+        if state == "opening":
+            dispatcher.deploy_in_background(service, cluster)
+            open_port = tb.egs.open_port
+
+            def open_then_launch(port, *args):
+                open_port(port, *args)
+                launch()
+
+            tb.egs.open_port = open_then_launch
+        else:
+            launch()
+        for which, kind, where in plants if handler_instants else ():
+            at = handler_instants[which % len(handler_instants)]
+            if kind == "flow-removed":
+                # Up the first switch's channel, for the cookie of a
+                # client of this storm: delivered at the instant, it is
+                # scheduled a hop before it — behind the handler's timer.
+                host = hosts[which % len(hosts)]
+                channel = tb.switch.channel
+                sent = _sent_to_land_at(at, channel.latency_s)
+                if sent is not None:
+                    env.call_at(
+                        sent,
+                        channel.send_to_controller,
+                        FlowRemoved(
+                            tb.switch.datapath_id,
+                            FlowMatch(ip_src=host.ip),
+                            f"redirect:{service.name}:{host.ip}",
+                            "idle_timeout",
+                            0,
+                            0,
+                        ),
+                    )
+            else:
+                env.call_at(
+                    at - _HOP_S / 2 if where == "behind" else env.now,
+                    env.call_at, at, observe, kind == "scale-down",
+                )
+        env.run(until=env.now + 8.0)
+    delay = controller.config.processing_delay_s
+    return (
+        log,
+        sorted(samples),
+        env.events_processed,
+        controller.stats["packet_in"],
+        [
+            entry[0] + delay
+            for entry in log
+            if entry[2:4] == ("_deliver_up", "PacketIn")
+        ],
+    )
+
+
+# Two clients in lockstep behind one switch, the instance running: the
+# second handler's timer fires at the instant the first handler's
+# reverse flow-mod is delivered (packet-in + 200 + 800 µs on both
+# paths), sees it due and asks through a process — the flow-mod is
+# handled before that handler goes on to send its own.  Without the
+# guard it sends them first.
+_TIMER_MEETS_FLOW_MOD = (False, "running", [(False, 0), (False, 0)], [])
+# An observer planted behind a handler's timer at its instant reads
+# FlowMemory before the handler writes it.
+_OBSERVER_BEHIND = (
+    False, "running", [(False, 0), (False, 2)], [(0, "observe", "behind")],
+)
+# The port is open and ``wait_ready`` has 10 ms to its next poll: both
+# requests join the deployment in flight and are released when it ends.
+_PORT_OPEN_NOT_READY = (False, "opening", [(False, 0), (False, 0)], [])
+# Two requests wait for a deployment that fails; both re-resolve to the
+# farther cluster at one instant, sharing one process in the twin.
+_FAILS_WITH_TWO_WAITERS = (True, "failing", [(False, 0), (True, 0)], [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(storm=_storms)
+@example(storm=_TIMER_MEETS_FLOW_MOD)
+@example(storm=_OBSERVER_BEHIND)
+@example(storm=_PORT_OPEN_NOT_READY)
+@example(storm=_FAILS_WITH_TWO_WAITERS)
+def test_deployment_shortcut_is_the_process_it_replaces(storm):
+    """A real ``EdgeController`` and ``Dispatcher`` over one or two real
+    switches and a Docker cluster; 2-4 clients' first requests in
+    lockstep and one or more channel hops apart, so that handler timers
+    meet flow-mod deliveries; the instance running, scaled down, its
+    port open with ``wait_ready`` still polling, or failing to start
+    under two waiters; a ``FlowRemoved`` for a client's cookie delivered
+    at a handler's instant, and an observer planted at one — ahead of
+    the timer or behind it — that reads FlowMemory, ``_client_cookies``
+    and ``is_running`` and in some draws calls ``scale_down_idle``.  The
+    ordered log — every control message, sent and delivered, both
+    directions, with its instant; every ``open_port`` / ``close_port``;
+    the observer's readings — and the sorted ``time_total``s are equal
+    whether ``ensure_deployed`` answers on the spot and handlers start
+    hot, or every answer is a process and every handler starts cold
+    (``tests/controlhelpers.deployments_on_the_heap``, the control
+    plane as it was); and the event counts differ by exactly two per
+    shortcut taken plus one per handler.
+
+    Mutations this fails under (run on a scratch copy; the examples
+    above are what hypothesis shrank them to):
+
+    (a) no "nothing else due now" guard in ``ensure_deployed`` —
+        ``_TIMER_MEETS_FLOW_MOD``: the second handler's flow-mods are
+        sent before the first's reverse entry is delivered, not after.
+        4 of 4 bench digests tried (``c3_churn``, ``c3_replay``,
+        ``cold_deploy``, ``handover_storm``, seed 42) stay equal under
+        it, ``c3_churn`` reading 19.037 events/request for 19.080: the
+        latency md5s cannot tell.
+    (b) ``Environment.quiet_now`` with ``>=`` for ``>`` — the same
+        example, the same way.
+    (c) the shortcut ahead of the in-flight join —
+        ``_PORT_OPEN_NOT_READY``: both requests are released to an
+        instance whose deployment has not finished (§VI's reason for
+        polling), 9 ms early.
+    (d) ``Store.put`` waking the *newest* blocked getter — not this
+        property's to see (a Docker cluster has no ``Store``, and every
+        ``Store`` under ``src/`` has one consumer):
+        ``test_store_preserves_fifo_order`` holds it, at ``getters=2``.
+    """
+    with deployments_on_the_heap():
+        instants = _packet_in_storm(*storm)[4]
+        heap_log, heap_samples, heap_events, _, _ = _packet_in_storm(*storm, instants)
+    with counted_shortcuts() as taken:
+        log, samples, events, handlers, _ = _packet_in_storm(*storm, instants)
+    assert log == heap_log
+    assert samples == heap_samples
+    assert heap_events - events == 2 * len(taken) + handlers
 
 
 # ---------------------------------------------------------------------------

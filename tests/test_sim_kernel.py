@@ -10,11 +10,9 @@ import pytest
 from repro.sim import (
     AllOf,
     AnyOf,
-    Container,
     Environment,
     Event,
     Interrupt,
-    PriorityStore,
     Resource,
     SimulationError,
     Store,
@@ -761,13 +759,10 @@ class TestStore:
         store = Store(env)
         got = []
 
-        def producer(env, store):
-            yield store.put("item")
-
         def consumer(env, store):
             got.append((yield store.get()))
 
-        env.process(producer(env, store))
+        store.put("item")
         env.process(consumer(env, store))
         env.run()
         assert got == ["item"]
@@ -783,7 +778,7 @@ class TestStore:
 
         def producer(env, store):
             yield env.timeout(4.0)
-            yield store.put("late")
+            store.put("late")
 
         env.process(consumer(env, store))
         env.process(producer(env, store))
@@ -797,97 +792,37 @@ class TestStore:
 
         def producer(env, store):
             for i in range(3):
-                yield store.put(i)
+                store.put(i)
+                yield env.timeout(1.0)
 
         def consumer(env, store):
-            for _ in range(3):
+            for _ in range(4):
                 got.append((yield store.get()))
 
-        env.process(producer(env, store))
+        store.put("queued")
         env.process(consumer(env, store))
-        env.run()
-        assert got == [0, 1, 2]
-
-    def test_capacity_blocks_put(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        times = []
-
-        def producer(env, store):
-            yield store.put("a")
-            times.append(env.now)
-            yield store.put("b")
-            times.append(env.now)
-
-        def consumer(env, store):
-            yield env.timeout(5.0)
-            yield store.get()
-
         env.process(producer(env, store))
-        env.process(consumer(env, store))
         env.run()
-        assert times == [0.0, 5.0]
+        assert got == ["queued", 0, 1, 2]
 
-    def test_priority_store_orders_items(self):
+    def test_put_wakes_the_oldest_getter_and_costs_only_its_entry(self):
         env = Environment()
-        store = PriorityStore(env)
+        store = Store(env)
         got = []
 
-        def producer(env, store):
-            for item in (3, 1, 2):
-                yield store.put(item)
+        def consumer(env, store, name):
+            got.append((name, (yield store.get())))
 
-        def consumer(env, store):
-            yield env.timeout(1.0)
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.process(producer(env, store))
-        env.process(consumer(env, store))
+        env.process(consumer(env, store, "first"))
+        env.process(consumer(env, store, "second"))
         env.run()
-        assert got == [1, 2, 3]
-
-
-class TestContainer:
-    def test_levels(self):
-        env = Environment()
-        tank = Container(env, capacity=100, init=50)
-        assert tank.level == 50
-
-        def proc(env, tank):
-            yield tank.get(30)
-            assert tank.level == 20
-            yield tank.put(60)
-            assert tank.level == 80
-
-        env.process(proc(env, tank))
+        before = env.events_processed
+        assert store.put("a") is None
+        store.put("b")
         env.run()
-        assert tank.level == 80
-
-    def test_get_blocks_until_available(self):
-        env = Environment()
-        tank = Container(env, capacity=10, init=0)
-        times = []
-
-        def taker(env, tank):
-            yield tank.get(5)
-            times.append(env.now)
-
-        def filler(env, tank):
-            yield env.timeout(3.0)
-            yield tank.put(5)
-
-        env.process(taker(env, tank))
-        env.process(filler(env, tank))
-        env.run()
-        assert times == [3.0]
-
-    def test_invalid_amounts_rejected(self):
-        env = Environment()
-        tank = Container(env, capacity=10, init=5)
-        with pytest.raises(ValueError):
-            tank.put(0)
-        with pytest.raises(ValueError):
-            tank.get(-1)
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=20)
+        assert got == [("first", "a"), ("second", "b")]
+        # One StoreGet entry and one process completion per consumer;
+        # the puts themselves are not events.
+        assert env.events_processed - before == 4
+        store.put("idle")
+        assert len(env) == 0 and store.items == ["idle"]
