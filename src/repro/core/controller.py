@@ -21,7 +21,7 @@ import typing as _t
 from repro.cluster.base import EdgeCluster, ServiceEndpoint
 from repro.core.dispatcher import Dispatcher, Resolution
 from repro.core.flow_memory import FlowMemory, MemorizedFlow
-from repro.core.schedulers.base import GlobalScheduler
+from repro.core.schedulers.base import ClientInfo, GlobalScheduler
 from repro.core.service_registry import EdgeService, ServiceRegistry
 from repro.core.state import ControlPlaneState, InstanceRecord
 from repro.metrics import MetricsRecorder
@@ -91,6 +91,154 @@ class ControllerConfig:
         )
 
 
+class Redirect:
+    """One client's redirection to one service on one switch: the owner
+    of its flow entries and of the only three things that happen to them.
+
+    *Forward* rewrites client → cloud address into client → instance and
+    releases the held first packet; *reverse* rewrites the instance's
+    answers back, so the client only ever sees the cloud address (§V).
+    Both sit at :data:`PRIORITY_REDIRECT` under the cookie
+    ``redirect:<service>:<client>``; after a repoint, per-connection
+    copies of both at :data:`PRIORITY_DRAIN` under ``drain:…`` keep the
+    sessions it overtook on their old path.  The cookie text is a wire
+    format (``repro.ops.collector`` parses it).  Every entry idles out on
+    its own: ``installed`` / ``drained`` say a transition *ran* — so the
+    next one deletes first — not what the table holds.
+
+    Each known race (ROADMAP item 2) is a few lines in one transition:
+    (a) :meth:`install` gives the reverse entry a lifetime of its own;
+    (b) :meth:`retire` at a handover deletes where it should drain;
+    (c) :meth:`retire` + barrier must precede an idle scale-down's stop;
+    (d) :meth:`repoint` loses a request caught mid-flip.
+    """
+
+    def __init__(
+        self,
+        controller: "EdgeController",
+        datapath: Datapath,
+        client_ip: IPv4Address,
+        service: EdgeService,
+    ) -> None:
+        self.controller = controller
+        self.datapath = datapath
+        self.client_ip = client_ip
+        self.service = service
+        self.cookie = f"redirect:{service.name}:{client_ip}"
+        self.drain_cookie = f"drain:{service.name}:{client_ip}"
+        self.installed = False
+        self.drained = False
+
+    def install(
+        self, client_port: int, endpoint: ServiceEndpoint | None, buffer_id: int | None
+    ) -> None:
+        """Point the client at ``endpoint`` and release the held packet.
+
+        A reinstall (memory fast path, concurrent dispatch) deletes
+        first, so the table never holds duplicates; FIFO ordering makes
+        delete-then-add safe.  Reverse goes in *before* forward releases
+        the buffered packet, so the response cannot miss.
+        """
+        if self.installed:
+            self.datapath.delete_flows(cookie=self.cookie)
+        self.installed = True
+        edge, out_port = self._toward(endpoint)
+        if out_port is None:
+            return
+        if edge is not None:
+            self._add(PRIORITY_REDIRECT, self.cookie, self._reverse(edge, client_port))
+        self._add(PRIORITY_REDIRECT, self.cookie, self._forward(edge, out_port), buffer_id)
+
+    def repoint(
+        self, client_port: int, old_endpoint: ServiceEndpoint, endpoint: ServiceEndpoint | None
+    ) -> None:
+        """Swap to ``endpoint``, make-before-break: drain, then install.
+
+        The client's in-flight connections (the gNB-conntrack snapshot,
+        half-open ones included) are pinned to ``old_endpoint`` one
+        forward drain per TCP source port, above the entries about to
+        be swapped, so established sessions keep their path while new
+        ones take the new one.  Nothing tracked, or no conntrack: no
+        drain.
+        """
+        service = self.service
+        conntrack = self.controller.conntrack
+        if conntrack is not None and (
+            ports := conntrack(self.client_ip, service.cloud_ip, service.port)
+        ):
+            if self.drained:
+                # A previous repoint's drains are still in the table; the
+                # connections they covered are part of this snapshot too.
+                self.datapath.delete_flows(cookie=self.drain_cookie)
+            self.drained = True
+            old, old_out = self._toward(old_endpoint)
+            if old is not None:
+                self._add(PRIORITY_DRAIN, self.drain_cookie, self._reverse(old, client_port))
+            if old_out is not None:
+                for tcp_src in ports:
+                    entry = self._forward(old, old_out, tcp_src)
+                    self._add(PRIORITY_DRAIN, self.drain_cookie, entry)
+        self.install(client_port, endpoint, None)
+
+    def retire(self) -> None:
+        """Delete what the transitions above left, if the switch is
+        still ours."""
+        datapath = self.controller.datapaths.get(self.datapath.id)
+        if datapath is None:
+            return
+        if self.installed:
+            datapath.delete_flows(cookie=self.cookie)
+        if self.drained:
+            datapath.delete_flows(cookie=self.drain_cookie)
+
+    def _toward(
+        self, endpoint: ServiceEndpoint | None
+    ) -> tuple[ServiceEndpoint | None, int | None]:
+        """``(edge, out_port)`` for ``endpoint``; ``edge`` is ``None``
+        for the cloud in either spelling — a resolution's ``None``, or
+        FlowMemory's record of the service's own address."""
+        service, topology = self.service, self.controller.topology
+        if endpoint is None or (
+            endpoint.ip == service.cloud_ip and endpoint.port == service.port
+        ):
+            return None, topology.cloud_port(self.datapath.id)
+        return endpoint, topology.port_for(self.datapath.id, endpoint.ip)
+
+    def _reverse(self, edge: ServiceEndpoint, client_port: int):
+        """The entry that makes ``edge``'s answers the cloud address's."""
+        service = self.service
+        match = FlowMatch(ip_src=edge.ip, tcp_src=edge.port, ip_dst=self.client_ip)
+        return match, [
+            SetField("ip_src", service.cloud_ip),
+            SetField("tcp_src", service.port),
+            Output(client_port),
+        ]
+
+    def _forward(self, edge: ServiceEndpoint | None, out_port: int, tcp_src: int | None = None):
+        """The entry that sends the client's packets (of one connection,
+        with ``tcp_src``) to ``edge``; toward the cloud nothing is
+        rewritten."""
+        service = self.service
+        rewrite = []
+        if edge is not None:
+            rewrite = [SetField("ip_dst", edge.ip), SetField("tcp_dst", edge.port)]
+        match = FlowMatch(
+            ip_src=self.client_ip, tcp_src=tcp_src, ip_dst=service.cloud_ip, tcp_dst=service.port
+        )
+        return match, rewrite + [Output(out_port)]
+
+    def _add(self, priority: int, cookie: str, entry, buffer_id: int | None = None) -> None:
+        match, actions = entry
+        self.datapath.add_flow(
+            match,
+            actions,
+            priority=priority,
+            idle_timeout=self.controller.config.switch_idle_timeout_s,
+            cookie=cookie,
+            buffer_id=buffer_id,
+        )
+
+
 class EdgeController(SDNApp):
     """The transparent-edge SDN controller with on-demand deployment."""
 
@@ -128,24 +276,23 @@ class EdgeController(SDNApp):
         self.dispatcher = self._make_dispatcher(
             env, clusters, scheduler, calibration, on_instance_change, site
         )
-        # When a background deployment comes up, repoint the *data
-        # plane* (drain entries + fresh redirect flows), not just the
-        # flow memory — otherwise switches keep steering clients at an
-        # endpoint that may since have gone away.
+        # When a background deployment comes up the data plane follows
+        # the memory, or switches keep steering clients at the old endpoint.
         self.dispatcher.on_endpoint_ready = self.repoint_service_flows
         #: Optional request predictor for proactive deployment (§VII).
         self.predictor = None
         self.proactive_deployer = None
-        #: Redirect flows installed per client: ip -> {(dpid, cookie)}.
-        #: Used to tear down stale entries on client migration.
-        self._client_cookies: dict[IPv4Address, set[tuple[int, str]]] = {}
+        #: Every redirect this controller ever installed and has not
+        #: retired: client ip -> {(dpid, service name): owner}, both in
+        #: insertion order — the order retirements reach the switch in.
+        self._redirects: dict[
+            IPv4Address, dict[tuple[int, str], Redirect]
+        ] = {}
         #: Optional gNB-conntrack lookup the testbed wires in:
         #: ``(client_ip, dst_ip, dst_port) -> local source ports`` of
-        #: the client's in-flight connections (see
-        #: :meth:`~repro.net.host.Host.tracked_ports`).  When present,
-        #: make-before-break repoints install per-connection drain
-        #: entries so packets of established sessions keep following
-        #: the old path while new sessions take the new one.
+        #: the client's in-flight connections
+        #: (:meth:`~repro.net.host.Host.tracked_ports`) — the sessions
+        #: :meth:`Redirect.repoint` keeps on their old path.
         self.conntrack: _t.Callable[
             [IPv4Address, IPv4Address, int], tuple[int, ...]
         ] | None = None
@@ -271,18 +418,9 @@ class EdgeController(SDNApp):
         controller owns: intercepts, per-client redirects, memory."""
         for datapath in self.datapaths.values():
             datapath.delete_flows(cookie=f"intercept:{service.name}")
-        for client_ip, cookies in list(self._client_cookies.items()):
-            stale = {
-                (dpid, cookie)
-                for (dpid, cookie) in cookies
-                if cookie.startswith(f"redirect:{service.name}:")
-                or cookie.startswith(f"drain:{service.name}:")
-            }
-            for dpid, cookie in stale:
-                datapath = self.datapaths.get(dpid)
-                if datapath is not None:
-                    datapath.delete_flows(cookie=cookie)
-            cookies -= stale
+        for owned in self._redirects.values():
+            for key in [key for key in owned if key[1] == service.name]:
+                owned.pop(key).retire()
         for flow in self.flow_memory.flows_for_service(service):
             self.flow_memory.forget(flow)
 
@@ -370,28 +508,16 @@ class EdgeController(SDNApp):
             # FlowMemory fast path: reinstall without scheduling (§V).
             self.stats["memory_hits"] += 1
             self.flow_memory.touch(memorized)
-            self._install_path(
-                datapath,
-                client_ip,
-                message.in_port,
-                service,
-                memorized.endpoint if memorized.cluster_name != "cloud" else None,
-                message.buffer_id,
-            )
-            return
-
-        self.stats["dispatched"] += 1
-        resolution: Resolution = yield from self.dispatcher.resolve(service, client)
-        if resolution.endpoint is None:
-            self.stats["cloud_fallbacks"] += 1
-        self._remember(client_ip, service, resolution)
-        self._install_path(
-            datapath,
-            client_ip,
-            message.in_port,
-            service,
-            resolution.endpoint,
-            message.buffer_id,
+            endpoint = memorized.endpoint
+        else:
+            self.stats["dispatched"] += 1
+            resolution: Resolution = yield from self.dispatcher.resolve(service, client)
+            endpoint = resolution.endpoint
+            if endpoint is None:
+                self.stats["cloud_fallbacks"] += 1
+            self._remember(client_ip, service, resolution)
+        self._redirect(datapath, client_ip, service).install(
+            message.in_port, endpoint, message.buffer_id
         )
 
     def _remember(
@@ -435,162 +561,26 @@ class EdgeController(SDNApp):
                 )
         return False
 
-    # -- flow installation --------------------------------------------------------------
+    # -- redirects: lookup, then one transition ------------------------------------------
 
-    def _install_path(
-        self,
-        datapath: Datapath,
-        client_ip: IPv4Address,
-        client_port_no: int,
-        service: EdgeService,
-        endpoint: ServiceEndpoint | None,
-        buffer_id: int | None,
-    ) -> None:
-        """Install the (client, service) flows and release the held packet.
+    def _redirect(
+        self, datapath: Datapath, client_ip: IPv4Address, service: EdgeService
+    ) -> Redirect:
+        owned = self._redirects.setdefault(client_ip, {})
+        key = (datapath.id, service.name)
+        if key not in owned:
+            owned[key] = Redirect(self, datapath, client_ip, service)
+        return owned[key]
 
-        ``endpoint is None`` forwards to the cloud without rewriting.
-        The reverse entry goes in *before* the forward entry releases
-        the buffered packet, so the response cannot miss.
-        """
-        idle = self.config.switch_idle_timeout_s
-        cookie = f"redirect:{service.name}:{client_ip}"
-        known = self._client_cookies.setdefault(client_ip, set())
-        if (datapath.id, cookie) in known:
-            # Reinstall (memory fast path, or a concurrent dispatch):
-            # clear the previous entries first so the table never holds
-            # duplicates.  FIFO ordering makes delete-then-add safe.
-            datapath.delete_flows(cookie=cookie)
-        known.add((datapath.id, cookie))
-        if endpoint is None:
-            cloud_port = self.topology.cloud_port(datapath.id)
-            if cloud_port is None:
-                return
-            datapath.add_flow(
-                FlowMatch(
-                    ip_src=client_ip,
-                    ip_dst=service.cloud_ip,
-                    tcp_dst=service.port,
-                ),
-                [Output(cloud_port)],
-                priority=PRIORITY_REDIRECT,
-                idle_timeout=idle,
-                cookie=cookie,
-                buffer_id=buffer_id,
-            )
-            return
-
-        out_port = self.topology.port_for(datapath.id, endpoint.ip)
-        if out_port is None:
-            return
-        # Reverse first: edge responses rewritten back to the cloud address.
-        datapath.add_flow(
-            FlowMatch(
-                ip_src=endpoint.ip, tcp_src=endpoint.port, ip_dst=client_ip
-            ),
-            [
-                SetField("ip_src", service.cloud_ip),
-                SetField("tcp_src", service.port),
-                Output(client_port_no),
-            ],
-            priority=PRIORITY_REDIRECT,
-            idle_timeout=idle,
-            cookie=cookie,
-        )
-        # Forward: client traffic rewritten to the edge instance; the
-        # buffered first packet is released through this entry.
-        datapath.add_flow(
-            FlowMatch(
-                ip_src=client_ip, ip_dst=service.cloud_ip, tcp_dst=service.port
-            ),
-            [
-                SetField("ip_dst", endpoint.ip),
-                SetField("tcp_dst", endpoint.port),
-                Output(out_port),
-            ],
-            priority=PRIORITY_REDIRECT,
-            idle_timeout=idle,
-            cookie=cookie,
-            buffer_id=buffer_id,
-        )
-
-    # -- make-before-break repoints (migration / healing) ----------------------------------
-
-    def _install_drains(
-        self,
-        datapath: Datapath,
-        client_ip: IPv4Address,
-        client_port_no: int,
-        service: EdgeService,
-        old_endpoint: ServiceEndpoint,
-    ) -> int:
-        """Install per-connection drain entries pinning the client's
-        *in-flight* connections to the old path.
-
-        Installed at :data:`PRIORITY_DRAIN` (above the redirect entries
-        about to be swapped), matched per TCP source port from the
-        gNB-conntrack snapshot, with the switch idle timeout so they
-        expire on their own once the old sessions close.  Returns the
-        number of connections covered; a no-op without a conntrack.
-        """
-        if self.conntrack is None:
-            return 0
-        ports = self.conntrack(client_ip, service.cloud_ip, service.port)
-        if not ports:
-            return 0
-        idle = self.config.switch_idle_timeout_s
-        cookie = f"drain:{service.name}:{client_ip}"
-        known = self._client_cookies.setdefault(client_ip, set())
-        if (datapath.id, cookie) in known:
-            # A previous repoint's drains are still in the table; the
-            # connections they covered are part of this snapshot too.
-            datapath.delete_flows(cookie=cookie)
-        known.add((datapath.id, cookie))
-        to_cloud = (
-            old_endpoint.ip == service.cloud_ip
-            and old_endpoint.port == service.port
-        )
-        if to_cloud:
-            old_out = self.topology.cloud_port(datapath.id)
-            forward_actions: list[_t.Any] = []
-        else:
-            old_out = self.topology.port_for(datapath.id, old_endpoint.ip)
-            forward_actions = [
-                SetField("ip_dst", old_endpoint.ip),
-                SetField("tcp_dst", old_endpoint.port),
-            ]
-            # Reverse drain: responses from the old instance keep being
-            # rewritten back to the cloud address for the client.
-            datapath.add_flow(
-                FlowMatch(
-                    ip_src=old_endpoint.ip,
-                    tcp_src=old_endpoint.port,
-                    ip_dst=client_ip,
-                ),
-                [
-                    SetField("ip_src", service.cloud_ip),
-                    SetField("tcp_src", service.port),
-                    Output(client_port_no),
-                ],
-                priority=PRIORITY_DRAIN,
-                idle_timeout=idle,
-                cookie=cookie,
-            )
-        if old_out is None:
-            return 0
-        for src_port in ports:
-            datapath.add_flow(
-                FlowMatch(
-                    ip_src=client_ip,
-                    tcp_src=src_port,
-                    ip_dst=service.cloud_ip,
-                    tcp_dst=service.port,
-                ),
-                forward_actions + [Output(old_out)],
-                priority=PRIORITY_DRAIN,
-                idle_timeout=idle,
-                cookie=cookie,
-            )
-        return len(ports)
+    def _attachment(self, client: ClientInfo) -> Datapath | None:
+        """The switch ``client`` was last seen on — if it is ours and the
+        topology still has the client on that port."""
+        datapath = self.datapaths.get(client.datapath_id)
+        if datapath is None or client.in_port != self.topology.port_for(
+            client.datapath_id, client.ip
+        ):
+            return None
+        return datapath
 
     def repoint_service_flows(
         self,
@@ -618,33 +608,12 @@ class EdgeController(SDNApp):
                 continue
             if flow.cluster_name == cluster_name and flow.endpoint == endpoint:
                 continue
-            old_endpoint = flow.endpoint
             client = self.dispatcher.client_locations.get(flow.client_ip)
-            if client is not None:
-                datapath = self.datapaths.get(client.datapath_id)
-                attached = (
-                    datapath is not None
-                    and self.topology.port_for(
-                        client.datapath_id, flow.client_ip
-                    )
-                    == client.in_port
+            datapath = None if client is None else self._attachment(client)
+            if datapath is not None:
+                self._redirect(datapath, flow.client_ip, service).repoint(
+                    client.in_port, flow.endpoint, endpoint
                 )
-                if attached:
-                    self._install_drains(
-                        datapath,
-                        flow.client_ip,
-                        client.in_port,
-                        service,
-                        old_endpoint,
-                    )
-                    self._install_path(
-                        datapath,
-                        flow.client_ip,
-                        client.in_port,
-                        service,
-                        endpoint,
-                        None,
-                    )
             flow.cluster_name = cluster_name
             flow.endpoint = endpoint
             flow.degraded_from = None
@@ -705,10 +674,8 @@ class EdgeController(SDNApp):
         if datapath_id is not None and in_port is not None:
             self.dispatcher.note_client(client_ip, datapath_id, in_port)
         self.install_host_routes(client_ip)
-        for dpid, cookie in self._client_cookies.pop(client_ip, set()):
-            datapath = self.datapaths.get(dpid)
-            if datapath is not None:
-                datapath.delete_flows(cookie=cookie)
+        for redirect in self._redirects.pop(client_ip, {}).values():
+            redirect.retire()
         self.flow_memory.forget_client(client_ip)
         if datapath_id is None or in_port is None:
             # Attachment unknown (e.g. the client left for a switch
@@ -740,19 +707,10 @@ class EdgeController(SDNApp):
         if self.flow_memory.lookup(client_ip, service) is not None:
             return  # a real packet-in re-resolved first; keep its result
         self._remember(client_ip, service, resolution)
-        datapath = self.datapaths.get(client.datapath_id)
-        if (
-            datapath is not None
-            and self.topology.port_for(client.datapath_id, client_ip)
-            == client.in_port
-        ):
-            self._install_path(
-                datapath,
-                client_ip,
-                client.in_port,
-                service,
-                resolution.endpoint,
-                None,
+        datapath = self._attachment(client)
+        if datapath is not None:
+            self._redirect(datapath, client_ip, service).install(
+                client.in_port, resolution.endpoint, None
             )
 
     # -- idle scale-down --------------------------------------------------------------------

@@ -127,14 +127,14 @@ class Dispatcher:
         #: uses it to announce running/stopped instances to peer sites.
         self.on_instance_change = on_instance_change
         #: Hook for "the BEST instance became ready after a no-waiting
-        #: redirect".  The controller points this at
-        #: ``repoint_service_flows`` so the *data plane* follows the
-        #: memory repoint (drains + fresh redirect entries) instead of
-        #: leaving switch entries aimed at the old endpoint until they
-        #: idle out.  ``None`` falls back to the memory-only update.
-        self.on_endpoint_ready: (
-            _t.Callable[[EdgeService, str, ServiceEndpoint], int] | None
-        ) = None
+        #: redirect": on its own a dispatcher repoints the memory.  The
+        #: controller points this at ``repoint_service_flows`` so the
+        #: *data plane* follows (drains + fresh redirect entries) instead
+        #: of leaving switch entries aimed at the old endpoint until
+        #: they idle out.
+        self.on_endpoint_ready: _t.Callable[
+            [EdgeService, str, ServiceEndpoint], int
+        ] = flow_memory.update_endpoint
         #: Site identifier stamped into published instance records.
         self.site = site
         self.recorder = recorder if recorder is not None else MetricsRecorder()
@@ -573,12 +573,7 @@ class Dispatcher:
             return
         endpoint = cluster.endpoint(service.plan)
         if endpoint is not None:
-            if self.on_endpoint_ready is not None:
-                self.on_endpoint_ready(service, cluster.name, endpoint)
-            else:
-                self.flow_memory.update_endpoint(
-                    service, cluster.name, endpoint
-                )
+            self.on_endpoint_ready(service, cluster.name, endpoint)
 
     # -- scale-down -------------------------------------------------------------------------
 

@@ -303,39 +303,6 @@ class Environment:
 
     # -- execution -------------------------------------------------------
 
-    def step(self) -> None:
-        """Process the next event on the heap."""
-        try:
-            item = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        self._now = item[0]
-        self.events_processed += 1
-
-        if len(item) == 7:
-            # Slim path: no callback list, no value, no defuse protocol.
-            try:
-                item[5](*item[6])
-            except (_StopRun, SimulationError):
-                raise
-            except Exception as exc:
-                raise SimulationError(
-                    f"scheduled callback {item[5]!r} raised {exc!r}"
-                ) from exc
-            return
-        event: Event = item[5]
-
-        # Mark processed *before* running callbacks so conditions and
-        # late registrations observe a consistent state.
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:  # type: ignore[union-attr]
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # A failure nobody waited for: surface it loudly instead of
-            # silently dropping the exception.
-            raise event._value
-
     def run_below(self, limit: float) -> None:
         """Process every event with time strictly below ``limit``.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.plan import ServiceEndpoint
 from repro.core import HybridDockerK8sScheduler, LowLatencyScheduler, NearestScheduler
 from repro.core.schedulers import CloudOnlyScheduler
 from repro.services.catalog import ASM, NGINX, NGINX_PY, RESNET
@@ -304,3 +305,270 @@ class TestUnregisteredTraffic:
         assert result.response.status == 200
         # Default rule handled it: the controller never saw a packet-in.
         assert tb.controller.stats["packet_in"] == 0
+
+
+# -- a redirect's three transitions, as the switch sees them ---------------
+
+_SVC = "edge-203-0-113-1-80"  # NGINX registered at 203.0.113.1:80
+_R = f"redirect:{_SVC}:10.0.0.2"  # clients[0]; the cookie text is a wire format
+_D = f"drain:{_SVC}:10.0.0.2"
+
+#: The distinct FlowMods of the table below, as :func:`_wire` renders them.
+_ADD_R, _ADD_D = f"add {_R} p20 idle=10", f"add {_D} p25 idle=10"
+_FROM_EGS = "match(ip_src=10.0.0.1, ip_dst=10.0.0.2, tcp_src=30080)"
+_FROM_FAR = "match(ip_src=10.0.0.22, ip_dst=10.0.0.2, tcp_src=30081)"
+_FROM_NOWHERE = "match(ip_src=10.9.9.9, ip_dst=10.0.0.2, tcp_src=30082)"
+_BACK = "-> set_field:ip_src=203.0.113.1,set_field:tcp_src=80,output:2 buffer=None"
+_ANY = "match(ip_src=10.0.0.2, ip_dst=203.0.113.1, tcp_dst=80)"
+_CONN = "match(ip_src=10.0.0.2, ip_dst=203.0.113.1, tcp_src=%d, tcp_dst=80)"
+_TO_EGS = "-> set_field:ip_dst=10.0.0.1,set_field:tcp_dst=30080,output:1"
+_TO_FAR = "-> set_field:ip_dst=10.0.0.22,set_field:tcp_dst=30081,output:23"
+_TO_CLOUD = "-> output:22"
+_FLOW_MODS = {
+    "del R": f"delete {_R}",
+    "del D": f"delete {_D}",
+    "R rev egs": f"{_ADD_R} {_FROM_EGS} {_BACK}",
+    "R rev far": f"{_ADD_R} {_FROM_FAR} {_BACK}",
+    "R fwd egs": f"{_ADD_R} {_ANY} {_TO_EGS} buffer=None",
+    "R fwd egs buf7": f"{_ADD_R} {_ANY} {_TO_EGS} buffer=7",
+    "R fwd egs buf8": f"{_ADD_R} {_ANY} {_TO_EGS} buffer=8",
+    "R fwd far": f"{_ADD_R} {_ANY} {_TO_FAR} buffer=None",
+    "R fwd cloud buf7": f"{_ADD_R} {_ANY} {_TO_CLOUD} buffer=7",
+    "D rev egs": f"{_ADD_D} {_FROM_EGS} {_BACK}",
+    "D rev far": f"{_ADD_D} {_FROM_FAR} {_BACK}",
+    "D rev nowhere": f"{_ADD_D} {_FROM_NOWHERE} {_BACK}",
+    "D fwd egs :40000": f"{_ADD_D} {_CONN % 40000} {_TO_EGS} buffer=None",
+    "D fwd egs :40001": f"{_ADD_D} {_CONN % 40001} {_TO_EGS} buffer=None",
+    "D fwd far :40000": f"{_ADD_D} {_CONN % 40000} {_TO_FAR} buffer=None",
+    "D fwd far :40001": f"{_ADD_D} {_CONN % 40001} {_TO_FAR} buffer=None",
+    "D fwd cloud :40000": f"{_ADD_D} {_CONN % 40000} {_TO_CLOUD} buffer=None",
+    "D fwd cloud :40001": f"{_ADD_D} {_CONN % 40001} {_TO_CLOUD} buffer=None",
+}
+
+#: case -> (steps, the FlowMods they put on the control channel, in order).
+#: Endpoints: ``egs`` 10.0.0.1:30080 (switch port 1), ``far`` 10.0.0.22:30081
+#: (port 23), ``nowhere`` (no port known), ``cloud`` as FlowMemory records it
+#: (203.0.113.1:80, uplink port 22), ``None`` as a resolution spells it; the
+#: client sits on port 2.  ``("track", ports)`` sets what conntrack answers.
+#: Recorded at b63004c, from the two open-coded installers and the two
+#: cookie-deleting loops ``Redirect`` replaced — not from the code under test.
+_TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
+    "install to an edge endpoint": (
+        [("install", "egs", 7)],
+        ["R rev egs", "R fwd egs buf7"],
+    ),
+    "reinstall deletes first": (
+        [("install", "egs", 7), ("install", "egs", 8)],
+        ["R rev egs", "R fwd egs buf7", "del R", "R rev egs", "R fwd egs buf8"],
+    ),
+    "install to the cloud, spelled None": (
+        [("install", None, 7)],
+        ["R fwd cloud buf7"],
+    ),
+    "install to the cloud, spelled as FlowMemory records it": (
+        [("install", "cloud", 7)],
+        ["R fwd cloud buf7"],
+    ),
+    "install toward an unknown port adds nothing, and is still marked": (
+        [("install", "nowhere", 7), ("install", "egs", 8)],
+        ["del R", "R rev egs", "R fwd egs buf8"],
+    ),
+    "repoint without a conntrack is a reinstall": (
+        [("track", None), ("install", "egs", 7), ("repoint", "egs", "far")],
+        ["R rev egs", "R fwd egs buf7", "del R", "R rev far", "R fwd far"],
+    ),
+    "repoint with nothing tracked is a reinstall": (
+        [("track", ()), ("install", "egs", 7), ("repoint", "egs", "far")],
+        ["R rev egs", "R fwd egs buf7", "del R", "R rev far", "R fwd far"],
+    ),
+    "repoint with one connection, from an edge endpoint": (
+        [("track", (40000,)), ("install", "egs", 7), ("repoint", "egs", "far")],
+        [
+            "R rev egs", "R fwd egs buf7", "D rev egs", "D fwd egs :40000", "del R",
+            "R rev far", "R fwd far",
+        ],
+    ),
+    "repoint with two connections, from an edge endpoint": (
+        [("track", (40000, 40001)), ("install", "egs", 7), ("repoint", "egs", "far")],
+        [
+            "R rev egs", "R fwd egs buf7", "D rev egs", "D fwd egs :40000",
+            "D fwd egs :40001", "del R", "R rev far", "R fwd far",
+        ],
+    ),
+    "repoint with one connection, from the cloud": (
+        [("track", (40000,)), ("install", None, 7), ("repoint", "cloud", "egs")],
+        ["R fwd cloud buf7", "D fwd cloud :40000", "del R", "R rev egs", "R fwd egs"],
+    ),
+    "repoint with two connections, from the cloud": (
+        [("track", (40000, 40001)), ("install", None, 7), ("repoint", "cloud", "egs")],
+        [
+            "R fwd cloud buf7", "D fwd cloud :40000", "D fwd cloud :40001", "del R",
+            "R rev egs", "R fwd egs",
+        ],
+    ),
+    "a second repoint deletes the first one's drains": (
+        [
+            ("track", (40000,)), ("install", "egs", 7), ("repoint", "egs", "far"),
+            ("track", (40000, 40001)), ("repoint", "far", "egs"),
+        ],
+        [
+            "R rev egs", "R fwd egs buf7", "D rev egs", "D fwd egs :40000", "del R",
+            "R rev far", "R fwd far", "del D", "D rev far", "D fwd far :40000",
+            "D fwd far :40001", "del R", "R rev egs", "R fwd egs",
+        ],
+    ),
+    "repoint from an unknown port still sends the reverse drain": (
+        [("track", (40000,)), ("install", "nowhere", 7), ("repoint", "nowhere", "egs")],
+        ["D rev nowhere", "del R", "R rev egs", "R fwd egs"],
+    ),
+    "retire before a repoint": (
+        [("install", "egs", 7), ("retire",)],
+        ["R rev egs", "R fwd egs buf7", "del R"],
+    ),
+    "retire after a repoint": (
+        [
+            ("track", (40000,)), ("install", "egs", 7), ("repoint", "egs", "far"),
+            ("retire",),
+        ],
+        [
+            "R rev egs", "R fwd egs buf7", "D rev egs", "D fwd egs :40000", "del R",
+            "R rev far", "R fwd far", "del R", "del D",
+        ],
+    ),
+    "retire with nothing installed": (
+        [("retire",)],
+        [],
+    ),
+    "retire after detach sends nothing": (
+        [
+            ("track", (40000,)), ("install", "egs", 7), ("repoint", "egs", "far"),
+            ("detach",), ("retire",),
+        ],
+        [
+            "R rev egs", "R fwd egs buf7", "D rev egs", "D fwd egs :40000", "del R",
+            "R rev far", "R fwd far",
+        ],
+    ),
+}
+
+
+def _wire(message) -> str:
+    """One FlowMod as text: command, cookie, priority, idle timeout,
+    match, actions, buffer id."""
+    if message.command == "delete":
+        assert message.match is None
+        return f"delete {message.cookie}"
+    actions = ",".join(str(action) for action in message.actions)
+    return (
+        f"add {message.cookie} p{message.priority} idle={message.idle_timeout:g} "
+        f"{message.match} -> {actions} buffer={message.buffer_id}"
+    )
+
+
+def _sent_to_switch(tb) -> list[str]:
+    """Every message the controller sends its switch from now on, as
+    :func:`_wire` text, in sending order."""
+    sent = []
+    channel = tb.datapath.channel
+    send = channel.send_to_switch
+
+    def recording(message):
+        sent.append(_wire(message))
+        send(message)
+
+    channel.send_to_switch = recording
+    return sent
+
+
+def _redirect_rig():
+    """A real switch under a real controller, every message to the
+    switch recorded as it is sent; no request runs."""
+    from repro.net.addressing import IPv4Address
+
+    tb = docker_testbed()
+    far = tb.add_far_edge()
+    service = tb.register_template(NGINX)
+    tb.settle(0.01)
+    sent = _sent_to_switch(tb)
+    endpoints = {
+        "egs": ServiceEndpoint(tb.egs.ip, 30080),
+        "far": ServiceEndpoint(far.ingress_host.ip, 30081),
+        "nowhere": ServiceEndpoint(IPv4Address.parse("10.9.9.9"), 30082),
+        "cloud": ServiceEndpoint(service.cloud_ip, service.port),
+        None: None,
+    }
+    return tb, service, endpoints, sent
+
+
+@pytest.mark.parametrize("case", _TRANSITIONS)
+def test_redirect_transitions_as_message_sequences(case):
+    """``Redirect.install`` / ``repoint`` / ``retire`` put exactly the
+    recorded FlowMods on the control channel, in the recorded order —
+    most of which no latency md5 can see (a delete ahead of an add, a
+    drain ahead of a swap, an entry nobody hits)."""
+    steps, expected = _TRANSITIONS[case]
+    tb, service, endpoints, sent = _redirect_rig()
+    client = tb.clients[0]
+    port = tb.topology.port_for(tb.datapath.id, client.ip)
+    redirect = tb.controller._redirect(tb.datapath, client.ip, service)
+    for step, *args in steps:
+        if step == "track":
+            (ports,) = args
+            tb.controller.conntrack = ports if ports is None else lambda *_, p=ports: p
+        elif step == "install":
+            redirect.install(port, endpoints[args[0]], args[1])
+        elif step == "repoint":
+            redirect.repoint(port, endpoints[args[0]], endpoints[args[1]])
+        elif step == "retire":
+            redirect.retire()
+        else:
+            assert step == "detach"
+            tb.controller.detach(tb.switch)
+    assert sent == [_FLOW_MODS[name] for name in expected]
+
+
+@pytest.mark.parametrize("how", ["handover", "unregister"])
+def test_retirement_order_does_not_depend_on_the_hash_seed(how):
+    """Eight clients hold a live connection each and are repointed, so
+    each owns a ``redirect:`` and a ``drain:`` cookie; then each is
+    handed over (``update_client_location``) or, second case, the
+    service is unregistered.  Every client's ``redirect:`` delete
+    reaches the control channel before its ``drain:`` delete.
+
+    Before a redirect had an owner the two cookies sat in a *set* of
+    ``(dpid, cookie)`` tuples and went out in iteration order, so each
+    client's order was a coin flipped by ``PYTHONHASHSEED`` and this
+    test failed with probability 1 − 2⁻⁸ per seed (at b63004c it fails
+    under each of 0–5).  The coin, for ``{(1, "redirect:…:10.0.0.2"),
+    (1, "drain:…:10.0.0.2")}`` of this test's first client: seed 1
+    iterates ``drain:`` first, seeds 0, 2, 3, 4 and 5 ``redirect:``
+    first; ISSUE 24 recorded 0 and 4 against 1, 2, 3 and 5 for another
+    pair of cookies.  No latency md5 sees the order; aim 3's
+    "determinism holds across PYTHONHASHSEED" forbids it.  CI runs this
+    file under seeds 1 and 2.
+    """
+    tb = docker_testbed()
+    far = tb.add_far_edge()
+    service = tb.register_template(NGINX)
+    tb.prepare_created(tb.docker_cluster, service)
+    clients = tb.clients[:8]
+    for client in clients:  # the first packet deploys, installs, and stays open
+        tb.env.run_process(client.connect(service.cloud_ip, service.port, timeout=5.0))
+    moved = tb.controller.repoint_service_flows(
+        service, far.name, ServiceEndpoint(far.ingress_host.ip, 30081)
+    )
+    assert moved == 8
+    tb.settle(0.01)
+
+    sent = _sent_to_switch(tb)
+    if how == "handover":
+        for client in clients:
+            tb.controller.update_client_location(client.ip)
+    else:
+        tb.controller.unregister_service(service, remove_deployments=False)
+    for client in clients:
+        mine = f"{service.name}:{client.ip}"
+        assert [text for text in sent if text.endswith(f":{mine}")] == [
+            f"delete redirect:{mine}",
+            f"delete drain:{mine}",
+        ]

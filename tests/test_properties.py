@@ -60,6 +60,7 @@ from repro.testbed import C3Testbed, TestbedConfig
 from repro.workload import BigFlowsParams, TraceDriver, generate_trace
 
 from tests.controlhelpers import counted_shortcuts, deployments_on_the_heap
+from tests.kernel_oracle import step
 from tests.kubeproxy_oracle import (
     Backend,
     FullResync,
@@ -672,7 +673,7 @@ def test_kubeproxy_follows_a_real_cluster(ops):
             settled_at = env.now + 8.0
         instant = env.peek()
         while env.peek() == instant:
-            env.step()
+            step(env)
         for kind, objects in known.items():
             objects.update((o.metadata.uid, o) for o in api.list_nowait(kind, None))
         after = _resync_inputs(cluster, known["Pod"].values(), known["Service"].values())
@@ -1552,8 +1553,8 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
                         for flow in controller.flow_memory.flows_for_service(service)
                     ),
                     sorted(
-                        (str(ip), sorted(cookies))
-                        for ip, cookies in controller._client_cookies.items()
+                        (str(ip), sorted(owned))
+                        for ip, owned in controller._redirects.items()
                     ),
                     cluster.is_running(service.plan),
                 )
@@ -1648,7 +1649,7 @@ def test_deployment_shortcut_is_the_process_it_replaces(storm):
     port open with ``wait_ready`` still polling, or failing to start
     under two waiters; a ``FlowRemoved`` for a client's cookie delivered
     at a handler's instant, and an observer planted at one — ahead of
-    the timer or behind it — that reads FlowMemory, ``_client_cookies``
+    the timer or behind it — that reads FlowMemory, ``_redirects``
     and ``is_running`` and in some draws calls ``scale_down_idle``.  The
     ordered log — every control message, sent and delivered, both
     directions, with its instant; every ``open_port`` / ``close_port``;
