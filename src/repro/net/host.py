@@ -281,6 +281,11 @@ class Host(NetDevice):
         listener.app = app
         return previous
 
+    def app_on(self, port: int) -> "Application | None":
+        """The application behind ``port``, or None while it is closed."""
+        listener = self._listeners.get(port)
+        return listener.app if listener is not None else None
+
     def tracked_ports(
         self, dst_ip: IPv4Address, dst_port: int
     ) -> tuple[int, ...]:

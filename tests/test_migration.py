@@ -13,9 +13,10 @@ Three layers:
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
 from repro.core.migration import (
+    DRAIN_S,
     MIGRATION_PORT,
     BandwidthLedger,
     FreezeGate,
@@ -133,6 +134,22 @@ class TestPolicies:
     def test_unknown_template_falls_back_to_default(self):
         policy = policy_for(_FakeService("no-such-template"))
         assert policy == MigrationPolicy()
+        assert policy_for(None, mode="stopcopy") == MigrationPolicy(mode="stopcopy")
+
+    def test_a_policy_holds_only_the_per_service_knobs(self):
+        # Round bounds, drain window and readiness bound are module
+        # constants: no template or caller ever set them per service.
+        assert [f.name for f in dataclasses.fields(MigrationPolicy)] == [
+            "mode",
+            "checkpoint_bytes",
+            "dirty_rate_bps",
+            "chunk_bytes",
+            "rate_bps",
+            "freeze_timeout_s",
+            "transfer_timeout_s",
+        ]
+        policy = MigrationPolicy()
+        assert policy.with_mode(None) is policy.with_mode("precopy") is policy
 
 
 class _FakeService:
@@ -165,7 +182,7 @@ class TestMigrationEndToEnd:
         assert outcome.rounds >= 1
         assert outcome.bytes_moved > outcome.bytes_final
         assert site1.cluster.is_running(svc.plan)
-        tb.settle(2.0)  # drain window
+        tb.settle(2 * DRAIN_S)
         assert not site0.cluster.is_running(svc.plan)  # source released
         assert not tb.ledger.oversubscriptions()
 
@@ -174,7 +191,7 @@ class TestMigrationEndToEnd:
         site0, site1 = tb.sites
         client = site0.clients[0]
         tb.migrate(svc, site0, site1)
-        tb.settle(2.0)
+        tb.settle(2 * DRAIN_S)
         result = tb.run_request(client, svc, NGINX.request)
         assert result.response.ok
         flow = site0.controller.flow_memory.lookup(client.ip, svc)
@@ -184,7 +201,7 @@ class TestMigrationEndToEnd:
         tb, svc = _deployed_testbed()
         site0, site1 = tb.sites
         pre = tb.migrate(svc, site0, site1, mode="precopy")
-        tb.settle(2.0)
+        tb.settle(2 * DRAIN_S)
         stop = tb.migrate(svc, site1, site0, mode="stopcopy")
         assert pre.completed and stop.completed
         # The dirty-rate-bounded service converges in a few rounds, so
@@ -241,7 +258,7 @@ class TestMigrationEndToEnd:
         outcome = tb.migrate(svc, site0, site1)
         assert outcome.completed
         assert outcome.bytes_moved == 0  # no transfer needed
-        tb.settle(2.0)
+        tb.settle(2 * DRAIN_S)
         assert not site0.cluster.is_running(svc.plan)  # still released
 
     def test_third_site_flows_heal_through_replicated_withdrawal(self):
@@ -260,7 +277,7 @@ class TestMigrationEndToEnd:
         outcome = tb.migrate(svc, site0, site1)
         assert outcome.completed
         tb.settle_replication()
-        tb.settle(2.0)
+        tb.settle(2 * DRAIN_S)
         healed = site2.controller.flow_memory.lookup(site2.clients[0].ip, svc)
         assert healed is not None
         # The re-dispatch ran the full scheduler from site2's view: it
@@ -367,6 +384,25 @@ class TestPlanner:
         proc = tb.env.process(probe())
         result = tb.env.run(until=proc)
         assert result.response.status == 404
+
+    def test_malformed_release_begins_no_export(self):
+        tb, svc = _deployed_testbed()
+        site0 = tb.sites[0]
+        client = site0.clients[0]
+
+        def probe():
+            result = yield from client.http_request(
+                site0.egs.ip,
+                MIGRATION_PORT,
+                HTTPRequest("POST", f"/migrate/release/{svc.name}?site=site1"),
+                timeout=5.0,
+            )
+            return result
+
+        result = tb.env.run(until=tb.env.process(probe()))
+        assert result.response.status == 400
+        # Nothing would ever release or drop an export begun here.
+        assert site0.manager.export_count() == 0
 
 
 # ---------------------------------------------------------------------------

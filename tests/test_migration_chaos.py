@@ -6,18 +6,25 @@ abort the migration to a *consistent* state — source keeps (or
 recovers) the session, the destination instance is rolled back, the
 bandwidth ledger drains to zero — and must never produce a
 client-visible error beyond a bounded freeze stall.  All of it
-byte-identical across two runs of the same seed.
+byte-identical across two runs of the same seed.  Beyond the three
+canned fault points, a generated property runs the same fault
+vocabulary at every instant of a slow migration and requires one
+consistent terminal state each time.
 
 Run just these with ``pytest -m chaos``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.migration import MigrationPolicy
+from repro.core.migration import DRAIN_S, FreezeGate, MigrationPolicy
 from repro.faults import FaultPlan, Injector
 from repro.net.host import ConnectionRefused, ConnectionReset, ConnectionTimeout
 from repro.services.catalog import ASM
@@ -56,22 +63,31 @@ def _testbed():
     return tb, svc, site0, site1
 
 
+def _consistent_terminal_state(tb, svc, site0, site1, outcome):
+    """The invariants every migration leaves behind, completed or not,
+    once it, its freeze timeout, its drain and any fault are over."""
+    assert outcome.completed == (outcome.failed_phase is None)
+    assert outcome.completed or outcome.error  # an abort names its cause
+    # No bandwidth is left reserved and the budget was never exceeded.
+    assert tb.ledger.oversubscriptions() == []
+    assert tb.ledger.committed("trunk:site0") == 0
+    assert tb.ledger.committed("trunk:site1") == 0
+    # Neither manager strands in-flight state.
+    for site in (site0, site1):
+        assert site.manager.inbound_count() == site.manager.export_count() == 0
+        assert not site.controller.dispatcher.evicting
+    if not outcome.completed:
+        # The session was never repointed: site0's client is still
+        # pinned to the source instance.
+        flow = site0.controller.flow_memory.lookup(site0.clients[0].ip, svc)
+        assert flow is not None and flow.cluster_name == "site0-docker"
+
+
 def _consistent_after_abort(tb, svc, site0, site1, outcome):
     """The invariants every aborted migration must leave behind."""
     assert not outcome.completed
     assert outcome.rolled_back
-    assert outcome.error
-    # The session was never repointed: site0's client is still pinned
-    # to the source instance.
-    flow = site0.controller.flow_memory.lookup(site0.clients[0].ip, svc)
-    assert flow is not None and flow.cluster_name == "site0-docker"
-    # No bandwidth is left reserved and the budget was never exceeded.
-    assert tb.ledger.oversubscriptions() == []
-    assert tb.ledger.committed("trunk:site0") == 0
-    # Neither manager strands in-flight state.
-    assert site1.manager.inbound_count() == 0
-    assert site0.manager.export_count() == 0
-    assert (svc.name, "site0-docker") not in site0.controller.dispatcher.evicting
+    _consistent_terminal_state(tb, svc, site0, site1, outcome)
 
 
 class TestMidMigrationFaults:
@@ -144,8 +160,6 @@ class TestMidMigrationFaults:
         # Stop-and-copy: the source freezes for the whole transfer, so
         # the partition hits while client requests are queued behind
         # the freeze gate.
-        import dataclasses
-
         policy = dataclasses.replace(SLOW, mode="stopcopy")
         plan = FaultPlan(seed=9).partition(1.0, "site0", "backbone", 8.0)
         Injector(tb, plan).arm()
@@ -228,3 +242,161 @@ class TestMidMigrationFaults:
             return hashlib.md5(repr(trace).encode()).hexdigest()
 
         assert run_once() == run_once()
+
+
+class TestFaultInstantsOffTheCannedPoints:
+    """The same fault vocabulary at instants the three canned tests
+    miss: each once stopped the run or ended in an inconsistent state."""
+
+    def test_source_pod_killed_in_precopy_aborts(self):
+        tb, svc, site0, site1 = _testbed()
+        Injector(tb, FaultPlan(seed=3).kill_pod(1.0, "site0-docker", svc.name)).arm()
+
+        done = site1.manager.request_migration(svc.name, "site0", policy=SLOW)
+        outcome = tb.env.run(until=done)
+
+        # The next checkpoint read finds no instance (404): a protocol
+        # error, aborted like any fault instead of escaping the run.
+        assert outcome.failed_phase == "precopy"
+        assert "404" in outcome.error
+        _consistent_after_abort(tb, svc, site0, site1, outcome)
+
+    def test_source_crash_under_a_stopcopy_freeze_auto_thaws_on_a_closed_port(self):
+        tb, svc, site0, site1 = _testbed()
+        Injector(
+            tb, FaultPlan(seed=3).node_crash(0.4, "site0-egs", duration_s=0.5)
+        ).arm()
+
+        policy = dataclasses.replace(SLOW, mode="stopcopy")
+        done = site1.manager.request_migration(svc.name, "site0", policy=policy)
+        outcome = tb.env.run(until=done)
+        # The crash closed the instance's port under the gate; the
+        # auto-thaw must dismantle the export without swapping an
+        # application onto a port that is not open.
+        tb.settle(SLOW.freeze_timeout_s)
+
+        assert outcome.failed_phase == "final_copy"
+        _consistent_after_abort(tb, svc, site0, site1, outcome)
+        assert tb.recorder.counters("migrations_auto_thawed") == {
+            "migrations_auto_thawed/site0": 1
+        }
+
+    def test_destination_killed_before_the_flip_is_not_flipped_to(self):
+        tb, svc, site0, site1 = _testbed()
+        Injector(tb, FaultPlan(seed=3).kill_pod(1.0, "site1-docker", svc.name)).arm()
+        dispatcher = site1.controller.dispatcher
+
+        with mock.patch.object(
+            dispatcher, "_publish_instance", wraps=dispatcher._publish_instance
+        ) as publish:
+            done = site1.manager.request_migration(svc.name, "site0", policy=SLOW)
+            outcome = tb.env.run(until=done)
+
+        assert outcome.failed_phase == "flip"
+        assert outcome.error == "MigrationError: destination stopped answering"
+        assert all(not call.kwargs["running"] for call in publish.call_args_list)
+        _consistent_after_abort(tb, svc, site0, site1, outcome)
+        # The source was thawed and its own application is back on the
+        # port: the service still answers where it always did.
+        endpoint = site0.cluster.endpoint(svc.plan)
+        ingress = site0.cluster.ingress_host
+        assert site0.cluster.is_running(svc.plan)
+        assert not isinstance(ingress.app_on(endpoint.port), FreezeGate)
+        result = tb.run_request(site0.clients[0], svc, ASM.request)
+        assert result.response.status == 200
+
+    def test_short_path_with_the_source_down_completes_unacknowledged(self):
+        tb, svc, site0, site1 = _testbed()
+        tb.run_request(site1.clients[0], svc, ASM.request)
+        tb.settle(12.0)
+        assert site1.cluster.is_running(svc.plan)
+        Injector(
+            tb, FaultPlan(seed=3).node_crash(0.0, "site0-egs", duration_s=0.5)
+        ).arm()
+
+        done = site1.manager.request_migration(svc.name, "site0", policy=SLOW)
+        outcome = tb.env.run(until=done)
+
+        # The flip happened, so the migration completed — the same rule
+        # as the long path — and the lost acknowledgement is recorded.
+        assert outcome.completed and outcome.failed_phase is None
+        assert outcome.bytes_moved == 0
+        assert outcome.error.endswith("(release unacknowledged)")
+        counters = tb.recorder.counters("migrations")
+        assert counters.get("migrations_completed/site1") == 1
+        assert "migrations_aborted/site1" not in counters
+        breaker = site1.controller.dispatcher.breakers.get("migration:site0")
+        assert breaker is None or breaker.consecutive_failures == 0
+
+
+# ---------------------------------------------------------------------------
+# Every fault at every instant: one consistent terminal state
+# ---------------------------------------------------------------------------
+
+#: What can fail under a migration: either end's EGS host, either end's
+#: instance, either site's backbone trunk.
+_FAULTS = (
+    None,
+    ("crash", "site0-egs"),
+    ("crash", "site1-egs"),
+    ("pod", "site0-docker"),
+    ("pod", "site1-docker"),
+    ("partition", "site0"),
+    ("partition", "site1"),
+)
+
+#: (mode, fault, instant on a 0.1 s grid across the ~4.6 s SLOW
+#: migration, fault duration).
+_schedules = st.tuples(
+    st.sampled_from(("precopy", "stopcopy")),
+    st.sampled_from(_FAULTS),
+    st.integers(min_value=0, max_value=50).map(lambda tenths: tenths / 10),
+    st.sampled_from((0.5, 3.0, 8.0)),
+)
+
+
+def _arm(tb, svc, fault, at_s, duration_s) -> None:
+    kind, target = fault
+    plan = FaultPlan(seed=1)
+    if kind == "crash":
+        plan = plan.node_crash(at_s, target, duration_s=duration_s)
+    elif kind == "pod":
+        plan = plan.kill_pod(at_s, target, svc.name)
+    else:
+        plan = plan.partition(at_s, target, "backbone", duration_s)
+    Injector(tb, plan).arm()
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedule=_schedules)
+@example(schedule=("stopcopy", ("crash", "site0-egs"), 0.4, 0.5))
+@example(schedule=("precopy", ("pod", "site0-docker"), 1.0, 0.5))
+@example(schedule=("precopy", ("pod", "site1-docker"), 1.0, 0.5))
+def test_every_migration_ends_in_one_consistent_terminal_state(schedule):
+    mode, fault, at_s, duration_s = schedule
+    tb, svc, site0, site1 = _testbed()
+    if fault is not None:
+        _arm(tb, svc, fault, at_s, duration_s)
+    # Only the flip repoints site1's flows: record whether the
+    # destination answered in that instant.
+    flips: list[bool] = []
+    repoint = site1.controller.repoint_service_flows
+
+    def spy(*args, **kwargs):
+        flips.append(site1.cluster.is_running(svc.plan))
+        return repoint(*args, **kwargs)
+
+    site1.controller.repoint_service_flows = spy
+    base = tb.env.now
+    policy = dataclasses.replace(SLOW, mode=mode)
+    done = site1.manager.request_migration(svc.name, "site0", policy=policy)
+    # Nothing may escape: a raising process or callback stops env.run.
+    outcome = tb.env.run(until=done)
+    tb.env.run(
+        until=max(tb.env.now, base + at_s + duration_s)
+        + SLOW.freeze_timeout_s
+        + DRAIN_S
+    )
+
+    assert flips == ([True] if outcome.completed else [])
+    _consistent_terminal_state(tb, svc, site0, site1, outcome)
