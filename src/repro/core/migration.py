@@ -91,6 +91,10 @@ MAX_ROUNDS = 5
 DRAIN_S = 1.0
 #: Destination readiness bound after scale-up.
 READY_TIMEOUT_S = 30.0
+#: The daemon's answer to a checkpoint read or a release that relies on
+#: a freeze (``frozen=1``) which has lapsed: the source auto-thawed, and
+#: what it wrote since is in no checkpoint.
+FREEZE_LAPSED = 409
 
 #: Network/infrastructure faults a migration phase must survive: TCP
 #: errors from crashed hosts and partitioned links, plus the registry
@@ -555,7 +559,9 @@ class MigrationManager:
                 # the whole checkpoint) ships inside the downtime window.
                 phase = "final_copy"
                 if final_bytes > 0:
-                    yield from self._transfer(src_ip, service, final_bytes, policy)
+                    yield from self._transfer(
+                        src_ip, service, final_bytes, policy, frozen=True
+                    )
                     outcome.bytes_moved += final_bytes
                     outcome.bytes_final = final_bytes
 
@@ -589,7 +595,8 @@ class MigrationManager:
                 src_ip,
                 f"/migrate/release/{service.name}"
                 f"?site={self.site}&cluster={cluster.name}"
-                f"&ip={endpoint.ip}&port={endpoint.port}",
+                f"&ip={endpoint.ip}&port={endpoint.port}"
+                + ("&frozen=1" if froze_at is not None else ""),
                 policy,
             )
         except MIGRATION_FAULTS + (MigrationError,) as exc:
@@ -606,23 +613,30 @@ class MigrationManager:
         service: "EdgeService",
         nbytes: int,
         policy: MigrationPolicy,
+        frozen: bool = False,
     ):
         """Pull ``nbytes`` of checkpoint state over the real links,
-        paced to the admitted rate (generator; raises on faults)."""
+        paced to the admitted rate (generator; raises on faults).
+        ``frozen``: every read relies on the source's freeze."""
         sent = 0
+        query = "&frozen=1" if frozen else ""
         while sent < nbytes:
             chunk = min(policy.chunk_bytes, nbytes - sent)
             t0 = self.env.now
             result: "HTTPResult" = yield from self.host.http_request(
                 src_ip,
                 MIGRATION_PORT,
-                HTTPRequest("GET", f"/migrate/state/{service.name}?bytes={chunk}"),
+                HTTPRequest(
+                    "GET", f"/migrate/state/{service.name}?bytes={chunk}{query}"
+                ),
                 timeout=policy.transfer_timeout_s,
             )
-            if result.response.status != 200:
+            status = result.response.status
+            if status == FREEZE_LAPSED:
+                raise MigrationError("source freeze lapsed (auto-thawed) mid-copy")
+            if status != 200:
                 raise MigrationError(
-                    f"source refused checkpoint read "
-                    f"(status {result.response.status})"
+                    f"source refused checkpoint read (status {status})"
                 )
             sent += chunk
             if policy.rate_bps > 0:
@@ -751,6 +765,14 @@ class MigrationManager:
                 self._exports[service_name] = export
         return export
 
+    def _freeze_lapsed(self, service_name: str, params: dict[str, str]) -> bool:
+        """Whether a request relying on a freeze (``frozen=1``) finds no
+        frozen export: the freeze auto-thawed (or was aborted) since."""
+        if "frozen" not in params:
+            return False
+        export = self._exports.get(service_name)
+        return export is None or export.gate is None or not export.gate.frozen
+
     def _serve_state(
         self, service_name: str, params: dict[str, str]
     ) -> HTTPResponse:
@@ -760,6 +782,8 @@ class MigrationManager:
             return HTTPResponse(status=400)
         if nbytes < 0:
             return HTTPResponse(status=400)
+        if self._freeze_lapsed(service_name, params):
+            return HTTPResponse(status=FREEZE_LAPSED)
         if (
             service_name not in self._exports
             and self._source_instance(service_name) is None
@@ -835,6 +859,8 @@ class MigrationManager:
             )
         except (KeyError, ValueError):
             return HTTPResponse(status=400)
+        if self._freeze_lapsed(service_name, params):
+            return HTTPResponse(status=FREEZE_LAPSED)
         export = self._export(service_name)
         if export is None:
             return HTTPResponse(status=404)

@@ -1,9 +1,10 @@
-"""The Kubernetes API server: object store plus watch streams.
+"""The Kubernetes API server: object store plus watch subscriptions.
 
 Every CRUD call is a generator that pays ``api_latency_s``; every
-watcher receives ADDED/MODIFIED/DELETED events after
-``watch_latency_s``, preserving per-watch ordering — the informer
-behaviour the control loops are built on.
+subscribed handler gets its kind's ADDED/MODIFIED/DELETED events after
+``watch_latency_s``, in order — client-go's informer event handlers,
+which the control loops are built on, run where each event's one
+delivery entry lands (:meth:`APIServer._deliver`).
 
 Like an informer cache, each kind's store is kept in uid order and
 indexed by what is fixed when an object is written — uid, namespace,
@@ -26,7 +27,7 @@ import typing as _t
 
 from repro.k8s.objects import KINDS, ObjectMeta
 from repro.k8s.profile import K8sProfile
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 
 class NotFound(KeyError):
@@ -43,23 +44,17 @@ class WatchEvent:
     obj: _t.Any
 
 
-class Watch:
-    """One subscriber's event stream for a kind."""
+class _Subscriber:
+    """One handler on one kind.  ``mailbox`` is ``None`` while the
+    subscriber is idle; otherwise a wake-up of it is on the heap at this
+    instant, and the list holds the events delivered behind that
+    wake-up's, oldest first."""
 
-    def __init__(self, env: Environment, kind: str) -> None:
-        self.env = env
-        self.kind = kind
-        self.events: Store = Store(env)
-        self.active = True
+    __slots__ = ("handler", "mailbox")
 
-    def get(self):
-        """Event for the next watch notification (yield it)."""
-        return self.events.get()
-
-    def cancel(self) -> None:
-        """Stop the stream.  Events already in flight (notified but not
-        yet delivered) are dropped at their delivery time."""
-        self.active = False
+    def __init__(self, handler: _t.Callable[[WatchEvent], None]) -> None:
+        self.handler = handler
+        self.mailbox: list[WatchEvent] | None = None
 
 
 def _uid_of(obj: _t.Any) -> str:
@@ -144,13 +139,14 @@ class _KindStore:
 
 
 class APIServer:
-    """Stores all cluster objects and fans out watch events."""
+    """Stores all cluster objects and delivers watch events to handlers."""
 
     def __init__(self, env: Environment, profile: K8sProfile | None = None) -> None:
         self.env = env
         self.profile = profile or K8sProfile()
         self._stores: dict[str, _KindStore] = {kind: _KindStore() for kind in KINDS}
-        self._watches: dict[str, list[Watch]] = {kind: [] for kind in KINDS}
+        #: kind -> its subscribers, in subscription order.
+        self._subscribers: dict[str, tuple[_Subscriber, ...]] = {kind: () for kind in KINDS}
         #: kind -> its journal subscribers, each a dict uid -> object.
         self._journals: dict[str, list[dict[str, _t.Any]]] = {kind: [] for kind in KINDS}
         self._resource_version = 0
@@ -183,37 +179,52 @@ class APIServer:
         meta.resource_version = self._resource_version
 
     def _notify(self, kind: str, event_type: str, obj: _t.Any) -> None:
-        watches = self._watches[kind]
-        if not watches:
-            return
-        event = WatchEvent(event_type, obj)
-        pruned = False
-        for watch in watches:
-            if watch.active:
-                self.stats["events"] += 1
-                self._deliver(watch, event)
-            else:
-                pruned = True
-        if pruned:
-            # Cancelled watches would otherwise accumulate forever and
-            # slow every later fan-out.
-            self._watches[kind] = [w for w in watches if w.active]
+        subscribers = self._subscribers[kind]  # who is subscribed now gets it
+        if subscribers:
+            self.stats["events"] += len(subscribers)
+            event = WatchEvent(event_type, obj)
+            self.env.call_later(self.profile.watch_latency_s, self._deliver, subscribers, event)
 
-    def _deliver(self, watch: Watch, event: WatchEvent) -> None:
-        """Enqueue ``event`` on ``watch`` after the watch latency.
+    def _deliver(self, subscribers: tuple[_Subscriber, ...], event: WatchEvent) -> None:
+        """Run each subscriber's handler on ``event``, in subscription order.
 
-        A slim scheduled callback, not a process: events already in
-        flight when the watch is cancelled are simply dropped at
-        delivery time — no dead process is ever spawned for them.
+        **Guard**: if ``Environment.quiet_now()``, here.  A handler used
+        to sit behind a channel read by a relay process, whose wake-ups
+        this delivery pushed in order; with nothing else due now, none
+        was pending and they were the next entries to pop, each pushing
+        nothing ahead of the rest.  **Contract**: handlers only put on
+        work queues — never yield, write the store or deliver.
+        **Fallback**, when something is due first: the idle subscribers
+        share one wake-up (:meth:`_wake`) where theirs stood; one whose
+        wake-up is pending queues the event in its mailbox, served by a
+        wake-up of its own pushed after its handler runs, as a relay
+        re-read a non-empty channel.  Without mailboxes, two writes at
+        one instant could reorder a work queue.
         """
-        self.env.call_later(
-            self.profile.watch_latency_s, self._fan_out, watch, event
-        )
+        if self.env.quiet_now():
+            for subscriber in subscribers:
+                subscriber.handler(event)
+            return
+        idle = []
+        for subscriber in subscribers:
+            if subscriber.mailbox is None:
+                subscriber.mailbox = []
+                idle.append(subscriber)
+            else:
+                subscriber.mailbox.append(event)
+        if idle:
+            self.env.call_later(0.0, self._wake, idle, event)
 
-    @staticmethod
-    def _fan_out(watch: Watch, event: WatchEvent) -> None:
-        if watch.active:
-            watch.events.put(event)
+    def _wake(self, subscribers: _t.Sequence[_Subscriber], event: WatchEvent) -> None:
+        """The fallback's wake-up: run each handler, then wake its
+        subscriber again for its next mailbox event, or mark it idle."""
+        for subscriber in subscribers:
+            subscriber.handler(event)
+            mailbox = subscriber.mailbox
+            if mailbox:
+                self.env.call_later(0.0, self._wake, (subscriber,), mailbox.pop(0))
+            else:
+                subscriber.mailbox = None
 
     @staticmethod
     def _kind_of(obj: _t.Any) -> str:
@@ -335,21 +346,16 @@ class APIServer:
 
     # -- watches -------------------------------------------------------------------
 
-    def watch(self, kind: str, replay_existing: bool = True) -> Watch:
-        """Subscribe to a kind's events.
-
-        With ``replay_existing`` the watch starts with synthetic ADDED
-        events for current objects (informer list+watch semantics).
-        """
+    def subscribe(self, kind: str, handler: _t.Callable[[WatchEvent], None]) -> None:
+        """Call ``handler(event)`` with each of ``kind``'s later events,
+        and first with a synthetic ADDED per object stored now — one
+        delivery each (informer list+watch semantics).  Handlers of one
+        kind run in subscription order."""
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-        watch = Watch(self.env, kind)
-        self._watches[kind].append(watch)
-        if replay_existing:
-            for obj in self.list_nowait(kind, namespace=None):
-                self._notify_one(watch, WatchEvent("ADDED", obj))
-        return watch
-
-    def _notify_one(self, watch: Watch, event: WatchEvent) -> None:
-        self.stats["events"] += 1
-        self._deliver(watch, event)
+        subscriber = _Subscriber(handler)
+        self._subscribers[kind] += (subscriber,)
+        for obj in self.list_nowait(kind, namespace=None):
+            self.stats["events"] += 1
+            event = WatchEvent("ADDED", obj)
+            self.env.call_later(self.profile.watch_latency_s, self._deliver, (subscriber,), event)

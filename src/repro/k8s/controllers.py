@@ -1,14 +1,14 @@
 """Deployment and ReplicaSet controllers (the controller manager).
 
-Both follow the informer + work-queue pattern: watch events enqueue
-object keys; a single worker dequeues, pays the sync delay, and
-reconciles desired versus observed state through the API server.
+Both follow the informer + work-queue pattern: event handlers the API
+server calls with each watch event enqueue object keys; a single worker
+dequeues, pays the sync delay, and reconciles desired versus observed
+state through the API server.
 """
 
 from __future__ import annotations
 
 import itertools
-import typing as _t
 
 from repro.k8s.apiserver import APIServer, Conflict, NotFound, WatchEvent
 from repro.k8s.objects import (
@@ -33,29 +33,23 @@ class DeploymentController:
         self.env = env
         self.api = api
         self._queue: Store = Store(env)
-        env.spawn(self._watch_deployments(), name="depctl-watch-dep")
-        env.spawn(self._watch_replicasets(), name="depctl-watch-rs")
+        api.subscribe("Deployment", self._watch_deployments)
+        api.subscribe("ReplicaSet", self._watch_replicasets)
         env.spawn(self._worker(), name="depctl-worker")
 
-    def _watch_deployments(self):
-        watch = self.api.watch("Deployment")
-        while True:
-            event: WatchEvent = yield watch.get()
-            if event.type == "DELETED":
-                self._queue.put(("delete", event.obj))
-            else:
-                self._queue.put(("sync", event.obj.metadata.key))
+    def _watch_deployments(self, event: WatchEvent) -> None:
+        if event.type == "DELETED":
+            self._queue.put(("delete", event.obj))
+        else:
+            self._queue.put(("sync", event.obj.metadata.key))
 
-    def _watch_replicasets(self):
-        watch = self.api.watch("ReplicaSet")
-        while True:
-            event: WatchEvent = yield watch.get()
-            owner = event.obj.metadata.owner_uid
-            if owner is None or event.type == "DELETED":
-                continue
-            dep = self.api.by_uid_nowait("Deployment", owner)
-            if dep is not None:
-                self._queue.put(("sync", dep.metadata.key))
+    def _watch_replicasets(self, event: WatchEvent) -> None:
+        owner = event.obj.metadata.owner_uid
+        if owner is None or event.type == "DELETED":
+            return
+        dep = self.api.by_uid_nowait("Deployment", owner)
+        if dep is not None:
+            self._queue.put(("sync", dep.metadata.key))
 
     def _worker(self):
         while True:
@@ -116,29 +110,23 @@ class ReplicaSetController:
         self.env = env
         self.api = api
         self._queue: Store = Store(env)
-        env.spawn(self._watch_replicasets(), name="rsctl-watch-rs")
-        env.spawn(self._watch_pods(), name="rsctl-watch-pod")
+        api.subscribe("ReplicaSet", self._watch_replicasets)
+        api.subscribe("Pod", self._watch_pods)
         env.spawn(self._worker(), name="rsctl-worker")
 
-    def _watch_replicasets(self):
-        watch = self.api.watch("ReplicaSet")
-        while True:
-            event: WatchEvent = yield watch.get()
-            if event.type == "DELETED":
-                self._queue.put(("delete", event.obj))
-            else:
-                self._queue.put(("sync", event.obj.metadata.key))
+    def _watch_replicasets(self, event: WatchEvent) -> None:
+        if event.type == "DELETED":
+            self._queue.put(("delete", event.obj))
+        else:
+            self._queue.put(("sync", event.obj.metadata.key))
 
-    def _watch_pods(self):
-        watch = self.api.watch("Pod")
-        while True:
-            event: WatchEvent = yield watch.get()
-            owner = event.obj.metadata.owner_uid
-            if owner is None:
-                continue
-            rs = self.api.by_uid_nowait("ReplicaSet", owner)
-            if rs is not None:
-                self._queue.put(("sync", rs.metadata.key))
+    def _watch_pods(self, event: WatchEvent) -> None:
+        owner = event.obj.metadata.owner_uid
+        if owner is None:
+            return
+        rs = self.api.by_uid_nowait("ReplicaSet", owner)
+        if rs is not None:
+            self._queue.put(("sync", rs.metadata.key))
 
     def _worker(self):
         while True:

@@ -2,7 +2,8 @@
 
 Pod startup (the fig. 11 K8s Scale-Up critical path through the node):
 
-1. pod-worker wakeup after the binding watch event,
+1. pod-worker wakeup after the binding watch event (the Pod handler
+   queues the pod for the worker where the event is delivered),
 2. sandbox creation — pause container, cgroups, CNI network setup,
 3. per container: image presence check (pulling from the cluster's
    registry if missing), create, start,
@@ -60,22 +61,19 @@ class Kubelet:
         self.pod_containers: dict[str, list[Container]] = {}
         self._starting: set[str] = set()
         self._queue: Store = Store(env)
-        env.spawn(self._watch_pods(), name=f"kubelet-{node_name}-watch")
+        api.subscribe("Pod", self._watch_pods)
         env.spawn(self._worker(), name=f"kubelet-{node_name}-worker")
         env.spawn(self._housekeeping(), name=f"kubelet-{node_name}-loop")
 
     # -- event intake ------------------------------------------------------
 
-    def _watch_pods(self):
-        watch = self.api.watch("Pod")
-        while True:
-            event: WatchEvent = yield watch.get()
-            pod: Pod = event.obj
-            if event.type == "DELETED":
-                if pod.metadata.uid in self.pod_containers:
-                    self._queue.put(("teardown", pod))
-            elif pod.spec.node_name == self.node_name:
-                self._queue.put(("sync", pod.metadata.key))
+    def _watch_pods(self, event: WatchEvent) -> None:
+        pod: Pod = event.obj
+        if event.type == "DELETED":
+            if pod.metadata.uid in self.pod_containers:
+                self._queue.put(("teardown", pod))
+        elif pod.spec.node_name == self.node_name:
+            self._queue.put(("sync", pod.metadata.key))
 
     def _housekeeping(self):
         period = self.api.profile.kubelet_loop_period_s

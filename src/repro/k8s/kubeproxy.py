@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import typing as _t
 
-from repro.k8s.apiserver import APIServer
+from repro.k8s.apiserver import APIServer, WatchEvent
 from repro.k8s.objects import Pod, Service, matches_selector
 from repro.sim import Environment, Store
 
@@ -96,15 +96,12 @@ class KubeProxy:
         #: Pod uid -> the services (uids) it was last seen backing.
         self._serving: dict[str, set[str]] = {}
         self._queue: Store = Store(env)
-        env.spawn(self._watch("Service"), name="kubeproxy-watch-svc")
-        env.spawn(self._watch("Pod"), name="kubeproxy-watch-pod")
+        api.subscribe("Service", self._watch)
+        api.subscribe("Pod", self._watch)
         env.spawn(self._worker(), name="kubeproxy-worker")
 
-    def _watch(self, kind: str):
-        watch = self.api.watch(kind)
-        while True:
-            yield watch.get()
-            self._queue.put("resync")
+    def _watch(self, event: WatchEvent) -> None:
+        self._queue.put("resync")
 
     def _worker(self):
         profile = self.api.profile

@@ -59,24 +59,21 @@ class KubeScheduler:
         self.unschedulable_retry_s = unschedulable_retry_s
         self._node_names = list(node_names)
         self._queue: Store = Store(env)
-        env.spawn(self._watch_pods(), name=f"sched-{name}-watch")
+        api.subscribe("Pod", self._watch_pods)
         env.spawn(self._worker(), name=f"sched-{name}-worker")
 
     def register_node(self, name: str) -> None:
         if name not in self._node_names:
             self._node_names.append(name)
 
-    def _watch_pods(self):
-        watch = self.api.watch("Pod")
-        while True:
-            event: WatchEvent = yield watch.get()
-            pod: Pod = event.obj
-            if (
-                event.type in ("ADDED", "MODIFIED")
-                and pod.spec.node_name is None
-                and pod.spec.scheduler_name == self.name
-            ):
-                self._queue.put(pod.metadata.key)
+    def _watch_pods(self, event: WatchEvent) -> None:
+        pod: Pod = event.obj
+        if (
+            event.type in ("ADDED", "MODIFIED")
+            and pod.spec.node_name is None
+            and pod.spec.scheduler_name == self.name
+        ):
+            self._queue.put(pod.metadata.key)
 
     def _node_infos(self) -> list[NodeInfo]:
         pods = self.api.list_nowait("Pod", namespace=None)

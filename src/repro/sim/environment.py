@@ -113,10 +113,11 @@ class Environment:
 
         The one test behind every way of doing *now*, in place, what an
         entry pushed now would do at its pop (:meth:`Event.succeed_tail`,
-        ``Dispatcher.ensure_deployed``): such an entry pops after
-        everything already due at this instant, so acting in its stead
-        is only the same thing when there is nothing of the kind.
-        Strictly later — an entry due exactly now pops first.
+        ``Dispatcher.ensure_deployed``, ``APIServer._deliver``): such an
+        entry pops after everything already due at this instant, so
+        acting in its stead is only the same thing when there is nothing
+        of the kind.  Strictly later — an entry due exactly now pops
+        first.
         """
         queue = self._queue
         return not queue or queue[0][0] > self._now
@@ -265,7 +266,7 @@ class Environment:
 
         Schedules a single slim heap entry — a bare tuple, no Event,
         no Process, not even a wrapper object — so hot paths (switch
-        pipelines, link hops, watch fan-out, expiry wakeups) can
+        pipelines, link hops, watch deliveries, expiry wakeups) can
         schedule fire-and-forget work at the cost of one heap push.
         Carrying ``args`` on the entry lets call sites pass a bound
         method plus its operands instead of allocating a closure per

@@ -2,8 +2,8 @@
 
 * :class:`Resource` — a counted semaphore (e.g. CPU slots on an edge
   node, concurrent layer downloads at a registry).
-* :class:`Store` — an unbounded FIFO of Python objects (the API
-  server's watch channels, the controllers' work queues).
+* :class:`Store` — an unbounded FIFO of Python objects (the
+  Kubernetes control loops' work queues).
 
 What a process can wait *for* is an event (``Request``, ``StoreGet``)
 and it obtains the resource by yielding it; what never blocks

@@ -150,12 +150,9 @@ class TestAPIServer:
         env = Environment()
         api = APIServer(env)
         seen = []
-
-        def watcher(env):
-            watch = api.watch("Deployment")
-            for _ in range(3):
-                event = yield watch.get()
-                seen.append(event.type)
+        api.subscribe(
+            "Deployment", lambda event: seen.append((env.now, event.type))
+        )
 
         def actor(env):
             yield env.timeout(0.1)
@@ -164,10 +161,14 @@ class TestAPIServer:
             yield from api.update(dep)
             yield from api.delete("Deployment", "web")
 
-        env.process(watcher(env))
         env.process(actor(env))
         env.run(until=5.0)
-        assert seen == ["ADDED", "MODIFIED", "DELETED"]
+        profile = api.profile
+        # Each event reaches the handler one watch latency after its write.
+        assert seen == [
+            (pytest.approx(0.1 + n * profile.api_latency_s + profile.watch_latency_s), kind)
+            for n, kind in ((1, "ADDED"), (2, "MODIFIED"), (3, "DELETED"))
+        ]
 
     def test_watch_replays_existing(self):
         env = Environment()
@@ -176,13 +177,19 @@ class TestAPIServer:
 
         def actor(env):
             yield from api.create(_deployment("pre", _image()))
-            watch = api.watch("Deployment")
-            event = yield watch.get()
-            seen.append((event.type, event.obj.metadata.name))
+            api.subscribe(
+                "Deployment",
+                lambda event: seen.append((event.type, event.obj.metadata.name)),
+            )
 
         env.process(actor(env))
         env.run(until=1.0)
         assert seen == [("ADDED", "pre")]
+        assert api.stats["events"] == 1
+
+    def test_subscribe_refuses_an_unknown_kind(self):
+        with pytest.raises(ValueError):
+            APIServer(Environment()).subscribe("Gadget", print)
 
     def test_resource_version_monotonic(self):
         env = Environment()

@@ -68,6 +68,9 @@ def _consistent_terminal_state(tb, svc, site0, site1, outcome):
     once it, its freeze timeout, its drain and any fault are over."""
     assert outcome.completed == (outcome.failed_phase is None)
     assert outcome.completed or outcome.error  # an abort names its cause
+    # A completed migration copied a source that stayed frozen: its
+    # freeze never lapsed (auto-thawed) under it.
+    assert not (outcome.completed and tb.recorder.counters("migrations_auto_thawed"))
     # No bandwidth is left reserved and the budget was never exceeded.
     assert tb.ledger.oversubscriptions() == []
     assert tb.ledger.committed("trunk:site0") == 0
@@ -302,6 +305,26 @@ class TestFaultInstantsOffTheCannedPoints:
         ingress = site0.cluster.ingress_host
         assert site0.cluster.is_running(svc.plan)
         assert not isinstance(ingress.app_on(endpoint.port), FreezeGate)
+        result = tb.run_request(site0.clients[0], svc, ASM.request)
+        assert result.response.status == 200
+
+    def test_a_freeze_that_lapses_under_the_final_copy_aborts_it(self):
+        tb, svc, site0, site1 = _testbed()
+        policy = dataclasses.replace(SLOW, mode="stopcopy")
+        done = site1.manager.request_migration(svc.name, "site0", policy=policy)
+        outcome = tb.env.run(until=done)
+        tb.settle(SLOW.freeze_timeout_s)
+
+        # No fault: the 4 MiB copy simply outlasts the 1.5 s freeze.  The
+        # source thaws on its own mid-copy, so what it writes from then on
+        # would miss the checkpoint — the next read is refused, and the
+        # migration aborts instead of completing on stale state.
+        assert outcome.failed_phase == "final_copy"
+        assert "freeze lapsed" in outcome.error
+        _consistent_after_abort(tb, svc, site0, site1, outcome)
+        assert tb.recorder.counters("migrations_auto_thawed") == {
+            "migrations_auto_thawed/site0": 1
+        }
         result = tb.run_request(site0.clients[0], svc, ASM.request)
         assert result.response.status == 200
 

@@ -10,8 +10,9 @@ Three contracts the optimisations must not bend:
 * a full trace replay is byte-identical across repeated runs (the
   determinism contract, now including the callback-based pipelines).
 
-And two budgets in exact counts, no host time: kernel events per warm
-request, Kubernetes-model calls per deployment.
+And budgets in exact counts, no host time: kernel events per warm
+request and per Kubernetes first request, Kubernetes-model calls per
+deployment.
 """
 
 from __future__ import annotations
@@ -347,6 +348,67 @@ def test_flow_memory_miss_event_budget(monkeypatch):
     assert names.count("Timeout") == 2  # handler delay, service time
     assert names.count("Process") == 1
     assert names.count("_Initialize") == 0
+
+
+def _k8s_first_request(monkeypatch):
+    """One first request to a Kubernetes service that was never
+    requested: the popped entries, the processes the popped
+    ``StoreGet``s resumed, the kernel events and the watch events."""
+    from repro.services.catalog import NGINX
+    from repro.testbed import C3Testbed, TestbedConfig
+
+    from tests.nethelpers import record_popped_entries
+
+    resumed: list[str] = []
+
+    def note(item):
+        if type(item[5]).__name__ == "StoreGet":
+            resumed.extend(callback.__self__.name for callback in item[5].callbacks)
+
+    tb = C3Testbed(TestbedConfig(cluster_types=("k8s",)))
+    service = tb.register_template(NGINX)
+    tb.settle(1.0)
+    popped = record_popped_entries(monkeypatch, note)
+    api = tb.kubernetes.api
+    events, watch_events = tb.env.events_processed, api.stats["events"]
+    assert tb.run_request(tb.clients[0], service).response.ok
+    return (
+        popped,
+        resumed,
+        tb.env.events_processed - events,
+        api.stats["events"] - watch_events,
+    )
+
+
+def test_k8s_first_request_event_budget(monkeypatch):
+    """A first request on Kubernetes costs 136 kernel events, 27 fewer
+    than the 163 it cost with a relay process behind every informer
+    handler (``tests/k8shelpers.relays_on_the_heap``, the API server as
+    it was, count for count).  Its 17 watch events — one per subscriber
+    of each write — arrive in 7 delivery entries, one per write, and
+    every handler runs inside its delivery: nothing else was due at any
+    of those instants, so no fallback wake-up (``_wake``) pops.  What
+    went: per watch event a ``_fan_out`` onto the subscriber's channel
+    (17 entries folded into 7) and a ``StoreGet`` resuming the relay
+    that read it (17).  The ``StoreGet``s left resume the workers their
+    work queues feed."""
+    from tests.k8shelpers import relays_on_the_heap
+
+    with relays_on_the_heap():
+        _, heap_resumed, heap_events, heap_watch_events = _k8s_first_request(
+            monkeypatch
+        )
+    popped, resumed, events, watch_events = _k8s_first_request(monkeypatch)
+    assert watch_events == heap_watch_events == 17
+    assert sum(name.startswith("relay:") for name in heap_resumed) == 17
+    assert heap_events == 163
+    assert events == heap_events - 27 == 136
+
+    kinds = [getattr(entry, "__qualname__", "") for entry in popped]
+    assert kinds.count("APIServer._deliver") == 7
+    assert kinds.count("APIServer._wake") == 0
+    assert not any(kind.endswith("_fan_out") for kind in kinds)
+    assert resumed and all(name.endswith("-worker") for name in resumed)
 
 
 def test_nothing_pops_to_do_nothing(monkeypatch):

@@ -8,7 +8,6 @@ import itertools
 import math
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +19,7 @@ from repro.core.state import ControlPlaneState, InstanceRecord, LinkStatsRecord
 from repro.k8s import (
     APIServer,
     Conflict,
+    K8sProfile,
     ObjectMeta,
     Pod,
     PodSpec,
@@ -684,6 +684,238 @@ def test_kubeproxy_follows_a_real_cluster(ops):
             journal.clear()
         before = after
         assert_nothing_left_to_program(cluster.kube_proxy)
+
+
+# ---------------------------------------------------------------------------
+# Kubernetes watch handlers: the relay processes they replace
+# ---------------------------------------------------------------------------
+
+_k8s_grid = st.integers(0, 25).map(lambda n: n / 100)  # 0-250 ms, 10 ms apart
+_k8s_profiles = st.one_of(
+    st.none(),
+    st.builds(
+        K8sProfile,
+        **{
+            field.name: _k8s_grid
+            for field in dataclasses.fields(K8sProfile)
+            if field.name != "kubelet_loop_period_s"
+        },
+        kubelet_loop_period_s=st.integers(1, 100).map(lambda n: n / 100),
+    ),
+)
+_k8s_op = st.one_of(
+    st.tuples(
+        st.just("deploy"),
+        st.integers(1, 3),  # replicas
+        st.sampled_from([None, None, 0.7, 2.0]),  # crash_after_s
+    ),
+    st.tuples(st.just("scale"), _victim, st.integers(0, 3)),
+    st.tuples(st.just("delete-deployment"), _victim),
+    st.tuples(st.just("delete-pod"), _victim),
+    st.tuples(st.just("crash-node"), _victim, st.sampled_from([0.5, 2.0])),
+    st.tuples(st.just("add-node")),
+)
+_k8s_burst = st.lists(
+    st.tuples(st.just("scale"), _victim, st.integers(0, 3)), min_size=2, max_size=4
+)
+#: (nodes, profile or None for the default, [(delay before the step,
+#: the ops the step starts in one instant)]).
+_k8s_schedules = st.tuples(
+    st.integers(1, 3),
+    _k8s_profiles,
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 0.006, 0.012, 0.018, 0.036, 0.1, 0.25, 1.0]),
+            st.one_of(_k8s_op.map(lambda op: [op]), _k8s_burst),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+
+
+def _k8s_schedule(nodes, profile, steps):
+    """Run one schedule on a real ``KubernetesCluster``: ``(log, pod
+    table, events processed)``.  The log holds, in order, every API call
+    as it is made (instant, verb, kind, key), every watch notification
+    (instant, kind, type, name, resource version) and every node port
+    opened or closed."""
+    from repro.containers import Containerd
+    from repro.k8s import ContainerDef, KubernetesClient, NotFound, controllers, objects
+    from tests.nethelpers import EchoApp
+    from tests.test_k8s import _cluster, _deployment, _image, _service
+
+    log: list[tuple] = []
+
+    def logged(verb):
+        method = getattr(APIServer, verb)
+
+        def spy(api, *args):
+            if verb in ("create", "update"):
+                kind, key = args[0].kind, args[0].metadata.name
+            else:
+                kind, key = args[0], args[1:2]
+            log.append((api.env.now, verb, kind, key))
+            return (yield from method(api, *args))
+
+        return mock.patch.object(APIServer, verb, spy)
+
+    notify = APIServer._notify
+
+    def notified(api, kind, event_type, obj):
+        meta = obj.metadata
+        log.append((api.env.now, "notify", kind, event_type, meta.name, meta.resource_version))
+        notify(api, kind, event_type, obj)
+
+    env = Environment()
+    with contextlib.ExitStack() as stack:
+        # Process-global counters: each run starts them afresh.
+        stack.enter_context(mock.patch.object(objects, "_uids", itertools.count(1)))
+        stack.enter_context(mock.patch.object(controllers, "_pod_suffix", itertools.count(1)))
+        stack.enter_context(mock.patch.object(APIServer, "_notify", notified))
+        for verb in ("create", "get", "try_get", "update", "delete", "list"):
+            stack.enter_context(logged(verb))
+        cluster, registry, hosts = _cluster(env, nodes, profile)
+        runtimes = [runtime for _, runtime in hosts]
+        for host, _ in hosts:
+            _log_ports(host, log)
+        client = KubernetesClient(cluster.api)
+        image = _image()
+        registry.publish(image)
+        deployed: list[str] = []
+
+        def restore(runtime):
+            runtime.down = False
+
+        def run(op):
+            if op[0] == "deploy":
+                name = f"web{len(deployed)}"
+                labels = {"edge.service": name}
+                deployed.append(name)
+                containers = [
+                    ContainerDef(
+                        name="main", image=image, container_port=80,
+                        boot_time_s=0.05, app_factory=EchoApp, crash_after_s=op[2],
+                    )
+                ]
+                yield from client.create_deployment(
+                    _deployment(name, image, labels, op[1], containers)
+                )
+                yield from client.create_service(
+                    _service(name, labels, node_port=30080 + len(deployed))
+                )
+            elif op[0] == "scale" and deployed:
+                yield from client.scale_deployment(deployed[op[1] % len(deployed)], op[2])
+            elif op[0] == "delete-deployment" and deployed:
+                yield from client.delete_deployment(deployed[op[1] % len(deployed)])
+            elif op[0] == "delete-pod":
+                live = cluster.api.list_nowait("Pod")
+                if live:
+                    yield from cluster.api.delete("Pod", live[op[1] % len(live)].metadata.name)
+            elif op[0] == "crash-node":
+                runtime = runtimes[op[1] % len(runtimes)]
+                runtime.down = True
+                runtime.kill_all()
+                env.call_later(op[2], restore, runtime)
+            elif op[0] == "add-node":
+                n = len(runtimes)
+                name = f"node{n}"
+                host = Host(env, name, MACAddress(0x0A_00 + n), IPv4Address(0x0A_00_01_00 + n))
+                _log_ports(host, log)
+                runtimes.append(Containerd(env, host))
+                cluster.add_node(name, host, runtimes[-1])
+
+        def guarded(op):
+            try:
+                yield from run(op)
+            except NotFound:
+                pass  # scaled or deleted what was not (or no longer) there
+
+        def driver():
+            for delay, ops in steps:
+                yield env.timeout(delay)
+                for op in ops:
+                    env.spawn(guarded(op))
+
+        env.spawn(driver())
+        env.run(until=sum(delay for delay, _ in steps) + 10.0)
+    pods = sorted(
+        (pod.metadata.name, pod.spec.node_name, pod.status.phase, pod.status.ready)
+        for pod in cluster.api.list_nowait("Pod", None)
+    )
+    return log, pods, env.events_processed
+
+
+# One node, a 2-replica deployment at 0, API and watch latency 60 ms,
+# replica-set and scheduler syncs 50 ms: a pod's ADDED is delivered while
+# an entry is due at that instant, and the two workers woken from it must
+# read in the order their relays would have (0.70 s: replica set, pod).
+_TWO_WORKERS_AT_ONE_INSTANT = (
+    1,
+    K8sProfile(
+        api_latency_s=0.06, watch_latency_s=0.06,
+        replicaset_sync_s=0.05, scheduler_sync_s=0.05,
+    ),
+    [(0.0, [("deploy", 2, None)])],
+)
+# The default profile on one node: web0 (2 replicas) at 24 ms, web1 (3;
+# both crash-looping after 2 s) at 204 ms, four scalings started at 240
+# ms — web0 -> 3, web0 -> 1, web1 -> 2, web0 -> 0.  The deployment
+# controller's two handlers feed one work queue from deliveries that land
+# at one instant; at 0.588 s it must reconcile web0 before web1.
+_ONE_QUEUE_TWO_HANDLERS = (
+    1,
+    None,
+    [
+        (0.024, [("deploy", 2, 2.0)]),
+        (0.18, [("deploy", 3, 2.0)]),
+        (0.036, [("scale", 0, 3), ("scale", 0, 1), ("scale", 1, 2), ("scale", 0, 0)]),
+    ],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedule=_k8s_schedules)
+@example(schedule=_TWO_WORKERS_AT_ONE_INSTANT)
+@example(schedule=_ONE_QUEUE_TWO_HANDLERS)
+def test_watch_handlers_are_the_relays_they_replace(schedule):
+    """A real ``KubernetesCluster`` of 1-3 nodes, on the default profile
+    or one drawn on a 10 ms grid, under deploys, scalings, deployment
+    and pod deletes, node crashes, a node joining mid-run and bursts of
+    2-4 scalings started in one instant, steps apart by delays that
+    include 0.  The ordered log — every API call, every watch
+    notification, every node port opened or closed — and the final pod
+    table are equal whether the API server calls each handler where its
+    event's delivery lands or every handler sits behind a channel read
+    by a relay process (``tests/k8shelpers.relays_on_the_heap``, the API
+    server as it was); and the handlers cost no more kernel events.
+
+    Mutations of ``APIServer._deliver`` this fails under (scratch copies,
+    3 000 random schedules each; the examples above are the shrunk
+    cases, random search is too slow for the first two):
+
+    (a) no ``quiet_now`` guard, handlers always in place — 17 of 3 000,
+        ``_TWO_WORKERS_AT_ONE_INSTANT``: the handlers run ahead of an
+        entry due at the delivery instant, and the replica-set and
+        scheduler workers read in the other order.
+    (b) the fallback as one entry running every handler, no mailboxes —
+        1 of 3 000, ``_ONE_QUEUE_TWO_HANDLERS``: a subscriber whose
+        wake-up is pending runs its next event too early, and the
+        deployment controller reconciles web1 before web0.
+    (c) handlers in reverse subscription order — 510 of 3 000.
+
+    Every bench digest stays equal under (a) and (b): the md5s cannot
+    see them.  The twin equals the relay code it replaced (``Watch`` and
+    ``_fan_out`` as they were under ``src/``) on 3 000 of 3 000
+    schedules, event counts included."""
+    from tests.k8shelpers import relays_on_the_heap
+
+    with relays_on_the_heap():
+        heap_log, heap_pods, heap_events = _k8s_schedule(*schedule)
+    log, pods, events = _k8s_schedule(*schedule)
+    assert log == heap_log
+    assert pods == heap_pods
+    assert events <= heap_events
 
 
 # ---------------------------------------------------------------------------

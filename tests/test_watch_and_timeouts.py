@@ -3,21 +3,24 @@ switch-driven expiry end to end."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.k8s import APIServer, Deployment, DeploymentSpec, ObjectMeta
 from repro.net.openflow import Drop, FlowEntry, FlowMatch
 from repro.sim import Environment
 
 from tests.flowtable_oracle import touch
+from tests.k8shelpers import subscribe_channel
 from tests.nethelpers import MiniNet
 
 
 class TestWatchCancellation:
+    """Cancellation belongs to the watch twin's channel
+    (``tests/k8shelpers.Watch``; nothing under ``src/`` unsubscribes):
+    a cancelled channel drops whatever is delivered after the cancel."""
+
     def test_cancelled_watch_receives_nothing(self):
         env = Environment()
         api = APIServer(env)
-        watch = api.watch("Deployment")
+        watch = subscribe_channel(api, "Deployment")
         watch.cancel()
 
         def actor(env):
@@ -33,7 +36,7 @@ class TestWatchCancellation:
     def test_cancel_after_delivery_keeps_existing(self):
         env = Environment()
         api = APIServer(env)
-        watch = api.watch("Deployment")
+        watch = subscribe_channel(api, "Deployment")
 
         def actor(env):
             dep = Deployment(
