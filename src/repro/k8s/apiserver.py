@@ -194,16 +194,38 @@ class APIServer:
         was pending and they were the next entries to pop, each pushing
         nothing ahead of the rest.  **Contract**: handlers only put on
         work queues — never yield, write the store or deliver.
+
+        The in-place branch is also the **collection point** of the
+        work-queue wake-ups its handlers cause: while it is open
+        (``Environment._woken``), a ``Store.put`` that hands its item to
+        a blocked worker records the two instead of pushing the worker's
+        ``StoreGet``; after the last handler, each recorded worker
+        resumes here, in put order.  Their entries would have been the
+        only ones due now, consecutive, popping next; each woken worker's
+        first act pushes a delay, which ranks behind the wake-ups still
+        to run even when it is 0, since they run before control returns
+        to the loop.  **Contract**: a woken worker's first segment ends
+        in a delay — never a ``get`` or a put.  Resuming each at its put
+        instead (``succeed_tail``) would run a worker ahead of later
+        handlers and let its zero-delay timer overtake the next wake-up.
+
         **Fallback**, when something is due first: the idle subscribers
         share one wake-up (:meth:`_wake`) where theirs stood; one whose
         wake-up is pending queues the event in its mailbox, served by a
         wake-up of its own pushed after its handler runs, as a relay
         re-read a non-empty channel.  Without mailboxes, two writes at
-        one instant could reorder a work queue.
+        one instant could reorder a work queue.  Its puts push.
         """
-        if self.env.quiet_now():
-            for subscriber in subscribers:
-                subscriber.handler(event)
+        env = self.env
+        if env.quiet_now():
+            env._woken = woken = []
+            try:
+                for subscriber in subscribers:
+                    subscriber.handler(event)
+            finally:
+                env._woken = None
+            for getter, item in woken:
+                getter._succeed_here(item)
             return
         idle = []
         for subscriber in subscribers:
@@ -213,7 +235,7 @@ class APIServer:
             else:
                 subscriber.mailbox.append(event)
         if idle:
-            self.env.call_later(0.0, self._wake, idle, event)
+            env.call_later(0.0, self._wake, idle, event)
 
     def _wake(self, subscribers: _t.Sequence[_Subscriber], event: WatchEvent) -> None:
         """The fallback's wake-up: run each handler, then wake its

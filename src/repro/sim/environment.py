@@ -76,6 +76,11 @@ class Environment:
         self._queue: list[tuple] = []
         self._seq = count()
         self._active_process: Process | None = None
+        #: The open collection point of a quiet watch delivery, else
+        #: ``None``: while it is a list, ``Store.put`` records the getter
+        #: it wakes and its item here instead of pushing the wake-up
+        #: (``APIServer._deliver`` opens it and resumes them after).
+        self._woken: list[tuple[Event, _t.Any]] | None = None
         #: Total heap entries processed since construction — the
         #: denominator of the events/sec throughput metric.
         self.events_processed = 0
@@ -113,11 +118,12 @@ class Environment:
 
         The one test behind every way of doing *now*, in place, what an
         entry pushed now would do at its pop (:meth:`Event.succeed_tail`,
-        ``Dispatcher.ensure_deployed``, ``APIServer._deliver``): such an
-        entry pops after everything already due at this instant, so
-        acting in its stead is only the same thing when there is nothing
-        of the kind.  Strictly later — an entry due exactly now pops
-        first.
+        ``Dispatcher.ensure_deployed``, ``APIServer._deliver`` and the
+        work-queue wake-ups it collects, a ``StoreGet`` on a non-empty
+        store): such an entry pops after everything already due at this
+        instant, so acting in its stead is only the same thing when there
+        is nothing of the kind.  Strictly later — an entry due exactly
+        now pops first.
         """
         queue = self._queue
         return not queue or queue[0][0] > self._now

@@ -148,16 +148,27 @@ class Event:
         stays equal — the md5s cannot tell;
         used for the barrier reply under ``_deliver_up`` it is caught
         by the property (a switch, a controller stub) and by no digest
-        (no bench workload sends a barrier).
+        (no bench workload sends a barrier).  A ``Store.put`` made inside
+        a quiet watch delivery is not resumed here at the put either: the
+        delivery collects it and resumes it after its last handler, with
+        :meth:`_succeed_here` (``APIServer._deliver``).
         """
-        env = self.env
-        if not env.quiet_now():
+        if not self.env.quiet_now():
             return self.succeed(value)
+        return self._succeed_here(value)
+
+    def _succeed_here(self, value: _t.Any) -> "Event":
+        """The in-place body: set ``value``, mark the event processed and
+        run its callbacks here, in registration order, with
+        ``env._active_process`` saved and restored.  Only for a caller
+        that has shown the entry :meth:`succeed` would push to be the
+        next to pop (:meth:`succeed_tail`, ``APIServer._deliver``)."""
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
         callbacks, self.callbacks = self.callbacks, None
+        env = self.env
         active = env._active_process
         for callback in callbacks:  # type: ignore[union-attr]
             callback(self)

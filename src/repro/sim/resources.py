@@ -8,6 +8,10 @@
 What a process can wait *for* is an event (``Request``, ``StoreGet``)
 and it obtains the resource by yielding it; what never blocks
 (``Resource.release``, ``Store.put``) is a plain call that mints none.
+A ``StoreGet`` is a heap entry only when it stands behind something
+else due at its instant: a get on a non-empty store at a quiet instant
+is processed at once, and a put inside a quiet watch delivery leaves
+its getter's wake-up to the delivery (:class:`Store`).
 ``Request`` doubles as a context manager so the canonical usage reads::
 
     with resource.request() as req:
@@ -100,11 +104,17 @@ class StoreGet(Event):
     __slots__ = ()
 
     def __init__(self, store: "Store") -> None:
-        super().__init__(store.env)
-        if store.items:
-            self.succeed(store.items.pop(0))
-        else:
+        env = store.env
+        super().__init__(env)
+        if not store.items:
             store._gets.append(self)
+        elif env.quiet_now():
+            # Processed already: the yield whose operand this is feeds
+            # the item straight back (contract at Store.get).
+            self._value = store.items.pop(0)
+            self.callbacks = None
+        else:
+            self.succeed(store.items.pop(0))
 
 
 class Store:
@@ -113,8 +123,12 @@ class Store:
     Only a ``get`` can wait, so only a ``get`` is an event: ``put``
     always has room, nobody could yield its completion to any effect,
     and a heap entry that pops with no callback to run does nothing —
-    so none is pushed.  A put with a getter blocked costs exactly the
-    getter's own entry; a put into an idle store costs nothing.
+    so none is pushed.  A put into an idle store costs nothing.  A put
+    with a getter blocked costs the getter's own entry, or none when
+    made inside a quiet watch delivery: then ``Environment._woken`` is
+    open, the wake-up is recorded there, and ``APIServer._deliver``
+    resumes it in place after its last handler.  A ``get`` on a
+    non-empty store costs an entry only when something else is due now.
     """
 
     def __init__(self, env: "Environment") -> None:
@@ -128,10 +142,22 @@ class Store:
     def put(self, item: _t.Any) -> None:
         """Hand ``item`` to the oldest blocked getter, or queue it."""
         if self._gets:
-            self._gets.pop(0).succeed(item)
+            getter = self._gets.pop(0)
+            woken = self.env._woken
+            if woken is None:
+                getter.succeed(item)
+            else:
+                woken.append((getter, item))
         else:
             self.items.append(item)
 
     def get(self) -> StoreGet:
-        """Remove and return the next item; fires once one exists."""
+        """Remove and return the next item; fires once one exists.
+
+        **Contract**: the returned event is the operand of a ``yield``
+        that is its process's last act, so that when the store is
+        non-empty and ``Environment.quiet_now()`` holds, the entry the
+        get would push is the next to pop — and the get is processed on
+        the spot instead (``tests/test_conventions.py`` checks the
+        ``yield``)."""
         return StoreGet(self)

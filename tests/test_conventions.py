@@ -32,3 +32,50 @@ def test_a_started_process_is_held_or_spawned():
             ):
                 dropped.append(f"{module}:{node.lineno}")
     assert dropped == []
+
+
+def _store_attributes(tree: ast.AST) -> set[str]:
+    """Names of the attributes a module assigns a ``Store(...)`` to."""
+    return {
+        target.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "Store"
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute)
+    }
+
+
+def test_a_store_get_is_the_operand_of_a_yield():
+    """A ``get`` on a non-empty ``Store`` at a quiet instant is processed
+    on the spot (``StoreGet``), which is only the entry it replaces when
+    the get is yielded at once — its process's last act before the
+    kernel runs it.  ``ev = queue.get(); ...; yield ev`` would reorder
+    same-instant work silently; so every ``get()`` on an attribute
+    holding a ``Store`` is the direct operand of a ``yield``."""
+    loose, gets = [], 0
+    for path in sorted(_ROOT.rglob("*.py")):
+        module = path.relative_to(_ROOT).as_posix()
+        if module.startswith(_OUTSIDE):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stores = _store_attributes(tree)
+        yielded = {
+            id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Yield)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and not node.args
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr in stores
+            ):
+                gets += 1
+                if id(node) not in yielded:
+                    loose.append(f"{module}:{node.lineno}")
+    assert gets >= 6  # the five work queues' workers and kube-proxy's drain
+    assert loose == []

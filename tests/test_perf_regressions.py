@@ -381,34 +381,49 @@ def _k8s_first_request(monkeypatch):
 
 
 def test_k8s_first_request_event_budget(monkeypatch):
-    """A first request on Kubernetes costs 136 kernel events, 27 fewer
+    """A first request on Kubernetes costs 122 kernel events, 41 fewer
     than the 163 it cost with a relay process behind every informer
-    handler (``tests/k8shelpers.relays_on_the_heap``, the API server as
-    it was, count for count).  Its 17 watch events — one per subscriber
-    of each write — arrive in 7 delivery entries, one per write, and
-    every handler runs inside its delivery: nothing else was due at any
-    of those instants, so no fallback wake-up (``_wake``) pops.  What
-    went: per watch event a ``_fan_out`` onto the subscriber's channel
-    (17 entries folded into 7) and a ``StoreGet`` resuming the relay
-    that read it (17).  The ``StoreGet``s left resume the workers their
-    work queues feed."""
-    from tests.k8shelpers import relays_on_the_heap
+    handler and every work-queue wake-up a ``StoreGet`` entry
+    (``tests/k8shelpers.relays_on_the_heap`` composed with
+    ``wakes_on_the_heap``: the control loops as they were, count for
+    count).  Its 17 watch events — one per subscriber of each write —
+    arrive in 7 delivery entries, one per write, and every handler runs
+    inside its delivery: nothing else was due at any of those instants,
+    so no fallback wake-up (``_wake``) pops.  What went:
 
-    with relays_on_the_heap():
+    * 27 — per watch event a ``_fan_out`` onto the subscriber's channel
+      (17 entries folded into 7) and a ``StoreGet`` resuming the relay
+      that read it (17);
+    * 14 — the ``StoreGet``s resuming the workers the work queues feed:
+      each worker resumes inside the delivery that woke it, and no
+      ``get`` is an entry.
+
+    The relay twin alone counts 4 fewer than it did (159): the relays'
+    reads of a non-empty channel at a quiet instant are in place too."""
+    from tests.k8shelpers import relays_on_the_heap, wakes_on_the_heap
+
+    with relays_on_the_heap(), wakes_on_the_heap():
         _, heap_resumed, heap_events, heap_watch_events = _k8s_first_request(
             monkeypatch
         )
-    popped, resumed, events, watch_events = _k8s_first_request(monkeypatch)
+    with relays_on_the_heap():
+        _, _, relay_events, _ = _k8s_first_request(monkeypatch)
+    with wakes_on_the_heap():
+        _, woken, woken_events, _ = _k8s_first_request(monkeypatch)
+    popped, _, events, watch_events = _k8s_first_request(monkeypatch)
     assert watch_events == heap_watch_events == 17
     assert sum(name.startswith("relay:") for name in heap_resumed) == 17
     assert heap_events == 163
-    assert events == heap_events - 27 == 136
+    assert relay_events == heap_events - 4 == 159
+    assert woken_events == heap_events - 27 == 136
+    assert len(woken) == 14 and all(name.endswith("-worker") for name in woken)
+    assert events == woken_events - 14 == 122
 
     kinds = [getattr(entry, "__qualname__", "") for entry in popped]
     assert kinds.count("APIServer._deliver") == 7
     assert kinds.count("APIServer._wake") == 0
     assert not any(kind.endswith("_fan_out") for kind in kinds)
-    assert resumed and all(name.endswith("-worker") for name in resumed)
+    assert not any(type(entry).__name__ == "StoreGet" for entry in popped)
 
 
 def test_nothing_pops_to_do_nothing(monkeypatch):

@@ -905,12 +905,73 @@ def test_watch_handlers_are_the_relays_they_replace(schedule):
     (c) handlers in reverse subscription order — 510 of 3 000.
 
     Every bench digest stays equal under (a) and (b): the md5s cannot
-    see them.  The twin equals the relay code it replaced (``Watch`` and
+    see them.  Composed with ``wakes_on_the_heap`` (the property below),
+    the twin equals the relay code it replaced (``Watch`` and
     ``_fan_out`` as they were under ``src/``) on 3 000 of 3 000
     schedules, event counts included."""
     from tests.k8shelpers import relays_on_the_heap
 
     with relays_on_the_heap():
+        heap_log, heap_pods, heap_events = _k8s_schedule(*schedule)
+    log, pods, events = _k8s_schedule(*schedule)
+    assert log == heap_log
+    assert pods == heap_pods
+    assert events <= heap_events
+
+
+#: Every latency and sync 0, the kubelet's housekeeping every 10 ms: one
+#: instant holds a whole chain of writes and wake-ups.
+_ALL_AT_ONCE = K8sProfile(
+    **{
+        field.name: 0.0
+        for field in dataclasses.fields(K8sProfile)
+        if field.name != "kubelet_loop_period_s"
+    },
+    kubelet_loop_period_s=0.01,
+)
+# One node, one 1-replica deployment at 0: the pod's MODIFIED wakes the
+# kubelet worker, then the replica-set worker; they must read the API in
+# that order (at 0 s: Pod, then ReplicaSet).
+_WAKES_IN_PUT_ORDER = (1, _ALL_AT_ONCE, [(0.0, [("deploy", 1, None)])])
+# The same with 2 replicas: a worker's get on a non-empty queue while a
+# zero-delay entry is due at that instant must stand behind it (at 0 s
+# a pod's update goes ahead of the replica-set worker's read).
+_GET_BEHIND_AN_ENTRY_DUE_NOW = (1, _ALL_AT_ONCE, [(0.0, [("deploy", 2, None)])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedule=_k8s_schedules)
+@example(schedule=_WAKES_IN_PUT_ORDER)
+@example(schedule=_GET_BEHIND_AN_ENTRY_DUE_NOW)
+def test_work_queue_wakeups_are_the_entries_they_replace(schedule):
+    """The schedules above, on a real ``KubernetesCluster``.  The
+    ordered log and the final pod table are equal whether a worker woken
+    inside a quiet watch delivery resumes there after the last handler,
+    and a ``get`` on a non-empty work queue at a quiet instant is
+    processed on the spot (``Store.put``, ``StoreGet``), or every
+    wake-up and every such ``get`` is a ``StoreGet`` entry
+    (``tests/k8shelpers.wakes_on_the_heap``, the store as it was); and
+    the in-place wake-ups cost no more kernel events.
+
+    Mutations this fails under (scratch copies, 3 000 random schedules
+    each; the examples above are their shrunk cases):
+
+    (a) each worker resumed at its put (``succeed_tail`` in
+        ``Store.put``) instead of after the last handler — 16 of 3 000,
+        ``_WAKES_IN_PUT_ORDER``: the replica-set worker reads before the
+        kubelet worker.
+    (b) the collected wake-ups resumed in reverse order — 901 of 3 000.
+    (c) the in-place ``get`` without ``Environment.quiet_now()`` — 6 of
+        3 000, ``_GET_BEHIND_AN_ENTRY_DUE_NOW``: the replica-set worker
+        reads ahead of a pod's update.
+
+    All six ``cold_deploy`` digests stay equal under each of (a), (b)
+    and (c): the md5s cannot see them.  The twin equals the store it
+    replaced (``Store.put`` / ``StoreGet`` as they were under ``src/``)
+    on 3 000 of 3 000 schedules, event counts included."""
+    from tests.k8shelpers import wakes_on_the_heap
+
+    with wakes_on_the_heap():
         heap_log, heap_pods, heap_events = _k8s_schedule(*schedule)
     log, pods, events = _k8s_schedule(*schedule)
     assert log == heap_log

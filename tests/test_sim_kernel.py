@@ -815,6 +815,7 @@ class TestStore:
         before = env.events_processed
         assert store.put("a") is None
         store.put("b")
+        assert len(env) == 2  # outside a watch delivery: one entry per wake-up
         env.run()
         assert got == [("first", "a"), ("second", "b")]
         # One StoreGet entry and one process completion per consumer;
@@ -822,3 +823,65 @@ class TestStore:
         assert env.events_processed - before == 4
         store.put("idle")
         assert len(env) == 0 and store.items == ["idle"]
+
+    def test_get_on_a_non_empty_store_at_a_quiet_instant_pushes_nothing(self):
+        env = Environment()
+        store = Store(env)
+        store.put("a")
+        get = store.get()
+        assert get.processed and get.value == "a"
+        assert len(env) == 0 and store.items == []
+
+    def test_get_on_a_non_empty_store_behind_an_entry_due_now_is_one_entry(self):
+        env = Environment()
+        store = Store(env)
+        store.put("a")
+        env.timeout(0)
+        get = store.get()
+        assert get.triggered and not get.processed
+        assert len(env) == 2
+        env.run()
+        assert get.processed and get.value == "a"
+        assert env.events_processed == 2
+
+    def test_puts_inside_a_collection_resume_their_getters_in_put_order_after_it(self):
+        """A quiet watch delivery (``APIServer._deliver``) is the one
+        collection point: its handlers' puts wake nobody on the heap, and
+        the getters resume after the last handler, in put order."""
+        from repro.k8s.apiserver import APIServer
+
+        env = Environment()
+        api = APIServer(env)
+        stores = [Store(env), Store(env)]
+        log = []
+
+        def worker(name, store):
+            log.append((name, (yield store.get())))
+            yield env.timeout(0)
+            log.append((name, "after its delay"))
+
+        def handler(i):
+            def put(event):
+                log.append(("handler", i))
+                stores[i].put(event.type)
+
+            return put
+
+        for i in (1, 0):
+            env.process(worker(f"w{i}", stores[i]))
+            api.subscribe("Pod", handler(i))
+        env.run()
+        before = env.events_processed
+        api._notify("Pod", "ADDED", None)
+        env.run()
+        assert log == [
+            ("handler", 1),
+            ("handler", 0),
+            ("w1", "ADDED"),
+            ("w0", "ADDED"),
+            ("w1", "after its delay"),
+            ("w0", "after its delay"),
+        ]
+        # The delivery, the two delays, the two process ends: no StoreGet.
+        assert env.events_processed - before == 5
+        assert env._woken is None
