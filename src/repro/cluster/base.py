@@ -102,17 +102,6 @@ class EdgeCluster(abc.ABC):
     def running_count(self) -> int:
         """Number of distinct services currently running here."""
 
-    def has_capacity_for(self, plan: DeploymentPlan) -> bool:
-        """Whether a (new) instance of ``plan`` would fit.
-
-        An already-running service always "fits" (no new slot needed).
-        """
-        if self.is_running(plan):
-            return True
-        if self.capacity is None:
-            return True
-        return self.running_count() < self.capacity
-
     # -- readiness ---------------------------------------------------------------
 
     def wait_ready(

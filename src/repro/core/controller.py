@@ -106,11 +106,15 @@ class Redirect:
     its own: ``installed`` / ``drained`` say a transition *ran* — so the
     next one deletes first — not what the table holds.
 
-    Each known race (ROADMAP item 2) is a few lines in one transition:
+    Each known race (ROADMAP item 2) is a few lines in one transition,
+    here or in the :class:`~repro.core.dispatcher.Deployment` that hands
+    over to one:
     (a) :meth:`install` gives the reverse entry a lifetime of its own;
     (b) :meth:`retire` at a handover deletes where it should drain;
-    (c) :meth:`retire` + barrier must precede an idle scale-down's stop;
-    (d) :meth:`repoint` loses a request caught mid-flip.
+    (c) ``Deployment.retire`` scales down a busy service, and without
+    :meth:`retire` + a barrier first;
+    (d) ``Deployment.ready`` → :meth:`repoint` loses a request caught
+    mid-flip.
     """
 
     def __init__(

@@ -12,7 +12,8 @@ Responsibilities here:
   instance is ready) or *without waiting* (background-deploy BEST),
 * deduplicate concurrent deployments of the same service to the same
   cluster (several clients can hit a cold service simultaneously —
-  fig. 10 shows up to 8 deployments/s),
+  fig. 10 shows up to 8 deployments/s): one :class:`Deployment` owns
+  each (service, cluster) while something happens to its instance,
 * record per-phase timings (Pull / Create / Scale-Up / wait-ready) for
   the figure-11..15 harnesses,
 * track client locations.
@@ -48,6 +49,26 @@ RETRYABLE_FAULTS = (RegistryUnavailable, PullError, NodeDown)
 #: Faults that will fail identically on every attempt: unknown image
 #: reference (bad manifest) or a structurally invalid deployment.
 FATAL_FAULTS = (ImageNotFound, DeployError)
+
+#: How long wait-ready polls a fresh instance's port before the
+#: deployment counts as failed.
+READY_TIMEOUT_S = 120.0
+#: Base backoff before a phase retry: it doubles per attempt and is
+#: stretched by up to ``RETRY_JITTER`` from the dispatcher's RNG,
+#: seeded 0 and drawn only on failures, so fault-free runs stay
+#: byte-identical.
+RETRY_BACKOFF_S = 0.5
+RETRY_JITTER = 0.1
+#: Consecutive failures that open a breaker.
+BREAKER_THRESHOLD = 3
+
+#: The deployment phases in order: the cluster call, the outcome flag
+#: it sets, and the cluster query that says it is done already.
+_PHASES = (
+    ("pull", "pulled", "image_cached"),
+    ("create", "created", "is_created"),
+    ("scale_up", "scaled", None),
+)
 
 
 @dataclasses.dataclass
@@ -90,6 +111,211 @@ class Resolution:
     degraded_from: str | None = None
 
 
+class Deployment:
+    """One service's instance on one cluster: the owner of what is in
+    flight for it and of the only things that happen to it.
+
+    The :class:`Dispatcher` keeps an owner in ``deployments`` exactly
+    while it has state — a *deploy* in flight (``process``) or an
+    eviction draining (``evicting``); any other lookup hands out a fresh
+    one.  Each transition is written once (DESIGN.md §7, "A deployment's
+    life"):
+
+    * :meth:`deploy` — join the pipeline in flight, answer on the spot,
+      or run Pull → Create → Scale Up → wait-ready;
+    * :meth:`ready` — the background tail: deploy, then point the
+      service's flows at the instance, or tag them degraded;
+    * :meth:`retire` — the idle scale-down, then publish stopped;
+    * :meth:`evict` … :meth:`drained` — a migration source released and
+      draining: hidden from ``gather_states``, published stopped.
+
+    Known defects living here: (c) :meth:`retire` scales down a busy
+    service, and without retiring its redirects behind a barrier first;
+    (d) :meth:`ready` repoints under a request in flight; (e) the room
+    rule (``Dispatcher._has_room``) counts a deploy in flight twice once
+    its container runs.
+    """
+
+    __slots__ = ("dispatcher", "service", "cluster", "key", "process", "evicting")
+
+    def __init__(
+        self, dispatcher: "Dispatcher", service: EdgeService, cluster: EdgeCluster
+    ) -> None:
+        self.dispatcher = dispatcher
+        self.service = service
+        self.cluster = cluster
+        self.key = (service.name, cluster.name)
+        #: The deploy pipeline every waiter joins, while it runs.
+        self.process: Process | None = None
+        #: A migration released the instance and it drains its last
+        #: sessions: fresh resolutions must not land on it even though
+        #: its port is still open.
+        self.evicting = False
+
+    def deploy(self):
+        """*deploy*: generator returning :class:`DeploymentOutcome`.
+
+        **The in-flight join comes first, always**: an open port is not
+        a finished deployment (§VI — ``wait_ready`` may still be
+        polling).  **Nothing to deploy, no process**: when the instance
+        already answers and ``quiet_now()`` the outcome is returned
+        here, without the pipeline process whose first segment would
+        find the same and end — its urgent start and its completion, two
+        heap entries between which nobody else would act.  Exact when
+        the calling process is the last callback of the entry being
+        processed; the one place it is not — the waiters of a shared
+        *failed* deployment re-resolving — has every sibling take this
+        same branch in the same order.  The guard is traffic, not
+        caution (a handler's timer meets a flow-mod's delivery on ~3 % of
+        ``c3_churn``'s packet-ins), and no digest sees it missing; the
+        shortcut property in ``tests/test_properties.py`` does (contract
+        in DESIGN.md §6).
+        """
+        if self.process is not None:
+            outcome = yield self.process
+            return outcome
+        env = self.dispatcher.env
+        if self.cluster.is_running(self.service.plan) and env.quiet_now():
+            return DeploymentOutcome(self.service.name, self.cluster.name)
+        self.process = env.process(self._pipeline(), name=f"deploy:{self.key}")
+        self.dispatcher.deployments[self.key] = self
+        try:
+            outcome = yield self.process
+        finally:
+            self.process = None
+            self._forget_if_idle()
+        return outcome
+
+    def _pipeline(self):
+        """Pull → Create → Scale Up → wait-ready.  A phase the cluster
+        has done already is skipped; a retryable fault is retried up to
+        ``max_phase_retries`` times after exponential backoff, a fatal
+        one is not.  One failure path stamps the outcome, counts
+        ``deploy_failures/<cluster>`` and feeds the cluster's breaker."""
+        dispatcher, service, cluster = self.dispatcher, self.service, self.cluster
+        env, recorder, plan = dispatcher.env, dispatcher.recorder, service.plan
+        outcome = DeploymentOutcome(service.name, cluster.name)
+        started = env.now
+        if cluster.is_running(plan):
+            return outcome
+        recorder.mark("deployments", started)
+        tag = service.template_key or service.name
+        try:
+            for phase, flag, done in _PHASES:
+                if done is not None and getattr(cluster, done)(plan):
+                    continue
+                t0 = env.now
+                outcome.attempts = 1
+                while True:
+                    try:
+                        yield from getattr(cluster, phase)(plan)
+                        break
+                    except RETRYABLE_FAULTS:
+                        if outcome.attempts > dispatcher.max_phase_retries:
+                            raise
+                    backoff = RETRY_BACKOFF_S * 2 ** (outcome.attempts - 1)
+                    backoff *= 1.0 + RETRY_JITTER * dispatcher._retry_rng.random()
+                    recorder.count(f"deploy_retries/{cluster.name}")
+                    yield env.timeout(backoff)
+                    outcome.attempts += 1
+                elapsed = env.now - t0
+                setattr(outcome, flag, True)
+                setattr(outcome, f"{phase}_s", elapsed)
+                recorder.record(f"{phase}/{cluster.name}/{tag}", elapsed)
+        except FATAL_FAULTS + RETRYABLE_FAULTS as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        else:
+            # §VI: poll the service port until it answers.
+            phase, t0 = "wait_ready", env.now
+            outcome.ready = yield from cluster.wait_ready(
+                plan,
+                poll_interval_s=dispatcher.calibration.port_poll_interval_s,
+                timeout_s=READY_TIMEOUT_S,
+            )
+            outcome.wait_ready_s = env.now - t0
+            recorder.record(f"wait_ready/{cluster.name}/{tag}", outcome.wait_ready_s)
+            if outcome.ready:
+                outcome.total_s = env.now - started
+                recorder.record(f"deploy_total/{cluster.name}/{tag}", outcome.total_s)
+                dispatcher.feed_breaker(cluster.name, ok=True)
+                self.publish(running=True)
+                return outcome
+            # Never answered on its port: a failure like any other, not
+            # a silent half-install.
+            error = f"service port not open within {READY_TIMEOUT_S}s"
+        outcome.failed_phase, outcome.error, outcome.ready = phase, error, False
+        outcome.total_s = env.now - started
+        recorder.count(f"deploy_failures/{cluster.name}")
+        dispatcher.feed_breaker(cluster.name, ok=False)
+        return outcome
+
+    def ready(self):
+        """*ready*: the background tail (generator).  Deploy — through
+        ``Dispatcher.ensure_deployed``, whose lookup runs when this
+        process first resumes and joins whatever is in flight by then —
+        and point the service's flows at the ready instance
+        (``on_endpoint_ready``); when it failed, clients stay where they
+        are, but their flows are tagged degraded so they re-resolve
+        (instead of being replayed from memory) once this cluster
+        recovers."""
+        dispatcher, service, cluster = self.dispatcher, self.service, self.cluster
+        outcome = yield from dispatcher.ensure_deployed(service, cluster)
+        if not outcome.ready:
+            dispatcher.flow_memory.mark_service_degraded(service, cluster.name)
+            return
+        endpoint = cluster.endpoint(service.plan)
+        if endpoint is not None:
+            dispatcher.on_endpoint_ready(service, cluster.name, endpoint)
+
+    def retire(self):
+        """*retire*: scale the idle instance down (generator), then
+        publish it stopped."""
+        yield from self.cluster.scale_down(self.service.plan)
+        self.publish(running=False)
+
+    def evict(self) -> None:
+        """*evict*: a migration released this source instance, which
+        drains its last sessions until :meth:`drained`.  From this
+        instant fresh resolutions do not see it, and peers learn it is
+        gone — after they learned that the destination exists (it
+        published before releasing)."""
+        self.evicting = True
+        self.dispatcher.deployments[self.key] = self
+        self.publish(running=False)
+
+    def drained(self) -> None:
+        """The end of *evict*: the drain is over, scaled down or not.
+        Called on whichever owner a lookup finds then, so a second
+        release's drain ends whatever eviction holds the instance."""
+        self.evicting = False
+        self._forget_if_idle()
+
+    def publish(self, running: bool) -> None:
+        """Announce the instance running or stopped through the
+        dispatcher's ``on_instance_change`` (the federated
+        configuration's replica; nothing without one)."""
+        dispatcher = self.dispatcher
+        if dispatcher.on_instance_change is None:
+            return
+        cluster = self.cluster
+        dispatcher.on_instance_change(
+            InstanceRecord(
+                service_name=self.service.name,
+                cluster_name=cluster.name,
+                site=dispatcher.site,
+                running=running,
+                endpoint=cluster.endpoint(self.service.plan) if running else None,
+                distance=cluster.distance,
+                observed_at=dispatcher.env.now,
+            )
+        )
+
+    def _forget_if_idle(self) -> None:
+        deployments = self.dispatcher.deployments
+        if self.process is None and not self.evicting and deployments.get(self.key) is self:
+            del deployments[self.key]
+
+
 class Dispatcher:
     """Deployment orchestration for the SDN controller."""
 
@@ -101,13 +327,8 @@ class Dispatcher:
         flow_memory: FlowMemory,
         recorder: MetricsRecorder | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        ready_timeout_s: float = 120.0,
         max_phase_retries: int = 2,
-        retry_backoff_s: float = 0.5,
-        retry_jitter: float = 0.1,
-        retry_seed: int = 0,
         breaker_enabled: bool = True,
-        breaker_threshold: int = 3,
         breaker_cooldown_s: float = 30.0,
         state: ControlPlaneState | None = None,
         on_instance_change: _t.Callable[[InstanceRecord], None] | None = None,
@@ -139,33 +360,19 @@ class Dispatcher:
         self.site = site
         self.recorder = recorder if recorder is not None else MetricsRecorder()
         self.calibration = calibration
-        self.ready_timeout_s = ready_timeout_s
         #: Retries per deployment phase after the first attempt.
         self.max_phase_retries = max_phase_retries
-        #: Base backoff before a phase retry (doubles per attempt),
-        #: stretched by up to ``retry_jitter`` from a dispatcher-owned
-        #: seeded RNG — drawn only on failures, so fault-free runs stay
-        #: byte-identical.
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_jitter = retry_jitter
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(0)
         self.breaker_enabled = breaker_enabled
-        self.breaker_threshold = breaker_threshold
         self.breaker_cooldown_s = breaker_cooldown_s
-        #: cluster name -> circuit breaker; created lazily on the first
-        #: deployment failure, so the mapping stays empty (and state
-        #: gathering pays nothing) on healthy runs.  Breakers are
-        #: site-local state: bind the state's mapping once and use it
-        #: directly.
+        #: name -> circuit breaker; created lazily on the first failure,
+        #: so the mapping stays empty (and state gathering pays nothing)
+        #: on healthy runs.  Breakers are site-local state: bind the
+        #: state's mapping once and use it directly.
         self.breakers = self.state.breakers
-        #: (service name, cluster name) -> in-flight deployment process.
-        self._inflight: dict[tuple[str, str], Process] = {}
-        #: (service name, cluster name) pairs mid-eviction: a migration
-        #: released the instance and is draining its last sessions, so
-        #: fresh resolutions must not land on it even though its port is
-        #: still open.  Empty (one truthiness check per gather) outside
-        #: active migrations.
-        self.evicting: set[tuple[str, str]] = set()
+        #: (service name, cluster name) -> its owner, while a deploy is
+        #: in flight or an eviction drains (insertion order).
+        self.deployments: dict[tuple[str, str], Deployment] = {}
 
     @property
     def client_locations(self) -> _t.MutableMapping[_t.Any, ClientInfo]:
@@ -204,7 +411,7 @@ class Dispatcher:
         """
         plan = service.plan
         breakers = self.breakers if self.breaker_enabled else None
-        evicting = self.evicting
+        deployments = self.deployments
         utilization = self._site_utilization()
         states = []
         for cluster in self.clusters:
@@ -214,30 +421,23 @@ class Dispatcher:
                 if breaker is not None:
                     blocked = breaker.blocked(self.env.now)
                     degraded = breaker.state is BreakerState.HALF_OPEN
-            if evicting and (service.name, cluster.name) in evicting:
+            owner = deployments.get((service.name, cluster.name)) if deployments else None
+            if owner is not None and owner.evicting:
                 # Mid-eviction: the instance only exists to drain its
                 # last sessions; present it as gone-and-unusable so no
                 # new flow is scheduled onto it.
-                states.append(
-                    ClusterState(
-                        cluster=cluster,
-                        running=False,
-                        created=cluster.is_created(plan),
-                        cached=cluster.image_cached(plan),
-                        has_capacity=False,
-                        blocked=True,
-                        degraded=degraded,
-                        utilization=utilization,
-                    )
-                )
-                continue
+                running = room = False
+                blocked = True
+            else:
+                running = cluster.is_running(plan)
+                room = self._has_room(service, cluster)
             states.append(
                 ClusterState(
                     cluster=cluster,
-                    running=cluster.is_running(plan),
+                    running=running,
                     created=cluster.is_created(plan),
                     cached=cluster.image_cached(plan),
-                    has_capacity=self._has_room(service, cluster),
+                    has_capacity=room,
                     blocked=blocked,
                     degraded=degraded,
                     utilization=utilization,
@@ -257,31 +457,44 @@ class Dispatcher:
             default=0.0,
         )
 
-    def breaker_for(self, cluster_name: str) -> CircuitBreaker:
-        """The cluster's circuit breaker, created on first use."""
-        breaker = self.breakers.get(cluster_name)
+    def feed_breaker(self, name: str, ok: bool) -> None:
+        """Tell circuit breaker ``name`` — a cluster's, or a migration
+        source's ``migration:<site>`` — how an attempt ended, when
+        breakers are enabled.  A failure creates the breaker on first
+        use; a success only resets one that exists."""
+        if not self.breaker_enabled:
+            return
+        breaker = self.breakers.get(name)
+        if ok:
+            if breaker is not None:
+                breaker.record_success()
+            return
         if breaker is None:
-            breaker = self.breakers[cluster_name] = CircuitBreaker(
+            breaker = self.breakers[name] = CircuitBreaker(
                 self.env,
-                cluster_name,
-                failure_threshold=self.breaker_threshold,
+                name,
+                failure_threshold=BREAKER_THRESHOLD,
                 cooldown_s=self.breaker_cooldown_s,
                 recorder=self.recorder,
             )
-        return breaker
+        breaker.record_failure()
 
     def _has_room(self, service: EdgeService, cluster: EdgeCluster) -> bool:
-        """Capacity check that also counts in-flight deployments —
+        """The room rule: capacity that also counts deploys in flight —
         otherwise concurrent dispatches would all admit themselves
-        against the same free slots."""
+        against the same free slots.  Known defect (e): a deploy in
+        flight whose container already runs is counted here and again
+        in ``running_count()``."""
         if cluster.is_running(service.plan):
             return True
         if cluster.capacity is None:
             return True
         inflight = sum(
             1
-            for (svc_name, cluster_name) in self._inflight
-            if cluster_name == cluster.name and svc_name != service.name
+            for (svc_name, cluster_name), owner in self.deployments.items()
+            if owner.process is not None
+            and cluster_name == cluster.name
+            and svc_name != service.name
         )
         return cluster.running_count() + inflight < cluster.capacity
 
@@ -360,196 +573,21 @@ class Dispatcher:
             return None
         return min(blocked, key=lambda s: (s.distance, s.cluster.name)).cluster.name
 
-    # -- deployment pipeline -----------------------------------------------------------
+    # -- deployments: a lookup plus one transition --------------------------------
+
+    def deployment(self, service: EdgeService, cluster: EdgeCluster) -> Deployment:
+        """The owner of ``service``'s instance on ``cluster``: the one
+        with a deploy in flight or an eviction draining, else a fresh
+        one."""
+        owner = self.deployments.get((service.name, cluster.name))
+        return owner if owner is not None else Deployment(self, service, cluster)
 
     def ensure_deployed(self, service: EdgeService, cluster: EdgeCluster):
-        """Run (or join) the deployment of ``service`` on ``cluster``.
-
-        Generator returning :class:`DeploymentOutcome`.  Concurrent
-        callers for the same (service, cluster) share one pipeline.
-
-        **Nothing to deploy, no process.**  When the instance already
-        answers and nothing else is due at this instant the outcome is
-        returned here, without the ``_deploy`` process whose first
-        segment would find the same and end.  The two heap entries that
-        skips are the process's urgent start (pops next) and its
-        completion (pushed at that pop, so it pops after everything
-        else due now); with the heap's top later than now and that
-        first segment pushing nothing, nobody acts between the two — so
-        the caller going on at once is the caller going on then.  Exact
-        when the calling process is the last callback of the entry being
-        processed; the one place it is not — the waiters of a shared
-        *failed* deployment re-resolving — has every sibling take this
-        same branch in the same order.  The guard is traffic, not
-        caution: a handler's timer (``processing_delay_s``, 800 µs) and
-        a queued flow-mod's delivery (four 200 µs channel hops) land on
-        one instant, float for float, on ~3 % of ``c3_churn``'s
-        packet-ins, and those keep the process.  No bench digest sees
-        the guard missing (4 of 4 tried stay equal: order at an instant
-        moves, no latency does); the shortcut property in
-        ``tests/test_properties.py`` does.  The in-flight join comes
-        first, always: an open port is not a finished deployment (§VI —
-        ``wait_ready`` may still be polling).
-        """
-        key = (service.name, cluster.name)
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            outcome = yield inflight
-            return outcome
-        if cluster.is_running(service.plan) and self.env.quiet_now():
-            return DeploymentOutcome(
-                service_name=service.name, cluster_name=cluster.name
-            )
-        process = self.env.process(
-            self._deploy(service, cluster), name=f"deploy:{key}"
-        )
-        self._inflight[key] = process
-        try:
-            outcome = yield process
-        finally:
-            self._inflight.pop(key, None)
-        return outcome
-
-    def _deploy(self, service: EdgeService, cluster: EdgeCluster):
-        plan = service.plan
-        tag = service.template_key or service.name
-        outcome = DeploymentOutcome(
-            service_name=service.name, cluster_name=cluster.name
-        )
-        started = self.env.now
-
-        if cluster.is_running(plan):
-            return outcome
-
-        self.recorder.mark("deployments", started)
-
-        if not cluster.image_cached(plan):
-            t0 = self.env.now
-            ok = yield from self._attempt_phase(
-                outcome, "pull", lambda: cluster.pull(plan)
-            )
-            if not ok:
-                return self._finish_failed(outcome, started, cluster)
-            outcome.pulled = True
-            outcome.pull_s = self.env.now - t0
-            self.recorder.record(f"pull/{cluster.name}/{tag}", outcome.pull_s)
-
-        if not cluster.is_created(plan):
-            t0 = self.env.now
-            ok = yield from self._attempt_phase(
-                outcome, "create", lambda: cluster.create(plan)
-            )
-            if not ok:
-                return self._finish_failed(outcome, started, cluster)
-            outcome.created = True
-            outcome.create_s = self.env.now - t0
-            self.recorder.record(f"create/{cluster.name}/{tag}", outcome.create_s)
-
-        t0 = self.env.now
-        ok = yield from self._attempt_phase(
-            outcome, "scale_up", lambda: cluster.scale_up(plan)
-        )
-        if not ok:
-            return self._finish_failed(outcome, started, cluster)
-        outcome.scaled = True
-        outcome.scale_up_s = self.env.now - t0
-        self.recorder.record(f"scale_up/{cluster.name}/{tag}", outcome.scale_up_s)
-
-        # §VI: poll the service port until it answers.
-        t0 = self.env.now
-        ready = yield from cluster.wait_ready(
-            plan,
-            poll_interval_s=self.calibration.port_poll_interval_s,
-            timeout_s=self.ready_timeout_s,
-        )
-        outcome.wait_ready_s = self.env.now - t0
-        outcome.ready = ready
-        self.recorder.record(
-            f"wait_ready/{cluster.name}/{tag}", outcome.wait_ready_s
-        )
-        if not ready:
-            # The instance never answered on its port: a deployment
-            # failure like any other, not a silent half-install.
-            outcome.failed_phase = "wait_ready"
-            outcome.error = (
-                f"service port not open within {self.ready_timeout_s}s"
-            )
-            return self._finish_failed(outcome, started, cluster)
-
-        outcome.total_s = self.env.now - started
-        self.recorder.record(f"deploy_total/{cluster.name}/{tag}", outcome.total_s)
-        if self.breaker_enabled:
-            breaker = self.breakers.get(cluster.name)
-            if breaker is not None:
-                breaker.record_success()
-        if self.on_instance_change is not None:
-            self._publish_instance(service, cluster, running=True)
-        return outcome
-
-    def _publish_instance(
-        self, service: EdgeService, cluster: EdgeCluster, running: bool
-    ) -> None:
-        """Announce an instance transition through ``on_instance_change``
-        (federated configuration only; never called when the hook is
-        unset)."""
-        assert self.on_instance_change is not None
-        self.on_instance_change(
-            InstanceRecord(
-                service_name=service.name,
-                cluster_name=cluster.name,
-                site=self.site,
-                running=running,
-                endpoint=cluster.endpoint(service.plan) if running else None,
-                distance=cluster.distance,
-                observed_at=self.env.now,
-            )
-        )
-
-    def _attempt_phase(self, outcome: DeploymentOutcome, phase: str, make_call):
-        """Run one deployment phase with bounded, jittered retries
-        (generator returning bool: did the phase complete?).
-
-        Retryable faults back off exponentially (``retry_backoff_s * 2^n``,
-        stretched by up to ``retry_jitter`` from the seeded RNG); fatal
-        faults fail immediately.  On the happy path this adds no events
-        and draws no random numbers.
-        """
-        attempt = 1
-        while True:
-            try:
-                yield from make_call()
-                outcome.attempts = attempt
-                return True
-            except FATAL_FAULTS as exc:
-                outcome.failed_phase = phase
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                outcome.attempts = attempt
-                return False
-            except RETRYABLE_FAULTS as exc:
-                if attempt > self.max_phase_retries:
-                    outcome.failed_phase = phase
-                    outcome.error = f"{type(exc).__name__}: {exc}"
-                    outcome.attempts = attempt
-                    return False
-                backoff = self.retry_backoff_s * 2 ** (attempt - 1)
-                backoff *= 1.0 + self.retry_jitter * self._retry_rng.random()
-                self.recorder.count(f"deploy_retries/{outcome.cluster_name}")
-                yield self.env.timeout(backoff)
-                attempt += 1
-
-    def _finish_failed(
-        self,
-        outcome: DeploymentOutcome,
-        started: float,
-        cluster: EdgeCluster,
-    ) -> DeploymentOutcome:
-        """Close out a failed deployment: stamp the outcome, count the
-        failure, and feed the cluster's circuit breaker."""
-        outcome.ready = False
-        outcome.total_s = self.env.now - started
-        self.recorder.count(f"deploy_failures/{cluster.name}")
-        if self.breaker_enabled:
-            self.breaker_for(cluster.name).record_failure()
+        """Run (or join) the deployment of ``service`` on ``cluster``:
+        generator returning :class:`DeploymentOutcome`
+        (:meth:`Deployment.deploy`).  A generator function, so that the
+        owner is looked up when the caller first resumes it."""
+        outcome = yield from self.deployment(service, cluster).deploy()
         return outcome
 
     def deploy_in_background(
@@ -557,38 +595,19 @@ class Dispatcher:
     ) -> None:
         """Deploy without blocking the caller; when the instance is
         ready, repoint the service's memorized flows to it so future
-        requests use the BEST location."""
+        requests use the BEST location (:meth:`Deployment.ready`)."""
         self.env.spawn(
-            self._background(service, cluster),
+            self.deployment(service, cluster).ready(),
             name=f"bg-deploy:{service.name}@{cluster.name}",
         )
-
-    def _background(self, service: EdgeService, cluster: EdgeCluster):
-        outcome = yield from self.ensure_deployed(service, cluster)
-        if not outcome.ready:
-            # BEST failed: clients stay where they are, but their flows
-            # are tagged degraded so they re-resolve (instead of being
-            # replayed from memory) once this cluster recovers.
-            self.flow_memory.mark_service_degraded(service, cluster.name)
-            return
-        endpoint = cluster.endpoint(service.plan)
-        if endpoint is not None:
-            self.on_endpoint_ready(service, cluster.name, endpoint)
-
-    # -- scale-down -------------------------------------------------------------------------
 
     def scale_down_idle(self, service: EdgeService) -> None:
         """Scale the service down on every cluster where it runs
         (called by the controller when the last memorized flow for the
-        service expired)."""
+        service expired; :meth:`Deployment.retire`)."""
         for cluster in self.clusters:
             if cluster.is_running(service.plan):
                 self.env.spawn(
-                    self._scale_down(service, cluster),
+                    self.deployment(service, cluster).retire(),
                     name=f"scaledown:{service.name}@{cluster.name}",
                 )
-
-    def _scale_down(self, service: EdgeService, cluster: EdgeCluster):
-        yield from cluster.scale_down(service.plan)
-        if self.on_instance_change is not None:
-            self._publish_instance(service, cluster, running=False)

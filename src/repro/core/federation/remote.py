@@ -26,10 +26,10 @@ class RemoteClusterView:
 
     Named ``"{site}/{cluster}"`` so memorized flows and metrics keys
     say where the traffic went (local cluster names must not contain
-    ``"/"``).  ``has_capacity_for`` is always False: a remote site is a
-    redirect target only while its instance is *running* — this site
-    never deploys there (each site's dispatcher owns exactly its own
-    clusters), which the
+    ``"/"``).  Its cluster state never has room (``has_capacity`` is
+    False): a remote site is a redirect target only while its instance
+    is *running* — this site never deploys there (each site's
+    dispatcher owns exactly its own clusters), which the
     :attr:`~repro.core.schedulers.base.ClusterState.eligible` rule
     encodes for free.
     """

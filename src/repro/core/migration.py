@@ -384,7 +384,8 @@ class MigrationManager:
     daemon — the application on its EGS host's :data:`MIGRATION_PORT`
     (checkpoint reads, freeze/release/abort control) — and performs the
     source-side release: flip local flows to the remote destination,
-    mark the instance evicting, thaw, and scale down after the drain.
+    evict the instance (its dispatcher's ``Deployment.evict``), thaw,
+    and scale down after the drain.
     As a *destination* it runs the admission-controlled pipeline:
     prepare → activate → (pre-copy) → freeze → final copy → flip →
     release.
@@ -581,9 +582,7 @@ class MigrationManager:
         endpoint = cluster.endpoint(plan)
         assert endpoint is not None
         self.controller.repoint_service_flows(service, cluster.name, endpoint)
-        dispatcher = self.controller.dispatcher
-        if dispatcher.on_instance_change is not None:
-            dispatcher._publish_instance(service, cluster, running=True)
+        self.controller.dispatcher.deployment(service, cluster).publish(running=True)
 
         # release — the source flips its own flows to us, thaws, drains,
         # and scales down.  A flipped destination is a completed
@@ -697,9 +696,7 @@ class MigrationManager:
     def _finish_aborted(self, outcome: MigrationOutcome) -> MigrationOutcome:
         outcome.total_s = self.env.now - outcome.started_at
         self.recorder.count(f"migrations_aborted/{self.site}")
-        dispatcher = self.controller.dispatcher
-        if dispatcher.breaker_enabled:
-            dispatcher.breaker_for(f"migration:{outcome.from_site}").record_failure()
+        self.controller.dispatcher.feed_breaker(f"migration:{outcome.from_site}", ok=False)
         return outcome
 
     def _finish_completed(self, outcome: MigrationOutcome) -> MigrationOutcome:
@@ -709,11 +706,7 @@ class MigrationManager:
         self.recorder.record("migration/bytes_moved", float(outcome.bytes_moved))
         self.recorder.record("migration/downtime_s", outcome.downtime_s)
         self.recorder.record("migration/total_s", outcome.total_s)
-        dispatcher = self.controller.dispatcher
-        if dispatcher.breaker_enabled:
-            breaker = dispatcher.breakers.get(f"migration:{outcome.from_site}")
-            if breaker is not None:
-                breaker.record_success()
+        self.controller.dispatcher.feed_breaker(f"migration:{outcome.from_site}", ok=True)
         return outcome
 
     # -- source side: daemon verbs -------------------------------------------
@@ -866,16 +859,11 @@ class MigrationManager:
             return HTTPResponse(status=404)
 
         service, cluster = export.service, export.cluster
-        dispatcher = self.controller.dispatcher
         # Make-before-break, source half (one instant): local flows
-        # flip to the remote destination with per-connection drains;
-        # the dying instance is hidden from fresh resolutions; peers
-        # learn the old location is gone *after* they learned the new
-        # one exists (the destination published before releasing).
+        # flip to the remote destination with per-connection drains,
+        # then the dying instance is evicted.
         self.controller.repoint_service_flows(service, remote_name, dest_ep)
-        dispatcher.evicting.add((service.name, cluster.name))
-        if dispatcher.on_instance_change is not None:
-            dispatcher._publish_instance(service, cluster, running=False)
+        self.controller.dispatcher.deployment(service, cluster).evict()
         export.released = True
         if export.gate is not None:
             export.gate.thaw()
@@ -895,9 +883,7 @@ class MigrationManager:
         except MIGRATION_FAULTS:
             pass  # the node died during the drain; injector owns cleanup
         finally:
-            self.controller.dispatcher.evicting.discard(
-                (service.name, cluster.name)
-            )
+            self.controller.dispatcher.deployment(service, cluster).drained()
             self._exports.pop(service.name, None)
 
     def _serve_abort(self, service_name: str) -> HTTPResponse:

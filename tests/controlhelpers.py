@@ -1,14 +1,14 @@
 """The control plane's slow twin, and a count of what the fast one saved.
 
-``Dispatcher.ensure_deployed`` answers on the spot when the instance
-already runs and nothing else is due at that instant, and
+``Deployment.deploy`` answers on the spot when the instance already
+runs and nothing else is due at that instant, and
 ``EdgeController.on_packet_in`` starts its handler inside the
 packet-in's delivery.  :func:`deployments_on_the_heap` puts both back on
-the heap — every ``ensure_deployed`` that is not an in-flight join is a
-``_deploy`` process (an urgent start and a completion), every handler
-starts through its own ``_Initialize`` — which is the control plane as
-it was before either shortcut.  ``tests/test_properties.py`` holds the
-two to one trace.
+the heap — every *deploy* that is not an in-flight join is a pipeline
+process (an urgent start and a completion), every handler starts
+through its own ``_Initialize`` — which is the control plane as it was
+before either shortcut.  ``tests/test_properties.py`` holds the two to
+one trace.
 """
 
 from __future__ import annotations
@@ -18,23 +18,24 @@ import typing as _t
 from unittest import mock
 
 from repro.core.controller import EdgeController
-from repro.core.dispatcher import Dispatcher
+from repro.core.dispatcher import Deployment
 
 
-def _ensure_deployed_as_a_process(self, service, cluster):
-    key = (service.name, cluster.name)
-    inflight = self._inflight.get(key)
-    if inflight is not None:
-        outcome = yield inflight
+def _deploy_as_a_process(self):
+    """``Deployment.deploy`` without its shortcut: join the pipeline in
+    flight, or run one."""
+    if self.process is not None:
+        outcome = yield self.process
         return outcome
-    process = self.env.process(
-        self._deploy(service, cluster), name=f"deploy:{key}"
+    self.process = self.dispatcher.env.process(
+        self._pipeline(), name=f"deploy:{self.key}"
     )
-    self._inflight[key] = process
+    self.dispatcher.deployments[self.key] = self
     try:
-        outcome = yield process
+        outcome = yield self.process
     finally:
-        self._inflight.pop(key, None)
+        self.process = None
+        self._forget_if_idle()
     return outcome
 
 
@@ -50,7 +51,7 @@ def _on_packet_in_cold(self, datapath, message) -> None:
 def deployments_on_the_heap():
     """Every deployment question a process, every handler started cold."""
     with mock.patch.object(
-        Dispatcher, "ensure_deployed", _ensure_deployed_as_a_process
+        Deployment, "deploy", _deploy_as_a_process
     ), mock.patch.object(EdgeController, "on_packet_in", _on_packet_in_cold):
         yield
 
@@ -89,18 +90,18 @@ class _Watched:
 @contextlib.contextmanager
 def counted_shortcuts() -> _t.Iterator[set[tuple]]:
     """Every ``(instant, service, cluster)`` at which
-    ``Dispatcher.ensure_deployed`` returned without yielding — neither
-    joined a deployment nor started one.  A set: the waiters of one
-    failed deployment, re-resolving at one instant to one cluster, would
-    have shared one process, and save its two entries once."""
+    ``Deployment.deploy`` returned without yielding — neither joined a
+    deployment nor started one.  A set: the waiters of one failed
+    deployment, re-resolving at one instant to one cluster, would have
+    shared one process, and save its two entries once."""
     taken: set[tuple] = set()
-    ensure_deployed = Dispatcher.ensure_deployed
+    deploy = Deployment.deploy
 
-    def watched(self, service, cluster):
+    def watched(self):
         return _Watched(
-            ensure_deployed(self, service, cluster),
-            lambda: taken.add((self.env.now, service.name, cluster.name)),
+            deploy(self),
+            lambda: taken.add((self.dispatcher.env.now, *self.key)),
         )
 
-    with mock.patch.object(Dispatcher, "ensure_deployed", watched):
+    with mock.patch.object(Deployment, "deploy", watched):
         yield taken

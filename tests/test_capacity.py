@@ -29,12 +29,13 @@ class TestCapacityAccounting:
         svc1 = tb.register_template(NGINX)
         svc2 = tb.register_template(ASM)
         cluster = tb.docker_cluster
-        assert cluster.has_capacity_for(svc1.plan)
+        dispatcher = tb.controller.dispatcher
+        assert dispatcher.gather_states(svc1)[0].has_capacity
         tb.prepare_created(cluster, svc1)
         tb.run_request(tb.clients[0], svc1, NGINX.request)
         # Full — but the already-running service still "fits".
-        assert cluster.has_capacity_for(svc1.plan)
-        assert not cluster.has_capacity_for(svc2.plan)
+        assert dispatcher.gather_states(svc1)[0].has_capacity
+        assert not dispatcher.gather_states(svc2)[0].has_capacity
 
     def test_capacity_validation(self):
         tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))

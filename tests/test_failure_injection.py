@@ -10,6 +10,7 @@ from repro.containers import Containerd, ImageSpec, Registry
 from repro.containers.containerd import PullError, RuntimeProfile
 from repro.containers.image import MIB
 from repro.containers.registry import PRIVATE_PROFILE, RegistryUnavailable
+from repro.core import dispatcher as dispatcher_module
 from repro.services.behavior import ContainerBehavior
 from repro.services.catalog import NGINX, NGINX_IMAGE
 from repro.sim import Environment
@@ -195,7 +196,7 @@ class TestContainerCrashes:
 
 
 class TestReadyTimeoutFallback:
-    def test_never_ready_service_falls_back_to_cloud(self):
+    def test_never_ready_service_falls_back_to_cloud(self, monkeypatch):
         """If the deployment never becomes ready within the timeout,
         the held request is forwarded to the cloud instead of hanging."""
         tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
@@ -208,7 +209,7 @@ class TestReadyTimeoutFallback:
         )
         svc = tb.register_template(NGINX)
         tb.prepare_created(tb.docker_cluster, svc)
-        tb.controller.dispatcher.ready_timeout_s = 3.0
+        monkeypatch.setattr(dispatcher_module, "READY_TIMEOUT_S", 3.0)
 
         result = tb.run_request(tb.clients[0], svc, NGINX.request)
         assert result.response.status == 200  # the cloud answered

@@ -14,6 +14,7 @@ from repro.containers.registry import (
     ImageNotFound,
     RegistryUnavailable,
 )
+from repro.core import dispatcher as dispatcher_module
 from repro.core.dispatcher import Dispatcher
 from repro.core.schedulers.base import ClientInfo, Decision
 from repro.core import Annotator, FlowMemory, ServiceRegistry
@@ -292,10 +293,9 @@ def _rig(**dispatcher_kwargs):
 
 
 class TestDispatcherRetries:
-    def test_transient_faults_are_retried_with_backoff(self):
-        env, cluster, dispatcher, svc, _ = _rig(
-            max_phase_retries=2, retry_backoff_s=0.5
-        )
+    def test_transient_faults_are_retried_with_backoff(self, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "RETRY_BACKOFF_S", 0.5)
+        env, cluster, dispatcher, svc, _ = _rig(max_phase_retries=2)
         cluster.fail_script["pull"] = [
             RegistryUnavailable("hiccup"),
             RegistryUnavailable("hiccup"),
@@ -349,10 +349,8 @@ class TestDispatcherRetries:
         assert dispatcher.recorder.counter("deploy_retries/fake") == 1
 
     def test_retry_jitter_is_seeded(self):
-        def total_time(seed):
-            env, cluster, dispatcher, svc, _ = _rig(
-                max_phase_retries=3, retry_seed=seed
-            )
+        def total_time():
+            env, cluster, dispatcher, svc, _ = _rig(max_phase_retries=3)
             cluster.fail_script["pull"] = [
                 RegistryUnavailable("x") for _ in range(3)
             ]
@@ -360,14 +358,14 @@ class TestDispatcherRetries:
             env.run(until=proc)
             return env.now
 
-        assert total_time(4) == total_time(4)  # reproducible
-        assert total_time(4) != total_time(5)  # but seed-dependent
+        assert total_time() == total_time()  # reproducible
 
-    def test_ready_timeout_records_failed_outcome(self):
+    def test_ready_timeout_records_failed_outcome(self, monkeypatch):
         """Satellite: a deployment whose instance never answers on its
         port is a *failure* with phase "wait_ready", not a silent
         half-install — and it feeds the circuit breaker."""
-        env, cluster, dispatcher, svc, _ = _rig(ready_timeout_s=1.0)
+        monkeypatch.setattr(dispatcher_module, "READY_TIMEOUT_S", 1.0)
+        env, cluster, dispatcher, svc, _ = _rig()
         cluster.ready_after_s = 50.0  # never within the timeout
         proc = env.process(dispatcher.ensure_deployed(svc, cluster))
         outcome = env.run(until=proc)
@@ -389,9 +387,10 @@ class TestDispatcherRetries:
         assert not outcome.ready
         assert dispatcher.breakers == {}
 
-    def test_open_breaker_blocks_cluster_in_gathered_state(self):
+    def test_open_breaker_blocks_cluster_in_gathered_state(self, monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "BREAKER_THRESHOLD", 2)
         env, cluster, dispatcher, svc, _ = _rig(
-            max_phase_retries=0, breaker_threshold=2, breaker_cooldown_s=10.0
+            max_phase_retries=0, breaker_cooldown_s=10.0
         )
         cluster.fail_script["pull"] = [
             RegistryUnavailable("down"),

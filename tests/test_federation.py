@@ -317,8 +317,8 @@ class TestSitePartition:
         # A state change during the partition queues instead of vanishing.
         proc = tb.env.process(site1.cluster.scale_down(svc.plan))
         tb.env.run(until=proc)
-        site1.controller.dispatcher._publish_instance(
-            svc, site1.cluster, running=False
+        site1.controller.dispatcher.deployment(svc, site1.cluster).publish(
+            running=False
         )
         assert len(link.outbox) == 1
         assert site0.replica.instances_for(svc.name)[1].running  # stale at site0

@@ -6,9 +6,11 @@ fixes the defect deletes the marker — and it breaks the suite if it
 ever passes unnoticed.  When no ``xfail`` is left this file is a
 regression file and is renamed for it.
 
-All four known races are ordering bugs in the life of one redirect;
-each sits in one transition of :class:`repro.core.controller.Redirect`
-(DESIGN.md §7, "A redirect's life"):
+Each known defect sits in one transition of an owner (DESIGN.md §7):
+(a) and (b) in :class:`repro.core.controller.Redirect` ("A redirect's
+life"), (c) and (d) where a :class:`repro.core.dispatcher.Deployment`
+hands over to one ("A deployment's life"), (e) in the room rule that
+reads the deployments' state:
 
 (a) **Reverse rewrite expires under a response** — ``install``: the
     reverse and forward entries share a cookie but idle out on two
@@ -24,16 +26,21 @@ each sits in one transition of :class:`repro.core.controller.Redirect`
     packets of 40 000 over 80 seeds.  No directed reproduction yet (a
     federated ``move_client`` 0.2–1.2 ms into a warm request lost the
     request at 0.2 ms and leaked nothing later).
-(c) **A busy service is scaled down** — ``retire`` (plus a barrier)
-    does not precede the stop, and, first, the stop should not happen
-    at all: :func:`test_busy_service_is_not_scaled_down`.
-(d) **Endpoint comes up under a request** — ``repoint``: a request in
-    flight in the ~40 ms of ``Dispatcher._background`` →
+(c) **A busy service is scaled down** — ``Deployment.retire``: the
+    stop should not happen at all, and ``Redirect.retire`` (plus a
+    barrier) does not precede it:
+    :func:`test_busy_service_is_not_scaled_down`.
+(d) **Endpoint comes up under a request** — ``Deployment.ready`` →
+    ``Redirect.repoint``: a request in flight in the ~40 ms of
     ``on_endpoint_ready`` → ``repoint_service_flows`` hangs to its
     120 s ``ConnectionTimeout``.  Seen: ``fed_replay`` seeds 14, 26,
     29, 41 of 100.  No directed reproduction yet; the first
     deliverable is the packet-level story of the request lost at
     seed 14.
+(e) **A deploy in flight takes two slots** — the room rule,
+    ``Dispatcher._has_room``, counts a ``Deployment`` whose *deploy* is
+    in flight and, once its container runs, counts it again in
+    ``running_count()``: :func:`test_a_deploy_in_flight_takes_one_slot`.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.host import ConnectionRefused
-from repro.services.catalog import NGINX
+from repro.services.catalog import ASM, NGINX
 from repro.testbed import C3Testbed, TestbedConfig
 
 
@@ -78,3 +85,36 @@ def test_busy_service_is_not_scaled_down():
         assert result.response.status == 200
         tb.env.run(until=started + 5.0)
     assert stats["scale_downs"] == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 2(e): the room rule counts a deploy in flight twice once its "
+    "container runs — as an owner with a process, and in running_count()",
+)
+def test_a_deploy_in_flight_takes_one_slot():
+    """A two-slot Docker cluster deploys NGINX for a first request; ASM
+    must find room throughout — one slot of two is taken.
+
+    Today ``has_capacity`` reads False for ASM from 2.755 to 2.814 s
+    after the request (every millisecond probed), from the start of
+    NGINX's container to the end of its wait-ready: ``_has_room``
+    counts the ``Deployment`` whose *deploy* is in flight and, again,
+    its running container in ``running_count()``.
+    """
+    tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
+    tb.docker_cluster.capacity = 2
+    nginx, asm = tb.register_template(NGINX), tb.register_template(ASM)
+    dispatcher = tb.controller.dispatcher
+    start, full = tb.env.now, []
+
+    def probe() -> None:
+        if not dispatcher.gather_states(asm)[0].has_capacity:
+            full.append(round(tb.env.now - start, 3))
+
+    for ms in range(4000):
+        tb.env.call_at(start + ms / 1000, probe)
+    assert tb.run_request(tb.clients[0], nginx, NGINX.request).response.status == 200
+    tb.settle(1.0)
+    assert full == [], f"no room for ASM from {full[0]} to {full[-1]} s"

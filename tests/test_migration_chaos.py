@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.dispatcher import Deployment
 from repro.core.migration import DRAIN_S, FreezeGate, MigrationPolicy
 from repro.faults import FaultPlan, Injector
 from repro.net.host import ConnectionRefused, ConnectionReset, ConnectionTimeout
@@ -78,7 +79,7 @@ def _consistent_terminal_state(tb, svc, site0, site1, outcome):
     # Neither manager strands in-flight state.
     for site in (site0, site1):
         assert site.manager.inbound_count() == site.manager.export_count() == 0
-        assert not site.controller.dispatcher.evicting
+        assert not site.controller.dispatcher.deployments
     if not outcome.completed:
         # The session was never repointed: site0's client is still
         # pinned to the source instance.
@@ -287,10 +288,8 @@ class TestFaultInstantsOffTheCannedPoints:
     def test_destination_killed_before_the_flip_is_not_flipped_to(self):
         tb, svc, site0, site1 = _testbed()
         Injector(tb, FaultPlan(seed=3).kill_pod(1.0, "site1-docker", svc.name)).arm()
-        dispatcher = site1.controller.dispatcher
-
         with mock.patch.object(
-            dispatcher, "_publish_instance", wraps=dispatcher._publish_instance
+            Deployment, "publish", autospec=True, side_effect=Deployment.publish
         ) as publish:
             done = site1.manager.request_migration(svc.name, "site0", policy=SLOW)
             outcome = tb.env.run(until=done)
