@@ -36,7 +36,7 @@ def main() -> None:
     print(f"Kubernetes instance is up; FlowMemory repointed to "
           f"'{flow.cluster_name}'")
 
-    idle = testbed.controller.config.switch_idle_timeout_s
+    idle = testbed.controller.calibration.switch_idle_timeout_s
     testbed.env.run(until=testbed.env.now + idle + 1.0)
     later = testbed.run_request(client, service, NGINX.request)
     print(f"Steady state:   {later.time_total * 1000:7.1f} ms "

@@ -46,7 +46,7 @@ def main() -> None:
           f"'{flow.cluster_name}'")
 
     # After the switch flow idles out, new connections go to the near edge.
-    idle = testbed.controller.config.switch_idle_timeout_s
+    idle = testbed.controller.calibration.switch_idle_timeout_s
     testbed.env.run(until=testbed.env.now + idle + 1.0)
     later = testbed.run_request(client, service, NGINX.request)
     flow = testbed.controller.flow_memory.lookup(client.ip, service)

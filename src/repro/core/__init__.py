@@ -31,14 +31,13 @@ from repro.core.schedulers import (
     load_scheduler,
 )
 from repro.core.dispatcher import DeploymentOutcome, Dispatcher
-from repro.core.controller import ControllerConfig, EdgeController, SwitchTopology
+from repro.core.controller import EdgeController, SwitchTopology
 
 __all__ = [
     "AnnotationError",
     "Annotator",
     "ClusterState",
     "ControlPlaneState",
-    "ControllerConfig",
     "InstanceRecord",
     "Decision",
     "DeploymentOutcome",

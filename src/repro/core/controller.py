@@ -15,7 +15,6 @@ Ties everything together as a Ryu-style app (fig. 2/5/7):
 
 from __future__ import annotations
 
-import dataclasses
 import typing as _t
 
 from repro.cluster.base import EdgeCluster, ServiceEndpoint
@@ -67,28 +66,6 @@ class SwitchTopology:
 
     def hosts(self, datapath_id: int) -> dict[IPv4Address, int]:
         return dict(self._host_ports.get(datapath_id, {}))
-
-
-@dataclasses.dataclass(frozen=True)
-class ControllerConfig:
-    """Controller behaviour knobs (paper §V defaults)."""
-
-    #: Low idle timeout for switch entries (FlowMemory re-installs).
-    switch_idle_timeout_s: float = 10.0
-    #: Longer idle timeout for memorized flows.
-    memory_idle_timeout_s: float = 60.0
-    #: Controller packet-in processing cost (Python/Ryu overhead).
-    processing_delay_s: float = 0.0008
-    #: Scale idle services down when their last flow expires.
-    auto_scale_down: bool = True
-
-    @classmethod
-    def from_calibration(cls, calibration: Calibration) -> "ControllerConfig":
-        return cls(
-            switch_idle_timeout_s=calibration.switch_idle_timeout_s,
-            memory_idle_timeout_s=calibration.memory_idle_timeout_s,
-            processing_delay_s=calibration.controller_processing_s,
-        )
 
 
 class Redirect:
@@ -237,7 +214,7 @@ class Redirect:
             match,
             actions,
             priority=priority,
-            idle_timeout=self.controller.config.switch_idle_timeout_s,
+            idle_timeout=self.controller.calibration.switch_idle_timeout_s,
             cookie=cookie,
             buffer_id=buffer_id,
         )
@@ -253,8 +230,8 @@ class EdgeController(SDNApp):
         clusters: _t.Sequence[EdgeCluster],
         scheduler: GlobalScheduler,
         topology: SwitchTopology,
-        config: ControllerConfig | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
+        auto_scale_down: bool = True,
         recorder: MetricsRecorder | None = None,
         state: ControlPlaneState | None = None,
         on_instance_change: _t.Callable[[InstanceRecord], None] | None = None,
@@ -265,7 +242,9 @@ class EdgeController(SDNApp):
         self.registry = registry
         self.clusters = list(clusters)
         self.topology = topology
-        self.config = config or ControllerConfig.from_calibration(calibration)
+        self.calibration = calibration
+        #: Scale idle services down when their last memorized flow expires.
+        self.auto_scale_down = auto_scale_down
         self.recorder = recorder if recorder is not None else MetricsRecorder()
         #: The typed control-plane state every stateful component
         #: operates on: plain in-memory dicts here, a per-site replica
@@ -273,12 +252,12 @@ class EdgeController(SDNApp):
         self.state = state if state is not None else ControlPlaneState()
         self.flow_memory = FlowMemory(
             env,
-            idle_timeout_s=self.config.memory_idle_timeout_s,
+            idle_timeout_s=calibration.memory_idle_timeout_s,
             on_expire=self._on_memory_expire,
             state=self.state,
         )
         self.dispatcher = self._make_dispatcher(
-            env, clusters, scheduler, calibration, on_instance_change, site
+            env, clusters, scheduler, on_instance_change, site
         )
         # When a background deployment comes up the data plane follows
         # the memory, or switches keep steering clients at the old endpoint.
@@ -316,7 +295,6 @@ class EdgeController(SDNApp):
         env: Environment,
         clusters: _t.Sequence[EdgeCluster],
         scheduler: GlobalScheduler,
-        calibration: Calibration,
         on_instance_change: _t.Callable[[InstanceRecord], None] | None,
         site: str,
     ) -> Dispatcher:
@@ -329,7 +307,7 @@ class EdgeController(SDNApp):
             scheduler,
             self.flow_memory,
             recorder=self.recorder,
-            calibration=calibration,
+            calibration=self.calibration,
             state=self.state,
             on_instance_change=on_instance_change,
             site=site,
@@ -486,7 +464,7 @@ class EdgeController(SDNApp):
         )
 
     def _handle_packet_in(self, datapath: Datapath, message: PacketIn):
-        yield self.env.timeout(self.config.processing_delay_s)
+        yield self.env.timeout(self.calibration.controller_processing_s)
         packet = message.packet
         service = self.registry.lookup(packet.ip_dst, packet.tcp.dst_port)
         if service is None:
@@ -720,7 +698,7 @@ class EdgeController(SDNApp):
     # -- idle scale-down --------------------------------------------------------------------
 
     def _on_memory_expire(self, flow: MemorizedFlow) -> None:
-        if not self.config.auto_scale_down:
+        if not self.auto_scale_down:
             return
         if flow.cluster_name == "cloud":
             return

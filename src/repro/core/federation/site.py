@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.core.controller import ControllerConfig, EdgeController
+from repro.core.controller import EdgeController
 from repro.core.dispatcher import Dispatcher, Resolution
 from repro.core.federation.remote import RemoteClusterView
 from repro.core.federation.state import SiteReplica
@@ -126,8 +126,8 @@ class SiteController(EdgeController):
         scheduler: GlobalScheduler,
         topology: "SwitchTopology",
         replica: SiteReplica,
-        config: ControllerConfig | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
+        auto_scale_down: bool = True,
         recorder: MetricsRecorder | None = None,
         remote_distance_penalty: int = 2,
     ) -> None:
@@ -146,8 +146,8 @@ class SiteController(EdgeController):
             clusters,
             scheduler,
             topology,
-            config=config,
             calibration=calibration,
+            auto_scale_down=auto_scale_down,
             recorder=recorder,
             state=replica,
             on_instance_change=replica.publish_instance,
@@ -167,7 +167,6 @@ class SiteController(EdgeController):
         env: Environment,
         clusters: "_t.Sequence[EdgeCluster]",
         scheduler: GlobalScheduler,
-        calibration: Calibration,
         on_instance_change: _t.Callable[[InstanceRecord], None] | None,
         site: str,
     ) -> Dispatcher:
@@ -179,7 +178,7 @@ class SiteController(EdgeController):
             replica=self.replica,
             remote_distance_penalty=self.remote_distance_penalty,
             recorder=self.recorder,
-            calibration=calibration,
+            calibration=self.calibration,
             state=self.state,
             on_instance_change=on_instance_change,
             site=site,

@@ -155,19 +155,6 @@ class SharedStateHub:
         ] = {}
         self._versions: dict[StateKey, VersionStamp] = {}
 
-    @property
-    def lookahead_s(self) -> float:
-        """Conservative-sync window of the control plane.
-
-        A state update submitted at time ``t`` cannot reach any replica
-        before ``t + propagation_delay_s``, so a partitioned run that
-        cuts the federation at the hub may advance each site by exactly
-        this much between synchronizations.  Zero (hub co-located with
-        the sites) means control-plane channels cannot be cut — the
-        partitioner rejects them, mirroring zero-latency data links.
-        """
-        return self.propagation_delay_s
-
     # -- wiring ------------------------------------------------------------
 
     def connect(self, site: str) -> "SiteReplica":

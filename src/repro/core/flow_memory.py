@@ -20,6 +20,9 @@ from repro.core.state import ControlPlaneState
 from repro.net.addressing import IPv4Address
 from repro.sim import Environment
 
+#: Seconds between two idle-expiry sweeps of the memorized flows.
+SWEEP_INTERVAL_S = 1.0
+
 
 @dataclasses.dataclass
 class MemorizedFlow:
@@ -54,7 +57,6 @@ class FlowMemory:
         self,
         env: Environment,
         idle_timeout_s: float = 60.0,
-        sweep_interval_s: float = 1.0,
         on_expire: _t.Callable[[MemorizedFlow], None] | None = None,
         state: ControlPlaneState | None = None,
     ) -> None:
@@ -73,8 +75,7 @@ class FlowMemory:
         # generator frame.  The tick times accumulate by repeated float
         # addition exactly as the old ``yield timeout(interval)`` loop
         # did, so expiry (and scale-down) instants are unchanged.
-        self._sweep_interval_s = float(sweep_interval_s)
-        env.call_later(self._sweep_interval_s, self._sweep_tick)
+        env.call_later(SWEEP_INTERVAL_S, self._sweep_tick)
 
     # -- core operations ---------------------------------------------------
 
@@ -204,4 +205,4 @@ class FlowMemory:
         # Re-arm after the pass, as the generator loop did (its next
         # ``timeout(interval)`` was created on resume, after the
         # callbacks ran), so heap insertion order is unchanged too.
-        self.env.call_later(self._sweep_interval_s, self._sweep_tick)
+        self.env.call_later(SWEEP_INTERVAL_S, self._sweep_tick)

@@ -337,7 +337,7 @@ def run_ablation_flow_table(
     ]
 
     # FlowMemory path: expire the switch entry, keep the memory entry.
-    idle = tb.controller.config.switch_idle_timeout_s
+    idle = tb.controller.calibration.switch_idle_timeout_s
     memory_path = []
     for _ in range(5):
         tb.env.run(until=tb.env.now + idle + 1.0)

@@ -313,19 +313,6 @@ class Link:
         self._sync_endpoints()
 
     @property
-    def lookahead_s(self) -> float:
-        """The conservative-synchronization window this link provides.
-
-        A partitioned run (``repro.sim.parallel``) cuts the topology at
-        backbone links; a message entering the link at time ``t``
-        cannot influence the far side before ``t + latency_s``, so the
-        propagation latency *is* the lookahead the null-message
-        synchronizer advances by.  Zero means "unusable as a cut edge"
-        — the partitioner rejects such links up front.
-        """
-        return self._latency_s
-
-    @property
     def down(self) -> bool:
         """Administrative state; a downed link silently drops packets,
         used by failure-injection tests."""

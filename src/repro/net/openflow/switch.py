@@ -25,6 +25,9 @@ from repro.sim.events import NORMAL
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sdnfw.app import SDNApp
 
+#: Spacing of the grid a switch's flow-expiry wakeups land on.
+EXPIRY_SWEEP_INTERVAL_S = 0.25
+
 
 class ControlChannel:
     """Ordered, latency-modelled message pipe between switch and controller.
@@ -119,11 +122,8 @@ class OpenFlowSwitch(NetDevice):
         name: str,
         datapath_id: int,
         lookup_delay_s: float = 10e-6,
-        expiry_sweep_interval_s: float = 0.25,
     ) -> None:
         super().__init__(env, name)
-        if expiry_sweep_interval_s <= 0:
-            raise ValueError("expiry_sweep_interval_s must be > 0")
         self.datapath_id = datapath_id
         self.lookup_delay_s = float(lookup_delay_s)
         self.table = FlowTable()
@@ -135,13 +135,12 @@ class OpenFlowSwitch(NetDevice):
         #: Counters for tests and diagnostics.
         self.stats = {"rx": 0, "tx": 0, "miss": 0, "drop": 0, "punt": 0}
         # Expiry is deadline-driven: instead of a process sweeping the
-        # table every ``expiry_sweep_interval_s`` even when idle, the
+        # table every ``EXPIRY_SWEEP_INTERVAL_S`` even when idle, the
         # switch wakes only at the sweep-grid tick covering the
         # earliest possible expiry.  The grid (construction time plus
         # multiples of the interval, accumulated in float exactly as
         # the old fixed-interval sweeper did) is kept so FlowRemoved
         # messages fire at byte-identical simulated times.
-        self.expiry_sweep_interval_s = float(expiry_sweep_interval_s)
         self._grid_cursor = env.now
         self._wake_at: float | None = None
         self._wake_gen = 0
@@ -348,7 +347,7 @@ class OpenFlowSwitch(NetDevice):
         computing ``start + k * interval``) keeps expiry times
         byte-identical to the polling implementation.
         """
-        interval = self.expiry_sweep_interval_s
+        interval = EXPIRY_SWEEP_INTERVAL_S
         now = self.env.now
         while self._grid_cursor <= now:
             self._grid_cursor += interval

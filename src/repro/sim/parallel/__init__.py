@@ -1,11 +1,11 @@
 """Conservative parallel discrete-event simulation (PDES) kernel.
 
-The simulated network is inherently partitioned — each edge site owns
-its gNB, clusters, and clients, coupled only through backbone links —
-so the data plane shards the same way the control plane did in the
-distributed-controller refactor: one :class:`Partition` (with its own
-:class:`~repro.sim.Environment`) per site, synchronized conservatively
-over the cut links.
+It runs one topology: the federation of :mod:`repro.testbed.site`, one
+:class:`~repro.sim.parallel.partition.Partition` (with its own
+:class:`~repro.sim.Environment`) per site plus one for the backbone,
+cut at every site's trunk and shared-state channel
+(:mod:`repro.sim.parallel.testbed`).  Nothing outside this package
+imports it.
 
 The classic null-message (Chandy–Misra–Bryant) argument applies: a
 packet crossing a backbone link of latency *L* sent at time *t*
@@ -32,60 +32,14 @@ gated in ``tests/test_parallel_sim.py`` and
 ``tests/test_parallel_testbed.py``.
 """
 
-from repro.sim.parallel.coordinator import (
-    ParallelCoordinator,
-    ParallelRun,
-    PartitionStats,
-    RunStats,
-    SerialExecutor,
-)
-from repro.sim.parallel.partition import (
-    ChannelSpec,
-    Partition,
-    PartitionModel,
-    PartitionSpec,
-    Portal,
-    SyncError,
-)
-from repro.sim.parallel.partitioner import (
-    CutLink,
-    NodeSpec,
-    PartitionError,
-    TopologySpec,
-    channel_id,
-    partition_topology,
-)
-from repro.sim.parallel.testbed import (
-    ServiceSpec,
-    TestbedReplay,
-    build_replay,
-    build_replay_specs,
-    replay_topology,
-    run_replay,
-)
+from repro.sim.parallel.coordinator import ParallelCoordinator, SerialExecutor
+from repro.sim.parallel.partition import SyncError
+from repro.sim.parallel.testbed import build_replay, build_replay_specs
 
 __all__ = [
-    "ChannelSpec",
-    "CutLink",
-    "NodeSpec",
     "ParallelCoordinator",
-    "ParallelRun",
-    "Partition",
-    "PartitionError",
-    "PartitionModel",
-    "PartitionSpec",
-    "PartitionStats",
-    "Portal",
-    "RunStats",
     "SerialExecutor",
-    "ServiceSpec",
     "SyncError",
-    "TestbedReplay",
-    "TopologySpec",
     "build_replay",
     "build_replay_specs",
-    "channel_id",
-    "partition_topology",
-    "replay_topology",
-    "run_replay",
 ]

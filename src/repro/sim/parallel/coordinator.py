@@ -82,71 +82,34 @@ class PartitionStats:
     busy_s: float
     messages_sent: int
     nulls_sent: int
-    messages_received: int
 
     @classmethod
     def from_partition(
         cls, partition: Partition, busy_s: float
     ) -> "PartitionStats":
-        """The one stats builder both executors use.
-
-        The parallel worker pickles the resulting dataclass back to
-        the coordinator, so new fields can't drift between the serial
-        and forked paths (they used to cross the pipe as a positional
-        tuple, unpacked by hand on the other side).
-        """
+        """The one stats builder both executors use (the forked worker
+        pickles the dataclass back to the coordinator)."""
         return cls(
             partition_id=partition.partition_id,
             events=partition.env.events_processed,
             busy_s=busy_s,
             messages_sent=partition.messages_sent,
             nulls_sent=partition.nulls_sent,
-            messages_received=partition.messages_received,
         )
-
-    @property
-    def events_per_sec(self) -> float | None:
-        if self.busy_s <= 0:
-            return None
-        return self.events / self.busy_s
-
-    def to_json(self) -> dict[str, _t.Any]:
-        eps = self.events_per_sec
-        return {
-            "partition": self.partition_id,
-            "events": self.events,
-            "busy_s": round(self.busy_s, 3),
-            "events_per_sec": round(eps, 1) if eps is not None else None,
-            "messages_sent": self.messages_sent,
-            "nulls_sent": self.nulls_sent,
-            "messages_received": self.messages_received,
-        }
 
 
 @dataclasses.dataclass
 class RunStats:
     """Whole-run counters."""
 
-    mode: str
     rounds: int
     payload_rounds: int
     wall_s: float
     partitions: list[PartitionStats]
 
     @property
-    def null_rounds(self) -> int:
-        """Rounds that exchanged bounds only — pure synchronization."""
-        return self.rounds - self.payload_rounds
-
-    @property
     def total_events(self) -> int:
         return sum(p.events for p in self.partitions)
-
-    @property
-    def events_per_sec(self) -> float | None:
-        if self.wall_s <= 0:
-            return None
-        return self.total_events / self.wall_s
 
     @property
     def cross_partition_messages(self) -> int:
@@ -351,7 +314,6 @@ class SerialExecutor:
             partition.finalize(until)
         wall_s = time.perf_counter() - wall_start
         stats = RunStats(
-            mode="serial",
             rounds=engine.rounds,
             payload_rounds=engine.payload_rounds,
             wall_s=wall_s,
@@ -514,7 +476,6 @@ class ParallelCoordinator:
         return ParallelRun(
             results=results,
             stats=RunStats(
-                mode="parallel",
                 rounds=engine.rounds,
                 payload_rounds=engine.payload_rounds,
                 wall_s=wall_s,

@@ -62,17 +62,10 @@ class ChannelSpec:
     """One directed cross-partition channel (one side of a cut link)."""
 
     channel_id: str
-    src: str
-    dst: str
     #: Conservative lookahead: no message sent at time ``t`` may arrive
-    #: before ``t + lookahead_s``.  Must be strictly positive — the
-    #: partitioner rejects zero-latency cut links.  Data channels
-    #: derive it from the trunk latency, control channels from the
-    #: shared-state hub's propagation delay (usually much larger).
+    #: before ``t + lookahead_s``.  Must be strictly positive
+    #: (``build_replay`` rejects a plan that would cut at zero).
     lookahead_s: float
-    #: ``"data"`` for backbone packet channels, ``"control"`` for
-    #: shared-state replication channels (same sync rules).
-    kind: str = "data"
 
 
 class PartitionModel(_t.Protocol):
@@ -185,7 +178,6 @@ class Partition:
         #: channel advertised a new promise without carrying payload.
         self.messages_sent = 0
         self.nulls_sent = 0
-        self.messages_received = 0
         self.model = spec.builder(**spec.kwargs)
         self.model.setup(self)
 
@@ -260,7 +252,6 @@ class Partition:
         handlers = self._handlers
         for ts, channel_id, _seq, payload in pending:
             call_at(ts, handlers[channel_id], payload)
-        self.messages_received += len(pending)
 
     def advance(self, horizon: float) -> None:
         """Process every local event strictly below ``horizon``.

@@ -31,7 +31,8 @@ request schedule — plain data, no env-bound objects).  Because the
 serial executor and the parallel coordinator drive the identical
 partition builds through the identical round algorithm, latency traces
 are byte-identical by construction — gated in
-``tests/test_parallel_testbed.py``.
+``tests/test_parallel_testbed.py``.  A replay is registrations and
+requests only: faults and live migrations run on the monolith.
 
 Determinism notes:
 
@@ -58,19 +59,11 @@ import repro.net.host as _host_mod
 from repro.core import LowLatencyScheduler
 from repro.core.federation import RemoteHubHandle, SiteReplica
 from repro.core.federation.state import ReplicaLink
-from repro.faults import Injector
 from repro.metrics import MetricsRecorder
 from repro.net.addressing import IPv4Address, MACAllocator
 from repro.net.link import HalfLinkEndpoint
 from repro.services.catalog import template_by_key
-from repro.sim.parallel.coordinator import ParallelCoordinator, SerialExecutor
-from repro.sim.parallel.partition import Partition, PartitionSpec
-from repro.sim.parallel.partitioner import (
-    CutLink,
-    NodeSpec,
-    TopologySpec,
-    channel_id,
-)
+from repro.sim.parallel.partition import ChannelSpec, Partition, PartitionSpec
 from repro.testbed.site import (
     BACKBONE,
     Backbone,
@@ -83,21 +76,22 @@ from repro.testbed.site import (
 )
 
 __all__ = [
-    "MigrationSpec",
     "ServiceSpec",
     "TestbedReplay",
     "build_backbone_partition",
-    "build_migration_replay",
     "build_replay",
     "build_replay_specs",
     "build_site_partition",
-    "replay_topology",
-    "run_replay",
 ]
 
 #: Conn-id range width per partition: disjoint blocks far above any
 #: realistic connection count, so ids never collide across sites.
 _CONN_ID_STRIDE = 1 << 40
+
+#: The services every replay registers, in service-index order.
+SERVICE_KEYS = ("asm", "nginx")
+#: A client gives up on a request after this many simulated seconds.
+REQUEST_TIMEOUT_S = 60.0
 
 
 # -- deterministic addressing (no objects cross the fork boundary) ---------
@@ -144,24 +138,6 @@ class ServiceSpec:
 
 
 @dataclasses.dataclass(frozen=True)
-class MigrationSpec:
-    """One scheduled live migration in the replay.
-
-    The *destination* site's manager drives it (the pipeline is
-    destination-initiated), so the spec is scheduled in the
-    ``to_site`` partition; its checkpoint traffic crosses the cut
-    trunks as ordinary packets.
-    """
-
-    at_s: float
-    service_index: int
-    from_site: int
-    to_site: int
-    #: "precopy" / "stopcopy" / None (per-template default).
-    mode: str | None = None
-
-
-@dataclasses.dataclass(frozen=True)
 class TestbedReplay:
     """Picklable plan for one full-testbed partitioned run.
 
@@ -180,23 +156,6 @@ class TestbedReplay:
     ]
     horizon_s: float
     seed: int
-    request_timeout_s: float = 60.0
-    #: Optional per-site fault schedules (``FaultPlan`` instances are
-    #: plain data, so they cross the fork boundary with the plan),
-    #: aligned with site index; empty tuple = fault-free.  Faults must
-    #: target site-local components — the cut trunks and control
-    #: channels have no Injector-visible link objects.  Serial and
-    #: parallel execution of a faulted replay stay byte-identical
-    #: (both build the same partitions), but faulted fingerprints are
-    #: never comparable to fault-free ones.
-    faults_by_site: tuple[_t.Any, ...] = ()
-    #: Scheduled live migrations (plain data; each is armed in its
-    #: destination partition).  Every site builds its own private
-    #: :class:`~repro.core.migration.BandwidthLedger`; the serial
-    #: executor of a partitioned replay builds the identical set, so
-    #: admission decisions — and hence fingerprints — match by
-    #: construction.
-    migrations: tuple[MigrationSpec, ...] = ()
 
     @property
     def n_sites(self) -> int:
@@ -208,7 +167,6 @@ def build_replay(
     n_requests: int = 40,
     duration_s: float = 4.0,
     seed: int = 42,
-    service_keys: tuple[str, ...] = ("asm", "nginx"),
     request_start_s: float = 2.0,
 ) -> TestbedReplay:
     """Derive the deterministic replay plan for ``config``.
@@ -216,7 +174,8 @@ def build_replay(
     Services register early (site0 first, the last site second when
     the federation has one) so registration + replication + intercept
     installation settle before the request window opens at
-    ``request_start_s``.
+    ``request_start_s``.  Both cut latencies must be positive: each is
+    the lookahead of a channel pair, and at zero no safe window exists.
     """
     if config.n_sites > MAX_SITES:
         raise ValueError(
@@ -229,8 +188,16 @@ def build_replay(
             f"replay's address plan: at most {MAX_CLIENTS_PER_SITE} clients "
             f"fit a site's /24 (10.0.<site+1>.10 upward)"
         )
+    for field in ("trunk_latency_s", "propagation_delay_s"):
+        value = getattr(config, field)
+        if value <= 0:
+            raise ValueError(
+                f"{field}={value!r} must be positive: it is the lookahead "
+                f"of the channels the replay cuts at, and conservative "
+                f"synchronization has no safe window at zero"
+            )
     services = []
-    for i, key in enumerate(service_keys):
+    for i, key in enumerate(SERVICE_KEYS):
         origin = 0 if i % 2 == 0 else config.n_sites - 1
         services.append(
             ServiceSpec(
@@ -269,43 +236,6 @@ def build_replay(
         horizon_s=request_start_s + duration_s + 30.0,
         seed=seed,
     )
-
-
-def build_migration_replay(
-    config: FederationConfig,
-    n_requests: int = 40,
-    duration_s: float = 4.0,
-    seed: int = 42,
-    service_keys: tuple[str, ...] = ("asm", "nginx"),
-) -> TestbedReplay:
-    """A migration-heavy variant of :func:`build_replay`.
-
-    After the request window closes, every service is migrated from
-    its origin site to the next site over — alternating pre-copy and
-    stop-and-copy — so a replay exercises checkpoint transfer over the
-    cut trunks, the make-before-break flip, source release, and
-    replicated withdrawal, under both executors.
-    """
-    replay = build_replay(
-        config,
-        n_requests=n_requests,
-        duration_s=duration_s,
-        seed=seed,
-        service_keys=service_keys,
-    )
-    start = 2.0 + duration_s + 1.0  # past the request window
-    migrations = tuple(
-        MigrationSpec(
-            at_s=start + 0.5 * i,
-            service_index=spec.index,
-            from_site=spec.origin_site,
-            to_site=(spec.origin_site + 1) % config.n_sites,
-            mode="precopy" if i % 2 == 0 else "stopcopy",
-        )
-        for i, spec in enumerate(replay.services)
-        if config.n_sites > 1
-    )
-    return dataclasses.replace(replay, migrations=migrations)
 
 
 # -- partition models -------------------------------------------------------
@@ -369,7 +299,7 @@ class SitePartitionModel:
 
         # Shared state over the control channel: replica -> remote hub.
         handle = RemoteHubHandle(
-            partition.portals[channel_id(self.name, BACKBONE, "control")].send
+            partition.portals[_control(self.name, BACKBONE)].send
         )
         replica = SiteReplica(env, self.name, ReplicaLink(env, handle, self.name))
         handle.link = replica.link
@@ -377,9 +307,7 @@ class SitePartitionModel:
             env,
             self.site,
             config,
-            wire_trunk=_cut_trunk(
-                partition, channel_id(self.name, BACKBONE), config
-            ),
+            wire_trunk=_cut_trunk(partition, _data(self.name, BACKBONE), config),
             replica=replica,
             catalog=Catalog(env, registry=config.registry),
             macs=MACAllocator(),
@@ -393,12 +321,8 @@ class SitePartitionModel:
         self.clients = stack.clients
         self.recorder = stack.recorder
         self.controller = stack.controller
-        partition.on_message(
-            channel_id(BACKBONE, self.name, "control"), replica.apply_remote
-        )
-        partition.on_message(
-            channel_id(BACKBONE, self.name), stack.receive_from_trunk
-        )
+        partition.on_message(_control(BACKBONE, self.name), replica.apply_remote)
+        partition.on_message(_data(BACKBONE, self.name), stack.receive_from_trunk)
         for other in range(config.n_sites):
             if other != self.site:
                 stack.reach_via_trunk(host_ips(config, other))
@@ -410,9 +334,6 @@ class SitePartitionModel:
         )
 
         # This site's share of the schedule.
-        for mig in replay.migrations:
-            if mig.to_site == self.site:
-                env.call_at(mig.at_s, self._start_migration, mig)
         for spec in replay.services:
             if spec.origin_site == self.site:
                 env.call_at(spec.register_at_s, self._register_service, spec)
@@ -420,13 +341,6 @@ class SitePartitionModel:
             replay.requests_by_site[self.site]
         ):
             env.call_at(at, self._start_request, client_idx, service_idx, req_id)
-
-        # The fault plan crossed the fork boundary as plain data; the
-        # site is the view it resolves targets on, so it cannot reach
-        # across the partition boundary.
-        faults = replay.faults_by_site
-        if faults and faults[self.site] is not None:
-            self.injector = Injector(stack, faults[self.site]).arm()
 
     # -- workload ---------------------------------------------------------
 
@@ -445,18 +359,6 @@ class SitePartitionModel:
         self.issued += 1
         self.env.process(self._run_request(client_idx, service_idx, req_id))
 
-    def _start_migration(self, spec: MigrationSpec) -> None:
-        service = self.controller.registry.lookup(
-            service_ip(spec.service_index), 80
-        )
-        if service is None:
-            # Registration never replicated in (e.g. faulted replay):
-            # identical no-op under both executors.
-            return
-        self.stack.manager.request_migration(
-            service.name, f"site{spec.from_site}", mode=spec.mode
-        )
-
     def _run_request(self, client_idx: int, service_idx: int, req_id: int):
         template = template_by_key(self.replay.services[service_idx].key)
         try:
@@ -464,7 +366,7 @@ class SitePartitionModel:
                 service_ip(service_idx),
                 80,
                 template.request,
-                timeout=self.replay.request_timeout_s,
+                timeout=REQUEST_TIMEOUT_S,
             )
         except Exception as exc:
             self.failed += 1
@@ -480,24 +382,13 @@ class SitePartitionModel:
     # -- results ----------------------------------------------------------
 
     def result(self) -> dict[str, _t.Any]:
-        outcomes = self.stack.manager.outcomes
         switch = self.stack.switch
-        migration_digest = hashlib.md5()
-        for o in outcomes:
-            migration_digest.update(
-                f"{o.service_name}:{o.from_site}->{o.to_site}:{o.mode}:"
-                f"{o.rounds}:{o.bytes_moved}:{int(o.completed)}:"
-                f"{o.failed_phase}:{o.downtime_s:.17g}\n".encode("ascii")
-            )
         return {
             "site": self.site,
             "issued": self.issued,
             "completed": self.completed,
             "failed": self.failed,
             "latency_md5": self._digest.hexdigest(),
-            "migration_md5": migration_digest.hexdigest(),
-            "migrations_completed": sum(1 for o in outcomes if o.completed),
-            "migrations_aborted": sum(1 for o in outcomes if not o.completed),
             "peak_flow_table": int(switch.table.peak_size),
             "switch_stats": dict(switch.stats),
         }
@@ -517,22 +408,20 @@ class BackbonePartitionModel:
         for site in range(config.n_sites):
             name = f"site{site}"
             iface = backbone.add_trunk_port(name)
-            _cut_trunk(partition, channel_id(BACKBONE, name), config)(iface)
+            _cut_trunk(partition, _data(BACKBONE, name), config)(iface)
             backbone.route_hosts(name, host_ips(config, site))
             partition.on_message(
-                channel_id(name, BACKBONE),
+                _data(name, BACKBONE),
                 partial(backbone.switch.receive, iface=iface),
             )
             # Control plane: site writes arrive here having already
             # paid the site -> hub delay (channel lookahead); fan-out
             # to other remote sites pays hub -> site over their portals.
             backbone.hub.attach_remote(
-                name,
-                partition.portals[channel_id(BACKBONE, name, "control")].send,
+                name, partition.portals[_control(BACKBONE, name)].send
             )
             partition.on_message(
-                channel_id(name, BACKBONE, "control"),
-                partial(backbone.hub.deliver, name),
+                _control(name, BACKBONE), partial(backbone.hub.deliver, name)
             )
         backbone.attach()
 
@@ -549,50 +438,62 @@ class BackbonePartitionModel:
         return {"switch_stats": dict(self.backbone.switch.stats)}
 
 
-# -- topology + runners -----------------------------------------------------
+# -- the cut ----------------------------------------------------------------
 
-def replay_topology(replay: TestbedReplay) -> TopologySpec:
-    """Cut the full testbed at the trunks *and* the control channels.
+def _data(src: str, dst: str) -> str:
+    """The channel a trunk's packets cross from ``src`` to ``dst``."""
+    return f"{src}->{dst}"
 
-    Each kind derives its lookahead from its own physical latency
-    (``FederationConfig.data_lookahead_s`` /
-    ``control_lookahead_s``): data channels ride the trunk, control
-    channels ride the shared-state hub's propagation delay — usually
-    an order of magnitude wider, so replication traffic never forces
-    trunk-sized synchronization rounds.  The adaptive round engine
-    piggybacks both kinds' bounds on the same round batch, so the
-    kind-suffixed channel pairs cost no extra null messages.
-    """
-    config = replay.config
-    nodes = [NodeSpec(BACKBONE, build_backbone_partition, {"replay": replay})]
-    links = []
-    for site in range(config.n_sites):
-        name = f"site{site}"
-        nodes.append(
-            NodeSpec(
-                name, build_site_partition, {"replay": replay, "site": site}
-            )
-        )
-        links.append(
-            CutLink(name, BACKBONE, config.data_lookahead_s, kind="data")
-        )
-        links.append(
-            CutLink(
-                name, BACKBONE, config.control_lookahead_s, kind="control"
-            )
-        )
-    return TopologySpec(nodes=tuple(nodes), links=tuple(links))
+
+def _control(src: str, dst: str) -> str:
+    """The channel shared-state updates cross from ``src`` to ``dst``."""
+    return f"{src}->{dst}#control"
 
 
 def build_replay_specs(replay: TestbedReplay) -> list[PartitionSpec]:
-    return replay_topology(replay).partitions()
+    """The partitions of ``replay``: the backbone (index 0), then the sites.
 
+    Each site meets the backbone over two channel pairs: the trunk's
+    (lookahead ``trunk_latency_s``) and the shared-state hub's
+    (``#control``, lookahead ``propagation_delay_s``, usually an order
+    of magnitude wider).  Every partition's channels are sorted by id.
+    """
+    config = replay.config
 
-def run_replay(replay: TestbedReplay, parallel: bool = False):
-    """Run the full-testbed replay; returns a ``ParallelRun``."""
-    specs = build_replay_specs(replay)
-    executor = ParallelCoordinator(specs) if parallel else SerialExecutor(specs)
-    return executor.run(until=replay.horizon_s)
+    def pair(src: str, dst: str) -> tuple[ChannelSpec, ChannelSpec]:
+        return (
+            ChannelSpec(_data(src, dst), config.trunk_latency_s),
+            ChannelSpec(_control(src, dst), config.propagation_delay_s),
+        )
+
+    def by_id(channels: _t.Iterable[ChannelSpec]) -> tuple[ChannelSpec, ...]:
+        return tuple(sorted(channels, key=lambda c: c.channel_id))
+
+    sites = [f"site{i}" for i in range(config.n_sites)]
+    up = {name: pair(name, BACKBONE) for name in sites}
+    down = {name: pair(BACKBONE, name) for name in sites}
+    specs = [
+        PartitionSpec(
+            BACKBONE,
+            0,
+            build_backbone_partition,
+            {"replay": replay},
+            out_channels=by_id(c for name in sites for c in down[name]),
+            in_channels=by_id(c for name in sites for c in up[name]),
+        )
+    ]
+    for site, name in enumerate(sites):
+        specs.append(
+            PartitionSpec(
+                name,
+                site + 1,
+                build_site_partition,
+                {"replay": replay, "site": site},
+                out_channels=up[name],
+                in_channels=down[name],
+            )
+        )
+    return specs
 
 
 def combined_fingerprint(results: dict[str, _t.Any], n_sites: int) -> str:

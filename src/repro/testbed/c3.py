@@ -14,7 +14,6 @@ import dataclasses
 from repro.cluster import DockerCluster, EdgeCluster, K8sEdgeCluster
 from repro.containers import Containerd, DockerEngine
 from repro.core import (
-    ControllerConfig,
     EdgeController,
     GlobalScheduler,
     NearestScheduler,
@@ -172,18 +171,14 @@ class C3Testbed(BaseTestbed):
         self.state = ControlPlaneState()
         self.service_registry = ServiceRegistry(self.annotator, state=self.state)
         self.scheduler = scheduler or NearestScheduler()
-        controller_config = dataclasses.replace(
-            ControllerConfig.from_calibration(calibration),
-            auto_scale_down=self.config.auto_scale_down,
-        )
         self.controller = EdgeController(
             self.env,
             self.service_registry,
             self.clusters,
             self.scheduler,
             self.topology,
-            config=controller_config,
             calibration=calibration,
+            auto_scale_down=self.config.auto_scale_down,
             recorder=self.recorder,
             state=self.state,
         )

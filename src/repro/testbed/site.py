@@ -50,7 +50,6 @@ from repro.containers import Containerd, DockerEngine, Registry
 from repro.containers.registry import PRIVATE_PROFILE, PUBLIC_PROFILE
 from repro.core import (
     Annotator,
-    ControllerConfig,
     EdgeController,
     GlobalScheduler,
     ServiceRegistry,
@@ -72,10 +71,6 @@ from repro.ops import OPS_PORT, FlowStatsCollector, OpsApp, OpsReadModel
 from repro.sdnfw import Datapath, SDNApp
 from repro.services import DEFAULT_CALIBRATION, Calibration, ServiceTemplate, build_catalog
 from repro.sim import Environment
-
-if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.parallel.partitioner import TopologySpec
-    from repro.sim.parallel.testbed import TestbedReplay
 
 #: Name under which a site's shared-state link appears in
 #: ``named_links`` (pair it with the site name to partition it).
@@ -138,60 +133,6 @@ class FederationConfig:
             raise ValueError(f"unknown registry {self.registry!r}")
         if self.flow_stats_period_s is not None and self.flow_stats_period_s <= 0:
             raise ValueError("flow_stats_period_s must be positive")
-
-    @property
-    def data_lookahead_s(self) -> float:
-        """Lookahead of the partitioned kernel's *data* cut channels.
-
-        A packet entering the trunk at ``t`` cannot reach the far side
-        before ``t + trunk_latency_s`` — the physical guarantee the
-        conservative synchronizer runs on for backbone traffic.
-        """
-        return self.trunk_latency_s
-
-    @property
-    def control_lookahead_s(self) -> float:
-        """Lookahead of the *control* (shared-state) cut channels.
-
-        Replication rides the hub's one-way propagation delay, not the
-        trunk: a state write submitted at ``t`` is delivered remotely
-        no earlier than ``t + propagation_delay_s``.  With the default
-        knobs this is 12.5x the trunk latency, so control channels
-        grant far wider safe-time windows than data channels — the
-        per-kind derivation the adaptive round engine exploits.
-        """
-        return self.propagation_delay_s
-
-    def testbed_replay(
-        self,
-        n_requests: int = 40,
-        duration_s: float = 4.0,
-        seed: int = 42,
-        service_keys: tuple[str, ...] = ("asm", "nginx"),
-    ) -> tuple["TestbedReplay", "TopologySpec"]:
-        """Derive a *full-testbed* partitioned replay from this shape.
-
-        The replay builds the real stack — gNB switches, EGS hosts,
-        Docker clusters, clients, and per-site :class:`SiteController`\\ s —
-        inside each partition, with shared-state replication riding a
-        dedicated control channel per site.  The cut is validated
-        eagerly: a zero-latency trunk *or* zero propagation delay
-        leaves the conservative synchronizer without lookahead and
-        raises :class:`~repro.sim.parallel.PartitionError` here
-        instead of deadlocking a run.
-        """
-        from repro.sim.parallel import testbed as _parallel_testbed
-
-        replay = _parallel_testbed.build_replay(
-            self,
-            n_requests=n_requests,
-            duration_s=duration_s,
-            seed=seed,
-            service_keys=service_keys,
-        )
-        topology = _parallel_testbed.replay_topology(replay)
-        topology.partitions()  # eager validation of both channel kinds
-        return replay, topology
 
 
 class Catalog:
@@ -430,11 +371,8 @@ class Site:
             scheduler,
             self.topology,
             replica,
-            config=dataclasses.replace(
-                ControllerConfig.from_calibration(catalog.calibration),
-                auto_scale_down=config.auto_scale_down,
-            ),
             calibration=catalog.calibration,
+            auto_scale_down=config.auto_scale_down,
             recorder=recorder,
             remote_distance_penalty=config.remote_distance_penalty,
         )

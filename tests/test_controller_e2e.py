@@ -163,7 +163,7 @@ class TestFlowMemory:
         tb.prepare_created(tb.docker_cluster, svc)
         tb.run_request(tb.clients[0], svc, NGINX.request)
         # Wait beyond the switch idle timeout, under the memory timeout.
-        idle = tb.controller.config.switch_idle_timeout_s
+        idle = tb.controller.calibration.switch_idle_timeout_s
         tb.env.run(until=tb.env.now + idle + 2.0)
         assert tb.controller.stats["memory_hits"] == 0
         result = tb.run_request(tb.clients[0], svc, NGINX.request)
@@ -181,7 +181,7 @@ class TestFlowMemory:
         tb.run_request(tb.clients[0], svc, NGINX.request)
         assert tb.docker_cluster.is_running(svc.plan)
         # Idle past the memory timeout: the controller scales down.
-        memory_timeout = tb.controller.config.memory_idle_timeout_s
+        memory_timeout = tb.controller.calibration.memory_idle_timeout_s
         tb.env.run(until=tb.env.now + memory_timeout + 5.0)
         assert not tb.docker_cluster.is_running(svc.plan)
         assert tb.controller.stats["scale_downs"] == 1

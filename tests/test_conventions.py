@@ -79,3 +79,36 @@ def test_a_store_get_is_the_operand_of_a_yield():
                     loose.append(f"{module}:{node.lineno}")
     assert gets >= 6  # the five work queues' workers and kube-proxy's drain
     assert loose == []
+
+
+def _imports_the_kernel(node: ast.AST) -> bool:
+    kernel = "repro.sim.parallel"
+    if isinstance(node, ast.Import):
+        return any(
+            alias.name == kernel or alias.name.startswith(kernel + ".")
+            for alias in node.names
+        )
+    if isinstance(node, ast.ImportFrom) and node.module is not None:
+        if node.module == kernel or node.module.startswith(kernel + "."):
+            return True
+        return node.module == "repro.sim" and any(
+            alias.name == "parallel" for alias in node.names
+        )
+    return False
+
+
+def test_nothing_outside_the_sharded_kernel_imports_it():
+    """The sharded kernel wires the program's own parts (``Site``,
+    ``Backbone``, ``HalfLinkEndpoint``); nothing it does not own may
+    reach back into it — not under ``TYPE_CHECKING``, not inside a
+    function — so that deleting ``sim/parallel/`` touches no other
+    module of the package."""
+    found = []
+    for path in sorted(_ROOT.rglob("*.py")):
+        module = path.relative_to(_ROOT).as_posix()
+        if module.startswith("sim/parallel/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _imports_the_kernel(node):
+                found.append(f"{module}:{node.lineno}")
+    assert found == []

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro import yamlite
+from repro.core import flow_memory as flow_memory_module
 from repro.cluster.base import ServiceEndpoint
 from repro.cluster.plan import DeploymentPlan, PlannedContainer
 from repro.core import (
@@ -207,12 +208,11 @@ class TestFlowMemory:
         assert len(memory) == 1
         assert flow.endpoint == ep2 and flow.cluster_name == "k8s"
 
-    def test_idle_expiry_fires_callback(self, annotator):
+    def test_idle_expiry_fires_callback(self, annotator, monkeypatch):
+        monkeypatch.setattr(flow_memory_module, "SWEEP_INTERVAL_S", 0.5)
         env = Environment()
         expired = []
-        memory = FlowMemory(
-            env, idle_timeout_s=5.0, sweep_interval_s=0.5, on_expire=expired.append
-        )
+        memory = FlowMemory(env, idle_timeout_s=5.0, on_expire=expired.append)
         svc = _service(annotator)
         ep = ServiceEndpoint(IPv4Address.parse("10.0.0.1"), 20000)
         memory.remember(CLIENT.ip, svc, "docker", ep)
@@ -223,9 +223,10 @@ class TestFlowMemory:
         assert len(expired) == 1
         assert not memory.service_in_use(svc)
 
-    def test_touch_postpones_expiry(self, annotator):
+    def test_touch_postpones_expiry(self, annotator, monkeypatch):
+        monkeypatch.setattr(flow_memory_module, "SWEEP_INTERVAL_S", 0.5)
         env = Environment()
-        memory = FlowMemory(env, idle_timeout_s=5.0, sweep_interval_s=0.5)
+        memory = FlowMemory(env, idle_timeout_s=5.0)
         svc = _service(annotator)
         ep = ServiceEndpoint(IPv4Address.parse("10.0.0.1"), 20000)
         flow = memory.remember(CLIENT.ip, svc, "docker", ep)

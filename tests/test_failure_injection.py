@@ -153,7 +153,7 @@ class TestContainerCrashes:
         # After the switch flow idles out, the next request punts to
         # the controller, which finds the memorized endpoint dead,
         # re-dispatches, and restarts the container.
-        idle = tb.controller.config.switch_idle_timeout_s
+        idle = tb.controller.calibration.switch_idle_timeout_s
         tb.env.run(until=tb.env.now + idle + 2.0)
         second = tb.run_request(tb.clients[0], svc, NGINX.request)
         assert second.response.status == 200

@@ -482,7 +482,7 @@ class TestGracefulDegradation:
         # Degraded flows bypass the memory fast path once the breaker
         # stops blocking: the next punt re-resolves to the recovered
         # near cluster.
-        tb.settle(tb.controller.config.switch_idle_timeout_s + 1.0)
+        tb.settle(tb.controller.calibration.switch_idle_timeout_s + 1.0)
         dispatched = tb.controller.stats["dispatched"]
         result = tb.run_request(tb.clients[0], svc, NGINX.request)
         assert result.response.status == 200
@@ -506,7 +506,7 @@ class TestGracefulDegradation:
         assert first_failures == 1
         assert dispatcher.breakers == {}
 
-        tb.settle(tb.controller.config.switch_idle_timeout_s + 1.0)
+        tb.settle(tb.controller.calibration.switch_idle_timeout_s + 1.0)
         result = tb.run_request(tb.clients[0], svc, NGINX.request)
         assert result.response.status == 200
         # Re-resolved (no memory hit), re-failed.
@@ -571,7 +571,7 @@ class TestInjector:
         assert not tb.egs.iface.endpoint.link.down
 
         # After the stale redirect idles out, service recovers on-demand.
-        tb.settle(tb.controller.config.switch_idle_timeout_s + 1.0)
+        tb.settle(tb.controller.calibration.switch_idle_timeout_s + 1.0)
         result = tb.run_request(tb.clients[0], svc, NGINX.request)
         assert result.response.status == 200
         assert tb.docker_cluster.is_running(svc.plan)

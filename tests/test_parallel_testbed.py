@@ -6,42 +6,37 @@ hub-replicated shared state — sharded one partition per site must
 produce byte-identical latency fingerprints under the forked parallel
 coordinator and the single-process serial reference, at 1, 2, 4, and
 8 sites.  Alongside it: pickle round-trips for everything that crosses
-the fork boundary (the replay plan, packets, replicated state updates,
-fault plans), and the kind-aware
-partitioner that lets a data trunk and a control channel share a cut.
+the fork boundary (the replay plan, packets, replicated state updates),
+and the one cut the kernel runs, spelled out channel by channel.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 
 import pytest
 
-from repro.faults import FaultPlan
 from repro.services import DEFAULT_CALIBRATION, build_catalog
 from repro.services.behavior import AppFactory
 from repro.sim import Environment
-from repro.sim.parallel import PartitionError
-from repro.sim.parallel.partitioner import (
-    CutLink,
-    NodeSpec,
-    channel_id,
-    partition_topology,
-)
+from repro.sim.parallel import ParallelCoordinator, SerialExecutor
 from repro.sim.parallel.testbed import (
     MAX_CLIENTS_PER_SITE,
     MAX_SITES,
-    build_migration_replay,
     build_replay,
+    build_replay_specs,
     client_ip,
     combined_fingerprint,
     egs_ip,
-    run_replay,
     service_ip,
     totals,
 )
-from repro.testbed.site import BACKBONE, FederationConfig
+from repro.testbed.site import FederationConfig
+
+
+def run_replay(replay, parallel: bool = False):
+    executor = ParallelCoordinator if parallel else SerialExecutor
+    return executor(build_replay_specs(replay)).run(until=replay.horizon_s)
 
 
 def _small_replay(n_sites: int, seed: int = 42, **kwargs):
@@ -111,8 +106,6 @@ class TestReplayPlan:
         config = FederationConfig(**shape)
         with pytest.raises(ValueError, match=f"at most {limit}"):
             build_replay(config, n_requests=4)
-        with pytest.raises(ValueError, match=f"at most {limit}"):
-            config.testbed_replay(n_requests=4)
 
     def test_plan_at_the_address_limits_is_accepted(self):
         config = FederationConfig(
@@ -138,7 +131,6 @@ class TestFullTestbedParity:
         assert counts == totals(parallel.results, n_sites)
         assert counts["issued"] == 5 * n_sites
         assert counts["completed"] == counts["issued"]  # all served
-        assert parallel.stats.mode == "parallel"
         assert serial.stats.rounds == parallel.stats.rounds
         assert serial.stats.payload_rounds == parallel.stats.payload_rounds
         assert 0 < serial.stats.payload_rounds <= serial.stats.rounds
@@ -147,23 +139,6 @@ class TestFullTestbedParity:
             == parallel.stats.cross_partition_messages
         )
 
-    def test_faulted_replay_keeps_parity(self):
-        # The request window must outlast the first edge deployment so
-        # the outage visibly delays warm-up — a short burst is served
-        # entirely from the cloud and the fault leaves no fingerprint.
-        base = _small_replay(2, seed=7, n_requests=10, duration_s=10.0)
-        outage = FaultPlan(seed=7).registry_outage(
-            2.0, "docker-hub", 8.0, rate=1.0
-        )
-        replay = dataclasses.replace(base, faults_by_site=(outage, None))
-        serial = run_replay(replay, parallel=False)
-        parallel = run_replay(replay, parallel=True)
-        faulted = combined_fingerprint(serial.results, 2)
-        assert faulted == combined_fingerprint(parallel.results, 2)
-        # ... while the outage itself visibly perturbed the timeline.
-        clean = run_replay(base, parallel=False)
-        assert faulted != combined_fingerprint(clean.results, 2)
-
     def test_results_carry_per_site_counters(self):
         replay = _small_replay(2)
         run = run_replay(replay, parallel=False)
@@ -171,35 +146,6 @@ class TestFullTestbedParity:
             row = run.results[f"site{site}"]
             assert row["issued"] == len(replay.requests_by_site[site])
             assert row["peak_flow_table"] > 0
-
-
-class TestMigrationReplayParity:
-    """Live migrations are backbone traffic like any other: a
-    migration-heavy replay must stay byte-identical between the serial
-    and the sharded executor — request latencies *and* the migration
-    outcomes themselves (rounds, bytes moved, downtime)."""
-
-    @pytest.mark.parametrize("n_sites", [2, 4])
-    def test_migration_heavy_replay_byte_identity(self, n_sites):
-        config = FederationConfig(n_sites=n_sites, clients_per_site=2)
-        replay = build_migration_replay(
-            config, n_requests=4 * n_sites, duration_s=2.5, seed=42
-        )
-        assert replay.migrations  # every service moves one site over
-        serial = run_replay(replay, parallel=False)
-        parallel = run_replay(replay, parallel=True)
-        completed = 0
-        for site in range(n_sites):
-            s = serial.results[f"site{site}"]
-            p = parallel.results[f"site{site}"]
-            assert s["latency_md5"] == p["latency_md5"]
-            assert s["migration_md5"] == p["migration_md5"]
-            assert s["migrations_completed"] == p["migrations_completed"]
-            assert s["migrations_aborted"] == p["migrations_aborted"]
-            completed += s["migrations_completed"]
-        # The replay actually migrated — parity of empty traces proves
-        # nothing.
-        assert completed > 0
 
 
 class TestAdaptiveRoundCollapse:
@@ -216,19 +162,13 @@ class TestAdaptiveRoundCollapse:
 
     @pytest.mark.parametrize("n_sites", [2, 4])
     def test_rounds_at_least_5x_below_fixed_step(self, n_sites):
-        from repro.sim.parallel.testbed import replay_topology
-
         replay = _small_replay(n_sites)
-        fixed_step_floor = (
-            replay.horizon_s / replay_topology(replay).min_lookahead_s()
-        )
+        # The trunk is the tighter of the two cuts' lookaheads.
+        fixed_step_floor = replay.horizon_s / replay.config.trunk_latency_s
         run = run_replay(replay, parallel=False)
         assert run.stats.rounds * 5 <= fixed_step_floor
         # The split is recorded: most surviving rounds carry payload.
         assert 0 < run.stats.payload_rounds <= run.stats.rounds
-        assert run.stats.null_rounds == (
-            run.stats.rounds - run.stats.payload_rounds
-        )
 
     def test_control_bounds_piggyback_no_null_doubling(self):
         # Data and control channels between the same pair share the
@@ -251,15 +191,6 @@ class TestForkBoundaryPickling:
         assert clone == factory
         app = clone(Environment())
         assert app.handle_time_s == 0.004
-
-    def test_fault_plan_round_trip(self):
-        plan = (
-            FaultPlan(seed=3)
-            .registry_outage(1.0, "docker-hub", 5.0, rate=1.0)
-            .node_crash(2.0, "site0-egs", duration_s=1.0)
-        )
-        clone = pickle.loads(pickle.dumps(plan))
-        assert list(clone) == list(plan)
 
     def test_replicated_service_record_round_trip(self):
         # The control channels carry StateUpdates whose service values
@@ -288,24 +219,89 @@ class TestForkBoundaryPickling:
         assert isinstance(clone[3], VersionStamp)
 
 
+class TestReplaySpecs:
+    """The one topology the kernel runs: the backbone, then the sites,
+    each joined to it by a data pair (lookahead = trunk latency) and a
+    ``#control`` pair (lookahead = propagation delay)."""
+
+    def test_three_site_plan_spelled_out(self):
+        config = FederationConfig(
+            n_sites=3, trunk_latency_s=0.004, propagation_delay_s=0.03
+        )
+        specs = build_replay_specs(build_replay(config, n_requests=6))
+        got = [
+            (
+                spec.partition_id,
+                spec.index,
+                spec.builder.__name__,
+                sorted(spec.kwargs),
+                [(c.channel_id, c.lookahead_s) for c in spec.out_channels],
+                [(c.channel_id, c.lookahead_s) for c in spec.in_channels],
+            )
+            for spec in specs
+        ]
+        assert got == [
+            (
+                "backbone", 0, "build_backbone_partition", ["replay"],
+                [
+                    ("backbone->site0", 0.004),
+                    ("backbone->site0#control", 0.03),
+                    ("backbone->site1", 0.004),
+                    ("backbone->site1#control", 0.03),
+                    ("backbone->site2", 0.004),
+                    ("backbone->site2#control", 0.03),
+                ],
+                [
+                    ("site0->backbone", 0.004),
+                    ("site0->backbone#control", 0.03),
+                    ("site1->backbone", 0.004),
+                    ("site1->backbone#control", 0.03),
+                    ("site2->backbone", 0.004),
+                    ("site2->backbone#control", 0.03),
+                ],
+            ),
+            (
+                "site0", 1, "build_site_partition", ["replay", "site"],
+                [("site0->backbone", 0.004), ("site0->backbone#control", 0.03)],
+                [("backbone->site0", 0.004), ("backbone->site0#control", 0.03)],
+            ),
+            (
+                "site1", 2, "build_site_partition", ["replay", "site"],
+                [("site1->backbone", 0.004), ("site1->backbone#control", 0.03)],
+                [("backbone->site1", 0.004), ("backbone->site1#control", 0.03)],
+            ),
+            (
+                "site2", 3, "build_site_partition", ["replay", "site"],
+                [("site2->backbone", 0.004), ("site2->backbone#control", 0.03)],
+                [("backbone->site2", 0.004), ("backbone->site2#control", 0.03)],
+            ),
+        ]
+        assert [spec.kwargs.get("site") for spec in specs] == [None, 0, 1, 2]
+
+
 class TestKindAwarePartitioner:
+    """A data trunk and a control channel share each site/backbone cut,
+    told apart by the ``#control`` suffix on the channel id."""
+
     def test_channel_id_kinds(self):
-        assert channel_id("a", "b") == "a->b"
-        assert channel_id("a", "b", "data") == "a->b"
-        assert channel_id("a", "b", "control") == "a->b#control"
+        specs = build_replay_specs(_small_replay(2))
+        ids = {
+            c.channel_id
+            for spec in specs
+            for c in spec.out_channels + spec.in_channels
+        }
+        data = {i for i in ids if not i.endswith("#control")}
+        assert data == {
+            "site0->backbone", "backbone->site0",
+            "site1->backbone", "backbone->site1",
+        }
+        assert ids - data == {f"{i}#control" for i in data}
 
     def test_data_and_control_cut_share_a_pair(self):
-        nodes = [
-            NodeSpec("site0", _NullBuilder, {}),
-            NodeSpec(BACKBONE, _NullBuilder, {}),
-        ]
-        specs = partition_topology(
-            nodes,
-            [
-                CutLink("site0", BACKBONE, 0.002, kind="data"),
-                CutLink("site0", BACKBONE, 0.025, kind="control"),
-            ],
+        config = FederationConfig(
+            n_sites=1, trunk_latency_s=0.002, propagation_delay_s=0.025
         )
+        specs = build_replay_specs(build_replay(config, n_requests=2))
         site = next(s for s in specs if s.partition_id == "site0")
         ids = [c.channel_id for c in site.out_channels]
         assert ids == ["site0->backbone", "site0->backbone#control"]
@@ -313,46 +309,26 @@ class TestKindAwarePartitioner:
         assert lookaheads["site0->backbone"] == 0.002
         assert lookaheads["site0->backbone#control"] == 0.025
 
-    def test_duplicate_same_kind_rejected_with_kind(self):
-        nodes = [
-            NodeSpec("a", _NullBuilder, {}),
-            NodeSpec("b", _NullBuilder, {}),
-        ]
-        links = [
-            CutLink("a", "b", 0.1, kind="control"),
-            CutLink("b", "a", 0.2, kind="control"),
-        ]
-        with pytest.raises(PartitionError, match=r"kind='control'"):
-            partition_topology(nodes, links)
-
     def test_zero_latency_error_names_endpoints_and_latency(self):
-        # Satellite fix: the message alone must identify the offending
-        # FederationConfig trunk — both endpoints and the latency.
-        nodes = [
-            NodeSpec("site3", _NullBuilder, {}),
-            NodeSpec(BACKBONE, _NullBuilder, {}),
-        ]
-        with pytest.raises(PartitionError) as excinfo:
-            partition_topology(
-                nodes, [CutLink("site3", BACKBONE, 0.0, kind="control")]
-            )
+        # The message alone must identify the offending FederationConfig
+        # field, its value, and why zero is refused.
+        config = FederationConfig(n_sites=2, propagation_delay_s=0.0)
+        with pytest.raises(ValueError) as excinfo:
+            build_replay(config, n_requests=2)
         message = str(excinfo.value)
-        assert "'site3'" in message
-        assert "'backbone'" in message
-        assert "0.0" in message
-        assert "control" in message
+        assert "propagation_delay_s=0.0" in message
+        assert "must be positive" in message
         assert "lookahead" in message
 
     def test_zero_latency_testbed_replay_rejected_eagerly(self):
-        with pytest.raises(PartitionError, match="control"):
-            FederationConfig(
-                n_sites=2, propagation_delay_s=0.0
-            ).testbed_replay(n_requests=2)
-        with pytest.raises(PartitionError, match="data"):
-            FederationConfig(
-                n_sites=2, trunk_latency_s=0.0
-            ).testbed_replay(n_requests=2)
-
-
-def _NullBuilder():  # noqa: N802 - builder stand-in, never called
-    raise AssertionError("builder must not run during planning")
+        # Refused while planning, before any partition is built.
+        with pytest.raises(ValueError, match="propagation_delay_s"):
+            build_replay(
+                FederationConfig(n_sites=2, propagation_delay_s=0.0),
+                n_requests=2,
+            )
+        with pytest.raises(ValueError, match="trunk_latency_s"):
+            build_replay(
+                FederationConfig(n_sites=2, trunk_latency_s=0.0),
+                n_requests=2,
+            )

@@ -1894,7 +1894,7 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
                     env.call_at, at, observe, kind == "scale-down",
                 )
         env.run(until=env.now + 8.0)
-    delay = controller.config.processing_delay_s
+    delay = controller.calibration.controller_processing_s
     return (
         log,
         sorted(samples),

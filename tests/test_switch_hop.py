@@ -280,7 +280,7 @@ class TestScaleDownUnderSteadyTraffic:
         client = tb.clients[0]
         env = tb.env
         punts_before = tb.switch.stats["punt"]
-        idle = tb.controller.config.switch_idle_timeout_s
+        idle = tb.controller.calibration.switch_idle_timeout_s
 
         def driver():
             conn = yield from client.connect(
@@ -304,7 +304,7 @@ class TestScaleDownUnderSteadyTraffic:
         assert tb.docker_cluster.is_running(svc.plan)
 
         # Quiet now: the memory idle timeout expires and scales down.
-        memory_timeout = tb.controller.config.memory_idle_timeout_s
+        memory_timeout = tb.controller.calibration.memory_idle_timeout_s
         env.run(until=env.now + memory_timeout + 5.0)
         assert tb.controller.stats["scale_downs"] == 1
         assert not tb.docker_cluster.is_running(svc.plan)

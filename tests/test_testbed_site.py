@@ -24,6 +24,7 @@ from repro.services.catalog import template_by_key
 from repro.sim import Environment
 from repro.sim.parallel.coordinator import SerialExecutor
 from repro.sim.parallel.testbed import (
+    REQUEST_TIMEOUT_S,
     SitePartitionModel,
     build_replay,
     build_replay_specs,
@@ -124,7 +125,7 @@ def _monolithic_times(replay):
                 service_ip(service),
                 80,
                 template.request,
-                timeout=replay.request_timeout_s,
+                timeout=REQUEST_TIMEOUT_S,
             )
         )
 
