@@ -5,10 +5,16 @@ from __future__ import annotations
 import gc
 import heapq
 import typing as _t
+from heapq import heapify  # bound here: tests swap ``heapq`` to watch the main heap
 from itertools import count
 
 from repro.sim.events import Event, NORMAL, PENDING, Timeout
 from repro.sim.process import Process, _Detached
+
+#: Compact the deadline side heap once more than this share of at least
+#: ``_COMPACT_FLOOR`` entries is cancelled (asyncio's timer-heap rule).
+_CANCELLED_SHARE = 0.5
+_COMPACT_FLOOR = 64
 
 
 class SimulationError(RuntimeError):
@@ -21,10 +27,11 @@ class Deadline(Event):
     Unlike :class:`Timeout`, creation pushes nothing onto the main
     event heap: the environment tracks the deadline in a side-heap and
     keeps a single armed wakeup for the earliest one.  ``cancel()``
-    (the normal outcome — the guarded operation won the race) simply
-    flags the entry; it is purged when it surfaces at the side-heap
-    top.  A deadline that does fire succeeds through the regular event
-    path at its exact scheduled time.
+    (the normal outcome — the guarded operation won the race) flags and
+    counts the entry, which leaves when it surfaces at the top or when
+    the side heap is compacted; a second ``cancel()``, or one after the
+    deadline fired, does nothing.  A deadline that does fire succeeds
+    through the regular event path at its exact scheduled time.
     """
 
     __slots__ = ("_dvalue", "cancelled")
@@ -35,7 +42,21 @@ class Deadline(Event):
         self.cancelled = False
 
     def cancel(self) -> None:
+        if self.cancelled or self._value is not PENDING:
+            return  # counted already, or off the side heap
         self.cancelled = True
+        env = self.env
+        env._deadlines_cancelled += 1
+        heap = env._deadlines
+        if (
+            len(heap) >= _COMPACT_FLOOR
+            and env._deadlines_cancelled > _CANCELLED_SHARE * len(heap)
+        ):
+            # Exact: the armed wakeup and the minimum live entry stay
+            # put, and unique (at, seq) keys keep the firing order.
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapify(heap)
+            env._deadlines_cancelled = 0
 
 
 class EmptySchedule(Exception):
@@ -87,8 +108,10 @@ class Environment:
         # Deadline side-heap: (time, local_seq, Deadline) entries with
         # their own tie-break counter, plus a single armed main-heap
         # wakeup for the earliest entry (generation-tagged so a
-        # superseded wakeup turns into a no-op).
+        # superseded wakeup turns into a no-op), and how many of its
+        # entries are cancelled (``Deadline.cancel`` compacts on it).
         self._deadlines: list[tuple] = []
+        self._deadlines_cancelled = 0
         self._deadline_seq = count()
         self._deadline_gen = 0
         self._deadline_wake_at: float | None = None
@@ -144,10 +167,11 @@ class Environment:
         Use for deadlines that usually do *not* fire (request guards,
         watchdogs): call ``.cancel()`` on the returned event once the
         guarded operation wins the race and the deadline stops costing
-        anything.  The deadline is parked in a side-heap, so a live
-        guard never occupies the main event heap — at 50x replay tens
-        of thousands of 120 s request guards are pending at once, and
-        their depth would tax every push and pop of the run.
+        anything.  The deadline is parked in a side-heap, so a guard
+        never occupies the main event heap — a replay cancels tens of
+        thousands of 120 s request guards, and their depth would tax
+        every push and pop; compaction frees them long before they are
+        due (:class:`Deadline`).
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
@@ -172,10 +196,13 @@ class Environment:
         pop = heapq.heappop
         while heap and heap[0][0] <= now:
             event = pop(heap)[2]
-            if not event.cancelled and event._value is PENDING:
+            if event.cancelled:
+                self._deadlines_cancelled -= 1
+            elif event._value is PENDING:
                 event.succeed(event._dvalue)
         while heap and heap[0][2].cancelled:
             pop(heap)
+            self._deadlines_cancelled -= 1
         if heap:
             at = heap[0][0]
             self._deadline_wake_at = at

@@ -342,7 +342,8 @@ def guard_timeout(
     receives as a thrown exception at its ``yield``.  The exception
     message is assembled lazily — winners never pay for the
     formatting.  The caller must still ``deadline.cancel()`` after a
-    successful wait so an unfired side-heap deadline is purged.
+    successful wait: only a cancelled deadline leaves the side heap
+    before it is due, and with it this closure, ``event`` and its value.
     """
 
     def _fire(_deadline: Event) -> None:

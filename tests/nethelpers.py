@@ -14,6 +14,7 @@ from repro.net.device import NetDevice
 from repro.net.link import GBPS
 from repro.net.openflow import OpenFlowSwitch
 from repro.sim import Environment, Event, environment
+from repro.sim.environment import Deadline
 
 
 class EchoApp:
@@ -121,6 +122,22 @@ def handoff_on_the_heap():
     takes its ``succeed`` branch, so every wake-up is a heap entry of
     its own — the kernel as it was before the hand-off existed."""
     with mock.patch.object(Event, "succeed_tail", Event.succeed):
+        yield
+
+
+@contextlib.contextmanager
+def guards_purged_at_the_top():
+    """The deadline side heap's lazy twin: ``Deadline.cancel`` only
+    flags the guard — fired or not, twice or once — so a cancelled guard
+    leaves the side heap when it surfaces at the top at a wakeup, never
+    earlier: the kernel as it was before compaction.  Nothing counts the
+    flags up; the count ``_deadline_fire`` counts down goes negative and
+    is never read."""
+
+    def flag(deadline) -> None:
+        deadline.cancelled = True
+
+    with mock.patch.object(Deadline, "cancel", flag):
         yield
 
 

@@ -1,4 +1,4 @@
-"""Shared helper: one seeded bigFlows replay, returned as its latencies."""
+"""Shared helper: one seeded bigFlows replay on pre-created services."""
 
 from __future__ import annotations
 
@@ -7,20 +7,17 @@ from repro.testbed import C3Testbed, FederatedTestbed, FederationConfig, Testbed
 from repro.workload import BigFlowsParams, TraceDriver, generate_trace
 
 
-def replay_time_totals(
+def replay(
     n_sites: int = 0,
     ops: bool = False,
     params: BigFlowsParams | None = None,
     seed: int = 42,
-) -> list[float]:
-    """Every request's ``time_total``, in sample order.
-
-    Replays the trace against pre-created Nginx services on C³
+):
+    """Replay the seeded trace against pre-created Nginx services on C³
     (``n_sites=0``) or on an ``n_sites`` federation with the services at
     site 0 and the clients spread over all sites; ``ops`` turns the
-    flow-stats collector on.  Compare two lists with ``==``: that is
-    byte-identity at full float precision.
-    """
+    flow-stats collector on.  Returns the testbed and the driver's
+    summary."""
     params = params or BigFlowsParams()
     period = 1.0 if ops else None
     if n_sites:
@@ -43,5 +40,19 @@ def replay_time_totals(
     tb.settle(1.0)
     requests = {service.name: NGINX.request for service in services}
     driver = TraceDriver(tb.env, clients, services, requests=requests, recorder=tb.recorder)
-    summary = driver.run(generate_trace(params, seed=seed))
+    return tb, driver.run(generate_trace(params, seed=seed))
+
+
+def replay_time_totals(
+    n_sites: int = 0,
+    ops: bool = False,
+    params: BigFlowsParams | None = None,
+    seed: int = 42,
+) -> list[float]:
+    """Every request's ``time_total`` of :func:`replay`, in sample order.
+
+    Compare two lists with ``==``: that is byte-identity at full float
+    precision.
+    """
+    _, summary = replay(n_sites, ops, params, seed)
     return [sample.time_total for sample in summary.samples]

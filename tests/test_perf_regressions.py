@@ -12,7 +12,7 @@ Three contracts the optimisations must not bend:
 
 And budgets in exact counts, no host time: kernel events per warm
 request and per Kubernetes first request, Kubernetes-model calls per
-deployment.
+deployment, cancelled guards left on the deadline side heap.
 """
 
 from __future__ import annotations
@@ -261,6 +261,26 @@ def test_trace_replay_latencies_byte_identical():
     first = replay_time_totals(params=params, seed=7)
     assert len(first) == 132
     assert first == replay_time_totals(params=params, seed=7)  # full float precision
+
+
+def test_cancelled_request_guards_do_not_pile_up():
+    """A replay arms two 120 s guards per request (``Host.connect``,
+    ``Connection.recv``) and, every request winning, cancels both; 20 s
+    of trace end before the first guard is due, so no wakeup ever purges
+    one.  What is left on the deadline side heap is fewer entries than
+    its compaction floor, all of them cancelled — not two per request,
+    each holding its guard's closure, the reply it guarded and that
+    reply's packet (1 800 entries here when cancelling only flagged)."""
+    from repro.workload import BigFlowsParams
+    from tests.replayhelpers import replay
+
+    params = BigFlowsParams(n_requests=900, duration_s=20.0)
+    tb, summary = replay(params=params)
+    assert summary.n_ok == 900
+    heap = tb.env._deadlines
+    assert len(heap) < 64
+    assert all(entry[2].cancelled for entry in heap)
+    assert tb.env._deadlines_cancelled == len(heap)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.sim import (
     Store,
     environment,
 )
+from repro.sim.events import guard_timeout
 
 from tests.kernel_oracle import step
 
@@ -78,6 +79,9 @@ class TestEnvironment:
             env.deadline(1.0 + i).cancel()
         # One armed wakeup for the earliest guard, whatever their number.
         assert len(env) == 1
+        # The 64th cancel emptied the side heap; 36 have piled up since,
+        # below the compaction floor.
+        assert len(env._deadlines) == env._deadlines_cancelled == 100 - 64
         env.run()
         assert env.events_processed == 1
         assert len(env) == 0
@@ -122,6 +126,56 @@ class TestEnvironment:
         env.process(proc(env))
         env.run()
         assert got == ["payload"]
+
+
+class TestDeadlineCancel:
+    """``Deadline.cancel`` counts the cancelled entries still on the side
+    heap — the count compaction reads — and nothing else."""
+
+    def test_a_second_cancel_is_not_counted(self):
+        env = Environment()
+        guard = env.deadline(1.0)
+        guard.cancel()
+        guard.cancel()
+        assert env._deadlines_cancelled == 1
+        env.run()
+        assert env._deadlines_cancelled == 0
+
+    def test_a_cancel_after_the_guard_fired_is_not_counted(self):
+        """A reply and its guard due at one instant, the guard's wakeup
+        first: the guard fires, the reply still wins (``guard_timeout``
+        fails only a pending event), and the waiter cancels a guard that
+        has left the side heap."""
+        env = Environment()
+        reply = env.event()
+        got = []
+
+        def waiter():
+            guard = env.deadline(1.0)
+            guard_timeout(guard, reply, TimeoutError, "late")
+            env.call_at(1.0, reply.succeed, "reply")  # behind the wakeup
+            got.append((yield reply))
+            assert guard.triggered
+            guard.cancel()
+            got.append((guard.cancelled, env._deadlines_cancelled))
+
+        env.process(waiter())
+        env.run()
+        assert got == ["reply", (False, 0)]
+
+    def test_the_count_returns_to_zero_when_the_side_heap_drains(self):
+        env = Environment()
+        fired = []
+        guards = [env.deadline(float(i % 7), i) for i in range(200)]
+        for guard in guards:
+            guard.callbacks.append(lambda g: fired.append(g.value))
+        for i, guard in enumerate(guards):
+            if i % 4:
+                guard.cancel()  # 150 of them; the 101st compacts
+        assert (len(env._deadlines), env._deadlines_cancelled) == (200 - 101, 49)
+        env.run()
+        assert env._deadlines == [] and env._deadlines_cancelled == 0
+        assert fired == sorted(range(0, 200, 4), key=lambda i: i % 7)
 
 
 class TestScheduledCallbacks:
