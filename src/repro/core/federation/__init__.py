@@ -11,8 +11,6 @@ under control-plane partitions.
 from repro.core.federation.remote import RemoteClusterView
 from repro.core.federation.site import SiteController, SiteDispatcher
 from repro.core.federation.state import (
-    HubLike,
-    RemoteHubHandle,
     ReplicaLink,
     SharedStateHub,
     SiteReplica,
@@ -20,9 +18,7 @@ from repro.core.federation.state import (
 )
 
 __all__ = [
-    "HubLike",
     "RemoteClusterView",
-    "RemoteHubHandle",
     "ReplicaLink",
     "SharedStateHub",
     "SiteController",

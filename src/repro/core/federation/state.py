@@ -23,15 +23,16 @@ Consistency model (DESIGN.md §9):
   hiding.
 * A **partition** between a site and the hub (``ReplicaLink.down``)
   buffers traffic in both directions — the site's outbound writes in
-  the link's outbox, the hub's fan-out in a per-site inbox — and the
-  site degrades to serving from its local view.  Healing the link
-  drains both buffers in FIFO order, each message paying the normal
-  one-way delay; last-writer-wins stamps make the replay convergent.
+  the link's outbox, the hub's fan-out in its inbox — and the site
+  degrades to serving from its local view.  Healing the link drains
+  both buffers in FIFO order, each message paying the normal one-way
+  delay; last-writer-wins stamps make the replay convergent.
 """
 
 from __future__ import annotations
 
 import typing as _t
+from functools import partial
 
 from repro.core.state.base import (
     ControlPlaneState,
@@ -45,8 +46,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.service_registry import EdgeService
 
 __all__ = [
-    "HubLike",
-    "RemoteHubHandle",
     "ReplicaLink",
     "SharedStateHub",
     "SiteReplica",
@@ -71,43 +70,48 @@ StateKey = _t.Tuple[str, _t.Any]
 #: One replicated write in flight: domain, key, value, stamp.
 StateUpdate = _t.Tuple[str, _t.Any, _t.Any, VersionStamp]
 
-
-class HubLike(_t.Protocol):
-    """What a :class:`SiteReplica`'s link needs from "the hub".
-
-    In the monolithic testbed this is the :class:`SharedStateHub`
-    itself; under the partitioned kernel each site partition holds a
-    :class:`RemoteHubHandle` that forwards writes over a control
-    channel instead.
-    """
-
-    def submit(self, origin: str, update: StateUpdate) -> None: ...
-
-    def on_link_restored(self, site: str) -> None: ...
-
-    def version_of(self, domain: str, key: _t.Any) -> "VersionStamp | None": ...
+#: One leg of a site's link: ships an update one way and charges the
+#: one-way propagation delay itself (a ``call_later`` in one event
+#: loop, a control portal's ``send`` on the sharded kernel).
+Leg = _t.Callable[[StateUpdate], None]
 
 
 class ReplicaLink:
     """The (partitionable) channel between one site and the hub.
 
-    Duck-types the ``down`` flag of a data-plane link so the fault
-    injector's :class:`~repro.faults.plan.LinkPartition` can target it
-    by name via the testbed's ``named_links`` table.  While down,
-    site-to-hub writes queue in :attr:`outbox` and hub-to-site
-    deliveries queue in :attr:`inbox`; setting ``down = False`` drains
-    both (FIFO, each message paying the normal one-way delay).
+    Two legs: :meth:`send` ships a site's write over ``to_hub``,
+    :meth:`deliver` a hub fan-out over ``to_site``.  Duck-types the
+    ``down`` flag of a data-plane link so the fault injector's
+    :class:`~repro.faults.plan.LinkPartition` can target it by name via
+    the testbed's ``named_links`` table.  While down, writes queue in
+    :attr:`outbox` and fan-outs in :attr:`inbox`; setting ``down =
+    False`` drains both (outbox first, each FIFO, each message paying
+    the normal one-way delay).
     """
 
-    def __init__(self, env: Environment, hub: HubLike, site: str) -> None:
-        self.env = env
-        self.hub = hub
+    def __init__(self, site: str, to_hub: Leg, to_site: Leg) -> None:
         self.site = site
+        self.to_hub = to_hub
+        self.to_site = to_site
         self._down = False
         self.outbox: list[StateUpdate] = []
         self.inbox: list[StateUpdate] = []
         #: Diagnostics: how often the link was partitioned.
         self.partitions = 0
+
+    def send(self, update: StateUpdate) -> None:
+        """One write leaving the site for the hub."""
+        if self._down:
+            self.outbox.append(update)
+        else:
+            self.to_hub(update)
+
+    def deliver(self, update: StateUpdate) -> None:
+        """One write fanned out by the hub toward the site."""
+        if self._down:
+            self.inbox.append(update)
+        else:
+            self.to_site(update)
 
     @property
     def down(self) -> bool:
@@ -121,8 +125,13 @@ class ReplicaLink:
         self._down = value
         if value:
             self.partitions += 1
-        else:
-            self.hub.on_link_restored(self.site)
+            return
+        outbox, self.outbox = self.outbox, []
+        for update in outbox:
+            self.to_hub(update)
+        inbox, self.inbox = self.inbox, []
+        for update in inbox:
+            self.to_site(update)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "down" if self._down else "up"
@@ -134,9 +143,9 @@ class SharedStateHub:
 
     Holds the authoritative (most recently arrived, LWW-resolved)
     version of every replicated entry and fans writes out to all other
-    site replicas.  The authoritative versions let the metrics layer
-    ask "was this site's view stale when it decided?" without
-    perturbing the data path.
+    sites.  The authoritative versions let the metrics layer ask "was
+    this site's view stale when it decided?" without perturbing the
+    data path.
     """
 
     def __init__(
@@ -147,89 +156,90 @@ class SharedStateHub:
         self.env = env
         #: One-way site -> hub (and hub -> site) latency.
         self.propagation_delay_s = float(propagation_delay_s)
-        self.replicas: dict[str, SiteReplica] = {}
-        #: Remote (cross-partition) sites: site name -> send callable
-        #: shipping one update over that site's control channel.
-        self._remote_sites: dict[
-            str, _t.Callable[[StateUpdate], None]
-        ] = {}
+        #: Site name -> the hub -> site leg of that site, in the order
+        #: the sites attached (the fan-out order).
+        self._to_sites: dict[str, Leg] = {}
         self._versions: dict[StateKey, VersionStamp] = {}
 
     # -- wiring ------------------------------------------------------------
 
-    def connect(self, site: str) -> "SiteReplica":
-        """Create (and register) the replica for one site."""
-        if site in self.replicas:
-            raise ValueError(f"site {site!r} already connected")
-        replica = SiteReplica(self.env, site, ReplicaLink(self.env, self, site))
-        self.replicas[site] = replica
-        return replica
+    def attach(self, site: str, to_site: Leg) -> None:
+        """Fan every other site's writes out to ``site`` over ``to_site``.
 
-    def attach_remote(
-        self, site: str, send: _t.Callable[[StateUpdate], None]
-    ) -> None:
-        """Register a site living in *another partition*.
-
-        The hub never holds a replica object for a remote site — just a
-        ``send`` callable that ships one :data:`StateUpdate` over the
-        site's control channel (the partitioned kernel wires it to a
-        portal whose lookahead is :attr:`propagation_delay_s`, so the
-        hub -> site leg pays exactly the in-process delay).
+        :meth:`connect` attaches a replica in this event loop; the
+        sharded kernel attaches a site in another partition with its
+        control portal's ``send``, whose lookahead is
+        :attr:`propagation_delay_s`.
         """
-        if site in self.replicas or site in self._remote_sites:
+        if site in self._to_sites:
             raise ValueError(f"site {site!r} already connected")
-        self._remote_sites[site] = send
+        self._to_sites[site] = to_site
+
+    def connect(self, site: str) -> "SiteReplica":
+        """Create the replica for one site in this event loop."""
+        replica: SiteReplica
+        link = ReplicaLink(
+            site,
+            partial(self.submit, site),
+            lambda update: self.env.call_later(
+                self.propagation_delay_s, replica.apply_remote, update
+            ),
+        )
+        self.attach(site, link.deliver)
+        replica = SiteReplica(site, link, hub=self)
+        return replica
 
     # -- write propagation -------------------------------------------------
 
     def submit(self, origin: str, update: StateUpdate) -> None:
-        """A site's write arriving over its (up) link."""
+        """A site's write leaving over its (up) link in this loop."""
         self.env.call_later(
             self.propagation_delay_s, self.deliver, origin, update
         )
 
     def deliver(self, origin: str, update: StateUpdate) -> None:
         """One write *arriving at the hub* (site -> hub delay already
-        paid): LWW-stamp it, then fan out to every other site — local
-        replicas via ``call_later``, remote partitions via their
-        control-channel send."""
+        paid): LWW-stamp it, then fan out to every other site."""
         domain, key, _value, stamp = update
         state_key = (domain, key)
         current = self._versions.get(state_key)
         if current is None or stamp > current:
             self._versions[state_key] = stamp
-        for site, replica in self.replicas.items():
-            if site == origin:
-                continue
-            link = replica.link
-            if link.down:
-                link.inbox.append(update)
-            else:
-                self.env.call_later(
-                    self.propagation_delay_s, replica.apply_remote, update
-                )
-        for site, send in self._remote_sites.items():
-            if site == origin:
-                continue
-            send(update)
-
-    def on_link_restored(self, site: str) -> None:
-        """Drain both directions of a healed site link."""
-        replica = self.replicas[site]
-        link = replica.link
-        outbox, link.outbox = link.outbox, []
-        for update in outbox:
-            self.submit(site, update)
-        inbox, link.inbox = link.inbox, []
-        for update in inbox:
-            self.env.call_later(
-                self.propagation_delay_s, replica.apply_remote, update
-            )
+        for site, to_site in self._to_sites.items():
+            if site != origin:
+                to_site(update)
 
     # -- authoritative reads (metrics / tests) -----------------------------
 
     def version_of(self, domain: str, key: _t.Any) -> VersionStamp | None:
         return self._versions.get((domain, key))
+
+
+class _Lamport:
+    """One Lamport clock and the stamp each key holds under it."""
+
+    __slots__ = ("site", "clock", "stamps")
+
+    def __init__(self, site: str) -> None:
+        self.site = site
+        self.clock = 0
+        self.stamps: dict[StateKey, VersionStamp] = {}
+
+    def stamp(self, key: StateKey) -> VersionStamp:
+        """Tick for a local write to ``key``."""
+        self.clock += 1
+        stamp = self.stamps[key] = VersionStamp(self.clock, self.site)
+        return stamp
+
+    def accept(self, key: StateKey, stamp: VersionStamp) -> bool:
+        """Witness a remote write to ``key``; whether it wins (LWW)."""
+        if stamp.lamport > self.clock:
+            self.clock = stamp.lamport
+        current = self.stamps.get(key)
+        if current is not None and stamp <= current:
+            return False  # stale or duplicate delivery: LWW keeps ours
+        self.stamps[key] = stamp
+        return True
 
 
 class SiteReplica(ControlPlaneState):
@@ -240,25 +250,32 @@ class SiteReplica(ControlPlaneState):
     component (registry, flow memory, dispatcher, controller) runs
     unmodified against it; the five writes are overridden.  Replicated
     writes apply locally first (read-your-writes), then travel
-    ``site -> hub -> other sites`` with one one-way delay per leg;
-    incoming remote writes apply through last-writer-wins version
-    comparison.
+    ``site -> hub -> other sites`` over :attr:`link`, with one one-way
+    delay per leg; incoming remote writes apply through last-writer-wins
+    version comparison.
+
+    ``hub`` is the hub in this event loop, if any; only
+    :meth:`instance_is_stale` reads it, and without one no view is
+    stale.
     """
 
-    def __init__(self, env: Environment, site: str, link: ReplicaLink) -> None:
+    def __init__(
+        self,
+        site: str,
+        link: ReplicaLink,
+        hub: SharedStateHub | None = None,
+    ) -> None:
         super().__init__()
-        self.env = env
         self.site = site
         self.link = link
-        self._clock = 0
-        self._versions: dict[StateKey, VersionStamp] = {}
+        self.hub = hub
+        self._lamport = _Lamport(site)
         #: Separate Lamport stream for the observability (linkstats)
         #: domain: link-utilization publishing must never advance the
         #: data-path clock, or enabling the collector would shift the
         #: VersionStamps of service/client/instance writes and could
         #: flip LWW winners — breaking the md5-neutrality guarantee.
-        self._stats_clock = 0
-        self._stats_versions: dict[StateKey, VersionStamp] = {}
+        self._stats_lamport = _Lamport(site)
         #: Fired when a *remote* write adds/removes a service —
         #: the site controller uses these to (un)install intercepts.
         self.on_service_added: _t.Callable[[EdgeService], None] | None = None
@@ -270,67 +287,46 @@ class SiteReplica(ControlPlaneState):
 
     # -- write plumbing ----------------------------------------------------
 
+    def _clock_of(self, domain: str) -> _Lamport:
+        return self._stats_lamport if domain == "linkstats" else self._lamport
+
     def _local_write(self, domain: str, key: _t.Any, value: _t.Any) -> None:
-        self._clock += 1
-        stamp = VersionStamp(self._clock, self.site)
-        self._versions[(domain, key)] = stamp
+        stamp = self._clock_of(domain).stamp((domain, key))
         self._apply(domain, key, value, remote=False)
-        update: StateUpdate = (domain, key, value, stamp)
-        if self.link.down:
-            self.link.outbox.append(update)
-        else:
-            self.link.hub.submit(self.site, update)
+        self.link.send((domain, key, value, stamp))
 
     def apply_remote(self, update: StateUpdate) -> None:
         domain, key, value, stamp = update
-        if domain == "linkstats":
-            self._apply_remote_stats(key, value, stamp)
-            return
-        if stamp.lamport > self._clock:
-            self._clock = stamp.lamport
-        state_key = (domain, key)
-        current = self._versions.get(state_key)
-        if current is not None and stamp <= current:
-            return  # stale or duplicate delivery: LWW keeps ours
-        self._versions[state_key] = stamp
-        self._apply(domain, key, value, remote=True)
+        if self._clock_of(domain).accept((domain, key), stamp):
+            self._apply(domain, key, value, remote=True)
 
     def _apply(
         self, domain: str, key: _t.Any, value: _t.Any, remote: bool
     ) -> None:
+        """Write into the local stores with the plain state's own writes,
+        then tell the site controller what a remote write changed."""
+        hook: _t.Callable[[_t.Any], None] | None = None
         if domain == "service":
             if value is None:
-                service = self._by_address.pop(key, None)
-                if service is not None:
-                    self._by_name.pop(service.name, None)
-                    if remote and self.on_service_removed is not None:
-                        self.on_service_removed(service)
+                value = self._by_address.get(key)
+                if value is None:
+                    return
+                super().remove_service(value)
+                hook = self.on_service_removed
             else:
-                self._by_address[key] = value
-                self._by_name[value.name] = value
-                if remote and self.on_service_added is not None:
-                    self.on_service_added(value)
+                super().put_service(value)
+                hook = self.on_service_added
         elif domain == "client":
-            self._clients[key] = value
+            super().put_client(value)
         elif domain == "instance":
-            self._instances[key] = value
-            if remote and self.on_instance_changed is not None:
-                self.on_instance_changed(value)
+            super().publish_instance(value)
+            hook = self.on_instance_changed
+        elif domain == "linkstats":
+            super().publish_link_stats(value)
         else:  # pragma: no cover - new domains must be wired here
             raise ValueError(f"unknown state domain {domain!r}")
-
-    def _apply_remote_stats(
-        self, key: _t.Any, value: _t.Any, stamp: VersionStamp
-    ) -> None:
-        """LWW-apply a remote linkstats write on the *stats* clock."""
-        if stamp.lamport > self._stats_clock:
-            self._stats_clock = stamp.lamport
-        state_key: StateKey = ("linkstats", key)
-        current = self._stats_versions.get(state_key)
-        if current is not None and stamp <= current:
-            return
-        self._stats_versions[state_key] = stamp
-        self._link_stats[key] = value
+        if remote and hook is not None:
+            hook(value)
 
     # -- staleness introspection (metrics only) ----------------------------
 
@@ -340,11 +336,13 @@ class SiteReplica(ControlPlaneState):
         """Has the hub accepted a newer version of this instance entry
         than the one this site decided on?  (Metrics only — the data
         path never peeks at the hub.)"""
-        key = (service_name, site, cluster_name)
-        authoritative = self.link.hub.version_of("instance", key)
+        if self.hub is None:
+            return False
+        key = ("instance", (service_name, site, cluster_name))
+        authoritative = self.hub.version_of(*key)
         if authoritative is None:
             return False
-        return self._versions.get(("instance", key)) != authoritative
+        return self._lamport.stamps.get(key) != authoritative
 
     # -- the five writes, replicated ---------------------------------------
 
@@ -365,7 +363,7 @@ class SiteReplica(ControlPlaneState):
         if previous is None or previous.datapath_id != info.datapath_id:
             self._local_write("client", info.ip, info)
         else:
-            self._clients[info.ip] = info
+            super().put_client(info)
 
     def publish_instance(self, record: InstanceRecord) -> None:
         key = (record.service_name, record.site, record.cluster_name)
@@ -377,64 +375,8 @@ class SiteReplica(ControlPlaneState):
         return self._instances.get((service_name, site, cluster_name))
 
     def publish_link_stats(self, record: LinkStatsRecord) -> None:
-        """Publish a link observation on the dedicated stats clock.
-
-        Same propagation path as every replicated write (local apply,
-        then site -> hub -> other sites), but versioned on
-        :attr:`_stats_clock` so the data-path Lamport stream is
-        untouched whether or not the collector runs.
-        """
-        key = (record.site, record.link)
-        self._stats_clock += 1
-        stamp = VersionStamp(self._stats_clock, self.site)
-        self._stats_versions[("linkstats", key)] = stamp
-        self._link_stats[key] = record
-        update: StateUpdate = ("linkstats", key, record, stamp)
-        if self.link.down:
-            self.link.outbox.append(update)
-        else:
-            self.link.hub.submit(self.site, update)
+        """Publish a link observation on the dedicated stats clock."""
+        self._local_write("linkstats", (record.site, record.link), record)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SiteReplica {self.site} clock={self._clock}>"
-
-
-class RemoteHubHandle:
-    """A site partition's stand-in for the (remote) shared-state hub.
-
-    Satisfies :class:`HubLike` so a :class:`SiteReplica` runs
-    unmodified inside a forked worker:
-
-    * :meth:`submit` ships the update over the site's outbound control
-      channel (the portal's lookahead is the propagation delay, so the
-      site -> hub leg costs exactly what :meth:`SharedStateHub.submit`
-      charges in-process);
-    * :meth:`version_of` answers ``None`` — the authoritative versions
-      live in the backbone partition, so staleness introspection
-      degrades to "never stale".  Crucially it degrades *identically*
-      under the serial executor and the parallel coordinator (both run
-      the same partitioned build), so parity gating is unaffected;
-    * :meth:`on_link_restored` drains the site link's outbox through
-      :meth:`submit` (hub-to-site inbox draining is the backbone
-      partition's job).
-    """
-
-    def __init__(self, send: _t.Callable[[StateUpdate], None]) -> None:
-        self._send = send
-        #: Bound after the ReplicaLink exists (the two reference each
-        #: other); needed only to drain the outbox on link heal.
-        self.link: ReplicaLink | None = None
-
-    def submit(self, origin: str, update: StateUpdate) -> None:
-        self._send(update)
-
-    def on_link_restored(self, site: str) -> None:
-        link = self.link
-        if link is None:  # pragma: no cover - wiring error
-            return
-        outbox, link.outbox = link.outbox, []
-        for update in outbox:
-            self.submit(site, update)
-
-    def version_of(self, domain: str, key: _t.Any) -> VersionStamp | None:
-        return None
+        return f"<SiteReplica {self.site} clock={self._lamport.clock}>"

@@ -9,7 +9,6 @@ of the testbed's switched Ethernet without per-byte events.
 from __future__ import annotations
 
 import typing as _t
-from collections import deque
 from heapq import heappush
 
 from repro.net.packet import HEADER_BYTES
@@ -118,9 +117,7 @@ class LinkEndpoint:
         "_ingress",
     )
 
-    def __init__(
-        self, link: "Link | HalfLinkEndpoint", iface: "NetworkInterface"
-    ) -> None:
+    def __init__(self, link: "Link", iface: "NetworkInterface") -> None:
         self.link = link
         self.iface = iface
         self.peer: "LinkEndpoint | None" = None
@@ -168,76 +165,6 @@ class LinkEndpoint:
     def _deliver(self, packet: "Packet") -> None:
         if self._recv_dev is not None and not self._down:
             self._recv_dev.receive(packet, self._recv_iface)
-
-
-class HalfLinkEndpoint(LinkEndpoint):
-    """The near side of a link cut at its propagation leg.
-
-    The far side lives in another event loop (a partition of the
-    sharded kernel), and the hand-off happens at the end of
-    serialization: ``send(packet, arrival_ts=now + latency)`` — the
-    instant ``_deliver`` would have fired — is what the other partition
-    may rely on from then on.  So this endpoint keeps that instant as
-    an event, with a deque and a busy flag: the FIFO discipline and the
-    serialization float are :class:`LinkEndpoint`'s, computed one
-    packet at a time.  The far partition hands the packet to its device
-    with ``receive``; nothing is fused across the cut.
-
-    There is no two-ended :class:`Link` to belong to, so the endpoint is
-    its own ``link``: it carries the ``down`` and ``bandwidth_bps`` that
-    a handover and the flow-stats collector read there.  The parameters
-    are fixed for life and ``peer`` stays ``None``.
-    """
-
-    __slots__ = (
-        "send",
-        "env",
-        "bandwidth_bps",
-        "latency_s",
-        "down",
-        "_pending",
-        "_busy",
-    )
-
-    def __init__(
-        self,
-        env: Environment,
-        iface: "NetworkInterface",
-        bandwidth_bps: float,
-        latency_s: float,
-        send: _t.Callable[..., None],
-    ) -> None:
-        self.send = send
-        self.env = env
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.latency_s = float(latency_s)
-        self.down = False
-        self._pending: deque["Packet"] = deque()
-        self._busy = False
-        super().__init__(self, iface)
-        iface.endpoint = self
-
-    def transmit(self, packet: "Packet") -> None:
-        """Enqueue a packet for transmission towards the far side."""
-        if self._busy:
-            self._pending.append(packet)
-        else:
-            self._busy = True
-            self._serialize(packet)
-
-    def _serialize(self, packet: "Packet") -> None:
-        self._env.call_later(
-            (HEADER_BYTES + packet.tcp.payload_bytes) * 8 / self._bw,
-            self._serialized,
-            packet,
-        )
-
-    def _serialized(self, packet: "Packet") -> None:
-        self.send(packet, arrival_ts=self._env._now + self._lat)
-        if self._pending:
-            self._serialize(self._pending.popleft())
-        else:
-            self._busy = False
 
 
 class Link:

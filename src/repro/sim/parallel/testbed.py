@@ -8,16 +8,16 @@ very builders the monolithic
 loop.  Only the two seams are wired differently:
 
 * the trunk :class:`~repro.net.link.Link` between a site switch and
-  the backbone becomes two :class:`~repro.net.link.HalfLinkEndpoint`
-  halves, one per partition: the transmitter is the one
-  :class:`~repro.net.link.LinkEndpoint` has, the propagation leg
-  rides the cut-edge channel (lookahead = trunk latency);
+  the backbone becomes two :class:`HalfLinkEndpoint` halves, one per
+  partition: the transmitter is :class:`~repro.net.link.LinkEndpoint`
+  itself, the propagation leg rides the cut-edge channel (lookahead =
+  trunk latency);
 * shared-state replication rides a second, ``control``-kind channel
-  per site: the site's :class:`~repro.core.federation.SiteReplica`
-  talks to a :class:`~repro.core.federation.RemoteHubHandle`, the hub
-  fans out through :meth:`SharedStateHub.attach_remote` sends — each
-  leg paying exactly the ``propagation_delay_s`` the in-process hub
-  charges (lookahead = propagation delay).
+  per site: the site's :class:`~repro.core.federation.ReplicaLink`
+  ships its writes into the control portal, and the hub fans out to
+  the site through the portal back (:meth:`SharedStateHub.attach`) —
+  each leg paying exactly the ``propagation_delay_s`` the in-process
+  hub charges (lookahead = propagation delay).
 
 What the monolith has once per federation, a partition has for itself:
 catalog and registries (pull traffic is site-local; the profiles make
@@ -57,12 +57,14 @@ from functools import partial
 
 import repro.net.host as _host_mod
 from repro.core import LowLatencyScheduler
-from repro.core.federation import RemoteHubHandle, SiteReplica
-from repro.core.federation.state import ReplicaLink
+from repro.core.federation import ReplicaLink, SiteReplica
 from repro.metrics import MetricsRecorder
 from repro.net.addressing import IPv4Address, MACAllocator
-from repro.net.link import HalfLinkEndpoint
+from repro.net.device import NetworkInterface
+from repro.net.link import LinkEndpoint
+from repro.net.packet import Packet
 from repro.services.catalog import template_by_key
+from repro.sim import Environment
 from repro.sim.parallel.partition import ChannelSpec, Partition, PartitionSpec
 from repro.testbed.site import (
     BACKBONE,
@@ -76,6 +78,7 @@ from repro.testbed.site import (
 )
 
 __all__ = [
+    "HalfLinkEndpoint",
     "ServiceSpec",
     "TestbedReplay",
     "build_backbone_partition",
@@ -254,6 +257,48 @@ def _rebase_conn_ids(partition_index: int) -> None:
     _host_mod._conn_ids = itertools.count(partition_index * _CONN_ID_STRIDE + 1)
 
 
+class HalfLinkEndpoint(LinkEndpoint):
+    """The near side of a trunk cut at its propagation leg.
+
+    :class:`~repro.net.link.LinkEndpoint`'s transmitter with no local
+    latency: its one heap entry per packet fires at the end of
+    serialization, the hand-off instant, and sends the packet across
+    with ``arrival_ts=now + latency_s``, when a whole link's arrival
+    would fire; the far side hands it to its device with ``receive``.
+    Where the hand-off falls among same-instant entries is invisible:
+    it only appends to the channel's outbox, which leaves between
+    rounds in arrival order.
+
+    The endpoint is its own ``link`` (``down``, ``bandwidth_bps``, read
+    by a handover and the flow-stats collector), with fixed parameters
+    and ``peer = None``.
+    """
+
+    __slots__ = ("send", "env", "bandwidth_bps", "latency_s", "down")
+
+    def __init__(
+        self,
+        env: Environment,
+        iface: NetworkInterface,
+        bandwidth_bps: float,
+        latency_s: float,
+        send: _t.Callable[..., None],
+    ) -> None:
+        self.send = send
+        self.env = env
+        self.bandwidth_bps = float(bandwidth_bps)
+        self.latency_s = float(latency_s)
+        self.down = False
+        super().__init__(self, iface)
+        iface.endpoint = self
+        # The propagation leg is the channel's: the entry fires at the
+        # end of serialization (``end + 0.0`` is ``end``).
+        self._lat = 0.0
+
+    def _deliver(self, packet: Packet) -> None:
+        self.send(packet, arrival_ts=self._env._now + self.latency_s)
+
+
 def _cut_trunk(
     partition: Partition, channel: str, config: FederationConfig
 ) -> TrunkWiring:
@@ -297,12 +342,17 @@ class SitePartitionModel:
         config = replay.config
         _rebase_conn_ids(partition.spec.index)
 
-        # Shared state over the control channel: replica -> remote hub.
-        handle = RemoteHubHandle(
-            partition.portals[_control(self.name, BACKBONE)].send
+        # Shared state: writes leave through the control portal, the
+        # hub's fan-out comes back in through the link's ``deliver``.
+        replica: SiteReplica
+        replica = SiteReplica(
+            self.name,
+            ReplicaLink(
+                self.name,
+                partition.portals[_control(self.name, BACKBONE)].send,
+                lambda update: replica.apply_remote(update),
+            ),
         )
-        replica = SiteReplica(env, self.name, ReplicaLink(env, handle, self.name))
-        handle.link = replica.link
         stack = self.stack = Site(
             env,
             self.site,
@@ -321,7 +371,7 @@ class SitePartitionModel:
         self.clients = stack.clients
         self.recorder = stack.recorder
         self.controller = stack.controller
-        partition.on_message(_control(BACKBONE, self.name), replica.apply_remote)
+        partition.on_message(_control(BACKBONE, self.name), replica.link.deliver)
         partition.on_message(_data(BACKBONE, self.name), stack.receive_from_trunk)
         for other in range(config.n_sites):
             if other != self.site:
@@ -416,8 +466,8 @@ class BackbonePartitionModel:
             )
             # Control plane: site writes arrive here having already
             # paid the site -> hub delay (channel lookahead); fan-out
-            # to other remote sites pays hub -> site over their portals.
-            backbone.hub.attach_remote(
+            # to the other sites pays hub -> site over their portals.
+            backbone.hub.attach(
                 name, partition.portals[_control(BACKBONE, name)].send
             )
             partition.on_message(

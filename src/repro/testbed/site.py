@@ -23,11 +23,12 @@ a value handed to :class:`Site`:
 
 * **the trunk** — a callable that receives the site's trunk interface
   and puts a link on it: a whole :class:`~repro.net.link.Link` to the
-  backbone port, or the cut half
-  (:class:`~repro.net.link.HalfLinkEndpoint`) into a portal;
+  backbone port, or the cut half, a
+  :class:`~repro.net.link.LinkEndpoint` that hands its packets to a
+  portal;
 * **the state** — a ready :class:`~repro.core.federation.SiteReplica`:
-  connected to the hub in the same loop, or talking to it through a
-  :class:`~repro.core.federation.RemoteHubHandle`.
+  connected to the hub in the same loop, or with a
+  :class:`~repro.core.federation.ReplicaLink` whose hub leg is a portal.
 
 A wiring also hands in what it owns one of — per federation in one
 loop, per partition when sharded: the image catalog with its
@@ -64,7 +65,7 @@ from repro.net import Host, Link
 from repro.net.addressing import IPAllocator, IPv4Address, MACAllocator
 from repro.net.cloud import CloudHost
 from repro.net.device import NetworkInterface
-from repro.net.link import GBPS, HalfLinkEndpoint
+from repro.net.link import GBPS, LinkEndpoint
 from repro.net.openflow import FlowMatch, OpenFlowSwitch, Output
 from repro.net.packet import HTTPRequest, Packet
 from repro.ops import OPS_PORT, FlowStatsCollector, OpsApp, OpsReadModel
@@ -95,7 +96,7 @@ CONTROL_CHANNEL_LATENCY_S = 150e-6
 
 #: Puts a link on a site's trunk interface and returns it (the
 #: data-plane seam).
-TrunkWiring = _t.Callable[[NetworkInterface], Link | HalfLinkEndpoint]
+TrunkWiring = _t.Callable[[NetworkInterface], Link | LinkEndpoint]
 
 #: ``(client_ip, dst_ip, dst_port) -> source ports`` of the client's
 #: live conversations: the gNB's connection-tracking view.

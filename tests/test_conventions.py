@@ -99,10 +99,10 @@ def _imports_the_kernel(node: ast.AST) -> bool:
 
 def test_nothing_outside_the_sharded_kernel_imports_it():
     """The sharded kernel wires the program's own parts (``Site``,
-    ``Backbone``, ``HalfLinkEndpoint``); nothing it does not own may
-    reach back into it — not under ``TYPE_CHECKING``, not inside a
-    function — so that deleting ``sim/parallel/`` touches no other
-    module of the package."""
+    ``Backbone``, ``LinkEndpoint``, ``ReplicaLink``); nothing it does
+    not own may reach back into it — not under ``TYPE_CHECKING``, not
+    inside a function — so that deleting ``sim/parallel/`` touches no
+    other module of the package."""
     found = []
     for path in sorted(_ROOT.rglob("*.py")):
         module = path.relative_to(_ROOT).as_posix()

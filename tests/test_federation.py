@@ -17,11 +17,13 @@ import pytest
 from repro.cluster.base import ServiceEndpoint
 from repro.core.federation import (
     RemoteClusterView,
+    ReplicaLink,
     SharedStateHub,
     SiteController,
+    SiteReplica,
     VersionStamp,
 )
-from repro.core.state import InstanceRecord
+from repro.core.state import InstanceRecord, LinkStatsRecord
 from repro.net.addressing import IPv4Address
 from repro.services.catalog import NGINX
 from repro.sim import Environment
@@ -131,6 +133,73 @@ class TestSharedState:
         hub.connect("site0")
         with pytest.raises(ValueError):
             hub.connect("site0")
+        with pytest.raises(ValueError):
+            hub.attach("site0", lambda update: None)
+
+    def test_replicas_and_attached_legs_share_one_fan_out(self):
+        """A replica in the loop and a site attached by its leg alone
+        (the sharded wiring's portal) hear every write but their own,
+        in attach order."""
+        env, hub, a, b = self._hub(delay=0.025)
+        heard = []
+        hub.attach("far", lambda update: heard.append((env.now, update[1])))
+        a.publish_instance(_record())
+        env.run(until=0.03)
+        key = ("svc", "site0", "site0-docker")
+        assert heard == [(0.025, key)]  # the leg charges hub -> far itself
+        far = _record(site="far", cluster="far-docker")
+        hub.deliver("far", ("instance", ("svc", "far", "far-docker"), far,
+                            VersionStamp(1, "far")))
+        env.run(until=0.1)
+        assert len(heard) == 1  # no echo to the writer
+        assert far in a.instances_for("svc") and far in b.instances_for("svc")
+
+    def test_heal_drains_the_outbox_then_the_inbox_each_in_order(self):
+        legs = []
+        link = ReplicaLink(
+            "site0",
+            lambda update: legs.append(("hub", update)),
+            lambda update: legs.append(("site", update)),
+        )
+        link.down = True
+        link.send("w1")
+        link.deliver("f1")
+        link.send("w2")
+        link.deliver("f2")
+        assert legs == [] and link.outbox == ["w1", "w2"]
+        link.down = False
+        link.down = False  # healing a healed link drains nothing twice
+        assert legs == [("hub", "w1"), ("hub", "w2"), ("site", "f1"), ("site", "f2")]
+        assert (link.outbox, link.inbox, link.partitions) == ([], [], 1)
+        link.send("w3")
+        link.deliver("f3")
+        assert legs[4:] == [("hub", "w3"), ("site", "f3")]
+
+    def test_link_stats_replicate_on_their_own_clock(self):
+        """The collector's writes take the one write path but never tick
+        the data-path Lamport clock."""
+        env, hub, a, b = self._hub(delay=0.025)
+        stats = LinkStatsRecord("site0", "trunk:site0", 0.0, 1.0, 1.0, 8.0, 0.5)
+        a.publish_link_stats(stats)
+        a.publish_link_stats(stats)
+        a.publish_instance(_record())
+        assert hub.version_of("linkstats", ("site0", "trunk:site0")) is None
+        env.run(until=0.1)
+        assert b.link_stats() == [stats]
+        assert hub.version_of("linkstats", ("site0", "trunk:site0")) == (
+            VersionStamp(2, "site0")
+        )
+        assert hub.version_of("instance", ("svc", "site0", "site0-docker")) == (
+            VersionStamp(1, "site0")
+        )
+        assert not b.instance_is_stale("svc", "site0", "site0-docker")
+
+    def test_a_replica_without_a_hub_is_never_stale(self):
+        def unused(update):
+            raise AssertionError("nothing was written")
+
+        replica = SiteReplica("site0", ReplicaLink("site0", unused, unused))
+        assert not replica.instance_is_stale("svc", "site1", "site1-docker")
 
 
 class TestRemoteClusterView:

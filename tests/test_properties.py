@@ -1085,14 +1085,14 @@ def test_work_queue_wakeups_are_the_entries_they_replace(schedule):
 # ---------------------------------------------------------------------------
 
 _sites = st.sampled_from(["site0", "site1"])
+_state_writes = st.one_of(
+    st.tuples(st.sampled_from(["put_service", "remove_service"]), _ips, _ports),
+    st.tuples(st.just("put_client"), _ips, _ports, st.floats(0.0, 9.0)),
+    st.tuples(st.just("publish_instance"), _names, _sites, st.booleans()),
+    st.tuples(st.just("publish_link_stats"), _sites, _names, st.floats(0.0, 1.0)),
+)
 _state_ops = st.lists(
-    st.one_of(
-        st.tuples(st.sampled_from(["put_service", "remove_service"]), _ips, _ports),
-        st.tuples(st.just("put_client"), _ips, _ports, st.floats(0.0, 9.0)),
-        st.tuples(st.just("publish_instance"), _names, _sites, st.booleans()),
-        st.tuples(st.just("publish_link_stats"), _sites, _names, st.floats(0.0, 1.0)),
-        st.tuples(st.just("settle")),
-    ),
+    st.one_of(_state_writes, st.tuples(st.just("settle"))),
     min_size=1,
     max_size=30,
 )
@@ -1143,6 +1143,57 @@ def test_lone_replica_reads_equal_the_plain_state(ops):
         getattr(plain, op[0])(argument)
         getattr(replica, op[0])(argument)
         assert _ten_reads(replica) == _ten_reads(plain)
+
+
+def _replicated_reads(state):
+    """What replication promises to make equal: every replicated store,
+    a client by its location only (a ``last_seen`` refresh stays home)."""
+    return [
+        state.services(),
+        {ip: info.datapath_id for ip, info in state.client_map.items()},
+        [state.instances_for(name) for name in "abcd"],
+        state.link_stats(),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.one_of(
+                _state_writes,
+                st.tuples(st.just("cut_or_heal")),
+                st.tuples(st.just("settle"), st.sampled_from([0.01, 0.025, 0.06])),
+            ),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_replicas_converge_after_heal(steps):
+    """Three sites write, are cut off from the hub and healed at random
+    instants; once every link is up and the last write has landed, all
+    replicas read the same.  (Bites: a heal that forgets the inbox, or
+    an ``accept`` that stops witnessing remote clocks, so a site's later
+    write can lose to the one it overwrote.)"""
+    env = Environment()
+    hub = SharedStateHub(env, propagation_delay_s=0.025)
+    replicas = [hub.connect(f"site{i}") for i in range(3)]
+    for site, op in steps:
+        replica = replicas[site]
+        if op[0] == "cut_or_heal":
+            replica.link.down = not replica.link.down
+        elif op[0] == "settle":
+            env.run(until=env.now + op[1])
+        else:
+            getattr(replica, op[0])(_state_argument(op, env.now))
+    for replica in replicas:
+        replica.link.down = False
+    env.run(until=env.now + 1.0)
+    first, *others = [_replicated_reads(replica) for replica in replicas]
+    for reads in others:
+        assert reads == first
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,14 @@ import dataclasses
 import pytest
 
 from repro.net.addressing import IPv4Address, MACAllocator
-from repro.net.link import GBPS, HalfLinkEndpoint, Link
+from repro.net.link import GBPS, Link
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.services.catalog import template_by_key
 from repro.sim import Environment
 from repro.sim.parallel.coordinator import SerialExecutor
 from repro.sim.parallel.testbed import (
     REQUEST_TIMEOUT_S,
+    HalfLinkEndpoint,
     SitePartitionModel,
     build_replay,
     build_replay_specs,
@@ -216,7 +217,9 @@ def test_half_link_delivers_when_the_whole_link_does():
     assert sent == far.arrivals  # same packets, same order, same floats
     # The line really was busy: queued packets left later than they came.
     assert [ts for _id, ts in sent[:3]] == sorted({ts for _id, ts in sent[:3]})
-    assert not half._busy and not half._pending
+    # One heap entry per packet (beside its send and the run's stop
+    # entry), each popped at its hand-off.
+    assert env.events_processed == 2 * len(BURST) + 1 and len(env) == 0
 
 
 def test_half_link_is_its_own_link():
