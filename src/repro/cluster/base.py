@@ -10,8 +10,6 @@ from __future__ import annotations
 import abc
 import typing as _t
 
-import numpy as np
-
 from repro.cluster.plan import DeployError, DeploymentPlan, ServiceEndpoint
 from repro.sim import Environment
 
@@ -124,6 +122,11 @@ class EdgeCluster(abc.ABC):
         simulator processes O(1) events per wait instead of
         O(duration / poll interval).
 
+        A deadline wakes the wait too, and the same walk takes it to
+        the first tick at or after the deadline: whether the port opens
+        before the deadline, between it and that tick, or never, the
+        wait returns at the poll loop's instant with its answer.
+
         The plain poll loop remains only as a documented fallback: for
         the window before Create has assigned an endpoint (no port to
         subscribe to yet), and for subclasses that override
@@ -167,20 +170,7 @@ class EdgeCluster(abc.ABC):
             if deadline is None:
                 yield open_ev
             else:
-                # First grid tick at or after the deadline.  The grid is
-                # a *sequence* of float additions (tick + k * interval
-                # rounds differently), which accumulate() performs in
-                # order; it stops a few steps short and the loop, which
-                # is the definition, finishes.
-                deadline_tick = tick
-                steps = int((deadline - tick) / poll_interval_s) - 4
-                if steps > 0:
-                    grid = np.full(steps + 1, poll_interval_s)
-                    grid[0] = tick
-                    deadline_tick = float(np.add.accumulate(grid)[-1])
-                while deadline_tick < deadline:
-                    deadline_tick += poll_interval_s
-                yield open_ev | self.env.timeout_at(deadline_tick)
+                yield open_ev | self.env.timeout_at(deadline)
                 if not open_ev.triggered:
                     self.ingress_host.abandon_port_waiter(
                         endpoint.port, open_ev

@@ -11,12 +11,10 @@ time, effective download bandwidth, and per-layer protocol overhead
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
-
-import numpy as np
+import random
 
 from repro.containers.image import ImageSpec, Layer
-from repro.sim import AllOf, Environment, Resource
+from repro.sim import Environment, Resource
 
 
 class ImageNotFound(KeyError):
@@ -88,10 +86,7 @@ class Registry:
         #: Probability that one request (manifest resolution or layer
         #: fetch) fails transiently (failure-injection knob).
         self.failure_rate = failure_rate
-        self._failure_rng = np.random.default_rng(failure_seed)
-        # Manifest failures draw from their own stream so enabling them
-        # does not perturb the (seeded) layer-fetch failure sequence.
-        self._manifest_rng = np.random.default_rng((failure_seed, 2))
+        self.reseed_faults(failure_seed)
         #: Pull statistics for tests/benchmarks.
         self.stats = {
             "manifests": 0,
@@ -115,9 +110,12 @@ class Registry:
     def reseed_faults(self, seed: int) -> None:
         """Reseed both failure streams (FaultPlan determinism: the same
         plan seed reproduces the same error pattern regardless of how
-        much traffic preceded the outage)."""
-        self._failure_rng = np.random.default_rng(seed)
-        self._manifest_rng = np.random.default_rng((seed, 2))
+        much traffic preceded the outage).  Seed ``s >= 0`` seeds the
+        layer-fetch stream with ``2 * s`` and the manifest stream — its
+        own, so manifest failures do not perturb layer fetches — with
+        ``2 * s + 1``; no two seeds share a stream."""
+        self._failure_rng = random.Random(2 * seed)
+        self._manifest_rng = random.Random(2 * seed + 1)
 
     def publish(self, image: ImageSpec) -> None:
         """Make an image available for pulling."""

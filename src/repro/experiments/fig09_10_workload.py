@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments.base import ExperimentResult
 from repro.workload.bigflows import (
     BigFlowsParams,
@@ -24,9 +22,9 @@ def run_fig09_request_distribution(
         [f"{int(i * bucket_s)}-{int((i + 1) * bucket_s)}s", count]
         for i, count in enumerate(buckets)
     ]
-    counts = np.bincount(
-        [e.service_index for e in events], minlength=params.n_services
-    )
+    counts = [0] * params.n_services
+    for e in events:
+        counts[e.service_index] += 1
     from repro.metrics import render_histogram
 
     return ExperimentResult(
@@ -40,7 +38,7 @@ def run_fig09_request_distribution(
         ),
         extras={
             "events": events,
-            "per_service_counts": counts.tolist(),
+            "per_service_counts": counts,
             "total": int(sum(buckets)),
             "chart": render_histogram(
                 buckets, bucket_s, title="requests per 10 s:"

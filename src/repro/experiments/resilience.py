@@ -174,11 +174,14 @@ def run_resilience(
         paper_shape=(
             "Graceful degradation keeps availability at 100 % at every "
             "failure rate (requests fall back to the warm far edge).  "
-            "The breaker's value is in the tail and the control plane: "
+            "The breaker's value is in the median and the control plane: "
             "with it, failing deployments stop after the threshold and "
-            "p99 collapses to the far edge's serving latency; without "
+            "p50 collapses to the far edge's serving latency; without "
             "it, every punt re-enters a doomed deployment, so failed "
-            "deploys pile up and p99 carries the retry cost."
+            "deploys pile up and p50 carries the retry cost.  p99 of 40 "
+            "samples is their maximum: the first round, which waits out "
+            "the first failing deployment before any breaker can open, "
+            "so it is the same with and without one."
         ),
         extras={"cells": raw},
     )

@@ -10,14 +10,22 @@ import dataclasses
 import math
 import typing as _t
 
-import numpy as np
+
+def _quantile(ordered: _t.Sequence[float], q: float) -> float:
+    """numpy's default (``linear``) percentile ``q`` of an ascending
+    sequence, float for float."""
+    index = (len(ordered) - 1) * (q / 100)
+    lo = math.floor(index)
+    a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+    t = index - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def median(samples: _t.Sequence[float]) -> float:
     """Median of ``samples``; raises on empty input."""
     if not samples:
         raise ValueError("median of empty sample set")
-    return float(np.median(np.asarray(samples, dtype=float)))
+    return _quantile(sorted(map(float, samples)), 50)
 
 
 def percentile(samples: _t.Sequence[float], q: float) -> float:
@@ -26,7 +34,7 @@ def percentile(samples: _t.Sequence[float], q: float) -> float:
         raise ValueError("percentile of empty sample set")
     if not 0 <= q <= 100:
         raise ValueError(f"percentile q={q} outside [0, 100]")
-    return float(np.percentile(np.asarray(samples, dtype=float), q))
+    return _quantile(sorted(map(float, samples)), q)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,15 +67,17 @@ def summarize(samples: _t.Sequence[float]) -> Summary:
     """Compute a :class:`Summary` over ``samples``."""
     if not samples:
         raise ValueError("summarize of empty sample set")
-    arr = np.asarray(samples, dtype=float)
+    ordered = sorted(map(float, samples))
+    n = len(ordered)
+    mean = math.fsum(ordered) / n
     return Summary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        median=float(np.median(arr)),
-        p25=float(np.percentile(arr, 25)),
-        p75=float(np.percentile(arr, 75)),
-        p95=float(np.percentile(arr, 95)),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        stddev=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+        count=n,
+        mean=mean,
+        median=_quantile(ordered, 50),
+        p25=_quantile(ordered, 25),
+        p75=_quantile(ordered, 75),
+        p95=_quantile(ordered, 95),
+        minimum=ordered[0],
+        maximum=ordered[-1],
+        stddev=math.sqrt(math.fsum((x - mean) ** 2 for x in ordered) / (n - 1)) if n > 1 else 0.0,
     )

@@ -13,15 +13,17 @@ reproduce the published marginals the evaluation depends on:
   capture — the pcap begins with many live conversations — yielding
   fig. 10's burst of deployments (up to 8 per second early on).
 
-Generation is fully deterministic given the seed.
+Generation is fully deterministic given the seed: every draw comes
+from one ``random.Random(seed)`` — Mersenne Twister with the same
+``shuffle``, ``uniform``, ``expovariate`` and ``randrange`` on every
+CPython 3.x — so a seed names the same trace on every interpreter.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 import typing as _t
-
-import numpy as np
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,33 +67,35 @@ class BigFlowsParams:
             raise ValueError("early_fraction must be in [0, 1]")
 
 
-def _request_counts(params: BigFlowsParams, rng: np.random.Generator) -> np.ndarray:
+def _request_counts(params: BigFlowsParams, rng: random.Random) -> list[int]:
     """Heavy-tailed per-service counts, each >= the minimum, summing
     exactly to ``n_requests``."""
     base = params.min_requests_per_service
     extra_total = params.n_requests - base * params.n_services
     # Zipf-like weights over a random permutation of ranks.
-    ranks = rng.permutation(params.n_services) + 1
-    weights = 1.0 / ranks.astype(float) ** params.skew
-    weights /= weights.sum()
-    extras = np.floor(weights * extra_total).astype(int)
+    ranks = list(range(1, params.n_services + 1))
+    rng.shuffle(ranks)
+    weights = [1.0 / rank**params.skew for rank in ranks]
+    total = sum(weights)
+    weights = [w / total for w in weights]
+    extras = [int(w * extra_total) for w in weights]
     # Distribute the rounding remainder to the largest weights.
-    shortfall = extra_total - int(extras.sum())
-    order = np.argsort(weights)[::-1]
+    shortfall = extra_total - sum(extras)
+    order = sorted(range(params.n_services), key=weights.__getitem__, reverse=True)
     for i in range(shortfall):
         extras[order[i % params.n_services]] += 1
-    return base + extras
+    return [base + extra for extra in extras]
 
 
-def _start_times(params: BigFlowsParams, rng: np.random.Generator) -> np.ndarray:
+def _start_times(params: BigFlowsParams, rng: random.Random) -> list[float]:
     """First-occurrence time per service (bursty at capture start)."""
     n_early = int(round(params.early_fraction * params.n_services))
-    early = rng.uniform(0.0, params.early_window_s, size=n_early)
-    late = rng.exponential(
-        params.late_start_mean_s, size=params.n_services - n_early
-    )
-    late = np.clip(late, 0.0, params.duration_s * 0.9)
-    return np.concatenate([early, late])
+    early = [rng.uniform(0.0, params.early_window_s) for _ in range(n_early)]
+    late = [
+        min(rng.expovariate(1 / params.late_start_mean_s), params.duration_s * 0.9)
+        for _ in range(params.n_services - n_early)
+    ]
+    return early + late
 
 
 def generate_trace(
@@ -99,24 +103,24 @@ def generate_trace(
 ) -> list[RequestEvent]:
     """Generate the full request trace, sorted by time."""
     params = params or BigFlowsParams()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
     counts = _request_counts(params, rng)
     starts = _start_times(params, rng)
 
     events: list[RequestEvent] = []
-    for service_index in range(params.n_services):
-        count = int(counts[service_index])
-        start = float(starts[service_index])
+    for service_index, (count, start) in enumerate(zip(counts, starts)):
         span = max(params.duration_s - start, 1.0)
         # First request at the service's start; the rest spread as a
         # Poisson process over the remaining capture.
-        gaps = rng.exponential(span / max(count - 1, 1), size=count - 1)
-        times = start + np.concatenate([[0.0], np.cumsum(gaps)])
-        times = np.clip(times, 0.0, params.duration_s - 1e-6)
-        for t in times:
-            client = int(rng.integers(0, params.n_clients))
-            events.append(RequestEvent(float(t), service_index, client))
+        rate = 1 / (span / max(count - 1, 1))
+        offsets = [0.0]
+        for _ in range(count - 1):
+            offsets.append(offsets[-1] + rng.expovariate(rate))
+        for offset in offsets:
+            t = min(start + offset, params.duration_s - 1e-6)
+            client = rng.randrange(params.n_clients)
+            events.append(RequestEvent(t, service_index, client))
 
     events.sort(key=lambda e: (e.time_s, e.service_index))
     return events

@@ -11,12 +11,12 @@ import typing as _t
 
 _PLAIN_SAFE = re.compile(r"^[A-Za-z_][A-Za-z0-9_./-]*$")
 
-#: Strings that would be re-parsed as a non-string scalar and therefore
-#: must be quoted on output.
+#: Strings that would be re-parsed as a non-string scalar, or as a
+#: document marker, and therefore must be quoted on output.
 _AMBIGUOUS = {
     "true", "True", "TRUE", "false", "False", "FALSE",
     "yes", "Yes", "no", "No", "on", "On", "off", "Off",
-    "null", "Null", "NULL", "~", "",
+    "null", "Null", "NULL", "~", "", "---", "...",
 }
 
 _NUMERIC_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")

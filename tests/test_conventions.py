@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import repro
 
@@ -112,3 +115,24 @@ def test_nothing_outside_the_sharded_kernel_imports_it():
             if _imports_the_kernel(node):
                 found.append(f"{module}:{node.lineno}")
     assert found == []
+
+
+def test_the_program_runs_on_the_standard_library_alone():
+    """``src/`` has no runtime dependency: every random stream is a
+    seeded ``random.Random``, the same on every CPython 3.x, so a seed
+    names the same run on every interpreter with nothing installed.
+    ``-S`` keeps site-packages off the path, so a third-party import
+    fails here rather than loading."""
+    probe = (
+        "import sys, repro.testbed, repro.workload, repro.experiments, repro.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules}"
+        " - set(sys.stdlib_module_names) - {'repro', '__main__'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(_ROOT.parent)},
+    )
+    assert out.stdout.strip() == "[]"

@@ -664,7 +664,8 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {'docker': []},
         'counters': {'deploy_failures/docker': 1},
-        'events': 130,
+        # The wait wakes at its deadline, then at the grid tick after it.
+        'events': 131,
         'flows': [],
     },
     'a background deploy repoints': {

@@ -22,6 +22,11 @@ class TestStats:
     def test_median_odd_even(self):
         assert median([3.0, 1.0, 2.0]) == 2.0
         assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
+        assert median([7.0]) == 7.0
+        # Even n: the mean of the middle pair, also when it is a tie.
+        assert median([4.0, 1.0, 3.0, 2.0, 6.0, 5.0]) == 3.5
+        assert median([3.0, 1.0, 3.0, 1.0]) == 2.0
+        assert median([2.0, 1.0, 2.0, 9.0, 2.0]) == 2.0
 
     def test_median_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -32,6 +37,23 @@ class TestStats:
         assert percentile(xs, 0) == 0.0
         assert percentile(xs, 100) == 100.0
         assert percentile(xs, 50) == 50.0
+        assert percentile(xs, 25) == 25.0 and percentile(xs, 95) == 95.0
+
+    def test_percentile_interpolates_linearly(self):
+        # Index (n - 1) * q / 100 into the sorted samples, then linear
+        # interpolation between its neighbours (numpy's default).
+        assert [percentile([5.0], q) for q in (0, 25, 95, 100)] == [5.0] * 4
+        xs = [4.0, 1.0, 3.0, 2.0]  # index 0.75 at q=25, 2.85 at q=95
+        assert percentile(xs, 0) == 1.0
+        assert percentile(xs, 25) == 1.75
+        assert percentile(xs, 95) == pytest.approx(3.85, rel=1e-15)
+        assert percentile(xs, 100) == 4.0
+        ties = [2.0, 9.0, 2.0, 1.0, 2.0]  # index 1 at q=25, 3.8 at q=95
+        assert percentile(ties, 0) == 1.0
+        assert percentile(ties, 25) == 2.0
+        assert percentile(ties, 95) == pytest.approx(2.0 + 7 * 0.8, rel=1e-15)
+        assert percentile(ties, 100) == 9.0
+        assert percentile([1.0, 1.0, 3.0, 3.0], 25) == 1.0
         with pytest.raises(ValueError):
             percentile(xs, 101)
         with pytest.raises(ValueError):
@@ -43,12 +65,24 @@ class TestStats:
         assert s.mean == 2.5
         assert s.median == 2.5
         assert s.minimum == 1.0 and s.maximum == 4.0
-        assert s.stddev > 0
+        assert s.p25 == 1.75 and s.p75 == 3.25
+        assert s.p95 == pytest.approx(3.85, rel=1e-15)
+        # Sample standard deviation (n - 1): sqrt((2.25 + 0.25) * 2 / 3).
+        assert s.stddev == pytest.approx((5 / 3) ** 0.5, rel=1e-15)
+
+    def test_summary_with_ties(self):
+        s = summarize([2.0, 9.0, 2.0, 1.0, 2.0])
+        assert (s.count, s.minimum, s.maximum) == (5, 1.0, 9.0)
+        assert s.mean == pytest.approx(3.2, rel=1e-15)
+        assert s.median == s.p25 == s.p75 == 2.0
+        assert s.p95 == pytest.approx(7.6, rel=1e-15)
+        # Squared deviations from 3.2: 3 * 1.44 + 4.84 + 33.64 = 42.8.
+        assert s.stddev == pytest.approx((42.8 / 4) ** 0.5, rel=1e-15)
 
     def test_summary_single_sample(self):
         s = summarize([5.0])
         assert s.stddev == 0.0
-        assert s.median == 5.0
+        assert s.median == s.p25 == s.p75 == s.p95 == s.mean == 5.0
 
     def test_summary_str_readable(self):
         text = str(summarize([0.1, 0.2, 0.3]))

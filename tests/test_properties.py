@@ -1211,7 +1211,7 @@ def test_wait_ready_gives_up_on_the_poll_loops_tick(start, timeout_s, interval):
     """A wait on a port that never opens gives up at the very instant
     (bit for bit) at which the literal poll loop does — the first tick
     of ``start + interval + interval + ...`` at or after the deadline —
-    although it computes that tick without walking the grid."""
+    although it sleeps through the grid until the deadline wakes it."""
     import types
 
     from repro.cluster.base import EdgeCluster

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import yamlite
@@ -280,5 +280,7 @@ _trees = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(_trees)
+@example(tree="...")  # a bare document-end marker, read back as no document
+@example(tree={"a": "..."})
 def test_dump_load_round_trip_property(tree):
     assert yamlite.load(yamlite.dump(tree)) == tree
