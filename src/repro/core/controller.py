@@ -419,7 +419,6 @@ class EdgeController(SDNApp):
             [ToController()],
             priority=PRIORITY_INTERCEPT,
             cookie=f"intercept:{service.name}",
-            notify_removal=False,
         )
 
     # -- datapath lifecycle ----------------------------------------------------
@@ -433,7 +432,6 @@ class EdgeController(SDNApp):
                 [Output(cloud_port)],
                 priority=PRIORITY_DEFAULT,
                 cookie="default:cloud",
-                notify_removal=False,
             )
         for ip, port in self.topology.hosts(dpid).items():
             datapath.add_flow(
@@ -441,7 +439,6 @@ class EdgeController(SDNApp):
                 [Output(port)],
                 priority=PRIORITY_INFRA,
                 cookie=f"infra:{ip}",
-                notify_removal=False,
             )
         for service in self.registry.all():
             self._install_intercept(datapath, service)
@@ -620,7 +617,6 @@ class EdgeController(SDNApp):
                 [Output(port)],
                 priority=PRIORITY_INFRA,
                 cookie=f"infra:{ip}",
-                notify_removal=False,
             )
 
     def update_client_location(

@@ -11,7 +11,12 @@ measurement observes:
   — the reason the paper's controller polls the service port before
   installing flows;
 * requests and responses travel as payload bursts whose serialization
-  time reflects their size.
+  time reflects their size;
+* a one-shot exchange (:meth:`Host.http_request`) ends with FIN riding
+  on its two payload segments — the client half-closes with the
+  request, the server answers with FIN on the response and frees its
+  half — so no extra segment is modelled and no server-side state
+  outlives the request.
 
 ``time_total`` = connect + request transfer + server handling +
 response transfer, matching Curl's definition used in the paper.
@@ -44,9 +49,11 @@ EPHEMERAL_BASE = 32768
 # measurable at one ``receive()`` per packet — the demux below tests
 # raw ints instead.
 _PSH_ACK = TCPFlags.PSH | TCPFlags.ACK
+_PSH_ACK_FIN = _PSH_ACK | TCPFlags.FIN
 _SYN_ACK = TCPFlags.SYN | TCPFlags.ACK
 _RST_BIT = TCPFlags.RST.value
 _SYN_BIT = TCPFlags.SYN.value
+_FIN_BIT = TCPFlags.FIN.value
 _SYN_ACK_BITS = _SYN_ACK.value
 
 # L2 resolution is not modelled (see DESIGN.md §2): every packet is
@@ -165,8 +172,14 @@ class Connection:
         if reader is not None:
             reader.succeed(reset)
 
-    def send_payload(self, payload: _t.Any, payload_bytes: int) -> None:
-        """Transmit an application payload burst to the peer."""
+    def send_payload(self, payload: _t.Any, payload_bytes: int, fin: bool = False) -> None:
+        """Transmit an application payload burst to the peer.
+
+        ``fin`` sets the segment's FIN bit: the last data this side
+        sends.  A server answers a request sent with it with FIN and
+        frees its half (a one-shot exchange); without it the connection
+        stays open for the next request (keep-alive).
+        """
         if not self.established:
             raise ConnectionReset(f"connection {self.conn_id} is closed")
         self.host._send_segment(
@@ -174,7 +187,7 @@ class Connection:
             TCPSegment(
                 src_port=self.local_port,
                 dst_port=self.remote_port,
-                flags=_PSH_ACK,
+                flags=_PSH_ACK_FIN if fin else _PSH_ACK,
                 payload_bytes=payload_bytes,
                 payload=payload,
                 conn_id=self.conn_id,
@@ -211,7 +224,11 @@ class Connection:
         return item
 
     def close(self) -> None:
-        """Tear down this endpoint (no FIN exchange is modelled)."""
+        """Tear down this endpoint.  Sends nothing: a one-shot exchange
+        already carried its FIN on its payload segments
+        (:meth:`send_payload`), and the close of a keep-alive
+        connection is not modelled on the wire — its peer's half stays
+        until that host crashes."""
         self.established = False
         self.host._connections.pop(self.conn_id, None)
 
@@ -448,7 +465,7 @@ class Host(NetDevice):
         conn = yield from self.connect(dst_ip, dst_port, timeout=timeout)
         time_connect = self.env.now - start
         try:
-            conn.send_payload(request, request.total_bytes)
+            conn.send_payload(request, request.total_bytes, fin=True)
             remaining = None
             if timeout is not None:
                 remaining = max(0.0, timeout - (self.env.now - start))
@@ -519,7 +536,7 @@ class Host(NetDevice):
         conn.last_seen_remote_ip = packet.ip_src
         if seg.payload is not None:
             if isinstance(seg.payload, HTTPRequest):
-                self._serve_request(conn, seg.payload)
+                self._serve_request(conn, seg.payload, bool(flag_bits & _FIN_BIT))
             else:
                 reader = conn._offer(seg.payload)
                 if reader is not None:
@@ -564,7 +581,7 @@ class Host(NetDevice):
             src_ip=conn.local_ip,
         )
 
-    def _serve_request(self, conn: Connection, request: HTTPRequest) -> None:
+    def _serve_request(self, conn: Connection, request: HTTPRequest, fin: bool) -> None:
         listener = self._listener_for(conn.local_ip, conn.local_port)
         if listener is None:
             # Port closed between handshake and request.
@@ -578,18 +595,22 @@ class Host(NetDevice):
                 ),
                 src_ip=conn.local_ip,
             )
+            if fin:
+                conn.close()
             return
         # Hot start (and no per-request name string): the handler's
         # first segment runs synchronously here — where the old start
         # event would have run it within the same timestep anyway —
         # saving a heap entry per served request; nobody waits on the
         # handler, so its end costs none either.
-        self.env.spawn(self._run_handler(listener.app, conn, request), hot=True)
+        self.env.spawn(self._run_handler(listener.app, conn, request, fin), hot=True)
 
-    def _run_handler(self, app: "Application", conn: Connection, request: HTTPRequest):
+    def _run_handler(self, app: "Application", conn: Connection, request: HTTPRequest, fin: bool):
         response = yield from app.handle(request)
         if conn.established:
-            conn.send_payload(response, response.total_bytes)
+            conn.send_payload(response, response.total_bytes, fin=fin)
+            if fin:
+                conn.close()
 
     # -- low level ------------------------------------------------------------------
 

@@ -45,7 +45,7 @@ class FlowMod:
     idle_timeout: float = 0.0
     hard_timeout: float = 0.0
     cookie: _t.Any = None
-    notify_removal: bool = True
+    notify_removal: bool = False  #: OpenFlow's OFPFF_SEND_FLOW_REM: FlowRemoved only if set
     #: If set on an "add", the buffered packet is run through the new
     #: entry's actions immediately after installation.
     buffer_id: int | None = None

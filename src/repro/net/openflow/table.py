@@ -65,7 +65,8 @@ class FlowEntry:
     ``idle_timeout`` / ``hard_timeout`` of 0 mean "never expires", as
     in OpenFlow.  The paper's design keeps switch idle timeouts *low*
     (the controller's FlowMemory re-installs known flows quickly) so
-    the table stays small.
+    the table stays small.  ``notify_removal`` is OpenFlow's
+    ``OFPFF_SEND_FLOW_REM``: a FlowRemoved is sent only if it is set.
     """
 
     __slots__ = (
@@ -91,7 +92,7 @@ class FlowEntry:
         idle_timeout: float = 0.0,
         hard_timeout: float = 0.0,
         cookie: _t.Any = None,
-        notify_removal: bool = True,
+        notify_removal: bool = False,
     ) -> None:
         if idle_timeout < 0 or hard_timeout < 0:
             raise ValueError("timeouts must be >= 0")

@@ -39,9 +39,10 @@ class Datapath:
         hard_timeout: float = 0.0,
         cookie: _t.Any = None,
         buffer_id: int | None = None,
-        notify_removal: bool = True,
+        notify_removal: bool = False,
     ) -> None:
-        """Install a flow entry (optionally releasing a buffered packet)."""
+        """Install a flow entry (optionally releasing a buffered packet); only with
+        ``notify_removal`` (OFPFF_SEND_FLOW_REM) does its removal send a FlowRemoved."""
         self.channel.send_to_switch(
             FlowMod(
                 command="add",

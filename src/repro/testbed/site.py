@@ -485,7 +485,6 @@ class BackboneApp(SDNApp):
                 [Output(cloud_port)],
                 priority=PRIORITY_DEFAULT,
                 cookie="default:cloud",
-                notify_removal=False,
             )
         for ip, port in self.topology.hosts(datapath.id).items():
             self._route(datapath, ip, port)
@@ -497,7 +496,6 @@ class BackboneApp(SDNApp):
             [Output(port)],
             priority=PRIORITY_INFRA,
             cookie=f"infra:{ip}",
-            notify_removal=False,
         )
 
     def install_host_route(self, ip: IPv4Address) -> None:

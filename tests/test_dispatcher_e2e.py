@@ -689,7 +689,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 40,
+        'events': 38,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'a background failure marks the service degraded': {
@@ -728,7 +728,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 64,
+        'events': 63,
     },
     'idle scale-down over two clusters': {
         "log": [

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net import ConnectionRefused, ConnectionTimeout, HTTPRequest
 from repro.net.host import ConnectionReset
-from repro.net.packet import HTTPResponse
+from repro.net.packet import HTTPResponse, TCPFlags
 from repro.sim import Environment
 
 from tests.nethelpers import EchoApp, MiniNet, run_request
@@ -124,6 +124,44 @@ class TestConnectionEdgeCases:
             (True, "blocked", "a crashed"),
             (True, "queued", "a crashed"),
         ]
+
+    def test_one_shot_request_frees_both_halves(self):
+        """``http_request`` half-closes with its request (FIN); the server
+        answers with FIN and frees its half.  A request sent without FIN
+        (keep-alive) leaves the connection open at both ends."""
+        env, a, b = self._pair()
+        b.open_port(80, EchoApp(env))
+        flags = []
+        receive = a.receive
+        a.receive = lambda p, i: (flags.append(p.tcp.flags), receive(p, i))
+        assert run_request(env, a, b.ip, 80).response.status == 200
+        assert flags[-1] & TCPFlags.FIN  # the response
+        assert a._connections == b._connections == {}
+
+        def keep_alive(env):
+            conn = yield from a.connect(b.ip, 80)
+            conn.send_payload(HTTPRequest("GET", "/"), 200)
+            yield from conn.recv(timeout=2.0)
+            return conn
+
+        conn = env.run(until=env.process(keep_alive(env)))
+        assert not flags[-1] & TCPFlags.FIN
+        assert list(a._connections) == list(b._connections) == [conn.conn_id]
+
+    def test_half_closed_request_to_a_closed_port_frees_the_server_half(self):
+        env, a, b = self._pair()
+        b.open_port(80, EchoApp(env))
+
+        def go(env):
+            conn = yield from a.connect(b.ip, 80)
+            b.close_port(80)
+            conn.send_payload(HTTPRequest("GET", "/"), 200, fin=True)
+            with pytest.raises(ConnectionReset):
+                yield from conn.recv(timeout=2.0)
+            return True
+
+        assert env.run(until=env.process(go(env))) is True
+        assert b._connections == {}
 
     def test_many_sequential_requests_reuse_ports_safely(self):
         env, a, b = self._pair()

@@ -353,6 +353,7 @@ class TestSwitchDataPlane:
                 [Drop()],
                 idle_timeout=1.0,
                 cookie="test-cookie",
+                notify_removal=True,
             ),
             0.0,
         )
@@ -366,13 +367,28 @@ class TestSwitchDataPlane:
         env, net, client, server, sw, cport, sport = self._topo()
         app = _RecordingApp(env)
         dp = app.attach(sw)
-        dp.add_flow(FlowMatch(tcp_dst=80), [Drop()], cookie="doomed")
+        dp.add_flow(FlowMatch(tcp_dst=80), [Drop()], cookie="doomed", notify_removal=True)
         env.run(until=0.1)
         assert len(sw.table) == 1
         dp.delete_flows(cookie="doomed")
         env.run(until=0.2)
         assert len(sw.table) == 0
         assert [m.reason for m in app.flow_removed] == [REASON_DELETE]
+
+    def test_entries_that_did_not_opt_in_go_silently(self):
+        """Without ``notify_removal`` (OFPFF_SEND_FLOW_REM) neither an
+        idle-out nor a delete sends anything up the channel."""
+        env, net, client, server, sw, cport, sport = self._topo()
+        app = _RecordingApp(env)
+        dp = app.attach(sw)
+        dp.add_flow(FlowMatch(tcp_dst=80), [Drop()], idle_timeout=1.0, cookie="idle")
+        dp.add_flow(FlowMatch(tcp_dst=81), [Drop()], cookie="doomed")
+        env.run(until=0.1)
+        assert len(sw.table) == 2
+        dp.delete_flows(cookie="doomed")
+        env.run(until=3.0)
+        assert len(sw.table) == 0
+        assert app.flow_removed == []
 
     def test_barrier_round_trip(self):
         env, net, client, server, sw, cport, sport = self._topo()

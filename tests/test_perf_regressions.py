@@ -12,7 +12,9 @@ Three contracts the optimisations must not bend:
 
 And budgets in exact counts, no host time: kernel events per warm
 request and per Kubernetes first request, Kubernetes-model calls per
-deployment, cancelled guards left on the deadline side heap.
+deployment, cancelled guards left on the deadline side heap, messages
+up the control channel per redirect idle-out, server-side connections
+left after a replay.
 """
 
 from __future__ import annotations
@@ -190,6 +192,7 @@ def _apply_script(env: Environment, table: FlowTable, script) -> None:
                 idle_timeout=idle,
                 hard_timeout=hard,
                 cookie=f"e{i}",
+                notify_removal=True,
             )
             table.install(entry, env.now)
             for t_touch in touches:
@@ -283,6 +286,20 @@ def test_cancelled_request_guards_do_not_pile_up():
     assert tb.env._deadlines_cancelled == len(heap)
 
 
+def test_one_shot_requests_leave_no_server_side_connections():
+    """A replayed request is one-shot: it half-closes with its request
+    segment (FIN), the server answers with FIN and frees its half, and
+    the client frees its own.  What is left in the edge and cloud hosts'
+    connection tables is nothing — not one server-side ``Connection``
+    per request (900 here when only the client freed its half)."""
+    from repro.workload import BigFlowsParams
+    from tests.replayhelpers import replay
+
+    tb, summary = replay(params=BigFlowsParams(n_requests=900, duration_s=20.0))
+    assert summary.n_ok == 900
+    assert len(tb.egs._connections) + len(tb.cloud._connections) == 0
+
+
 # ---------------------------------------------------------------------------
 # (d) a warm request's kernel events, exactly
 # ---------------------------------------------------------------------------
@@ -368,6 +385,25 @@ def test_flow_memory_miss_event_budget(monkeypatch):
     assert names.count("Timeout") == 2  # handler delay, service time
     assert names.count("Process") == 1
     assert names.count("_Initialize") == 0
+
+
+def test_redirect_idle_out_costs_one_up_channel_message(monkeypatch):
+    """A redirect that idles out on the switch and is reinstalled from
+    FlowMemory costs the control channel one message up (``_deliver_up``):
+    the packet-in.  Neither of its entries asked for a FlowRemoved
+    (OpenFlow's OFPFF_SEND_FLOW_REM), so their idle-outs send nothing —
+    3 messages when every entry reported its removal."""
+    tb, popped, service = _warm_docker_testbed(monkeypatch)
+    client = tb.clients[0]
+    cookie = f"redirect:{service.name}:{client.ip}"
+    assert sum(entry.cookie == cookie for entry in tb.switch.table) == 2
+    tb.settle(tb.controller.calibration.switch_idle_timeout_s + 1.0)
+    assert not any(entry.cookie == cookie for entry in tb.switch.table)
+
+    hits = tb.controller.stats["memory_hits"]
+    assert tb.run_request(client, service).response.ok
+    assert tb.controller.stats["memory_hits"] == hits + 1
+    assert _popped_names(popped).count("_deliver_up") == 1
 
 
 def _k8s_first_request(monkeypatch):
