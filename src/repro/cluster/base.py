@@ -97,8 +97,8 @@ class EdgeCluster(abc.ABC):
         return ep is not None and self.ingress_host.port_is_open(ep.port)
 
     @abc.abstractmethod
-    def running_count(self) -> int:
-        """Number of distinct services currently running here."""
+    def running_services(self) -> set[str]:
+        """Names of the services currently running here."""
 
     # -- readiness ---------------------------------------------------------------
 

@@ -25,6 +25,9 @@ from repro.sim import Environment
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.host import Host
 
+#: First host port a service's container is published on.
+HOST_PORT_BASE = 20000
+
 
 class DockerCluster(PhasedCluster, EdgeCluster):
     """Edge cluster backed by one Docker engine."""
@@ -38,12 +41,11 @@ class DockerCluster(PhasedCluster, EdgeCluster):
         image_registry: Registry,
         distance: int = 0,
         capacity: int | None = None,
-        host_port_base: int = 20000,
     ) -> None:
         super().__init__(env, name, host, distance, capacity)
         self.engine = engine
         self.image_registry = image_registry
-        self._init_ports(host_port_base)
+        self._init_ports(HOST_PORT_BASE)
         self._containers: dict[str, list[Container]] = {}
 
     # -- runtime steps (driver hooks) --------------------------------------
@@ -95,12 +97,12 @@ class DockerCluster(PhasedCluster, EdgeCluster):
     def is_created(self, plan: DeploymentPlan) -> bool:
         return plan.service_name in self._containers
 
-    def running_count(self) -> int:
-        count = 0
-        for containers in self._containers.values():
-            if any(c.state is ContainerState.RUNNING for c in containers):
-                count += 1
-        return count
+    def running_services(self) -> set[str]:
+        return {
+            name
+            for name, containers in self._containers.items()
+            if any(c.state is ContainerState.RUNNING for c in containers)
+        }
 
     # -- helpers ------------------------------------------------------------------
 

@@ -34,6 +34,13 @@ from repro.k8s.objects import (
 )
 from repro.sim import Environment
 
+#: First NodePort handed out.
+NODE_PORT_BASE = 30000
+#: Client-side cost of submitting the manifests (validation,
+#: defaulting, server-side admission) — makes Create visible in fig. 12
+#: as the paper's ~100 ms.
+CREATE_OVERHEAD_S = 0.070
+
 
 class K8sEdgeCluster(PhasedCluster, EdgeCluster):
     """Edge cluster backed by a (simulated) Kubernetes cluster."""
@@ -46,9 +53,7 @@ class K8sEdgeCluster(PhasedCluster, EdgeCluster):
         node_name: str,
         distance: int = 0,
         capacity: int | None = None,
-        node_port_base: int = 30000,
         local_scheduler: str | None = None,
-        create_overhead_s: float = 0.070,
     ) -> None:
         kubelet = cluster.kubelets[node_name]
         super().__init__(env, name, kubelet.node_host, distance, capacity)
@@ -56,11 +61,7 @@ class K8sEdgeCluster(PhasedCluster, EdgeCluster):
         self.node_name = node_name
         self.client = KubernetesClient(cluster.api)
         self.local_scheduler = local_scheduler
-        #: Client-side cost of submitting the manifests (validation,
-        #: defaulting, server-side admission) — makes Create visible in
-        #: fig. 12 as the paper's ~100 ms.
-        self.create_overhead_s = create_overhead_s
-        self._init_ports(node_port_base)
+        self._init_ports(NODE_PORT_BASE)
         self._runtime = kubelet.runtime
 
     # -- runtime steps (driver hooks) --------------------------------------
@@ -73,7 +74,7 @@ class K8sEdgeCluster(PhasedCluster, EdgeCluster):
     def _create_instance(self, plan: DeploymentPlan, port: int):
         deployment = self.build_deployment(plan)
         service = self.build_service(plan, port)
-        yield self.env.timeout(self.create_overhead_s)
+        yield self.env.timeout(CREATE_OVERHEAD_S)
         yield from self.client.create_deployment(deployment)
         yield from self.client.create_service(service)
 
@@ -109,12 +110,12 @@ class K8sEdgeCluster(PhasedCluster, EdgeCluster):
             != []
         )
 
-    def running_count(self) -> int:
-        services = set()
-        for pod in self.cluster.api.list_nowait("Pod", namespace=None):
-            if pod.status.ready and "edge.service" in pod.metadata.labels:
-                services.add(pod.metadata.labels["edge.service"])
-        return len(services)
+    def running_services(self) -> set[str]:
+        return {
+            pod.metadata.labels["edge.service"]
+            for pod in self.cluster.api.list_nowait("Pod", namespace=None)
+            if pod.status.ready and "edge.service" in pod.metadata.labels
+        }
 
     # -- manifest construction (automatic annotation, §V) ---------------------------
 

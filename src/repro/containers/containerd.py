@@ -69,9 +69,9 @@ class RuntimeProfile:
     remove_s: float = 0.030
     #: Concurrent start operations the node sustains (cores-bound).
     start_concurrency: int = 8
-    #: Retries per layer on transient registry failures.
+    #: Retries per manifest or layer request on transient registry failures.
     pull_retries: int = 3
-    #: Backoff before a layer retry (doubles per attempt).
+    #: Backoff before a retry (doubles per attempt).
     pull_retry_backoff_s: float = 0.2
 
     def __post_init__(self) -> None:
@@ -156,13 +156,12 @@ class Containerd:
         self,
         env: Environment,
         node: "Host",
-        image_store: ImageStore | None = None,
         profile: RuntimeProfile | None = None,
         disk_limit_bytes: int | None = None,
     ) -> None:
         self.env = env
         self.node = node
-        self.images = image_store if image_store is not None else ImageStore()
+        self.images = ImageStore()
         self.profile = profile if profile is not None else RuntimeProfile()
         self.containers: dict[str, Container] = {}
         #: Disk-pressure threshold for the image GC (None: unlimited).
@@ -192,21 +191,10 @@ class Containerd:
         if self.images.has_image(image.reference):
             return PullResult(image.reference, 0.0, 0, 0, cache_hit=True)
 
-        attempt = 0
-        while True:
-            try:
-                manifest = yield from registry.manifest(image.reference)
-                break
-            except RegistryUnavailable as exc:
-                attempt += 1
-                if attempt > self.profile.pull_retries:
-                    raise PullError(
-                        f"manifest for {image.reference} unavailable after "
-                        f"{self.profile.pull_retries} retries: {exc}"
-                    ) from exc
-                yield self.env.timeout(
-                    self.profile.pull_retry_backoff_s * 2 ** (attempt - 1)
-                )
+        manifest = yield from self._retrying(
+            lambda: registry.manifest(image.reference),
+            f"manifest for {image.reference} unavailable",
+        )
         missing = self.images.missing_layers(manifest)
         fetches = [
             self.env.process(
@@ -229,24 +217,30 @@ class Containerd:
         )
 
     def _fetch_and_store(self, layer, registry: Registry):
-        """Fetch one layer, retrying transient registry failures with
-        exponential backoff (as containerd's fetcher does)."""
+        """Fetch one layer and store it."""
+        yield from self._retrying(
+            lambda: registry.fetch_layer(layer), f"giving up on {layer.digest}"
+        )
+        self.images.add_layer(layer)
+
+    def _retrying(self, request: _t.Callable[[], _t.Generator], failure: str):
+        """Run ``request()``, retrying transient registry failures with
+        exponential backoff (as containerd's fetcher does); generator
+        returning its result.  ``failure`` opens the :class:`PullError`
+        raised once the retries are spent."""
         attempt = 0
         while True:
             try:
-                yield from registry.fetch_layer(layer)
-                break
+                return (yield from request())
             except RegistryUnavailable as exc:
                 attempt += 1
                 if attempt > self.profile.pull_retries:
                     raise PullError(
-                        f"giving up on {layer.digest} after "
-                        f"{self.profile.pull_retries} retries: {exc}"
+                        f"{failure} after {self.profile.pull_retries} retries: {exc}"
                     ) from exc
                 yield self.env.timeout(
                     self.profile.pull_retry_backoff_s * 2 ** (attempt - 1)
                 )
-        self.images.add_layer(layer)
 
     # -- create phase -------------------------------------------------------
 

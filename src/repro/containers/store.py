@@ -8,8 +8,6 @@ layers may be used by other images").
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.containers.image import ImageSpec, Layer
 
 

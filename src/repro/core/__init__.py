@@ -31,7 +31,7 @@ from repro.core.schedulers import (
     load_scheduler,
 )
 from repro.core.dispatcher import DeploymentOutcome, Dispatcher
-from repro.core.controller import EdgeController, SwitchTopology
+from repro.core.controller import EdgeController, ForwardingApp, SwitchTopology
 
 __all__ = [
     "AnnotationError",
@@ -45,6 +45,7 @@ __all__ = [
     "EdgeController",
     "EdgeService",
     "FlowMemory",
+    "ForwardingApp",
     "GlobalScheduler",
     "HybridDockerK8sScheduler",
     "LowLatencyScheduler",

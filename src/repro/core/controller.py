@@ -25,7 +25,7 @@ from repro.core.service_registry import EdgeService, ServiceRegistry
 from repro.core.state import ControlPlaneState, InstanceRecord
 from repro.metrics import MetricsRecorder
 from repro.net.addressing import IPv4Address
-from repro.net.openflow import FlowMatch, Output, PacketIn, SetField
+from repro.net.openflow import FlowMatch, Output, PacketIn, SetField, ToController
 from repro.sdnfw import Datapath, SDNApp
 from repro.services.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.sim import Environment
@@ -66,6 +66,52 @@ class SwitchTopology:
 
     def hosts(self, datapath_id: int) -> dict[IPv4Address, int]:
         return dict(self._host_ports.get(datapath_id, {}))
+
+
+class ForwardingApp(SDNApp):
+    """Infrastructure forwarding from a :class:`SwitchTopology`: a
+    default route to the cloud plus one route per host.
+
+    The backbone switch runs it as is — no interception, transparency
+    is a site-switch concern — and :class:`EdgeController` extends it
+    with the service intercepts, so the forwarding policy (priorities,
+    cookies, delete-then-add on handover) is written once.
+    """
+
+    def __init__(self, env: Environment, topology: SwitchTopology, name: str) -> None:
+        super().__init__(env, name=name)
+        self.topology = topology
+
+    def on_datapath_join(self, datapath: Datapath) -> None:
+        cloud_port = self.topology.cloud_port(datapath.id)
+        if cloud_port is not None:
+            datapath.add_flow(
+                FlowMatch(),
+                [Output(cloud_port)],
+                priority=PRIORITY_DEFAULT,
+                cookie="default:cloud",
+            )
+        for ip, port in self.topology.hosts(datapath.id).items():
+            self._route(datapath, ip, port)
+
+    def install_host_routes(self, ip: IPv4Address) -> None:
+        """(Re)install the infrastructure forwarding rules for one host
+        on every attached switch, from the current topology."""
+        for datapath in self.datapaths.values():
+            port = self.topology.port_for(datapath.id, ip)
+            if port is None:
+                continue
+            datapath.delete_flows(f"infra:{ip}")
+            self._route(datapath, ip, port)
+
+    @staticmethod
+    def _route(datapath: Datapath, ip: IPv4Address, port: int) -> None:
+        datapath.add_flow(
+            FlowMatch(ip_dst=ip),
+            [Output(port)],
+            priority=PRIORITY_INFRA,
+            cookie=f"infra:{ip}",
+        )
 
 
 class Redirect:
@@ -220,7 +266,7 @@ class Redirect:
         )
 
 
-class EdgeController(SDNApp):
+class EdgeController(ForwardingApp):
     """The transparent-edge SDN controller with on-demand deployment."""
 
     def __init__(
@@ -238,10 +284,9 @@ class EdgeController(SDNApp):
         site: str = "local",
         name: str = "edge-controller",
     ) -> None:
-        super().__init__(env, name=name)
+        super().__init__(env, topology, name=name)
         self.registry = registry
         self.clusters = list(clusters)
-        self.topology = topology
         self.calibration = calibration
         #: Scale idle services down when their last memorized flow expires.
         self.auto_scale_down = auto_scale_down
@@ -315,11 +360,10 @@ class EdgeController(SDNApp):
 
     def enable_proactive(
         self,
-        predictor=None,
         check_interval_s: float = 5.0,
         lead_time_s: float = 10.0,
     ):
-        """Attach a request predictor and start the proactive deployer.
+        """Attach an EWMA request predictor and start the proactive deployer.
 
         The predictor hears of cold arrivals from packet-ins and of
         *warm* traffic (which never produces one) from the testbed's
@@ -329,7 +373,7 @@ class EdgeController(SDNApp):
         """
         from repro.core.predictor import EWMAPredictor, ProactiveDeployer
 
-        self.predictor = predictor if predictor is not None else EWMAPredictor()
+        self.predictor = EWMAPredictor()
         self.proactive_deployer = ProactiveDeployer(
             self.env,
             self.dispatcher,
@@ -412,8 +456,6 @@ class EdgeController(SDNApp):
         yield from cluster.remove(service.plan)
 
     def _install_intercept(self, datapath: Datapath, service: EdgeService) -> None:
-        from repro.net.openflow.actions import ToController
-
         datapath.add_flow(
             FlowMatch(ip_dst=service.cloud_ip, tcp_dst=service.port),
             [ToController()],
@@ -424,22 +466,7 @@ class EdgeController(SDNApp):
     # -- datapath lifecycle ----------------------------------------------------
 
     def on_datapath_join(self, datapath: Datapath) -> None:
-        dpid = datapath.id
-        cloud_port = self.topology.cloud_port(dpid)
-        if cloud_port is not None:
-            datapath.add_flow(
-                FlowMatch(),
-                [Output(cloud_port)],
-                priority=PRIORITY_DEFAULT,
-                cookie="default:cloud",
-            )
-        for ip, port in self.topology.hosts(dpid).items():
-            datapath.add_flow(
-                FlowMatch(ip_dst=ip),
-                [Output(port)],
-                priority=PRIORITY_INFRA,
-                cookie=f"infra:{ip}",
-            )
+        super().on_datapath_join(datapath)
         for service in self.registry.all():
             self._install_intercept(datapath, service)
 
@@ -603,21 +630,6 @@ class EdgeController(SDNApp):
         return repointed
 
     # -- client mobility (Follow-me style handover) ----------------------------------------
-
-    def install_host_routes(self, ip: IPv4Address) -> None:
-        """(Re)install the infrastructure forwarding rules for one host
-        on every attached switch, from the current topology."""
-        for datapath in self.datapaths.values():
-            port = self.topology.port_for(datapath.id, ip)
-            if port is None:
-                continue
-            datapath.delete_flows(cookie=f"infra:{ip}")
-            datapath.add_flow(
-                FlowMatch(ip_dst=ip),
-                [Output(port)],
-                priority=PRIORITY_INFRA,
-                cookie=f"infra:{ip}",
-            )
 
     def update_client_location(
         self,

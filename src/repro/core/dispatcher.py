@@ -482,21 +482,21 @@ class Dispatcher:
     def _has_room(self, service: EdgeService, cluster: EdgeCluster) -> bool:
         """The room rule: capacity that also counts deploys in flight —
         otherwise concurrent dispatches would all admit themselves
-        against the same free slots.  Known defect (e): a deploy in
-        flight whose container already runs is counted here and again
-        in ``running_count()``."""
+        against the same free slots.  A service takes one slot whether
+        it runs, is being deployed, or both (its container is up before
+        its deploy ends), so the rule counts the union."""
         if cluster.is_running(service.plan):
             return True
         if cluster.capacity is None:
             return True
-        inflight = sum(
-            1
+        inflight = {
+            svc_name
             for (svc_name, cluster_name), owner in self.deployments.items()
             if owner.process is not None
             and cluster_name == cluster.name
             and svc_name != service.name
-        )
-        return cluster.running_count() + inflight < cluster.capacity
+        }
+        return len(cluster.running_services() | inflight) < cluster.capacity
 
     # -- the dispatch algorithm (fig. 7) ------------------------------------------------
 

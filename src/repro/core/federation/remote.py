@@ -60,8 +60,8 @@ class RemoteClusterView:
     def endpoint(self, plan: "DeploymentPlan") -> ServiceEndpoint | None:
         return self.record.endpoint
 
-    def running_count(self) -> int:
-        return 1 if self.record.running else 0
+    def running_services(self) -> set[str]:
+        return {self.record.service_name} if self.record.running else set()
 
     # -- mutations are the owning site's business --------------------------
 

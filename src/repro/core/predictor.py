@@ -101,8 +101,7 @@ class ProactiveDeployer:
     Every ``check_interval_s`` it asks the predictor for each
     registered service's next-request estimate; services whose estimate
     falls within ``lead_time_s`` (and that are not running anywhere)
-    are deployed in the background to the cluster chosen by
-    ``select_cluster`` (default: the nearest one).
+    are deployed in the background to the nearest cluster.
     """
 
     def __init__(
@@ -113,8 +112,6 @@ class ProactiveDeployer:
         predictor: RequestPredictor,
         check_interval_s: float = 5.0,
         lead_time_s: float = 10.0,
-        select_cluster: _t.Callable[[EdgeService, _t.Sequence[EdgeCluster]], EdgeCluster | None]
-        | None = None,
     ) -> None:
         if check_interval_s <= 0 or lead_time_s <= 0:
             raise ValueError("intervals must be positive")
@@ -124,7 +121,6 @@ class ProactiveDeployer:
         self.predictor = predictor
         self.check_interval_s = check_interval_s
         self.lead_time_s = lead_time_s
-        self.select_cluster = select_cluster or self._nearest
         self.stats = {"checks": 0, "proactive_deployments": 0}
         env.spawn(self._loop(), name="proactive-deployer")
 
@@ -149,7 +145,7 @@ class ProactiveDeployer:
                     c.is_running(service.plan) for c in self.dispatcher.clusters
                 ):
                     continue
-                cluster = self.select_cluster(service, self.dispatcher.clusters)
+                cluster = self._nearest(service, self.dispatcher.clusters)
                 if cluster is None:
                     continue
                 self.stats["proactive_deployments"] += 1

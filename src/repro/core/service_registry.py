@@ -8,13 +8,11 @@ combination of domain name/IP address and port number."
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.cluster.plan import DeploymentPlan
 from repro.core.annotator import Annotator
 from repro.core.state import ControlPlaneState
 from repro.net.addressing import IPv4Address
-from repro.net.packet import HTTPRequest
 
 
 @dataclasses.dataclass

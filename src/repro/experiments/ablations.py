@@ -9,8 +9,6 @@
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.containers import Containerd, ImageSpec, Registry
 from repro.containers.image import MIB
 from repro.containers.registry import PUBLIC_PROFILE

@@ -15,8 +15,6 @@ cloud permanently because BEST deployments keep draining inward.
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.core import LowLatencyScheduler
 from repro.experiments.base import ExperimentResult
 from repro.metrics import summarize

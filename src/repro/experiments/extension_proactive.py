@@ -13,7 +13,6 @@ the service is scaled down between visits) hits the edge repeatedly:
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.experiments.base import ExperimentResult
 from repro.metrics import summarize

@@ -9,8 +9,6 @@ distribution (fig. 10 as *measured*, not merely derived)."""
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.experiments.base import ExperimentResult
 from repro.metrics import summarize
 from repro.services.catalog import NGINX, ServiceTemplate

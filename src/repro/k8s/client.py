@@ -3,12 +3,10 @@
 The paper: "For communicating with Docker and the Kubernetes cluster,
 we use the respective Python client libraries."  This mirrors the
 handful of operations the controller needs: create/patch/delete
-Deployments and Services, scale, and list pods by label selector.
+Deployments and Services, and scale.
 """
 
 from __future__ import annotations
-
-import typing as _t
 
 from repro.k8s.apiserver import APIServer, NotFound
 from repro.k8s.objects import Deployment, Service
@@ -61,10 +59,4 @@ class KubernetesClient:
             result = yield from self.api.delete("Service", name, self.namespace)
         except NotFound:
             return None
-        return result
-
-    # -- pods --------------------------------------------------------------------
-
-    def list_pods(self, selector: _t.Mapping[str, str] | None = None):
-        result = yield from self.api.list("Pod", self.namespace, selector)
         return result

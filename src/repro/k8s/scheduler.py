@@ -27,6 +27,9 @@ class NodeInfo:
     pod_count: int
 
 
+#: Backoff before retrying a pod no node could take.
+UNSCHEDULABLE_RETRY_S = 5.0
+
 #: A policy maps (pod, nodes) to the chosen node name (or None).
 SchedulingPolicy = _t.Callable[[Pod, _t.Sequence[NodeInfo]], str | None]
 
@@ -49,14 +52,11 @@ class KubeScheduler:
         node_names: _t.Sequence[str],
         name: str = "default-scheduler",
         policy: SchedulingPolicy = least_pods_policy,
-        unschedulable_retry_s: float = 5.0,
     ) -> None:
         self.env = env
         self.api = api
         self.name = name
         self.policy = policy
-        #: Backoff before retrying a pod no node could take.
-        self.unschedulable_retry_s = unschedulable_retry_s
         self._node_names = list(node_names)
         self._queue: Store = Store(env)
         api.subscribe("Pod", self._watch_pods)
@@ -108,5 +108,5 @@ class KubeScheduler:
                 pass  # deleted while the bind was under way
 
     def _requeue_later(self, key):
-        yield self.env.timeout(self.unschedulable_retry_s)
+        yield self.env.timeout(UNSCHEDULABLE_RETRY_S)
         self._queue.put(key)

@@ -8,7 +8,6 @@ experiment harness reads them back as summaries or raw arrays.
 from __future__ import annotations
 
 import collections
-import typing as _t
 
 from repro.metrics.stats import Summary, summarize
 

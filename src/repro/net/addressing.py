@@ -7,7 +7,6 @@ compare — with the dotted/colon formats used in logs and tests.
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 
 @dataclasses.dataclass(frozen=True, order=True)

@@ -1,10 +1,11 @@
 """OpenFlow data plane: matches, actions, flow tables, and the switch.
 
-Models the OpenFlow 1.5 subset the paper's transparent-access approach
-relies on (packet filtering and rewriting, fig. 2): priority-ordered
-exact/wildcard matches on the IPv4/TCP 4-tuple, *set-field* rewrite
-actions, output actions, packet-in with buffering, flow-mod,
-packet-out, and idle/hard timeouts with flow-removed notifications.
+Models the OpenFlow 1.5 subset the paper's controller sends (§V, fig.
+2): priority-ordered exact/wildcard matches on the IPv4/TCP 4-tuple,
+*set-field* rewrites of those fields, output actions, packet-in with
+buffering, flow-mod adds with idle timeouts and deletes by cookie,
+packet-out releasing a buffered packet, barriers, and opt-in
+flow-removed notifications.
 """
 
 from repro.net.openflow.match import FlowMatch

@@ -11,13 +11,12 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.net.addressing import IPv4Address, MACAddress
+from repro.net.addressing import IPv4Address
 from repro.net.packet import Packet
 
-#: Fields a :class:`SetField` action may rewrite.
-REWRITABLE_FIELDS = frozenset(
-    {"eth_src", "eth_dst", "ip_src", "ip_dst", "tcp_src", "tcp_dst"}
-)
+#: Fields a :class:`SetField` action may rewrite: the IPv4/TCP
+#: addresses the transparent redirection swaps.
+REWRITABLE_FIELDS = frozenset({"ip_src", "ip_dst", "tcp_src", "tcp_dst"})
 
 
 class Action:
@@ -50,10 +49,7 @@ class SetField(Action):
     def __post_init__(self) -> None:
         if self.field not in REWRITABLE_FIELDS:
             raise ValueError(f"cannot rewrite field {self.field!r}")
-        if self.field in ("eth_src", "eth_dst"):
-            if not isinstance(self.value, MACAddress):
-                raise TypeError(f"{self.field} needs a MACAddress")
-        elif self.field in ("ip_src", "ip_dst"):
+        if self.field in ("ip_src", "ip_dst"):
             if not isinstance(self.value, IPv4Address):
                 raise TypeError(f"{self.field} needs an IPv4Address")
         else:  # tcp_src / tcp_dst
@@ -68,14 +64,8 @@ class SetField(Action):
             packet.ip_src = self.value
         elif field == "tcp_dst":
             packet.tcp.dst_port = self.value
-        elif field == "tcp_src":
-            packet.tcp.src_port = self.value
-        elif field == "eth_src":
-            packet.eth_src = self.value
-            return  # MAC rewrites don't touch the match key
         else:
-            packet.eth_dst = self.value
-            return
+            packet.tcp.src_port = self.value
         packet._mk = None  # invalidate the cached match-key tuple
 
     def __str__(self) -> str:

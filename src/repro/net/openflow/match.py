@@ -9,7 +9,6 @@ registered service, source identifies the client.
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.net.addressing import IPv4Address
 from repro.net.packet import Packet
@@ -35,14 +34,6 @@ class FlowMatch:
             return False
         return True
 
-    @property
-    def specificity(self) -> int:
-        """Number of concrete fields (used only for diagnostics)."""
-        return sum(
-            field is not None
-            for field in (self.ip_src, self.ip_dst, self.tcp_src, self.tcp_dst)
-        )
-
     def __str__(self) -> str:
         parts = []
         for name in ("ip_src", "ip_dst", "tcp_src", "tcp_dst"):
@@ -50,7 +41,3 @@ class FlowMatch:
             if value is not None:
                 parts.append(f"{name}={value}")
         return "match(" + ", ".join(parts or ["*"]) + ")"
-
-
-#: The match-everything wildcard.
-MATCH_ALL = FlowMatch()

@@ -36,14 +36,19 @@ class PacketIn:
 
 @dataclasses.dataclass
 class FlowMod:
-    """Controller → switch: add or delete flow entries."""
+    """Controller → switch: add an entry, or delete entries by cookie.
+
+    An "add" installs one entry that idles out after ``idle_timeout``
+    seconds without traffic (0: never).  A "delete" removes every entry
+    carrying ``cookie`` — the only selector the controller uses — so a
+    delete without one is rejected here: it can never flush a table.
+    """
 
     command: str  # "add" | "delete"
     match: FlowMatch | None = None
     actions: _t.Sequence[Action] = ()
     priority: int = 1
     idle_timeout: float = 0.0
-    hard_timeout: float = 0.0
     cookie: _t.Any = None
     notify_removal: bool = False  #: OpenFlow's OFPFF_SEND_FLOW_REM: FlowRemoved only if set
     #: If set on an "add", the buffered packet is run through the new
@@ -54,25 +59,18 @@ class FlowMod:
     def __post_init__(self) -> None:
         if self.command not in ("add", "delete"):
             raise ValueError(f"unknown FlowMod command {self.command!r}")
+        if self.command == "delete" and self.cookie is None:
+            raise ValueError("a FlowMod delete selects by cookie; none given")
 
 
 @dataclasses.dataclass
 class PacketOut:
-    """Controller → switch: emit a packet through the given actions.
-
-    Either releases a buffered packet (``buffer_id``) or carries a
-    controller-crafted packet (``packet``).
-    """
+    """Controller → switch: release the packet held under ``buffer_id``
+    through ``actions``."""
 
     actions: _t.Sequence[Action]
-    buffer_id: int | None = None
-    packet: Packet | None = None
-    in_port: int | None = None
+    buffer_id: int
     xid: int = dataclasses.field(default_factory=next_xid)
-
-    def __post_init__(self) -> None:
-        if (self.buffer_id is None) == (self.packet is None):
-            raise ValueError("exactly one of buffer_id / packet must be given")
 
 
 @dataclasses.dataclass

@@ -17,7 +17,12 @@ from repro.net.openflow.messages import (
     PacketIn,
     PacketOut,
 )
-from repro.net.openflow.table import FlowEntry, FlowTable, REASON_DELETE
+from repro.net.openflow.table import (
+    REASON_DELETE,
+    REASON_IDLE_TIMEOUT,
+    FlowEntry,
+    FlowTable,
+)
 from repro.net.packet import Packet
 from repro.sim import Environment
 from repro.sim.events import NORMAL
@@ -268,7 +273,7 @@ class OpenFlowSwitch(NetDevice):
         if isinstance(message, FlowMod):
             self._handle_flow_mod(message)
         elif isinstance(message, PacketOut):
-            self._handle_packet_out(message)
+            self._release_buffer(message.buffer_id, message.actions)
         elif isinstance(message, BarrierRequest):
             if self.channel is not None:
                 self.channel.send_to_controller(
@@ -286,7 +291,6 @@ class OpenFlowSwitch(NetDevice):
                 actions=mod.actions,
                 priority=mod.priority,
                 idle_timeout=mod.idle_timeout,
-                hard_timeout=mod.hard_timeout,
                 cookie=mod.cookie,
                 notify_removal=mod.notify_removal,
             )
@@ -294,18 +298,8 @@ class OpenFlowSwitch(NetDevice):
             if mod.buffer_id is not None:
                 self._release_buffer(mod.buffer_id, entry.actions)
         else:  # delete
-            removed = self.table.remove_matching(
-                match=mod.match, cookie=mod.cookie
-            )
-            for entry in removed:
+            for entry in self.table.remove_matching(mod.cookie):
                 self._notify_removed(entry, REASON_DELETE)
-
-    def _handle_packet_out(self, out: PacketOut) -> None:
-        if out.buffer_id is not None:
-            self._release_buffer(out.buffer_id, out.actions)
-        else:
-            packet = _t.cast(Packet, out.packet)
-            self._apply_actions(out.actions, packet, out.in_port or 0)
 
     def _release_buffer(
         self, buffer_id: int, actions: _t.Sequence[Action]
@@ -372,10 +366,10 @@ class OpenFlowSwitch(NetDevice):
             return  # superseded by an earlier wakeup
         self._wake_at = None
         expired, deadline = self.table.sweep_and_deadline(self.env.now)
-        for entry, reason in expired:
-            self._notify_removed(entry, reason)
-        # Idle-deadline entries may have been touched since this wake
-        # was armed (a spurious wake): re-arm at the new earliest
-        # possible expiry, if any entry can still expire.
+        for entry in expired:
+            self._notify_removed(entry, REASON_IDLE_TIMEOUT)
+        # Entries may have been touched since this wake was armed (a
+        # spurious wake): re-arm at the new earliest possible expiry, if
+        # any entry can still expire.
         if deadline is not None:
             self._schedule_expiry_wake(deadline)

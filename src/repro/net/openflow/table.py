@@ -1,4 +1,4 @@
-"""Flow entries and the priority-ordered, hash-indexed flow table."""
+"""Flow entries and the hash-indexed, priority-resolving flow table."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ _entry_ids = itertools.count(1)
 
 #: FlowRemoved reason codes (mirrors OpenFlow).
 REASON_IDLE_TIMEOUT = "idle_timeout"
-REASON_HARD_TIMEOUT = "hard_timeout"
 REASON_DELETE = "delete"
 
 #: Match fields an index shape can bind, in canonical order.  The
@@ -60,13 +59,14 @@ def _match_values(match: FlowMatch) -> tuple:
 
 
 class FlowEntry:
-    """One rule: match → actions, with priority and timeouts.
+    """One rule: match → actions, with a priority and an idle timeout.
 
-    ``idle_timeout`` / ``hard_timeout`` of 0 mean "never expires", as
-    in OpenFlow.  The paper's design keeps switch idle timeouts *low*
-    (the controller's FlowMemory re-installs known flows quickly) so
-    the table stays small.  ``notify_removal`` is OpenFlow's
-    ``OFPFF_SEND_FLOW_REM``: a FlowRemoved is sent only if it is set.
+    ``idle_timeout`` of 0 means "never expires", as in OpenFlow; the
+    entry expires once no packet has matched it for that long.  The
+    paper's design keeps switch idle timeouts *low* (the controller's
+    FlowMemory re-installs known flows quickly) so the table stays
+    small.  ``notify_removal`` is OpenFlow's ``OFPFF_SEND_FLOW_REM``: a
+    FlowRemoved is sent only if it is set.
     """
 
     __slots__ = (
@@ -75,10 +75,8 @@ class FlowEntry:
         "actions",
         "priority",
         "idle_timeout",
-        "hard_timeout",
         "cookie",
         "notify_removal",
-        "installed_at",
         "last_used",
         "packet_count",
         "_order",
@@ -90,21 +88,18 @@ class FlowEntry:
         actions: _t.Sequence[Action],
         priority: int = 1,
         idle_timeout: float = 0.0,
-        hard_timeout: float = 0.0,
         cookie: _t.Any = None,
         notify_removal: bool = False,
     ) -> None:
-        if idle_timeout < 0 or hard_timeout < 0:
-            raise ValueError("timeouts must be >= 0")
+        if idle_timeout < 0:
+            raise ValueError("idle_timeout must be >= 0")
         self.entry_id = next(_entry_ids)
         self.match = match
         self.actions = list(actions)
         self.priority = priority
         self.idle_timeout = float(idle_timeout)
-        self.hard_timeout = float(hard_timeout)
         self.cookie = cookie
         self.notify_removal = notify_removal
-        self.installed_at: float = 0.0
         self.last_used: float = 0.0
         self.packet_count: int = 0
         #: Table-assigned install order (tie-break within a priority).
@@ -117,14 +112,9 @@ class FlowEntry:
         deadline computed now is a lower bound — the entry is never
         expired before it, but may survive past it.
         """
-        deadline: float | None = None
-        if self.hard_timeout:
-            deadline = self.installed_at + self.hard_timeout
         if self.idle_timeout:
-            idle_deadline = self.last_used + self.idle_timeout
-            if deadline is None or idle_deadline < deadline:
-                deadline = idle_deadline
-        return deadline
+            return self.last_used + self.idle_timeout
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         acts = ", ".join(str(a) for a in self.actions)
@@ -132,34 +122,35 @@ class FlowEntry:
 
 
 class FlowTable:
-    """A single OpenFlow table, ordered by descending priority.
-
-    Insertion order breaks priority ties (first installed wins), which
+    """A single OpenFlow table: the highest-priority match wins, and
+    insertion order breaks priority ties (first installed wins), which
     keeps lookups deterministic.
 
-    Internally the table keeps, besides the priority-ordered master
-    list, an exact-match hash index grouped by each match's *shape*
-    (its tuple of bound fields): within a shape, the packet's field
-    values form a dict key, so the common case — FlowMemory-installed
-    exact-tuple redirect rules — resolves in O(1) instead of a linear
-    scan.  Matches binding no fields land in the wildcard shape ``()``
-    whose single bucket is the fallback list.  Each bucket stays
-    sorted by ``(-priority, install order)``; a lookup takes the best
-    head across the (few) shapes, which is exactly the entry a linear
-    first-match scan of the master list would return.
+    Priority lives in one place, the lookup index: an exact-match hash
+    index grouped by each match's *shape* (its tuple of bound fields).
+    Within a shape, the packet's field values form a dict key, so the
+    common case — FlowMemory-installed exact-tuple redirect rules —
+    resolves in O(1) instead of a linear scan.  Matches binding no
+    fields land in the wildcard shape ``()`` whose single bucket is the
+    fallback list.  Each bucket stays sorted by ``(-priority, install
+    order)``; a lookup takes the best head across the (few) shapes,
+    which is exactly the entry a first-match scan in that order would
+    return.  The master collection only holds the live entries, in
+    install order: iteration, ``len`` and an O(1) :meth:`remove`.
 
     Lookup keys are sliced out of the packet's cached
     :meth:`~repro.net.packet.Packet.match_values` tuple with interned
     per-shape ``itemgetter`` objects — the key is built in C from a
     tuple computed once per packet, not rebuilt field-by-field at
-    every hop.  A cookie-keyed side index makes FlowMod deletes by
-    cookie (the controller's teardown path) independent of table size.
+    every hop.  A cookie-keyed side index makes FlowMod deletes (the
+    controller's teardown path) independent of table size.
     """
 
     def __init__(self) -> None:
-        self._entries: list[FlowEntry] = []
+        # Insertion-ordered set of the live entries.
+        self._entries: dict[FlowEntry, None] = {}
         #: Mutation counter: bumped on every install and every removal
-        #: (FlowMod delete, idle/hard-timeout sweep, direct remove).
+        #: (FlowMod delete, idle-timeout sweep, direct remove).
         #: Published per switch by the ops read model
         #: (``SwitchView.table_epoch``): equal epochs mean an unchanged
         #: table.
@@ -169,8 +160,7 @@ class FlowTable:
         # Flat lookup plan: one (key-getter, buckets) pair per live
         # shape, rebuilt only when the shape set changes.
         self._plans: list[tuple[_t.Callable[[tuple], _t.Any], dict]] = []
-        # cookie -> live entries carrying it (deletes by cookie are
-        # the controller's redirect-teardown hot path).
+        # cookie -> live entries carrying it, in install order.
         self._by_cookie: dict[_t.Any, list[FlowEntry]] = {}
         self._order = itertools.count(1)
         #: Largest size the table ever reached (benchmark metric).
@@ -188,21 +178,10 @@ class FlowTable:
 
     def install(self, entry: FlowEntry, now: float) -> None:
         self.epoch += 1
-        entry.installed_at = now
         entry.last_used = now
         entry._order = next(self._order)
-        # Master list: stable insert before the first strictly-lower
-        # priority.  Tables overwhelmingly install at one uniform
-        # priority, so the tail append is the common case and skips the
-        # bisect whose key lambda fires O(log n) times per install.
         entries = self._entries
-        if not entries or entries[-1].priority >= entry.priority:
-            entries.append(entry)
-        else:
-            index = bisect.bisect_right(
-                entries, -entry.priority, key=lambda e: -e.priority
-            )
-            entries.insert(index, entry)
+        entries[entry] = None
         if len(entries) > self.peak_size:
             self.peak_size = len(entries)
         self._index_add(entry)
@@ -225,12 +204,9 @@ class FlowTable:
         return best_head[2] if best_head is not None else None
 
     def remove(self, entry: FlowEntry) -> bool:
-        try:
-            self._entries.remove(entry)
-        except ValueError:
+        if entry not in self._entries:
             return False
-        self.epoch += 1
-        self._index_discard(entry)
+        self._bulk_remove([entry])
         return True
 
     def clear(self) -> None:
@@ -245,61 +221,10 @@ class FlowTable:
         self._plans.clear()
         self._by_cookie.clear()
 
-    def remove_matching(
-        self,
-        match: FlowMatch | None = None,
-        cookie: _t.Any = None,
-        priority: int | None = None,
-    ) -> list[FlowEntry]:
-        """Remove entries by exact match / cookie / priority filters.
-
-        At least one filter must be given: an all-``None`` call would
-        silently flush the whole table, which is never what a FlowMod
-        delete means here — use an explicit loop over ``list(table)``
-        to empty a table on purpose.
-        """
-        if match is None and cookie is None and priority is None:
-            raise ValueError(
-                "remove_matching() needs at least one filter "
-                "(match, cookie, or priority)"
-            )
-        if match is not None:
-            # Exact-match filter: the candidates are exactly the
-            # match's index bucket (same shape + same bound values ⇒
-            # equal FlowMatch), already in table order — no O(n) scan.
-            shape = _shape_of(match)
-            buckets = self._index.get(shape)
-            bucket = (
-                buckets.get(_KEY_GETTERS[shape](_match_values(match)))
-                if buckets is not None
-                else None
-            )
-            if not bucket:
-                return []
-            removed = [
-                item[2]
-                for item in bucket
-                if (cookie is None or item[2].cookie == cookie)
-                and (priority is None or item[2].priority == priority)
-            ]
-            self._bulk_remove(removed)
-            return removed
-        if cookie is not None:
-            # Cookie filter: candidates come from the cookie index,
-            # re-sorted into master-table order so callers see the
-            # same removal order a linear scan produced.
-            candidates = self._by_cookie.get(cookie)
-            if not candidates:
-                return []
-            removed = [
-                entry
-                for entry in candidates
-                if priority is None or entry.priority == priority
-            ]
-            removed.sort(key=lambda e: (-e.priority, e._order))
-            self._bulk_remove(removed)
-            return removed
-        removed = [e for e in self._entries if e.priority == priority]
+    def remove_matching(self, cookie: _t.Any) -> list[FlowEntry]:
+        """Remove the entries carrying ``cookie`` (a FlowMod delete);
+        returns them in install order."""
+        removed = self._by_cookie.pop(cookie, [])
         self._bulk_remove(removed)
         return removed
 
@@ -307,16 +232,12 @@ class FlowTable:
         if not removed:
             return
         self.epoch += 1
-        if len(removed) == 1:
-            self._entries.remove(removed[0])
-        else:
-            dead = set(removed)
-            self._entries = [e for e in self._entries if e not in dead]
         for entry in removed:
+            del self._entries[entry]
             self._index_discard(entry)
 
-    def sweep_and_deadline(self, now: float) -> tuple[list, float | None]:
-        """Remove what expired and find when the rest could, in one pass.
+    def sweep_and_deadline(self, now: float) -> tuple[list[FlowEntry], float | None]:
+        """Remove what idled out and find when the rest could, in one pass.
 
         The deadline-driven expiry wake needs both — what expired, and
         when the next survivor *could* expire — and with low idle
@@ -324,35 +245,22 @@ class FlowTable:
         is a single loop over inlined timeout arithmetic
         (``tests/flowtable_oracle.py`` is the two-pass reference:
         ``expired`` per entry, then :meth:`FlowEntry.next_deadline`).
-        Returns ``(expired, earliest)``:
-        ``expired`` lists the removed ``(entry, reason)`` pairs in
-        master-list order — a hard timeout wins over an idle one that
-        fired at the same instant — and ``earliest`` is the surviving
+        Returns ``(expired, earliest)``: ``expired`` lists the removed
+        entries in install order, and ``earliest`` is the surviving
         entries' earliest possible expiry (or ``None``).
         """
-        expired: list[tuple[FlowEntry, str]] = []
+        expired: list[FlowEntry] = []
         earliest: float | None = None
         for entry in self._entries:
-            hard = entry.hard_timeout
-            if hard:
-                if now - entry.installed_at >= hard:
-                    expired.append((entry, REASON_HARD_TIMEOUT))
-                    continue
-                deadline = entry.installed_at + hard
-            else:
-                deadline = None
             idle = entry.idle_timeout
             if idle:
                 if now - entry.last_used >= idle:
-                    expired.append((entry, REASON_IDLE_TIMEOUT))
+                    expired.append(entry)
                     continue
-                idle_deadline = entry.last_used + idle
-                if deadline is None or idle_deadline < deadline:
-                    deadline = idle_deadline
-            if deadline is not None and (earliest is None or deadline < earliest):
-                earliest = deadline
-        if expired:
-            self._bulk_remove([entry for entry, _reason in expired])
+                deadline = entry.last_used + idle
+                if earliest is None or deadline < earliest:
+                    earliest = deadline
+        self._bulk_remove(expired)
         return expired, earliest
 
     # -- index maintenance ----------------------------------------------
@@ -378,29 +286,19 @@ class FlowTable:
 
     def _index_discard(self, entry: FlowEntry) -> None:
         shape = _shape_of(entry.match)
-        buckets = self._index.get(shape)
-        if buckets is not None:
-            key = _KEY_GETTERS[shape](_match_values(entry.match))
-            bucket = buckets.get(key)
-            if bucket is not None:
-                item = (-entry.priority, entry._order, entry)
-                pos = bisect.bisect_left(bucket, item)
-                if pos < len(bucket) and bucket[pos][2] is entry:
-                    del bucket[pos]
-                    if not bucket:
-                        del buckets[key]
-                        if not buckets:
-                            del self._index[shape]
-                            self._plans = [
-                                (g, d) for g, d in self._plans if d is not buckets
-                            ]
+        buckets = self._index[shape]
+        key = _KEY_GETTERS[shape](_match_values(entry.match))
+        bucket = buckets[key]
+        # (-prio, order) sorts just ahead of its own 3-tuple.
+        del bucket[bisect.bisect_left(bucket, (-entry.priority, entry._order))]
+        if not bucket:
+            del buckets[key]
+            if not buckets:
+                del self._index[shape]
+                self._plans = [(g, d) for g, d in self._plans if d is not buckets]
         if entry.cookie is not None:
             holders = self._by_cookie.get(entry.cookie)
-            if holders is not None:
-                try:
-                    holders.remove(entry)
-                except ValueError:
-                    pass
-                else:
-                    if not holders:
-                        del self._by_cookie[entry.cookie]
+            if holders is not None:  # None: a delete popped them all
+                holders.remove(entry)
+                if not holders:
+                    del self._by_cookie[entry.cookie]

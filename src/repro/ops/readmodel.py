@@ -182,7 +182,7 @@ class OpsReadModel:
                 name=cluster.name,
                 distance=cluster.distance,
                 capacity=cluster.capacity,
-                running_count=cluster.running_count(),
+                running_count=len(cluster.running_services()),
             )
             for cluster in sorted(
                 self.controller.clusters, key=lambda c: c.name

@@ -15,7 +15,6 @@ from repro.net.openflow.messages import (
     PacketOut,
 )
 from repro.net.openflow.switch import ControlChannel, OpenFlowSwitch
-from repro.net.packet import Packet
 from repro.sim import Environment, Event
 
 
@@ -36,7 +35,6 @@ class Datapath:
         actions: _t.Sequence[Action],
         priority: int = 1,
         idle_timeout: float = 0.0,
-        hard_timeout: float = 0.0,
         cookie: _t.Any = None,
         buffer_id: int | None = None,
         notify_removal: bool = False,
@@ -50,34 +48,20 @@ class Datapath:
                 actions=list(actions),
                 priority=priority,
                 idle_timeout=idle_timeout,
-                hard_timeout=hard_timeout,
                 cookie=cookie,
                 buffer_id=buffer_id,
                 notify_removal=notify_removal,
             )
         )
 
-    def delete_flows(
-        self, match: FlowMatch | None = None, cookie: _t.Any = None
-    ) -> None:
-        self.channel.send_to_switch(
-            FlowMod(command="delete", match=match, cookie=cookie)
-        )
+    def delete_flows(self, cookie: _t.Any) -> None:
+        """Delete every entry carrying ``cookie``."""
+        self.channel.send_to_switch(FlowMod(command="delete", cookie=cookie))
 
-    def packet_out(
-        self,
-        actions: _t.Sequence[Action],
-        buffer_id: int | None = None,
-        packet: Packet | None = None,
-        in_port: int | None = None,
-    ) -> None:
+    def packet_out(self, actions: _t.Sequence[Action], buffer_id: int) -> None:
+        """Release the packet held under ``buffer_id`` through ``actions``."""
         self.channel.send_to_switch(
-            PacketOut(
-                actions=list(actions),
-                buffer_id=buffer_id,
-                packet=packet,
-                in_port=in_port,
-            )
+            PacketOut(actions=list(actions), buffer_id=buffer_id)
         )
 
     def barrier(self) -> Event:

@@ -10,7 +10,6 @@ function*, i.e. "serve this file" / "classify this image").
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.containers.image import KIB, MIB
 from repro.serverless.wasm import WasmModule

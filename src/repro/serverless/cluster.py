@@ -19,6 +19,11 @@ from repro.sim import Environment
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.host import Host
 
+#: First port a registered function is served on.
+PORT_BASE = 25000
+#: Registering a fetched module with the runtime.
+REGISTER_S = 0.002
+
 
 class ServerlessCluster(EdgeCluster):
     """An edge site running a WebAssembly function runtime."""
@@ -32,16 +37,13 @@ class ServerlessCluster(EdgeCluster):
         module_map: _t.Mapping[str, WasmModule],
         distance: int = 0,
         capacity: int | None = None,
-        port_base: int = 25000,
-        register_s: float = 0.002,
     ) -> None:
         super().__init__(env, name, host, distance, capacity)
         self.runtime = runtime
         #: image reference -> wasm module implementing the same service.
         self.module_map = dict(module_map)
-        self.register_s = register_s
         self._ports: dict[str, int] = {}
-        self._port_counter = itertools.count(port_base)
+        self._port_counter = itertools.count(PORT_BASE)
         self._registered: set[str] = set()
         self._instances: dict[str, list[WasmInstance]] = {}
 
@@ -67,7 +69,7 @@ class ServerlessCluster(EdgeCluster):
             raise DeployError(
                 f"{self.name}: module for {plan.service_name!r} not fetched"
             )
-        yield self.env.timeout(self.register_s)
+        yield self.env.timeout(REGISTER_S)
         self._ports.setdefault(plan.service_name, next(self._port_counter))
         self._registered.add(plan.service_name)
 
@@ -106,8 +108,8 @@ class ServerlessCluster(EdgeCluster):
     def is_created(self, plan: DeploymentPlan) -> bool:
         return plan.service_name in self._registered
 
-    def running_count(self) -> int:
-        return sum(1 for instances in self._instances.values() if instances)
+    def running_services(self) -> set[str]:
+        return {name for name, instances in self._instances.items() if instances}
 
     def endpoint(self, plan: DeploymentPlan) -> ServiceEndpoint | None:
         port = self._ports.get(plan.service_name)

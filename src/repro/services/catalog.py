@@ -17,7 +17,6 @@ models, behaviours, and the request profile clients use.
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.containers.image import ImageSpec, KIB, MIB
 from repro.net.packet import HTTPRequest

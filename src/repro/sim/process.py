@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.sim.events import Event, NORMAL, URGENT
+from repro.sim.events import Event, URGENT
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment

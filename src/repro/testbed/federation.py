@@ -35,23 +35,26 @@ from repro.testbed.site import (
 )
 
 
+#: Slack :meth:`FederatedTestbed.settle_replication` adds past a full
+#: propagation.
+REPLICATION_MARGIN_S = 0.01
+
+
 class FederatedTestbed(BaseTestbed):
     """*n* sites, *n* controllers, one shared state, one backbone."""
 
     def __init__(
         self,
         config: FederationConfig | None = None,
-        scheduler_factory: _t.Callable[[], GlobalScheduler] | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
     ) -> None:
         self.config = config or FederationConfig()
         super().__init__(calibration, self.config.registry)
-        make_scheduler = scheduler_factory or LowLatencyScheduler
 
         self.backbone = Backbone(self.env, self.config, self._macs)
         self.cloud = self.backbone.cloud
         self.sites = [
-            self._build_site(index, make_scheduler())
+            self._build_site(index, LowLatencyScheduler())
             for index in range(self.config.n_sites)
         ]
         self.switches: dict[int, OpenFlowSwitch] = {1: self.backbone.switch}
@@ -131,9 +134,9 @@ class FederatedTestbed(BaseTestbed):
         tools that expect one, e.g. parts of the fault injector)."""
         return self.sites[0].controller
 
-    def settle_replication(self, margin_s: float = 0.01) -> None:
+    def settle_replication(self) -> None:
         """Advance past one full site -> hub -> peers propagation."""
-        self.settle(2 * self.config.propagation_delay_s + margin_s)
+        self.settle(2 * self.config.propagation_delay_s + REPLICATION_MARGIN_S)
 
     def site_of(self, client: Host) -> Site:
         for site in self.sites:
@@ -199,7 +202,7 @@ class FederatedTestbed(BaseTestbed):
         target.controller.update_client_location(
             client.ip, target.switch.datapath_id, port_no
         )
-        self.backbone.app.install_host_route(client.ip)
+        self.backbone.app.install_host_routes(client.ip)
         self.settle(0.05)
 
     # -- live migration ----------------------------------------------------

@@ -35,10 +35,11 @@ loop, per partition when sharded: the image catalog with its
 registries, the MAC allocator and the addresses, the recorder, the
 bandwidth ledger and the conntrack lookup.
 
-The backbone runs a static forwarding app (no interception): per-host
-routes plus a default route to the cloud.  All service interception
-and redirection happens at the site switches, each owned exclusively
-by its site controller.
+The backbone runs the controller's plain
+:class:`~repro.core.controller.ForwardingApp` (no interception):
+per-host routes plus a default route to the cloud.  All service
+interception and redirection happens at the site switches, each owned
+exclusively by its site controller.
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ from repro.containers.registry import PRIVATE_PROFILE, PUBLIC_PROFILE
 from repro.core import (
     Annotator,
     EdgeController,
+    ForwardingApp,
     GlobalScheduler,
     ServiceRegistry,
     SwitchTopology,
 )
-from repro.core.controller import PRIORITY_DEFAULT, PRIORITY_INFRA
 from repro.core.federation import SharedStateHub, SiteController, SiteReplica
 from repro.core.migration import BandwidthLedger, MigrationManager
 from repro.core.service_registry import EdgeService
@@ -66,10 +67,9 @@ from repro.net.addressing import IPAllocator, IPv4Address, MACAllocator
 from repro.net.cloud import CloudHost
 from repro.net.device import NetworkInterface
 from repro.net.link import GBPS, LinkEndpoint
-from repro.net.openflow import FlowMatch, OpenFlowSwitch, Output
+from repro.net.openflow import OpenFlowSwitch
 from repro.net.packet import HTTPRequest, Packet
 from repro.ops import OPS_PORT, FlowStatsCollector, OpsApp, OpsReadModel
-from repro.sdnfw import Datapath, SDNApp
 from repro.services import DEFAULT_CALIBRATION, Calibration, ServiceTemplate, build_catalog
 from repro.sim import Environment
 
@@ -468,48 +468,8 @@ class Site:
         self.egs.open_port(OPS_PORT, self.ops_app)
 
 
-class BackboneApp(SDNApp):
-    """Static forwarding on the backbone switch: per-host routes plus
-    a default route to the cloud.  No interception — transparency is a
-    site-switch concern."""
-
-    def __init__(self, env: Environment, topology: SwitchTopology) -> None:
-        super().__init__(env, name="backbone")
-        self.topology = topology
-
-    def on_datapath_join(self, datapath: Datapath) -> None:
-        cloud_port = self.topology.cloud_port(datapath.id)
-        if cloud_port is not None:
-            datapath.add_flow(
-                FlowMatch(),
-                [Output(cloud_port)],
-                priority=PRIORITY_DEFAULT,
-                cookie="default:cloud",
-            )
-        for ip, port in self.topology.hosts(datapath.id).items():
-            self._route(datapath, ip, port)
-
-    @staticmethod
-    def _route(datapath: Datapath, ip: IPv4Address, port: int) -> None:
-        datapath.add_flow(
-            FlowMatch(ip_dst=ip),
-            [Output(port)],
-            priority=PRIORITY_INFRA,
-            cookie=f"infra:{ip}",
-        )
-
-    def install_host_route(self, ip: IPv4Address) -> None:
-        """(Re)install the backbone route for one host (handover)."""
-        for datapath in self.datapaths.values():
-            port = self.topology.port_for(datapath.id, ip)
-            if port is None:
-                continue
-            datapath.delete_flows(cookie=f"infra:{ip}")
-            self._route(datapath, ip, port)
-
-
 class Backbone:
-    """The backbone island: switch, static forwarding app, the cloud
+    """The backbone island: switch, forwarding app, the cloud
     host behind its uplink, and the shared-state hub."""
 
     def __init__(
@@ -518,7 +478,7 @@ class Backbone:
         self._macs = macs
         self.switch = OpenFlowSwitch(env, BACKBONE, datapath_id=1)
         self.topology = SwitchTopology()
-        self.app = BackboneApp(env, self.topology)
+        self.app = ForwardingApp(env, self.topology, name=BACKBONE)
         self.cloud = CloudHost(env, "cloud", macs.allocate(), CLOUD_IP)
         cloud_port, cloud_iface = self.switch.add_port(macs.allocate())
         Link(

@@ -26,7 +26,7 @@ import dataclasses
 import typing as _t
 
 from repro.core.service_registry import EdgeService
-from repro.metrics import MetricsRecorder, summarize
+from repro.metrics import MetricsRecorder
 from repro.net.packet import HTTPRequest
 from repro.sim import Environment
 from repro.workload.bigflows import RequestEvent

@@ -10,7 +10,6 @@ host and records exactly that quantity.
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.core.service_registry import EdgeService
 from repro.metrics import MetricsRecorder

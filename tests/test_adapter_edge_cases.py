@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import DeployError
-from repro.containers.containerd import ContainerState
 from repro.services.catalog import ASM, NGINX
 from repro.testbed import C3Testbed, TestbedConfig
 

@@ -15,13 +15,13 @@ class TestCapacityAccounting:
         svc1 = tb.register_template(NGINX)
         svc2 = tb.register_template(ASM)
         cluster = tb.docker_cluster
-        assert cluster.running_count() == 0
+        assert cluster.running_services() == set()
         tb.prepare_created(cluster, svc1)
         tb.run_request(tb.clients[0], svc1, NGINX.request)
-        assert cluster.running_count() == 1
+        assert cluster.running_services() == {svc1.name}
         tb.prepare_created(cluster, svc2)
         tb.run_request(tb.clients[0], svc2, ASM.request)
-        assert cluster.running_count() == 2
+        assert cluster.running_services() == {svc1.name, svc2.name}
 
     def test_has_capacity_semantics(self):
         tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
@@ -55,9 +55,9 @@ class TestCapacityAccounting:
         tb = C3Testbed(TestbedConfig(cluster_types=("k8s",)))
         svc = tb.register_template(NGINX)
         tb.prepare_created(tb.k8s_cluster, svc)
-        assert tb.k8s_cluster.running_count() == 0
+        assert tb.k8s_cluster.running_services() == set()
         tb.run_request(tb.clients[0], svc, NGINX.request)
-        assert tb.k8s_cluster.running_count() == 1
+        assert tb.k8s_cluster.running_services() == {svc.name}
 
 
 class TestCapacityAwareScheduling:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.plan import ServiceEndpoint
-from repro.core import HybridDockerK8sScheduler, LowLatencyScheduler, NearestScheduler
+from repro.core import HybridDockerK8sScheduler, LowLatencyScheduler
 from repro.core.schedulers import CloudOnlyScheduler
 from repro.services.catalog import ASM, NGINX, NGINX_PY, RESNET
 from repro.testbed import C3Testbed, TestbedConfig

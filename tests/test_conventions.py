@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import typing as _t
 
 import repro
 
@@ -136,3 +137,70 @@ def test_the_program_runs_on_the_standard_library_alone():
         env={**os.environ, "PYTHONPATH": str(_ROOT.parent)},
     )
     assert out.stdout.strip() == "[]"
+
+
+def _module_imports(body: list[ast.stmt]) -> _t.Iterator[tuple[str, int]]:
+    """``(bound name, line)`` of every import at module level, including
+    those under a module-level ``if`` or ``try`` (``TYPE_CHECKING``)."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+        elif isinstance(node, (ast.If, ast.Try)):
+            yield from _module_imports(node.body)
+            yield from _module_imports(node.orelse)
+            for handler in getattr(node, "handlers", ()):
+                yield from _module_imports(handler.body)
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, plus those inside string annotations
+    and the entries of ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used |= {
+                item.value
+                for item in ast.walk(node.value)
+                if isinstance(item, ast.Constant)
+            }
+        for annotation in filter(None, annotations):
+            for text in ast.walk(annotation):
+                if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    parsed = ast.parse(text.value, mode="eval")
+                    used |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return used
+
+
+def test_no_unused_module_imports():
+    """What CI's ``ruff check`` (F401) would flag, for a checkout without
+    ruff: a module-level import under ``src/`` or ``tests/`` that the
+    module never reads.  ``__init__.py`` files re-export on purpose and
+    are skipped."""
+    tests = pathlib.Path(__file__).parent
+    unused = []
+    for path in sorted([*_ROOT.rglob("*.py"), *tests.rglob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        unused += [
+            f"{path.relative_to(_ROOT.parent.parent)}:{line} {name}"
+            for name, line in _module_imports(tree.body)
+            if name not in used
+        ]
+    assert unused == []

@@ -26,7 +26,7 @@ from repro.core.schedulers import CloudOnlyScheduler, SchedulerLoadError
 from repro.core.schedulers.base import ClientInfo
 from repro.net.addressing import IPv4Address
 from repro.services import build_catalog
-from repro.services.catalog import ASM, NGINX, NGINX_PY, RESNET
+from repro.services.catalog import ASM, NGINX, NGINX_PY
 from repro.sim import Environment
 
 

@@ -820,7 +820,7 @@ _EXPECTED: dict[str, dict] = {
                    'degraded=False'),
             (2.834475318, 'docker scale_up nginx -> None'),
             (2.834475318, 'docker wait_ready nginx'),
-            (2.86, 'state asm@docker running=False room=False blocked=False '
+            (2.86, 'state asm@docker running=False room=True blocked=False '
                    'degraded=False'),
             (2.86, 'state nginx@docker running=False room=True blocked=False '
                    'degraded=False'),

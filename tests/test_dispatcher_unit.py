@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cluster.base import EdgeCluster, ServiceEndpoint
-from repro.cluster.plan import DeploymentPlan, PlannedContainer
-from repro.containers.image import ImageSpec
 from repro.core import Annotator, FlowMemory, ServiceRegistry
 from repro.core.dispatcher import Dispatcher
 from repro.core.schedulers.base import (
@@ -74,8 +70,8 @@ class FakeCluster(EdgeCluster):
         at = self.ready_at.get(plan.service_name)
         return at is not None and self.env.now >= at
 
-    def running_count(self):
-        return sum(1 for at in self.ready_at.values() if self.env.now >= at)
+    def running_services(self):
+        return {name for name, at in self.ready_at.items() if self.env.now >= at}
 
     def endpoint(self, plan):
         if plan.service_name not in self.created:

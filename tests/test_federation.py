@@ -19,12 +19,12 @@ from repro.core.federation import (
     RemoteClusterView,
     ReplicaLink,
     SharedStateHub,
-    SiteController,
     SiteReplica,
     VersionStamp,
 )
 from repro.core.state import InstanceRecord, LinkStatsRecord
 from repro.net.addressing import IPv4Address
+from repro.net.openflow import Output
 from repro.services.catalog import NGINX
 from repro.sim import Environment
 from repro.testbed import FederatedTestbed, FederationConfig
@@ -302,6 +302,22 @@ class TestFederatedTestbed:
         # Resolved by site1's controller this time.
         assert site1.controller.stats["dispatched"] == 1
         assert site1.controller.dispatcher.client_locations[client.ip]
+
+    def test_backbone_route_follows_a_moved_client(self):
+        """The backbone switch runs the controller's forwarding app: after
+        a cross-site move it holds exactly one route for the client, out
+        of the target site's port."""
+        tb = _federation()
+        site0, site1 = tb.sites
+        client = site0.clients[0]
+
+        def routes():
+            cookie = f"infra:{client.ip}"
+            return [e.actions for e in tb.backbone.switch.table if e.cookie == cookie]
+
+        assert routes() == [[Output(tb.backbone.site_ports[site0.name])]]
+        tb.move_client(client, site1)
+        assert routes() == [[Output(tb.backbone.site_ports[site1.name])]]
 
     def test_runs_are_deterministic(self):
         def one_run():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.containers import Containerd, ContainerSpec, ImageSpec, Registry
 from repro.containers.image import MIB
 from repro.containers.registry import PRIVATE_PROFILE

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.k8s import KubernetesClient
 from repro.sim import Environment
 
-from tests.test_k8s import _cluster, _deployment, _image, _service
+from tests.test_k8s import _cluster, _deployment, _image
 
 
 class TestSelfHealing:

@@ -9,8 +9,9 @@ regression file and is renamed for it.
 Each known defect sits in one transition of an owner (DESIGN.md §7):
 (a) and (b) in :class:`repro.core.controller.Redirect` ("A redirect's
 life"), (c) and (d) where a :class:`repro.core.dispatcher.Deployment`
-hands over to one ("A deployment's life"), (e) in the room rule that
-reads the deployments' state:
+hands over to one ("A deployment's life").  (e), in the room rule
+that reads the deployments' state, is fixed; its test stays here as a
+regression test:
 
 (a) **Reverse rewrite expires under a response** — ``install``: the
     reverse and forward entries share a cookie but idle out on two
@@ -37,10 +38,11 @@ reads the deployments' state:
     29, 41 of 100.  No directed reproduction yet; the first
     deliverable is the packet-level story of the request lost at
     seed 14.
-(e) **A deploy in flight takes two slots** — the room rule,
-    ``Dispatcher._has_room``, counts a ``Deployment`` whose *deploy* is
-    in flight and, once its container runs, counts it again in
-    ``running_count()``: :func:`test_a_deploy_in_flight_takes_one_slot`.
+(e) **A deploy in flight took two slots** (fixed) — the room rule,
+    ``Dispatcher._has_room``, counted a ``Deployment`` whose *deploy*
+    was in flight and, once its container ran, counted it again among
+    the running services; it now counts their union:
+    :func:`test_a_deploy_in_flight_takes_one_slot`.
 """
 
 from __future__ import annotations
@@ -87,21 +89,15 @@ def test_busy_service_is_not_scaled_down():
     assert stats["scale_downs"] == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP 2(e): the room rule counts a deploy in flight twice once its "
-    "container runs — as an owner with a process, and in running_count()",
-)
 def test_a_deploy_in_flight_takes_one_slot():
     """A two-slot Docker cluster deploys NGINX for a first request; ASM
     must find room throughout — one slot of two is taken.
 
-    Today ``has_capacity`` reads False for ASM from 2.755 to 2.814 s
-    after the request (every millisecond probed), from the start of
-    NGINX's container to the end of its wait-ready: ``_has_room``
-    counts the ``Deployment`` whose *deploy* is in flight and, again,
-    its running container in ``running_count()``.
+    Before the fix ``has_capacity`` read False for ASM from 2.755 to
+    2.814 s after the request (every millisecond probed), from the
+    start of NGINX's container to the end of its wait-ready:
+    ``_has_room`` counted the ``Deployment`` whose *deploy* was in
+    flight and, again, its running container.
     """
     tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
     tb.docker_cluster.capacity = 2

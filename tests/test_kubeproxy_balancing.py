@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.containers import Containerd, ImageSpec, Registry
-from repro.containers.image import MIB
-from repro.containers.registry import PRIVATE_PROFILE
 from repro.k8s import (
     APIServer,
     KubernetesClient,
-    KubernetesCluster,
     ObjectMeta,
     Pod,
     PodSpec,
@@ -23,7 +17,6 @@ from repro.sim import Environment
 from repro.net.packet import HTTPRequest, HTTPResponse
 
 from tests.kubeproxy_oracle import Backend, RecordingNode, serve
-from tests.nethelpers import MiniNet
 from tests.test_k8s import _cluster, _deployment, _image, _service
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.services.catalog import NGINX
 from repro.testbed import C3Testbed, TestbedConfig
 

@@ -7,7 +7,6 @@ import pytest
 from repro.net import (
     ConnectionRefused,
     ConnectionTimeout,
-    Host,
     HTTPRequest,
     IPv4Address,
     Link,

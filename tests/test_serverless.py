@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.base import DeployError
-from repro.containers.image import KIB, MIB
+from repro.containers.image import MIB
 from repro.serverless import (
     ServerlessCluster,
     WasmModule,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Resource
+from repro.sim import AllOf, AnyOf, Environment, Interrupt, Resource
 
 
 class TestRunProcess:

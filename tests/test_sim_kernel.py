@@ -11,7 +11,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Environment,
-    Event,
     Interrupt,
     Resource,
     SimulationError,

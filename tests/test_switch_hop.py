@@ -122,8 +122,8 @@ class TestChangesBetweenRounds:
         gaps = [0.01] * 8
 
         def mutate(rig):
-            removed = rig.sw.table.remove_matching(match=rig.fwd_match)
-            assert len(removed) == 1
+            (entry,) = [e for e in rig.sw.table if e.match == rig.fwd_match]
+            assert rig.sw.table.remove(entry)
             rig.reinstall_fwd()
 
         fused, two_event = _on_both_endpoints(

@@ -1,15 +1,12 @@
-"""Remaining lifecycle paths: watch cancellation, hard timeouts,
-switch-driven expiry end to end."""
+"""Remaining lifecycle paths: watch cancellation, switch-driven expiry
+end to end."""
 
 from __future__ import annotations
 
 from repro.k8s import APIServer, Deployment, DeploymentSpec, ObjectMeta
-from repro.net.openflow import Drop, FlowEntry, FlowMatch
 from repro.sim import Environment
 
-from tests.flowtable_oracle import touch
 from tests.k8shelpers import subscribe_channel
-from tests.nethelpers import MiniNet
 
 
 class TestWatchCancellation:
@@ -52,44 +49,6 @@ class TestWatchCancellation:
         env.run(until=3.0)
         # One ADDED delivered before the cancel; the MODIFIED dropped.
         assert len(watch.events.items) == 1
-
-
-class TestSwitchHardTimeout:
-    def test_hard_timeout_expires_active_flow(self):
-        """A hard timeout removes even a constantly used entry (the
-        mechanism that forces periodic re-validation)."""
-        env = Environment()
-        net = MiniNet(env)
-        sw = net.switch()
-        entry = FlowEntry(
-            FlowMatch(tcp_dst=80),
-            [Drop()],
-            hard_timeout=2.0,
-            cookie="hard",
-        )
-        sw.table.install(entry, env.now)
-
-        def keep_touching(env):
-            while len(sw.table):
-                touch(entry, env.now)
-                yield env.timeout(0.1)
-
-        env.process(keep_touching(env))
-        env.run(until=5.0)
-        assert len(sw.table) == 0
-
-    def test_idle_vs_hard_ordering(self):
-        env = Environment()
-        net = MiniNet(env)
-        sw = net.switch()
-        idle_entry = FlowEntry(FlowMatch(tcp_dst=1), [Drop()], idle_timeout=1.0)
-        hard_entry = FlowEntry(FlowMatch(tcp_dst=2), [Drop()], hard_timeout=3.0)
-        sw.table.install(idle_entry, env.now)
-        sw.table.install(hard_entry, env.now)
-        env.run(until=2.0)
-        assert len(sw.table) == 1  # idle gone, hard remains
-        env.run(until=4.0)
-        assert len(sw.table) == 0
 
 
 class TestControllerEndToEndExpiry:
