@@ -3,10 +3,12 @@
 The connection model captures exactly what the paper's *timecurl*
 measurement observes:
 
-* ``connect`` performs a SYN / SYN-ACK / ACK exchange across the real
+* ``connect`` performs a SYN / SYN-ACK exchange across the real
   (simulated) network path — so a packet-in detour to the SDN
   controller, or a held first packet during on-demand deployment,
-  delays it accordingly;
+  delays it accordingly; the handshake's last ACK rides on the
+  connection's first data segment (RFC 9293 §3.5), which carries the
+  ACK flag anyway;
 * a SYN to a **closed** port is answered with RST (connection refused)
   — the reason the paper's controller polls the service port before
   installing flows;
@@ -391,9 +393,10 @@ class Host(NetDevice):
     ):
         """Establish a connection (generator returning :class:`Connection`).
 
-        Raises :class:`ConnectionRefused` if the destination answers
-        with RST, :class:`ConnectionTimeout` if nothing answers within
-        ``timeout`` seconds.
+        Returns when the SYN-ACK arrives: the first data segment carries
+        the handshake's last ACK.  Raises :class:`ConnectionRefused` if
+        the destination answers with RST, :class:`ConnectionTimeout` if
+        nothing answers within ``timeout`` seconds.
         """
         conn_id = next(_conn_ids)
         src_port = self._allocate_port()
@@ -436,16 +439,6 @@ class Host(NetDevice):
         conn = Connection(self, conn_id, src_port, dst_ip, dst_port)
         conn.last_seen_remote_ip = packet.ip_src
         self._connections[conn_id] = conn
-        # Final ACK of the three-way handshake.
-        self._send_segment(
-            dst_ip,
-            TCPSegment(
-                src_port=src_port,
-                dst_port=dst_port,
-                flags=TCPFlags.ACK,
-                conn_id=conn_id,
-            ),
-        )
         return conn
 
     def http_request(
@@ -530,8 +523,8 @@ class Host(NetDevice):
 
         conn = self._connections.get(seg.conn_id)
         if conn is None:
-            # ACK finishing a handshake for a server-side connection we
-            # already created, or stray traffic: ignore.
+            # Stray traffic (a segment for a connection already freed):
+            # ignore.
             return
         conn.last_seen_remote_ip = packet.ip_src
         if seg.payload is not None:

@@ -445,7 +445,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 30,
+        'events': 28,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'cold deploy, image not cached': {
@@ -469,7 +469,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 65,
+        'events': 63,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'three waiters join one deploy': {
@@ -500,7 +500,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 65,
+        'events': 59,
         'flows': [
             ('10.0.0.2', 'docker', None),
             ('10.0.0.3', 'docker', None),
@@ -563,7 +563,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {'deploy_retries/docker': 1},
-        'events': 67,
+        'events': 65,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'retries exhausted: the breaker fed, degraded to a far cluster': {
@@ -581,45 +581,45 @@ _EXPECTED: dict[str, dict] = {
                           'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
             (4.497491851, 'add redirect:nginx:10.0.0.2 p20 '
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=1'),
-            (4.514834395, 'breaker docker closed failures=1'),
-            (4.515994923, 'docker pull nginx'),
-            (4.515994923, 'docker pull nginx raises RegistryUnavailable'),
-            (5.037023502, 'docker pull nginx'),
-            (5.037023502, 'docker pull nginx raises RegistryUnavailable'),
-            (6.062915177, 'docker pull nginx'),
-            (6.062915177, 'docker pull nginx raises RegistryUnavailable'),
-            (6.062915177, 'outcome nginx@docker total_s=1.546920254 ready=False '
+            (4.514833867, 'breaker docker closed failures=1'),
+            (4.515994395, 'docker pull nginx'),
+            (4.515994395, 'docker pull nginx raises RegistryUnavailable'),
+            (5.037022974, 'docker pull nginx'),
+            (5.037022974, 'docker pull nginx raises RegistryUnavailable'),
+            (6.062914649, 'docker pull nginx'),
+            (6.062914649, 'docker pull nginx raises RegistryUnavailable'),
+            (6.062914649, 'outcome nginx@docker total_s=1.546920254 ready=False '
                           "failed_phase='pull' error='RegistryUnavailable: down' attempts=3"),
-            (6.062915177, 'outcome nginx@far-docker'),
-            (6.062915177, 'add redirect:nginx:10.0.0.3 p20 '
+            (6.062914649, 'outcome nginx@far-docker'),
+            (6.062914649, 'add redirect:nginx:10.0.0.3 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:3 buffer=None'),
-            (6.062915177, 'add redirect:nginx:10.0.0.3 p20 '
+            (6.062914649, 'add redirect:nginx:10.0.0.3 p20 '
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=2'),
-            (6.080257721, 'breaker docker closed failures=2'),
-            (6.081418249, 'docker pull nginx'),
-            (6.081418249, 'docker pull nginx raises RegistryUnavailable'),
-            (6.606981985, 'docker pull nginx'),
-            (6.606981985, 'docker pull nginx raises RegistryUnavailable'),
-            (7.647475399, 'docker pull nginx'),
-            (7.647475399, 'docker pull nginx raises RegistryUnavailable'),
-            (7.647475399, 'outcome nginx@docker total_s=1.56605715 ready=False '
+            (6.080256665, 'breaker docker closed failures=2'),
+            (6.081417193, 'docker pull nginx'),
+            (6.081417193, 'docker pull nginx raises RegistryUnavailable'),
+            (6.606980929, 'docker pull nginx'),
+            (6.606980929, 'docker pull nginx raises RegistryUnavailable'),
+            (7.647474343, 'docker pull nginx'),
+            (7.647474343, 'docker pull nginx raises RegistryUnavailable'),
+            (7.647474343, 'outcome nginx@docker total_s=1.56605715 ready=False '
                           "failed_phase='pull' error='RegistryUnavailable: down' attempts=3"),
-            (7.647475399, 'outcome nginx@far-docker'),
-            (7.647475399, 'add redirect:nginx:10.0.0.4 p20 '
+            (7.647474343, 'outcome nginx@far-docker'),
+            (7.647474343, 'add redirect:nginx:10.0.0.4 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:4 buffer=None'),
-            (7.647475399, 'add redirect:nginx:10.0.0.4 p20 '
+            (7.647474343, 'add redirect:nginx:10.0.0.4 p20 '
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=3'),
-            (7.664817943, 'breaker docker open failures=3'),
-            (7.665978471, 'outcome nginx@far-docker'),
-            (7.665978471, 'add redirect:nginx:10.0.0.5 p20 '
+            (7.664816359, 'breaker docker open failures=3'),
+            (7.665976887, 'outcome nginx@far-docker'),
+            (7.665976887, 'add redirect:nginx:10.0.0.5 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:5 buffer=None'),
-            (7.665978471, 'add redirect:nginx:10.0.0.5 p20 '
+            (7.665976887, 'add redirect:nginx:10.0.0.5 p20 '
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=4'),
-            (7.683321015, 'breaker docker open failures=3'),
+            (7.683318903, 'breaker docker open failures=3'),
         ],
-        'breakers': {'docker': [(7.647475399, 'closed', 'open')]},
+        'breakers': {'docker': [(7.647474343, 'closed', 'open')]},
         'counters': {'deploy_failures/docker': 3, 'deploy_retries/docker': 6},
-        'events': 82,
+        'events': 74,
         'flows': [
             ('10.0.0.2', 'far-docker', 'docker'),
             ('10.0.0.3', 'far-docker', 'docker'),
@@ -689,7 +689,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 38,
+        'events': 36,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'a background failure marks the service degraded': {
@@ -705,7 +705,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {'docker': []},
         'counters': {'deploy_failures/docker': 1},
-        'events': 25,
+        'events': 23,
         'flows': [('10.0.0.2', 'far-docker', 'docker')],
     },
     'idle scale-down over one cluster, federated': {
@@ -722,13 +722,13 @@ _EXPECTED: dict[str, dict] = {
             (0.957334548, 'outcome asm@site0-docker pulled=True created=True scaled=True '
                           'pull_s=0.37217402 create_s=0.057 scale_up_s=0.347 wait_ready_s=0.02 '
                           'total_s=0.79617402'),
-            (1.230393699, 'site0-docker scale_down asm'),
-            (1.282393699, 'site0-docker scale_down asm -> None'),
-            (1.282393699, 'publish asm@site0/site0-docker running=False port=None'),
+            (1.230393171, 'site0-docker scale_down asm'),
+            (1.282393171, 'site0-docker scale_down asm -> None'),
+            (1.282393171, 'publish asm@site0/site0-docker running=False port=None'),
         ],
         'breakers': {},
         'counters': {},
-        'events': 63,
+        'events': 60,
     },
     'idle scale-down over two clusters': {
         "log": [
@@ -760,47 +760,47 @@ _EXPECTED: dict[str, dict] = {
     },
     'a migration released, evicted, drained and scaled down': {
         "log": [
-            (12.719567719, 'site1-docker scale_up asm'),
-            (13.066567719, 'site1-docker scale_up asm -> None'),
-            (13.066567719, 'site1-docker wait_ready asm'),
-            (13.086567719, 'site1-docker wait_ready asm -> True'),
-            (13.137028668, 'publish asm@site1/site1-docker running=True port=20000'),
-            (13.149419994, 'publish asm@site0/site0-docker running=False port=None'),
-            (13.153550846, 'state asm@site0-docker running=False room=False blocked=True '
+            (12.719567191, 'site1-docker scale_up asm'),
+            (13.066567191, 'site1-docker scale_up asm -> None'),
+            (13.066567191, 'site1-docker wait_ready asm'),
+            (13.086567191, 'site1-docker wait_ready asm -> True'),
+            (13.137027978, 'publish asm@site1/site1-docker running=True port=20000'),
+            (13.149419252, 'publish asm@site0/site0-docker running=False port=None'),
+            (13.153550103, 'state asm@site0-docker running=False room=False blocked=True '
                            'degraded=False'),
-            (14.149419994, 'site0-docker scale_down asm'),
-            (14.201419994, 'site0-docker scale_down asm -> None'),
-            (15.153550846, 'state asm@site0-docker running=False room=True blocked=False '
+            (14.149419252, 'site0-docker scale_down asm'),
+            (14.201419252, 'site0-docker scale_down asm -> None'),
+            (15.153550103, 'state asm@site0-docker running=False room=True blocked=False '
                            'degraded=False'),
-            (15.153550846, 'state asm@site1/site1-docker running=True room=False blocked=False '
+            (15.153550103, 'state asm@site1/site1-docker running=True room=False blocked=False '
                            'degraded=False'),
         ],
         'breakers': {},
         'counters': {},
-        'events': 111,
+        'events': 95,
     },
     'a migration abort, then a completion, feed migration:site0': {
         "log": [
-            (12.719567719, 'site1-docker scale_up asm'),
-            (13.066567719, 'site1-docker scale_up asm -> None'),
-            (13.066567719, 'site1-docker wait_ready asm'),
-            (13.086567719, 'site1-docker wait_ready asm -> True'),
-            (17.297393897, 'site1-docker scale_down asm'),
-            (17.309393897, 'site1-docker scale_down asm -> None'),
-            (17.325916074, 'breaker migration:site0 closed failures=1'),
-            (22.325916074, 'site1-docker scale_up asm'),
-            (22.672916074, 'site1-docker scale_up asm -> None'),
-            (22.672916074, 'site1-docker wait_ready asm'),
-            (22.692916074, 'site1-docker wait_ready asm -> True'),
-            (22.743377023, 'publish asm@site1/site1-docker running=True port=20000'),
-            (22.75576835, 'publish asm@site0/site0-docker running=False port=None'),
-            (22.759899201, 'breaker migration:site0 closed failures=0'),
-            (23.75576835, 'site0-docker scale_down asm'),
-            (23.80776835, 'site0-docker scale_down asm -> None'),
+            (12.719567191, 'site1-docker scale_up asm'),
+            (13.066567191, 'site1-docker scale_up asm -> None'),
+            (13.066567191, 'site1-docker wait_ready asm'),
+            (13.086567191, 'site1-docker wait_ready asm -> True'),
+            (17.297393316, 'site1-docker scale_down asm'),
+            (17.309393316, 'site1-docker scale_down asm -> None'),
+            (17.325915441, 'breaker migration:site0 closed failures=1'),
+            (22.325915441, 'site1-docker scale_up asm'),
+            (22.672915441, 'site1-docker scale_up asm -> None'),
+            (22.672915441, 'site1-docker wait_ready asm'),
+            (22.692915441, 'site1-docker wait_ready asm -> True'),
+            (22.743376228, 'publish asm@site1/site1-docker running=True port=20000'),
+            (22.755767502, 'publish asm@site0/site0-docker running=False port=None'),
+            (22.759898353, 'breaker migration:site0 closed failures=0'),
+            (23.755767502, 'site0-docker scale_down asm'),
+            (23.807767502, 'site0-docker scale_down asm -> None'),
         ],
         'breakers': {'migration:site0': []},
         'counters': {},
-        'events': 528,
+        'events': 440,
     },
     'capacity checked while a deployment is in flight': {
         "log": [
@@ -840,7 +840,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 77,
+        'events': 75,
         'flows': [('10.0.0.2', 'docker', None)],
     },
 }

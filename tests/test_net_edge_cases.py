@@ -6,6 +6,7 @@ import pytest
 
 from repro.net import ConnectionTimeout, HTTPRequest
 from repro.net.host import ConnectionReset
+from repro.net.openflow import FlowEntry, FlowMatch, Output
 from repro.net.packet import HTTPResponse, TCPFlags
 from repro.sim import Environment
 
@@ -177,8 +178,6 @@ class TestConnectionEdgeCases:
         net = MiniNet(env)
         a, b, c = net.host("a"), net.host("b"), net.host("c")
         sw = net.switch()
-        from repro.net.openflow import FlowEntry, FlowMatch, Output
-
         pa = net.attach(sw, a)
         pb = net.attach(sw, b)
         pc = net.attach(sw, c)
@@ -192,6 +191,51 @@ class TestConnectionEdgeCases:
         r2 = run_request(env, a, c.ip, 80)
         assert r1.response.body_bytes == 1
         assert r2.response.body_bytes == 2
+
+    def test_the_handshake_ack_rides_on_the_request(self):
+        """The handshake's last ACK is not a segment of its own: it rides
+        on the request, which carries the ACK flag (RFC 9293 §3.5 lets
+        the third segment carry data).  A warm one-shot request is 4
+        segments through the switch — SYN, SYN-ACK, the request
+        (``PSH|ACK|FIN``) and the response — and after the SYN the
+        server receives no segment without a payload.  A port probe
+        sends the SYN only."""
+        env = Environment()
+        net = MiniNet(env)
+        a, b = net.host("a"), net.host("b")
+        sw = net.switch()
+        pa, pb = net.attach(sw, a), net.attach(sw, b)
+        for host, port in ((a, pa), (b, pb)):
+            sw.table.install(
+                FlowEntry(FlowMatch(ip_dst=host.ip), [Output(port)]), 0.0
+            )
+        b.open_port(80, EchoApp(env))
+        through = []
+        pipeline = sw._pipeline
+
+        def spy(packet, in_port):
+            through.append((in_port, packet.tcp.flags, type(packet.tcp.payload)))
+            pipeline(packet, in_port)
+
+        sw._pipeline = spy
+        at_server = []
+        receive = b.receive
+        b.receive = lambda p, i: (at_server.append(p.tcp), receive(p, i))
+
+        assert run_request(env, a, b.ip, 80).response.status == 200
+        data = TCPFlags.PSH | TCPFlags.ACK | TCPFlags.FIN
+        assert through == [
+            (pa, TCPFlags.SYN, type(None)),
+            (pb, TCPFlags.SYN | TCPFlags.ACK, type(None)),
+            (pa, data, HTTPRequest),
+            (pb, data, HTTPResponse),
+        ]
+        assert at_server[0].flags == TCPFlags.SYN
+        assert all(seg.payload is not None for seg in at_server[1:])
+
+        del through[:]
+        assert env.run(until=env.process(a.probe_port(b.ip, 80))) is True
+        assert [flags for port, flags, _ in through if port == pa] == [TCPFlags.SYN]
 
 
 class TestSDNFramework:

@@ -325,19 +325,21 @@ def _popped_names(popped) -> list[str]:
 
 
 def test_warm_request_event_budget(monkeypatch):
-    """One request to a running, already-redirected service costs 12
+    """One request to a running, already-redirected service costs 10
     kernel events:
 
-    * 10 — its 5 packets (SYN, SYN-ACK, ACK, request, response) cross 2
-      links each, one heap entry per packet per link: 5 arrivals at a
-      host (``_deliver``) and 5 at the switch, each of them the arrival
+    * 8 — its 4 packets (SYN, SYN-ACK, request, response) cross 2 links
+      each, one heap entry per packet per link: 4 arrivals at a host
+      (``_deliver``) and 4 at the switch, each of them the arrival
       and the table lookup in one (``_ingress``) — no lookup is ever an
       entry of its own (``_pipeline``);
     * 1 — the client's process ending (``run_request`` waits on it; it
       started hot, ``Environment.run_process``, so no ``_Initialize``);
     * 1 — the server's service time.
 
-    The client's resumptions when the connection opens and when the
+    The handshake's last ACK is not a segment of its own: it rides on
+    the request, which carries the ACK flag (``PSH|ACK|FIN``).  The
+    client's resumptions when the connection opens and when the
     response is in happen inside the ``_deliver`` that brought the
     SYN-ACK / the response (``Event.succeed_tail``): no popped entry is
     the handshake ``Event`` or a ``StoreGet``.  The handler the server
@@ -347,10 +349,10 @@ def test_warm_request_event_budget(monkeypatch):
     events, packets = tb.env.events_processed, tb.switch.stats["rx"]
     assert tb.run_request(tb.clients[0], service).response.ok
     packets = tb.switch.stats["rx"] - packets
-    assert tb.env.events_processed - events == len(popped) == 12
+    assert tb.env.events_processed - events == len(popped) == 10
 
     names = _popped_names(popped)
-    assert packets == 5
+    assert packets == 4
     assert names.count("_deliver") == names.count("_ingress") == packets
     assert names.count("_pipeline") == 0
     # What is left: the service time, and the client's end.
@@ -359,7 +361,7 @@ def test_warm_request_event_budget(monkeypatch):
 
 def test_flow_memory_miss_event_budget(monkeypatch):
     """A first request from a new client to an instance that already
-    runs costs the warm request's 12 plus the control path's 4: the
+    runs costs the warm request's 10 plus the control path's 4: the
     packet-in's channel hop (``_deliver_up``), the handler's
     processing-delay timer, and one channel hop per flow-mod
     (``_deliver_down``: reverse, then forward + release).  The handler
@@ -373,10 +375,10 @@ def test_flow_memory_miss_event_budget(monkeypatch):
     deployments = tb.controller.dispatcher.recorder.series("deployments")
     assert tb.run_request(tb.clients[1], service).response.ok
     assert len(deployments) == 1  # the first client's; none for this one
-    assert tb.env.events_processed - events == len(popped) == 12 + 4
+    assert tb.env.events_processed - events == len(popped) == 10 + 4
 
     names = _popped_names(popped)
-    assert names.count("_deliver") == names.count("_ingress") == 5
+    assert names.count("_deliver") == names.count("_ingress") == 4
     assert names.count("_deliver_up") == 1
     assert names.count("_deliver_down") == 2
     assert names.count("Timeout") == 2  # handler delay, service time
@@ -434,8 +436,8 @@ def _k8s_first_request(monkeypatch):
 
 
 def test_k8s_first_request_event_budget(monkeypatch):
-    """A first request on Kubernetes costs 122 kernel events, 41 fewer
-    than the 163 it cost with a relay process behind every informer
+    """A first request on Kubernetes costs 120 kernel events, 41 fewer
+    than the 161 it cost with a relay process behind every informer
     handler and every work-queue wake-up a ``StoreGet`` entry
     (``tests/k8shelpers.relays_on_the_heap`` composed with
     ``wakes_on_the_heap``: the control loops as they were, count for
@@ -451,7 +453,7 @@ def test_k8s_first_request_event_budget(monkeypatch):
       each worker resumes inside the delivery that woke it, and no
       ``get`` is an entry.
 
-    The relay twin alone counts 4 fewer than it did (159): the relays'
+    The relay twin alone counts 4 fewer than it did (157): the relays'
     reads of a non-empty channel at a quiet instant are in place too."""
     from tests.k8shelpers import relays_on_the_heap, wakes_on_the_heap
 
@@ -466,11 +468,11 @@ def test_k8s_first_request_event_budget(monkeypatch):
     popped, _, events, watch_events = _k8s_first_request(monkeypatch)
     assert watch_events == heap_watch_events == 17
     assert sum(name.startswith("relay:") for name in heap_resumed) == 17
-    assert heap_events == 163
-    assert relay_events == heap_events - 4 == 159
-    assert woken_events == heap_events - 27 == 136
+    assert heap_events == 161
+    assert relay_events == heap_events - 4 == 157
+    assert woken_events == heap_events - 27 == 134
     assert len(woken) == 14 and all(name.endswith("-worker") for name in woken)
-    assert events == woken_events - 14 == 122
+    assert events == woken_events - 14 == 120
 
     kinds = [getattr(entry, "__qualname__", "") for entry in popped]
     assert kinds.count("APIServer._deliver") == 7
@@ -586,8 +588,8 @@ def test_simultaneous_syn_acks_fall_back_to_the_heap():
         ("connected", "client1"),
     ]
     assert taken == []
-    # Per pair: launch, process start, SYN, SYN-ACK, the wake-up, ACK.
-    assert env.events_processed == 2 * 6
+    # Per pair: launch, process start, SYN, SYN-ACK, the wake-up.
+    assert env.events_processed == 2 * 5
 
 
 def test_a_receive_spy_that_calls_the_original_last_keeps_the_handoff():
@@ -602,7 +604,7 @@ def test_a_receive_spy_that_calls_the_original_last_keeps_the_handoff():
         ("connected", "client1"),
     ]
     assert len(taken) == 2
-    assert env.events_processed == 2 * 5
+    assert env.events_processed == 2 * 4
 
 
 # ---------------------------------------------------------------------------

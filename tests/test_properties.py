@@ -1479,7 +1479,7 @@ def test_fused_switch_ingress_is_the_two_event_arrival_then_lookup(burst):
 # Tail hand-off: a wake-up inside the delivery vs a heap entry of its own
 # ---------------------------------------------------------------------------
 
-#: A bare segment (SYN, SYN-ACK, ACK) serializes in one unit, a payload
+#: A bare segment (SYN, SYN-ACK) serializes in one unit, a payload
 #: of ``u`` units in ``u + 1``; latencies, the lookup delay, service and
 #: think times are whole or half units.  Every instant is then a whole
 #: number of 1/2048 s, and instants that coincide on paper — at

@@ -181,8 +181,8 @@ class TestTraceDriver:
         return tb, svc
 
     def test_a_finished_request_costs_no_entry_of_its_own(self, monkeypatch):
-        """A replayed warm request pops 11 entries — its 10 link hops
-        (5 ``_deliver`` at a host, 5 ``_ingress`` at the switch) and
+        """A replayed warm request pops 9 entries — its 8 link hops
+        (4 ``_deliver`` at a host, 4 ``_ingress`` at the switch) and
         the server's service time — plus the pacer's re-arm for the
         next launch instant.  Its process is hot-started and detached
         (no start entry, no completion entry) and is resumed inside the
@@ -199,15 +199,15 @@ class TestTraceDriver:
 
         assert not any(isinstance(entry, Process) for entry in popped)
         names = [getattr(entry, "__name__", type(entry).__name__) for entry in popped]
-        assert names.count("_deliver") == names.count("_ingress") == 5 * k
+        assert names.count("_deliver") == names.count("_ingress") == 4 * k
         assert names.count("Timeout") == k  # service time
         assert names.count("StoreGet") == 0
         assert names.count("Event") == 1  # run()'s ``done``
         assert names.count("pace") == k - 1  # the first launch runs inline
-        # 11 per request, k - 1 paces and ``done`` make 12 k; what is
+        # 9 per request, k - 1 paces and ``done`` make 10 k; what is
         # left is the controller's clockwork (FlowMemory's sweep tick),
         # too little of it to be anything per request.
-        assert 0 <= len(popped) - 12 * k < k
+        assert 0 <= len(popped) - 10 * k < k
 
     def test_a_request_that_raises_stops_the_run(self, monkeypatch):
         """``fetch`` turns the expected connection errors into samples;
