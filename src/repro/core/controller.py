@@ -475,12 +475,10 @@ class EdgeController(ForwardingApp):
     def on_packet_in(self, datapath: Datapath, message: PacketIn) -> None:
         self.stats["packet_in"] += 1
         # Hot: the handler's first segment only arms its processing-delay
-        # timer, and we return to the kernel.  The one push that timer
-        # now precedes is ``ControlChannel._deliver_up``'s chain push,
-        # one channel hop ahead: a tie only if ``latency_s ==
-        # processing_delay_s`` float for float (defaults 200 µs and
-        # 800 µs), and then the next packet-in's delivery would pop
-        # after this handler's timer instead of before it.
+        # timer, and we return to the kernel.  What that push precedes
+        # is the rest of this delivery's batch, and of that only another
+        # packet-in pushes at the timer's instant: its handler's timer,
+        # armed after this one, as it would be started cold.
         self.env.spawn(
             self._handle_packet_in(datapath, message),
             name=f"pktin:{message.buffer_id}",

@@ -166,10 +166,10 @@ class Deployment:
         processed; the one place it is not — the waiters of a shared
         *failed* deployment re-resolving — has every sibling take this
         same branch in the same order.  The guard is traffic, not
-        caution (a handler's timer meets a flow-mod's delivery on ~3 % of
-        ``c3_churn``'s packet-ins), and no digest sees it missing; the
-        shortcut property in ``tests/test_properties.py`` does (contract
-        in DESIGN.md §6).
+        caution (packet-ins that land in one batch time out together:
+        18 of ``c3_churn``'s 7 092 answers), and no digest sees it
+        missing; the shortcut property in ``tests/test_properties.py``
+        does (contract in DESIGN.md §6).
         """
         if self.process is not None:
             outcome = yield self.process

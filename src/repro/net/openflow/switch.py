@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import typing as _t
-from collections import deque
 from heapq import heappush
 
 from repro.net.device import NetDevice, NetworkInterface
@@ -37,18 +36,18 @@ EXPIRY_SWEEP_INTERVAL_S = 0.25
 class ControlChannel:
     """Ordered, latency-modelled message pipe between switch and controller.
 
-    Both directions preserve FIFO order (a TCP control connection in
-    the real system); each message is delayed by ``latency_s``.
+    One TCP control connection in the real system: each message lands
+    ``latency_s`` after it was sent, FIFO per direction, and messages
+    are not spaced out behind each other — a burst pipelines, which is
+    why OpenFlow has a barrier at all.
 
-    Each direction is a callback busy-chain: the first message in a
-    burst schedules its own delivery, later ones queue in a deque, and
-    each delivery chains the next — one heap entry per message.
-    Message *n+1* of a burst departs when message *n* lands, so
-    back-to-back messages space out by ``latency_s``; a burst of four
-    flow-mods therefore lands on a 200 µs grid, which is the grid a
-    controller handler's 800 µs timer also lands on (see
-    ``Dispatcher.ensure_deployed``).  On delivery the message is
-    dispatched *before* the next one is scheduled.
+    What one side sends in one simulated instant travels as one batch:
+    one heap entry lands it, and its messages are handled in send
+    order.  A message sent while a batch is being handled opens a new
+    batch — a new entry behind this one, even at ``latency_s == 0``.
+    Batches sent at different instants land at their own instants;
+    two that land on one float pop in send order (the heap key's
+    ``sched_at``).
     """
 
     def __init__(self, env: Environment, latency_s: float = 200e-6) -> None:
@@ -58,48 +57,46 @@ class ControlChannel:
         self.latency_s = float(latency_s)
         self.switch: "OpenFlowSwitch | None" = None
         self.controller: "SDNApp | None" = None
-        self._up_queue: deque = deque()
-        self._up_busy = False
-        self._down_queue: deque = deque()
-        self._down_busy = False
+        # Each direction's last batch and the instant it takes messages
+        # at: ``None`` once it is being handled.
+        self._up: list = []
+        self._up_at: float | None = None
+        self._down: list = []
+        self._down_at: float | None = None
 
     def bind(self, switch: "OpenFlowSwitch", controller: "SDNApp") -> None:
         self.switch = switch
         self.controller = controller
 
     def send_to_controller(self, message: _t.Any) -> None:
-        if self._up_busy:
-            self._up_queue.append(message)
+        now = self.env._now
+        if self._up_at == now:
+            self._up.append(message)
         else:
-            self._up_busy = True
-            self.env.call_later(self.latency_s, self._deliver_up, message)
+            self._up, self._up_at = [message], now
+            self.env.call_later(self.latency_s, self._deliver_up, self._up)
 
     def send_to_switch(self, message: _t.Any) -> None:
-        if self._down_busy:
-            self._down_queue.append(message)
+        now = self.env._now
+        if self._down_at == now:
+            self._down.append(message)
         else:
-            self._down_busy = True
-            self.env.call_later(self.latency_s, self._deliver_down, message)
+            self._down, self._down_at = [message], now
+            self.env.call_later(self.latency_s, self._deliver_down, self._down)
 
-    def _deliver_up(self, message: _t.Any) -> None:
+    def _deliver_up(self, batch: list) -> None:
+        if batch is self._up:
+            self._up_at = None
         if self.controller is not None and self.switch is not None:
-            self.controller.dispatch_switch_message(self.switch, message)
-        if self._up_queue:
-            self.env.call_later(
-                self.latency_s, self._deliver_up, self._up_queue.popleft()
-            )
-        else:
-            self._up_busy = False
+            for message in batch:
+                self.controller.dispatch_switch_message(self.switch, message)
 
-    def _deliver_down(self, message: _t.Any) -> None:
+    def _deliver_down(self, batch: list) -> None:
+        if batch is self._down:
+            self._down_at = None
         if self.switch is not None:
-            self.switch.handle_controller_message(message)
-        if self._down_queue:
-            self.env.call_later(
-                self.latency_s, self._deliver_down, self._down_queue.popleft()
-            )
-        else:
-            self._down_busy = False
+            for message in batch:
+                self.switch.handle_controller_message(message)
 
 
 class OpenFlowSwitch(NetDevice):

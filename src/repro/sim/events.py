@@ -138,7 +138,7 @@ class Event:
         reply, payload to a blocked reader), reached from
         ``LinkEndpoint._deliver``, itself the whole of a heap entry.  It
         is **not** for ``ControlChannel._deliver_up`` / ``_deliver_down``
-        (they schedule the next message *after* dispatching this one),
+        (a batch delivery goes on to dispatch the rest of its batch),
         ``Store.put`` (its caller goes on), ``Host.crash`` (loops over
         connections), ``Host.open_port`` or a process that goes on to
         act; ``fail`` (RST, timeouts) stays on the heap.

@@ -14,7 +14,13 @@ recorded at 9147817, before a deployment had an owner (``_inflight``,
 ``_deploy``, ``_attempt_phase``, ``_finish_failed``, ``_background``,
 ``_scale_down``, ``_publish_instance`` and the ``evicting`` set) — not
 from the code under test; a change that moves them on purpose edits
-them in the same diff.
+them in the same diff.  Since the control channel pipelines, what one
+side sends in one instant lands in one entry: each ``events`` is the
+recorded count less the channel entries that folded (three waiters:
+59 → 52, three packet-ins in one entry and six flow-mods in one), and
+each far-edge request of "retries exhausted" is released one channel
+hop (150 µs) sooner, so every instant after the first release is
+earlier by 150 µs per request released before it.
 """
 
 from __future__ import annotations
@@ -445,7 +451,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 28,
+        'events': 27,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'cold deploy, image not cached': {
@@ -469,7 +475,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 63,
+        'events': 62,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'three waiters join one deploy': {
@@ -500,7 +506,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 59,
+        'events': 52,
         'flows': [
             ('10.0.0.2', 'docker', None),
             ('10.0.0.3', 'docker', None),
@@ -563,7 +569,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {'deploy_retries/docker': 1},
-        'events': 65,
+        'events': 64,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'retries exhausted: the breaker fed, degraded to a far cluster': {
@@ -581,45 +587,45 @@ _EXPECTED: dict[str, dict] = {
                           'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
             (4.497491851, 'add redirect:nginx:10.0.0.2 p20 '
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=1'),
-            (4.514833867, 'breaker docker closed failures=1'),
-            (4.515994395, 'docker pull nginx'),
-            (4.515994395, 'docker pull nginx raises RegistryUnavailable'),
-            (5.037022974, 'docker pull nginx'),
-            (5.037022974, 'docker pull nginx raises RegistryUnavailable'),
-            (6.062914649, 'docker pull nginx'),
-            (6.062914649, 'docker pull nginx raises RegistryUnavailable'),
-            (6.062914649, 'outcome nginx@docker total_s=1.546920254 ready=False '
+            (4.514683867, 'breaker docker closed failures=1'),
+            (4.515844395, 'docker pull nginx'),
+            (4.515844395, 'docker pull nginx raises RegistryUnavailable'),
+            (5.036872974, 'docker pull nginx'),
+            (5.036872974, 'docker pull nginx raises RegistryUnavailable'),
+            (6.062764649, 'docker pull nginx'),
+            (6.062764649, 'docker pull nginx raises RegistryUnavailable'),
+            (6.062764649, 'outcome nginx@docker total_s=1.546920254 ready=False '
                           "failed_phase='pull' error='RegistryUnavailable: down' attempts=3"),
-            (6.062914649, 'outcome nginx@far-docker'),
-            (6.062914649, 'add redirect:nginx:10.0.0.3 p20 '
+            (6.062764649, 'outcome nginx@far-docker'),
+            (6.062764649, 'add redirect:nginx:10.0.0.3 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:3 buffer=None'),
-            (6.062914649, 'add redirect:nginx:10.0.0.3 p20 '
+            (6.062764649, 'add redirect:nginx:10.0.0.3 p20 '
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=2'),
-            (6.080256665, 'breaker docker closed failures=2'),
-            (6.081417193, 'docker pull nginx'),
-            (6.081417193, 'docker pull nginx raises RegistryUnavailable'),
-            (6.606980929, 'docker pull nginx'),
-            (6.606980929, 'docker pull nginx raises RegistryUnavailable'),
-            (7.647474343, 'docker pull nginx'),
-            (7.647474343, 'docker pull nginx raises RegistryUnavailable'),
-            (7.647474343, 'outcome nginx@docker total_s=1.56605715 ready=False '
+            (6.079956665, 'breaker docker closed failures=2'),
+            (6.081117193, 'docker pull nginx'),
+            (6.081117193, 'docker pull nginx raises RegistryUnavailable'),
+            (6.606680929, 'docker pull nginx'),
+            (6.606680929, 'docker pull nginx raises RegistryUnavailable'),
+            (7.647174343, 'docker pull nginx'),
+            (7.647174343, 'docker pull nginx raises RegistryUnavailable'),
+            (7.647174343, 'outcome nginx@docker total_s=1.56605715 ready=False '
                           "failed_phase='pull' error='RegistryUnavailable: down' attempts=3"),
-            (7.647474343, 'outcome nginx@far-docker'),
-            (7.647474343, 'add redirect:nginx:10.0.0.4 p20 '
+            (7.647174343, 'outcome nginx@far-docker'),
+            (7.647174343, 'add redirect:nginx:10.0.0.4 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:4 buffer=None'),
-            (7.647474343, 'add redirect:nginx:10.0.0.4 p20 '
+            (7.647174343, 'add redirect:nginx:10.0.0.4 p20 '
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=3'),
-            (7.664816359, 'breaker docker open failures=3'),
-            (7.665976887, 'outcome nginx@far-docker'),
-            (7.665976887, 'add redirect:nginx:10.0.0.5 p20 '
+            (7.664366359, 'breaker docker open failures=3'),
+            (7.665526887, 'outcome nginx@far-docker'),
+            (7.665526887, 'add redirect:nginx:10.0.0.5 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:5 buffer=None'),
-            (7.665976887, 'add redirect:nginx:10.0.0.5 p20 '
+            (7.665526887, 'add redirect:nginx:10.0.0.5 p20 '
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=4'),
-            (7.683318903, 'breaker docker open failures=3'),
+            (7.682718903, 'breaker docker open failures=3'),
         ],
-        'breakers': {'docker': [(7.647474343, 'closed', 'open')]},
+        'breakers': {'docker': [(7.647174343, 'closed', 'open')]},
         'counters': {'deploy_failures/docker': 3, 'deploy_retries/docker': 6},
-        'events': 74,
+        'events': 70,
         'flows': [
             ('10.0.0.2', 'far-docker', 'docker'),
             ('10.0.0.3', 'far-docker', 'docker'),
@@ -689,7 +695,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 36,
+        'events': 33,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'a background failure marks the service degraded': {
@@ -705,7 +711,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {'docker': []},
         'counters': {'deploy_failures/docker': 1},
-        'events': 23,
+        'events': 22,
         'flows': [('10.0.0.2', 'far-docker', 'docker')],
     },
     'idle scale-down over one cluster, federated': {
@@ -728,7 +734,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 60,
+        'events': 58,
     },
     'idle scale-down over two clusters': {
         "log": [
@@ -777,7 +783,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 95,
+        'events': 93,
     },
     'a migration abort, then a completion, feed migration:site0': {
         "log": [
@@ -800,7 +806,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {'migration:site0': []},
         'counters': {},
-        'events': 440,
+        'events': 438,
     },
     'capacity checked while a deployment is in flight': {
         "log": [
@@ -840,7 +846,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 75,
+        'events': 74,
         'flows': [('10.0.0.2', 'docker', None)],
     },
 }

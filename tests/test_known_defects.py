@@ -18,13 +18,18 @@ regression test:
     independent timers, so the reverse one can lapse while forward
     hits keep the other alive, and the next response reaches the
     client from the instance's own address.  Seen: ``c3_replay``
-    seeds 2, 4, 9 (1–2 packets of 34 160).  No directed reproduction
-    yet.
+    seeds 2, 3, 5, 8, 9, 10 and 12 (9 packets over seeds 1–12, 1–2 of
+    34 160 each) while the control channel was stop-and-wait and
+    installed the reverse entry one hop before the forward one; since
+    it pipelines, both land in one batch and seeds 1–12 show none.
+    The two independent idle timers remain, so that is not a fix, and
+    a clean seed no longer shows one.  No directed reproduction yet.
 (b) **Transparency across handover** — ``retire``:
     ``update_client_location`` deletes the client's entries outright
     while its own SYN-ACKs and responses are in flight; it should
-    drain them as ``repoint`` does.  Seen: ``handover_storm``, 13–31
-    packets of 40 000 over 80 seeds.  No directed reproduction yet (a
+    drain them as ``repoint`` does.  Seen: ``handover_storm``, 11–32
+    packets of 40 000 over 80 seeds (13–31 on the stop-and-wait
+    channel).  No directed reproduction yet (a
     federated ``move_client`` 0.2–1.2 ms into a warm request lost the
     request at 0.2 ms and leaked nothing later).
 (c) **A busy service is scaled down** — ``Deployment.retire``: the

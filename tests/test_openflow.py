@@ -16,6 +16,7 @@ from repro.net.openflow import (
     SetField,
     ToController,
 )
+from repro.net.openflow.switch import ControlChannel
 from repro.net.openflow.table import FlowTable, REASON_DELETE, REASON_IDLE_TIMEOUT
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.net.addressing import MACAddress
@@ -23,7 +24,7 @@ from repro.sdnfw import SDNApp
 from repro.sim import Environment
 
 from tests.flowtable_oracle import earliest_deadline, sweep_expired, touch
-from tests.nethelpers import EchoApp, MiniNet, run_request
+from tests.nethelpers import EchoApp, MiniNet, record_popped_entries, run_request
 
 
 def _packet(src="10.0.0.1", dst="10.0.0.2", sport=1000, dport=80):
@@ -379,3 +380,119 @@ class TestSwitchDataPlane:
             FlowMod(command="delete")
         with pytest.raises(ValueError):
             FlowMod(command="delete", match=FlowMatch(tcp_dst=80))
+
+
+class _ChannelEnds:
+    """Both ends of a bare control channel: every message handled, as
+    ``(instant, direction, message)``; ``echo`` maps a message to one
+    the switch end sends down again while it handles the first."""
+
+    def __init__(self, env, latency_s, echo=None):
+        self.env = env
+        self.handled: list[tuple[float, str, object]] = []
+        self.echo = echo or {}
+        self.channel = ControlChannel(env, latency_s)
+        self.channel.bind(self, self)
+
+    def handle_controller_message(self, message):
+        self.handled.append((self.env.now, "down", message))
+        if message in self.echo:
+            self.channel.send_to_switch(self.echo[message])
+
+    def dispatch_switch_message(self, switch, message):
+        self.handled.append((self.env.now, "up", message))
+
+
+def _channel_entries(popped) -> int:
+    return sum(
+        getattr(entry, "__name__", "") in ("_deliver_up", "_deliver_down")
+        for entry in popped
+    )
+
+
+class TestControlChannel:
+    """The channel pipelines, as the TCP connection it models: each
+    message lands ``latency_s`` after it was sent, FIFO per direction,
+    and what one side sends in one instant lands in one heap entry."""
+
+    def test_flow_mods_sent_in_one_instant_land_together(self, monkeypatch):
+        env = Environment()
+        sw = MiniNet(env).switch()
+        dp = _RecordingApp(env).attach(sw, latency_s=200e-6)
+        handled = []
+        handle = sw.handle_controller_message
+
+        def spy(message):
+            handled.append((env.now, message.cookie))
+            handle(message)
+
+        sw.handle_controller_message = spy
+        popped = record_popped_entries(monkeypatch)
+
+        def burst():
+            for k in range(4):
+                dp.add_flow(FlowMatch(tcp_dst=80 + k), [Drop()], cookie=k)
+
+        env.call_at(0.001, burst)
+        env.run()
+        assert handled == [(0.001 + 200e-6, k) for k in range(4)]
+        assert _channel_entries(popped) == 1
+        assert len(sw.table) == 4
+
+    def test_messages_sent_at_different_instants_land_at_their_own(self):
+        env = Environment()
+        ends = _ChannelEnds(env, 200e-6)
+        for at, message in ((0.001, "a"), (0.00105, "b"), (0.0011, "c")):
+            env.call_at(at, ends.channel.send_to_switch, message)
+            env.call_at(at, ends.channel.send_to_controller, message.upper())
+        env.run()
+        down = [(t, m) for t, d, m in ends.handled if d == "down"]
+        up = [(t, m) for t, d, m in ends.handled if d == "up"]
+        assert down == [(0.001 + 200e-6, "a"), (0.00105 + 200e-6, "b"), (0.0011 + 200e-6, "c")]
+        assert up == [(t, m.upper()) for t, m in down]
+
+    @pytest.mark.parametrize("latency_s", [200e-6, 0.0])
+    def test_a_message_sent_inside_a_delivery_rides_behind_its_batch(
+        self, monkeypatch, latency_s
+    ):
+        env = Environment()
+        ends = _ChannelEnds(env, latency_s, echo={"a": "c"})
+        popped = record_popped_entries(monkeypatch)
+
+        def burst():
+            ends.channel.send_to_switch("a")
+            ends.channel.send_to_switch("b")
+
+        env.call_at(0.001, burst)
+        env.run()
+        landed = 0.001 + latency_s
+        assert ends.handled == [
+            (landed, "down", "a"),
+            (landed, "down", "b"),
+            (landed + latency_s, "down", "c"),
+        ]
+        assert _channel_entries(popped) == 2
+
+    def test_barrier_reply_is_handled_after_all_sent_before_it(self, monkeypatch):
+        env = Environment()
+        sw = MiniNet(env).switch()
+        app = _RecordingApp(env)
+        dp = app.attach(sw, latency_s=200e-6)
+        sw.table.install(
+            FlowEntry(FlowMatch(tcp_dst=80), [Drop()], cookie="doomed", notify_removal=True),
+            0.0,
+        )
+        popped = record_popped_entries(monkeypatch)
+        replies = []
+
+        def delete_then_barrier():
+            dp.delete_flows(cookie="doomed")
+            yield dp.barrier()
+            replies.append((env.now, len(app.flow_removed)))
+
+        env.call_at(0.001, env.spawn, delete_then_barrier())
+        env.run()
+        # One hop down (delete and barrier together), one hop up (the
+        # FlowRemoved, then the reply, together).
+        assert replies == [(0.001 + 200e-6 + 200e-6, 1)]
+        assert _channel_entries(popped) == 2

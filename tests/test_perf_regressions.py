@@ -361,10 +361,11 @@ def test_warm_request_event_budget(monkeypatch):
 
 def test_flow_memory_miss_event_budget(monkeypatch):
     """A first request from a new client to an instance that already
-    runs costs the warm request's 10 plus the control path's 4: the
+    runs costs the warm request's 10 plus the control path's 3: the
     packet-in's channel hop (``_deliver_up``), the handler's
-    processing-delay timer, and one channel hop per flow-mod
-    (``_deliver_down``: reverse, then forward + release).  The handler
+    processing-delay timer, and one channel hop for both flow-mods
+    (``_deliver_down``: the reverse entry, then the forward entry and
+    the release, sent in one instant and landed in one batch).  The handler
     starts inside the packet-in's delivery and ends without an entry;
     with nothing to deploy ``Dispatcher.ensure_deployed`` is not a
     process — so nothing is started (``_Initialize``) and the only
@@ -375,12 +376,12 @@ def test_flow_memory_miss_event_budget(monkeypatch):
     deployments = tb.controller.dispatcher.recorder.series("deployments")
     assert tb.run_request(tb.clients[1], service).response.ok
     assert len(deployments) == 1  # the first client's; none for this one
-    assert tb.env.events_processed - events == len(popped) == 10 + 4
+    assert tb.env.events_processed - events == len(popped) == 10 + 3
 
     names = _popped_names(popped)
     assert names.count("_deliver") == names.count("_ingress") == 4
     assert names.count("_deliver_up") == 1
-    assert names.count("_deliver_down") == 2
+    assert names.count("_deliver_down") == 1
     assert names.count("Timeout") == 2  # handler delay, service time
     assert names.count("Process") == 1
     assert names.count("_Initialize") == 0
@@ -436,8 +437,8 @@ def _k8s_first_request(monkeypatch):
 
 
 def test_k8s_first_request_event_budget(monkeypatch):
-    """A first request on Kubernetes costs 120 kernel events, 41 fewer
-    than the 161 it cost with a relay process behind every informer
+    """A first request on Kubernetes costs 119 kernel events, 41 fewer
+    than the 160 it cost with a relay process behind every informer
     handler and every work-queue wake-up a ``StoreGet`` entry
     (``tests/k8shelpers.relays_on_the_heap`` composed with
     ``wakes_on_the_heap``: the control loops as they were, count for
@@ -453,8 +454,12 @@ def test_k8s_first_request_event_budget(monkeypatch):
       each worker resumes inside the delivery that woke it, and no
       ``get`` is an entry.
 
-    The relay twin alone counts 4 fewer than it did (157): the relays'
-    reads of a non-empty channel at a quiet instant are in place too."""
+    The relay twin alone counts 4 fewer than it did (156): the relays'
+    reads of a non-empty channel at a quiet instant are in place too.
+
+    The control channel's part is the same in all four counts: the
+    packet-in's hop up and one hop down, which lands the reverse entry,
+    the forward entry and the release together (``_deliver_down``)."""
     from tests.k8shelpers import relays_on_the_heap, wakes_on_the_heap
 
     with relays_on_the_heap(), wakes_on_the_heap():
@@ -468,13 +473,15 @@ def test_k8s_first_request_event_budget(monkeypatch):
     popped, _, events, watch_events = _k8s_first_request(monkeypatch)
     assert watch_events == heap_watch_events == 17
     assert sum(name.startswith("relay:") for name in heap_resumed) == 17
-    assert heap_events == 161
-    assert relay_events == heap_events - 4 == 157
-    assert woken_events == heap_events - 27 == 134
+    assert heap_events == 160
+    assert relay_events == heap_events - 4 == 156
+    assert woken_events == heap_events - 27 == 133
     assert len(woken) == 14 and all(name.endswith("-worker") for name in woken)
-    assert events == woken_events - 14 == 120
+    assert events == woken_events - 14 == 119
 
     kinds = [getattr(entry, "__qualname__", "") for entry in popped]
+    assert kinds.count("ControlChannel._deliver_up") == 1
+    assert kinds.count("ControlChannel._deliver_down") == 1
     assert kinds.count("APIServer._deliver") == 7
     assert kinds.count("APIServer._wake") == 0
     assert not any(kind.endswith("_fan_out") for kind in kinds)

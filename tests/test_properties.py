@@ -1705,7 +1705,11 @@ def _converse(topology, latency, service, clients, plants, replies=None):
         for attached in (*hosts, servers[0]):
             ports[attached.ip], iface = switch.add_port(macs.allocate())
             Link(env, attached.iface, iface, _LINK_BPS, lat)
-        _Installer(env, ports, log).attach(switch, latency_s=_UNIT_S)
+        # Two units: over one-unit links, a down batch that lands at a
+        # table lookup's instant was sent before the looked-up packet
+        # left its host and pops first, so a barrier reply can share an
+        # up batch with a packet-in behind it.
+        _Installer(env, ports, log).attach(switch, latency_s=2 * _UNIT_S)
         handle = switch.handle_controller_message
 
         def spy_handle(message):
@@ -1780,11 +1784,16 @@ _MARK_BEHIND = (
 _PUSH_TO_READER = (
     "direct", 1, 0, [(0, False, _ONE_ROUND)] * 2, [(0, "apart", "push", 0)],
 )
-# Table misses in lockstep: packet-ins queue on the control channel
-# behind one another, and a barrier reply is delivered up with the next
-# message still to schedule.
+# Table misses in lockstep: three packet-ins land in one batch, and
+# three flow-mod + barrier pairs go down in one.
 _REACTIVE = (
     "reactive", 1, 0, [(0, False, _ONE_ROUND)] * 3 + [(4, False, _ONE_ROUND)], [],
+)
+# A barrier reply and a packet-in sent up at one instant land in one
+# batch, the reply first: the waiter resumes after the packet-in is
+# dispatched, not between the two.
+_BARRIER_REPLY_THEN_PACKET_IN = (
+    "reactive", 1, 0, [(0, False, _ONE_ROUND), (4, False, _ONE_ROUND)], [],
 )
 
 
@@ -1794,6 +1803,7 @@ _REACTIVE = (
 @example(scenario=_MARK_BEHIND)
 @example(scenario=_PUSH_TO_READER)
 @example(scenario=_REACTIVE)
+@example(scenario=_BARRIER_REPLY_THEN_PACKET_IN)
 def test_tail_handoff_is_the_heap_entry_it_replaces(scenario):
     """Real hosts on real links (host to host, or through a real switch
     with entries installed ahead or by a controller stub on table
@@ -1823,11 +1833,15 @@ def test_tail_handoff_is_the_heap_entry_it_replaces(scenario):
         courier is no longer the active process after ``receive``.
     (d) the hand-off used for the barrier reply
         (``SDNApp.dispatch_switch_message``, the one ``succeed``
-        reached from ``ControlChannel._deliver_up``, which schedules
-        the next message afterwards) — ``_REACTIVE``: the waiter's
-        packet-out is scheduled ahead of the next packet-in instead of
-        behind it.  The same 12 digests stay equal, trivially: nothing
-        under ``src/`` sends a barrier, only this stub does.
+        reached from ``ControlChannel._deliver_up``, which goes on to
+        dispatch the rest of its batch) —
+        ``_BARRIER_REPLY_THEN_PACKET_IN``: the waiter resumes ahead of
+        the packet-in behind the reply in its batch instead of after
+        it.  With the stub's channel at one unit no example can catch
+        it: a down batch landing at a lookup's instant pops after the
+        lookup, so no packet-in ever follows a reply in a batch.  The
+        same 12 digests stay equal, trivially: nothing under ``src/``
+        sends a barrier, only this stub does.
     """
     n_clients = len(scenario[3])
     with handoff_on_the_heap():
@@ -1844,15 +1858,15 @@ def test_tail_handoff_is_the_heap_entry_it_replaces(scenario):
 # Nothing to deploy, no process: the shortcut vs the process it replaces
 # ---------------------------------------------------------------------------
 
-#: The control channel's hop.  A handler's processing delay is four of
-#: them, so a burst of packet-ins one hop apart puts handler timers on
-#: the instants queued flow-mods are delivered at.
+#: The step first requests are launched on: a quarter of a handler's
+#: processing delay (800 µs), so packet-ins four steps apart put the
+#: later one's delivery on the earlier handler's timer instant.
 _HOP_S = 200e-6
 
 _storm_clients = st.lists(
     st.tuples(
         st.booleans(),  # behind the second switch, when there is one
-        st.sampled_from((0, 0, 0, 1, 2, 3, 4, 5)),  # first SYN, hops after the launch
+        st.sampled_from((0, 0, 0, 1, 2, 3, 4, 5)),  # first SYN, steps after the launch
     ),
     min_size=2,
     max_size=4,
@@ -1890,16 +1904,18 @@ def _message_summary(message) -> tuple:
 @contextlib.contextmanager
 def _logged_channels(log):
     """Every control message of every channel, when sent and when
-    delivered, in both directions."""
+    delivered, in both directions: a delivery lands a batch, and logs
+    one line per message in it, in send order."""
 
     def logged(name):
         method = getattr(ControlChannel, name)
 
-        def spy(channel, message):
-            log.append(
-                (channel.env.now, channel.switch.name, name, *_message_summary(message))
-            )
-            method(channel, message)
+        def spy(channel, operand):
+            for message in operand if name.startswith("_deliver") else (operand,):
+                log.append(
+                    (channel.env.now, channel.switch.name, name, *_message_summary(message))
+                )
+            method(channel, operand)
 
         return mock.patch.object(ControlChannel, name, spy)
 
@@ -1975,8 +1991,8 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
                 samples.append((host.name, result.time_total))
 
         def launch():
-            for host, (_, hops) in zip(hosts, clients):
-                env.call_at(env.now + hops * _HOP_S, env.spawn, curl(host))
+            for host, (_, steps) in zip(hosts, clients):
+                env.call_at(env.now + steps * _HOP_S, env.spawn, curl(host))
 
         def observe(scale_down):
             log.append(
@@ -2050,13 +2066,16 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
     )
 
 
-# Two clients in lockstep behind one switch, the instance running: the
-# second handler's timer fires at the instant the first handler's
-# reverse flow-mod is delivered (packet-in + 200 + 800 µs on both
-# paths), sees it due and asks through a process — the flow-mod is
-# handled before that handler goes on to send its own.  Without the
-# guard it sends them first.
-_TIMER_MEETS_FLOW_MOD = (False, "running", [(False, 0), (False, 0)], [])
+# Two clients four launch steps (800 µs) apart behind one switch, the
+# instance running: the second packet-in is delivered at the instant
+# the first handler's processing delay ends; the handler's timer pops
+# first (it was armed earlier), sees the delivery due and asks through
+# a process — the packet-in is dispatched before that handler sends its
+# flow-mods.  Without the guard it sends them first.
+_TIMER_MEETS_PACKET_IN = (False, "running", [(False, 0), (False, 4)], [])
+# Two clients in lockstep: both packet-ins land in one batch, and both
+# handlers' timers fire at one instant.
+_LOCKSTEP_STORM = (False, "running", [(False, 0), (False, 0)], [])
 # An observer planted behind a handler's timer at its instant reads
 # FlowMemory before the handler writes it.
 _OBSERVER_BEHIND = (
@@ -2072,15 +2091,16 @@ _FAILS_WITH_TWO_WAITERS = (True, "failing", [(False, 0), (True, 0)], [])
 
 @settings(max_examples=150, deadline=None)
 @given(storm=_storms)
-@example(storm=_TIMER_MEETS_FLOW_MOD)
+@example(storm=_TIMER_MEETS_PACKET_IN)
+@example(storm=_LOCKSTEP_STORM)
 @example(storm=_OBSERVER_BEHIND)
 @example(storm=_PORT_OPEN_NOT_READY)
 @example(storm=_FAILS_WITH_TWO_WAITERS)
 def test_deployment_shortcut_is_the_process_it_replaces(storm):
     """A real ``EdgeController`` and ``Dispatcher`` over one or two real
     switches and a Docker cluster; 2-4 clients' first requests in
-    lockstep and one or more channel hops apart, so that handler timers
-    meet flow-mod deliveries; the instance running, scaled down, its
+    lockstep and one or more launch steps apart, so that handler timers
+    meet packet-in deliveries; the instance running, scaled down, its
     port open with ``wait_ready`` still polling, or failing to start
     under two waiters; a ``FlowRemoved`` for a client's cookie delivered
     at a handler's instant, and an observer planted at one — ahead of
@@ -2099,11 +2119,12 @@ def test_deployment_shortcut_is_the_process_it_replaces(storm):
     above are what hypothesis shrank them to):
 
     (a) no "nothing else due now" guard in ``ensure_deployed`` —
-        ``_TIMER_MEETS_FLOW_MOD``: the second handler's flow-mods are
-        sent before the first's reverse entry is delivered, not after.
-        4 of 4 bench digests tried (``c3_churn``, ``c3_replay``,
-        ``cold_deploy``, ``handover_storm``, seed 42) stay equal under
-        it, ``c3_churn`` reading 19.037 events/request for 19.080: the
+        ``_TIMER_MEETS_PACKET_IN`` (and ``_OBSERVER_BEHIND``): the first
+        handler's flow-mods are sent before the second packet-in is
+        delivered, not after.  4 of 4 bench digests tried (``c3_churn``,
+        ``c3_replay``, ``cold_deploy``, ``handover_storm``, seed 42)
+        stayed equal under it when the channel was stop-and-wait,
+        ``c3_churn`` reading 19.037 events/request for 19.080: the
         latency md5s cannot tell.
     (b) ``Environment.quiet_now`` with ``>=`` for ``>`` — the same
         example, the same way.
