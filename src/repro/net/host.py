@@ -126,7 +126,6 @@ class Connection:
         "_inbox",
         "_reader",
         "established",
-        "last_seen_remote_ip",
     )
 
     def __init__(
@@ -149,10 +148,6 @@ class Connection:
         self._inbox: list[_t.Any] | None = None
         self._reader: Event | None = None
         self.established = True
-        #: Source IP of the most recent packet received — tests use it
-        #: to assert transparency (the client must only ever see the
-        #: service's cloud address).
-        self.last_seen_remote_ip: IPv4Address | None = None
 
     def _offer(self, item: _t.Any) -> Event | None:
         """Take an inbound ``item``: the blocked reader to wake with it
@@ -415,7 +410,7 @@ class Host(NetDevice):
         )
         try:
             if timeout is None:
-                packet = yield reply_ev
+                yield reply_ev
             else:
                 deadline = self.env.deadline(timeout)
                 guard_timeout(
@@ -430,14 +425,13 @@ class Host(NetDevice):
                     timeout,
                     "s",
                 )
-                packet = yield reply_ev
+                yield reply_ev
                 deadline.cancel()
         finally:
             self._pending.pop(conn_id, None)
             self._half_open.pop(conn_id, None)
 
         conn = Connection(self, conn_id, src_port, dst_ip, dst_port)
-        conn.last_seen_remote_ip = packet.ip_src
         self._connections[conn_id] = conn
         return conn
 
@@ -526,7 +520,6 @@ class Host(NetDevice):
             # Stray traffic (a segment for a connection already freed):
             # ignore.
             return
-        conn.last_seen_remote_ip = packet.ip_src
         if seg.payload is not None:
             if isinstance(seg.payload, HTTPRequest):
                 self._serve_request(conn, seg.payload, bool(flag_bits & _FIN_BIT))
@@ -561,7 +554,6 @@ class Host(NetDevice):
             seg.src_port,
             local_ip=packet.ip_dst,
         )
-        conn.last_seen_remote_ip = packet.ip_src
         self._connections[seg.conn_id] = conn
         self._send_segment(
             packet.ip_src,

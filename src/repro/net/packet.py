@@ -95,9 +95,8 @@ class TCPSegment:
     Mutable on purpose: OpenFlow *set-field* port rewrites patch
     ``src_port`` / ``dst_port`` in place instead of allocating a
     replacement segment per switch hop.  Every packet owns its segment
-    exclusively — hosts build a fresh one per transmission and
-    :meth:`Packet.copy` clones it — so in-place rewrites never leak
-    into another packet.
+    exclusively — hosts build a fresh one per transmission — so
+    in-place rewrites never leak into another packet.
     """
 
     __slots__ = (
@@ -137,16 +136,6 @@ class TCPSegment:
             and self.payload_bytes == other.payload_bytes
             and self.payload == other.payload
             and self.conn_id == other.conn_id
-        )
-
-    def clone(self) -> "TCPSegment":
-        return TCPSegment(
-            self.src_port,
-            self.dst_port,
-            self.flags,
-            self.payload_bytes,
-            self.payload,
-            self.conn_id,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -219,20 +208,6 @@ class Packet:
                 tcp.dst_port,
             )
         return mk
-
-    def copy(self) -> "Packet":
-        """A fresh packet with the same headers (new identity).
-
-        The TCP segment is cloned, not shared: in-place *set-field*
-        rewrites on either packet must not leak into the other.
-        """
-        return Packet(
-            eth_src=self.eth_src,
-            eth_dst=self.eth_dst,
-            ip_src=self.ip_src,
-            ip_dst=self.ip_dst,
-            tcp=self.tcp.clone(),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flags = self.tcp.flags.name or "NONE"

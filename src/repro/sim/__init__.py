@@ -18,13 +18,17 @@ reproduction is fully self-contained:
 * :class:`AllOf` / :class:`AnyOf` — condition events for fan-in.
 * :class:`Resource`, :class:`Store` — shared-resource primitives.
 
+Each primitive pushes its own heap entry (there is no generic
+``schedule``), and a process runs until it yields: nothing interrupts
+it, and no register names the running process.
+
 Simulated time is a ``float`` in **seconds**; determinism does not depend
 on float tie-breaking because every scheduled event carries a strictly
 increasing sequence number.
 """
 
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process
 from repro.sim.environment import Environment, SimulationError
 from repro.sim.resources import Resource, Store
 
@@ -34,7 +38,6 @@ __all__ = [
     "Condition",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "SimulationError",

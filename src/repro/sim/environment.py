@@ -96,7 +96,6 @@ class Environment:
         # shapes can share one heap; the loop discriminates by length.
         self._queue: list[tuple] = []
         self._seq = count()
-        self._active_process: Process | None = None
         #: The open collection point of a quiet watch delivery, else
         #: ``None``: while it is a list, ``Store.put`` records the getter
         #: it wakes and its item here instead of pushing the wake-up
@@ -122,11 +121,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently executing, if any."""
-        return self._active_process
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
@@ -246,47 +240,24 @@ class Environment:
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(
-        self,
-        event: Event,
-        priority: int = NORMAL,
-        delay: float = 0.0,
-    ) -> None:
-        """Push ``event`` onto the heap ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        now = self._now
-        heapq.heappush(
-            self._queue, (now + delay, priority, now, now, next(self._seq), event)
-        )
+    def timeout_at(self, time: float, value: _t.Any = None) -> Event:
+        """An event firing at absolute simulated ``time`` (yieldable).
 
-    def schedule_at(
-        self,
-        event: Event,
-        time: float,
-        priority: int = NORMAL,
-    ) -> None:
-        """Push ``event`` onto the heap at absolute simulated ``time``.
-
-        Distinct from ``schedule(delay=time - now)``: float arithmetic
-        is not associative, so re-deriving a delay and adding it back
-        would not always land on ``time`` exactly.  Deadline-driven
-        code (switch expiry wakeups, readiness waits) uses this to hit
-        the *precise* tick times the old fixed-interval loops produced.
+        Distinct from ``timeout(time - now)``: float arithmetic is not
+        associative, so re-deriving a delay and adding it back would not
+        always land on ``time`` exactly.  Deadline-driven code (switch
+        expiry wakeups, readiness waits) uses this to hit the *precise*
+        tick times the old fixed-interval loops produced.  Raises
+        ``ValueError`` when ``time`` lies in the past.
         """
         if time < self._now:
             raise ValueError(f"time {time!r} lies in the past (now={self._now})")
+        event = Event(self)
+        event._value = value
         now = self._now
         heapq.heappush(
-            self._queue, (time, priority, now, now, next(self._seq), event)
+            self._queue, (time, NORMAL, now, now, next(self._seq), event)
         )
-
-    def timeout_at(self, time: float, value: _t.Any = None) -> Event:
-        """An event firing at absolute simulated ``time`` (yieldable)."""
-        event = Event(self)
-        event._ok = True
-        event._value = value
-        self.schedule_at(event, time)
         return event
 
     def call_at(

@@ -85,18 +85,13 @@ class Event:
             raise AttributeError(f"value of {self!r} is not yet available")
         return self._value
 
-    @property
-    def defused(self) -> bool:
-        """Whether a failure has been acknowledged by some process.
+    def defuse(self) -> None:
+        """Mark a failed event as handled.
 
         An event that fails and is never yielded by any process would
         silently swallow its exception; the environment re-raises such
         un-defused failures at the end of their step.
         """
-        return self._defused
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled."""
         self._defused = True
 
     # -- triggering -----------------------------------------------------
@@ -107,9 +102,7 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # Inlined env.schedule(self): succeed() runs once per store
-        # hand-off, process resumption and condition fire, and the
-        # zero-delay case needs none of schedule()'s generality.
+        # Pushed here, as by every primitive: there is no generic schedule.
         env = self.env
         now = env._now
         heapq.heappush(env._queue, (now, NORMAL, now, now, next(env._seq), self))
@@ -123,9 +116,7 @@ class Event:
         this *is* ``succeed(value)``.  Otherwise the value is set, the
         event is marked processed and its callbacks run here in
         registration order — no heap entry, no sequence number drawn (the
-        draws that remain keep their relative order),
-        ``env._active_process`` saved and restored as a hot-started
-        process does.
+        draws that remain keep their relative order).
 
         **Contract.**  Exact iff the call is its caller's last act and
         every frame between the caller and the kernel loop returns
@@ -159,20 +150,17 @@ class Event:
 
     def _succeed_here(self, value: _t.Any) -> "Event":
         """The in-place body: set ``value``, mark the event processed and
-        run its callbacks here, in registration order, with
-        ``env._active_process`` saved and restored.  Only for a caller
-        that has shown the entry :meth:`succeed` would push to be the
-        next to pop (:meth:`succeed_tail`, ``APIServer._deliver``)."""
+        run its callbacks here, in registration order — what the kernel
+        loop does at the entry's pop.  Only for a caller that has shown
+        the entry :meth:`succeed` would push to be the next to pop
+        (:meth:`succeed_tail`, ``APIServer._deliver``)."""
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
         callbacks, self.callbacks = self.callbacks, None
-        env = self.env
-        active = env._active_process
         for callback in callbacks:  # type: ignore[union-attr]
             callback(self)
-        env._active_process = active
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -187,14 +175,6 @@ class Event:
         now = env._now
         heapq.heappush(env._queue, (now, NORMAL, now, now, next(env._seq), self))
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Copy another event's outcome onto this one (callback shape)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defuse()
-            self.fail(_t.cast(BaseException, event._value))
 
     # -- composition ----------------------------------------------------
 
@@ -227,7 +207,7 @@ class Timeout(Event):
         self.delay = delay = float(delay)
         self._ok = True
         self._value = value
-        # Inlined env.schedule (delay already validated above).
+        # Pushed here (delay already validated above), as by ``succeed``.
         now = env._now
         heapq.heappush(
             env._queue, (now + delay, NORMAL, now, now, next(env._seq), self)
@@ -290,10 +270,6 @@ class Condition(Event):
         return {
             e: e._value for e in self._events if e.callbacks is None and e._ok
         }
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        return self._events
 
 
 # Shared evaluators: one function object for the process lifetime

@@ -11,23 +11,13 @@ returns (value = the generator's return value) or raises.
 
 from __future__ import annotations
 
+import heapq
 import typing as _t
 
 from repro.sim.events import Event, URGENT
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupting cause is available as :attr:`cause`.
-    """
-
-    @property
-    def cause(self) -> _t.Any:
-        return self.args[0] if self.args else None
 
 
 class _Initialize(Event):
@@ -40,7 +30,8 @@ class _Initialize(Event):
         self._ok = True
         self._value = None
         _t.cast(list, self.callbacks).append(process._resume)
-        env.schedule(self, priority=URGENT)
+        now = env._now
+        heapq.heappush(env._queue, (now, URGENT, now, now, next(env._seq), self))
 
 
 class _HotStart:
@@ -81,7 +72,7 @@ class Process(Event):
         yield to the scheduler immediately.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -95,60 +86,15 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process currently waits for (``None`` when
-        #: running or finished).
-        self._target: Event | None = None
         if hot:
-            prev = env._active_process
             self._resume(_t.cast(Event, _HOT_START))
-            env._active_process = prev
         else:
             _Initialize(env, self)
-
-    @property
-    def target(self) -> Event | None:
-        """The event the process is currently waiting for."""
-        return self._target
-
-    @property
-    def is_alive(self) -> bool:
-        """``True`` until the wrapped generator has finished."""
-        return not self.triggered
-
-    def interrupt(self, cause: _t.Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process.
-
-        The process is rescheduled immediately (urgent priority); the
-        event it was waiting for remains valid and may be re-yielded.
-        """
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        _t.cast(list, interrupt_event.callbacks).append(self._resume)
-        self.env.schedule(interrupt_event, priority=URGENT)
-
-        # Detach from the event we were waiting on so its eventual
-        # occurrence does not resume us twice.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-            self._target = None
 
     # -- internal --------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        env = self.env
-        env._active_process = self
-
         while True:
             try:
                 if event._ok:
@@ -160,30 +106,23 @@ class Process(Event):
                         _t.cast(BaseException, event._value)
                     )
             except StopIteration as stop:
-                env._active_process = None
-                self._target = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                env._active_process = None
-                self._target = None
                 self.fail(exc)
                 return
 
             if not isinstance(next_event, Event):
-                env._active_process = None
-                proto = RuntimeError(
-                    f"process {self.name!r} yielded a non-event: {next_event!r}"
+                self.fail(
+                    RuntimeError(
+                        f"process {self.name!r} yielded a non-event: {next_event!r}"
+                    )
                 )
-                self._target = None
-                self.fail(proto)
                 return
 
             if next_event.callbacks is not None:
                 # Event still outstanding: register and suspend.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
-                env._active_process = None
                 return
 
             # The event has already been processed: loop and feed its
@@ -197,18 +136,14 @@ class Process(Event):
 class _Detached(Process):
     """The process behind :meth:`Environment.spawn`.
 
-    Nobody holds it, so when it ends successfully there is normally no
-    callback to run and it is marked processed on the spot instead of
-    through a heap entry that would pop to do nothing.  (A callback can
-    still appear — the generator may hand out ``env.active_process`` —
-    and then the completion is scheduled as usual.)
+    Nothing can register on it (``spawn`` returns nothing), so a
+    successful end marks it processed on the spot instead of pushing an
+    entry that would pop to do nothing.  A failure is still scheduled.
     """
 
     __slots__ = ()
 
     def succeed(self, value: _t.Any = None) -> "Event":
-        if self.callbacks:
-            return super().succeed(value)
         self._value = value
         self.callbacks = None
         return self

@@ -68,16 +68,6 @@ class Resource:
         self._users: set[Request] = set()
         self._waiting: list[Request] = []
 
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of unfulfilled requests."""
-        return len(self._waiting)
-
     def request(self) -> Request:
         """Claim a slot; the returned event fires when granted."""
         return Request(self)

@@ -1642,13 +1642,10 @@ def _curl(host, server_ip, round_, deadline, log, samples):
     samples.append((name, 0, result.time_total, result.time_connect))
 
 
-def _courier(env: Environment, at: float, client: Host, log, samples):
+def _courier(env: Environment, at: float, client: Host, log):
     """A process that hands ``client`` a payload nobody asked for —
     straight to ``receive``, as its last act — on whatever connection
-    the client has open at ``at``.  What it reads afterwards (is it
-    still the active process?) goes to ``samples``, not into the
-    ordered log: reading is not acting."""
-    me = env.active_process
+    the client has open at ``at``."""
     yield env.timeout_at(at)
     conn = next(iter(client._connections.values()), None)
     log.append((env.now, "courier", conn is not None))
@@ -1670,7 +1667,6 @@ def _courier(env: Environment, at: float, client: Host, log, samples):
             ),
             client.iface,
         )
-    samples.append(("courier", env.active_process is me))
 
 
 def _converse(topology, latency, service, clients, plants, replies=None):
@@ -1744,7 +1740,7 @@ def _converse(topology, latency, service, clients, plants, replies=None):
         if kind == "mark":
             plant = (env.call_at, at, log.append, (at, "mark"))
         else:
-            plant = (env.spawn, _courier(env, at, hosts[target], log, samples))
+            plant = (env.spawn, _courier(env, at, hosts[target], log))
         env.call_at(at - _UNIT_S / 2 if where == "behind" else 0.0, *plant)
     env.run()
     return log, sorted(samples), env.events_processed
@@ -1779,8 +1775,7 @@ _MARK_BEHIND = (
 )
 # A courier pushes a payload to a client blocked in ``recv``, a quarter
 # unit after its SYN-ACK came in — an instant of its own: the client
-# resumes inside the courier's process, which must still be the active
-# one afterwards.
+# resumes inside the courier's process.
 _PUSH_TO_READER = (
     "direct", 1, 0, [(0, False, _ONE_ROUND)] * 2, [(0, "apart", "push", 0)],
 )
@@ -1829,9 +1824,7 @@ def test_tail_handoff_is_the_heap_entry_it_replaces(scenario):
     (b) the guard letting an entry due exactly now through
         (``Environment.quiet_now`` with ``>=``) — the same example, the
         same 12 digests.
-    (c) ``env._active_process`` not restored — ``_PUSH_TO_READER``: the
-        courier is no longer the active process after ``receive``.
-    (d) the hand-off used for the barrier reply
+    (c) the hand-off used for the barrier reply
         (``SDNApp.dispatch_switch_message``, the one ``succeed``
         reached from ``ControlChannel._deliver_up``, which goes on to
         dispatch the rest of its batch) —

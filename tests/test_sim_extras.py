@@ -1,10 +1,10 @@
-"""Additional kernel behaviours: composition, interrupts, helpers."""
+"""Additional kernel behaviours: composition and helpers."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Interrupt, Resource
+from repro.sim import AllOf, AnyOf, Environment
 
 
 class TestRunProcess:
@@ -93,69 +93,7 @@ class TestConditionComposition:
         assert p.value == "ok"
 
 
-class TestInterruptEdgeCases:
-    def test_interrupt_while_queued_on_resource(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        outcome = {}
-
-        def holder(env):
-            with resource.request() as req:
-                yield req
-                yield env.timeout(10.0)
-
-        def waiter(env):
-            request = resource.request()
-            try:
-                yield request
-                outcome["got"] = True
-            except Interrupt:
-                request.cancel()
-                outcome["interrupted_at"] = env.now
-
-        def attacker(env, victim):
-            yield env.timeout(2.0)
-            victim.interrupt()
-
-        env.process(holder(env))
-        victim = env.process(waiter(env))
-        env.process(attacker(env, victim))
-        env.run()
-        assert outcome == {"interrupted_at": 2.0}
-        # The cancelled request must not hold a slot.
-        assert resource.queue_length == 0
-
-    def test_interrupt_cause_object(self):
-        env = Environment()
-        seen = []
-
-        def victim(env):
-            try:
-                yield env.timeout(5.0)
-            except Interrupt as intr:
-                seen.append(intr.cause)
-
-        v = env.process(victim(env))
-
-        def attacker(env):
-            yield env.timeout(1.0)
-            v.interrupt(cause={"reason": "handover"})
-
-        env.process(attacker(env))
-        env.run()
-        assert seen == [{"reason": "handover"}]
-
-
 class TestEventMisc:
-    def test_trigger_copies_outcome(self):
-        env = Environment()
-        source, sink = env.event(), env.event()
-        source.succeed(42)
-        env.run()
-        sink.trigger(source)
-        env.run()
-        assert sink.value == 42
-
     def test_run_until_already_processed_event(self):
         env = Environment()
         ev = env.event()

@@ -11,7 +11,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Environment,
-    Interrupt,
     Resource,
     SimulationError,
     Store,
@@ -71,6 +70,14 @@ class TestEnvironment:
             env.timeout(-1)
         with pytest.raises(ValueError):
             env.deadline(-1)
+
+    def test_timeout_at_past_time_raises(self):
+        env = Environment(initial_time=10.0)
+        with pytest.raises(ValueError, match="past"):
+            env.timeout_at(9.999)
+        assert len(env) == 0
+        env.timeout_at(10.0)  # now itself is allowed
+        assert len(env) == 1
 
     def test_cancelled_deadlines_cost_no_events(self):
         env = Environment()
@@ -301,14 +308,15 @@ class TestScheduledCallbacks:
 
 def _one_of_each(env, order, at=1.0):
     """Schedule, through every entry point that can aim at a later
-    instant, one entry firing at ``at``; returns the tags in scheduling
-    order."""
+    instant, entries firing at ``at`` (``timeout_at`` twice, so the
+    kinds interleave); returns the tags in scheduling order."""
     def note(tag):
         return lambda _event: order.append(tag)
 
     tags = []
-    for kind in ("schedule", "call_at", "timeout", "schedule_at", "call_later"):
-        tag = f"{kind}@{env.now}"
+    kinds = ("timeout_at", "call_at", "timeout", "timeout_at", "call_later")
+    for i, kind in enumerate(kinds):
+        tag = f"{kind}#{i}@{env.now}"
         tags.append(tag)
         if kind == "call_at":
             env.call_at(at, order.append, tag)
@@ -317,13 +325,7 @@ def _one_of_each(env, order, at=1.0):
         elif kind == "timeout":
             env.timeout(at - env.now).callbacks.append(note(tag))
         else:
-            event = env.event()
-            event._value = None
-            event.callbacks.append(note(tag))
-            if kind == "schedule":
-                env.schedule(event, delay=at - env.now)
-            else:
-                env.schedule_at(event, at)
+            env.timeout_at(at).callbacks.append(note(tag))
     return tags
 
 
@@ -442,22 +444,6 @@ class TestSpawn:
         env.spawn(work())
         with pytest.raises(RuntimeError, match="nobody is waiting"):
             env.run()
-
-    def test_a_waiter_found_through_active_process_is_served(self):
-        env = Environment()
-        handed_out = []
-
-        def work():
-            handed_out.append(env.active_process)
-            yield env.timeout(1.0)
-            return "done"
-
-        def waiter():
-            return (yield handed_out[0])
-
-        env.spawn(work())
-        env.run(until=0.5)
-        assert env.run_process(waiter()) == "done"
 
 
 class TestEvent:
@@ -627,86 +613,6 @@ class TestProcess:
         p = env.process(parent(env))
         assert env.run(until=p) == 100
 
-    def test_process_is_alive_lifecycle(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(5.0)
-
-        p = env.process(proc(env))
-        assert p.is_alive
-        env.run()
-        assert not p.is_alive
-
-    def test_interrupt_delivers_cause(self):
-        env = Environment()
-        log = []
-
-        def victim(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as intr:
-                log.append((env.now, intr.cause))
-
-        def attacker(env, victim_proc):
-            yield env.timeout(3.0)
-            victim_proc.interrupt(cause="stop now")
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        env.run()
-        assert log == [(3.0, "stop now")]
-
-    def test_interrupt_finished_process_rejected(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(1.0)
-
-        p = env.process(proc(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-
-    def test_interrupted_process_can_rewait_target(self):
-        env = Environment()
-        log = []
-
-        def victim(env):
-            timeout = env.timeout(10.0)
-            while True:
-                try:
-                    yield timeout
-                    log.append(("fired", env.now))
-                    return
-                except Interrupt:
-                    log.append(("interrupted", env.now))
-
-        def attacker(env, v):
-            yield env.timeout(2.0)
-            v.interrupt()
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        env.run()
-        assert log == [("interrupted", 2.0), ("fired", 10.0)]
-
-    def test_self_interrupt_rejected(self):
-        env = Environment()
-        errors = []
-
-        def proc(env):
-            me = env.active_process
-            try:
-                me.interrupt()
-            except RuntimeError as exc:
-                errors.append(str(exc))
-            yield env.timeout(0)
-
-        env.process(proc(env))
-        env.run()
-        assert len(errors) == 1
-
     def test_yield_non_event_fails_process(self):
         env = Environment()
 
@@ -776,26 +682,6 @@ class TestResource:
             env.process(worker(env, res, tag))
         env.run()
         assert order == [0, 1, 2, 3]
-
-    def test_queue_length_and_count(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-
-        def holder(env, res):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10.0)
-
-        def checker(env, res):
-            yield env.timeout(1.0)
-            res.request()
-            yield env.timeout(1.0)
-            assert res.count == 1
-            assert res.queue_length == 1
-
-        env.process(holder(env, res))
-        env.process(checker(env, res))
-        env.run()
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
