@@ -658,13 +658,12 @@ class EdgeController(ForwardingApp):
         degradation, cross-site pin) heals at handover time, not at
         idle-out.
         """
-        stale = self.flow_memory.flows_for_client(client_ip)
+        stale = self.flow_memory.forget_client(client_ip)
         if datapath_id is not None and in_port is not None:
             self.dispatcher.note_client(client_ip, datapath_id, in_port)
         self.install_host_routes(client_ip)
         for redirect in self._redirects.pop(client_ip, {}).values():
             redirect.retire()
-        self.flow_memory.forget_client(client_ip)
         if datapath_id is None or in_port is None:
             # Attachment unknown (e.g. the client left for a switch
             # another controller owns): nothing to re-dispatch *from*

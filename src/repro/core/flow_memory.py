@@ -119,23 +119,18 @@ class FlowMemory:
     def forget(self, flow: MemorizedFlow) -> None:
         self._flows.pop(flow.key, None)
 
-    def forget_client(self, client_ip: IPv4Address) -> int:
+    def forget_client(self, client_ip: IPv4Address) -> list[MemorizedFlow]:
         """Drop every memorized flow of one client (mobility
         invalidation: the client moved switches, so its memorized
-        resolutions are stale).  Deliberately does **not** fire
-        ``on_expire`` — the instances are not idle, the client is about
-        to re-resolve and may land on them again.  Returns the number
-        of flows forgotten."""
+        resolutions are stale) and return them.  Deliberately does
+        **not** fire ``on_expire`` — the instances are not idle, the
+        client is about to re-resolve and may land on them again."""
         stale = [
             flow for flow in self._flows.values() if flow.client_ip == client_ip
         ]
         for flow in stale:
             self._flows.pop(flow.key, None)
-        return len(stale)
-
-    def flows_for_client(self, client_ip: IPv4Address) -> list[MemorizedFlow]:
-        """Every memorized flow of one client (mobility inspection)."""
-        return [f for f in self._flows.values() if f.client_ip == client_ip]
+        return stale
 
     # -- service-level queries -------------------------------------------------
 

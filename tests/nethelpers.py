@@ -13,6 +13,7 @@ from repro.net.addressing import IPAllocator, MACAllocator
 from repro.net.device import NetDevice
 from repro.net.link import GBPS
 from repro.net.openflow import OpenFlowSwitch
+from repro.observe import tap
 from repro.sim import Environment, Event, environment
 from repro.sim.environment import Deadline
 
@@ -143,17 +144,14 @@ def guards_purged_at_the_top():
 
 @contextlib.contextmanager
 def counted_handoffs() -> _t.Iterator[list[float]]:
-    """The instants at which ``Event.succeed_tail`` resumed its waiters
-    on the spot (the event is processed when the call returns) rather
-    than through ``succeed`` and the heap."""
+    """The instants at which an event resumed its waiters on the spot
+    (``Event._succeed_here``) rather than through ``succeed`` and the
+    heap.  With no API server in the run (whose quiet watch deliveries
+    resume the workers they woke with it), these are the hand-offs
+    ``Event.succeed_tail`` took."""
     taken: list[float] = []
-    succeed_tail = Event.succeed_tail
-
-    def counting(event, value=None):
-        succeed_tail(event, value)
-        if event.callbacks is None:
-            taken.append(event.env.now)
-        return event
-
-    with mock.patch.object(Event, "succeed_tail", counting):
+    detach = tap(Event, "_succeed_here", lambda event, value: taken.append(event.env.now))
+    try:
         yield taken
+    finally:
+        detach()

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.plan import ServiceEndpoint
 from repro.core import HybridDockerK8sScheduler, LowLatencyScheduler
 from repro.core.schedulers import CloudOnlyScheduler
+from repro.observe import tap
 from repro.services.catalog import ASM, NGINX, NGINX_PY, RESNET
 from repro.testbed import C3Testbed, TestbedConfig
 
@@ -69,12 +70,7 @@ class TestWithWaiting:
         tb.prepare_created(tb.docker_cluster, svc)
         client = tb.clients[0]
         seen = []
-
-        def spy_receive(packet, iface, _orig=client.receive):
-            seen.append((packet.ip_src, packet.tcp.src_port))
-            _orig(packet, iface)
-
-        client.receive = spy_receive
+        tap(client, "receive", lambda p, i: seen.append((p.ip_src, p.tcp.src_port)))
         result = tb.run_request(client, svc, NGINX.request)
         assert result.response.status == 200
         assert seen, "client received packets"
@@ -469,14 +465,7 @@ def _sent_to_switch(tb) -> list[str]:
     """Every message the controller sends its switch from now on, as
     :func:`_wire` text, in sending order."""
     sent = []
-    channel = tb.datapath.channel
-    send = channel.send_to_switch
-
-    def recording(message):
-        sent.append(_wire(message))
-        send(message)
-
-    channel.send_to_switch = recording
+    tap(tb.datapath.channel, "send_to_switch", lambda message: sent.append(_wire(message)))
     return sent
 
 

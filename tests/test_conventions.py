@@ -85,19 +85,18 @@ def test_a_store_get_is_the_operand_of_a_yield():
     assert loose == []
 
 
-def _imports_the_kernel(node: ast.AST) -> bool:
-    kernel = "repro.sim.parallel"
+def _imports(node: ast.AST, module: str) -> bool:
+    """Does ``node`` import ``module`` (or anything under it)?"""
     if isinstance(node, ast.Import):
         return any(
-            alias.name == kernel or alias.name.startswith(kernel + ".")
+            alias.name == module or alias.name.startswith(module + ".")
             for alias in node.names
         )
     if isinstance(node, ast.ImportFrom) and node.module is not None:
-        if node.module == kernel or node.module.startswith(kernel + "."):
+        if node.module == module or node.module.startswith(module + "."):
             return True
-        return node.module == "repro.sim" and any(
-            alias.name == "parallel" for alias in node.names
-        )
+        parent, _, leaf = module.rpartition(".")
+        return node.module == parent and any(alias.name == leaf for alias in node.names)
     return False
 
 
@@ -113,7 +112,7 @@ def test_nothing_outside_the_sharded_kernel_imports_it():
         if module.startswith("sim/parallel/"):
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if _imports_the_kernel(node):
+            if _imports(node, "repro.sim.parallel"):
                 found.append(f"{module}:{node.lineno}")
     assert found == []
 
@@ -204,3 +203,68 @@ def test_no_unused_module_imports():
             if name not in used
         ]
     assert unused == []
+
+
+def test_nothing_under_src_imports_the_tap():
+    """``repro.observe`` is for observers outside the program."""
+    found = [
+        f"{path.relative_to(_ROOT).as_posix()}:{node.lineno}"
+        for path in sorted(_ROOT.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _imports(node, "repro.observe")
+    ]
+    assert found == []
+
+
+#: Hand-rolled wrappers under ``tests/`` that are not taps, with why.
+_NOT_TAPS = {
+    "test_cli.py::fake_run": "stub: replaces the experiment runner",
+    "test_cli.py::<lambda>": "stub: replaces the experiment runner",
+    "test_dispatcher_e2e.py::wrapped": "fault injection: raises queued faults; logs the result",
+    "test_dispatcher_e2e.py::spied": "result observation: the outcome ensure_deployed returns",
+    "test_dispatcher_e2e.py::publish": "result observation: chains on_instance_change (or None)",
+    "test_properties.py::refuse": "fault injection: _start_instance fails",
+    "test_properties.py::open_then_launch": "acts after the call: launches once the port is open",
+    "test_properties.py::checked_resync": "check after the call: the resync against its oracle",
+    "test_workload.py::broken_fetch": "fault injection: the fetch raises",
+    "test_perf_regressions.py::receive": "the hand-rolled shape bench's spy_sources uses, tested",
+    "nethelpers.py::flag": "slow twin: a Deadline.cancel that only flags",
+    "controlhelpers.py::watched": "result observation: did Deployment.deploy ever yield",
+}
+
+
+def _hand_rolled_wrappers(tree: ast.AST) -> _t.Iterator[str]:
+    """Each local ``def`` (or ``<lambda>``) a function rebinds an
+    attribute to, or passes to ``setattr`` or ``mock.patch.object``."""
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        local = {node.name for node in ast.walk(function) if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Attribute):
+                value = node.value
+            elif (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func).endswith(("setattr", "patch.object"))
+                and len(node.args) >= 2
+            ):
+                value = node.args[-1]
+            else:
+                continue
+            if isinstance(value, ast.Lambda):
+                yield "<lambda>"
+            elif isinstance(value, ast.Name) and value.id in local - {function.name}:
+                yield value.id
+
+
+def test_an_observer_goes_through_the_tap():
+    """A spy on a call is ``repro.observe.tap``: observer first, original
+    last, so a spy on ``Host.receive`` cannot break the tail hand-off by
+    acting after it.  Any other wrapper is in :data:`_NOT_TAPS`."""
+    tests = pathlib.Path(__file__).parent
+    found = {
+        f"{path.relative_to(tests).as_posix()}::{wrapper}"
+        for path in sorted(tests.rglob("*.py"))
+        for wrapper in _hand_rolled_wrappers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert sorted(found ^ _NOT_TAPS.keys()) == []

@@ -35,6 +35,7 @@ from repro.core import LowLatencyScheduler
 from repro.core.dispatcher import DeploymentOutcome
 from repro.core.migration import MigrationPolicy
 from repro.faults import FaultPlan, Injector
+from repro.observe import tap
 from repro.services.behavior import ContainerBehavior
 from repro.services.catalog import ASM, NGINX, NGINX_IMAGE
 from repro.testbed import C3Testbed, FederatedTestbed, FederationConfig, TestbedConfig
@@ -126,8 +127,6 @@ class _Recorder:
 
     def switch(self, tb) -> None:
         """Log every message the controller sends ``tb``'s switch."""
-        channel = tb.datapath.channel
-        send = channel.send_to_switch
 
         def recording(message) -> None:
             if message.command == "delete":
@@ -140,9 +139,8 @@ class _Recorder:
                         f"{actions.replace('set_field:', '')} buffer={message.buffer_id}"
                     )
                 )
-            send(message)
 
-        channel.send_to_switch = recording
+        tap(tb.datapath.channel, "send_to_switch", recording)
 
     def states(self, dispatcher, service) -> None:
         """Log what ``gather_states`` says of ``service``, per cluster:

@@ -9,6 +9,7 @@ scheduler — and only those pods.
 from __future__ import annotations
 
 from repro import yamlite
+from repro.observe import tap
 from repro.services.catalog import NGINX
 from repro.testbed import C3Testbed, TestbedConfig
 
@@ -48,13 +49,7 @@ class TestLocalScheduler:
         )
         bound = []
         scheduler = tb.kubernetes.extra_schedulers["edge-scheduler"]
-        original_policy = scheduler.policy
-
-        def counting_policy(pod, nodes):
-            bound.append(pod.metadata.name)
-            return original_policy(pod, nodes)
-
-        scheduler.policy = counting_policy
+        tap(scheduler, "policy", lambda pod, nodes: bound.append(pod.metadata.name))
         svc = tb.register_template(NGINX)
         tb.prepare_created(tb.k8s_cluster, svc)
         tb.run_request(tb.clients[0], svc, NGINX.request)

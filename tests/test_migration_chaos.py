@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +27,7 @@ from repro.core.dispatcher import Deployment
 from repro.core.migration import DRAIN_S, FreezeGate, MigrationPolicy
 from repro.faults import FaultPlan, Injector
 from repro.net.host import ConnectionRefused, ConnectionReset, ConnectionTimeout
+from repro.observe import tap
 from repro.services.catalog import ASM
 from repro.testbed import FederatedTestbed, FederationConfig
 
@@ -288,15 +288,17 @@ class TestFaultInstantsOffTheCannedPoints:
     def test_destination_killed_before_the_flip_is_not_flipped_to(self):
         tb, svc, site0, site1 = _testbed()
         Injector(tb, FaultPlan(seed=3).kill_pod(1.0, "site1-docker", svc.name)).arm()
-        with mock.patch.object(
-            Deployment, "publish", autospec=True, side_effect=Deployment.publish
-        ) as publish:
+        published = []
+        detach = tap(Deployment, "publish", lambda _, running: published.append(running))
+        try:
             done = site1.manager.request_migration(svc.name, "site0", policy=SLOW)
             outcome = tb.env.run(until=done)
+        finally:
+            detach()
 
         assert outcome.failed_phase == "flip"
         assert outcome.error == "MigrationError: destination stopped answering"
-        assert all(not call.kwargs["running"] for call in publish.call_args_list)
+        assert not any(published)
         _consistent_after_abort(tb, svc, site0, site1, outcome)
         # The source was thawed and its own application is back on the
         # port: the service still answers where it always did.
@@ -402,13 +404,11 @@ def test_every_migration_ends_in_one_consistent_terminal_state(schedule):
     # Only the flip repoints site1's flows: record whether the
     # destination answered in that instant.
     flips: list[bool] = []
-    repoint = site1.controller.repoint_service_flows
-
-    def spy(*args, **kwargs):
-        flips.append(site1.cluster.is_running(svc.plan))
-        return repoint(*args, **kwargs)
-
-    site1.controller.repoint_service_flows = spy
+    tap(
+        site1.controller,
+        "repoint_service_flows",
+        lambda *args, **kwargs: flips.append(site1.cluster.is_running(svc.plan)),
+    )
     base = tb.env.now
     policy = dataclasses.replace(SLOW, mode=mode)
     done = site1.manager.request_migration(svc.name, "site0", policy=policy)

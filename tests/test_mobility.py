@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.observe import tap
 from repro.services.catalog import NGINX
 from repro.testbed import C3Testbed, TestbedConfig
 
@@ -200,8 +201,7 @@ class TestHandover:
         tb.run_request(client, svc, NGINX.request)
         tb.move_client(client, gnb2)
         seen = []
-        orig = client.receive
-        client.receive = lambda p, i: (seen.append(p.ip_src), orig(p, i))
+        tap(client, "receive", lambda p, i: seen.append(p.ip_src))
         result = tb.run_request(client, svc, NGINX.request)
         assert result.response.status == 200
         assert seen and all(ip == svc.cloud_ip for ip in seen)

@@ -14,6 +14,7 @@ from repro.net import (
 )
 from repro.net.addressing import IPAllocator, MACAllocator
 from repro.net.packet import HEADER_BYTES, HTTPResponse, Packet, TCPFlags, TCPSegment
+from repro.observe import tap
 from repro.sim import Environment
 
 from tests.nethelpers import EchoApp, MiniNet, run_request
@@ -111,13 +112,7 @@ class TestLink:
 
         b.open_port(80, EchoApp(env))
         arrivals = []
-        orig = b.receive
-
-        def spy(packet, iface):
-            arrivals.append(env.now)
-            orig(packet, iface)
-
-        b.receive = spy
+        tap(b, "receive", lambda packet, iface: arrivals.append(env.now))
         # Send two 10_000-byte bursts immediately.
         for _ in range(2):
             a._send_segment(

@@ -8,6 +8,7 @@ from repro.net import ConnectionTimeout, HTTPRequest
 from repro.net.host import ConnectionReset
 from repro.net.openflow import FlowEntry, FlowMatch, Output
 from repro.net.packet import HTTPResponse, TCPFlags
+from repro.observe import tap
 from repro.sim import Environment
 
 from tests.nethelpers import EchoApp, MiniNet, run_request
@@ -75,8 +76,7 @@ class TestConnectionEdgeCases:
         env, a, b = self._pair()
         b.open_port(80, EchoApp(env, service_time=1.0))
         arrived = []
-        receive = a.receive
-        a.receive = lambda p, i: (arrived.append(p.tcp.payload), receive(p, i))
+        tap(a, "receive", lambda p, i: arrived.append(p.tcp.payload))
 
         def go(env):
             conn = yield from a.connect(b.ip, 80)
@@ -133,8 +133,7 @@ class TestConnectionEdgeCases:
         env, a, b = self._pair()
         b.open_port(80, EchoApp(env))
         flags = []
-        receive = a.receive
-        a.receive = lambda p, i: (flags.append(p.tcp.flags), receive(p, i))
+        tap(a, "receive", lambda p, i: flags.append(p.tcp.flags))
         assert run_request(env, a, b.ip, 80).response.status == 200
         assert flags[-1] & TCPFlags.FIN  # the response
         assert a._connections == b._connections == {}
@@ -211,16 +210,15 @@ class TestConnectionEdgeCases:
             )
         b.open_port(80, EchoApp(env))
         through = []
-        pipeline = sw._pipeline
-
-        def spy(packet, in_port):
-            through.append((in_port, packet.tcp.flags, type(packet.tcp.payload)))
-            pipeline(packet, in_port)
-
-        sw._pipeline = spy
+        tap(
+            sw,
+            "_pipeline",
+            lambda packet, in_port: through.append(
+                (in_port, packet.tcp.flags, type(packet.tcp.payload))
+            ),
+        )
         at_server = []
-        receive = b.receive
-        b.receive = lambda p, i: (at_server.append(p.tcp), receive(p, i))
+        tap(b, "receive", lambda p, i: at_server.append(p.tcp))
 
         assert run_request(env, a, b.ip, 80).response.status == 200
         data = TCPFlags.PSH | TCPFlags.ACK | TCPFlags.FIN

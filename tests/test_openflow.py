@@ -20,6 +20,7 @@ from repro.net.openflow.switch import ControlChannel
 from repro.net.openflow.table import FlowTable, REASON_DELETE, REASON_IDLE_TIMEOUT
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.net.addressing import MACAddress
+from repro.observe import tap
 from repro.sdnfw import SDNApp
 from repro.sim import Environment
 
@@ -227,12 +228,11 @@ class TestSwitchDataPlane:
 
         syn_ack_sources = []
 
-        def spy(packet, iface, _orig=client.receive):
+        def spy(packet, iface):
             if packet.tcp.flags & TCPFlags.SYN:
                 syn_ack_sources.append(packet.ip_src)
-            _orig(packet, iface)  # last: the wake-up stays in tail position
 
-        client.receive = spy
+        tap(client, "receive", spy)
         env.run(until=env.process(client.connect(cloud_ip, 80)))
         # Transparency: the SYN-ACK appeared to come from the cloud IP.
         assert syn_ack_sources == [cloud_ip]
@@ -423,13 +423,11 @@ class TestControlChannel:
         sw = MiniNet(env).switch()
         dp = _RecordingApp(env).attach(sw, latency_s=200e-6)
         handled = []
-        handle = sw.handle_controller_message
-
-        def spy(message):
-            handled.append((env.now, message.cookie))
-            handle(message)
-
-        sw.handle_controller_message = spy
+        tap(
+            sw,
+            "handle_controller_message",
+            lambda message: handled.append((env.now, message.cookie)),
+        )
         popped = record_popped_entries(monkeypatch)
 
         def burst():

@@ -19,6 +19,7 @@ left after a replay.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from repro.net.openflow import Drop, FlowEntry, FlowMatch, FlowTable
 from repro.net.openflow.switch import OpenFlowSwitch
 from repro.net.openflow.table import REASON_IDLE_TIMEOUT
 from repro.net.packet import Packet, TCPFlags, TCPSegment
+from repro.observe import tap
 from repro.sim import Environment
 
 from tests.flowtable_oracle import sweep_expired, touch
@@ -324,6 +326,19 @@ def _popped_names(popped) -> list[str]:
     return [getattr(entry, "__name__", type(entry).__name__) for entry in popped]
 
 
+def _request_on_a_warm_testbed(monkeypatch, client: int):
+    """One request from ``tb.clients[client]`` on
+    :func:`_warm_docker_testbed`: ``(kernel events, popped entries by
+    name, packets through the switch, time_total)`` and the testbed."""
+    tb, popped, service = _warm_docker_testbed(monkeypatch)
+    events, packets = tb.env.events_processed, tb.switch.stats["rx"]
+    result = tb.run_request(tb.clients[client], service)
+    assert result.response.ok
+    assert tb.env.events_processed - events == len(popped)
+    packets = tb.switch.stats["rx"] - packets
+    return (len(popped), _popped_names(popped), packets, result.time_total), tb
+
+
 def test_warm_request_event_budget(monkeypatch):
     """One request to a running, already-redirected service costs 10
     kernel events:
@@ -345,13 +360,8 @@ def test_warm_request_event_budget(monkeypatch):
     the handshake ``Event`` or a ``StoreGet``.  The handler the server
     starts per request ends without an entry (``Environment.spawn``).
     """
-    tb, popped, service = _warm_docker_testbed(monkeypatch)
-    events, packets = tb.env.events_processed, tb.switch.stats["rx"]
-    assert tb.run_request(tb.clients[0], service).response.ok
-    packets = tb.switch.stats["rx"] - packets
-    assert tb.env.events_processed - events == len(popped) == 10
-
-    names = _popped_names(popped)
+    (events, names, packets, _), _ = _request_on_a_warm_testbed(monkeypatch, 0)
+    assert events == 10
     assert packets == 4
     assert names.count("_deliver") == names.count("_ingress") == packets
     assert names.count("_pipeline") == 0
@@ -371,14 +381,10 @@ def test_flow_memory_miss_event_budget(monkeypatch):
     process — so nothing is started (``_Initialize``) and the only
     ``Process`` that pops is the client's own, which ``run_request``
     waits on."""
-    tb, popped, service = _warm_docker_testbed(monkeypatch)
-    events = tb.env.events_processed
+    (events, names, _, _), tb = _request_on_a_warm_testbed(monkeypatch, 1)
     deployments = tb.controller.dispatcher.recorder.series("deployments")
-    assert tb.run_request(tb.clients[1], service).response.ok
     assert len(deployments) == 1  # the first client's; none for this one
-    assert tb.env.events_processed - events == len(popped) == 10 + 3
-
-    names = _popped_names(popped)
+    assert events == 10 + 3
     assert names.count("_deliver") == names.count("_ingress") == 4
     assert names.count("_deliver_up") == 1
     assert names.count("_deliver_down") == 1
@@ -409,7 +415,8 @@ def test_redirect_idle_out_costs_one_up_channel_message(monkeypatch):
 def _k8s_first_request(monkeypatch):
     """One first request to a Kubernetes service that was never
     requested: the popped entries, the processes the popped
-    ``StoreGet``s resumed, the kernel events and the watch events."""
+    ``StoreGet``s resumed, the kernel events, the watch events and the
+    request's ``time_total``."""
     from repro.services.catalog import NGINX
     from repro.testbed import C3Testbed, TestbedConfig
 
@@ -427,12 +434,14 @@ def _k8s_first_request(monkeypatch):
     popped = record_popped_entries(monkeypatch, note)
     api = tb.kubernetes.api
     events, watch_events = tb.env.events_processed, api.stats["events"]
-    assert tb.run_request(tb.clients[0], service).response.ok
+    result = tb.run_request(tb.clients[0], service)
+    assert result.response.ok
     return (
         popped,
         resumed,
         tb.env.events_processed - events,
         api.stats["events"] - watch_events,
+        result.time_total,
     )
 
 
@@ -463,14 +472,14 @@ def test_k8s_first_request_event_budget(monkeypatch):
     from tests.k8shelpers import relays_on_the_heap, wakes_on_the_heap
 
     with relays_on_the_heap(), wakes_on_the_heap():
-        _, heap_resumed, heap_events, heap_watch_events = _k8s_first_request(
+        _, heap_resumed, heap_events, heap_watch_events, _ = _k8s_first_request(
             monkeypatch
         )
     with relays_on_the_heap():
-        _, _, relay_events, _ = _k8s_first_request(monkeypatch)
+        relay_events = _k8s_first_request(monkeypatch)[2]
     with wakes_on_the_heap():
-        _, woken, woken_events, _ = _k8s_first_request(monkeypatch)
-    popped, _, events, watch_events = _k8s_first_request(monkeypatch)
+        _, woken, woken_events, _, _ = _k8s_first_request(monkeypatch)
+    popped, _, events, watch_events, _ = _k8s_first_request(monkeypatch)
     assert watch_events == heap_watch_events == 17
     assert sum(name.startswith("relay:") for name in heap_resumed) == 17
     assert heap_events == 160
@@ -488,7 +497,65 @@ def test_k8s_first_request_event_budget(monkeypatch):
     assert not any(type(entry).__name__ == "StoreGet" for entry in popped)
 
 
-def test_nothing_pops_to_do_nothing(monkeypatch):
+@contextlib.contextmanager
+def _every_boundary_tapped():
+    """A no-op observer on every method the suite taps, class-wide.
+    (``scheduler.policy``, tapped in ``test_local_scheduler.py``, is a
+    per-instance callable, and no budget run has the local scheduler.)"""
+    from repro.containers.containerd import Containerd
+    from repro.core.controller import EdgeController
+    from repro.core.dispatcher import Deployment
+    from repro.k8s.apiserver import APIServer
+    from repro.net import Host
+    from repro.net.device import NetworkInterface
+    from repro.net.openflow.switch import ControlChannel
+    from repro.sim.events import Event
+
+    boundaries = {
+        Host: "receive open_port close_port",
+        NetworkInterface: "send",
+        OpenFlowSwitch: "_pipeline handle_controller_message",
+        ControlChannel: "send_to_controller _deliver_up send_to_switch _deliver_down",
+        EdgeController: "repoint_service_flows",
+        Deployment: "publish",
+        Event: "_succeed_here",
+        Containerd: "_boot_application",
+        APIServer: "create get try_get update delete list _notify",
+    }
+    with contextlib.ExitStack() as stack:
+        for target, names in boundaries.items():
+            for name in names.split():
+                stack.callback(tap(target, name, lambda *args, **kwargs: None))
+        yield
+
+
+@pytest.mark.parametrize(
+    "budget, events",
+    [("warm_request", 10), ("flow_memory_miss", 10 + 3), ("k8s_first_request", 119)],
+)
+def test_event_budgets_hold_with_every_boundary_tapped(monkeypatch, budget, events):
+    """The three event budgets above, run once more with a no-op
+    observer tapped on every boundary the suite observes: the same
+    kernel events, the same popped entries in the same order, and a
+    ``time_total`` bit-equal to the untapped run's.  A tap is a wrapper
+    frame that returns what the original returns, so an observer that
+    schedules nothing moves nothing — the tail hand-off included."""
+
+    def run():
+        if budget == "k8s_first_request":
+            popped, _, events, watch_events, time_total = _k8s_first_request(monkeypatch)
+            return events, _popped_names(popped), watch_events, time_total
+        client = {"warm_request": 0, "flow_memory_miss": 1}[budget]
+        return _request_on_a_warm_testbed(monkeypatch, client)[0]
+
+    untapped = run()
+    with _every_boundary_tapped():
+        tapped = run()
+    assert tapped == untapped
+    assert tapped[0] == events
+
+
+def test_nothing_pops_to_do_nothing(request, monkeypatch):
     """Over a Kubernetes first request, then one first request /
     FlowMemory-expiry scale-down / re-scale-up cycle on Kubernetes and
     on Docker, every popped ``Event`` has somebody to tell — a non-empty
@@ -513,17 +580,14 @@ def test_nothing_pops_to_do_nothing(monkeypatch):
 
     latches: list[Event] = []
     idle: list[Event] = []
-    boot = Containerd._boot_application
-
-    def booting(self, container):
-        latches.append(container.ready)
-        return boot(self, container)
 
     def note(item):
         if isinstance(item[5], Event) and not item[5].callbacks:
             idle.append(item[5])
 
-    monkeypatch.setattr(Containerd, "_boot_application", booting)
+    request.addfinalizer(
+        tap(Containerd, "_boot_application", lambda _, container: latches.append(container.ready))
+    )
     popped = record_popped_entries(monkeypatch, note)
     assert _k8s_first_requests(1)["watch_events"] == 17.0
     calibration = dataclasses.replace(
@@ -547,25 +611,27 @@ def test_nothing_pops_to_do_nothing(monkeypatch):
     assert len(idle) == 2  # Docker's two boots
 
 
-def _connect_pairs(starts):
+def _rebind_receive(host, observe) -> None:
+    """The hand-rolled shape ``bench/workloads.spy_sources`` still uses."""
+
+    def receive(packet, iface, _orig=host.receive):
+        observe(packet, iface)
+        _orig(packet, iface)
+
+    host.receive = receive
+
+
+def _connect_pairs(starts, spy_on=lambda host, observe: tap(host, "receive", observe)):
     """One client-server pair per start instant on identical links,
-    each client connecting at its instant: the order in which packets
-    were received (``"rx"``) and clients resumed (``"connected"``), the
-    instants ``Event.succeed_tail`` handed off at, and the environment."""
+    each client connecting at its instant, its ``receive`` observed
+    through ``spy_on``: the order in which packets were received
+    (``"rx"``) and clients resumed (``"connected"``), the instants
+    ``Event.succeed_tail`` handed off at, and the environment."""
     from tests.nethelpers import EchoApp, MiniNet, counted_handoffs
 
     env = Environment()
     net = MiniNet(env)
     order = []
-
-    def spy_on(host):
-        receive = host.receive
-
-        def spy(packet, iface):
-            order.append(("rx", host.name))
-            receive(packet, iface)  # last: the wake-up stays in tail position
-
-        host.receive = spy
 
     def connect(client, server):
         yield from client.connect(server.ip, 80)
@@ -575,7 +641,7 @@ def _connect_pairs(starts):
         client, server = net.host(f"client{i}"), net.host(f"server{i}")
         net.wire(client, server)
         server.open_port(80, EchoApp(env))
-        spy_on(client)
+        spy_on(client, lambda packet, iface, name=client.name: order.append(("rx", name)))
         env.call_at(start, env.spawn, connect(client, server))
     with counted_handoffs() as taken:
         env.run()
@@ -601,9 +667,19 @@ def test_simultaneous_syn_acks_fall_back_to_the_heap():
 
 def test_a_receive_spy_that_calls_the_original_last_keeps_the_handoff():
     """Apart by more than nothing, each client resumes inside the
-    delivery of its SYN-ACK — through the wrapper every ``receive`` spy
-    in the repo is (``bench/workloads.spy_sources`` included)."""
-    order, taken, env = _connect_pairs([0.0, 1e-6])
+    delivery of its SYN-ACK — through ``repro.observe.tap``, as every other
+    ``receive`` spy under ``tests/`` is."""
+    _assert_handoffs_kept()
+
+
+def test_the_hand_rolled_receive_spy_keeps_the_handoff():
+    """The same, through the wrapper ``bench/workloads.spy_sources``
+    still rolls by hand: it calls the original last too."""
+    _assert_handoffs_kept(_rebind_receive)
+
+
+def _assert_handoffs_kept(*spy_on) -> None:
+    order, taken, env = _connect_pairs([0.0, 1e-6], *spy_on)
     assert order == [
         ("rx", "client0"),
         ("connected", "client0"),

@@ -52,6 +52,7 @@ from repro.net.openflow import (
     Output,
 )
 from repro.net.packet import HEADER_BYTES, Packet, TCPFlags, TCPSegment
+from repro.observe import tap
 from repro.sdnfw.app import SDNApp
 from repro.services import DEFAULT_CALIBRATION
 from repro.services.catalog import NGINX
@@ -839,33 +840,27 @@ def _k8s_schedule(nodes, profile, steps):
     log: list[tuple] = []
 
     def logged(verb):
-        method = getattr(APIServer, verb)
-
-        def spy(api, *args):
+        def observe(api, *args):
             if verb in ("create", "update"):
                 kind, key = args[0].kind, args[0].metadata.name
             else:
                 kind, key = args[0], args[1:2]
             log.append((api.env.now, verb, kind, key))
-            return (yield from method(api, *args))
 
-        return mock.patch.object(APIServer, verb, spy)
-
-    notify = APIServer._notify
+        return observe
 
     def notified(api, kind, event_type, obj):
         meta = obj.metadata
         log.append((api.env.now, "notify", kind, event_type, meta.name, meta.resource_version))
-        notify(api, kind, event_type, obj)
 
     env = Environment()
     with contextlib.ExitStack() as stack:
         # Process-global counters: each run starts them afresh.
         stack.enter_context(mock.patch.object(objects, "_uids", itertools.count(1)))
         stack.enter_context(mock.patch.object(controllers, "_pod_suffix", itertools.count(1)))
-        stack.enter_context(mock.patch.object(APIServer, "_notify", notified))
+        stack.callback(tap(APIServer, "_notify", notified))
         for verb in ("create", "get", "try_get", "update", "delete", "list"):
-            stack.enter_context(logged(verb))
+            stack.callback(tap(APIServer, verb, logged(verb)))
         cluster, registry, hosts = _cluster(env, nodes, profile)
         runtimes = [runtime for _, runtime in hosts]
         for host, _ in hosts:
@@ -1403,13 +1398,7 @@ def _through_a_switch(endpoint_type, latency, calls, fates, lookup, flips):
     switch.channel = punts = _PuntLog(env)
     far = Sink(env, "far")
     looked_up = []
-    pipeline = switch._pipeline
-
-    def spy(packet, in_port):
-        looked_up.append((env.now, packet.packet_id))
-        pipeline(packet, in_port)
-
-    switch._pipeline = spy
+    tap(switch, "_pipeline", lambda packet, in_port: looked_up.append((env.now, packet.packet_id)))
     links = []
     with mock.patch.object(link_module, "LinkEndpoint", endpoint_type):
         out_port, out_iface = switch.add_port(MACAddress(100))
@@ -1578,21 +1567,18 @@ class _Installer(SDNApp):
 
 
 def _log_traffic(host: Host, log) -> None:
-    """Every packet in and out of ``host``; the spy calls the real
-    ``receive`` last, so the wake-up stays in tail position."""
+    """Every packet in and out of ``host``."""
     env, name = host.env, host.name
-    receive, send = host.receive, host.iface.send
 
-    def spy_receive(packet, iface):
-        log.append((env.now, name, "rx", packet.tcp.flags.value, packet.tcp.payload_bytes))
-        receive(packet, iface)
+    def logged(direction):
+        def observe(packet, *_iface):
+            tcp = packet.tcp
+            log.append((env.now, name, direction, tcp.flags.value, tcp.payload_bytes))
 
-    def spy_send(packet):
-        log.append((env.now, name, "tx", packet.tcp.flags.value, packet.tcp.payload_bytes))
-        send(packet)
+        return observe
 
-    host.receive = spy_receive
-    host.iface.send = spy_send
+    tap(host, "receive", logged("rx"))
+    tap(host.iface, "send", logged("tx"))
 
 
 def _conversation(host, server_ip, rounds, deadlines, log, samples):
@@ -1706,13 +1692,11 @@ def _converse(topology, latency, service, clients, plants, replies=None):
         # left its host and pops first, so a barrier reply can share an
         # up batch with a packet-in behind it.
         _Installer(env, ports, log).attach(switch, latency_s=2 * _UNIT_S)
-        handle = switch.handle_controller_message
-
-        def spy_handle(message):
-            log.append((env.now, "sw", type(message).__name__))
-            handle(message)
-
-        switch.handle_controller_message = spy_handle
+        tap(
+            switch,
+            "handle_controller_message",
+            lambda message: log.append((env.now, "sw", type(message).__name__)),
+        )
         if topology == "switch":
             for ip, port in ports.items():
                 switch.table.install(
@@ -1901,33 +1885,29 @@ def _logged_channels(log):
     one line per message in it, in send order."""
 
     def logged(name):
-        method = getattr(ControlChannel, name)
-
-        def spy(channel, operand):
+        def observe(channel, operand):
             for message in operand if name.startswith("_deliver") else (operand,):
                 log.append(
                     (channel.env.now, channel.switch.name, name, *_message_summary(message))
                 )
-            method(channel, operand)
 
-        return mock.patch.object(ControlChannel, name, spy)
+        return observe
 
     with contextlib.ExitStack() as stack:
         for name in (
             "send_to_controller", "_deliver_up", "send_to_switch", "_deliver_down"
         ):
-            stack.enter_context(logged(name))
+            stack.callback(tap(ControlChannel, name, logged(name)))
         yield
 
 
 def _log_ports(host: Host, log) -> None:
     for name in ("open_port", "close_port"):
-
-        def spy(port, *args, _name=name, _method=getattr(host, name)):
-            log.append((host.env.now, host.name, _name, port))
-            return _method(port, *args)
-
-        setattr(host, name, spy)
+        tap(
+            host,
+            name,
+            lambda port, *_, name=name: log.append((host.env.now, host.name, name, port)),
+        )
 
 
 def _sent_to_land_at(at: float, delay: float) -> float | None:

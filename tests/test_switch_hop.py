@@ -19,6 +19,7 @@ from repro.net import ConnectionTimeout, HTTPRequest, Link
 from repro.net import link as link_module
 from repro.net.link import GBPS
 from repro.net.openflow import FlowEntry, FlowMatch, Output
+from repro.observe import tap
 from repro.sim import Environment
 
 from tests.link_oracle import TwoEventEndpoint
@@ -104,13 +105,7 @@ def _on_both_endpoints(monkeypatch, scenario):
 def _spy_on(host) -> list[tuple[float, int]]:
     """Log ``(time, payload bytes)`` of every packet reaching ``host``."""
     seen = []
-    receive = host.receive
-
-    def spy(packet, iface):
-        seen.append((host.env.now, packet.tcp.payload_bytes))
-        receive(packet, iface)
-
-    host.receive = spy
+    tap(host, "receive", lambda p, i: seen.append((host.env.now, p.tcp.payload_bytes)))
     return seen
 
 
