@@ -52,11 +52,10 @@ class K8sEdgeCluster(PhasedCluster, EdgeCluster):
         cluster: KubernetesCluster,
         node_name: str,
         distance: int = 0,
-        capacity: int | None = None,
         local_scheduler: str | None = None,
     ) -> None:
         kubelet = cluster.kubelets[node_name]
-        super().__init__(env, name, kubelet.node_host, distance, capacity)
+        super().__init__(env, name, kubelet.node_host, distance)
         self.cluster = cluster
         self.node_name = node_name
         self.client = KubernetesClient(cluster.api)

@@ -591,25 +591,20 @@ class EdgeController(ForwardingApp):
         service: EdgeService,
         cluster_name: str,
         endpoint: ServiceEndpoint,
-        from_endpoint: ServiceEndpoint | None = None,
     ) -> int:
-        """Atomically repoint memorized flows of ``service`` to a new
-        instance, make-before-break.
+        """Atomically repoint every memorized flow of ``service`` to a
+        new instance, make-before-break.
 
         Runs in a single event-loop instant (no yields), so for every
         covered client the conntrack snapshot, the per-connection drain
         entries, and the redirect swap are one indivisible switch-over:
         connections opened before it drain on the old path, connections
-        opened after it ride the new one.  With ``from_endpoint`` only
-        flows currently pointing there are touched (a migration flips
-        exactly the instance it moved).  Returns the number of flows
+        opened after it ride the new one.  Returns the number of flows
         repointed.
         """
         repointed = 0
         now = self.env.now
         for flow in self.flow_memory.flows_for_service(service):
-            if from_endpoint is not None and flow.endpoint != from_endpoint:
-                continue
             if flow.cluster_name == cluster_name and flow.endpoint == endpoint:
                 continue
             client = self.dispatcher.client_locations.get(flow.client_ip)

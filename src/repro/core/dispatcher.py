@@ -167,9 +167,10 @@ class Deployment:
         *failed* deployment re-resolving — has every sibling take this
         same branch in the same order.  The guard is traffic, not
         caution (packet-ins that land in one batch time out together:
-        18 of ``c3_churn``'s 7 092 answers), and no digest sees it
-        missing; the shortcut property in ``tests/test_properties.py``
-        does (contract in DESIGN.md §6).
+        18 of ``c3_churn``'s 7 092 answers).  Without it the latency
+        md5s of ``c3_replay``, ``c3_churn`` and ``fed_replay`` move at
+        seed 42; the shortcut property in ``tests/test_properties.py``
+        names the instant (contract in DESIGN.md §6).
         """
         if self.process is not None:
             outcome = yield self.process

@@ -18,14 +18,15 @@ from repro.experiments.base import ExperimentResult
 from repro.metrics import summarize
 from repro.net import Host
 from repro.net.addressing import IPAllocator, MACAllocator
-from repro.services.catalog import NGINX, ServiceTemplate
+from repro.services.catalog import NGINX
 from repro.sim import Environment
 from repro.testbed import C3Testbed, TestbedConfig
 
+#: A3: every client requests its service once per period.
+REQUEST_PERIOD_S = 20.0
 
-def run_ablation_waiting_modes(
-    template: ServiceTemplate = NGINX, n_instances: int = 10
-) -> ExperimentResult:
+
+def run_ablation_waiting_modes(n_instances: int = 10) -> ExperimentResult:
     """A1: what the first request costs under each deployment mode."""
     rows = []
 
@@ -33,10 +34,10 @@ def run_ablation_waiting_modes(
     tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
     samples = []
     for i in range(n_instances):
-        svc = tb.register_template(template)
+        svc = tb.register_template(NGINX)
         tb.prepare_created(tb.docker_cluster, svc)
         samples.append(
-            tb.run_request(tb.clients[i % 20], svc, template.request).time_total
+            tb.run_request(tb.clients[i % 20], svc, NGINX.request).time_total
         )
         tb.settle(0.2)
     rows.append(["with-waiting (near deploys)", round(summarize(samples).median, 4)])
@@ -48,7 +49,7 @@ def run_ablation_waiting_modes(
     far = tb.add_far_edge("far-docker", distance=1)
     samples = []
     for i in range(n_instances):
-        svc = tb.register_template(template)
+        svc = tb.register_template(NGINX)
         tb.prepare_created(tb.docker_cluster, svc)
         tb.prepare_created(far, svc)
         proc = tb.env.process(far.scale_up(svc.plan))
@@ -56,7 +57,7 @@ def run_ablation_waiting_modes(
         proc = tb.env.process(far.wait_ready(svc.plan, timeout_s=30))
         tb.env.run(until=proc)
         samples.append(
-            tb.run_request(tb.clients[i % 20], svc, template.request).time_total
+            tb.run_request(tb.clients[i % 20], svc, NGINX.request).time_total
         )
         tb.settle(0.2)
     rows.append(
@@ -69,10 +70,10 @@ def run_ablation_waiting_modes(
     )
     samples = []
     for i in range(n_instances):
-        svc = tb.register_template(template)
+        svc = tb.register_template(NGINX)
         tb.prepare_created(tb.docker_cluster, svc)
         samples.append(
-            tb.run_request(tb.clients[i % 20], svc, template.request).time_total
+            tb.run_request(tb.clients[i % 20], svc, NGINX.request).time_total
         )
         tb.settle(0.2)
     rows.append(["without-waiting (cloud fallback)", round(summarize(samples).median, 4)])
@@ -83,9 +84,9 @@ def run_ablation_waiting_modes(
     )
     samples = []
     for i in range(n_instances):
-        svc = tb.register_template(template)
+        svc = tb.register_template(NGINX)
         samples.append(
-            tb.run_request(tb.clients[i % 20], svc, template.request).time_total
+            tb.run_request(tb.clients[i % 20], svc, NGINX.request).time_total
         )
         tb.settle(0.2)
     rows.append(["cloud-only baseline", round(summarize(samples).median, 4)])
@@ -102,9 +103,7 @@ def run_ablation_waiting_modes(
     )
 
 
-def run_ablation_hybrid(
-    template: ServiceTemplate = NGINX, n_instances: int = 10
-) -> ExperimentResult:
+def run_ablation_hybrid(n_instances: int = 10) -> ExperimentResult:
     """A2: hybrid Docker-then-K8s vs. pure Kubernetes first requests."""
     rows = []
 
@@ -115,11 +114,11 @@ def run_ablation_hybrid(
         samples = []
         k8s_serving = 0
         for i in range(n_instances):
-            svc = tb.register_template(template)
+            svc = tb.register_template(NGINX)
             for cluster in tb.clusters:
                 tb.prepare_created(cluster, svc)
             samples.append(
-                tb.run_request(tb.clients[i % 20], svc, template.request).time_total
+                tb.run_request(tb.clients[i % 20], svc, NGINX.request).time_total
             )
             tb.settle(0.2)
         # Let background K8s deployments finish, then count flows on K8s.
@@ -210,7 +209,6 @@ def run_ablation_flow_occupancy(
     n_services: int = 8,
     n_clients: int = 10,
     duration_s: float = 160.0,
-    request_period_s: float = 20.0,
 ) -> ExperimentResult:
     """A3: why FlowMemory lets switch idle timeouts stay low.
 
@@ -256,7 +254,7 @@ def run_ablation_flow_occupancy(
             while env.now < start + duration_s:
                 result = yield from tb.http_request(client, svc, NGINX.request)
                 latencies.append(result.time_total)
-                yield env.timeout(request_period_s)
+                yield env.timeout(REQUEST_PERIOD_S)
 
         start = tb.env.now
         tb.env.process(sampler(tb.env))
@@ -267,7 +265,7 @@ def run_ablation_flow_occupancy(
                         tb.env,
                         tb.clients[i % 20],
                         svc,
-                        offset=(i * 0.37 + j * 0.73) % request_period_s,
+                        offset=(i * 0.37 + j * 0.73) % REQUEST_PERIOD_S,
                     )
                 )
         tb.env.run(until=start + duration_s + 5.0)
@@ -316,21 +314,19 @@ def run_ablation_flow_occupancy(
     )
 
 
-def run_ablation_flow_table(
-    template: ServiceTemplate = NGINX, n_requests: int = 20
-) -> ExperimentResult:
+def run_ablation_flow_table(n_requests: int = 20) -> ExperimentResult:
     """A5: per-request cost of the three data-path states."""
     tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
-    svc = tb.register_template(template)
+    svc = tb.register_template(NGINX)
     tb.prepare_created(tb.docker_cluster, svc)
     client = tb.clients[0]
 
     # Cold: full dispatch incl. deployment (first request).
-    cold = tb.run_request(client, svc, template.request).time_total
+    cold = tb.run_request(client, svc, NGINX.request).time_total
 
     # Warm flow: switch entry still installed.
     warm = [
-        tb.run_request(client, svc, template.request).time_total
+        tb.run_request(client, svc, NGINX.request).time_total
         for _ in range(n_requests)
     ]
 
@@ -340,7 +336,7 @@ def run_ablation_flow_table(
     for _ in range(5):
         tb.env.run(until=tb.env.now + idle + 1.0)
         memory_path.append(
-            tb.run_request(client, svc, template.request).time_total
+            tb.run_request(client, svc, NGINX.request).time_total
         )
 
     rows = [

@@ -17,8 +17,6 @@ which phase dominates for which service.
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.experiments.base import ExperimentResult
 from repro.metrics import median
 from repro.services.catalog import PAPER_SERVICES, ServiceTemplate
@@ -52,15 +50,11 @@ def _breakdown(
     }
 
 
-def run_extension_breakdown(
-    services: _t.Sequence[ServiceTemplate] = PAPER_SERVICES,
-    cluster_types: _t.Sequence[str] = ("docker", "k8s"),
-    n_instances: int = 10,
-) -> ExperimentResult:
+def run_extension_breakdown(n_instances: int = 10) -> ExperimentResult:
     """Median component breakdown of the scale-up-only first request."""
     rows = []
-    for template in services:
-        for cluster_type in cluster_types:
+    for template in PAPER_SERVICES:
+        for cluster_type in ("docker", "k8s"):
             parts = _breakdown(template, cluster_type, n_instances)
             rows.append(
                 [

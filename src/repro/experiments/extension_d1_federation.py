@@ -25,8 +25,11 @@ from __future__ import annotations
 import typing as _t
 
 from repro.experiments.base import ExperimentResult
-from repro.services.catalog import ASM, NGINX, ServiceTemplate
+from repro.services.catalog import ASM, NGINX
 from repro.testbed import FederatedTestbed, FederationConfig
+
+#: The propagation delay of the site sweep.
+FIXED_DELAY_S = 0.025
 
 
 def _drain(tb: FederatedTestbed, seconds: float = 30.0) -> None:
@@ -36,8 +39,6 @@ def _drain(tb: FederatedTestbed, seconds: float = 30.0) -> None:
 def federation_cell(
     n_sites: int,
     propagation_delay_s: float,
-    template: ServiceTemplate = NGINX,
-    concurrent_template: ServiceTemplate = ASM,
 ) -> dict[str, _t.Any]:
     """Measure one federation configuration; returns raw metrics."""
     tb = FederatedTestbed(
@@ -47,36 +48,36 @@ def federation_cell(
             propagation_delay_s=propagation_delay_s,
         )
     )
-    svc = tb.register_template(template)
+    svc = tb.register_template(NGINX)
     origin, peer = tb.sites[0], tb.sites[-1]
 
     # Cold first packet at the origin site: the low-latency policy
     # serves it from the cloud while the local edge deploys.
-    cold = tb.run_request(origin.clients[0], svc, template.request)
+    cold = tb.run_request(origin.clients[0], svc, NGINX.request)
     _drain(tb)  # background deployment completes
     tb.settle_replication()
-    warm = tb.run_request(origin.clients[0], svc, template.request)
+    warm = tb.run_request(origin.clients[0], svc, NGINX.request)
 
     remote_s = handover_s = None
     if n_sites > 1:
         # Peer site's first packet rides the replicated instance view:
         # served cross-site instead of from the 15 ms WAN.
-        remote_s = tb.run_request(peer.clients[0], svc, template.request).time_total
+        remote_s = tb.run_request(peer.clients[0], svc, NGINX.request).time_total
         # Cross-site handover: a warm client moves to the peer site.
         mover = origin.clients[1]
-        tb.run_request(mover, svc, template.request)
+        tb.run_request(mover, svc, NGINX.request)
         tb.move_client(mover, peer)
-        handover_s = tb.run_request(mover, svc, template.request).time_total
+        handover_s = tb.run_request(mover, svc, NGINX.request).time_total
         _drain(tb)  # peer's background deployment settles
 
     # Stale-window probe: a second service goes cold-to-hot at EVERY
     # site at once.  No instance view has propagated yet, so each site
     # deploys its own copy — the duplication eventual consistency buys.
-    svc2 = tb.register_template(concurrent_template)
+    svc2 = tb.register_template(ASM)
     outcomes: list[_t.Any] = []
 
     def one(client):
-        result = yield from tb.http_request(client, svc2, concurrent_template.request)
+        result = yield from tb.http_request(client, svc2, ASM.request)
         outcomes.append(result)
 
     for site in tb.sites:
@@ -111,7 +112,6 @@ def federation_cell(
 def run_extension_d1_federation(
     site_counts: _t.Sequence[int] = (1, 2, 4, 8),
     delays: _t.Sequence[float] = (0.005, 0.025, 0.1),
-    fixed_delay_s: float = 0.025,
     fixed_sites: int = 4,
 ) -> ExperimentResult:
     """Sweep federation size and state-propagation delay."""
@@ -121,7 +121,7 @@ def run_extension_d1_federation(
         return "-" if value is None else round(value, 4)
 
     for n_sites in site_counts:
-        cell = federation_cell(n_sites, fixed_delay_s)
+        cell = federation_cell(n_sites, FIXED_DELAY_S)
         rows.append(
             [
                 f"sites={n_sites}",

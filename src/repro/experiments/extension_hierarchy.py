@@ -18,40 +18,40 @@ from __future__ import annotations
 from repro.core import LowLatencyScheduler
 from repro.experiments.base import ExperimentResult
 from repro.metrics import summarize
-from repro.services.catalog import NGINX, ServiceTemplate
+from repro.services.catalog import NGINX
 from repro.testbed import C3Testbed, TestbedConfig
 from repro.workload import BigFlowsParams, TraceDriver, generate_trace
 
+#: The near edge's container capacity; the mid tier is unbounded.
+NEAR_CAPACITY = 8
+#: The trace's seed.
+SEED = 42
 
-def run_extension_hierarchy(
-    template: ServiceTemplate = NGINX,
-    near_capacity: int = 8,
-    params: BigFlowsParams | None = None,
-    seed: int = 42,
-) -> ExperimentResult:
+
+def run_extension_hierarchy() -> ExperimentResult:
     """Replay the trace over a two-tier edge hierarchy plus cloud."""
-    params = params or BigFlowsParams()
+    params = BigFlowsParams()
     tb = C3Testbed(
         TestbedConfig(cluster_types=("docker",)),
         scheduler=LowLatencyScheduler(),
     )
     near = tb.docker_cluster
     assert near is not None
-    near.capacity = near_capacity
+    near.capacity = NEAR_CAPACITY
     mid = tb.add_far_edge("mid-docker", distance=1, latency_s=0.004)
 
-    services = [tb.register_template(template) for _ in range(params.n_services)]
+    services = [tb.register_template(NGINX) for _ in range(params.n_services)]
     for service in services:
         tb.prepare_created(near, service)
         tb.prepare_created(mid, service)
     tb.settle(1.0)
 
-    events = generate_trace(params, seed=seed)
+    events = generate_trace(params, seed=SEED)
     driver = TraceDriver(
         tb.env,
         tb.clients,
         services,
-        requests={s.name: template.request for s in services},
+        requests={s.name: NGINX.request for s in services},
         recorder=tb.recorder,
     )
     summary = driver.run(events)
@@ -68,7 +68,7 @@ def run_extension_hierarchy(
     stats = summarize(summary.time_totals)
     rows = [
         ["requests ok / total", f"{summary.n_ok} / {summary.n_requests}"],
-        ["near-edge capacity", near_capacity],
+        ["near-edge capacity", NEAR_CAPACITY],
         ["services running near (small edge)", near_running],
         ["services running mid (larger edge)", mid_running],
         ["memorized flows -> near", placement["docker"]],

@@ -44,14 +44,13 @@ def _burst_latencies(
 
 
 def run_extension_load(
-    services: _t.Sequence[ServiceTemplate] = (NGINX, RESNET),
     concurrency_levels: _t.Sequence[int] = (1, 4, 8, 16),
     rounds: int = 5,
 ) -> ExperimentResult:
     """Median warm latency vs number of simultaneous clients."""
     rows = []
     raw: dict[tuple[str, int], list[float]] = {}
-    for template in services:
+    for template in (NGINX, RESNET):
         row: list[_t.Any] = [template.title]
         for level in concurrency_levels:
             samples = _burst_latencies(template, level, rounds)

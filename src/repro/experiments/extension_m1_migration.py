@@ -32,31 +32,35 @@ import typing as _t
 from repro.experiments.base import ExperimentResult
 from repro.metrics import percentile
 from repro.net.host import ConnectionRefused, ConnectionReset, ConnectionTimeout
-from repro.services.catalog import ASM, NGINX, NGINX_PY, ServiceTemplate
+from repro.services.catalog import ASM, NGINX, NGINX_PY
 from repro.testbed import FederatedTestbed, FederationConfig
 
 _CLIENT_ERRORS = (ConnectionRefused, ConnectionReset, ConnectionTimeout)
+
+#: The storm: each client requests once per period, the letout starts
+#: at STORM_AT_S, and the clients stop at HORIZON_S.
+PERIOD_S = 0.25
+HORIZON_S = 14.0
+STORM_AT_S = 2.0
+#: The planner batch: one service of each, migrated at once.
+PLANNER_TEMPLATES = (ASM, NGINX, NGINX_PY)
 
 
 def storm_cell(
     mode: str,
     n_clients: int = 6,
-    template: ServiceTemplate = NGINX,
-    period_s: float = 0.25,
-    horizon_s: float = 14.0,
-    storm_at_s: float = 2.0,
 ) -> dict[str, _t.Any]:
     """One handover storm: every client of site0 moves to site1 in a
     ~1 s burst and the service migrates after them with ``mode``."""
     tb = FederatedTestbed(
         FederationConfig(n_sites=2, clients_per_site=n_clients)
     )
-    svc = tb.register_template(template)
+    svc = tb.register_template(NGINX)
     site0, site1 = tb.sites
 
     # Deploy at the origin and pre-pull at the destination, so the
     # storm itself measures transfer + flip, not registry bandwidth.
-    tb.run_request(site0.clients[0], svc, template.request)
+    tb.run_request(site0.clients[0], svc, NGINX.request)
     tb.settle(30.0)
     tb.prepare_created(site1.cluster, svc)
     tb.settle_replication()
@@ -69,21 +73,21 @@ def storm_cell(
     def client_loop(client, offset_s: float):
         nonlocal errors
         yield env.timeout(offset_s)
-        while env.now - base < horizon_s:
+        while env.now - base < HORIZON_S:
             t0 = env.now
             try:
                 yield from tb.http_request(
-                    client, svc, template.request, timeout=30.0
+                    client, svc, NGINX.request, timeout=30.0
                 )
                 latencies.append(env.now - t0)
             except _CLIENT_ERRORS:
                 errors += 1
-            yield env.timeout(period_s)
+            yield env.timeout(PERIOD_S)
 
     def storm():
         # The letout: one handover every 100 ms, service follows as
         # soon as the first client has crossed.
-        yield env.timeout(storm_at_s)
+        yield env.timeout(STORM_AT_S)
         for i, client in enumerate(list(site0.clients)):
             tb.move_client(client, site1)
             if i == 0:
@@ -94,11 +98,11 @@ def storm_cell(
 
     for i, client in enumerate(site0.clients):
         env.process(
-            client_loop(client, period_s * i / n_clients),
+            client_loop(client, PERIOD_S * i / n_clients),
             name=f"storm:{client.name}",
         )
     env.process(storm(), name="storm:letout")
-    env.run(until=base + horizon_s + 10.0)
+    env.run(until=base + HORIZON_S + 10.0)
 
     from repro.experiments.resilience import migration_stats
 
@@ -118,18 +122,16 @@ def storm_cell(
     }
 
 
-def planner_cell(
-    templates: _t.Sequence[ServiceTemplate] = (ASM, NGINX, NGINX_PY),
-) -> dict[str, _t.Any]:
+def planner_cell() -> dict[str, _t.Any]:
     """Batch migration of several services at once: the per-trunk
     budget (0.4 × 10 Gbit/s against 2 Gbit/s per transfer) admits two
     and defers the third until a slot frees up."""
     tb = FederatedTestbed(
-        FederationConfig(n_sites=2, clients_per_site=len(templates))
+        FederationConfig(n_sites=2, clients_per_site=len(PLANNER_TEMPLATES))
     )
     site0, site1 = tb.sites
     services = []
-    for i, template in enumerate(templates):
+    for i, template in enumerate(PLANNER_TEMPLATES):
         svc = tb.register_template(template)
         tb.run_request(site0.clients[i], svc, template.request)
         services.append((svc, template))
@@ -165,7 +167,6 @@ def planner_cell(
 
 def run_extension_m1_migration(
     n_clients: int = 6,
-    modes: _t.Sequence[str] = ("precopy", "stopcopy"),
     with_planner: bool = True,
 ) -> ExperimentResult:
     """The M1 table: one row per storm mode plus the planner batch."""
@@ -182,7 +183,7 @@ def run_extension_m1_migration(
     rows: list[list[_t.Any]] = []
     cells: dict[str, _t.Any] = {}
 
-    for mode in modes:
+    for mode in ("precopy", "stopcopy"):
         cell = storm_cell(mode, n_clients=n_clients)
         cells[mode] = cell
         outcome = cell["outcome"]

@@ -17,16 +17,14 @@ import dataclasses
 from repro.experiments.base import ExperimentResult
 from repro.metrics import summarize
 from repro.services import DEFAULT_CALIBRATION
-from repro.services.catalog import NGINX, ServiceTemplate
+from repro.services.catalog import NGINX
 from repro.testbed import C3Testbed, TestbedConfig
 
+#: The client's visit period, longer than FlowMemory's 30 s idle timeout.
+PERIOD_S = 60.0
 
-def _periodic_run(
-    template: ServiceTemplate,
-    proactive: bool,
-    period_s: float,
-    n_visits: int,
-) -> list[float]:
+
+def _periodic_run(proactive: bool, n_visits: int) -> list[float]:
     calibration = dataclasses.replace(
         DEFAULT_CALIBRATION,
         switch_idle_timeout_s=5.0,
@@ -38,27 +36,23 @@ def _periodic_run(
     )
     if proactive:
         tb.controller.enable_proactive(check_interval_s=2.0, lead_time_s=10.0)
-    service = tb.register_template(template)
+    service = tb.register_template(NGINX)
     tb.prepare_created(tb.docker_cluster, service)
 
     times: list[float] = []
     for _ in range(n_visits):
-        result = tb.run_request(tb.clients[0], service, template.request)
+        result = tb.run_request(tb.clients[0], service, NGINX.request)
         times.append(result.time_total)
-        tb.env.run(until=tb.env.now + period_s)
+        tb.env.run(until=tb.env.now + PERIOD_S)
     return times
 
 
-def run_extension_proactive(
-    template: ServiceTemplate = NGINX,
-    period_s: float = 60.0,
-    n_visits: int = 10,
-) -> ExperimentResult:
+def run_extension_proactive(n_visits: int = 10) -> ExperimentResult:
     """Reactive vs proactive first-request latency on a periodic client."""
     rows = []
     raw: dict[str, list[float]] = {}
     for label, proactive in (("reactive", False), ("proactive", True)):
-        times = _periodic_run(template, proactive, period_s, n_visits)
+        times = _periodic_run(proactive, n_visits)
         raw[label] = times
         cold = sum(1 for t in times if t > 0.1)
         rows.append(
@@ -74,8 +68,8 @@ def run_extension_proactive(
     return ExperimentResult(
         experiment_id="Extension P1",
         title=(
-            f"Proactive deployment: periodic {template.title} client "
-            f"(period {period_s:.0f}s > idle timeout)"
+            f"Proactive deployment: periodic {NGINX.title} client "
+            f"(period {PERIOD_S:.0f}s > idle timeout)"
         ),
         headers=["mode", "visits", "cold", "warm", "median (s)", "max (s)"],
         rows=rows,

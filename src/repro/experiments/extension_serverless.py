@@ -14,8 +14,6 @@ side by side with the Docker and Kubernetes numbers.
 
 from __future__ import annotations
 
-import typing as _t
-
 from repro.experiments.base import ExperimentResult
 from repro.metrics import summarize
 from repro.services.catalog import NGINX, RESNET, ServiceTemplate
@@ -59,16 +57,14 @@ def _measure(
 
 
 def run_extension_serverless(
-    services: _t.Sequence[ServiceTemplate] = (NGINX, RESNET),
-    runtimes: _t.Sequence[str] = ("docker", "k8s", "wasm"),
     n_instances: int = 10,
     n_warm: int = 20,
 ) -> ExperimentResult:
     """First-request and warm-request latency per runtime."""
     rows = []
     raw: dict[tuple[str, str], dict[str, list[float]]] = {}
-    for template in services:
-        for runtime in runtimes:
+    for template in (NGINX, RESNET):
+        for runtime in ("docker", "k8s", "wasm"):
             cold, warm = _measure(template, runtime, n_instances, n_warm)
             raw[(template.key, runtime)] = {"cold": cold, "warm": warm}
             rows.append(

@@ -10,16 +10,19 @@ from repro.workload.bigflows import (
     requests_per_bucket,
 )
 
+#: The trace's seed, the same for both figures.
+SEED = 42
+#: Fig. 9's interval; fig. 10 counts per second.
+BUCKET_S = 10.0
 
-def run_fig09_request_distribution(
-    seed: int = 42, bucket_s: float = 10.0
-) -> ExperimentResult:
+
+def run_fig09_request_distribution() -> ExperimentResult:
     """Fig. 9: 1708 requests to 42 services over five minutes."""
     params = BigFlowsParams()
-    events = generate_trace(params, seed=seed)
-    buckets = requests_per_bucket(events, bucket_s, params.duration_s)
+    events = generate_trace(params, seed=SEED)
+    buckets = requests_per_bucket(events, BUCKET_S, params.duration_s)
     rows = [
-        [f"{int(i * bucket_s)}-{int((i + 1) * bucket_s)}s", count]
+        [f"{int(i * BUCKET_S)}-{int((i + 1) * BUCKET_S)}s", count]
         for i, count in enumerate(buckets)
     ]
     counts = [0] * params.n_services
@@ -41,22 +44,20 @@ def run_fig09_request_distribution(
             "per_service_counts": counts,
             "total": int(sum(buckets)),
             "chart": render_histogram(
-                buckets, bucket_s, title="requests per 10 s:"
+                buckets, BUCKET_S, title="requests per 10 s:"
             ),
         },
     )
 
 
-def run_fig10_deployment_distribution(
-    seed: int = 42, bucket_s: float = 1.0
-) -> ExperimentResult:
+def run_fig10_deployment_distribution() -> ExperimentResult:
     """Fig. 10: 42 deployments over five minutes, bursty at the start.
 
     As in the paper, deployments are *derived* from the trace: a
     service is deployed by the SDN controller at its first request.
     """
     params = BigFlowsParams()
-    events = generate_trace(params, seed=seed)
+    events = generate_trace(params, seed=SEED)
     firsts = sorted(first_occurrences(events).values())
     horizon = int(params.duration_s)
     buckets = [0] * horizon
@@ -82,7 +83,7 @@ def run_fig10_deployment_distribution(
             "total": sum(buckets),
             "chart": render_histogram(
                 buckets[:30],
-                bucket_s,
+                1.0,
                 title="deployments per second (first 30 s):",
             ),
         },

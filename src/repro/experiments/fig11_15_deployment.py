@@ -19,6 +19,9 @@ from repro.metrics import Summary, summarize
 from repro.services.catalog import PAPER_SERVICES, ServiceTemplate
 from repro.testbed import C3Testbed, TestbedConfig
 
+#: The paper's two clusters, one column each.
+CLUSTER_TYPES = ("docker", "k8s")
+
 #: Cache: one (template, cluster, mode, n) run feeds both the total-time
 #: figure (11/12) and its wait-time companion (14/15).
 _CACHE: dict[tuple, "ScaleUpRun"] = {}
@@ -144,7 +147,6 @@ def run_scale_up_experiment(
 def _figure_from_spec(
     name: str,
     services: _t.Sequence[ServiceTemplate],
-    cluster_types: _t.Sequence[str],
     n_instances: int,
 ) -> ExperimentResult:
     """Measure every (service, cluster) cell and tabulate the medians."""
@@ -153,7 +155,7 @@ def _figure_from_spec(
     rows = []
     for template in services:
         row: list[_t.Any] = [template.title]
-        for cluster_type in cluster_types:
+        for cluster_type in CLUSTER_TYPES:
             run = runs[(template.key, cluster_type)] = run_scale_up_experiment(
                 template,
                 cluster_type,
@@ -168,7 +170,7 @@ def _figure_from_spec(
     return ExperimentResult(
         experiment_id=spec["experiment_id"],
         title=spec["title"],
-        headers=["Service"] + [f"{c} median (s)" for c in cluster_types],
+        headers=["Service"] + [f"{c} median (s)" for c in CLUSTER_TYPES],
         rows=rows,
         paper_shape=spec["paper_shape"],
         extras={"runs": runs},
@@ -178,34 +180,27 @@ def _figure_from_spec(
 def run_fig11_scale_up(
     n_instances: int = 42,
     services: _t.Sequence[ServiceTemplate] = PAPER_SERVICES,
-    cluster_types: _t.Sequence[str] = ("docker", "k8s"),
 ) -> ExperimentResult:
     """Fig. 11: total time (median) to *scale up* on both clusters."""
-    return _figure_from_spec("fig11", services, cluster_types, n_instances)
+    return _figure_from_spec("fig11", services, n_instances)
 
 
 def run_fig12_create_scale_up(
     n_instances: int = 42,
     services: _t.Sequence[ServiceTemplate] = PAPER_SERVICES,
-    cluster_types: _t.Sequence[str] = ("docker", "k8s"),
 ) -> ExperimentResult:
     """Fig. 12: total time (median) to *create + scale up*."""
-    return _figure_from_spec("fig12", services, cluster_types, n_instances)
+    return _figure_from_spec("fig12", services, n_instances)
 
 
 def run_fig14_wait_after_scale_up(
     n_instances: int = 42,
     services: _t.Sequence[ServiceTemplate] = PAPER_SERVICES,
-    cluster_types: _t.Sequence[str] = ("docker", "k8s"),
 ) -> ExperimentResult:
     """Fig. 14: wait time (median) until ready after *scale up*."""
-    return _figure_from_spec("fig14", services, cluster_types, n_instances)
+    return _figure_from_spec("fig14", services, n_instances)
 
 
-def run_fig15_wait_after_create_scale_up(
-    n_instances: int = 42,
-    services: _t.Sequence[ServiceTemplate] = PAPER_SERVICES,
-    cluster_types: _t.Sequence[str] = ("docker", "k8s"),
-) -> ExperimentResult:
+def run_fig15_wait_after_create_scale_up(n_instances: int = 42) -> ExperimentResult:
     """Fig. 15: wait time (median) until ready after *create + scale up*."""
-    return _figure_from_spec("fig15", services, cluster_types, n_instances)
+    return _figure_from_spec("fig15", PAPER_SERVICES, n_instances)

@@ -30,6 +30,10 @@ from repro.testbed import C3Testbed, TestbedConfig
 
 _CLIENT_ERRORS = (ConnectionRefused, ConnectionReset, ConnectionTimeout)
 
+#: Each client requests once per period; the fault plan's seed.
+PERIOD_S = 2.0
+SEED = 7
+
 
 def migration_stats(recorder) -> dict[str, _t.Any]:
     """Aggregate the live-migration pipeline's recorder surface
@@ -60,8 +64,6 @@ def _run_cell(
     with_breaker: bool,
     n_clients: int,
     n_rounds: int,
-    period_s: float,
-    seed: int,
 ) -> dict[str, _t.Any]:
     # Short switch idle timeout: consecutive requests punt to the
     # controller, so every round is a fresh resolution decision.
@@ -89,9 +91,9 @@ def _run_cell(
     dispatcher.max_phase_retries = 0
     dispatcher.breaker_cooldown_s = 10.0
 
-    horizon_s = n_rounds * period_s
+    horizon_s = n_rounds * PERIOD_S
     if failure_rate:
-        plan = FaultPlan(seed=seed).registry_outage(
+        plan = FaultPlan(seed=SEED).registry_outage(
             0.0, tb.active_registry.name, horizon_s + 60.0, rate=failure_rate
         )
         Injector(tb, plan).arm()
@@ -112,7 +114,7 @@ def _run_cell(
                 latencies.append(env.now - t0)
             except _CLIENT_ERRORS:
                 errors += 1
-            yield env.timeout(period_s)
+            yield env.timeout(PERIOD_S)
 
     for i, client in enumerate(tb.clients):
         env.process(client_loop(client, 0.05 * i), name=f"res:{client.name}")
@@ -133,8 +135,6 @@ def run_resilience(
     failure_rates: _t.Sequence[float] = (0.0, 0.6, 0.95),
     n_clients: int = 4,
     n_rounds: int = 10,
-    period_s: float = 2.0,
-    seed: int = 7,
 ) -> ExperimentResult:
     """Availability and p99 latency vs injected registry failure rate,
     with and without the dispatcher's circuit breaker."""
@@ -142,9 +142,7 @@ def run_resilience(
     raw: dict[tuple[float, str], dict[str, _t.Any]] = {}
     for rate in failure_rates:
         for with_breaker in (True, False):
-            cell = _run_cell(
-                rate, with_breaker, n_clients, n_rounds, period_s, seed
-            )
+            cell = _run_cell(rate, with_breaker, n_clients, n_rounds)
             raw[(rate, "breaker" if with_breaker else "no-breaker")] = cell
             samples = cell["latencies"]
             rows.append(

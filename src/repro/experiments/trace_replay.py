@@ -21,9 +21,9 @@ def run_trace_replay(
     cluster_type: str = "docker",
     params: BigFlowsParams | None = None,
     seed: int = 42,
-    pre_create: bool = True,
 ) -> ExperimentResult:
-    """Replay the trace against one service type on one cluster."""
+    """Replay the trace against one service type on one cluster, every
+    instance pre-created."""
     params = params or BigFlowsParams()
     tb = C3Testbed(TestbedConfig(cluster_types=(cluster_type,)))
     cluster = tb.docker_cluster if cluster_type == "docker" else tb.k8s_cluster
@@ -33,10 +33,7 @@ def run_trace_replay(
         tb.register_template(template) for _ in range(params.n_services)
     ]
     for service in services:
-        if pre_create:
-            tb.prepare_created(cluster, service)
-        else:
-            tb.prepare_pulled(cluster, service)
+        tb.prepare_created(cluster, service)
     tb.settle(1.0)
 
     events = generate_trace(params, seed=seed)

@@ -11,6 +11,9 @@ from __future__ import annotations
 from repro.k8s.apiserver import APIServer, NotFound
 from repro.k8s.objects import Deployment, Service
 
+#: The namespace every object the controller manages lives in.
+NAMESPACE = "default"
+
 
 class KubernetesClient:
     """Typed convenience wrapper over the API server.
@@ -19,14 +22,13 @@ class KubernetesClient:
     them with ``yield from``.
     """
 
-    def __init__(self, api: APIServer, namespace: str = "default") -> None:
+    def __init__(self, api: APIServer) -> None:
         self.api = api
-        self.namespace = namespace
 
     # -- deployments -------------------------------------------------------
 
     def create_deployment(self, deployment: Deployment):
-        deployment.metadata.namespace = self.namespace
+        deployment.metadata.namespace = NAMESPACE
         result = yield from self.api.create(deployment)
         return result
 
@@ -34,7 +36,7 @@ class KubernetesClient:
         """Equivalent of ``patch_namespaced_deployment_scale``."""
         if replicas < 0:
             raise ValueError("replicas must be >= 0")
-        deployment = yield from self.api.get("Deployment", name, self.namespace)
+        deployment = yield from self.api.get("Deployment", name, NAMESPACE)
         if deployment.spec.replicas != replicas:
             deployment.spec.replicas = replicas
             yield from self.api.update(deployment)
@@ -42,7 +44,7 @@ class KubernetesClient:
 
     def delete_deployment(self, name: str):
         try:
-            result = yield from self.api.delete("Deployment", name, self.namespace)
+            result = yield from self.api.delete("Deployment", name, NAMESPACE)
         except NotFound:
             return None
         return result
@@ -50,13 +52,13 @@ class KubernetesClient:
     # -- services -------------------------------------------------------------
 
     def create_service(self, service: Service):
-        service.metadata.namespace = self.namespace
+        service.metadata.namespace = NAMESPACE
         result = yield from self.api.create(service)
         return result
 
     def delete_service(self, name: str):
         try:
-            result = yield from self.api.delete("Service", name, self.namespace)
+            result = yield from self.api.delete("Service", name, NAMESPACE)
         except NotFound:
             return None
         return result

@@ -3,7 +3,7 @@ text rendering for the benchmark harness tables/figures."""
 
 from repro.metrics.stats import Summary, median, percentile, summarize
 from repro.metrics.recorder import MetricsRecorder, TimeSeries
-from repro.metrics.render import render_histogram, render_series, render_table
+from repro.metrics.render import render_histogram, render_table
 
 __all__ = [
     "MetricsRecorder",
@@ -12,7 +12,6 @@ __all__ = [
     "median",
     "percentile",
     "render_histogram",
-    "render_series",
     "render_table",
     "summarize",
 ]

@@ -34,21 +34,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self._times)
 
-    def bucket_counts(self, bucket: float, horizon: float) -> list[int]:
-        """Count events per ``bucket``-second bin over ``[0, horizon)``.
-
-        Used to regenerate the figure-9/10 time distributions.
-        """
-        if bucket <= 0:
-            raise ValueError(f"bucket must be positive, got {bucket}")
-        n = max(1, int(horizon / bucket + 0.5))
-        counts = [0] * n
-        for t in self._times:
-            idx = int(t / bucket)
-            if 0 <= idx < n:
-                counts[idx] += 1
-        return counts
-
 
 class MetricsRecorder:
     """Collects named scalar samples and named time series."""
@@ -89,10 +74,10 @@ class MetricsRecorder:
 
     # -- counters ------------------------------------------------------------
 
-    def count(self, name: str, n: int = 1) -> None:
+    def count(self, name: str) -> None:
         """Increment the named event counter (breaker transitions,
         retries, ... — things where only the tally matters)."""
-        self._counters[name] += n
+        self._counters[name] += 1
 
     def counter(self, name: str) -> int:
         """Current value of the named counter (0 if never incremented)."""
@@ -105,20 +90,3 @@ class MetricsRecorder:
             for name, value in self._counters.items()
             if name.startswith(prefix)
         }
-
-    # -- maintenance ----------------------------------------------------------
-
-    def clear(self) -> None:
-        self._samples.clear()
-        self._series.clear()
-        self._counters.clear()
-
-    def merge(self, other: "MetricsRecorder") -> None:
-        """Fold another recorder's samples into this one."""
-        for name, values in other._samples.items():
-            self._samples[name].extend(values)
-        for name, series in other._series.items():
-            mine = self._series[name]
-            for t, v in zip(series._times, series._values):
-                mine.append(t, v)
-        self._counters.update(other._counters)

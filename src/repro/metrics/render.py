@@ -1,4 +1,4 @@
-"""Plain-text rendering of tables, bar charts, and histograms.
+"""Plain-text rendering of tables and histograms.
 
 The figure tests print the same rows/series the paper's figures
 show; these helpers format them for terminal output so
@@ -29,33 +29,9 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_series(
-    labels: _t.Sequence[str],
-    values: _t.Sequence[float],
-    unit: str = "s",
-    width: int = 40,
-    title: str | None = None,
-) -> str:
-    """Horizontal bar chart: one labelled bar per value."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    if not values:
-        return "\n".join(lines + ["(no data)"])
-    top = max(values) or 1.0
-    label_w = max(len(label) for label in labels)
-    for label, value in zip(labels, values):
-        bar = "#" * max(1 if value > 0 else 0, int(round(width * value / top)))
-        lines.append(f"{label.ljust(label_w)} | {bar} {value:.3f} {unit}")
-    return "\n".join(lines)
-
-
 def render_histogram(
     counts: _t.Sequence[int],
     bucket: float,
-    unit: str = "s",
     width: int = 40,
     title: str | None = None,
 ) -> str:
@@ -68,5 +44,5 @@ def render_histogram(
     top = max(counts) or 1
     for i, c in enumerate(counts):
         bar = "#" * int(round(width * c / top))
-        lines.append(f"{i * bucket:7.1f}{unit} | {bar} {c}")
+        lines.append(f"{i * bucket:7.1f}s | {bar} {c}")
     return "\n".join(lines)

@@ -94,11 +94,15 @@ class IPAllocator:
         return addr
 
 
+#: The locally-administered block :class:`MACAllocator` counts up from.
+MAC_BASE = 0x02_00_00_00_00_00
+
+
 class MACAllocator:
     """Hands out sequential locally-administered MACs."""
 
-    def __init__(self, base: int = 0x02_00_00_00_00_00) -> None:
-        self._next = base + 1
+    def __init__(self) -> None:
+        self._next = MAC_BASE + 1
 
     def allocate(self) -> MACAddress:
         mac = MACAddress(self._next)

@@ -467,15 +467,6 @@ class Host(NetDevice):
             time_connect=time_connect,
         )
 
-    def probe_port(self, dst_ip: IPv4Address, dst_port: int, timeout: float = 1.0):
-        """TCP-connect probe (generator returning bool: port open?)."""
-        try:
-            conn = yield from self.connect(dst_ip, dst_port, timeout=timeout)
-        except (ConnectionRefused, ConnectionTimeout):
-            return False
-        conn.close()
-        return True
-
     # -- packet processing -------------------------------------------------------
 
     def receive(self, packet: Packet, iface: NetworkInterface) -> None:

@@ -13,7 +13,7 @@ import dataclasses
 
 from repro.containers.image import KIB, MIB
 from repro.serverless.wasm import WasmModule
-from repro.services.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.services.calibration import DEFAULT_CALIBRATION
 from repro.services.catalog import (
     ASM_IMAGE,
     NGINX_IMAGE,
@@ -32,10 +32,12 @@ class WasmServiceTemplate:
     replaces_image: str
 
 
-def build_wasm_catalog(
-    calibration: Calibration = DEFAULT_CALIBRATION,
-) -> tuple[tuple[WasmServiceTemplate, ...], dict[str, WasmModule]]:
-    """Wasm templates plus the image→module map for the adapter."""
+def build_wasm_catalog() -> tuple[
+    tuple[WasmServiceTemplate, ...], dict[str, WasmModule]
+]:
+    """Wasm templates plus the image→module map for the adapter, at
+    the default calibration."""
+    calibration = DEFAULT_CALIBRATION
     static_file = WasmModule(
         name="web-static.wasm",
         size_bytes=180 * KIB,

@@ -36,9 +36,8 @@ class ServerlessCluster(EdgeCluster):
         runtime: WasmRuntime,
         module_map: _t.Mapping[str, WasmModule],
         distance: int = 0,
-        capacity: int | None = None,
     ) -> None:
-        super().__init__(env, name, host, distance, capacity)
+        super().__init__(env, name, host, distance)
         self.runtime = runtime
         #: image reference -> wasm module implementing the same service.
         self.module_map = dict(module_map)

@@ -16,7 +16,8 @@ from repro.sim import Environment, Resource
 
 
 class EdgeServiceApp:
-    """Generic request handler: fixed service time, fixed response size.
+    """Generic request handler: fixed service time, fixed response
+    size, always ``200``.
 
     ``workers`` bounds the requests processed concurrently (nginx
     worker processes, TF-Serving's intra-op thread pool): beyond it,
@@ -29,13 +30,11 @@ class EdgeServiceApp:
         env: Environment,
         handle_time_s: float = 0.0,
         response_bytes: int = 120,
-        status: int = 200,
         workers: int | None = None,
     ) -> None:
         self.env = env
         self.handle_time_s = handle_time_s
         self.response_bytes = response_bytes
-        self.status = status
         self.requests_handled = 0
         self._workers = (
             Resource(env, workers) if workers is not None else None
@@ -52,7 +51,7 @@ class EdgeServiceApp:
                 yield slot
                 yield self.env.timeout(self.handle_time_s)
         self.requests_handled += 1
-        return HTTPResponse(status=self.status, body_bytes=self.response_bytes)
+        return HTTPResponse(status=200, body_bytes=self.response_bytes)
 
 
 @dataclasses.dataclass(frozen=True)

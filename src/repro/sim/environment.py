@@ -211,15 +211,11 @@ class Environment:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
 
-    def run_process(
-        self,
-        generator: _t.Generator[Event, _t.Any, _t.Any],
-        name: str | None = None,
-    ) -> _t.Any:
+    def run_process(self, generator: _t.Generator[Event, _t.Any, _t.Any]) -> _t.Any:
         """Start ``generator`` and run until it finishes, returning its
         value.  The start is hot: the creator's next act is to enter
         the kernel loop, :class:`Process`'s documented condition."""
-        return self.run(until=Process(self, generator, name=name, hot=True))
+        return self.run(until=Process(self, generator, hot=True))
 
     def spawn(
         self,
@@ -240,8 +236,9 @@ class Environment:
 
     # -- scheduling ------------------------------------------------------
 
-    def timeout_at(self, time: float, value: _t.Any = None) -> Event:
-        """An event firing at absolute simulated ``time`` (yieldable).
+    def timeout_at(self, time: float) -> Event:
+        """An event firing at absolute simulated ``time`` (yieldable),
+        with the value ``None``.
 
         Distinct from ``timeout(time - now)``: float arithmetic is not
         associative, so re-deriving a delay and adding it back would not
@@ -253,7 +250,7 @@ class Environment:
         if time < self._now:
             raise ValueError(f"time {time!r} lies in the past (now={self._now})")
         event = Event(self)
-        event._value = value
+        event._value = None
         now = self._now
         heapq.heappush(
             self._queue, (time, NORMAL, now, now, next(self._seq), event)

@@ -134,15 +134,16 @@ class Event:
         connections), ``Host.open_port`` or a process that goes on to
         act; ``fail`` (RST, timeouts) stays on the heap.
         ``tests/test_properties.py`` holds it to ``succeed`` and names
-        the mutations it fails under: without the guard, or with one that
-        lets an entry due exactly now through, every bench digest tried
-        stays equal — the md5s cannot tell;
-        used for the barrier reply under ``_deliver_up`` it is caught
-        by the property (a switch, a controller stub) and by no digest
-        (no bench workload sends a barrier).  A ``Store.put`` made inside
-        a quiet watch delivery is not resumed here at the put either: the
-        delivery collects it and resumes it after its last handler, with
-        :meth:`_succeed_here` (``APIServer._deliver``).
+        the mutations it fails under: without the guard (or with one
+        that lets an entry due exactly now through — nothing is due
+        before now, so that is the same) every bench digest stays
+        equal, six workloads at seed 42 and five at seed 7 — the md5s
+        cannot tell; used for the barrier reply under ``_deliver_up`` it
+        is caught by the property (a switch, a controller stub) and by
+        no digest (no bench workload sends a barrier).  A ``Store.put``
+        made inside a quiet watch delivery is not resumed here at the
+        put either: the delivery collects it and resumes it after its
+        last handler, with :meth:`_succeed_here` (``APIServer._deliver``).
         """
         if not self.env.quiet_now():
             return self.succeed(value)

@@ -23,9 +23,7 @@ from repro.core import (
 from repro.core.service_registry import EdgeService
 from repro.core.state import ControlPlaneState
 from repro.k8s import KubernetesCluster
-from repro.k8s.profile import K8sProfile
 from repro.net import Host, Link
-from repro.net.addressing import IPv4Address
 from repro.net.cloud import CloudHost
 from repro.net.link import GBPS
 from repro.net.openflow import OpenFlowSwitch
@@ -43,6 +41,12 @@ from repro.testbed.site import (
     EGS_LINK_LATENCY_S,
     BaseTestbed,
 )
+
+#: The link of a far edge added by :meth:`C3Testbed.add_far_edge`.
+FAR_EDGE_LINK_BANDWIDTH_BPS = 1 * GBPS
+#: The trunk from a gNB added by :meth:`C3Testbed.add_gnb` to the main switch.
+GNB_TRUNK_LATENCY_S = 0.0005
+GNB_TRUNK_BANDWIDTH_BPS = 10 * GBPS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,7 +91,6 @@ class C3Testbed(BaseTestbed):
         config: TestbedConfig | None = None,
         scheduler: GlobalScheduler | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        k8s_profile: K8sProfile | None = None,
     ) -> None:
         self.config = config or TestbedConfig()
         super().__init__(
@@ -152,7 +155,7 @@ class C3Testbed(BaseTestbed):
 
         if "k8s" in self.config.cluster_types:
             self.kubernetes = KubernetesCluster(
-                self.env, "k8s", self.active_registry, profile=k8s_profile
+                self.env, "k8s", self.active_registry
             )
             self.kubernetes.add_node("egs", self.egs, self.containerd)
             if self.config.k8s_local_scheduler:
@@ -250,7 +253,6 @@ class C3Testbed(BaseTestbed):
         name: str = "far-docker",
         distance: int = 1,
         latency_s: float = 0.004,
-        bandwidth_bps: float = 1 * GBPS,
     ) -> DockerCluster:
         """Attach an additional, farther Docker edge cluster.
 
@@ -261,7 +263,7 @@ class C3Testbed(BaseTestbed):
         host = Host(
             self.env, name, self._macs.allocate(), self._ips.allocate()
         )
-        self._attach_host(host, bandwidth_bps, latency_s)
+        self._attach_host(host, FAR_EDGE_LINK_BANDWIDTH_BPS, latency_s)
         runtime = Containerd(self.env, host)
         engine = DockerEngine(self.env, runtime)
         cluster = DockerCluster(
@@ -281,12 +283,7 @@ class C3Testbed(BaseTestbed):
             return self._trunk_ports[(1, to_dpid)]
         return self._trunk_ports[(from_dpid, 1)]
 
-    def add_gnb(
-        self,
-        name: str = "gnb2",
-        trunk_latency_s: float = 0.0005,
-        trunk_bandwidth_bps: float = 10 * GBPS,
-    ) -> OpenFlowSwitch:
+    def add_gnb(self, name: str = "gnb2") -> OpenFlowSwitch:
         """Attach an additional gNB switch, trunked to the main switch.
 
         Models a second radio site: clients attached here reach the EGS
@@ -297,7 +294,13 @@ class C3Testbed(BaseTestbed):
         gnb = OpenFlowSwitch(self.env, name, datapath_id=dpid)
         main_port, main_iface = self.switch.add_port(self._macs.allocate())
         gnb_port, gnb_iface = gnb.add_port(self._macs.allocate())
-        Link(self.env, main_iface, gnb_iface, trunk_bandwidth_bps, trunk_latency_s)
+        Link(
+            self.env,
+            main_iface,
+            gnb_iface,
+            GNB_TRUNK_BANDWIDTH_BPS,
+            GNB_TRUNK_LATENCY_S,
+        )
         self._trunk_ports[(1, dpid)] = main_port
         self._trunk_ports[(dpid, 1)] = gnb_port
         # Everything currently known on the main switch is reachable
@@ -363,9 +366,7 @@ class C3Testbed(BaseTestbed):
         )
         self.settle(0.05)
 
-    def add_serverless(
-        self, name: str = "wasm", distance: int = 0
-    ) -> "ServerlessCluster":
+    def add_serverless(self) -> "ServerlessCluster":
         """Add a WebAssembly function runtime on the EGS (§VIII future
         work: containers and serverless side by side)."""
         from repro.serverless import ServerlessCluster, WasmRuntime
@@ -374,11 +375,11 @@ class C3Testbed(BaseTestbed):
         runtime = WasmRuntime(self.env, self.egs)
         cluster = ServerlessCluster(
             self.env,
-            name,
+            "wasm",
             self.egs,
             runtime,
             default_module_map(),
-            distance=distance,
+            distance=0,
         )
         self.clusters.append(cluster)
         self.controller.add_cluster(cluster)
@@ -386,15 +387,10 @@ class C3Testbed(BaseTestbed):
 
     # -- service management -------------------------------------------------------------
 
-    def register_template(
-        self,
-        template: ServiceTemplate,
-        cloud_ip: IPv4Address | None = None,
-        port: int = 80,
-    ) -> EdgeService:
+    def register_template(self, template: ServiceTemplate) -> EdgeService:
         """Register one catalog service; also serve it from the cloud
         (the *perceived cloud* of fig. 1 really answers)."""
-        service = self._register_catalog(self.controller, template, cloud_ip, port)
+        service = self._register_catalog(self.controller, template)
         # The interception rule must be live before the first request
         # arrives (registration happens well before use in practice).
         self.settle(0.005)
@@ -411,8 +407,6 @@ class C3Testbed(BaseTestbed):
     def register_yaml_file(
         self,
         path: str,
-        cloud_ip: IPv4Address | None = None,
-        port: int = 80,
         template_key: str | None = None,
     ) -> EdgeService:
         """Register a service from a YAML definition file on disk —
@@ -421,9 +415,8 @@ class C3Testbed(BaseTestbed):
         (use :meth:`register_template` for catalog services)."""
         with open(path, encoding="utf-8") as handle:
             definition = handle.read()
-        ip = cloud_ip if cloud_ip is not None else self._service_ips.allocate()
         service = self.controller.register_service(
-            definition, ip, port, template_key=template_key
+            definition, self._service_ips.allocate(), 80, template_key=template_key
         )
         self.settle(0.005)
         return service

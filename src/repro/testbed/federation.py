@@ -19,9 +19,8 @@ from repro.core.federation import SiteController
 from repro.core.migration import MigrationOutcome
 from repro.core.service_registry import EdgeService
 from repro.net import Host, Link
-from repro.net.addressing import IPv4Address
 from repro.net.openflow import OpenFlowSwitch
-from repro.services import DEFAULT_CALIBRATION, Calibration, ServiceTemplate
+from repro.services import DEFAULT_CALIBRATION, ServiceTemplate
 from repro.services.catalog import template_by_key
 from repro.testbed.site import (
     BACKBONE,
@@ -43,13 +42,9 @@ REPLICATION_MARGIN_S = 0.01
 class FederatedTestbed(BaseTestbed):
     """*n* sites, *n* controllers, one shared state, one backbone."""
 
-    def __init__(
-        self,
-        config: FederationConfig | None = None,
-        calibration: Calibration = DEFAULT_CALIBRATION,
-    ) -> None:
+    def __init__(self, config: FederationConfig | None = None) -> None:
         self.config = config or FederationConfig()
-        super().__init__(calibration, self.config.registry)
+        super().__init__(DEFAULT_CALIBRATION, self.config.registry)
 
         self.backbone = Backbone(self.env, self.config, self._macs)
         self.cloud = self.backbone.cloud
@@ -149,17 +144,13 @@ class FederatedTestbed(BaseTestbed):
     def register_template(
         self,
         template: ServiceTemplate,
-        site: Site | None = None,
-        cloud_ip: IPv4Address | None = None,
-        port: int = 80,
         wait_replication: bool = True,
     ) -> EdgeService:
-        """Register one catalog service at ``site`` (default: site0)
-        and serve it from the cloud.  Registration replicates to every
-        other site, which installs its intercepts when the write lands;
-        by default this blocks until the propagation is done."""
-        at = site or self.sites[0]
-        service = self._register_catalog(at.controller, template, cloud_ip, port)
+        """Register one catalog service at site0 and serve it from the
+        cloud.  Registration replicates to every other site, which
+        installs its intercepts when the write lands; by default this
+        blocks until the propagation is done."""
+        service = self._register_catalog(self.sites[0].controller, template)
         if wait_replication:
             self.settle_replication()
         else:

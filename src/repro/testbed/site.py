@@ -167,13 +167,12 @@ class Catalog:
         cloud: CloudHost,
         template: ServiceTemplate,
         ip: IPv4Address,
-        port: int = 80,
     ) -> None:
-        """Open ``template``'s app on the cloud host: the *perceived
-        cloud* of fig. 1 really answers."""
+        """Open ``template``'s app on the cloud host, at ``ip`` port 80:
+        the *perceived cloud* of fig. 1 really answers."""
         factory = self.behaviors.get(template.images[0].reference).app_factory()
         if factory is not None:
-            cloud.open_service(ip, port, factory(cloud.env))
+            cloud.open_service(ip, 80, factory(cloud.env))
 
 
 class BaseTestbed(Catalog):
@@ -205,17 +204,16 @@ class BaseTestbed(Catalog):
         self,
         controller: EdgeController,
         template: ServiceTemplate,
-        cloud_ip: IPv4Address | None = None,
-        port: int = 80,
     ) -> EdgeService:
-        """Register a catalog service at ``controller`` and serve it
-        from the cloud.  Safe inside the simulation: it does not
-        :meth:`settle`, so the intercept lands a control hop later."""
-        ip = cloud_ip if cloud_ip is not None else self._service_ips.allocate()
+        """Register a catalog service at ``controller``, on the next
+        service address and port 80, and serve it from the cloud.  Safe
+        inside the simulation: it does not :meth:`settle`, so the
+        intercept lands a control hop later."""
+        ip = self._service_ips.allocate()
         service = controller.register_service(
-            template.definition_yaml, ip, port, template_key=template.key
+            template.definition_yaml, ip, 80, template_key=template.key
         )
-        self.serve_from_cloud(self.cloud, template, ip, port)
+        self.serve_from_cloud(self.cloud, template, ip)
         return service
 
     # -- driving requests --------------------------------------------------

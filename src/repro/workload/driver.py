@@ -62,16 +62,12 @@ class TraceDriver:
         services: _t.Sequence[EdgeService],
         requests: _t.Mapping[str, HTTPRequest] | None = None,
         recorder: MetricsRecorder | None = None,
-        timeout_s: float = 120.0,
     ) -> None:
         self.env = env
         self.services = list(services)
         self.recorder = recorder if recorder is not None else MetricsRecorder()
         self.requests = dict(requests or {})
-        self.timecurls = [
-            TimecurlClient(host, self.recorder, timeout_s=timeout_s)
-            for host in clients
-        ]
+        self.timecurls = [TimecurlClient(host, self.recorder) for host in clients]
 
     def run(self, events: _t.Sequence[RequestEvent]) -> TraceRunSummary:
         """Execute the whole trace; returns once every request finished."""

@@ -48,12 +48,11 @@ class TimecurlClient:
         self,
         service: EdgeService,
         request: HTTPRequest | None = None,
-        label: str | None = None,
     ):
         """Issue one request (generator returning TimecurlSample)."""
         env = self.host.env
         request = request or HTTPRequest("GET", "/", body_bytes=0)
-        label = label or (service.template_key or service.name)
+        label = service.template_key or service.name
         started = env.now
         try:
             result = yield from self.host.http_request(

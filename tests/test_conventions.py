@@ -268,3 +268,142 @@ def test_an_observer_goes_through_the_tap():
         for wrapper in _hand_rolled_wrappers(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert sorted(found ^ _NOT_TAPS.keys()) == []
+
+
+_WITH_THE_KERNEL = "deleted with the sharded kernel and its bench workload (ROADMAP item 1)"
+
+#: Defaulted parameters under ``src/`` that no call passes, with why
+#: each stays a parameter (``module::function(parameter)``).
+_ONE_VALUE = {
+    "sim/parallel/coordinator.py::SerialExecutor.__init__(profile_dir)": _WITH_THE_KERNEL,
+    "sim/parallel/coordinator.py::_worker_main(profile_path)": _WITH_THE_KERNEL,
+    "sim/parallel/coordinator.py::ParallelCoordinator.__init__(profile_dir)": _WITH_THE_KERNEL,
+}
+
+
+class _Call(_t.NamedTuple):
+    positional: int
+    keywords: frozenset[str]
+    starred: bool
+
+
+def _calls(node: ast.AST, cls: ast.ClassDef | None = None) -> _t.Iterator[tuple[str, _Call]]:
+    """``(callee, call)`` of every call under ``node``.  The callee is
+    the called name or attribute; ``super().__init__`` calls the
+    enclosing class's bases; and a callable handed to a call as a
+    positional argument (a forwarding helper, ``functools.partial``)
+    is called with the arguments after it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            keywords = frozenset(k.arg for k in child.keywords if k.arg)
+            starred = any(isinstance(a, ast.Starred) for a in child.args) or any(
+                k.arg is None for k in child.keywords
+            )
+            call = _Call(len(child.args), keywords, starred)
+            func = child.func
+            if isinstance(func, ast.Name):
+                yield func.id, call
+            elif isinstance(func, ast.Attribute):
+                if ast.unparse(func) == "super().__init__" and cls is not None:
+                    for base in cls.bases:
+                        yield ast.unparse(base).rpartition(".")[2], call
+                else:
+                    yield func.attr, call
+            for i, arg in enumerate(child.args):
+                if isinstance(arg, (ast.Name, ast.Attribute)):
+                    handed = arg.id if isinstance(arg, ast.Name) else arg.attr
+                    yield handed, call._replace(positional=len(child.args) - i - 1)
+        yield from _calls(child, child if isinstance(child, ast.ClassDef) else cls)
+
+
+def _defaulted(
+    node: ast.AST, cls: ast.ClassDef | None = None
+) -> _t.Iterator[tuple[ast.FunctionDef, ast.ClassDef | None, str, int | None]]:
+    """``(function, its class, parameter, position among a call's
+    arguments)`` of every defaulted parameter under ``node``; the
+    position is ``None`` for a keyword-only one."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaulted(child, child)
+            continue
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            method = cls is not None and not any(
+                ast.unparse(d) == "staticmethod" for d in child.decorator_list
+            )
+            first = len(positional) - len(args.defaults)
+            for i in range(first, len(positional)):
+                yield child, cls, positional[i].arg, i - method
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield child, cls, arg.arg, None
+            yield from _defaulted(child, None)
+        else:
+            yield from _defaulted(child, cls)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default that no call overrides is a setting with one value: a
+    module constant or a literal, not a parameter.  A call passes a
+    parameter when it names it, reaches its position, uses ``*`` or
+    ``**``, does so through ``super()``, hands the function on with it
+    (a forwarding helper), or sets it through ``FAST_KWARGS``; calls
+    are gathered from ``src/``, ``bench/``, ``tools/``, ``examples/``
+    and ``tests/`` and matched by name.  A call to a class reaches its
+    ``__init__``, and so does a call to a subclass without one.  What
+    stays anyway is in :data:`_ONE_VALUE`, with its reason."""
+    from repro.experiments import EXPERIMENTS, FAST_KWARGS
+
+    repo = _ROOT.parent.parent
+    calls: dict[str, list[_Call]] = {}
+    for top in ("src", "bench", "tools", "examples", "tests"):
+        for path in sorted((repo / top).rglob("*.py")):
+            for callee, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+                calls.setdefault(callee, []).append(call)
+    for name, kwargs in FAST_KWARGS.items():
+        calls.setdefault(EXPERIMENTS[name].__name__, []).append(
+            _Call(0, frozenset(kwargs), False)
+        )
+
+    trees = {
+        path.relative_to(_ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(_ROOT.rglob("*.py"))
+    }
+    bases, with_init = {}, set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {ast.unparse(b).rpartition(".")[2] for b in node.bases}
+                if any(
+                    isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                    for f in node.body
+                ):
+                    with_init.add(node.name)
+
+    def constructors(name: str) -> list[str]:
+        """``name`` and every subclass that inherits its ``__init__``."""
+        return [name] + [
+            found
+            for sub, its_bases in bases.items()
+            if name in its_bases and sub not in with_init
+            for found in constructors(sub)
+        ]
+
+    unpassed = set()
+    for module, tree in trees.items():
+        for function, cls, parameter, position in _defaulted(tree):
+            if cls is not None and function.name == "__init__":
+                callees = constructors(cls.name)
+            else:
+                callees = [function.name]
+            if not any(
+                call.starred
+                or parameter in call.keywords
+                or (position is not None and call.positional > position)
+                for callee in callees
+                for call in calls.get(callee, ())
+            ):
+                owner = f"{cls.name}." if cls is not None else ""
+                unpassed.add(f"{module}::{owner}{function.name}({parameter})")
+    assert sorted(unpassed ^ _ONE_VALUE.keys()) == []

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from repro.metrics import (
     MetricsRecorder,
-    TimeSeries,
     median,
     percentile,
     render_histogram,
-    render_series,
     render_table,
     summarize,
 )
@@ -116,34 +114,6 @@ class TestRecorder:
         with pytest.raises(KeyError):
             rec.summary("nope")
 
-    def test_series_bucketing(self):
-        rec = MetricsRecorder()
-        for t in (0.5, 1.5, 1.9, 9.9, 15.0):
-            rec.mark("events", t)
-        counts = rec.series("events").bucket_counts(bucket=1.0, horizon=10.0)
-        assert counts[0] == 1 and counts[1] == 2 and counts[9] == 1
-        assert sum(counts) == 4  # the 15.0 event is beyond the horizon
-
-    def test_bucket_validation(self):
-        ts = TimeSeries()
-        with pytest.raises(ValueError):
-            ts.bucket_counts(bucket=0, horizon=10)
-
-    def test_merge(self):
-        a, b = MetricsRecorder(), MetricsRecorder()
-        a.record("x", 1.0)
-        b.record("x", 2.0)
-        b.mark("e", 5.0)
-        a.merge(b)
-        assert a.samples("x") == [1.0, 2.0]
-        assert len(a.series("e")) == 1
-
-    def test_clear(self):
-        rec = MetricsRecorder()
-        rec.record("x", 1.0)
-        rec.clear()
-        assert rec.samples("x") == []
-
 
 class TestRendering:
     def test_table_alignment(self):
@@ -152,19 +122,6 @@ class TestRendering:
         assert lines[0] == "T"
         assert "a" in lines[1] and "bb" in lines[1]
         assert len({len(l) for l in lines[2:]}) <= 2  # consistent width
-
-    def test_series_bars_scale(self):
-        text = render_series(["x", "y"], [1.0, 2.0], width=10)
-        x_line, y_line = text.splitlines()
-        assert y_line.count("#") == 10
-        assert x_line.count("#") == 5
-
-    def test_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            render_series(["x"], [1.0, 2.0])
-
-    def test_series_empty(self):
-        assert "(no data)" in render_series([], [])
 
     def test_histogram(self):
         text = render_histogram([1, 4, 2], bucket=10.0, width=8)

@@ -183,21 +183,6 @@ class TestTCP:
         with pytest.raises(ValueError):
             b.open_port(80, EchoApp(env))
 
-    def test_probe_port(self):
-        env = Environment()
-        net = MiniNet(env)
-        a, b = net.host("a"), net.host("b")
-        net.wire(a, b)
-        b.open_port(80, EchoApp(env))
-
-        def probe_both(env):
-            open_result = yield from a.probe_port(b.ip, 80)
-            closed_result = yield from a.probe_port(b.ip, 81)
-            return open_result, closed_result
-
-        proc = env.process(probe_both(env))
-        assert env.run(until=proc) == (True, False)
-
     def test_ephemeral_ports_distinct(self):
         env = Environment()
         net = MiniNet(env)

@@ -197,8 +197,8 @@ class TestConnectionEdgeCases:
         the third segment carry data).  A warm one-shot request is 4
         segments through the switch — SYN, SYN-ACK, the request
         (``PSH|ACK|FIN``) and the response — and after the SYN the
-        server receives no segment without a payload.  A port probe
-        sends the SYN only."""
+        server receives no segment without a payload.  A port probe — a
+        connect closed unused — sends the SYN only."""
         env = Environment()
         net = MiniNet(env)
         a, b = net.host("a"), net.host("b")
@@ -232,7 +232,12 @@ class TestConnectionEdgeCases:
         assert all(seg.payload is not None for seg in at_server[1:])
 
         del through[:]
-        assert env.run(until=env.process(a.probe_port(b.ip, 80))) is True
+
+        def probe(env):
+            conn = yield from a.connect(b.ip, 80, timeout=1.0)
+            conn.close()
+
+        env.run(until=env.process(probe(env)))
         assert [flags for port, flags, _ in through if port == pa] == [TCPFlags.SYN]
 
 

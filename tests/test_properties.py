@@ -1803,11 +1803,17 @@ def test_tail_handoff_is_the_heap_entry_it_replaces(scenario):
 
     (a) no "nothing else due now" guard — ``_LOCKSTEP``: the first
         client is connected before the second's SYN-ACK is received.
-        All 12 bench digests tried (six workloads, seeds 42 and 1)
-        stay equal under it: the latency md5s cannot tell.
+        Every bench digest stays equal under it (six workloads at seed
+        42, five at seed 7), though event counts move: the latency md5s
+        cannot tell.
     (b) the guard letting an entry due exactly now through
-        (``Environment.quiet_now`` with ``>=``) — the same example, the
-        same 12 digests.
+        (``Environment.quiet_now`` with ``>=``) — the same example.
+        Nothing on the heap is ever due before now, so this removes
+        every ``quiet_now`` guard at once: at seed 42 it moves the
+        latency md5s of ``c3_replay``, ``c3_churn`` and ``fed_replay``,
+        to the same digests as the deployment shortcut without its
+        guard (the property below), while ``succeed_tail``'s guard
+        alone made ``>=`` is (a).
     (c) the hand-off used for the barrier reply
         (``SDNApp.dispatch_switch_message``, the one ``succeed``
         reached from ``ControlChannel._deliver_up``, which goes on to
@@ -2094,17 +2100,21 @@ def test_deployment_shortcut_is_the_process_it_replaces(storm):
     (a) no "nothing else due now" guard in ``ensure_deployed`` —
         ``_TIMER_MEETS_PACKET_IN`` (and ``_OBSERVER_BEHIND``): the first
         handler's flow-mods are sent before the second packet-in is
-        delivered, not after.  4 of 4 bench digests tried (``c3_churn``,
-        ``c3_replay``, ``cold_deploy``, ``handover_storm``, seed 42)
-        stayed equal under it when the channel was stop-and-wait,
-        ``c3_churn`` reading 19.037 events/request for 19.080: the
-        latency md5s cannot tell.
+        delivered, not after.  On the pipelined control channel it
+        moves the latency md5s of ``c3_replay``, ``c3_churn`` and
+        ``fed_replay`` at seed 42 (``cold_deploy``, ``handover_storm``
+        and ``shard_replay`` stay equal); while the channel was
+        stop-and-wait, 4 of 4 digests tried stayed equal.
     (b) ``Environment.quiet_now`` with ``>=`` for ``>`` — the same
-        example, the same way.
+        example, the same way.  Nothing on the heap is ever due before
+        now, so this is every ``quiet_now`` guard removed at once; at
+        seed 42 it moves the same three latency md5s, to the same
+        digests as (a).
     (c) the shortcut ahead of the in-flight join —
         ``_PORT_OPEN_NOT_READY``: both requests are released to an
         instance whose deployment has not finished (§VI's reason for
-        polling), 9 ms early.
+        polling), 9 ms early.  It moves the latency md5s of
+        ``c3_replay`` and ``c3_churn`` at seed 42.
     (d) ``Store.put`` waking the *newest* blocked getter — not this
         property's to see (a Docker cluster has no ``Store``, and every
         ``Store`` under ``src/`` has one consumer):
