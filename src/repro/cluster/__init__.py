@@ -2,10 +2,12 @@
 
 The paper's controller "is independent of the cluster type": the same
 service definition deploys to a Docker engine or a Kubernetes cluster
-(§V).  An :class:`EdgeCluster` exposes the deployment phases of fig. 4
-— Pull, Create, Scale Up, Scale Down, Remove, Delete — plus the state
-queries the Dispatcher needs, with one implementation per cluster
-type.
+(§V).  :class:`EdgeCluster` is the one driver of the deployment phases
+of fig. 4 — Pull, Create, Scale Up, Scale Down, Remove, Delete — and of
+the state queries the Dispatcher needs: it owns the phase order, the
+per-service port table and readiness, and each cluster type (Docker,
+Kubernetes, the serverless runtime) implements only its runtime's
+steps.
 """
 
 from repro.cluster.plan import DeploymentPlan, PlannedContainer

@@ -1,19 +1,24 @@
-"""The abstract edge-cluster interface (deployment phases of fig. 4).
+"""The edge-cluster contract and its fig. 4 phase driver.
 
-:class:`DeployError` and :class:`ServiceEndpoint` live in
-:mod:`repro.cluster.plan` (alongside the shared phase driver) and are
-re-exported here for compatibility.
+:class:`EdgeCluster` runs the phase order once for every cluster type:
+the per-service port table, the Create precondition and idempotence,
+the Scale Up guard, the endpoint and readiness live here; an adapter
+implements only its runtime's steps.  :class:`DeployError` and
+:class:`ServiceEndpoint` live in :mod:`repro.cluster.plan` and are
+re-exported here.
 """
 
 from __future__ import annotations
 
 import abc
+import itertools
 import typing as _t
 
 from repro.cluster.plan import DeployError, DeploymentPlan, ServiceEndpoint
 from repro.sim import Environment
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.containers.containerd import Containerd
     from repro.net.host import Host
 
 __all__ = ["DeployError", "EdgeCluster", "ServiceEndpoint"]
@@ -27,7 +32,14 @@ class EdgeCluster(abc.ABC):
     Global Scheduler uses it to rank FAST/BEST choices (§IV-A: clusters
     "in close vicinity of the users tend to be smaller, with cluster
     size and performance growing when further away").
+
+    The phases are generators.  Phase timings are exactly those of the
+    adapter's steps — the driver adds no simulated time of its own.
     """
+
+    #: First ingress port (host port, NodePort, function port) handed
+    #: out; each adapter sets its own.
+    PORT_BASE: _t.ClassVar[int]
 
     def __init__(
         self,
@@ -46,35 +58,68 @@ class EdgeCluster(abc.ABC):
         #: Maximum concurrently running service instances (None: ∞).
         #: Edge clusters near the users "tend to be smaller" (§IV-A).
         self.capacity = capacity
+        #: Per-service ingress port, assigned at Create and stable
+        #: until Remove.
+        self._ports: dict[str, int] = {}
+        self._port_counter = itertools.count(self.PORT_BASE)
 
-    # -- deployment phases (generators) -----------------------------------
+    # -- deployment phases --------------------------------------------------
 
     @abc.abstractmethod
     def pull(self, plan: DeploymentPlan):
         """Pull all images of the plan (skipping cached layers)."""
 
-    @abc.abstractmethod
     def create(self, plan: DeploymentPlan):
-        """Create the service (containers / Deployment+Service, 0 replicas)."""
+        """Create the service (containers / Deployment+Service, 0
+        replicas); a no-op once created."""
+        if self.is_created(plan):
+            return
+        self._check_create(plan)
+        port = self._ports.setdefault(
+            plan.service_name, next(self._port_counter)
+        )
+        yield from self._create_instance(plan, port)
 
-    @abc.abstractmethod
     def scale_up(self, plan: DeploymentPlan):
         """Start one instance; returns when the orchestrator accepted
-        the operation (NOT when the service is ready — poll with
+        the operation (NOT when the service is ready — wait with
         :meth:`wait_ready`)."""
+        if not self.is_created(plan):
+            raise DeployError(
+                f"{self.name}: {plan.service_name!r} not created yet"
+            )
+        yield from self._start_instance(plan)
 
     @abc.abstractmethod
     def scale_down(self, plan: DeploymentPlan):
         """Stop the running instance(s), keeping the created service."""
 
-    @abc.abstractmethod
     def remove(self, plan: DeploymentPlan):
-        """Remove the created service entirely."""
+        """Remove the created service entirely and free its port."""
+        yield from self._remove_instance(plan)
+        self._ports.pop(plan.service_name, None)
 
     @abc.abstractmethod
     def delete_images(self, plan: DeploymentPlan):
         """Delete the plan's images from the cluster's cache
         (generator returning bytes freed)."""
+
+    # -- the adapter's runtime steps ------------------------------------------
+
+    def _check_create(self, plan: DeploymentPlan) -> None:
+        """Precondition for Create (raise DeployError to veto)."""
+
+    @abc.abstractmethod
+    def _create_instance(self, plan: DeploymentPlan, port: int):
+        """Create the (zero-replica) instance served on ``port``."""
+
+    @abc.abstractmethod
+    def _start_instance(self, plan: DeploymentPlan):
+        """Scale the created instance up to one replica."""
+
+    @abc.abstractmethod
+    def _remove_instance(self, plan: DeploymentPlan):
+        """Delete the created instance entirely."""
 
     # -- state queries (synchronous; informer-cache semantics) ---------------
 
@@ -86,10 +131,13 @@ class EdgeCluster(abc.ABC):
     def is_created(self, plan: DeploymentPlan) -> bool:
         """Has Create already happened (containers/Deployment exist)?"""
 
-    @abc.abstractmethod
     def endpoint(self, plan: DeploymentPlan) -> ServiceEndpoint | None:
         """Where the service will answer once running (None before
         Create assigned a port)."""
+        port = self._ports.get(plan.service_name)
+        if port is None:
+            return None
+        return ServiceEndpoint(ip=self.ingress_host.ip, port=port)
 
     def is_running(self, plan: DeploymentPlan) -> bool:
         """Is an instance up and its port answering?"""
@@ -100,13 +148,19 @@ class EdgeCluster(abc.ABC):
     def running_services(self) -> set[str]:
         """Names of the services currently running here."""
 
+    @property
+    def runtimes(self) -> tuple["Containerd", ...]:
+        """The container runtimes behind this cluster (what a pod kill
+        or a node crash reaches); none by default."""
+        return ()
+
     # -- readiness ---------------------------------------------------------------
 
     def wait_ready(
         self,
         plan: DeploymentPlan,
+        timeout_s: float,
         poll_interval_s: float = 0.02,
-        timeout_s: float | None = None,
     ):
         """Wait until the service port answers (generator returning bool).
 
@@ -120,29 +174,27 @@ class EdgeCluster(abc.ABC):
         loop would have observed readiness.  Readiness times stay
         byte-identical to the polling implementation while the
         simulator processes O(1) events per wait instead of
-        O(duration / poll interval).
+        O(duration / poll interval).  It runs after Scale Up, so Create
+        has assigned the port it subscribes to.
 
         A deadline wakes the wait too, and the same walk takes it to
         the first tick at or after the deadline: whether the port opens
         before the deadline, between it and that tick, or never, the
         wait returns at the poll loop's instant with its answer.
 
-        The plain poll loop remains only as a documented fallback: for
-        the window before Create has assigned an endpoint (no port to
-        subscribe to yet), and for subclasses that override
-        :meth:`is_running` with a notion of readiness that is not
-        observable as a port-open event on the ingress host.  No
-        cluster under ``src/`` does; the twin stays because it lets a
-        test substitute a fake cluster that opens no port
-        (``tests/test_dispatcher_unit.py::FakeCluster``).
+        A subclass that overrides :meth:`is_running` with a readiness
+        that is not a port opening on the ingress host gets the literal
+        poll loop.  No cluster under ``src/`` does; the loop is the
+        reference the port wait is held to, and the readiness of the
+        scripted test cluster (``tests/test_dispatcher_unit.py``).
         """
-        deadline = None if timeout_s is None else self.env.now + timeout_s
+        deadline = self.env.now + timeout_s
         if type(self).is_running is not EdgeCluster.is_running:
-            # Custom readiness: fall back to the literal §VI poll loop.
+            # Custom readiness: the literal §VI poll loop.
             while True:
                 if self.is_running(plan):
                     return True
-                if deadline is not None and self.env.now >= deadline:
+                if self.env.now >= deadline:
                     return False
                 yield self.env.timeout(poll_interval_s)
         # The poll grid: call time plus repeated float addition of the
@@ -151,30 +203,13 @@ class EdgeCluster(abc.ABC):
         while True:
             if self.is_running(plan):
                 return True
-            if deadline is not None and self.env.now >= deadline:
+            if self.env.now >= deadline:
                 return False
-            endpoint = self.endpoint(plan)
-            if endpoint is None:
-                # Fallback: nothing to subscribe to before Create.
-                tick += poll_interval_s
-                yield self.env.timeout_at(tick)
-                continue
-            open_ev = self.ingress_host.port_open_event(endpoint.port)
-            if open_ev.triggered:
-                # Port already open yet is_running said no (the
-                # endpoint moved between the checks): degrade to a
-                # plain poll tick rather than spinning.
-                tick += poll_interval_s
-                yield self.env.timeout_at(tick)
-                continue
-            if deadline is None:
-                yield open_ev
-            else:
-                yield open_ev | self.env.timeout_at(deadline)
-                if not open_ev.triggered:
-                    self.ingress_host.abandon_port_waiter(
-                        endpoint.port, open_ev
-                    )
+            port = self._ports[plan.service_name]
+            open_ev = self.ingress_host.port_open_event(port)
+            yield open_ev | self.env.timeout_at(deadline)
+            if not open_ev.triggered:
+                self.ingress_host.abandon_port_waiter(port, open_ev)
             # Resume sampling on the poll grid: advance to the first
             # tick at or after the wake and re-check there — exactly
             # where the poll loop would have seen the port open.

@@ -5,9 +5,9 @@ Scale Up = ``docker start`` per container, Scale Down = ``docker
 stop``, Remove = ``docker rm``.  Containers are labelled with
 ``edge.service`` so the controller can query them distinctly (§V).
 
-Phase ordering and idempotence guards come from the shared
-:class:`~repro.cluster.plan.PhasedCluster` driver; only the engine
-calls live here.
+The phase order, the port table and readiness are
+:class:`~repro.cluster.base.EdgeCluster`'s; only the engine calls live
+here.
 """
 
 from __future__ import annotations
@@ -15,22 +15,21 @@ from __future__ import annotations
 import typing as _t
 
 from repro.cluster.base import DeployError, EdgeCluster
-from repro.cluster.plan import DeploymentPlan, PhasedCluster, PlannedContainer
-from repro.containers.containerd import Container, ContainerSpec, ContainerState
+from repro.cluster.plan import DeploymentPlan, PlannedContainer
+from repro.containers.containerd import Container, Containerd, ContainerSpec, ContainerState
 from repro.containers.docker import DockerEngine
-from repro.containers.image import ImageSpec
 from repro.containers.registry import Registry
 from repro.sim import Environment
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.host import Host
 
-#: First host port a service's container is published on.
-HOST_PORT_BASE = 20000
 
-
-class DockerCluster(PhasedCluster, EdgeCluster):
+class DockerCluster(EdgeCluster):
     """Edge cluster backed by one Docker engine."""
+
+    #: First host port a service's container is published on.
+    PORT_BASE = 20000
 
     def __init__(
         self,
@@ -45,13 +44,13 @@ class DockerCluster(PhasedCluster, EdgeCluster):
         super().__init__(env, name, host, distance, capacity)
         self.engine = engine
         self.image_registry = image_registry
-        self._init_ports(HOST_PORT_BASE)
         self._containers: dict[str, list[Container]] = {}
 
-    # -- runtime steps (driver hooks) --------------------------------------
+    # -- runtime steps ------------------------------------------------------
 
-    def _pull_image(self, image: ImageSpec):
-        yield from self.engine.pull(image, self.image_registry)
+    def pull(self, plan: DeploymentPlan):
+        for image in plan.images:
+            yield from self.engine.pull(image, self.image_registry)
 
     def _check_create(self, plan: DeploymentPlan) -> None:
         if not self.image_cached(plan):
@@ -74,7 +73,7 @@ class DockerCluster(PhasedCluster, EdgeCluster):
             if container.state in (ContainerState.CREATED, ContainerState.EXITED):
                 yield from self.engine.start_container(container)
 
-    def _stop_instance(self, plan: DeploymentPlan):
+    def scale_down(self, plan: DeploymentPlan):
         for container in self._containers.get(plan.service_name, []):
             yield from self.engine.stop_container(container)
 
@@ -103,6 +102,10 @@ class DockerCluster(PhasedCluster, EdgeCluster):
             for name, containers in self._containers.items()
             if any(c.state is ContainerState.RUNNING for c in containers)
         }
+
+    @property
+    def runtimes(self) -> tuple[Containerd, ...]:
+        return (self.engine.runtime,)
 
     # -- helpers ------------------------------------------------------------------
 

@@ -9,16 +9,16 @@ cluster-neutral plan, applying the paper's automatic annotation rules
 ``replicas: 0``, and ``schedulerName`` when a Local Scheduler is
 configured for this cluster.
 
-Phase ordering and idempotence guards come from the shared
-:class:`~repro.cluster.plan.PhasedCluster` driver; only the API-server
-calls live here.
+The phase order, the port table and readiness are
+:class:`~repro.cluster.base.EdgeCluster`'s; only the API-server calls
+live here.
 """
 
 from __future__ import annotations
 
 from repro.cluster.base import EdgeCluster
-from repro.cluster.plan import DeploymentPlan, PhasedCluster
-from repro.containers.image import ImageSpec
+from repro.cluster.plan import DeploymentPlan
+from repro.containers.containerd import Containerd
 from repro.k8s.client import KubernetesClient
 from repro.k8s.cluster import KubernetesCluster
 from repro.k8s.objects import (
@@ -34,16 +34,17 @@ from repro.k8s.objects import (
 )
 from repro.sim import Environment
 
-#: First NodePort handed out.
-NODE_PORT_BASE = 30000
 #: Client-side cost of submitting the manifests (validation,
 #: defaulting, server-side admission) — makes Create visible in fig. 12
 #: as the paper's ~100 ms.
 CREATE_OVERHEAD_S = 0.070
 
 
-class K8sEdgeCluster(PhasedCluster, EdgeCluster):
+class K8sEdgeCluster(EdgeCluster):
     """Edge cluster backed by a (simulated) Kubernetes cluster."""
+
+    #: First NodePort handed out.
+    PORT_BASE = 30000
 
     def __init__(
         self,
@@ -60,15 +61,15 @@ class K8sEdgeCluster(PhasedCluster, EdgeCluster):
         self.node_name = node_name
         self.client = KubernetesClient(cluster.api)
         self.local_scheduler = local_scheduler
-        self._init_ports(NODE_PORT_BASE)
         self._runtime = kubelet.runtime
 
-    # -- runtime steps (driver hooks) --------------------------------------
+    # -- runtime steps ------------------------------------------------------
 
-    def _pull_image(self, image: ImageSpec):
+    def pull(self, plan: DeploymentPlan):
         # Pre-pull onto the node (kubelet would otherwise pull lazily
         # during pod startup).
-        yield from self._runtime.pull(image, self.cluster.image_registry)
+        for image in plan.images:
+            yield from self._runtime.pull(image, self.cluster.image_registry)
 
     def _create_instance(self, plan: DeploymentPlan, port: int):
         deployment = self.build_deployment(plan)
@@ -80,7 +81,7 @@ class K8sEdgeCluster(PhasedCluster, EdgeCluster):
     def _start_instance(self, plan: DeploymentPlan):
         yield from self.client.scale_deployment(plan.service_name, 1)
 
-    def _stop_instance(self, plan: DeploymentPlan):
+    def scale_down(self, plan: DeploymentPlan):
         yield from self.client.scale_deployment(plan.service_name, 0)
 
     def _remove_instance(self, plan: DeploymentPlan):
@@ -115,6 +116,15 @@ class K8sEdgeCluster(PhasedCluster, EdgeCluster):
             for pod in self.cluster.api.list_nowait("Pod", namespace=None)
             if pod.status.ready and "edge.service" in pod.metadata.labels
         }
+
+    @property
+    def runtimes(self) -> tuple[Containerd, ...]:
+        # The node's runtime first, then the other kubelets' in join order.
+        return (self._runtime,) + tuple(
+            kubelet.runtime
+            for kubelet in self.cluster.kubelets.values()
+            if kubelet.runtime is not self._runtime
+        )
 
     # -- manifest construction (automatic annotation, §V) ---------------------------
 

@@ -1,30 +1,23 @@
-"""The cluster-neutral deployment plan and the shared phase driver.
+"""The cluster-neutral deployment plan.
 
 The annotator (:mod:`repro.core.annotator`) turns a developer's YAML
 service definition into a :class:`DeploymentPlan`; every cluster
 adapter can execute the same plan — "It does not matter whether the
 edge cluster is running Docker or Kubernetes – we use the same service
-definition for both" (§V).
-
-:class:`PhasedCluster` is the shared Pull/Create/Scale-Up sequencing
-(fig. 4) that the Docker and Kubernetes adapters both follow: the
-idempotence guards, the per-service port allocation, and the phase
-order live here once; adapters supply only the runtime-specific
-``_pull_image`` / ``_create_instance`` / ``_start_instance`` /
-``_stop_instance`` / ``_remove_instance`` steps.
+definition for both" (§V).  The phases that execute it are
+:class:`repro.cluster.base.EdgeCluster`'s.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing as _t
 
 from repro.containers.image import ImageSpec
 from repro.net.addressing import IPv4Address
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.net.host import Application, Host
+    from repro.net.host import Application
     from repro.sim import Environment
 
 
@@ -94,90 +87,3 @@ class DeploymentPlan:
             if container.container_port == self.target_port:
                 return container
         raise AssertionError("validated in __post_init__")
-
-
-class PhasedCluster:
-    """Shared fig.-4 phase sequencing for cluster adapters.
-
-    Mixin used alongside :class:`repro.cluster.base.EdgeCluster`.  It
-    owns the per-service ingress-port table (``self._ports``) and the
-    phase-order/idempotence logic; adapters implement the runtime
-    steps.  Phase timings are exactly those of the adapter steps — the
-    driver adds no simulated time of its own.
-    """
-
-    #: Per-service ingress port (host port / NodePort), assigned once
-    #: at Create and stable until Remove.
-    _ports: dict[str, int]
-    _port_counter: _t.Iterator[int]
-
-    # Provided by EdgeCluster:
-    name: str
-    ingress_host: "Host"
-
-    def _init_ports(self, port_base: int) -> None:
-        self._ports = {}
-        self._port_counter = itertools.count(port_base)
-
-    # -- runtime-specific steps (adapter hooks) ----------------------------
-
-    def _pull_image(self, image: ImageSpec) -> _t.Any:
-        """Pull one image into the cluster's cache (generator)."""
-        raise NotImplementedError
-
-    def _check_create(self, plan: DeploymentPlan) -> None:
-        """Adapter precondition for Create (raise DeployError to veto)."""
-
-    def _create_instance(self, plan: DeploymentPlan, port: int) -> _t.Any:
-        """Create the (zero-replica) service instance (generator)."""
-        raise NotImplementedError
-
-    def _start_instance(self, plan: DeploymentPlan) -> _t.Any:
-        """Scale the created instance up to one replica (generator)."""
-        raise NotImplementedError
-
-    def _stop_instance(self, plan: DeploymentPlan) -> _t.Any:
-        """Scale the instance back down to zero replicas (generator)."""
-        raise NotImplementedError
-
-    def _remove_instance(self, plan: DeploymentPlan) -> _t.Any:
-        """Delete the created service entirely (generator)."""
-        raise NotImplementedError
-
-    def is_created(self, plan: DeploymentPlan) -> bool:  # pragma: no cover
-        raise NotImplementedError  # supplied by the adapter
-
-    # -- the shared phases -------------------------------------------------
-
-    def pull(self, plan: DeploymentPlan) -> _t.Any:
-        for image in plan.images:
-            yield from self._pull_image(image)
-
-    def create(self, plan: DeploymentPlan) -> _t.Any:
-        if self.is_created(plan):
-            return
-        self._check_create(plan)
-        port = self._ports.setdefault(
-            plan.service_name, next(self._port_counter)
-        )
-        yield from self._create_instance(plan, port)
-
-    def scale_up(self, plan: DeploymentPlan) -> _t.Any:
-        if not self.is_created(plan):
-            raise DeployError(
-                f"{self.name}: {plan.service_name!r} not created yet"
-            )
-        yield from self._start_instance(plan)
-
-    def scale_down(self, plan: DeploymentPlan) -> _t.Any:
-        yield from self._stop_instance(plan)
-
-    def remove(self, plan: DeploymentPlan) -> _t.Any:
-        yield from self._remove_instance(plan)
-        self._ports.pop(plan.service_name, None)
-
-    def endpoint(self, plan: DeploymentPlan) -> ServiceEndpoint | None:
-        port = self._ports.get(plan.service_name)
-        if port is None:
-            return None
-        return ServiceEndpoint(ip=self.ingress_host.ip, port=port)

@@ -63,8 +63,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.controller import EdgeController
     from repro.core.service_registry import EdgeService
     from repro.net.addressing import IPv4Address
-    from repro.net.host import Application, Host
-    from repro.net.packet import HTTPResult
+    from repro.net.host import Application, Host, HTTPResult
 
 __all__ = [
     "MIGRATION_PORT",

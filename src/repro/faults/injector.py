@@ -196,7 +196,7 @@ class Injector:
     def _apply_pod_kill(self, fault: PodKill) -> None:
         cluster = self._cluster(fault.cluster)
         killed = 0
-        for runtime in self._cluster_runtimes(cluster):
+        for runtime in cluster.runtimes:
             for container in list(runtime.containers.values()):
                 if self._belongs_to_service(container, fault.service):
                     if runtime.kill(container):
@@ -270,25 +270,9 @@ class Injector:
         if shared is not None:
             runtimes.append(shared)
         for cluster in getattr(self.testbed, "clusters", []):
-            for runtime in self._cluster_runtimes(cluster):
+            for runtime in cluster.runtimes:
                 if runtime not in runtimes:
                     runtimes.append(runtime)
-        return runtimes
-
-    @staticmethod
-    def _cluster_runtimes(cluster: _t.Any) -> list[Containerd]:
-        runtimes: list[Containerd] = []
-        engine = getattr(cluster, "engine", None)
-        runtime = getattr(engine, "runtime", None)
-        if isinstance(runtime, Containerd):
-            runtimes.append(runtime)
-        runtime = getattr(cluster, "_runtime", None)
-        if isinstance(runtime, Containerd) and runtime not in runtimes:
-            runtimes.append(runtime)
-        kubernetes = getattr(cluster, "cluster", None)
-        for kubelet in getattr(kubernetes, "kubelets", {}).values():
-            if kubelet.runtime not in runtimes:
-                runtimes.append(kubelet.runtime)
         return runtimes
 
     def _runtimes_on(self, host: "Host") -> list[Containerd]:

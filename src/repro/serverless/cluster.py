@@ -3,15 +3,15 @@
 Lets the unchanged SDN controller deploy wasm functions side by side
 with containers: the same :class:`~repro.cluster.DeploymentPlan` maps
 onto a module (via the cluster's image→module table), and the fig. 4
-phases become fetch / register / instantiate.
+phases become fetch / register / instantiate.  The phase order, the
+port table and readiness are :class:`~repro.cluster.base.EdgeCluster`'s.
 """
 
 from __future__ import annotations
 
-import itertools
 import typing as _t
 
-from repro.cluster.base import DeployError, EdgeCluster, ServiceEndpoint
+from repro.cluster.base import DeployError, EdgeCluster
 from repro.cluster.plan import DeploymentPlan
 from repro.serverless.wasm import WasmInstance, WasmModule, WasmRuntime
 from repro.sim import Environment
@@ -19,14 +19,15 @@ from repro.sim import Environment
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.host import Host
 
-#: First port a registered function is served on.
-PORT_BASE = 25000
 #: Registering a fetched module with the runtime.
 REGISTER_S = 0.002
 
 
 class ServerlessCluster(EdgeCluster):
     """An edge site running a WebAssembly function runtime."""
+
+    #: First port a registered function is served on.
+    PORT_BASE = 25000
 
     def __init__(
         self,
@@ -41,8 +42,6 @@ class ServerlessCluster(EdgeCluster):
         self.runtime = runtime
         #: image reference -> wasm module implementing the same service.
         self.module_map = dict(module_map)
-        self._ports: dict[str, int] = {}
-        self._port_counter = itertools.count(PORT_BASE)
         self._registered: set[str] = set()
         self._instances: dict[str, list[WasmInstance]] = {}
 
@@ -55,31 +54,25 @@ class ServerlessCluster(EdgeCluster):
             )
         return module
 
-    # -- phases ------------------------------------------------------------
+    # -- runtime steps ------------------------------------------------------
 
     def pull(self, plan: DeploymentPlan):
         yield from self.runtime.fetch(self._module_for(plan))
 
-    def create(self, plan: DeploymentPlan):
-        """Register the function (no containers to prepare)."""
-        if plan.service_name in self._registered:
-            return
+    def _check_create(self, plan: DeploymentPlan) -> None:
         if not self.image_cached(plan):
             raise DeployError(
                 f"{self.name}: module for {plan.service_name!r} not fetched"
             )
+
+    def _create_instance(self, plan: DeploymentPlan, port: int):
+        """Register the function (no containers to prepare)."""
         yield self.env.timeout(REGISTER_S)
-        self._ports.setdefault(plan.service_name, next(self._port_counter))
         self._registered.add(plan.service_name)
 
-    def scale_up(self, plan: DeploymentPlan):
-        if plan.service_name not in self._registered:
-            raise DeployError(
-                f"{self.name}: {plan.service_name!r} not registered yet"
-            )
-        port = self._ports[plan.service_name]
+    def _start_instance(self, plan: DeploymentPlan):
         instance = yield from self.runtime.instantiate(
-            self._module_for(plan), port
+            self._module_for(plan), self._ports[plan.service_name]
         )
         self._instances.setdefault(plan.service_name, []).append(instance)
 
@@ -87,10 +80,9 @@ class ServerlessCluster(EdgeCluster):
         for instance in self._instances.pop(plan.service_name, []):
             yield from self.runtime.terminate(instance)
 
-    def remove(self, plan: DeploymentPlan):
+    def _remove_instance(self, plan: DeploymentPlan):
         yield from self.scale_down(plan)
         self._registered.discard(plan.service_name)
-        self._ports.pop(plan.service_name, None)
 
     def delete_images(self, plan: DeploymentPlan):
         module = self._module_for(plan)
@@ -109,9 +101,3 @@ class ServerlessCluster(EdgeCluster):
 
     def running_services(self) -> set[str]:
         return {name for name, instances in self._instances.items() if instances}
-
-    def endpoint(self, plan: DeploymentPlan) -> ServiceEndpoint | None:
-        port = self._ports.get(plan.service_name)
-        if port is None:
-            return None
-        return ServiceEndpoint(ip=self.ingress_host.ip, port=port)

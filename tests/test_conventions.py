@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -203,6 +205,40 @@ def test_no_unused_module_imports():
             if name not in used
         ]
     assert unused == []
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Is ``name`` an attribute or a submodule of ``module``?"""
+    try:
+        imported = importlib.import_module(module)
+    except ModuleNotFoundError:
+        return False
+    return hasattr(imported, name) or (
+        hasattr(imported, "__path__")
+        and importlib.util.find_spec(f"{module}.{name}") is not None
+    )
+
+
+def test_every_repro_import_resolves():
+    """Every ``from repro.… import name`` under ``src/`` names a module
+    that exists and a name it has — under ``TYPE_CHECKING`` too, where
+    nothing runs the import and mypy's ``ignore_missing_imports`` lets
+    a missing module pass."""
+    broken = []
+    for path in sorted(_ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and node.module is not None
+                and node.module.split(".")[0] == "repro"
+            ):
+                broken += [
+                    f"{path.relative_to(_ROOT).as_posix()}:{node.lineno} "
+                    f"{node.module}.{alias.name}"
+                    for alias in node.names
+                    if not _resolves(node.module, alias.name)
+                ]
+    assert broken == []
 
 
 def test_nothing_under_src_imports_the_tap():

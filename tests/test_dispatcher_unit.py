@@ -19,6 +19,8 @@ from repro.sim import Environment
 class FakeCluster(EdgeCluster):
     """Scripted cluster: phases advance state after configured delays."""
 
+    PORT_BASE = 12345
+
     def __init__(self, env, name, host, distance=0, capacity=None,
                  pull_s=1.0, create_s=0.1, scale_s=0.2, ready_after_s=0.3):
         super().__init__(env, name, host, distance, capacity)
@@ -36,12 +38,12 @@ class FakeCluster(EdgeCluster):
         yield self.env.timeout(self.pull_s)
         self.cached.add(plan.service_name)
 
-    def create(self, plan):
+    def _create_instance(self, plan, port):
         self.calls.append(f"create:{plan.service_name}")
         yield self.env.timeout(self.create_s)
         self.created.add(plan.service_name)
 
-    def scale_up(self, plan):
+    def _start_instance(self, plan):
         self.calls.append(f"scale_up:{plan.service_name}")
         yield self.env.timeout(self.scale_s)
         self.ready_at[plan.service_name] = self.env.now + self.ready_after_s
@@ -51,7 +53,7 @@ class FakeCluster(EdgeCluster):
         yield self.env.timeout(0.01)
         self.ready_at.pop(plan.service_name, None)
 
-    def remove(self, plan):
+    def _remove_instance(self, plan):
         yield self.env.timeout(0.01)
         self.created.discard(plan.service_name)
 
@@ -72,11 +74,6 @@ class FakeCluster(EdgeCluster):
 
     def running_services(self):
         return {name for name, at in self.ready_at.items() if self.env.now >= at}
-
-    def endpoint(self, plan):
-        if plan.service_name not in self.created:
-            return None
-        return ServiceEndpoint(self.ingress_host.ip, 12345)
 
 
 class ScriptedScheduler(GlobalScheduler):

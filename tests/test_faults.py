@@ -260,12 +260,12 @@ class FlakyCluster(FakeCluster):
         self._maybe_fail("pull")
         self.cached.add(plan.service_name)
 
-    def create(self, plan):
+    def _create_instance(self, plan, port):
         yield self.env.timeout(self.create_s)
         self._maybe_fail("create")
         self.created.add(plan.service_name)
 
-    def scale_up(self, plan):
+    def _start_instance(self, plan):
         yield self.env.timeout(self.scale_s)
         self._maybe_fail("scale_up")
         self.ready_at[plan.service_name] = self.env.now + self.ready_after_s

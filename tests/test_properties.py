@@ -1210,7 +1210,7 @@ def test_wait_ready_gives_up_on_the_poll_loops_tick(start, timeout_s, interval):
         env = Environment(initial_time=start)
         cluster = cluster_type(env, "edge", MiniNet(env).host("egs"))
         plan = types.SimpleNamespace(service_name="svc")  # all a FakeCluster reads
-        cluster.created.add(plan.service_name)  # an endpoint, never a listener
+        cluster._ports[plan.service_name] = 12345  # an endpoint, never a listener
         wait = cluster.wait_ready(plan, poll_interval_s=interval, timeout_s=timeout_s)
         assert env.run(until=env.process(wait)) is False
         return env.now
