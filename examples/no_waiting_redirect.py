@@ -1,7 +1,8 @@
 """On-demand deployment *without waiting* (fig. 3).
 
 A latency-sensitive service is requested at an edge where no instance
-runs.  With the :class:`LowLatencyScheduler`, the controller redirects
+runs.  With the :class:`LowLatencyScheduler` — named in the controller's
+configuration and loaded by name (§IV-B) — the controller redirects
 the initial request to a *running* instance in a farther edge cluster
 (FAST) while deploying the service in the optimal near edge (BEST) in
 parallel.  Once the near instance is up, the FlowMemory repoints the
@@ -10,16 +11,20 @@ service and subsequent connections are served locally.
 Run:  python examples/no_waiting_redirect.py
 """
 
-from repro.core import LowLatencyScheduler
+from repro.core import load_scheduler
 from repro.services.catalog import NGINX
 from repro.testbed import C3Testbed, TestbedConfig
+
+#: The controller configuration's Global Scheduler entry: a built-in
+#: class name, or ``"package.module:ClassName"`` for one of your own.
+SCHEDULER = "LowLatencyScheduler"
 
 
 def main() -> None:
     print(__doc__)
     testbed = C3Testbed(
         TestbedConfig(cluster_types=("docker",)),
-        scheduler=LowLatencyScheduler(),
+        scheduler=load_scheduler(SCHEDULER),
     )
     far = testbed.add_far_edge("far-docker", distance=1, latency_s=0.004)
     service = testbed.register_template(NGINX)

@@ -91,7 +91,7 @@ class K8sEdgeCluster(EdgeCluster):
     def delete_images(self, plan: DeploymentPlan):
         freed = 0
         for image in plan.images:
-            freed += self._runtime.images.delete_image(image.reference)
+            freed += self._runtime.delete_image(image.reference)
             yield self.env.timeout(0.0)
         return freed
 

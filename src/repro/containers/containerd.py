@@ -388,6 +388,16 @@ class Containerd:
             if c.state is not ContainerState.REMOVED
         }
 
+    def delete_image(self, reference: str) -> int:
+        """Delete an image no container uses; returns bytes freed.
+
+        An image backing a non-removed container stays, and 0 is
+        returned: ``docker rmi`` and kubelet image GC refuse it too.
+        """
+        if reference in self.images_in_use():
+            return 0
+        return self.images.delete_image(reference)
+
     def collect_garbage(self) -> int:
         """Evict least-recently-used unused images while the store
         exceeds ``disk_limit_bytes``.  Returns bytes freed.
@@ -401,16 +411,14 @@ class Containerd:
         if self.images.disk_bytes <= self.disk_limit_bytes:
             return 0
         self.gc_stats["runs"] += 1
-        in_use = self.images_in_use()
-        candidates = [
-            ref for ref in self.images.images() if ref not in in_use
-        ]
-        candidates.sort(key=lambda ref: self._image_last_used.get(ref, 0.0))
+        candidates = sorted(
+            self.images.images(), key=lambda ref: self._image_last_used.get(ref, 0.0)
+        )
         freed = 0
         for ref in candidates:
             if self.images.disk_bytes <= self.disk_limit_bytes:
                 break
-            bytes_freed = self.images.delete_image(ref)
+            bytes_freed = self.delete_image(ref)
             if bytes_freed or not self.images.has_image(ref):
                 self.gc_stats["images_deleted"] += 1
                 self.gc_stats["bytes_freed"] += bytes_freed

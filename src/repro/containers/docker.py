@@ -53,9 +53,10 @@ class DockerEngine:
         return self.runtime.images.has_image(reference)
 
     def remove_image(self, reference: str):
-        """``docker rmi`` (generator returning bytes freed)."""
+        """``docker rmi`` (generator returning bytes freed; an image a
+        container uses stays)."""
         yield from self._api_call()
-        return self.runtime.images.delete_image(reference)
+        return self.runtime.delete_image(reference)
 
     # -- container lifecycle ----------------------------------------------------
 
@@ -69,12 +70,6 @@ class DockerEngine:
         """``docker start``: returns once the process is spawned."""
         yield from self._api_call()
         yield from self.runtime.start(container)
-
-    def run(self, spec: ContainerSpec):
-        """``docker run`` = create + start (generator returning Container)."""
-        container = yield from self.create_container(spec)
-        yield from self.start_container(container)
-        return container
 
     def stop_container(self, container: Container):
         yield from self._api_call()

@@ -164,8 +164,5 @@ class Registry:
         self.stats["layers"] += 1
         self.stats["bytes"] += layer.size_bytes
 
-    def has_image(self, reference: str) -> bool:
-        return reference in self._images
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Registry {self.name!r} images={len(self._images)}>"

@@ -158,10 +158,6 @@ class SiteController(EdgeController):
         replica.on_service_removed = self._on_remote_service_removed
         replica.on_instance_changed = self._on_remote_instance_changed
 
-    @property
-    def site(self) -> str:
-        return self.replica.site
-
     def _make_dispatcher(
         self,
         env: Environment,

@@ -244,30 +244,24 @@ class BandwidthLedger:
     """Committed migration bandwidth per backbone link.
 
     The planner reserves ``rate_bps`` on every link a transfer crosses
-    (all-or-nothing) and releases it on completion or abort.  Every
-    reservation change appends to :attr:`trace`, so a run can prove
-    after the fact that no link was ever committed past its budget.
+    (all-or-nothing) and releases it on completion or abort.  Every link
+    has the same budget, ``capacity_bps``.  Every reservation change
+    appends to :attr:`trace`, so a run can prove after the fact that no
+    link was ever committed past its budget.
     """
 
-    def __init__(self, env: Environment, default_capacity_bps: int) -> None:
+    def __init__(self, env: Environment, capacity_bps: int) -> None:
         self.env = env
-        self.default_capacity_bps = int(default_capacity_bps)
-        self._capacity: dict[str, int] = {}
+        self.capacity_bps = int(capacity_bps)
         self._committed: dict[str, int] = {}
         #: (time, link, committed_bps_after_change) per change.
         self.trace: list[tuple[float, str, int]] = []
-
-    def set_capacity(self, link: str, capacity_bps: int) -> None:
-        self._capacity[link] = int(capacity_bps)
-
-    def capacity(self, link: str) -> int:
-        return self._capacity.get(link, self.default_capacity_bps)
 
     def committed(self, link: str) -> int:
         return self._committed.get(link, 0)
 
     def available(self, link: str) -> int:
-        return self.capacity(link) - self.committed(link)
+        return self.capacity_bps - self.committed(link)
 
     def reserve(self, links: _t.Sequence[str], rate_bps: int) -> bool:
         """Commit ``rate_bps`` on every link, or nothing at all."""
@@ -289,7 +283,7 @@ class BandwidthLedger:
         return [
             (t, link, committed)
             for (t, link, committed) in self.trace
-            if committed > self.capacity(link)
+            if committed > self.capacity_bps
         ]
 
 

@@ -58,10 +58,6 @@ class Decision:
     fast: EdgeCluster | None
     best: EdgeCluster | None = None
 
-    @property
-    def without_waiting(self) -> bool:
-        return self.best is not None
-
 
 @dataclasses.dataclass(frozen=True)
 class ClientInfo:

@@ -18,16 +18,11 @@ class SchedulerLoadError(RuntimeError):
     """The configured scheduler could not be loaded."""
 
 
-def load_scheduler(
-    spec: str, *, reload: bool = False, **params: _t.Any
-) -> GlobalScheduler:
+def load_scheduler(spec: str, **params: _t.Any) -> GlobalScheduler:
     """Instantiate the scheduler named by ``spec``.
 
     ``spec`` is ``"module.path:ClassName"``; bare class names resolve
-    against the built-in scheduler module.  ``reload=True`` re-imports
-    the module first, picking up an edited scheduler file without
-    restarting the controller (the paper's "flexible" configuration
-    taken one step further).
+    against the built-in scheduler module.
     """
     if ":" in spec:
         module_name, _, class_name = spec.partition(":")
@@ -36,8 +31,6 @@ def load_scheduler(
 
     try:
         module = importlib.import_module(module_name)
-        if reload:
-            module = importlib.reload(module)
     except ImportError as exc:
         raise SchedulerLoadError(f"cannot import {module_name!r}: {exc}") from exc
 

@@ -85,11 +85,5 @@ class ServiceRegistry:
         """The service registered at ``ip:port``, if any."""
         return self.state.service_at(ip, port)
 
-    def by_name(self, name: str) -> EdgeService | None:
-        return self.state.service_named(name)
-
     def all(self) -> list[EdgeService]:
         return self.state.services()
-
-    def __len__(self) -> int:
-        return self.state.service_count()

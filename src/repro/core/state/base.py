@@ -131,10 +131,6 @@ class ControlPlaneState:
         """All registered services, sorted by name."""
         return sorted(self._by_address.values(), key=lambda s: s.name)
 
-    def service_count(self) -> int:
-        """Number of registered services."""
-        return len(self._by_address)
-
     # -- client locations (replicated) -------------------------------------
 
     def put_client(self, info: "ClientInfo") -> None:

@@ -17,7 +17,7 @@ from repro.core.schedulers import CloudOnlyScheduler
 from repro.experiments.base import ExperimentResult
 from repro.metrics import summarize
 from repro.net import Host
-from repro.net.addressing import IPAllocator, MACAllocator
+from repro.net.addressing import IPAllocator
 from repro.services.catalog import NGINX
 from repro.sim import Environment
 from repro.testbed import C3Testbed, TestbedConfig
@@ -164,8 +164,7 @@ def run_ablation_layer_cache(repetitions: int = 5) -> ExperimentResult:
 
     def pull_pair(pull_base_first: bool) -> float:
         env = Environment()
-        ips, macs = IPAllocator("10.9.0.0"), MACAllocator()
-        node = Host(env, "node", macs.allocate(), ips.allocate())
+        node = Host(env, "node", IPAllocator("10.9.0.0").allocate())
         registry = Registry(env, "hub", PUBLIC_PROFILE)
         base = ImageSpec.synthesize("base:1", 80 * MIB, 4)
         derived = ImageSpec.synthesize(

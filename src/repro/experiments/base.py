@@ -29,11 +29,6 @@ class ExperimentResult:
             text += f"\n\npaper shape: {self.paper_shape}"
         return text
 
-    def column(self, header: str) -> list[_t.Any]:
-        """All values of one column, by header name."""
-        index = self._header_index(header)
-        return [row[index] for row in self.rows]
-
     def cell(self, row_key: _t.Any, header: str) -> _t.Any:
         """Value addressed by first-column key and header name."""
         index = self._header_index(header)
@@ -53,14 +48,3 @@ class ExperimentResult:
                 f"{self.experiment_id}: no column {header!r}; "
                 f"available: {', '.join(repr(h) for h in self.headers)}"
             ) from None
-
-    def to_csv(self) -> str:
-        """The rows as CSV text (header line included)."""
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(self.headers)
-        writer.writerows(self.rows)
-        return buffer.getvalue()

@@ -159,7 +159,7 @@ def planner_cell() -> dict[str, _t.Any]:
         "migrations": migration_stats(tb.recorder),
         "deferred": site1.manager.planner.deferred,
         "peak_committed_bps": peak,
-        "budget_bps": tb.ledger.capacity(link),
+        "budget_bps": tb.ledger.capacity_bps,
         "oversubscriptions": tb.ledger.oversubscriptions(),
         "finish_order": [o.service_name for o in site1.manager.outcomes],
     }

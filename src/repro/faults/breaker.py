@@ -37,14 +37,6 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
-#: Numeric codes for the recorder time series (plots want numbers).
-_STATE_CODES = {
-    BreakerState.CLOSED: 0,
-    BreakerState.OPEN: 1,
-    BreakerState.HALF_OPEN: 2,
-}
-
-
 class CircuitBreaker:
     """Failure tracker for one cluster (see module docstring)."""
 
@@ -140,8 +132,7 @@ class CircuitBreaker:
         self.transitions.append((self.env.now, old.value, new.value))
         recorder = self.recorder
         if recorder is not None:
-            recorder.mark(f"breaker/{self.name}", self.env.now,
-                          float(_STATE_CODES[new]))
+            recorder.mark(f"breaker/{self.name}", self.env.now)
             recorder.count(f"breaker/{self.name}/{new.value}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

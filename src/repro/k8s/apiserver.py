@@ -314,12 +314,6 @@ class APIServer:
         yield from self._latency()
         return self._stores[kind].get((namespace, name))
 
-    def list(self, kind: str, selector: _t.Mapping[str, str] | None = None):
-        """List the ``default`` namespace's objects, optionally filtered
-        by label selector (generator)."""
-        yield from self._latency()
-        return self.list_nowait(kind, "default", selector)
-
     def list_nowait(
         self,
         kind: str,

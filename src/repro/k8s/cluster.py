@@ -43,10 +43,6 @@ class KubernetesCluster:
         self.extra_schedulers: dict[str, KubeScheduler] = {}
         self.kube_proxy = KubeProxy(env, self.api, self.kubelets)
 
-    @property
-    def profile(self) -> K8sProfile:
-        return self.api.profile
-
     def add_node(self, node_name: str, host: "Host", runtime: Containerd) -> Kubelet:
         """Join a node (host + container runtime) to the cluster."""
         if node_name in self.kubelets:
@@ -81,9 +77,6 @@ class KubernetesCluster:
         )
         self.extra_schedulers[name] = scheduler
         return scheduler
-
-    def node_host(self, node_name: str) -> "Host":
-        return self.kubelets[node_name].node_host
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<KubernetesCluster {self.name!r} nodes={list(self.kubelets)}>"

@@ -13,23 +13,17 @@ from repro.metrics.stats import Summary, summarize
 
 
 class TimeSeries:
-    """(timestamp, value) pairs recorded in simulation order."""
+    """Event timestamps recorded in simulation order."""
 
     def __init__(self) -> None:
         self._times: list[float] = []
-        self._values: list[float] = []
 
-    def append(self, time: float, value: float) -> None:
+    def append(self, time: float) -> None:
         self._times.append(time)
-        self._values.append(value)
 
     @property
     def times(self) -> list[float]:
         return list(self._times)
-
-    @property
-    def values(self) -> list[float]:
-        return list(self._values)
 
     def __len__(self) -> int:
         return len(self._times)
@@ -65,9 +59,9 @@ class MetricsRecorder:
 
     # -- time series --------------------------------------------------------
 
-    def mark(self, name: str, time: float, value: float = 1.0) -> None:
+    def mark(self, name: str, time: float) -> None:
         """Append an event to the time series ``name``."""
-        self._series[name].append(time, value)
+        self._series[name].append(time)
 
     def series(self, name: str) -> TimeSeries:
         return self._series[name]

@@ -12,7 +12,7 @@ starts establishing a TCP connection until the full HTTP response has
 arrived.
 """
 
-from repro.net.addressing import IPv4Address, MACAddress
+from repro.net.addressing import IPv4Address
 from repro.net.packet import (
     DataResponse,
     HTTPRequest,
@@ -35,7 +35,6 @@ __all__ = [
     "Host",
     "IPv4Address",
     "Link",
-    "MACAddress",
     "NetDevice",
     "NetworkInterface",
     "Packet",

@@ -22,8 +22,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class CloudHost(Host):
     """A host demultiplexing listeners by (destination IP, port)."""
 
-    def __init__(self, env, name, mac, ip) -> None:
-        super().__init__(env, name, mac, ip)
+    def __init__(self, env, name, ip) -> None:
+        super().__init__(env, name, ip)
         self._services: dict[tuple[IPv4Address, int], Listener] = {}
 
     def open_service(
@@ -36,10 +36,4 @@ class CloudHost(Host):
         self._services[key] = Listener(port, app)
 
     def _listener_for(self, ip: IPv4Address, port: int) -> Listener | None:
-        listener = self._services.get((ip, port))
-        if listener is not None:
-            return listener
-        # Fall back to ordinary per-port listeners on the cloud's own IP.
-        if ip == self.ip:
-            return super()._listener_for(ip, port)
-        return None
+        return self._services.get((ip, port))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.net.addressing import IPv4Address, MACAddress
+from repro.net.addressing import IPv4Address
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.link import LinkEndpoint
@@ -24,12 +24,10 @@ class NetworkInterface:
     def __init__(
         self,
         device: "NetDevice",
-        mac: MACAddress,
         ip: IPv4Address | None = None,
         name: str = "eth0",
     ) -> None:
         self.device = device
-        self.mac = mac
         self.ip = ip
         self.name = name
         self.endpoint: "LinkEndpoint | None" = None
@@ -50,7 +48,7 @@ class NetworkInterface:
         self.endpoint.transmit(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Interface {self.device.name}:{self.name} {self.ip or self.mac}>"
+        return f"<Interface {self.device.name}:{self.name} {self.ip}>"
 
 
 class NetDevice:
@@ -63,13 +61,10 @@ class NetDevice:
 
     def add_interface(
         self,
-        mac: MACAddress,
         ip: IPv4Address | None = None,
         name: str | None = None,
     ) -> NetworkInterface:
-        iface = NetworkInterface(
-            self, mac, ip, name=name or f"eth{len(self.interfaces)}"
-        )
+        iface = NetworkInterface(self, ip, name=name or f"eth{len(self.interfaces)}")
         self.interfaces.append(iface)
         return iface
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import typing as _t
 
-from repro.net.addressing import IPv4Address, MACAddress
+from repro.net.addressing import IPv4Address
 from repro.net.device import NetDevice, NetworkInterface
 from repro.net.packet import (
     HTTPRequest,
@@ -57,12 +57,6 @@ _RST_BIT = TCPFlags.RST.value
 _SYN_BIT = TCPFlags.SYN.value
 _FIN_BIT = TCPFlags.FIN.value
 _SYN_ACK_BITS = _SYN_ACK.value
-
-# L2 resolution is not modelled (see DESIGN.md §2): every packet is
-# "broadcast" at the Ethernet layer and switches match on L3/L4 only.
-# One shared address object instead of a fresh (validated) dataclass
-# instance per transmitted packet.
-_BROADCAST_MAC = MACAddress(0xFFFFFFFFFFFF)
 
 
 class ConnectionRefused(Exception):
@@ -243,11 +237,10 @@ class Host(NetDevice):
         self,
         env: Environment,
         name: str,
-        mac: MACAddress,
         ip: IPv4Address,
     ) -> None:
         super().__init__(env, name)
-        self.iface = self.add_interface(mac, ip)
+        self.iface = self.add_interface(ip)
         self.ip = ip
         self._listeners: dict[int, Listener] = {}
         self._connections: dict[int, Connection] = {}
@@ -598,8 +591,6 @@ class Host(NetDevice):
     ) -> None:
         self.iface.send(
             Packet(
-                eth_src=self.iface.mac,
-                eth_dst=_BROADCAST_MAC,
                 ip_src=src_ip if src_ip is not None else self.ip,
                 ip_dst=dst_ip,
                 tcp=segment,

@@ -64,13 +64,12 @@ class LinkEndpoint:
     ``tests/test_properties.py`` holds the endpoint to the two-event
     reference (``tests/link_oracle.py``) inside that boundary.
 
-    **Link changes under a packet.**  ``bandwidth_bps`` and
-    ``latency_s`` are sampled when the packet is handed to
-    ``transmit``; a later change applies to later packets.  ``down`` is
-    the parameter that does change with traffic in flight (handover,
-    fault injection) and is read at the arrival instant: a packet is
-    dropped iff the link is down at ``end + latency``, whatever it was
-    at ``transmit``.
+    **Link changes under a packet.**  ``latency_s`` is sampled when the
+    packet is handed to ``transmit``; a later change applies to later
+    packets.  ``down`` is the parameter that does change with traffic in
+    flight (handover, fault injection) and is read at the arrival
+    instant: a packet is dropped iff the link is down at ``end +
+    latency``, whatever it was at ``transmit``.
 
     **Into a switch.**  When the far end is an OpenFlow switch (it
     answered :meth:`~repro.net.device.NetDevice.fused_ingress` when the
@@ -126,7 +125,8 @@ class LinkEndpoint:
         #: it last went from idle to busy.
         self._free_at = self._env._now
         self._period_seq = 0
-        # Hot-parameter mirror, kept in sync by the Link setters.
+        # Hot-parameter mirror (the latency and state kept in sync by the
+        # Link setters; the bandwidth is fixed).
         self._bw = link.bandwidth_bps
         self._lat = link.latency_s
         self._down = link.down
@@ -170,12 +170,13 @@ class LinkEndpoint:
 class Link:
     """A bidirectional point-to-point link between two interfaces.
 
-    ``bandwidth_bps`` / ``latency_s`` / ``down`` are properties whose
-    setters refresh the per-endpoint parameter mirrors the hot transmit
-    path reads.  ``down`` changes are also recorded with their instant
-    (:attr:`down_changes`, :meth:`down_at`): a packet handed to a
-    switch's fused ingress acts after its arrival instant and obeys
-    the state the link had *at* that instant.
+    ``latency_s`` / ``down`` are properties whose setters refresh the
+    per-endpoint parameter mirrors the hot transmit path reads;
+    ``bandwidth_bps`` is fixed at construction.  ``down`` changes are
+    also recorded with their instant (:attr:`down_changes`,
+    :meth:`down_at`): a packet handed to a switch's fused ingress acts
+    after its arrival instant and obeys the state the link had *at*
+    that instant.
     """
 
     def __init__(
@@ -191,7 +192,7 @@ class Link:
         if latency_s < 0:
             raise ValueError(f"latency must be >= 0, got {latency_s}")
         self.env = env
-        self._bandwidth_bps = float(bandwidth_bps)
+        self.bandwidth_bps = float(bandwidth_bps)
         self._latency_s = float(latency_s)
         self._down = False
         #: ``(instant, down)`` per change of the administrative state;
@@ -213,20 +214,8 @@ class Link:
 
     def _sync_endpoints(self) -> None:
         for end in (self.end_a, self.end_b):
-            end._bw = self._bandwidth_bps
             end._lat = self._latency_s
             end._down = self._down
-
-    @property
-    def bandwidth_bps(self) -> float:
-        return self._bandwidth_bps
-
-    @bandwidth_bps.setter
-    def bandwidth_bps(self, value: float) -> None:
-        if value <= 0:
-            raise ValueError(f"bandwidth must be positive, got {value}")
-        self._bandwidth_bps = float(value)
-        self._sync_endpoints()
 
     @property
     def latency_s(self) -> float:
@@ -263,5 +252,5 @@ class Link:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Link {self.end_a.iface.device.name}<->{self.end_b.iface.device.name} "
-            f"{self._bandwidth_bps / 1e9:g}Gbps {self._latency_s * 1e6:g}us>"
+            f"{self.bandwidth_bps / 1e9:g}Gbps {self._latency_s * 1e6:g}us>"
         )

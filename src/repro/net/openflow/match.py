@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.net.addressing import IPv4Address
-from repro.net.packet import Packet
 
 
 @dataclasses.dataclass(frozen=True)
@@ -22,17 +21,6 @@ class FlowMatch:
     ip_dst: IPv4Address | None = None
     tcp_src: int | None = None
     tcp_dst: int | None = None
-
-    def matches(self, packet: Packet) -> bool:
-        if self.ip_src is not None and packet.ip_src != self.ip_src:
-            return False
-        if self.ip_dst is not None and packet.ip_dst != self.ip_dst:
-            return False
-        if self.tcp_src is not None and packet.tcp.src_port != self.tcp_src:
-            return False
-        if self.tcp_dst is not None and packet.tcp.dst_port != self.tcp_dst:
-            return False
-        return True
 
     def __str__(self) -> str:
         parts = []

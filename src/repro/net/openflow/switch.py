@@ -150,10 +150,10 @@ class OpenFlowSwitch(NetDevice):
 
     # -- ports -----------------------------------------------------------
 
-    def add_port(self, mac) -> tuple[int, NetworkInterface]:
+    def add_port(self) -> tuple[int, NetworkInterface]:
         """Create a new switch port; returns (port_no, interface)."""
         port_no = next(self._next_port)
-        iface = self.add_interface(mac, ip=None, name=f"port{port_no}")
+        iface = self.add_interface(name=f"port{port_no}")
         iface.port_no = port_no
         self._ports[port_no] = iface
         return port_no, iface

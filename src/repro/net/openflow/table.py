@@ -203,12 +203,6 @@ class FlowTable:
                     best_head = head
         return best_head[2] if best_head is not None else None
 
-    def remove(self, entry: FlowEntry) -> bool:
-        if entry not in self._entries:
-            return False
-        self._bulk_remove([entry])
-        return True
-
     def clear(self) -> None:
         """Drop every entry at once (switch power-cycle).
 

@@ -1,9 +1,11 @@
 """Packet and payload types.
 
-A :class:`Packet` carries Ethernet/IPv4/TCP headers plus an optional
-application payload.  Data volume is modelled, not byte content: every
-packet has a ``wire_size`` used by links to compute serialization
-delay, and HTTP payloads declare their size in bytes.
+A :class:`Packet` carries IPv4/TCP headers plus an optional
+application payload.  L2 is not modelled (switches match on L3/L4
+only); its framing counts in :data:`HEADER_BYTES` alone.  Data volume
+is modelled, not byte content: every packet has a ``wire_size`` used
+by links to compute serialization delay, and HTTP payloads declare
+their size in bytes.
 
 Large transfers are modelled as a single "burst" segment whose size is
 the full byte count — the bottleneck-link serialization time then
@@ -27,9 +29,10 @@ import enum
 import itertools
 import typing as _t
 
-from repro.net.addressing import IPv4Address, MACAddress
+from repro.net.addressing import IPv4Address
 
-#: Ethernet + IPv4 + TCP header overhead per packet, in bytes.
+#: Header overhead per packet on the wire, in bytes: Ethernet framing
+#: (counted, not modelled) + IPv4 + TCP.
 HEADER_BYTES = 66
 
 
@@ -126,18 +129,6 @@ class TCPSegment:
         #: the endpoints demultiplex without modelling sequence numbers.
         self.conn_id = conn_id
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TCPSegment):
-            return NotImplemented
-        return (
-            self.src_port == other.src_port
-            and self.dst_port == other.dst_port
-            and self.flags == other.flags
-            and self.payload_bytes == other.payload_bytes
-            and self.payload == other.payload
-            and self.conn_id == other.conn_id
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"TCPSegment({self.src_port}, {self.dst_port}, {self.flags!r}, "
@@ -149,7 +140,7 @@ _packet_ids = itertools.count(1)
 
 
 class Packet:
-    """A simulated Ethernet/IPv4/TCP packet.
+    """A simulated IPv4/TCP packet.
 
     Mutable on purpose: OpenFlow *set-field* actions rewrite header
     fields in place as the packet traverses a switch, exactly like the
@@ -157,8 +148,6 @@ class Packet:
     """
 
     __slots__ = (
-        "eth_src",
-        "eth_dst",
         "ip_src",
         "ip_dst",
         "tcp",
@@ -168,15 +157,11 @@ class Packet:
 
     def __init__(
         self,
-        eth_src: MACAddress,
-        eth_dst: MACAddress,
         ip_src: IPv4Address,
         ip_dst: IPv4Address,
         tcp: TCPSegment,
         packet_id: int | None = None,
     ) -> None:
-        self.eth_src = eth_src
-        self.eth_dst = eth_dst
         self.ip_src = ip_src
         self.ip_dst = ip_dst
         self.tcp = tcp

@@ -129,7 +129,7 @@ class OpsApp:
 
     def _get_services(self, params: dict[str, str]) -> HTTPResponse:
         return self._envelope(
-            services=[v.as_dict() for v in self.readmodel.services()]
+            services=[dataclasses.asdict(v) for v in self.readmodel.services()]
         )
 
     def _get_instances(self, params: dict[str, str]) -> HTTPResponse:
@@ -137,18 +137,18 @@ class OpsApp:
         service = params.get("service")
         if service is not None:
             views = tuple(v for v in views if v.service_name == service)
-        return self._envelope(instances=[v.as_dict() for v in views])
+        return self._envelope(instances=[dataclasses.asdict(v) for v in views])
 
     def _get_flows(self, params: dict[str, str]) -> HTTPResponse:
         views = self.readmodel.flows()
         service = params.get("service")
         if service is not None:
             views = tuple(v for v in views if v.service_name == service)
-        return self._envelope(flows=[v.as_dict() for v in views])
+        return self._envelope(flows=[dataclasses.asdict(v) for v in views])
 
     def _get_breakers(self, params: dict[str, str]) -> HTTPResponse:
         return self._envelope(
-            breakers=[v.as_dict() for v in self.readmodel.breakers()]
+            breakers=[dataclasses.asdict(v) for v in self.readmodel.breakers()]
         )
 
     def _get_migrations(self, params: dict[str, str]) -> HTTPResponse:
@@ -157,8 +157,8 @@ class OpsApp:
 
     def _get_clusters(self, params: dict[str, str]) -> HTTPResponse:
         return self._envelope(
-            clusters=[v.as_dict() for v in self.readmodel.clusters()],
-            switches=[v.as_dict() for v in self.readmodel.switches()],
+            clusters=[dataclasses.asdict(v) for v in self.readmodel.clusters()],
+            switches=[dataclasses.asdict(v) for v in self.readmodel.switches()],
         )
 
     def _get_metrics(self, params: dict[str, str]) -> HTTPResponse:
@@ -169,7 +169,7 @@ class OpsApp:
         return self._envelope(
             links=[dataclasses.asdict(r) for r in links],
             service_rates=[
-                v.as_dict() for v in self.readmodel.service_rates()
+                dataclasses.asdict(v) for v in self.readmodel.service_rates()
             ],
         )
 

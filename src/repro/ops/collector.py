@@ -211,10 +211,6 @@ class FlowStatsCollector:
 
     # -- read-model accessors ----------------------------------------------
 
-    def link_views(self) -> tuple[LinkStatsRecord, ...]:
-        """This site's latest local link observations."""
-        return self._link_views
-
     def service_rate_views(self) -> tuple[ServiceRateView, ...]:
         """This site's latest per-service rate observations."""
         return self._rate_views

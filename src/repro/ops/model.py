@@ -18,9 +18,10 @@ or gather counters that have no source record.  A migration row and a
 link row have no view — their source already is a flat record of
 JSON-safe scalars: a copy of the
 :class:`~repro.core.migration.MigrationOutcome` and the frozen
-:class:`~repro.core.state.LinkStatsRecord` itself, rendered with
-:func:`dataclasses.asdict` (``tests/test_ops_api.py`` pins both key
-sets: their fields are the wire format).
+:class:`~repro.core.state.LinkStatsRecord` itself.  Every row is
+rendered with :func:`dataclasses.asdict`, so a row's fields are its
+wire format (``tests/test_ops_api.py`` pins the migration and link
+key sets).
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ class ServiceView:
     port: int
     template_key: str | None
 
-    def as_dict(self) -> dict[str, _t.Any]:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class InstanceView:
@@ -74,9 +72,6 @@ class InstanceView:
     endpoint_port: int | None
     distance: int
     observed_at: float
-
-    def as_dict(self) -> dict[str, _t.Any]:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,9 +87,6 @@ class FlowView:
     last_used: float
     degraded: bool
     degraded_from: str | None
-
-    def as_dict(self) -> dict[str, _t.Any]:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,11 +107,6 @@ class BreakerView:
     probes: int
     transitions: tuple[tuple[float, str, str], ...]
 
-    def as_dict(self) -> dict[str, _t.Any]:
-        data = dataclasses.asdict(self)
-        data["transitions"] = [list(t) for t in self.transitions]
-        return data
-
 
 @dataclasses.dataclass(frozen=True)
 class ClusterView:
@@ -129,9 +116,6 @@ class ClusterView:
     distance: int
     capacity: int | None
     running_count: int
-
-    def as_dict(self) -> dict[str, _t.Any]:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,9 +133,6 @@ class SwitchView:
     drop: int
     punt: int
 
-    def as_dict(self) -> dict[str, _t.Any]:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class ServiceRateView:
@@ -164,9 +145,6 @@ class ServiceRateView:
     observed_at: float
     window_s: float
     packets_per_s: float
-
-    def as_dict(self) -> dict[str, _t.Any]:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,20 +164,3 @@ class OpsSnapshot:
     links: tuple[LinkStatsRecord, ...]
     service_rates: tuple[ServiceRateView, ...]
     controller_stats: dict[str, int]
-
-    def as_dict(self) -> dict[str, _t.Any]:
-        return {
-            "schema_version": self.schema_version,
-            "site": self.site,
-            "now": self.now,
-            "services": [v.as_dict() for v in self.services],
-            "instances": [v.as_dict() for v in self.instances],
-            "flows": [v.as_dict() for v in self.flows],
-            "breakers": [v.as_dict() for v in self.breakers],
-            "migrations": [dataclasses.asdict(o) for o in self.migrations],
-            "clusters": [v.as_dict() for v in self.clusters],
-            "switches": [v.as_dict() for v in self.switches],
-            "links": [dataclasses.asdict(r) for r in self.links],
-            "service_rates": [v.as_dict() for v in self.service_rates],
-            "controller_stats": dict(self.controller_stats),
-        }

@@ -211,14 +211,8 @@ class OpsReadModel:
     def link_stats(self) -> "tuple[LinkStatsRecord, ...]":
         """Federation-wide link rows: the replicated state's view (this
         site's publishes apply locally first, so it always includes our
-        own), falling back to the collector's local observations when
-        nothing was published through the state layer."""
-        records = self.controller.state.link_stats()
-        if records:
-            return tuple(records)
-        if self.collector is not None:
-            return self.collector.link_views()
-        return ()
+        own; the collector publishes every row it observes there)."""
+        return tuple(self.controller.state.link_stats())
 
     def service_rates(self) -> tuple[ServiceRateView, ...]:
         if self.collector is None:

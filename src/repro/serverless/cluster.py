@@ -85,9 +85,7 @@ class ServerlessCluster(EdgeCluster):
         self._registered.discard(plan.service_name)
 
     def delete_images(self, plan: DeploymentPlan):
-        module = self._module_for(plan)
-        freed = module.size_bytes if self.runtime.has_module(module.name) else 0
-        self.runtime.drop_module(module.name)
+        freed = self.runtime.drop_module(self._module_for(plan).name)
         yield self.env.timeout(0.0)
         return freed
 

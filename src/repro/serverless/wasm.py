@@ -142,9 +142,14 @@ class WasmRuntime:
             self._compiled.add(module.name)
             self.stats["compiles"] += 1
 
-    def drop_module(self, name: str) -> None:
-        self._modules.pop(name, None)
+    def drop_module(self, name: str) -> int:
+        """Drop a module no instance runs; returns bytes freed (0 while
+        an instance of it runs: the module stays)."""
+        if self.instances_of(name):
+            return 0
         self._compiled.discard(name)
+        module = self._modules.pop(name, None)
+        return module.size_bytes if module is not None else 0
 
     # -- instance lifecycle ----------------------------------------------------
 

@@ -74,11 +74,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """Whether the event carries a value (``True``) or an error."""
-        return self._ok
-
-    @property
     def value(self) -> _t.Any:
         """The attached value or exception; raises if still pending."""
         if self._value is PENDING:

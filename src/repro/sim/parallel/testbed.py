@@ -21,9 +21,9 @@ loop.  Only the two seams are wired differently:
 
 What the monolith has once per federation, a partition has for itself:
 catalog and registries (pull traffic is site-local; the profiles make
-it deterministic), MAC allocator, recorder, bandwidth ledger, and a
-conntrack over its own clients.  Addresses are computed, not
-allocated, so no object crosses the fork boundary.
+it deterministic), recorder, bandwidth ledger, and a conntrack over its
+own clients.  Addresses are computed, not allocated, so no object
+crosses the fork boundary.
 
 Build-in-worker: partitions are constructed *inside* the forked worker
 from a picklable :class:`TestbedReplay` (config + service schedule +
@@ -59,7 +59,7 @@ import repro.net.host as _host_mod
 from repro.core import LowLatencyScheduler
 from repro.core.federation import ReplicaLink, SiteReplica
 from repro.metrics import MetricsRecorder
-from repro.net.addressing import IPv4Address, MACAllocator
+from repro.net.addressing import IPv4Address
 from repro.net.device import NetworkInterface
 from repro.net.link import LinkEndpoint
 from repro.net.packet import Packet
@@ -360,7 +360,6 @@ class SitePartitionModel:
             wire_trunk=_cut_trunk(partition, _data(self.name, BACKBONE), config),
             replica=replica,
             catalog=Catalog(env, registry=config.registry),
-            macs=MACAllocator(),
             egs_ip=egs_ip(self.site),
             client_ips=[
                 client_ip(self.site, j) for j in range(config.clients_per_site)
@@ -454,7 +453,7 @@ class BackbonePartitionModel:
         env = partition.env
         config = self.replay.config
         _rebase_conn_ids(partition.spec.index)
-        backbone = self.backbone = Backbone(env, config, MACAllocator())
+        backbone = self.backbone = Backbone(env, config)
         for site in range(config.n_sites):
             name = f"site{site}"
             iface = backbone.add_trunk_port(name)

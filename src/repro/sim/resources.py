@@ -126,9 +126,6 @@ class Store:
         self.items: list[_t.Any] = []
         self._gets: list[StoreGet] = []
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def put(self, item: _t.Any) -> None:
         """Hand ``item`` to the oldest blocked getter, or queue it."""
         if self._gets:

@@ -98,19 +98,12 @@ class C3Testbed(BaseTestbed):
         )
 
         # -- hosts ---------------------------------------------------------
-        self.egs = Host(
-            self.env, "egs", self._macs.allocate(), self._ips.allocate()
-        )
+        self.egs = Host(self.env, "egs", self._ips.allocate())
         self.clients: list[Host] = [
-            Host(
-                self.env,
-                f"rpi{i:02d}",
-                self._macs.allocate(),
-                self._ips.allocate(),
-            )
+            Host(self.env, f"rpi{i:02d}", self._ips.allocate())
             for i in range(self.config.n_clients)
         ]
-        self.cloud = CloudHost(self.env, "cloud", self._macs.allocate(), CLOUD_IP)
+        self.cloud = CloudHost(self.env, "cloud", CLOUD_IP)
 
         # -- switch + links --------------------------------------------------
         self.switch = OpenFlowSwitch(self.env, "ovs", datapath_id=1)
@@ -242,7 +235,7 @@ class C3Testbed(BaseTestbed):
         latency_s: float,
         register: bool = True,
     ) -> int:
-        port_no, iface = self.switch.add_port(self._macs.allocate())
+        port_no, iface = self.switch.add_port()
         Link(self.env, host.iface, iface, bandwidth_bps, latency_s)
         if register:
             self.topology.register_host(self.switch.datapath_id, host.ip, port_no)
@@ -260,9 +253,7 @@ class C3Testbed(BaseTestbed):
         but on the route to the cloud) edge cluster is much more likely
         to have the requested service cached or even running already."
         """
-        host = Host(
-            self.env, name, self._macs.allocate(), self._ips.allocate()
-        )
+        host = Host(self.env, name, self._ips.allocate())
         self._attach_host(host, FAR_EDGE_LINK_BANDWIDTH_BPS, latency_s)
         runtime = Containerd(self.env, host)
         engine = DockerEngine(self.env, runtime)
@@ -292,8 +283,8 @@ class C3Testbed(BaseTestbed):
         """
         dpid = max(self.switches) + 1
         gnb = OpenFlowSwitch(self.env, name, datapath_id=dpid)
-        main_port, main_iface = self.switch.add_port(self._macs.allocate())
-        gnb_port, gnb_iface = gnb.add_port(self._macs.allocate())
+        main_port, main_iface = self.switch.add_port()
+        gnb_port, gnb_iface = gnb.add_port()
         Link(
             self.env,
             main_iface,
@@ -316,12 +307,7 @@ class C3Testbed(BaseTestbed):
     def new_client(self, gnb: OpenFlowSwitch | None = None) -> Host:
         """Create an extra client attached to ``gnb`` (default: main)."""
         switch = gnb or self.switch
-        client = Host(
-            self.env,
-            f"rpi{len(self.clients):02d}",
-            self._macs.allocate(),
-            self._ips.allocate(),
-        )
+        client = Host(self.env, f"rpi{len(self.clients):02d}", self._ips.allocate())
         self.clients.append(client)
         self._wire_client(client, switch)
         self.controller.install_host_routes(client.ip)
@@ -329,7 +315,7 @@ class C3Testbed(BaseTestbed):
         return client
 
     def _wire_client(self, client: Host, switch: OpenFlowSwitch) -> int:
-        port_no, iface = switch.add_port(self._macs.allocate())
+        port_no, iface = switch.add_port()
         Link(
             self.env,
             client.iface,

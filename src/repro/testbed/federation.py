@@ -4,24 +4,21 @@
 :class:`~repro.testbed.site.Backbone` (see :mod:`repro.testbed.site`
 for the topology), wired with whole trunk links and replicas connected
 straight to the hub.  What exists once per federation here — catalog
-and registries, MAC and IP pools, recorder, bandwidth ledger, conntrack
+and registries, IP pools, recorder, bandwidth ledger, conntrack
 — is shared by every site.
 """
 
 from __future__ import annotations
 
 import typing as _t
-from functools import partial
 
 from repro.cluster import EdgeCluster
 from repro.core import GlobalScheduler, LowLatencyScheduler
 from repro.core.federation import SiteController
-from repro.core.migration import MigrationOutcome
 from repro.core.service_registry import EdgeService
 from repro.net import Host, Link
 from repro.net.openflow import OpenFlowSwitch
 from repro.services import DEFAULT_CALIBRATION, ServiceTemplate
-from repro.services.catalog import template_by_key
 from repro.testbed.site import (
     BACKBONE,
     SHARED_STATE,
@@ -46,7 +43,7 @@ class FederatedTestbed(BaseTestbed):
         self.config = config or FederationConfig()
         super().__init__(DEFAULT_CALIBRATION, self.config.registry)
 
-        self.backbone = Backbone(self.env, self.config, self._macs)
+        self.backbone = Backbone(self.env, self.config)
         self.cloud = self.backbone.cloud
         self.sites = [
             self._build_site(index, LowLatencyScheduler())
@@ -83,12 +80,7 @@ class FederatedTestbed(BaseTestbed):
         peers = {site.name: site.egs.ip for site in self.sites}
         conntrack = conntrack_over(self.clients)
         for site in self.sites:
-            site.start_ops(
-                peers,
-                self.ledger,
-                conntrack,
-                register=partial(self._register_template_key, site),
-            )
+            site.start_ops(peers, self.ledger, conntrack)
         self.settle(0.1)
 
     def _build_site(self, index: int, scheduler: GlobalScheduler) -> Site:
@@ -108,7 +100,6 @@ class FederatedTestbed(BaseTestbed):
             ),
             replica=self.backbone.hub.connect(name),
             catalog=self,
-            macs=self._macs,
             egs_ip=self._ips.allocate(),
             client_ips=[
                 self._ips.allocate() for _ in range(config.clients_per_site)
@@ -122,12 +113,6 @@ class FederatedTestbed(BaseTestbed):
     @property
     def controllers(self) -> list[SiteController]:
         return [site.controller for site in self.sites]
-
-    @property
-    def controller(self) -> SiteController:
-        """The first site's controller (single-controller interface for
-        tools that expect one, e.g. parts of the fault injector)."""
-        return self.sites[0].controller
 
     def settle_replication(self) -> None:
         """Advance past one full site -> hub -> peers propagation."""
@@ -156,11 +141,6 @@ class FederatedTestbed(BaseTestbed):
         else:
             self.settle(0.005)
         return service
-
-    def _register_template_key(self, site: Site, key: str) -> EdgeService:
-        """``POST /services`` hook of ``site``'s ops API; remote sites
-        see the registration once replication lands."""
-        return self._register_catalog(site.controller, template_by_key(key))
 
     # -- client mobility ---------------------------------------------------
 
@@ -195,20 +175,3 @@ class FederatedTestbed(BaseTestbed):
         )
         self.backbone.app.install_host_routes(client.ip)
         self.settle(0.05)
-
-    # -- live migration ----------------------------------------------------
-
-    def migrate(
-        self,
-        service: EdgeService,
-        from_site: Site,
-        to_site: Site,
-        mode: str | None = None,
-    ) -> MigrationOutcome:
-        """Drive one migration to completion from outside the
-        simulation and return its outcome."""
-        done = to_site.manager.request_migration(
-            service.name, from_site.name, mode=mode
-        )
-        outcome: MigrationOutcome = self.env.run(until=done)
-        return outcome

@@ -32,7 +32,7 @@ a value handed to :class:`Site`:
 
 A wiring also hands in what it owns one of — per federation in one
 loop, per partition when sharded: the image catalog with its
-registries, the MAC allocator and the addresses, the recorder, the
+registries, the addresses, the recorder, the
 bandwidth ledger and the conntrack lookup.
 
 The backbone runs the controller's plain
@@ -63,7 +63,7 @@ from repro.core.migration import BandwidthLedger, MigrationManager
 from repro.core.service_registry import EdgeService
 from repro.metrics import MetricsRecorder
 from repro.net import Host, Link
-from repro.net.addressing import IPAllocator, IPv4Address, MACAllocator
+from repro.net.addressing import IPAllocator, IPv4Address
 from repro.net.cloud import CloudHost
 from repro.net.device import NetworkInterface
 from repro.net.link import GBPS, LinkEndpoint
@@ -192,7 +192,6 @@ class BaseTestbed(Catalog):
         super().__init__(self.env, calibration, registry, scheduler_name)
         self.recorder = MetricsRecorder()
         self._ips = IPAllocator("10.0.0.0")
-        self._macs = MACAllocator()
         self._service_ips = IPAllocator("203.0.113.0")
 
     def settle(self, duration_s: float = 0.01) -> None:
@@ -266,9 +265,7 @@ def migration_ledger(env: Environment, config: FederationConfig) -> BandwidthLed
     """A ledger holding the migration planner's share of every trunk."""
     return BandwidthLedger(
         env,
-        default_capacity_bps=int(
-            config.trunk_bandwidth_bps * MIGRATION_BUDGET_FRACTION
-        ),
+        capacity_bps=int(config.trunk_bandwidth_bps * MIGRATION_BUDGET_FRACTION),
     )
 
 
@@ -324,7 +321,6 @@ class Site:
         wire_trunk: TrunkWiring,
         replica: SiteReplica,
         catalog: Catalog,
-        macs: MACAllocator,
         egs_ip: IPv4Address,
         client_ips: _t.Iterable[IPv4Address],
         scheduler: GlobalScheduler,
@@ -334,14 +330,13 @@ class Site:
         self.config = config
         self.name = name = f"site{index}"
         self.recorder = recorder
-        self._macs = macs
         dpid = index + 2  # backbone owns dpid 1
         self.switch = OpenFlowSwitch(env, f"gnb-{name}", datapath_id=dpid)
         self.switches = {dpid: self.switch}
         self.topology = SwitchTopology()
 
         #: Port (and its interface) on the site switch toward the backbone.
-        self.trunk_port, self.trunk_iface = self.switch.add_port(macs.allocate())
+        self.trunk_port, self.trunk_iface = self.switch.add_port()
         self.trunk_link = wire_trunk(self.trunk_iface)
         self.topology.set_cloud_port(dpid, self.trunk_port)
 
@@ -349,7 +344,7 @@ class Site:
         self.public_registry = catalog.public_registry
         self.private_registry = catalog.private_registry
         self.active_registry = catalog.active_registry
-        self.egs = Host(env, f"{name}-egs", macs.allocate(), egs_ip)
+        self.egs = Host(env, f"{name}-egs", egs_ip)
         self._wire_host(self.egs, EGS_LINK_BANDWIDTH_BPS, EGS_LINK_LATENCY_S)
         engine = DockerEngine(env, Containerd(env, self.egs))
         self.cluster = DockerCluster(
@@ -359,7 +354,7 @@ class Site:
 
         self.clients: list[Host] = []
         for j, ip in enumerate(client_ips):
-            self.add_client(Host(env, f"{name}-rpi{j:02d}", macs.allocate(), ip))
+            self.add_client(Host(env, f"{name}-rpi{j:02d}", ip))
 
         self.replica = replica
         self.registry = ServiceRegistry(catalog.annotator, state=replica)
@@ -380,7 +375,7 @@ class Site:
     # -- wiring ------------------------------------------------------------
 
     def _wire_host(self, host: Host, bandwidth_bps: float, latency_s: float) -> int:
-        port_no, iface = self.switch.add_port(self._macs.allocate())
+        port_no, iface = self.switch.add_port()
         Link(self.env, host.iface, iface, bandwidth_bps, latency_s)
         self.topology.register_host(self.switch.datapath_id, host.ip, port_no)
         return port_no
@@ -418,7 +413,6 @@ class Site:
         peers: _t.Mapping[str, IPv4Address],
         ledger: BandwidthLedger,
         conntrack: Conntrack,
-        register: _t.Callable[[str], EdgeService] | None = None,
     ) -> None:
         """Add live migration and the operational surface.
 
@@ -427,8 +421,7 @@ class Site:
         sites in one loop share one ledger, so concurrent inbound
         migrations cannot jointly oversubscribe a source trunk, and one
         federation-wide conntrack, because a client that moved must
-        still be found by its origin site.  ``register`` is the ops
-        API's ``POST /services`` hook.
+        still be found by its origin site.
         """
         config = self.config
         self.controller.conntrack = conntrack
@@ -462,7 +455,7 @@ class Site:
             manager=self.manager,
             collector=self.collector,
         )
-        self.ops_app = OpsApp(self.ops, register=register)
+        self.ops_app = OpsApp(self.ops)
         self.egs.open_port(OPS_PORT, self.ops_app)
 
 
@@ -470,15 +463,12 @@ class Backbone:
     """The backbone island: switch, forwarding app, the cloud
     host behind its uplink, and the shared-state hub."""
 
-    def __init__(
-        self, env: Environment, config: FederationConfig, macs: MACAllocator
-    ) -> None:
-        self._macs = macs
+    def __init__(self, env: Environment, config: FederationConfig) -> None:
         self.switch = OpenFlowSwitch(env, BACKBONE, datapath_id=1)
         self.topology = SwitchTopology()
         self.app = ForwardingApp(env, self.topology, name=BACKBONE)
-        self.cloud = CloudHost(env, "cloud", macs.allocate(), CLOUD_IP)
-        cloud_port, cloud_iface = self.switch.add_port(macs.allocate())
+        self.cloud = CloudHost(env, "cloud", CLOUD_IP)
+        cloud_port, cloud_iface = self.switch.add_port()
         Link(
             env,
             self.cloud.iface,
@@ -495,7 +485,7 @@ class Backbone:
 
     def add_trunk_port(self, site: str) -> NetworkInterface:
         """A new port toward ``site``; the caller puts the trunk on it."""
-        self.site_ports[site], iface = self.switch.add_port(self._macs.allocate())
+        self.site_ports[site], iface = self.switch.add_port()
         return iface
 
     def route_hosts(self, site: str, ips: _t.Iterable[IPv4Address]) -> None:

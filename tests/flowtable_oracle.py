@@ -4,14 +4,37 @@
 one loop over inlined timeout arithmetic that both removes what idled
 out and finds the earliest deadline among the survivors.  These are the
 two passes it replaced, written per entry (``expired`` here,
-``FlowEntry.next_deadline``) over the table's public ``remove``: what
-expired, in table order, and when the next entry *could* expire.
-``touch`` is a matched packet as the switch's pipeline accounts for it.
+``FlowEntry.next_deadline``) over ``remove``: what expired, in table
+order, and when the next entry *could* expire.  ``touch`` is a matched
+packet as the switch's pipeline accounts for it, and ``matches`` the
+field-by-field semantics the table's indexed lookup implements.
 """
 
 from __future__ import annotations
 
-from repro.net.openflow import FlowEntry, FlowTable
+from repro.net.openflow import FlowEntry, FlowMatch, FlowTable
+from repro.net.packet import Packet
+
+
+def matches(match: FlowMatch, packet: Packet) -> bool:
+    """Whether every non-wildcard field of ``match`` equals the packet's."""
+    if match.ip_src is not None and packet.ip_src != match.ip_src:
+        return False
+    if match.ip_dst is not None and packet.ip_dst != match.ip_dst:
+        return False
+    if match.tcp_src is not None and packet.tcp.src_port != match.tcp_src:
+        return False
+    if match.tcp_dst is not None and packet.tcp.dst_port != match.tcp_dst:
+        return False
+    return True
+
+
+def remove(table: FlowTable, entry: FlowEntry) -> bool:
+    """Drop one installed entry; False if it is not in the table."""
+    if entry not in table:
+        return False
+    table._bulk_remove([entry])
+    return True
 
 
 def touch(entry: FlowEntry, now: float) -> None:
@@ -28,7 +51,7 @@ def sweep_expired(table: FlowTable, now: float) -> list[FlowEntry]:
     """Remove and return all expired entries."""
     gone = [entry for entry in table if expired(entry, now)]
     for entry in gone:
-        table.remove(entry)
+        remove(table, entry)
     return gone
 
 

@@ -9,7 +9,7 @@ import typing as _t
 from unittest import mock
 
 from repro.net import Host, HTTPRequest, HTTPResponse, Link
-from repro.net.addressing import IPAllocator, MACAllocator
+from repro.net.addressing import IPAllocator
 from repro.net.device import NetDevice
 from repro.net.link import GBPS
 from repro.net.openflow import OpenFlowSwitch
@@ -53,11 +53,10 @@ class MiniNet:
     def __init__(self, env: Environment) -> None:
         self.env = env
         self.ips = IPAllocator("10.0.0.0")
-        self.macs = MACAllocator()
         self.hosts: dict[str, Host] = {}
 
     def host(self, name: str) -> Host:
-        h = Host(self.env, name, mac=self.macs.allocate(), ip=self.ips.allocate())
+        h = Host(self.env, name, ip=self.ips.allocate())
         self.hosts[name] = h
         return h
 
@@ -82,7 +81,7 @@ class MiniNet:
         latency_s: float = 100e-6,
     ) -> int:
         """Attach a host to a switch; returns the switch port number."""
-        port_no, iface = switch.add_port(self.macs.allocate())
+        port_no, iface = switch.add_port()
         Link(self.env, host.iface, iface, bandwidth_bps, latency_s)
         return port_no
 

@@ -59,6 +59,22 @@ class _Contract:
             tb.settle(self.port_close_lag_s)
         assert not cluster.ingress_host.port_is_open(endpoint.port)
 
+    def test_delete_images_via_adapter(self):
+        """fig. 4's Delete phase frees a pulled image, and keeps one a
+        running instance uses (as ``docker rmi`` and kubelet image GC
+        refuse to remove it)."""
+        for in_use in (False, True):
+            tb, cluster, svc = self._testbed()
+            if in_use:
+                tb.prepare_created(cluster, svc)
+                tb.run_request(tb.clients[0], svc, NGINX.request)
+            else:
+                tb.prepare_pulled(cluster, svc)
+            freed = tb.env.run_process(cluster.delete_images(svc.plan))
+            assert (freed > 0) is not in_use, in_use
+            assert cluster.image_cached(svc.plan) is in_use, in_use
+            assert (svc.name in cluster.running_services()) is in_use
+
 
 class TestDockerAdapter(_Contract):
     def _testbed(self):
@@ -81,19 +97,6 @@ class TestDockerAdapter(_Contract):
         proc = tb.env.process(go(tb.env))
         with pytest.raises(DeployError, match="not pulled"):
             tb.env.run(until=proc)
-
-    def test_delete_images_via_adapter(self):
-        tb, cluster, svc = self._testbed()
-        tb.prepare_pulled(cluster, svc)
-
-        def go(env):
-            freed = yield from cluster.delete_images(svc.plan)
-            return freed
-
-        proc = tb.env.process(go(tb.env))
-        freed = tb.env.run(until=proc)
-        assert freed > 0
-        assert not cluster.image_cached(svc.plan)
 
     def test_engine_lists_by_state(self):
         tb, cluster, svc = self._testbed()

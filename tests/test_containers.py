@@ -436,7 +436,8 @@ class TestDockerEngine:
 
         def go(env):
             yield from docker.pull(image, reg)
-            container = yield from docker.run(spec)
+            container = yield from docker.create_container(spec)
+            yield from docker.start_container(container)
             yield container.ready
             running = docker.containers({"edge.service": "svc"})
             yield from docker.stop_container(container)

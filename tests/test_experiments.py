@@ -36,7 +36,7 @@ class TestExperimentResult:
         )
         text = result.render()
         assert "X: t" in text and "shape" in text
-        assert result.column("v") == [1, 2]
+        assert result.cell("a", "v") == 1
         assert result.cell("b", "v") == 2
 
     def test_missing_row_error_names_experiment_and_keys(self):
@@ -60,26 +60,12 @@ class TestExperimentResult:
             headers=["k", "v"],
             rows=[["a", 1]],
         )
-        for call in (lambda: result.column("nope"), lambda: result.cell("a", "nope")):
-            with pytest.raises(KeyError) as excinfo:
-                call()
-            message = str(excinfo.value)
-            assert "Fig. 11" in message
-            assert "'nope'" in message
-            assert "'k'" in message and "'v'" in message
-
-    def test_to_csv(self):
-        result = ExperimentResult(
-            experiment_id="X",
-            title="t",
-            headers=["k", "v"],
-            rows=[["a", 1], ["b, c", 2]],
-        )
-        csv_text = result.to_csv()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "k,v"
-        assert lines[1] == "a,1"
-        assert lines[2] == '"b, c",2'  # quoting handled
+        with pytest.raises(KeyError) as excinfo:
+            result.cell("a", "nope")
+        message = str(excinfo.value)
+        assert "Fig. 11" in message
+        assert "'nope'" in message
+        assert "'k'" in message and "'v'" in message
 
     def test_registry_complete(self):
         expected = {
@@ -193,7 +179,8 @@ class TestResilience:
             failure_rates=(0.95,), n_clients=3, n_rounds=6
         )
         # Graceful degradation: no client-visible errors either way.
-        assert set(result.column("Availability (%)")) == {"100.0"}
+        availability = result.headers.index("Availability (%)")
+        assert {row[availability] for row in result.rows} == {"100.0"}
         by_mode = {row[1]: row for row in result.rows}
         # The breaker stops the doomed re-deployments...
         failed = result.headers.index("Failed deploys")

@@ -612,7 +612,7 @@ class TestInjector:
         Injector(tb, FaultPlan().api_stall(0.5, "k8s", 2.0)).arm()
         tb.settle(1.0)  # mid-stall: 1.5s of it remains
         t0 = tb.env.now
-        proc = tb.env.process(tb.kubernetes.api.list("Pod"))
+        proc = tb.env.process(tb.kubernetes.api.try_get("Pod", "any"))
         tb.env.run(until=proc)
         elapsed = tb.env.now - t0
         assert elapsed >= 1.5

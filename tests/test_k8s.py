@@ -139,9 +139,8 @@ class TestAPIServer:
         def go(env):
             yield from api.create(_deployment("a", _image("a:1"), labels={"tier": "web"}))
             yield from api.create(_deployment("b", _image("b:1"), labels={"tier": "db"}))
-            web = yield from api.list("Deployment", selector={"tier": "web"})
-            all_ = yield from api.list("Deployment")
-            return len(web), len(all_)
+            web = api.list_nowait("Deployment", selector={"tier": "web"})
+            return len(web), len(api.list_nowait("Deployment"))
 
         proc = env.process(go(env))
         assert env.run(until=proc) == (1, 2)

@@ -90,9 +90,8 @@ class TestFreezeGate:
 
 class TestBandwidthLedger:
     def test_reserve_is_all_or_nothing(self):
-        ledger = BandwidthLedger(Environment(), default_capacity_bps=100)
-        ledger.set_capacity("a", 100)
-        ledger.set_capacity("b", 50)
+        ledger = BandwidthLedger(Environment(), capacity_bps=100)
+        assert ledger.reserve(("b",), 50)
         assert not ledger.reserve(("a", "b"), 60)  # b can't take it
         assert ledger.committed("a") == 0  # a was not partially charged
         assert ledger.reserve(("a", "b"), 50)
@@ -100,7 +99,7 @@ class TestBandwidthLedger:
 
     def test_release_frees_and_traces(self):
         env = Environment()
-        ledger = BandwidthLedger(env, default_capacity_bps=100)
+        ledger = BandwidthLedger(env, capacity_bps=100)
         ledger.reserve(("x",), 70)
         ledger.release(("x",), 70)
         assert ledger.committed("x") == 0
@@ -108,7 +107,7 @@ class TestBandwidthLedger:
         assert ledger.oversubscriptions() == []
 
     def test_oversubscription_is_visible_in_trace(self):
-        ledger = BandwidthLedger(Environment(), default_capacity_bps=100)
+        ledger = BandwidthLedger(Environment(), capacity_bps=100)
         ledger.reserve(("x",), 80)
         ledger.reserve(("x",), 80)  # caller ignored the False return
         assert ledger.committed("x") == 80  # second reserve refused
@@ -177,7 +176,9 @@ class TestMigrationEndToEnd:
     def test_precopy_migration_completes_and_moves_the_instance(self):
         tb, svc = _deployed_testbed()
         site0, site1 = tb.sites
-        outcome = tb.migrate(svc, site0, site1, mode="precopy")
+        outcome = tb.env.run(
+            until=site1.manager.request_migration(svc.name, site0.name, mode="precopy")
+        )
         assert outcome.completed and outcome.failed_phase is None
         assert outcome.rounds >= 1
         assert outcome.bytes_moved > outcome.bytes_final
@@ -190,7 +191,7 @@ class TestMigrationEndToEnd:
         tb, svc = _deployed_testbed()
         site0, site1 = tb.sites
         client = site0.clients[0]
-        tb.migrate(svc, site0, site1)
+        tb.env.run(until=site1.manager.request_migration(svc.name, site0.name))
         tb.settle(2 * DRAIN_S)
         result = tb.run_request(client, svc, NGINX.request)
         assert result.response.ok
@@ -200,9 +201,13 @@ class TestMigrationEndToEnd:
     def test_precopy_beats_stopcopy_on_downtime(self):
         tb, svc = _deployed_testbed()
         site0, site1 = tb.sites
-        pre = tb.migrate(svc, site0, site1, mode="precopy")
+        pre = tb.env.run(
+            until=site1.manager.request_migration(svc.name, site0.name, mode="precopy")
+        )
         tb.settle(2 * DRAIN_S)
-        stop = tb.migrate(svc, site1, site0, mode="stopcopy")
+        stop = tb.env.run(
+            until=site0.manager.request_migration(svc.name, site1.name, mode="stopcopy")
+        )
         assert pre.completed and stop.completed
         # The dirty-rate-bounded service converges in a few rounds, so
         # only the residue ships frozen — far less than the full
@@ -212,7 +217,9 @@ class TestMigrationEndToEnd:
 
     def test_downtime_is_far_below_the_idle_timeout(self):
         tb, svc = _deployed_testbed()
-        outcome = tb.migrate(svc, tb.sites[0], tb.sites[1])
+        outcome = tb.env.run(
+            until=tb.sites[1].manager.request_migration(svc.name, tb.sites[0].name)
+        )
         idle = tb.sites[0].controller.flow_memory.idle_timeout_s
         assert outcome.downtime_s < idle / 50
 
@@ -255,7 +262,9 @@ class TestMigrationEndToEnd:
         tb.run_request(site1.clients[0], svc, NGINX.request)
         tb.settle(12.0)
         assert site1.cluster.is_running(svc.plan)
-        outcome = tb.migrate(svc, site0, site1)
+        outcome = tb.env.run(
+            until=site1.manager.request_migration(svc.name, site0.name)
+        )
         assert outcome.completed
         assert outcome.bytes_moved == 0  # no transfer needed
         tb.settle(2 * DRAIN_S)
@@ -274,7 +283,9 @@ class TestMigrationEndToEnd:
         assert flow is not None and flow.cluster_name == "site0/site0-docker"
         # Migrate site0 -> site1; site2 only hears about it through
         # the replicated records.
-        outcome = tb.migrate(svc, site0, site1)
+        outcome = tb.env.run(
+            until=site1.manager.request_migration(svc.name, site0.name)
+        )
         assert outcome.completed
         tb.settle_replication()
         tb.settle(2 * DRAIN_S)
@@ -290,7 +301,9 @@ class TestMigrationEndToEnd:
 
     def test_migration_metrics_are_recorded(self):
         tb, svc = _deployed_testbed()
-        tb.migrate(svc, tb.sites[0], tb.sites[1])
+        tb.env.run(
+            until=tb.sites[1].manager.request_migration(svc.name, tb.sites[0].name)
+        )
         counters = tb.recorder.counters("migrations")
         assert counters.get("migrations_started/site1") == 1
         assert counters.get("migrations_completed/site1") == 1
@@ -348,8 +361,7 @@ class TestPlanner:
             tb.run_request(site0.clients[0], svc, template.request)
         tb.settle(12.0)
         # Shrink the budget so only one migration fits at a time.
-        tb.ledger.set_capacity("trunk:site0", MigrationPolicy().rate_bps)
-        tb.ledger.set_capacity("trunk:site1", MigrationPolicy().rate_bps)
+        tb.ledger.capacity_bps = MigrationPolicy().rate_bps
         # Submit big first; SJF must still run the small one first.
         done_big = site1.manager.request_migration(svc_big.name, "site0")
         done_small = site1.manager.request_migration(svc_small.name, "site0")

@@ -207,7 +207,9 @@ class TestMidMigrationFaults:
         assert max(r[3] for r in results) < SLOW.freeze_timeout_s + 1.0
         # After the partition heals, the same migration succeeds.
         tb.settle(4.0)
-        retry = tb.migrate(svc, site0, site1, mode="stopcopy")
+        retry = tb.env.run(
+            until=site1.manager.request_migration(svc.name, site0.name, mode="stopcopy")
+        )
         assert retry.completed, retry
 
     def test_same_seed_chaos_traces_are_identical(self):

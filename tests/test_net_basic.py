@@ -10,9 +10,8 @@ from repro.net import (
     HTTPRequest,
     IPv4Address,
     Link,
-    MACAddress,
 )
-from repro.net.addressing import IPAllocator, MACAllocator
+from repro.net.addressing import IPAllocator
 from repro.net.packet import HEADER_BYTES, HTTPResponse, Packet, TCPFlags, TCPSegment
 from repro.observe import tap
 from repro.sim import Environment
@@ -40,19 +39,10 @@ class TestAddressing:
         assert a < b
         assert len({a, IPv4Address.parse("10.0.0.1")}) == 1
 
-    def test_mac_parse_and_str(self):
-        mac = MACAddress.parse("02:00:00:00:00:ff")
-        assert str(mac) == "02:00:00:00:00:ff"
-
-    def test_mac_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            MACAddress.parse("02:00:00:00:00")
-
     def test_allocators_are_sequential_and_unique(self):
-        ips, macs = IPAllocator("10.1.0.0"), MACAllocator()
+        ips = IPAllocator("10.1.0.0")
         a, b = ips.allocate(), ips.allocate()
         assert str(a) == "10.1.0.1" and str(b) == "10.1.0.2"
-        assert macs.allocate() != macs.allocate()
 
 
 class TestPacket:
@@ -60,8 +50,6 @@ class TestPacket:
         env = Environment()
         seg = TCPSegment(1, 2, TCPFlags.SYN, payload_bytes=100)
         pkt = Packet(
-            eth_src=MACAddress(1),
-            eth_dst=MACAddress(2),
             ip_src=IPv4Address.parse("10.0.0.1"),
             ip_dst=IPv4Address.parse("10.0.0.2"),
             tcp=seg,
@@ -70,8 +58,6 @@ class TestPacket:
 
     def test_packet_ids_unique(self):
         kwargs = dict(
-            eth_src=MACAddress(1),
-            eth_dst=MACAddress(2),
             ip_src=IPv4Address.parse("10.0.0.1"),
             ip_dst=IPv4Address.parse("10.0.0.2"),
             tcp=TCPSegment(1, 2, TCPFlags.SYN),

@@ -206,15 +206,15 @@ class TestSnapshots:
     def test_snapshot_stable_while_dispatch_continues(self):
         tb, svc = _testbed()
         snap = tb.ops.snapshot()
-        frozen = json.dumps(snap.as_dict(), sort_keys=True)
+        frozen = json.dumps(dataclasses.asdict(snap), sort_keys=True)
         # Keep the world moving: more traffic, more collector windows.
         for client in tb.clients[:3]:
             tb.run_request(client, svc, NGINX.request)
         tb.settle(1.0)
-        assert json.dumps(snap.as_dict(), sort_keys=True) == frozen
+        assert json.dumps(dataclasses.asdict(snap), sort_keys=True) == frozen
         fresh = tb.ops.snapshot()
         assert fresh.now > snap.now
-        assert json.dumps(fresh.as_dict(), sort_keys=True) != frozen
+        assert json.dumps(dataclasses.asdict(fresh), sort_keys=True) != frozen
 
     def test_snapshot_mid_dispatch_is_consistent(self):
         tb = C3Testbed(
@@ -234,7 +234,7 @@ class TestSnapshots:
         assert [s.name for s in snap.services] == [svc.name]
         # The deployment is in flight: whatever instance rows exist
         # must be well-formed, and the snapshot must round-trip.
-        json.dumps(snap.as_dict(), sort_keys=True)
+        json.dumps(dataclasses.asdict(snap), sort_keys=True)
         tb.settle(10.0)
         done = tb.ops.snapshot()
         assert any(i.running for i in done.instances)
@@ -288,9 +288,10 @@ class TestCollectorMath:
     def test_zero_bandwidth_reports_zero_utilization(self):
         env, sw, collector = self._collector(bandwidth_bps=0.0)
         sw.stats["tx"] = 10
-        env.call_at(1.0, lambda: collector.collect())
+        outputs = []
+        env.call_at(1.0, lambda: outputs.append(collector.collect()))
         env.run(until=1.5)
-        (view,) = collector.link_views()
+        ((view,),) = outputs
         assert view.bits_per_s > 0
         assert view.utilization == 0.0
 
@@ -425,7 +426,9 @@ class TestRecordRows:
         service = tb.register_template(NGINX)
         tb.run_request(site0.clients[0], service, NGINX.request)
         tb.settle(12.0)  # background pull + create + scale-up
-        outcome = tb.migrate(service, site0, site1)
+        outcome = tb.env.run(
+            until=site1.manager.request_migration(service.name, site0.name)
+        )
         (row,) = serve(site1.ops_app, "GET", "/migrations").payload[
             "migrations"
         ]

@@ -22,6 +22,7 @@ from repro.net.openflow import FlowEntry, FlowMatch, Output
 from repro.observe import tap
 from repro.sim import Environment
 
+from tests.flowtable_oracle import remove
 from tests.link_oracle import TwoEventEndpoint
 from tests.nethelpers import EchoApp, MiniNet
 
@@ -39,9 +40,9 @@ class _Rig:
         self.sw = net.switch()
         # Wire by hand (MiniNet.attach drops the Link reference, and
         # the link-change tests need it).
-        cport, c_iface = self.sw.add_port(net.macs.allocate())
+        cport, c_iface = self.sw.add_port()
         self.client_link = Link(env, self.client.iface, c_iface, GBPS, 100e-6)
-        sport, s_iface = self.sw.add_port(net.macs.allocate())
+        sport, s_iface = self.sw.add_port()
         self.server_link = Link(env, self.server.iface, s_iface, GBPS, 100e-6)
         self.fwd_match = FlowMatch(ip_dst=self.server.ip)
         self.rev_match = FlowMatch(ip_dst=self.client.ip)
@@ -118,7 +119,7 @@ class TestChangesBetweenRounds:
 
         def mutate(rig):
             (entry,) = [e for e in rig.sw.table if e.match == rig.fwd_match]
-            assert rig.sw.table.remove(entry)
+            assert remove(rig.sw.table, entry)
             rig.reinstall_fwd()
 
         fused, two_event = _on_both_endpoints(

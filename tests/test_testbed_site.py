@@ -17,7 +17,7 @@ import dataclasses
 
 import pytest
 
-from repro.net.addressing import IPv4Address, MACAllocator
+from repro.net.addressing import IPv4Address
 from repro.net.link import GBPS, Link
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.services.catalog import template_by_key
@@ -166,12 +166,9 @@ BURST = [(0.0, 1400), (0.0, 0), (0.0, 700), (0.5, 64), (0.9, 9000), (0.9, 1), (0
 
 
 def _burst():
-    macs = MACAllocator()
     a, b = IPv4Address.parse("10.0.0.1"), IPv4Address.parse("10.0.0.2")
     return [
         Packet(
-            macs.allocate(),
-            macs.allocate(),
             a,
             b,
             TCPSegment(40000, 80, TCPFlags.ACK, payload_bytes=size),
@@ -188,14 +185,13 @@ def _transmit_burst(env, iface):
 
 
 def test_half_link_delivers_when_the_whole_link_does():
-    macs = MACAllocator()
 
     env = Environment()
     near, far = Sink(env, "near"), Sink(env, "far")
     Link(
         env,
-        near.add_interface(macs.allocate()),
-        far.add_interface(macs.allocate()),
+        near.add_interface(),
+        far.add_interface(),
         BANDWIDTH_BPS,
         LATENCY_S,
     )
@@ -209,7 +205,7 @@ def test_half_link_delivers_when_the_whole_link_does():
         sent.append((packet.packet_id, arrival_ts))
 
     half = HalfLinkEndpoint(
-        env, near.add_interface(macs.allocate()), BANDWIDTH_BPS, LATENCY_S, send
+        env, near.add_interface(), BANDWIDTH_BPS, LATENCY_S, send
     )
     _transmit_burst(env, near.interfaces[0])
 
@@ -225,7 +221,7 @@ def test_half_link_delivers_when_the_whole_link_does():
 def test_half_link_is_its_own_link():
     env = Environment()
     near = Sink(env, "near")
-    iface = near.add_interface(MACAllocator().allocate())
+    iface = near.add_interface()
     half = HalfLinkEndpoint(env, iface, BANDWIDTH_BPS, LATENCY_S, lambda *a, **k: None)
     assert iface.endpoint is half and half.link is half
     assert half.peer is None
