@@ -18,7 +18,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.cluster.base import EdgeCluster, ServiceEndpoint
-from repro.core.dispatcher import Dispatcher, Resolution
+from repro.core.dispatcher import Deployment, Dispatcher, Resolution
 from repro.core.flow_memory import FlowMemory, MemorizedFlow
 from repro.core.schedulers.base import ClientInfo, GlobalScheduler
 from repro.core.service_registry import EdgeService, ServiceRegistry
@@ -134,8 +134,9 @@ class Redirect:
     over to one:
     (a) :meth:`install` gives the reverse entry a lifetime of its own;
     (b) :meth:`retire` at a handover deletes where it should drain;
-    (c) ``Deployment.retire`` scales down a busy service, and without
-    :meth:`retire` + a barrier first;
+    (c) an idle scale-down (``Deployment.evict`` → ``retire``) retires
+    no redirect: one a client keeps warm without a packet-in still
+    points at the stopped instance;
     (d) ``Deployment.ready`` → :meth:`repoint` loses a request caught
     mid-flip.
     """
@@ -418,26 +419,24 @@ class EdgeController(ForwardingApp):
             self._install_intercept(datapath, service)
         return service
 
-    def unregister_service(
-        self, service: EdgeService, remove_deployments: bool = True
-    ) -> None:
+    def unregister_service(self, service: EdgeService) -> None:
         """Remove a service from the platform.
 
         Interception and redirect flows are deleted from every switch
         (its traffic reverts to the plain cloud path), memorized flows
-        are forgotten, and — unless ``remove_deployments`` is False —
-        running instances are scaled down and removed from every
-        cluster (the fig. 4 Scale Down / Remove phases).
+        are forgotten, and every instance leaves (``Deployment.evict``
+        → ``retire``: fig. 4's Scale Down), then is Removed.
         """
         self.registry.unregister(service)
         self._remove_service_flows(service)
-        if remove_deployments:
-            for cluster in self.clusters:
-                if cluster.is_created(service.plan):
-                    self.env.spawn(
-                        self._teardown(cluster, service),
-                        name=f"teardown:{service.name}@{cluster.name}",
-                    )
+        for cluster in self.clusters:
+            if cluster.is_created(service.plan):
+                owner = self.dispatcher.deployment(service, cluster)
+                owner.evict()
+                self.env.spawn(
+                    self._teardown(owner),
+                    name=f"teardown:{service.name}@{cluster.name}",
+                )
 
     def _remove_service_flows(self, service: EdgeService) -> None:
         """Purge every trace of the service from the data plane this
@@ -451,9 +450,9 @@ class EdgeController(ForwardingApp):
             self.flow_memory.forget(flow)
 
     @staticmethod
-    def _teardown(cluster: EdgeCluster, service: EdgeService):
-        yield from cluster.scale_down(service.plan)
-        yield from cluster.remove(service.plan)
+    def _teardown(owner: Deployment):
+        yield from owner.retire()
+        yield from owner.cluster.remove(owner.service.plan)
 
     def _install_intercept(self, datapath: Datapath, service: EdgeService) -> None:
         datapath.add_flow(
@@ -490,12 +489,13 @@ class EdgeController(ForwardingApp):
         packet = message.packet
         service = self.registry.lookup(packet.ip_dst, packet.tcp.dst_port)
         if service is None:
-            # Not a registered service: shove it toward the cloud.
-            cloud_port = self.topology.cloud_port(datapath.id)
-            if cloud_port is not None:
-                datapath.packet_out(
-                    [Output(cloud_port)], buffer_id=message.buffer_id
-                )
+            # Not a registered service: a table miss before the join's
+            # routes landed.  Send it where those routes would.
+            port = self.topology.port_for(datapath.id, packet.ip_dst)
+            if port is None:
+                port = self.topology.cloud_port(datapath.id)
+            if port is not None:
+                datapath.packet_out([Output(port)], buffer_id=message.buffer_id)
             return
 
         client_ip = packet.ip_src

@@ -39,6 +39,7 @@ from repro.core.service_registry import EdgeService
 from repro.core.state import ControlPlaneState, InstanceRecord
 from repro.faults.breaker import BreakerState, CircuitBreaker
 from repro.metrics import MetricsRecorder
+from repro.net.host import ConnectionRefused, ConnectionReset, ConnectionTimeout
 from repro.services.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.sim import Environment, Process
 
@@ -49,6 +50,13 @@ RETRYABLE_FAULTS = (RegistryUnavailable, PullError, NodeDown)
 #: Faults that will fail identically on every attempt: unknown image
 #: reference (bad manifest) or a structurally invalid deployment.
 FATAL_FAULTS = (ImageNotFound, DeployError)
+
+#: Faults an instance's stop or a migration phase must survive: TCP
+#: errors from crashed hosts and partitioned links, plus the registry
+#: and runtime faults the deployment pipeline already classifies.
+INFRA_FAULTS = (
+    ConnectionRefused, ConnectionReset, ConnectionTimeout, *RETRYABLE_FAULTS, *FATAL_FAULTS
+)
 
 #: How long wait-ready polls a fresh instance's port before the
 #: deployment counts as failed.
@@ -116,21 +124,21 @@ class Deployment:
     flight for it and of the only things that happen to it.
 
     The :class:`Dispatcher` keeps an owner in ``deployments`` exactly
-    while it has state — a *deploy* in flight (``process``) or an
-    eviction draining (``evicting``); any other lookup hands out a fresh
-    one.  Each transition is written once (DESIGN.md §7, "A deployment's
+    while it has state — a *deploy* in flight (``process``) or a leave
+    under way (``evicting``); any other lookup hands out a fresh one.
+    Each transition is written once (DESIGN.md §7, "A deployment's
     life"):
 
     * :meth:`deploy` — join the pipeline in flight, answer on the spot,
       or run Pull → Create → Scale Up → wait-ready;
     * :meth:`ready` — the background tail: deploy, then point the
       service's flows at the instance, or tag them degraded;
-    * :meth:`retire` — the idle scale-down, then publish stopped;
-    * :meth:`evict` … :meth:`drained` — a migration source released and
-      draining: hidden from ``gather_states``, published stopped.
+    * :meth:`evict` … :meth:`retire` — the one way out (idle scale-down,
+      migration release, unregistration): hidden from ``gather_states``
+      and published stopped, later scaled down and :meth:`drained`.
 
-    Known defects living here: (c) :meth:`retire` scales down a busy
-    service, and without retiring its redirects behind a barrier first;
+    Known defects living here: (c) an idle scale-down of a service whose
+    client keeps its switch entries warm without a packet-in;
     (d) :meth:`ready` repoints under a request in flight; (e) the room
     rule (``Dispatcher._has_room``) counts a deploy in flight twice once
     its container runs.
@@ -147,9 +155,9 @@ class Deployment:
         self.key = (service.name, cluster.name)
         #: The deploy pipeline every waiter joins, while it runs.
         self.process: Process | None = None
-        #: A migration released the instance and it drains its last
-        #: sessions: fresh resolutions must not land on it even though
-        #: its port is still open.
+        #: The instance is leaving (:meth:`evict` until :meth:`drained`):
+        #: fresh resolutions must not land on it even though its port is
+        #: still open.
         self.evicting = False
 
     def deploy(self):
@@ -268,26 +276,30 @@ class Deployment:
         if endpoint is not None:
             dispatcher.on_endpoint_ready(service, cluster.name, endpoint)
 
-    def retire(self):
-        """*retire*: scale the idle instance down (generator), then
-        publish it stopped."""
-        yield from self.cluster.scale_down(self.service.plan)
-        self.publish(running=False)
-
     def evict(self) -> None:
-        """*evict*: a migration released this source instance, which
-        drains its last sessions until :meth:`drained`.  From this
-        instant fresh resolutions do not see it, and peers learn it is
-        gone — after they learned that the destination exists (it
-        published before releasing)."""
+        """*evict*: open the instance's leave.  From this instant fresh
+        resolutions do not see it, and peers learn it is gone — for a
+        migration source, after they learned that the destination exists
+        (it published before releasing).  Its port stays open."""
         self.evicting = True
         self.dispatcher.deployments[self.key] = self
         self.publish(running=False)
 
+    def retire(self):
+        """*retire*: close the leave :meth:`evict` opened (generator):
+        scale down — a fault of the stop is the injector's to clean up —
+        then :meth:`drained` on whichever owner a lookup finds, so a
+        second leave's end ends whatever eviction holds the instance."""
+        try:
+            yield from self.cluster.scale_down(self.service.plan)
+        except INFRA_FAULTS:
+            pass
+        finally:
+            self.dispatcher.deployment(self.service, self.cluster).drained()
+
     def drained(self) -> None:
-        """The end of *evict*: the drain is over, scaled down or not.
-        Called on whichever owner a lookup finds then, so a second
-        release's drain ends whatever eviction holds the instance."""
+        """The end of *evict*: the instance is stopped, or its stop
+        faulted."""
         self.evicting = False
         self._forget_if_idle()
 
@@ -603,12 +615,16 @@ class Dispatcher:
         )
 
     def scale_down_idle(self, service: EdgeService) -> None:
-        """Scale the service down on every cluster where it runs
-        (called by the controller when the last memorized flow for the
-        service expired; :meth:`Deployment.retire`)."""
+        """Evict, then retire, the service on every cluster where it
+        runs, once its last memorized flow expired: a request arriving
+        during the stop goes elsewhere, not to a port about to close.
+        No drain: no flow used it for ``memory_idle_timeout_s``, longer
+        than a switch entry lives (DESIGN.md §7)."""
         for cluster in self.clusters:
             if cluster.is_running(service.plan):
+                owner = self.deployment(service, cluster)
+                owner.evict()
                 self.env.spawn(
-                    self.deployment(service, cluster).retire(),
+                    owner.retire(),
                     name=f"scaledown:{service.name}@{cluster.name}",
                 )

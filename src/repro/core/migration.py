@@ -49,12 +49,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.core.dispatcher import FATAL_FAULTS, RETRYABLE_FAULTS
-from repro.net.host import (
-    ConnectionRefused,
-    ConnectionReset,
-    ConnectionTimeout,
-)
+from repro.core.dispatcher import INFRA_FAULTS
 from repro.net.packet import HTTPRequest, HTTPResponse
 from repro.sim import Environment
 
@@ -94,15 +89,6 @@ READY_TIMEOUT_S = 30.0
 #: a freeze (``frozen=1``) which has lapsed: the source auto-thawed, and
 #: what it wrote since is in no checkpoint.
 FREEZE_LAPSED = 409
-
-#: Network/infrastructure faults a migration phase must survive: TCP
-#: errors from crashed hosts and partitioned links, plus the registry
-#: and runtime faults the deployment pipeline already classifies.
-MIGRATION_FAULTS = (
-    ConnectionRefused,
-    ConnectionReset,
-    ConnectionTimeout,
-) + RETRYABLE_FAULTS + FATAL_FAULTS
 
 
 class MigrationError(Exception):
@@ -564,7 +550,7 @@ class MigrationManager:
             phase = "flip"
             if not cluster.is_running(plan):
                 raise MigrationError("destination stopped answering")
-        except MIGRATION_FAULTS + (MigrationError,) as exc:
+        except INFRA_FAULTS + (MigrationError,) as exc:
             yield from self._abort(
                 outcome, phase, exc, src_ip, plan if scaled else None
             )
@@ -591,7 +577,7 @@ class MigrationManager:
                 + ("&frozen=1" if froze_at is not None else ""),
                 policy,
             )
-        except MIGRATION_FAULTS + (MigrationError,) as exc:
+        except INFRA_FAULTS + (MigrationError,) as exc:
             outcome.error = f"{type(exc).__name__}: {exc} (release unacknowledged)"
         if froze_at is not None:
             outcome.downtime_s = self.env.now - froze_at
@@ -674,7 +660,7 @@ class MigrationManager:
                 yield from self.cluster.scale_down(rollback)
                 outcome.rolled_back = True
                 self.recorder.count(f"migrations_rolled_back/{self.site}")
-            except MIGRATION_FAULTS:
+            except INFRA_FAULTS:
                 pass  # destination runtime is itself faulted; injector owns it
         try:
             yield from self.host.http_request(
@@ -683,7 +669,7 @@ class MigrationManager:
                 HTTPRequest("POST", f"/migrate/abort/{outcome.service_name}"),
                 timeout=1.0,
             )
-        except MIGRATION_FAULTS:
+        except INFRA_FAULTS:
             pass  # source unreachable: its freeze auto-thaw handles it
 
     def _finish_aborted(self, outcome: MigrationOutcome) -> MigrationOutcome:
@@ -861,23 +847,18 @@ class MigrationManager:
         if export.gate is not None:
             export.gate.thaw()
         self.env.spawn(
-            self._drain_and_scale_down(service, cluster),
+            self._drain_and_retire(service, cluster),
             name=f"migrate-drain:{service.name}@{self.site}",
         )
         self.recorder.count(f"migrations_released/{self.site}")
         return HTTPResponse(status=200)
 
-    def _drain_and_scale_down(self, service: "EdgeService", cluster: "EdgeCluster"):
-        """Keep the old instance alive for the drain window (queued and
-        in-flight exchanges finish on it), then scale it down."""
+    def _drain_and_retire(self, service: "EdgeService", cluster: "EdgeCluster"):
+        """Keep the evicted instance alive for the drain window (queued
+        and in-flight exchanges finish on it), then retire it."""
         yield self.env.timeout(DRAIN_S)
-        try:
-            yield from cluster.scale_down(service.plan)
-        except MIGRATION_FAULTS:
-            pass  # the node died during the drain; injector owns cleanup
-        finally:
-            self.controller.dispatcher.deployment(service, cluster).drained()
-            self._exports.pop(service.name, None)
+        yield from self.controller.dispatcher.deployment(service, cluster).retire()
+        self._exports.pop(service.name, None)
 
     def _serve_abort(self, service_name: str) -> HTTPResponse:
         export = self._exports.get(service_name)

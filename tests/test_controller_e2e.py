@@ -280,6 +280,31 @@ class TestHybrid:
 
 
 class TestUnregisteredTraffic:
+    def test_a_miss_toward_a_client_leaves_on_the_client_port(self):
+        """A table miss on a packet no service owns — as after a power
+        cycle, before the join's routes land — leaves the way the
+        infrastructure routes would send it: a packet toward a client
+        out of the client's port, not the cloud uplink."""
+        from repro.net.openflow import Output, PacketIn, PacketOut
+        from repro.net.packet import Packet, TCPFlags, TCPSegment
+
+        tb = docker_testbed()
+        client, topology, dpid = tb.clients[0], tb.controller.topology, tb.datapath.id
+        sent = []
+        tap(tb.datapath.channel, "send_to_switch", sent.append)
+        answer = Packet(
+            ip_src=tb.cloud.ip, ip_dst=client.ip, tcp=TCPSegment(80, 40000, TCPFlags.ACK)
+        )
+        tb.controller.on_packet_in(
+            tb.datapath,
+            PacketIn(dpid, 7, answer, in_port=topology.cloud_port(dpid)),
+        )
+        tb.settle(0.01)
+        client_port = topology.port_for(dpid, client.ip)
+        assert client_port != topology.cloud_port(dpid)
+        outs = [(m.buffer_id, m.actions) for m in sent if isinstance(m, PacketOut)]
+        assert outs == [(7, [Output(client_port)])]
+
     def test_unregistered_service_flows_to_cloud(self):
         from repro.net.packet import HTTPRequest
         from repro.net.addressing import IPv4Address
@@ -554,7 +579,7 @@ def test_retirement_order_does_not_depend_on_the_hash_seed(how):
         for client in clients:
             tb.controller.update_client_location(client.ip)
     else:
-        tb.controller.unregister_service(service, remove_deployments=False)
+        tb.controller.unregister_service(service)
     for client in clients:
         mine = f"{service.name}:{client.ip}"
         assert [text for text in sent if text.endswith(f":{mine}")] == [

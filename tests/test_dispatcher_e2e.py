@@ -20,7 +20,9 @@ recorded count less the channel entries that folded (three waiters:
 59 → 52, three packet-ins in one entry and six flow-mods in one), and
 each far-edge request of "retries exhausted" is released one channel
 hop (150 µs) sooner, so every instant after the first release is
-earlier by 150 µs per request released before it.
+earlier by 150 µs per request released before it.  Since every leave
+opens with ``Deployment.evict``, the two idle scale-down cases publish
+the instance stopped before its ``scale_down``, in the same instant.
 """
 
 from __future__ import annotations
@@ -726,9 +728,9 @@ _EXPECTED: dict[str, dict] = {
             (0.957334548, 'outcome asm@site0-docker pulled=True created=True scaled=True '
                           'pull_s=0.37217402 create_s=0.057 scale_up_s=0.347 wait_ready_s=0.02 '
                           'total_s=0.79617402'),
+            (1.230393171, 'publish asm@site0/site0-docker running=False port=None'),
             (1.230393171, 'site0-docker scale_down asm'),
             (1.282393171, 'site0-docker scale_down asm -> None'),
-            (1.282393171, 'publish asm@site0/site0-docker running=False port=None'),
         ],
         'breakers': {},
         'counters': {},
@@ -750,12 +752,12 @@ _EXPECTED: dict[str, dict] = {
             (5.73162958, 'publish nginx@local/far-docker running=True port=20000'),
             (5.73162958, 'outcome nginx@far-docker scaled=True scale_up_s=0.347 '
                          'wait_ready_s=0.08 total_s=0.427'),
+            (5.73162958, 'publish nginx@local/docker running=False port=None'),
+            (5.73162958, 'publish nginx@local/far-docker running=False port=None'),
             (5.73162958, 'docker scale_down nginx'),
             (5.73162958, 'far-docker scale_down nginx'),
             (5.78362958, 'docker scale_down nginx -> None'),
-            (5.78362958, 'publish nginx@local/docker running=False port=None'),
             (5.78362958, 'far-docker scale_down nginx -> None'),
-            (5.78362958, 'publish nginx@local/far-docker running=False port=None'),
         ],
         'breakers': {},
         'counters': {},

@@ -258,6 +258,35 @@ class TestFederatedTestbed:
         tb.settle(30.0)
         assert site1.cluster.is_running(svc.plan)
 
+    def test_remote_memory_hit_then_heal_after_withdrawal(self):
+        """site1 has no room, so site0's instance serves site1's client.
+        Once its switch entry idles out, the client's next request is a
+        FlowMemory hit on the remote instance.  When site0 scales that
+        instance down, the withdrawal replicates, site1 forgets the flow
+        and re-dispatches it, and the client keeps getting answers."""
+        tb = _federation()
+        site0, site1 = tb.sites
+        site1.cluster.capacity = 0
+        svc = tb.register_template(NGINX)
+        _deploy_locally(tb, site0, svc)
+        tb.settle_replication()
+        client, stats = site1.clients[0], site1.controller.stats
+        remote = f"{site0.name}/{site0.cluster.name}"
+
+        assert tb.run_request(client, svc, NGINX.request).response.status == 200
+        assert site1.controller.flow_memory.lookup(client.ip, svc).cluster_name == remote
+        tb.settle(tb.calibration.switch_idle_timeout_s + 1.0)
+        assert tb.run_request(client, svc, NGINX.request).response.status == 200
+        assert (stats["dispatched"], stats["memory_hits"]) == (1, 1)
+
+        site0.controller.dispatcher.scale_down_idle(svc)
+        tb.settle_replication()
+        assert stats["redispatched"] == 1
+        assert site1.controller.flow_memory.lookup(client.ip, svc).cluster_name == "cloud"
+        tb.settle(1.0)
+        assert not site0.cluster.is_running(svc.plan)
+        assert tb.run_request(client, svc, NGINX.request).response.status == 200
+
     def test_unreplicated_view_falls_back_to_cloud(self):
         """Before the instance record propagates, the peer site cannot
         know about it: its first packet goes to the cloud — the cost of

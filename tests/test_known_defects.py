@@ -10,8 +10,8 @@ Each known defect sits in one transition of an owner (DESIGN.md §7):
 (a) and (b) in :class:`repro.core.controller.Redirect` ("A redirect's
 life"), (c) and (d) where a :class:`repro.core.dispatcher.Deployment`
 hands over to one ("A deployment's life").  (e), in the room rule
-that reads the deployments' state, is fixed; its test stays here as a
-regression test:
+that reads the deployments' state, and the stop window of an idle
+scale-down are fixed; their tests stay here as regression tests:
 
 (a) **Reverse rewrite expires under a response** — ``install``: the
     reverse and forward entries share a cookie but idle out on two
@@ -32,9 +32,10 @@ regression test:
     channel).  No directed reproduction yet (a
     federated ``move_client`` 0.2–1.2 ms into a warm request lost the
     request at 0.2 ms and leaked nothing later).
-(c) **A busy service is scaled down** — ``Deployment.retire``: the
-    stop should not happen at all, and ``Redirect.retire`` (plus a
-    barrier) does not precede it:
+(c) **A busy service is scaled down** — ``Dispatcher.scale_down_idle``
+    → ``Deployment.evict`` → ``Deployment.retire``: the stop should not
+    happen at all, and the client's switch entries, kept warm, still
+    point at the instance when its port closes:
     :func:`test_busy_service_is_not_scaled_down`.
 (d) **Endpoint comes up under a request** — ``Deployment.ready`` →
     ``Redirect.repoint``: a request in flight in the ~40 ms of
@@ -48,6 +49,14 @@ regression test:
     was in flight and, once its container ran, counted it again among
     the running services; it now counts their union:
     :func:`test_a_deploy_in_flight_takes_one_slot`.
+
+**A request under way in an idle stop** (fixed) — the idle scale-down
+stopped the instance first (52 ms) and published it stopped after, so a
+packet-in in between was still sent to it; it now opens with
+``Deployment.evict``, as every leave does:
+:func:`test_a_request_in_the_stop_of_an_idle_instance_goes_to_the_cloud`.
+Seen: ``c3_churn`` without ``clear_of_sweeps`` lost one request at each
+of 11 seeds of 1–100, and none since.
 """
 
 from __future__ import annotations
@@ -119,3 +128,42 @@ def test_a_deploy_in_flight_takes_one_slot():
     assert tb.run_request(tb.clients[0], nginx, NGINX.request).response.status == 200
     tb.settle(1.0)
     assert full == [], f"no room for ASM from {full[0]} to {full[-1]} s"
+
+
+def test_a_request_in_the_stop_of_an_idle_instance_goes_to_the_cloud():
+    """The sweep finds NGINX idle 60 s after its one request and stops
+    it: 12 ms Docker API + 40 ms stop, during which its port is still
+    open.  The same client's SYN reaches the controller about 1 ms into
+    that stop; it must not be sent to the instance.  The cloud serves
+    it and the client's next request, and the next FlowMemory miss
+    after the stop redeploys NGINX.
+
+    Before the fix the scale-down stopped the instance first and
+    published it stopped after: the scheduler still saw it running and
+    the dispatcher answered on the spot, so the request went to the
+    stopping instance.  It completed inside the 52 ms, and its switch
+    entry sent the client's next request to the closed port:
+    ``ConnectionRefused``.
+    """
+    tb = C3Testbed(
+        TestbedConfig(n_clients=2, cluster_types=("docker",), auto_scale_down=True)
+    )
+    service = tb.register_template(NGINX)
+    tb.prepare_created(tb.docker_cluster, service)
+    first, second = tb.clients
+    assert tb.run_request(first, service, NGINX.request).response.status == 200
+    stats = tb.controller.stats
+    tb.settle(59.0)
+    while stats["scale_downs"] == 0:
+        tb.settle(0.001)
+    assert tb.docker_cluster.is_running(service.plan)  # the stop is under way
+
+    for _ in range(2):
+        assert tb.run_request(first, service, NGINX.request).response.status == 200
+        tb.settle(0.5)
+    assert not tb.docker_cluster.is_running(service.plan)
+    assert stats["cloud_fallbacks"] == 1
+
+    assert tb.run_request(second, service, NGINX.request).response.status == 200
+    assert tb.docker_cluster.is_running(service.plan)
+    assert (stats["dispatched"], stats["scale_downs"]) == (3, 1)

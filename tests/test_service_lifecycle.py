@@ -34,15 +34,6 @@ class TestUnregistration:
         assert cloud.time_total > 0.05
         assert tb.controller.stats["packet_in"] == packet_ins
 
-    def test_unregister_keeps_deployments_when_asked(self):
-        tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
-        svc = tb.register_template(NGINX)
-        tb.prepare_created(tb.docker_cluster, svc)
-        tb.run_request(tb.clients[0], svc, NGINX.request)
-        tb.controller.unregister_service(svc, remove_deployments=False)
-        tb.settle(2.0)
-        assert tb.docker_cluster.is_running(svc.plan)
-
     def test_unregister_clears_switch_flows(self):
         tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
         svc = tb.register_template(NGINX)
