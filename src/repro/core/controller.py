@@ -25,7 +25,8 @@ from repro.core.service_registry import EdgeService, ServiceRegistry
 from repro.core.state import ControlPlaneState, InstanceRecord
 from repro.metrics import MetricsRecorder
 from repro.net.addressing import IPv4Address
-from repro.net.openflow import FlowMatch, Output, PacketIn, SetField, ToController
+from repro.net.openflow import FlowMatch, FlowRemoved, Output, PacketIn, SetField, ToController
+from repro.net.openflow.table import REASON_IDLE_TIMEOUT
 from repro.sdnfw import Datapath, SDNApp
 from repro.services.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.sim import Environment
@@ -125,18 +126,17 @@ class Redirect:
     ``redirect:<service>:<client>``; after a repoint, per-connection
     copies of both at :data:`PRIORITY_DRAIN` under ``drain:…`` keep the
     sessions it overtook on their old path.  The cookie text is a wire
-    format (``repro.ops.collector`` parses it).  Every entry idles out on
-    its own: ``installed`` / ``drained`` say a transition *ran* — so the
-    next one deletes first — not what the table holds.
+    format (``repro.ops.collector`` parses it).
 
-    Each known race (ROADMAP item 2) is a few lines in one transition,
+    One redirect has one idle timer: its forward entry's, the one that
+    reports (FlowRemoved), whose idle-out :meth:`idled_out` follows with
+    the untimed reverse entry.  ``installed``: the forward entry is in
+    the table (sent at ``installed_at``); ``drained``: a repoint drained.
+
+    Each open race (ROADMAP item 3) is a few lines in one transition,
     here or in the :class:`~repro.core.dispatcher.Deployment` that hands
     over to one:
-    (a) :meth:`install` gives the reverse entry a lifetime of its own;
     (b) :meth:`retire` at a handover deletes where it should drain;
-    (c) an idle scale-down (``Deployment.evict`` → ``retire``) retires
-    no redirect: one a client keeps warm without a packet-in still
-    points at the stopped instance;
     (d) ``Deployment.ready`` → :meth:`repoint` loses a request caught
     mid-flip.
     """
@@ -155,6 +155,7 @@ class Redirect:
         self.cookie = f"redirect:{service.name}:{client_ip}"
         self.drain_cookie = f"drain:{service.name}:{client_ip}"
         self.installed = False
+        self.installed_at = 0.0
         self.drained = False
 
     def install(
@@ -162,20 +163,26 @@ class Redirect:
     ) -> None:
         """Point the client at ``endpoint`` and release the held packet.
 
-        A reinstall (memory fast path, concurrent dispatch) deletes
-        first, so the table never holds duplicates; FIFO ordering makes
-        delete-then-add safe.  Reverse goes in *before* forward releases
-        the buffered packet, so the response cannot miss.
+        Over an installed redirect (a repoint, a concurrent dispatch) it
+        deletes first, so the table never holds duplicates; FIFO ordering
+        makes delete-then-add safe.  Reverse goes in *before* forward
+        releases the buffered packet, so the response cannot miss.
         """
         if self.installed:
             self.datapath.delete_flows(cookie=self.cookie)
-        self.installed = True
         edge, out_port = self._toward(endpoint)
+        self.installed = out_port is not None
         if out_port is None:
             return
+        self.installed_at = self.controller.env.now
         if edge is not None:
-            self._add(PRIORITY_REDIRECT, self.cookie, self._reverse(edge, client_port))
-        self._add(PRIORITY_REDIRECT, self.cookie, self._forward(edge, out_port), buffer_id)
+            reverse = self._reverse(edge, client_port)
+            self.datapath.add_flow(*reverse, priority=PRIORITY_REDIRECT, cookie=self.cookie)
+        idle = self.controller.calibration.switch_idle_timeout_s
+        forward = self._forward(edge, out_port)
+        self.datapath.add_flow(
+            *forward, PRIORITY_REDIRECT, idle, self.cookie, buffer_id, notify_removal=True
+        )
 
     def repoint(
         self, client_port: int, old_endpoint: ServiceEndpoint, endpoint: ServiceEndpoint | None
@@ -201,12 +208,22 @@ class Redirect:
             self.drained = True
             old, old_out = self._toward(old_endpoint)
             if old is not None:
-                self._add(PRIORITY_DRAIN, self.drain_cookie, self._reverse(old, client_port))
+                self._drain(self._reverse(old, client_port))
             if old_out is not None:
                 for tcp_src in ports:
-                    entry = self._forward(old, old_out, tcp_src)
-                    self._add(PRIORITY_DRAIN, self.drain_cookie, entry)
+                    self._drain(self._forward(old, old_out, tcp_src))
         self.install(client_port, endpoint, None)
+
+    def idled_out(self) -> bool:
+        """The switch reports the forward entry idle: delete the reverse
+        entry too.  False for a report of an entry a later install
+        replaced: no entry idles out sooner than its timeout."""
+        idle = self.controller.calibration.switch_idle_timeout_s
+        if not self.installed or self.controller.env.now < self.installed_at + idle:
+            return False
+        self.datapath.delete_flows(cookie=self.cookie)
+        self.installed = False
+        return True
 
     def retire(self) -> None:
         """Delete what the transitions above left, if the switch is
@@ -255,20 +272,13 @@ class Redirect:
         )
         return match, rewrite + [Output(out_port)]
 
-    def _add(self, priority: int, cookie: str, entry, buffer_id: int | None = None) -> None:
-        match, actions = entry
-        self.datapath.add_flow(
-            match,
-            actions,
-            priority=priority,
-            idle_timeout=self.controller.calibration.switch_idle_timeout_s,
-            cookie=cookie,
-            buffer_id=buffer_id,
-        )
+    def _drain(self, entry) -> None:
+        idle = self.controller.calibration.switch_idle_timeout_s
+        self.datapath.add_flow(*entry, PRIORITY_DRAIN, idle, self.drain_cookie)
 
 
 class EdgeController(ForwardingApp):
-    """The transparent-edge SDN controller with on-demand deployment."""
+    """The transparent-edge SDN controller; FlowRemoved drives FlowMemory."""
 
     def __init__(
         self,
@@ -468,6 +478,39 @@ class EdgeController(ForwardingApp):
         super().on_datapath_join(datapath)
         for service in self.registry.all():
             self._install_intercept(datapath, service)
+        # A rejoin after a power cycle: no FlowRemoved said the table emptied.
+        for owned in self._redirects.values():
+            for (dpid, _), redirect in owned.items():
+                if dpid == datapath.id and redirect.installed:
+                    redirect.installed = False
+                    self._follow(redirect.client_ip, redirect.service, self.env.now)
+
+    def on_flow_removed(self, datapath: Datapath, message: FlowRemoved) -> None:
+        """A redirect's forward entry (the one entry that reports) idled
+        out: the flow's clock starts at its last use, one switch idle
+        timeout ago.  A delete's report is the deleter's business."""
+        if message.reason != REASON_IDLE_TIMEOUT:
+            return
+        match = message.match
+        service = self.registry.lookup(match.ip_dst, match.tcp_dst)
+        owned = self._redirects.get(match.ip_src, {})
+        redirect = service and owned.get((datapath.id, service.name))
+        if redirect and redirect.idled_out():
+            since = self.env.now - self.calibration.switch_idle_timeout_s
+            self._follow(match.ip_src, service, since)
+
+    def _follow(self, client_ip: IPv4Address, service: EdgeService, since: float) -> None:
+        """Hold the client's memorized flow of ``service`` while one of
+        its redirects is installed, else start its clock at ``since``: at
+        an idle-out, a power-cycled switch's rejoin, or when none went in."""
+        flow = self.flow_memory.lookup(client_ip, service)
+        if flow is None:
+            return
+        for (_, name), redirect in self._redirects.get(client_ip, {}).items():
+            if redirect.installed and name == service.name:
+                self.flow_memory.hold(flow)
+                return
+        self.flow_memory.release(flow, since)
 
     # -- packet-in handling ----------------------------------------------------------
 
@@ -511,7 +554,6 @@ class EdgeController(ForwardingApp):
         ):
             # FlowMemory fast path: reinstall without scheduling (§V).
             self.stats["memory_hits"] += 1
-            self.flow_memory.touch(memorized)
             endpoint = memorized.endpoint
         else:
             self.stats["dispatched"] += 1
@@ -523,6 +565,7 @@ class EdgeController(ForwardingApp):
         self._redirect(datapath, client_ip, service).install(
             message.in_port, endpoint, message.buffer_id
         )
+        self._follow(client_ip, service, self.env.now)
 
     def _remember(
         self, client_ip: IPv4Address, service: EdgeService, resolution: Resolution
@@ -555,7 +598,8 @@ class EdgeController(ForwardingApp):
 
     def _endpoint_alive(self, flow: MemorizedFlow) -> bool:
         if flow.cluster_name == "cloud":
-            return True
+            # The cloud stands in for an instance only while none runs.
+            return not any(c.is_running(flow.service.plan) for c in self.clusters)
         for cluster in self.clusters:
             if cluster.name == flow.cluster_name:
                 ep = cluster.endpoint(flow.service.plan)
@@ -603,7 +647,6 @@ class EdgeController(ForwardingApp):
         repointed.
         """
         repointed = 0
-        now = self.env.now
         for flow in self.flow_memory.flows_for_service(service):
             if flow.cluster_name == cluster_name and flow.endpoint == endpoint:
                 continue
@@ -613,10 +656,10 @@ class EdgeController(ForwardingApp):
                 self._redirect(datapath, flow.client_ip, service).repoint(
                     client.in_port, flow.endpoint, endpoint
                 )
+                self._follow(flow.client_ip, service, self.env.now)
             flow.cluster_name = cluster_name
             flow.endpoint = endpoint
             flow.degraded_from = None
-            flow.last_used = now
             repointed += 1
         if repointed:
             self.stats["flows_repointed"] += repointed
@@ -694,6 +737,7 @@ class EdgeController(ForwardingApp):
             self._redirect(datapath, client_ip, service).install(
                 client.in_port, resolution.endpoint, None
             )
+        self._follow(client_ip, service, self.env.now)
 
     # -- idle scale-down --------------------------------------------------------------------
 

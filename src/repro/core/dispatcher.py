@@ -361,14 +361,12 @@ class Dispatcher:
         #: uses it to announce running/stopped instances to peer sites.
         self.on_instance_change = on_instance_change
         #: Hook for "the BEST instance became ready after a no-waiting
-        #: redirect": on its own a dispatcher repoints the memory.  The
-        #: controller points this at ``repoint_service_flows`` so the
-        #: *data plane* follows (drains + fresh redirect entries) instead
-        #: of leaving switch entries aimed at the old endpoint until
-        #: they idle out.
+        #: redirect", set by the owner: the controller's
+        #: ``repoint_service_flows`` moves the memory and the data plane
+        #: (drains + fresh redirect entries) in one instant.
         self.on_endpoint_ready: _t.Callable[
             [EdgeService, str, ServiceEndpoint], int
-        ] = flow_memory.update_endpoint
+        ] | None = None
         #: Site identifier stamped into published instance records.
         self.site = site
         self.recorder = recorder if recorder is not None else MetricsRecorder()

@@ -7,6 +7,9 @@ the controller reinstalls the flow from memory without consulting the
 scheduler.  Memorized flows carry their own (longer) idle timeout;
 their expiry both prunes stale state and signals that a service
 instance may have gone idle — the trigger for automatic scale-down.
+
+A flow is *held* while a redirect of it is installed, and *released* —
+its clock started — when the switch reports the redirect idle.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ from repro.core.state import ControlPlaneState
 from repro.net.addressing import IPv4Address
 from repro.sim import Environment
 
-#: Seconds between two idle-expiry sweeps of the memorized flows.
-SWEEP_INTERVAL_S = 1.0
-
 
 @dataclasses.dataclass
 class MemorizedFlow:
@@ -34,12 +34,13 @@ class MemorizedFlow:
     cluster_name: str
     endpoint: ServiceEndpoint
     created_at: float
-    last_used: float
     #: Set when the flow is a graceful-degradation fallback: the name
     #: of the preferred cluster whose deployment failed.  Degraded
     #: flows are re-resolved — not just replayed from memory — once the
     #: preferred cluster's breaker stops blocking.
     degraded_from: str | None = None
+    #: When the flow expires; ``None`` while a redirect holds it.
+    deadline: float | None = None
 
     @property
     def key(self) -> tuple[IPv4Address, str]:
@@ -51,7 +52,7 @@ class MemorizedFlow:
 
 
 class FlowMemory:
-    """All memorized flows, with idle-expiry sweeping."""
+    """All memorized flows; one wake, at the earliest deadline, expires them."""
 
     def __init__(
         self,
@@ -70,12 +71,7 @@ class FlowMemory:
         # for the state's lifetime) and use it directly on the hot path.
         self.state = state if state is not None else ControlPlaneState()
         self._flows = self.state.flows
-        # Sweep via a self-rechaining slim callback instead of a
-        # generator process: one heap entry per tick, no suspended
-        # generator frame.  The tick times accumulate by repeated float
-        # addition exactly as the old ``yield timeout(interval)`` loop
-        # did, so expiry (and scale-down) instants are unchanged.
-        env.call_later(SWEEP_INTERVAL_S, self._sweep_tick)
+        self._wake_at: float | None = None  # when the armed wake fires
 
     # -- core operations ---------------------------------------------------
 
@@ -87,8 +83,8 @@ class FlowMemory:
         endpoint: ServiceEndpoint,
         degraded_from: str | None = None,
     ) -> MemorizedFlow:
-        """Memorize (or refresh) the flow for (client, service)."""
-        now = self.env.now
+        """Memorize (or refresh) the flow for (client, service); its clock
+        is the controller's to start (:meth:`release`)."""
         flow = self._flows.get((client_ip, service.name))
         if flow is None:
             flow = MemorizedFlow(
@@ -96,15 +92,13 @@ class FlowMemory:
                 service=service,
                 cluster_name=cluster_name,
                 endpoint=endpoint,
-                created_at=now,
-                last_used=now,
+                created_at=self.env.now,
                 degraded_from=degraded_from,
             )
             self._flows[flow.key] = flow
         else:
             flow.cluster_name = cluster_name
             flow.endpoint = endpoint
-            flow.last_used = now
             flow.degraded_from = degraded_from
         return flow
 
@@ -113,8 +107,16 @@ class FlowMemory:
     ) -> MemorizedFlow | None:
         return self._flows.get((client_ip, service.name))
 
-    def touch(self, flow: MemorizedFlow) -> None:
-        flow.last_used = self.env.now
+    def hold(self, flow: MemorizedFlow) -> None:
+        """A redirect of the flow is installed: it cannot expire."""
+        flow.deadline = None
+
+    def release(self, flow: MemorizedFlow, since: float) -> None:
+        """No redirect of the flow is installed: it expires ``idle_timeout_s`` after ``since``."""
+        flow.deadline = deadline = since + self.idle_timeout_s
+        if self._wake_at is None or deadline < self._wake_at:
+            self._wake_at = deadline
+            self.env.call_at(deadline, self._expire, deadline)
 
     def forget(self, flow: MemorizedFlow) -> None:
         self._flows.pop(flow.key, None)
@@ -143,24 +145,6 @@ class FlowMemory:
             f.service.name == service.name for f in self._flows.values()
         )
 
-    def update_endpoint(
-        self,
-        service: EdgeService,
-        cluster_name: str,
-        endpoint: ServiceEndpoint,
-    ) -> int:
-        """Repoint all of a service's memorized flows (used when the
-        BEST instance becomes ready after a no-waiting redirect).
-        Returns the number of flows updated."""
-        updated = 0
-        for flow in self._flows.values():
-            if flow.service.name == service.name:
-                flow.cluster_name = cluster_name
-                flow.endpoint = endpoint
-                flow.degraded_from = None
-                updated += 1
-        return updated
-
     def mark_service_degraded(
         self, service: EdgeService, preferred_cluster: str
     ) -> int:
@@ -183,21 +167,19 @@ class FlowMemory:
 
     # -- expiry ---------------------------------------------------------------------
 
-    def _sweep_tick(self) -> None:
+    def _expire(self, at: float) -> None:
+        if at != self._wake_at:
+            return  # superseded by an earlier wake
         now = self.env.now
-        expired = [
-            flow
-            for flow in self._flows.values()
-            if now - flow.last_used >= self.idle_timeout_s
-        ]
+        expired = [f for f in self._flows.values() if f.deadline is not None and f.deadline <= now]
         for flow in expired:
             self._flows.pop(flow.key, None)
+        pending = [flow.deadline for flow in self._flows.values() if flow.deadline is not None]
+        self._wake_at = min(pending, default=None)
+        if pending:
+            self.env.call_at(self._wake_at, self._expire, self._wake_at)
         # Callbacks run after the removal pass so service_in_use
         # reflects the post-expiry state.
         if self.on_expire is not None:
             for flow in expired:
                 self.on_expire(flow)
-        # Re-arm after the pass, as the generator loop did (its next
-        # ``timeout(interval)`` was created on resume, after the
-        # callbacks ran), so heap insertion order is unchanged too.
-        self.env.call_later(SWEEP_INTERVAL_S, self._sweep_tick)

@@ -84,7 +84,8 @@ class FlowView:
     endpoint_ip: str
     endpoint_port: int
     created_at: float
-    last_used: float
+    #: When the flow expires; ``None`` while a redirect holds it.
+    deadline: float | None
     degraded: bool
     degraded_from: str | None
 

@@ -136,7 +136,7 @@ class OpsReadModel:
                     endpoint_ip=str(flow.endpoint.ip),
                     endpoint_port=flow.endpoint.port,
                     created_at=flow.created_at,
-                    last_used=flow.last_used,
+                    deadline=flow.deadline,
                     degraded=flow.degraded,
                     degraded_from=flow.degraded_from,
                 )

@@ -335,7 +335,8 @@ _R = f"redirect:{_SVC}:10.0.0.2"  # clients[0]; the cookie text is a wire format
 _D = f"drain:{_SVC}:10.0.0.2"
 
 #: The distinct FlowMods of the table below, as :func:`_wire` renders them.
-_ADD_R, _ADD_D = f"add {_R} p20 idle=10", f"add {_D} p25 idle=10"
+_REV_R, _FWD_R = f"add {_R} p20 idle=0", f"add {_R} p20 idle=10 notify"
+_ADD_D = f"add {_D} p25 idle=10"
 _FROM_EGS = "match(ip_src=10.0.0.1, ip_dst=10.0.0.2, tcp_src=30080)"
 _FROM_FAR = "match(ip_src=10.0.0.22, ip_dst=10.0.0.2, tcp_src=30081)"
 _FROM_NOWHERE = "match(ip_src=10.9.9.9, ip_dst=10.0.0.2, tcp_src=30082)"
@@ -348,13 +349,13 @@ _TO_CLOUD = "-> output:22"
 _FLOW_MODS = {
     "del R": f"delete {_R}",
     "del D": f"delete {_D}",
-    "R rev egs": f"{_ADD_R} {_FROM_EGS} {_BACK}",
-    "R rev far": f"{_ADD_R} {_FROM_FAR} {_BACK}",
-    "R fwd egs": f"{_ADD_R} {_ANY} {_TO_EGS} buffer=None",
-    "R fwd egs buf7": f"{_ADD_R} {_ANY} {_TO_EGS} buffer=7",
-    "R fwd egs buf8": f"{_ADD_R} {_ANY} {_TO_EGS} buffer=8",
-    "R fwd far": f"{_ADD_R} {_ANY} {_TO_FAR} buffer=None",
-    "R fwd cloud buf7": f"{_ADD_R} {_ANY} {_TO_CLOUD} buffer=7",
+    "R rev egs": f"{_REV_R} {_FROM_EGS} {_BACK}",
+    "R rev far": f"{_REV_R} {_FROM_FAR} {_BACK}",
+    "R fwd egs": f"{_FWD_R} {_ANY} {_TO_EGS} buffer=None",
+    "R fwd egs buf7": f"{_FWD_R} {_ANY} {_TO_EGS} buffer=7",
+    "R fwd egs buf8": f"{_FWD_R} {_ANY} {_TO_EGS} buffer=8",
+    "R fwd far": f"{_FWD_R} {_ANY} {_TO_FAR} buffer=None",
+    "R fwd cloud buf7": f"{_FWD_R} {_ANY} {_TO_CLOUD} buffer=7",
     "D rev egs": f"{_ADD_D} {_FROM_EGS} {_BACK}",
     "D rev far": f"{_ADD_D} {_FROM_FAR} {_BACK}",
     "D rev nowhere": f"{_ADD_D} {_FROM_NOWHERE} {_BACK}",
@@ -372,7 +373,11 @@ _FLOW_MODS = {
 #: (203.0.113.1:80, uplink port 22), ``None`` as a resolution spells it; the
 #: client sits on port 2.  ``("track", ports)`` sets what conntrack answers.
 #: Recorded at b63004c, from the two open-coded installers and the two
-#: cookie-deleting loops ``Redirect`` replaced — not from the code under test.
+#: cookie-deleting loops ``Redirect`` replaced — not from the code under test;
+#: then edited for one redirect lifetime: the reverse entry has no idle
+#: timeout, the forward one asks for a FlowRemoved (``notify``), and an
+#: install deletes first only over a forward entry it sent (two cases lost
+#: the ``del R`` that found nothing).
 _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
     "install to an edge endpoint": (
         [("install", "egs", 7)],
@@ -390,9 +395,9 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
         [("install", "cloud", 7)],
         ["R fwd cloud buf7"],
     ),
-    "install toward an unknown port adds nothing, and is still marked": (
+    "install toward an unknown port adds nothing, and marks nothing": (
         [("install", "nowhere", 7), ("install", "egs", 8)],
-        ["del R", "R rev egs", "R fwd egs buf8"],
+        ["R rev egs", "R fwd egs buf8"],
     ),
     "repoint without a conntrack is a reinstall": (
         [("track", None), ("install", "egs", 7), ("repoint", "egs", "far")],
@@ -440,7 +445,7 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
     ),
     "repoint from an unknown port still sends the reverse drain": (
         [("track", (40000,)), ("install", "nowhere", 7), ("repoint", "nowhere", "egs")],
-        ["D rev nowhere", "del R", "R rev egs", "R fwd egs"],
+        ["D rev nowhere", "R rev egs", "R fwd egs"],
     ),
     "retire before a repoint": (
         [("install", "egs", 7), ("retire",)],
@@ -475,13 +480,14 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
 
 def _wire(message) -> str:
     """One FlowMod as text: command, cookie, priority, idle timeout,
-    match, actions, buffer id."""
+    ``notify`` if it asks for a FlowRemoved, match, actions, buffer id."""
     if message.command == "delete":
         assert message.match is None
         return f"delete {message.cookie}"
     actions = ",".join(str(action) for action in message.actions)
+    notify = " notify" if message.notify_removal else ""
     return (
-        f"add {message.cookie} p{message.priority} idle={message.idle_timeout:g} "
+        f"add {message.cookie} p{message.priority} idle={message.idle_timeout:g}{notify} "
         f"{message.match} -> {actions} buffer={message.buffer_id}"
     )
 
@@ -539,6 +545,33 @@ def test_redirect_transitions_as_message_sequences(case):
             assert step == "detach"
             tb.controller.detach(tb.switch)
     assert sent == [_FLOW_MODS[name] for name in expected]
+
+
+def test_a_stale_idle_out_leaves_a_fresh_reinstall_alone():
+    """The switch idles the forward entry out and reports it.  Before
+    the FlowRemoved lands, a reinstall (a repoint's, a redispatch's)
+    runs over the redirect the controller still holds installed: it
+    deletes first and adds both entries afresh.  The report is of the
+    entry that reinstall replaced, so the controller sends nothing for
+    it, and the fresh entries stay."""
+    tb, service, endpoints, sent = _redirect_rig()
+    client = tb.clients[0]
+    port = tb.topology.port_for(tb.datapath.id, client.ip)
+    redirect = tb.controller._redirect(tb.datapath, client.ip, service)
+    redirect.install(port, endpoints["egs"], None)
+    tb.settle(tb.controller.calibration.switch_idle_timeout_s - 0.1)
+
+    def ours():
+        return [entry for entry in tb.switch.table if entry.cookie == redirect.cookie]
+
+    while any(entry.notify_removal for entry in ours()):
+        tb.settle(0.0001)  # half the channel's 200 µs hop
+    redirect.install(port, endpoints["far"], None)
+    tb.settle(0.01)
+    assert redirect.installed
+    expected = ["R rev egs", "R fwd egs", "del R", "R rev far", "R fwd far"]
+    assert sent == [_FLOW_MODS[name] for name in expected]
+    assert len(ours()) == 2
 
 
 @pytest.mark.parametrize("how", ["handover", "unregister"])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import yamlite
-from repro.core import flow_memory as flow_memory_module
 from repro.cluster.base import ServiceEndpoint
 from repro.cluster.plan import DeploymentPlan, PlannedContainer
 from repro.core import (
@@ -205,50 +204,75 @@ class TestFlowMemory:
         assert len(memory) == 1
         assert flow.endpoint == ep2 and flow.cluster_name == "k8s"
 
-    def test_idle_expiry_fires_callback(self, annotator, monkeypatch):
-        monkeypatch.setattr(flow_memory_module, "SWEEP_INTERVAL_S", 0.5)
+    def test_idle_expiry_fires_callback(self, annotator):
+        """A released flow expires exactly ``idle_timeout_s`` after the
+        instant its clock started, which may lie in the past."""
         env = Environment()
         expired = []
-        memory = FlowMemory(env, idle_timeout_s=5.0, on_expire=expired.append)
+        memory = FlowMemory(
+            env, idle_timeout_s=5.0, on_expire=lambda flow: expired.append(env.now)
+        )
         svc = _service(annotator)
         ep = ServiceEndpoint(IPv4Address.parse("10.0.0.1"), 20000)
-        memory.remember(CLIENT.ip, svc, "docker", ep)
-        env.run(until=4.0)
-        assert len(memory) == 1 and not expired
-        env.run(until=6.0)
+        flow = memory.remember(CLIENT.ip, svc, "docker", ep)
+        env.run(until=2.0)
+        memory.release(flow, since=1.0)
+        assert flow.deadline == 6.0
+        env.run()
+        assert expired == [6.0]
         assert len(memory) == 0
-        assert len(expired) == 1
         assert not memory.service_in_use(svc)
 
-    def test_touch_postpones_expiry(self, annotator, monkeypatch):
-        monkeypatch.setattr(flow_memory_module, "SWEEP_INTERVAL_S", 0.5)
+    def test_a_held_flow_never_expires(self, annotator):
+        """Released, then held again before its deadline: the wake armed
+        for it fires and finds nothing to expire."""
         env = Environment()
         memory = FlowMemory(env, idle_timeout_s=5.0)
         svc = _service(annotator)
         ep = ServiceEndpoint(IPv4Address.parse("10.0.0.1"), 20000)
         flow = memory.remember(CLIENT.ip, svc, "docker", ep)
+        memory.release(flow, since=0.0)
+        env.run(until=4.0)
+        memory.hold(flow)
+        env.run()
+        assert memory.lookup(CLIENT.ip, svc) is flow and flow.deadline is None
+        assert env.now == 5.0  # the one wake, spent
 
-        def toucher(env):
-            yield env.timeout(4.0)
-            memory.touch(flow)
-
-        env.process(toucher(env))
-        env.run(until=6.0)
-        assert len(memory) == 1  # survived thanks to the touch
-        env.run(until=10.0)
-        assert len(memory) == 0
-
-    def test_update_endpoint_repoints_all(self, annotator):
+    def test_the_clock_starts_at_a_release_never_at_remember(self, annotator):
+        """Remembering holds: nothing pending, so no wake is armed."""
         env = Environment()
-        memory = FlowMemory(env, idle_timeout_s=100.0)
+        memory = FlowMemory(env, idle_timeout_s=5.0)
         svc = _service(annotator)
-        ep1 = ServiceEndpoint(IPv4Address.parse("10.0.0.1"), 20000)
-        ep2 = ServiceEndpoint(IPv4Address.parse("10.0.0.1"), 30000)
+        ep = ServiceEndpoint(IPv4Address.parse("10.0.0.1"), 20000)
         for i in range(3):
-            memory.remember(IPv4Address.parse(f"10.0.9.{i}"), svc, "far", ep1)
-        updated = memory.update_endpoint(svc, "k8s", ep2)
-        assert updated == 3
-        assert all(f.endpoint == ep2 for f in memory.flows_for_service(svc))
+            flow = memory.remember(IPv4Address.parse(f"10.0.9.{i}"), svc, "docker", ep)
+            assert flow.deadline is None
+        assert len(env) == 0
+        env.run(until=1000.0)
+        assert len(memory) == 3
+
+    def test_one_wake_at_the_earliest_deadline(self, annotator):
+        """A later release arms nothing while an earlier wake is armed;
+        an earlier one arms its own, and each wake re-arms at the next
+        deadline."""
+        env = Environment()
+        expired = []
+        memory = FlowMemory(
+            env, idle_timeout_s=5.0, on_expire=lambda flow: expired.append((flow.key[0], env.now))
+        )
+        svc = _service(annotator)
+        ep = ServiceEndpoint(IPv4Address.parse("10.0.0.1"), 20000)
+        a, b, c = (
+            memory.remember(IPv4Address.parse(f"10.0.9.{i}"), svc, "docker", ep)
+            for i in range(3)
+        )
+        memory.release(a, since=2.0)
+        memory.release(b, since=3.0)
+        assert len(env) == 1
+        memory.release(c, since=1.0)
+        assert len(env) == 2
+        env.run()
+        assert expired == [(c.client_ip, 6.0), (a.client_ip, 7.0), (b.client_ip, 8.0)]
 
 
 class _FakeCluster:

@@ -23,6 +23,10 @@ hop (150 µs) sooner, so every instant after the first release is
 earlier by 150 µs per request released before it.  Since every leave
 opens with ``Deployment.evict``, the two idle scale-down cases publish
 the instance stopped before its ``scale_down``, in the same instant.
+Since FlowMemory's 1 s sweep gave way to deadline expiry, no case pays a
+sweep tick per controller per simulated second: fourteen ``events``
+fell by the ticks the case spanned, ``a wait-ready timeout``'s 120 s
+by 120 (131 → 11).
 """
 
 from __future__ import annotations
@@ -475,7 +479,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 62,
+        'events': 60,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'three waiters join one deploy': {
@@ -506,7 +510,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 52,
+        'events': 47,
         'flows': [
             ('10.0.0.2', 'docker', None),
             ('10.0.0.3', 'docker', None),
@@ -526,7 +530,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 16,
+        'events': 15,
         'flows': [],
     },
     'already running, at a busy instant': {
@@ -543,7 +547,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 19,
+        'events': 18,
         'flows': [],
     },
     'a retryable pull fault, retried and cured': {
@@ -569,7 +573,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {'deploy_retries/docker': 1},
-        'events': 64,
+        'events': 61,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'retries exhausted: the breaker fed, degraded to a far cluster': {
@@ -625,7 +629,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {'docker': [(7.647174343, 'closed', 'open')]},
         'counters': {'deploy_failures/docker': 3, 'deploy_retries/docker': 6},
-        'events': 70,
+        'events': 65,
         'flows': [
             ('10.0.0.2', 'far-docker', 'docker'),
             ('10.0.0.3', 'far-docker', 'docker'),
@@ -671,7 +675,7 @@ _EXPECTED: dict[str, dict] = {
         'breakers': {'docker': []},
         'counters': {'deploy_failures/docker': 1},
         # The wait wakes at its deadline, then at the grid tick after it.
-        'events': 131,
+        'events': 11,
         'flows': [],
     },
     'a background deploy repoints': {
@@ -695,7 +699,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 33,
+        'events': 29,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'a background failure marks the service degraded': {
@@ -711,7 +715,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {'docker': []},
         'counters': {'deploy_failures/docker': 1},
-        'events': 22,
+        'events': 17,
         'flows': [('10.0.0.2', 'far-docker', 'docker')],
     },
     'idle scale-down over one cluster, federated': {
@@ -734,7 +738,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 58,
+        'events': 53,
     },
     'idle scale-down over two clusters': {
         "log": [
@@ -761,7 +765,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 36,
+        'events': 33,
         'flows': [],
     },
     'a migration released, evicted, drained and scaled down': {
@@ -783,7 +787,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 93,
+        'events': 87,
     },
     'a migration abort, then a completion, feed migration:site0': {
         "log": [
@@ -806,7 +810,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {'migration:site0': []},
         'counters': {},
-        'events': 438,
+        'events': 414,
     },
     'capacity checked while a deployment is in flight': {
         "log": [
@@ -846,7 +850,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 74,
+        'events': 71,
         'flows': [('10.0.0.2', 'docker', None)],
     },
 }

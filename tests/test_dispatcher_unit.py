@@ -100,6 +100,11 @@ def _setup(decide, **cluster_kwargs):
     dispatcher = Dispatcher(
         env, [cluster], ScriptedScheduler(decide), memory
     )
+    # The memory half of the controller's repoint_service_flows.
+    dispatcher.on_endpoint_ready = lambda service, name, endpoint: [
+        memory.remember(flow.client_ip, service, name, endpoint)
+        for flow in memory.flows_for_service(service)
+    ]
     client = ClientInfo(
         ip=IPv4Address.parse("10.0.0.9"), datapath_id=1, in_port=1, last_seen=0.0
     )

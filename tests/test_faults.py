@@ -286,6 +286,11 @@ def _rig(**dispatcher_kwargs):
     dispatcher = Dispatcher(
         env, [cluster], scheduler, memory, **dispatcher_kwargs
     )
+    # The memory half of the controller's repoint_service_flows.
+    dispatcher.on_endpoint_ready = lambda service, name, endpoint: [
+        memory.remember(flow.client_ip, service, name, endpoint)
+        for flow in memory.flows_for_service(service)
+    ]
     client = ClientInfo(
         ip=IPv4Address.parse("10.0.0.9"), datapath_id=1, in_port=1, last_seen=0.0
     )
@@ -677,3 +682,23 @@ class TestSwitchCrashMidConversation:
         # power cycle) and the controller re-resolved from FlowMemory.
         assert tb.switch.stats["punt"] > observed["punts_before"]
         assert tb.controller.stats["memory_hits"] > observed["hits_before"]
+
+    def test_a_power_cycle_starts_the_clock_of_the_flows_it_held(self):
+        """A power cycle empties the table and no FlowRemoved says so.
+        On the switch's rejoin each flow its redirects held starts its
+        clock, so the idle service still leaves ``memory_idle_timeout_s``
+        later instead of being held for ever."""
+        tb = C3Testbed(TestbedConfig(cluster_types=("docker",), auto_scale_down=True))
+        svc = tb.register_template(NGINX)
+        tb.prepare_created(tb.docker_cluster, svc)
+        assert tb.run_request(tb.clients[0], svc, NGINX.request).response.status == 200
+        flow = tb.controller.flow_memory.lookup(tb.clients[0].ip, svc)
+        assert flow.deadline is None  # held by its redirect
+        base = tb.env.now
+        Injector(tb, FaultPlan().node_crash(1.0, "ovs", duration_s=1.0)).arm()
+        tb.settle(2.5)
+        idle_s = tb.controller.calibration.memory_idle_timeout_s
+        assert flow.deadline == (base + 1.0) + 1.0 + idle_s
+        tb.settle(idle_s)
+        assert tb.controller.stats["scale_downs"] == 1
+        assert not tb.docker_cluster.is_running(svc.plan)
