@@ -26,7 +26,6 @@ from repro.core.state import ControlPlaneState, InstanceRecord
 from repro.metrics import MetricsRecorder
 from repro.net.addressing import IPv4Address
 from repro.net.openflow import FlowMatch, FlowRemoved, Output, PacketIn, SetField, ToController
-from repro.net.openflow.table import REASON_IDLE_TIMEOUT
 from repro.sdnfw import Datapath, SDNApp
 from repro.services.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.sim import Environment
@@ -128,10 +127,13 @@ class Redirect:
     sessions it overtook on their old path.  The cookie text is a wire
     format (``repro.ops.collector`` parses it).
 
-    One redirect has one idle timer: its forward entry's, the one that
-    reports (FlowRemoved), whose idle-out :meth:`idled_out` follows with
-    the untimed reverse entry.  ``installed``: the forward entry is in
-    the table (sent at ``installed_at``); ``drained``: a repoint drained.
+    Only forward entries have an idle timer, and the switch reports each
+    idle-out (FlowRemoved), which :meth:`idled_out` follows with the
+    untimed reverse entry: the redirect's with its forward entry, the
+    reverse drain with the last forward drain.  ``installed``: the
+    forward entry is in the table (sent at ``installed_at``);
+    ``drained``: the source ports whose forward drains are, each with
+    the instant it was sent, in sending order.
 
     Each open race (ROADMAP item 3) is a few lines in one transition,
     here or in the :class:`~repro.core.dispatcher.Deployment` that hands
@@ -156,7 +158,7 @@ class Redirect:
         self.drain_cookie = f"drain:{service.name}:{client_ip}"
         self.installed = False
         self.installed_at = 0.0
-        self.drained = False
+        self.drained: dict[int, float] = {}
 
     def install(
         self, client_port: int, endpoint: ServiceEndpoint | None, buffer_id: int | None
@@ -180,9 +182,7 @@ class Redirect:
             self.datapath.add_flow(*reverse, priority=PRIORITY_REDIRECT, cookie=self.cookie)
         idle = self.controller.calibration.switch_idle_timeout_s
         forward = self._forward(edge, out_port)
-        self.datapath.add_flow(
-            *forward, PRIORITY_REDIRECT, idle, self.cookie, buffer_id, notify_removal=True
-        )
+        self.datapath.add_flow(*forward, PRIORITY_REDIRECT, idle, self.cookie, buffer_id)
 
     def repoint(
         self, client_port: int, old_endpoint: ServiceEndpoint, endpoint: ServiceEndpoint | None
@@ -193,7 +193,9 @@ class Redirect:
         half-open ones included) are pinned to ``old_endpoint`` one
         forward drain per TCP source port, above the entries about to
         be swapped, so established sessions keep their path while new
-        ones take the new one.  Nothing tracked, or no conntrack: no
+        ones take the new one; one untimed reverse drain carries the old
+        instance's answers until the last forward drain idles out.
+        Nothing tracked, no conntrack, or no known old out-port: no
         drain.
         """
         service = self.service
@@ -205,21 +207,41 @@ class Redirect:
                 # A previous repoint's drains are still in the table; the
                 # connections they covered are part of this snapshot too.
                 self.datapath.delete_flows(cookie=self.drain_cookie)
-            self.drained = True
+                self.drained = {}
             old, old_out = self._toward(old_endpoint)
-            if old is not None:
-                self._drain(self._reverse(old, client_port))
             if old_out is not None:
+                if old is not None:
+                    reverse = self._reverse(old, client_port)
+                    self.datapath.add_flow(*reverse, PRIORITY_DRAIN, cookie=self.drain_cookie)
+                idle = self.controller.calibration.switch_idle_timeout_s
                 for tcp_src in ports:
-                    self._drain(self._forward(old, old_out, tcp_src))
+                    forward = self._forward(old, old_out, tcp_src)
+                    self.datapath.add_flow(*forward, PRIORITY_DRAIN, idle, self.drain_cookie)
+                self.drained = dict.fromkeys(ports, self.controller.env.now)
         self.install(client_port, endpoint, None)
 
-    def idled_out(self) -> bool:
-        """The switch reports the forward entry idle: delete the reverse
-        entry too.  False for a report of an entry a later install
-        replaced: no entry idles out sooner than its timeout."""
+    def idled_out(self, message: FlowRemoved) -> bool:
+        """The switch reports one of this redirect's forward entries idle.
+
+        The redirect's own: delete its reverse entry and answer True — the
+        flow's clock starts.  A forward drain: forget its port, and with
+        the last one delete the reverse drain.  A report that lands less
+        than an idle timeout after its entry was last sent is of an entry
+        a later install replaced (none idles out sooner), and changes
+        nothing."""
+        tcp_src = message.match.tcp_src
+        drain = message.priority == PRIORITY_DRAIN
+        if drain:
+            sent_at = self.drained.get(tcp_src)
+        else:
+            sent_at = self.installed_at if self.installed else None
         idle = self.controller.calibration.switch_idle_timeout_s
-        if not self.installed or self.controller.env.now < self.installed_at + idle:
+        if sent_at is None or self.controller.env.now < sent_at + idle:
+            return False
+        if drain:
+            del self.drained[tcp_src]
+            if not self.drained:
+                self.datapath.delete_flows(cookie=self.drain_cookie)
             return False
         self.datapath.delete_flows(cookie=self.cookie)
         self.installed = False
@@ -271,10 +293,6 @@ class Redirect:
             ip_src=self.client_ip, tcp_src=tcp_src, ip_dst=service.cloud_ip, tcp_dst=service.port
         )
         return match, rewrite + [Output(out_port)]
-
-    def _drain(self, entry) -> None:
-        idle = self.controller.calibration.switch_idle_timeout_s
-        self.datapath.add_flow(*entry, PRIORITY_DRAIN, idle, self.drain_cookie)
 
 
 class EdgeController(ForwardingApp):
@@ -481,21 +499,22 @@ class EdgeController(ForwardingApp):
         # A rejoin after a power cycle: no FlowRemoved said the table emptied.
         for owned in self._redirects.values():
             for (dpid, _), redirect in owned.items():
-                if dpid == datapath.id and redirect.installed:
+                if dpid != datapath.id:
+                    continue
+                redirect.drained = {}
+                if redirect.installed:
                     redirect.installed = False
                     self._follow(redirect.client_ip, redirect.service, self.env.now)
 
     def on_flow_removed(self, datapath: Datapath, message: FlowRemoved) -> None:
-        """A redirect's forward entry (the one entry that reports) idled
-        out: the flow's clock starts at its last use, one switch idle
-        timeout ago.  A delete's report is the deleter's business."""
-        if message.reason != REASON_IDLE_TIMEOUT:
-            return
+        """A redirect's forward entry or forward drain (the only timed
+        entries) idled out.  For the forward entry the flow's clock
+        starts at its last use, one switch idle timeout ago."""
         match = message.match
         service = self.registry.lookup(match.ip_dst, match.tcp_dst)
         owned = self._redirects.get(match.ip_src, {})
         redirect = service and owned.get((datapath.id, service.name))
-        if redirect and redirect.idled_out():
+        if redirect and redirect.idled_out(message):
             since = self.env.now - self.calibration.switch_idle_timeout_s
             self._follow(match.ip_src, service, since)
 

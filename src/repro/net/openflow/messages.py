@@ -39,9 +39,11 @@ class FlowMod:
     """Controller → switch: add an entry, or delete entries by cookie.
 
     An "add" installs one entry that idles out after ``idle_timeout``
-    seconds without traffic (0: never).  A "delete" removes every entry
+    seconds without traffic (0: never); the switch reports the idle-out
+    with a :class:`FlowRemoved`.  A "delete" removes every entry
     carrying ``cookie`` — the only selector the controller uses — so a
     delete without one is rejected here: it can never flush a table.
+    The deleter knows what it deleted, so a delete reports nothing.
     """
 
     command: str  # "add" | "delete"
@@ -50,7 +52,6 @@ class FlowMod:
     priority: int = 1
     idle_timeout: float = 0.0
     cookie: _t.Any = None
-    notify_removal: bool = False  #: OpenFlow's OFPFF_SEND_FLOW_REM: FlowRemoved only if set
     #: If set on an "add", the buffered packet is run through the new
     #: entry's actions immediately after installation.
     buffer_id: int | None = None
@@ -75,14 +76,11 @@ class PacketOut:
 
 @dataclasses.dataclass
 class FlowRemoved:
-    """Switch → controller: an entry expired or was deleted."""
+    """Switch → controller: an entry idled out.  Its channel names the
+    switch; its match and priority name the entry."""
 
-    datapath_id: int
     match: FlowMatch
-    cookie: _t.Any
-    reason: str
     priority: int
-    packet_count: int
 
 
 @dataclasses.dataclass

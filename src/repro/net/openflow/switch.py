@@ -16,12 +16,7 @@ from repro.net.openflow.messages import (
     PacketIn,
     PacketOut,
 )
-from repro.net.openflow.table import (
-    REASON_DELETE,
-    REASON_IDLE_TIMEOUT,
-    FlowEntry,
-    FlowTable,
-)
+from repro.net.openflow.table import FlowEntry, FlowTable
 from repro.net.packet import Packet
 from repro.sim import Environment
 from repro.sim.events import NORMAL
@@ -289,14 +284,12 @@ class OpenFlowSwitch(NetDevice):
                 priority=mod.priority,
                 idle_timeout=mod.idle_timeout,
                 cookie=mod.cookie,
-                notify_removal=mod.notify_removal,
             )
             self.table.install(entry, self.env.now)
             if mod.buffer_id is not None:
                 self._release_buffer(mod.buffer_id, entry.actions)
         else:  # delete
-            for entry in self.table.remove_matching(mod.cookie):
-                self._notify_removed(entry, REASON_DELETE)
+            self.table.remove_matching(mod.cookie)
 
     def _release_buffer(
         self, buffer_id: int, actions: _t.Sequence[Action]
@@ -306,20 +299,6 @@ class OpenFlowSwitch(NetDevice):
             return
         packet, in_port = held
         self._apply_actions(actions, packet, in_port)
-
-    def _notify_removed(self, entry: FlowEntry, reason: str) -> None:
-        if self.channel is None or not entry.notify_removal:
-            return
-        self.channel.send_to_controller(
-            FlowRemoved(
-                datapath_id=self.datapath_id,
-                match=entry.match,
-                cookie=entry.cookie,
-                reason=reason,
-                priority=entry.priority,
-                packet_count=entry.packet_count,
-            )
-        )
 
     # -- deadline-driven expiry --------------------------------------------------
 
@@ -363,8 +342,9 @@ class OpenFlowSwitch(NetDevice):
             return  # superseded by an earlier wakeup
         self._wake_at = None
         expired, deadline = self.table.sweep_and_deadline(self.env.now)
-        for entry in expired:
-            self._notify_removed(entry, REASON_IDLE_TIMEOUT)
+        if self.channel is not None:
+            for entry in expired:
+                self.channel.send_to_controller(FlowRemoved(entry.match, entry.priority))
         # Entries may have been touched since this wake was armed (a
         # spurious wake): re-arm at the new earliest possible expiry, if
         # any entry can still expire.

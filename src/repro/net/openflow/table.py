@@ -13,10 +13,6 @@ from repro.net.packet import Packet
 
 _entry_ids = itertools.count(1)
 
-#: FlowRemoved reason codes (mirrors OpenFlow).
-REASON_IDLE_TIMEOUT = "idle_timeout"
-REASON_DELETE = "delete"
-
 #: Match fields an index shape can bind, in canonical order.  The
 #: order matches the packet's cached ``match_values()`` tuple.
 _SHAPE_FIELDS = ("ip_src", "ip_dst", "tcp_src", "tcp_dst")
@@ -65,8 +61,8 @@ class FlowEntry:
     entry expires once no packet has matched it for that long.  The
     paper's design keeps switch idle timeouts *low* (the controller's
     FlowMemory re-installs known flows quickly) so the table stays
-    small.  ``notify_removal`` is OpenFlow's ``OFPFF_SEND_FLOW_REM``: a
-    FlowRemoved is sent only if it is set.
+    small.  An entry that idles out is reported to the controller (a
+    FlowRemoved); nothing else that removes one is.
     """
 
     __slots__ = (
@@ -76,7 +72,6 @@ class FlowEntry:
         "priority",
         "idle_timeout",
         "cookie",
-        "notify_removal",
         "last_used",
         "packet_count",
         "_order",
@@ -89,7 +84,6 @@ class FlowEntry:
         priority: int = 1,
         idle_timeout: float = 0.0,
         cookie: _t.Any = None,
-        notify_removal: bool = False,
     ) -> None:
         if idle_timeout < 0:
             raise ValueError("idle_timeout must be >= 0")
@@ -99,7 +93,6 @@ class FlowEntry:
         self.priority = priority
         self.idle_timeout = float(idle_timeout)
         self.cookie = cookie
-        self.notify_removal = notify_removal
         self.last_used: float = 0.0
         self.packet_count: int = 0
         #: Table-assigned install order (tie-break within a priority).

@@ -37,10 +37,10 @@ class Datapath:
         idle_timeout: float = 0.0,
         cookie: _t.Any = None,
         buffer_id: int | None = None,
-        notify_removal: bool = False,
     ) -> None:
-        """Install a flow entry (optionally releasing a buffered packet); only with
-        ``notify_removal`` (OFPFF_SEND_FLOW_REM) does its removal send a FlowRemoved."""
+        """Install a flow entry (optionally releasing a buffered packet).
+        With an ``idle_timeout`` it idles out, and the switch reports that
+        (:meth:`SDNApp.on_flow_removed`); a delete reports nothing."""
         self.channel.send_to_switch(
             FlowMod(
                 command="add",
@@ -50,7 +50,6 @@ class Datapath:
                 idle_timeout=idle_timeout,
                 cookie=cookie,
                 buffer_id=buffer_id,
-                notify_removal=notify_removal,
             )
         )
 
@@ -153,4 +152,4 @@ class SDNApp:
         """Called on packet-in.  Default: drop (leave buffered)."""
 
     def on_flow_removed(self, datapath: Datapath, message: FlowRemoved) -> None:
-        """Called when a flow entry is removed.  Default: no-op."""
+        """Called when a flow entry idles out.  Default: no-op."""

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.plan import ServiceEndpoint
 from repro.core import HybridDockerK8sScheduler, LowLatencyScheduler
 from repro.core.schedulers import CloudOnlyScheduler
+from repro.net.packet import TCPFlags, TCPSegment
 from repro.observe import tap
 from repro.services.catalog import ASM, NGINX, NGINX_PY, RESNET
 from repro.testbed import C3Testbed, TestbedConfig
@@ -286,7 +287,7 @@ class TestUnregisteredTraffic:
         infrastructure routes would send it: a packet toward a client
         out of the client's port, not the cloud uplink."""
         from repro.net.openflow import Output, PacketIn, PacketOut
-        from repro.net.packet import Packet, TCPFlags, TCPSegment
+        from repro.net.packet import Packet
 
         tb = docker_testbed()
         client, topology, dpid = tb.clients[0], tb.controller.topology, tb.datapath.id
@@ -335,11 +336,10 @@ _R = f"redirect:{_SVC}:10.0.0.2"  # clients[0]; the cookie text is a wire format
 _D = f"drain:{_SVC}:10.0.0.2"
 
 #: The distinct FlowMods of the table below, as :func:`_wire` renders them.
-_REV_R, _FWD_R = f"add {_R} p20 idle=0", f"add {_R} p20 idle=10 notify"
-_ADD_D = f"add {_D} p25 idle=10"
+_REV_R, _FWD_R = f"add {_R} p20 idle=0", f"add {_R} p20 idle=10"
+_REV_D, _FWD_D = f"add {_D} p25 idle=0", f"add {_D} p25 idle=10"
 _FROM_EGS = "match(ip_src=10.0.0.1, ip_dst=10.0.0.2, tcp_src=30080)"
 _FROM_FAR = "match(ip_src=10.0.0.22, ip_dst=10.0.0.2, tcp_src=30081)"
-_FROM_NOWHERE = "match(ip_src=10.9.9.9, ip_dst=10.0.0.2, tcp_src=30082)"
 _BACK = "-> set_field:ip_src=203.0.113.1,set_field:tcp_src=80,output:2 buffer=None"
 _ANY = "match(ip_src=10.0.0.2, ip_dst=203.0.113.1, tcp_dst=80)"
 _CONN = "match(ip_src=10.0.0.2, ip_dst=203.0.113.1, tcp_src=%d, tcp_dst=80)"
@@ -356,15 +356,14 @@ _FLOW_MODS = {
     "R fwd egs buf8": f"{_FWD_R} {_ANY} {_TO_EGS} buffer=8",
     "R fwd far": f"{_FWD_R} {_ANY} {_TO_FAR} buffer=None",
     "R fwd cloud buf7": f"{_FWD_R} {_ANY} {_TO_CLOUD} buffer=7",
-    "D rev egs": f"{_ADD_D} {_FROM_EGS} {_BACK}",
-    "D rev far": f"{_ADD_D} {_FROM_FAR} {_BACK}",
-    "D rev nowhere": f"{_ADD_D} {_FROM_NOWHERE} {_BACK}",
-    "D fwd egs :40000": f"{_ADD_D} {_CONN % 40000} {_TO_EGS} buffer=None",
-    "D fwd egs :40001": f"{_ADD_D} {_CONN % 40001} {_TO_EGS} buffer=None",
-    "D fwd far :40000": f"{_ADD_D} {_CONN % 40000} {_TO_FAR} buffer=None",
-    "D fwd far :40001": f"{_ADD_D} {_CONN % 40001} {_TO_FAR} buffer=None",
-    "D fwd cloud :40000": f"{_ADD_D} {_CONN % 40000} {_TO_CLOUD} buffer=None",
-    "D fwd cloud :40001": f"{_ADD_D} {_CONN % 40001} {_TO_CLOUD} buffer=None",
+    "D rev egs": f"{_REV_D} {_FROM_EGS} {_BACK}",
+    "D rev far": f"{_REV_D} {_FROM_FAR} {_BACK}",
+    "D fwd egs :40000": f"{_FWD_D} {_CONN % 40000} {_TO_EGS} buffer=None",
+    "D fwd egs :40001": f"{_FWD_D} {_CONN % 40001} {_TO_EGS} buffer=None",
+    "D fwd far :40000": f"{_FWD_D} {_CONN % 40000} {_TO_FAR} buffer=None",
+    "D fwd far :40001": f"{_FWD_D} {_CONN % 40001} {_TO_FAR} buffer=None",
+    "D fwd cloud :40000": f"{_FWD_D} {_CONN % 40000} {_TO_CLOUD} buffer=None",
+    "D fwd cloud :40001": f"{_FWD_D} {_CONN % 40001} {_TO_CLOUD} buffer=None",
 }
 
 #: case -> (steps, the FlowMods they put on the control channel, in order).
@@ -375,9 +374,12 @@ _FLOW_MODS = {
 #: Recorded at b63004c, from the two open-coded installers and the two
 #: cookie-deleting loops ``Redirect`` replaced — not from the code under test;
 #: then edited for one redirect lifetime: the reverse entry has no idle
-#: timeout, the forward one asks for a FlowRemoved (``notify``), and an
-#: install deletes first only over a forward entry it sent (two cases lost
-#: the ``del R`` that found nothing).
+#: timeout, the forward one asked for a FlowRemoved, and an install
+#: deletes first only over a forward entry it sent (two cases lost the
+#: ``del R`` that found nothing); then for one drain lifetime: every timed
+#: entry reports its idle-out, so nothing asks, the reverse drain has no
+#: idle timeout, and a repoint that cannot pin a connection (no old
+#: out-port) sends no drain at all.
 _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
     "install to an edge endpoint": (
         [("install", "egs", 7)],
@@ -443,9 +445,9 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
             "D fwd far :40001", "del R", "R rev egs", "R fwd egs",
         ],
     ),
-    "repoint from an unknown port still sends the reverse drain": (
+    "repoint from an unknown port sends no drain": (
         [("track", (40000,)), ("install", "nowhere", 7), ("repoint", "nowhere", "egs")],
-        ["D rev nowhere", "R rev egs", "R fwd egs"],
+        ["R rev egs", "R fwd egs"],
     ),
     "retire before a repoint": (
         [("install", "egs", 7), ("retire",)],
@@ -479,15 +481,14 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
 
 
 def _wire(message) -> str:
-    """One FlowMod as text: command, cookie, priority, idle timeout,
-    ``notify`` if it asks for a FlowRemoved, match, actions, buffer id."""
+    """One FlowMod as text: command, cookie, priority, idle timeout (an
+    entry with one reports its idle-out), match, actions, buffer id."""
     if message.command == "delete":
         assert message.match is None
         return f"delete {message.cookie}"
     actions = ",".join(str(action) for action in message.actions)
-    notify = " notify" if message.notify_removal else ""
     return (
-        f"add {message.cookie} p{message.priority} idle={message.idle_timeout:g}{notify} "
+        f"add {message.cookie} p{message.priority} idle={message.idle_timeout:g} "
         f"{message.match} -> {actions} buffer={message.buffer_id}"
     )
 
@@ -564,7 +565,7 @@ def test_a_stale_idle_out_leaves_a_fresh_reinstall_alone():
     def ours():
         return [entry for entry in tb.switch.table if entry.cookie == redirect.cookie]
 
-    while any(entry.notify_removal for entry in ours()):
+    while any(entry.idle_timeout for entry in ours()):
         tb.settle(0.0001)  # half the channel's 200 µs hop
     redirect.install(port, endpoints["far"], None)
     tb.settle(0.01)
@@ -572,6 +573,66 @@ def test_a_stale_idle_out_leaves_a_fresh_reinstall_alone():
     expected = ["R rev egs", "R fwd egs", "del R", "R rev far", "R fwd far"]
     assert sent == [_FLOW_MODS[name] for name in expected]
     assert len(ours()) == 2
+
+
+def test_a_delete_reports_nothing():
+    """A reinstall over an installed redirect deletes its entries, and
+    so does a retire; the deleter knows what it deleted, so neither
+    sends anything up the channel.  Each sent one ``FlowRemoved`` with
+    reason ``delete``, which the controller dropped, while an entry
+    that reported its idle-out reported its delete too."""
+    tb, service, endpoints, sent = _redirect_rig()
+    client = tb.clients[0]
+    port = tb.topology.port_for(tb.datapath.id, client.ip)
+    redirect = tb.controller._redirect(tb.datapath, client.ip, service)
+    up = []
+    tap(tb.datapath.channel, "send_to_controller", up.append)
+    redirect.install(port, endpoints["egs"], None)
+    tb.settle(0.01)
+    redirect.install(port, endpoints["far"], None)
+    tb.settle(0.01)
+    redirect.retire()
+    tb.settle(0.01)
+    assert sent == [
+        _FLOW_MODS[name]
+        for name in ["R rev egs", "R fwd egs", "del R", "R rev far", "R fwd far", "del R"]
+    ]
+    assert up == []
+
+
+def test_the_reverse_drain_goes_with_the_last_forward_drain():
+    """A repoint drains two connections.  The client keeps one of them
+    warm; the other's forward drain idles out, the switch reports it,
+    and the controller forgets that port and sends nothing.  When the
+    warm one goes quiet too, its report is the last, and the controller
+    deletes ``drain:`` — the reverse drain, which has no timer."""
+    tb, service, endpoints, sent = _redirect_rig()
+    client = tb.clients[0]
+    port = tb.topology.port_for(tb.datapath.id, client.ip)
+    redirect = tb.controller._redirect(tb.datapath, client.ip, service)
+    tb.controller.conntrack = lambda *_: (40000, 40001)
+    redirect.install(port, endpoints["egs"], None)
+    redirect.repoint(port, endpoints["egs"], endpoints["far"])
+    idle_s = tb.controller.calibration.switch_idle_timeout_s
+
+    def drains():
+        return sorted(
+            (entry.match.tcp_src, entry.idle_timeout)
+            for entry in tb.switch.table
+            if entry.cookie == redirect.drain_cookie
+        )
+
+    tb.settle(0.01)
+    assert drains() == [(30080, 0.0), (40000, idle_s), (40001, idle_s)]
+    for _ in range(5):  # 40000 stays warm for 20 s
+        client._send_segment(service.cloud_ip, TCPSegment(40000, service.port, TCPFlags.ACK))
+        tb.settle(idle_s * 0.4)
+    assert drains() == [(30080, 0.0), (40000, idle_s)]
+    assert list(redirect.drained) == [40000]
+    tb.settle(2 * idle_s)
+    assert drains() == []
+    assert redirect.drained == {}
+    assert sent.count(_FLOW_MODS["del D"]) == 1
 
 
 @pytest.mark.parametrize("how", ["handover", "unregister"])

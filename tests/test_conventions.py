@@ -256,11 +256,13 @@ def test_nothing_under_src_imports_the_tap():
 _NOT_TAPS = {
     "test_cli.py::fake_run": "stub: replaces the experiment runner",
     "test_cli.py::<lambda>": "stub: replaces the experiment runner",
+    "test_controller_e2e.py::<lambda>": "a hook, no wrapper: the conntrack's answer",
     "test_dispatcher_e2e.py::wrapped": "fault injection: raises queued faults; logs the result",
     "test_dispatcher_e2e.py::spied": "result observation: the outcome ensure_deployed returns",
     "test_dispatcher_e2e.py::publish": "result observation: chains on_instance_change (or None)",
     "test_dispatcher_unit.py::<lambda>": "a hook, no wrapper: on_endpoint_ready's memory half",
-    "test_faults.py::<lambda>": "a hook, no wrapper: on_endpoint_ready's memory half",
+    "test_faults.py::<lambda>": "a hook, no wrapper: on_endpoint_ready's memory half, the conntrack's answer",
+    "test_known_defects.py::<lambda>": "a hook, no wrapper: the conntrack's answer",
     "test_properties.py::refuse": "fault injection: _start_instance fails",
     "test_properties.py::open_then_launch": "acts after the call: launches once the port is open",
     "test_properties.py::checked_resync": "check after the call: the resync against its oracle",

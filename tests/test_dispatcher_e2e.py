@@ -699,7 +699,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 29,
+        'events': 28,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'a background failure marks the service degraded': {
@@ -738,7 +738,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 53,
+        'events': 52,
     },
     'idle scale-down over two clusters': {
         "log": [

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.plan import ServiceEndpoint
 from repro.containers import Containerd, ImageSpec, Registry
 from repro.containers.containerd import NodeDown, PullError, RuntimeProfile
 from repro.containers.image import MIB
@@ -31,6 +32,7 @@ from repro.faults import (
 )
 from repro.metrics import MetricsRecorder
 from repro.net.addressing import IPv4Address
+from repro.observe import tap
 from repro.services import build_catalog
 from repro.services.catalog import NGINX
 from repro.sim import Environment
@@ -687,16 +689,30 @@ class TestSwitchCrashMidConversation:
         """A power cycle empties the table and no FlowRemoved says so.
         On the switch's rejoin each flow its redirects held starts its
         clock, so the idle service still leaves ``memory_idle_timeout_s``
-        later instead of being held for ever."""
+        later instead of being held for ever; and each redirect forgets
+        the connections a repoint drained, so no later ``retire`` sends a
+        ``drain:`` delete that finds nothing."""
         tb = C3Testbed(TestbedConfig(cluster_types=("docker",), auto_scale_down=True))
+        far = tb.add_far_edge()
         svc = tb.register_template(NGINX)
         tb.prepare_created(tb.docker_cluster, svc)
-        assert tb.run_request(tb.clients[0], svc, NGINX.request).response.status == 200
-        flow = tb.controller.flow_memory.lookup(tb.clients[0].ip, svc)
+        client = tb.clients[0]
+        assert tb.run_request(client, svc, NGINX.request).response.status == 200
+        flow = tb.controller.flow_memory.lookup(client.ip, svc)
+        tb.controller.conntrack = lambda *_: (40000,)
+        far_endpoint = ServiceEndpoint(far.ingress_host.ip, 30081)
+        assert tb.controller.repoint_service_flows(svc, far.name, far_endpoint) == 1
+        redirect = tb.controller._redirects[client.ip][(tb.datapath.id, svc.name)]
+        assert list(redirect.drained) == [40000]
         assert flow.deadline is None  # held by its redirect
         base = tb.env.now
         Injector(tb, FaultPlan().node_crash(1.0, "ovs", duration_s=1.0)).arm()
         tb.settle(2.5)
+        assert (redirect.installed, redirect.drained) == (False, {})
+        sent = []
+        tap(tb.datapath.channel, "send_to_switch", sent.append)
+        redirect.retire()
+        assert sent == []
         idle_s = tb.controller.calibration.memory_idle_timeout_s
         assert flow.deadline == (base + 1.0) + 1.0 + idle_s
         tb.settle(idle_s)

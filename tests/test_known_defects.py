@@ -1,13 +1,14 @@
 """The known defects, executable (ROADMAP items 2 and 3).
 
-Each open defect is a strict ``xfail`` here once it has a directed
-reproduction: it must fail, for the recorded reason, until the change that
-fixes it deletes the marker.  A fixed defect's test stays as a
+Each open defect is an ``xfail`` here once it has a directed
+reproduction, strict by ``xfail_strict`` in ``pyproject.toml``: it must
+fail, for the recorded reason, until the change that fixes it deletes
+the marker.  A fixed defect's test stays as a
 regression test.  When no defect is open this file is a regression file
 and is renamed for it.
 
-Each defect sits in one transition of an owner (DESIGN.md §7): (a) and
-(b) in :class:`repro.core.controller.Redirect` ("A redirect's life"),
+Each defect sits in one transition of an owner (DESIGN.md §7): (a), (a′)
+and (b) in :class:`repro.core.controller.Redirect` ("A redirect's life"),
 (c) and (d) where a :class:`repro.core.dispatcher.Deployment` hands over
 to one ("A deployment's life").
 
@@ -36,6 +37,12 @@ Fixed, with their regression tests:
     redirect has one timer, the forward entry's, and the controller
     deletes the reverse entry when the switch reports the forward one
     idle: :func:`test_an_instance_that_stays_silent_still_answers_as_the_cloud`.
+(a′) **Reverse drain expires under a response** — ``repoint`` gave
+    every drain its own idle timer, so the reverse drain lapsed while a
+    connection the client kept warm held its forward drain.  Now only
+    forward drains are timed; the switch reports each idle-out, and the
+    controller deletes the reverse drain with the last forward one:
+    :func:`test_a_drained_connection_still_answers_as_the_cloud`.
 (c) **A busy service was scaled down** — FlowMemory's clock moved only
     at packet-ins, so a client that kept its switch entries warm had
     its memorized flow expire under it, and its instance was stopped.
@@ -60,6 +67,7 @@ Fixed, with their regression tests:
 
 from __future__ import annotations
 
+from repro.cluster.plan import ServiceEndpoint
 from repro.net.packet import TCPFlags, TCPSegment
 from repro.observe import tap
 from repro.services.catalog import ASM, NGINX
@@ -117,6 +125,50 @@ def test_an_instance_that_stays_silent_still_answers_as_the_cloud():
     tb.egs._send_segment(client.ip, answer, src_ip=instance.ip)
     tb.settle(0.01)
     assert seen == [(service.cloud_ip, service.port)]
+
+
+def test_a_drained_connection_still_answers_as_the_cloud():
+    """After one request the service is repointed to a far edge while
+    the gNB tracks one connection, source port 40000, so the repoint
+    drains it: a forward drain to the old instance for port 40000 and a
+    reverse drain for the old instance's answers.  The client's packets
+    on that port keep hitting the forward drain, 4 s apart for 20 s —
+    twice the 10 s switch idle timeout — while the old instance sends
+    nothing.  Its next packet to the client must still leave the switch
+    with the cloud's address as its source, and once the client has been
+    quiet for two idle timeouts no ``drain:`` entry is left.
+
+    Before the fix each drain idled out on its own timer: the reverse
+    drain lapsed at 10 s, and that packet reached the client from
+    ``10.0.0.1:20000``.  The mutation "the reverse drain keeps a timer"
+    (the switch idle timeout on its add in ``Redirect.repoint``) fails
+    here the same way.
+    """
+    tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
+    far = tb.add_far_edge()
+    service = tb.register_template(NGINX)
+    tb.prepare_created(tb.docker_cluster, service)
+    client = tb.clients[0]
+    assert tb.run_request(client, service, NGINX.request).response.status == 200
+    instance = tb.docker_cluster.endpoint(service.plan)
+    tb.controller.conntrack = lambda *_: (40000,)
+    moved = tb.controller.repoint_service_flows(
+        service, far.name, ServiceEndpoint(far.ingress_host.ip, 30081)
+    )
+    assert moved == 1
+    idle_s = tb.controller.calibration.switch_idle_timeout_s
+    for _ in range(5):
+        client._send_segment(service.cloud_ip, TCPSegment(40000, service.port, TCPFlags.ACK))
+        tb.settle(idle_s * 0.4)
+    seen = []
+    tap(client, "receive", lambda packet, iface: seen.append((packet.ip_src, packet.tcp.src_port)))
+    answer = TCPSegment(instance.port, 40000, TCPFlags.ACK)
+    tb.egs._send_segment(client.ip, answer, src_ip=instance.ip)
+    tb.settle(0.01)
+    assert seen == [(service.cloud_ip, service.port)]
+    tb.settle(2 * idle_s)
+    drain_cookie = f"drain:{service.name}:{client.ip}"
+    assert [entry for entry in tb.switch.table if entry.cookie == drain_cookie] == []
 
 
 def test_a_deploy_in_flight_takes_one_slot():

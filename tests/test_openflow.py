@@ -17,7 +17,7 @@ from repro.net.openflow import (
     ToController,
 )
 from repro.net.openflow.switch import ControlChannel
-from repro.net.openflow.table import FlowTable, REASON_DELETE, REASON_IDLE_TIMEOUT
+from repro.net.openflow.table import FlowTable
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.observe import tap
 from repro.sdnfw import SDNApp
@@ -297,47 +297,52 @@ class TestSwitchDataPlane:
         app = _RecordingApp(env)
         app.attach(sw)
         sw.table.install(
-            FlowEntry(
-                FlowMatch(tcp_dst=80),
-                [Drop()],
-                idle_timeout=1.0,
-                cookie="test-cookie",
-                notify_removal=True,
-            ),
+            FlowEntry(FlowMatch(tcp_dst=80), [Drop()], priority=7, idle_timeout=1.0),
             0.0,
         )
         env.run(until=3.0)
-        assert len(app.flow_removed) == 1
-        assert app.flow_removed[0].reason == REASON_IDLE_TIMEOUT
-        assert app.flow_removed[0].cookie == "test-cookie"
+        assert app.flow_removed == [FlowRemoved(FlowMatch(tcp_dst=80), 7)]
         assert len(sw.table) == 0
 
     def test_flow_mod_delete_notifies(self):
+        """A delete's only notice is the barrier behind it: when the reply
+        lands, the entries are gone, timed or not, and no FlowRemoved came
+        up the channel."""
         env, net, client, server, sw, cport, sport = self._topo()
         app = _RecordingApp(env)
         dp = app.attach(sw)
-        dp.add_flow(FlowMatch(tcp_dst=80), [Drop()], cookie="doomed", notify_removal=True)
+        dp.add_flow(FlowMatch(tcp_dst=80), [Drop()], idle_timeout=1.0, cookie="doomed")
+        dp.add_flow(FlowMatch(tcp_dst=81), [Drop()], cookie="doomed")
         env.run(until=0.1)
-        assert len(sw.table) == 1
-        dp.delete_flows(cookie="doomed")
-        env.run(until=0.2)
-        assert len(sw.table) == 0
-        assert [m.reason for m in app.flow_removed] == [REASON_DELETE]
+        assert len(sw.table) == 2
+        seen = []
+
+        def delete_then_barrier():
+            dp.delete_flows(cookie="doomed")
+            yield dp.barrier()
+            seen.append((len(sw.table), len(app.flow_removed)))
+
+        env.process(delete_then_barrier())
+        env.run(until=3.0)
+        assert seen == [(0, 0)]
+        assert app.flow_removed == []
 
     def test_entries_that_did_not_opt_in_go_silently(self):
-        """Without ``notify_removal`` (OFPFF_SEND_FLOW_REM) neither an
-        idle-out nor a delete sends anything up the channel."""
+        """An entry reports only by idling out, so one with no idle timeout
+        never does: it outlives every expiry wake, and a delete of it sends
+        nothing.  The timed entry beside it reports once."""
         env, net, client, server, sw, cport, sport = self._topo()
         app = _RecordingApp(env)
         dp = app.attach(sw)
         dp.add_flow(FlowMatch(tcp_dst=80), [Drop()], idle_timeout=1.0, cookie="idle")
-        dp.add_flow(FlowMatch(tcp_dst=81), [Drop()], cookie="doomed")
+        dp.add_flow(FlowMatch(tcp_dst=82), [Drop()], cookie="doomed")
+        dp.add_flow(FlowMatch(tcp_dst=83), [Drop()], cookie="kept")
         env.run(until=0.1)
-        assert len(sw.table) == 2
+        assert len(sw.table) == 3
         dp.delete_flows(cookie="doomed")
         env.run(until=3.0)
-        assert len(sw.table) == 0
-        assert app.flow_removed == []
+        assert [entry.cookie for entry in sw.table] == ["kept"]
+        assert [m.match for m in app.flow_removed] == [FlowMatch(tcp_dst=80)]
 
     def test_barrier_round_trip(self):
         env, net, client, server, sw, cport, sport = self._topo()
@@ -476,21 +481,18 @@ class TestControlChannel:
         sw = MiniNet(env).switch()
         app = _RecordingApp(env)
         dp = app.attach(sw, latency_s=200e-6)
-        sw.table.install(
-            FlowEntry(FlowMatch(tcp_dst=80), [Drop()], cookie="doomed", notify_removal=True),
-            0.0,
-        )
+        # Idles out at the expiry wake at 1.0 s, the instant the barrier lands.
+        sw.table.install(FlowEntry(FlowMatch(tcp_dst=80), [Drop()], idle_timeout=1.0), 0.0)
         popped = record_popped_entries(monkeypatch)
         replies = []
 
-        def delete_then_barrier():
-            dp.delete_flows(cookie="doomed")
+        def barrier():
             yield dp.barrier()
             replies.append((env.now, len(app.flow_removed)))
 
-        env.call_at(0.001, env.spawn, delete_then_barrier())
+        env.call_at(1.0 - 200e-6, env.spawn, barrier())
         env.run()
-        # One hop down (delete and barrier together), one hop up (the
-        # FlowRemoved, then the reply, together).
-        assert replies == [(0.001 + 200e-6 + 200e-6, 1)]
+        # One hop down (the barrier), one hop up (the FlowRemoved the
+        # wake sent, then the reply, together).
+        assert replies == [(1.0 + 200e-6, 1)]
         assert _channel_entries(popped) == 2

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro.net.addressing import IPv4Address
 from repro.net.openflow import Drop, FlowEntry, FlowMatch, FlowTable
 from repro.net.openflow.switch import OpenFlowSwitch
-from repro.net.openflow.table import REASON_IDLE_TIMEOUT
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.observe import tap
 from repro.sim import Environment
@@ -141,25 +140,25 @@ def test_index_consistent_after_remove_matching(ops):
 
 
 class _RemovalRecorder:
-    """Stub control channel collecting (time, cookie, reason)."""
+    """Stub control channel collecting (time, match) per FlowRemoved."""
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        self.removals: list[tuple[float, object, str]] = []
+        self.removals: list[tuple[float, FlowMatch]] = []
 
     def send_to_controller(self, message) -> None:
-        self.removals.append((self.env.now, message.cookie, message.reason))
+        self.removals.append((self.env.now, message.match))
 
 
 def _reference_sweeper(env: Environment, table: FlowTable, interval: float):
     """The seed's expiry loop: sweep every tick, even when idle."""
-    removals: list[tuple[float, object, str]] = []
+    removals: list[tuple[float, FlowMatch]] = []
 
     def loop():
         while True:
             yield env.timeout(interval)
             for entry in sweep_expired(table, env.now):
-                removals.append((env.now, entry.cookie, REASON_IDLE_TIMEOUT))
+                removals.append((env.now, entry.match))
 
     env.process(loop())
     return removals
@@ -188,8 +187,6 @@ def _apply_script(env: Environment, table: FlowTable, script) -> None:
                 FlowMatch(tcp_dst=i + 1),
                 [Drop()],
                 idle_timeout=idle,
-                cookie=f"e{i}",
-                notify_removal=True,
             )
             table.install(entry, env.now)
             for t_touch in touches:
@@ -218,10 +215,7 @@ def test_deadline_expiry_matches_interval_sweeper(seed):
     _apply_script(env, switch.table, script)
     env.run(until=20.0)
 
-    expected = [
-        (t, cookie, reason) for t, cookie, reason in ref_removals
-    ]
-    assert recorder.removals == expected
+    assert recorder.removals == ref_removals
     assert len(switch.table) == len(ref_table)
 
 
@@ -394,11 +388,11 @@ def test_flow_memory_miss_event_budget(monkeypatch):
 def test_redirect_idle_out_costs_two_up_channel_messages(monkeypatch):
     """A redirect that idles out on the switch and is reinstalled from
     FlowMemory costs the control channel two batches up (``_deliver_up``):
-    the forward entry's FlowRemoved — the only entry of the redirect that
-    asks for one (OpenFlow's OFPFF_SEND_FLOW_REM), and what starts the
-    memorized flow's clock — and the packet-in.  The reverse entry has
-    no timer; the controller deletes it on the FlowRemoved.  It was one
-    while no entry reported its idle-out, and 3 when every entry did."""
+    the forward entry's FlowRemoved — the redirect's only timed entry,
+    and what starts the memorized flow's clock — and the packet-in.  The
+    reverse entry has no timer; the controller deletes it on the
+    FlowRemoved, and a delete reports nothing.  It was one while no
+    entry reported its idle-out, and 3 when every entry did."""
     tb, popped, service = _warm_docker_testbed(monkeypatch)
     client = tb.clients[0]
     cookie = f"redirect:{service.name}:{client.ip}"

@@ -2000,9 +2000,9 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
         for which, kind, where in plants if handler_instants else ():
             at = handler_instants[which % len(handler_instants)]
             if kind == "flow-removed":
-                # Up the first switch's channel, for the cookie of a
-                # client of this storm: delivered at the instant, it is
-                # scheduled a hop before it — behind the handler's timer.
+                # Up the first switch's channel, for a client of this
+                # storm: delivered at the instant, it is scheduled a hop
+                # before it — behind the handler's timer.
                 host = hosts[which % len(hosts)]
                 channel = tb.switch.channel
                 sent = _sent_to_land_at(at, channel.latency_s)
@@ -2010,14 +2010,7 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
                     env.call_at(
                         sent,
                         channel.send_to_controller,
-                        FlowRemoved(
-                            tb.switch.datapath_id,
-                            FlowMatch(ip_src=host.ip),
-                            f"redirect:{service.name}:{host.ip}",
-                            "idle_timeout",
-                            0,
-                            0,
-                        ),
+                        FlowRemoved(FlowMatch(ip_src=host.ip), 0),
                     )
             else:
                 env.call_at(
@@ -2075,7 +2068,7 @@ def test_deployment_shortcut_is_the_process_it_replaces(storm):
     lockstep and one or more launch steps apart, so that handler timers
     meet packet-in deliveries; the instance running, scaled down, its
     port open with ``wait_ready`` still polling, or failing to start
-    under two waiters; a ``FlowRemoved`` for a client's cookie delivered
+    under two waiters; a ``FlowRemoved`` for a client's entry delivered
     at a handler's instant, and an observer planted at one — ahead of
     the timer or behind it — that reads FlowMemory, ``_redirects``
     and ``is_running`` and in some draws calls ``scale_down_idle``.  The
