@@ -115,25 +115,27 @@ class ForwardingApp(SDNApp):
 
 
 class Redirect:
-    """One client's redirection to one service on one switch: the owner
-    of its flow entries and of the only three things that happen to them.
+    """One client's redirection to one service on one switch — of every
+    connection, or with ``tcp_src`` of one: the owner of one forward
+    entry and, toward an edge instance, of the reverse entry for it.
 
     *Forward* rewrites client → cloud address into client → instance and
     releases the held first packet; *reverse* rewrites the instance's
     answers back, so the client only ever sees the cloud address (§V).
-    Both sit at :data:`PRIORITY_REDIRECT` under the cookie
-    ``redirect:<service>:<client>``; after a repoint, per-connection
-    copies of both at :data:`PRIORITY_DRAIN` under ``drain:…`` keep the
-    sessions it overtook on their old path.  The cookie text is a wire
-    format (``repro.ops.collector`` parses it).
+    A redirect sits at :data:`PRIORITY_REDIRECT` under the cookie
+    ``redirect:<service>:<client>``; a *drain* — a repoint's pin of one
+    connection to the instance it began on — at :data:`PRIORITY_DRAIN`
+    under ``drain:<service>:<client>:<port>``, its reverse entry matching
+    that port too.  The cookie text is a wire format
+    (``repro.ops.collector`` parses it).
 
-    Only forward entries have an idle timer, and the switch reports each
-    idle-out (FlowRemoved), which :meth:`idled_out` follows with the
-    untimed reverse entry: the redirect's with its forward entry, the
-    reverse drain with the last forward drain.  ``installed``: the
-    forward entry is in the table (sent at ``installed_at``);
-    ``drained``: the source ports whose forward drains are, each with
-    the instant it was sent, in sending order.
+    The controller holds a redirect, keyed by its forward match
+    ``(dpid, service name, tcp_src)``, exactly while its forward entry
+    is in the table: from the add (sent at ``sent_at``) to the
+    idle-out, the delete or a power-cycled switch's rejoin.  Only the
+    forward entry has an idle timer, and the switch reports its idle-out
+    (FlowRemoved), which :meth:`idled_out` follows with the untimed
+    reverse entry.
 
     Each open race (ROADMAP item 3) is a few lines in one transition,
     here or in the :class:`~repro.core.dispatcher.Deployment` that hands
@@ -149,114 +151,95 @@ class Redirect:
         datapath: Datapath,
         client_ip: IPv4Address,
         service: EdgeService,
+        tcp_src: int | None,
     ) -> None:
         self.controller = controller
         self.datapath = datapath
         self.client_ip = client_ip
         self.service = service
-        self.cookie = f"redirect:{service.name}:{client_ip}"
-        self.drain_cookie = f"drain:{service.name}:{client_ip}"
-        self.installed = False
-        self.installed_at = 0.0
-        self.drained: dict[int, float] = {}
+        self.tcp_src = tcp_src
+        self.key = (datapath.id, service.name, tcp_src)
+        if tcp_src is None:
+            self.cookie = f"redirect:{service.name}:{client_ip}"
+        else:
+            self.cookie = f"drain:{service.name}:{client_ip}:{tcp_src}"
+        self.sent_at = 0.0
+        #: The edge instance the reverse entry answers for; ``None``
+        #: toward the cloud, where there is none.
+        self.edge: ServiceEndpoint | None = None
 
     def install(
         self, client_port: int, endpoint: ServiceEndpoint | None, buffer_id: int | None
     ) -> None:
         """Point the client at ``endpoint`` and release the held packet.
 
-        Over an installed redirect (a repoint, a concurrent dispatch) it
+        Over a held redirect (a repoint, a concurrent dispatch) it
         deletes first, so the table never holds duplicates; FIFO ordering
         makes delete-then-add safe.  Reverse goes in *before* forward
         releases the buffered packet, so the response cannot miss.
         """
-        if self.installed:
+        owned = self.controller._redirects.setdefault(self.client_ip, {})
+        if self.key in owned:
             self.datapath.delete_flows(cookie=self.cookie)
-        edge, out_port = self._toward(endpoint)
-        self.installed = out_port is not None
+        self.edge, out_port = self._toward(endpoint)
         if out_port is None:
+            owned.pop(self.key, None)
             return
-        self.installed_at = self.controller.env.now
-        if edge is not None:
-            reverse = self._reverse(edge, client_port)
-            self.datapath.add_flow(*reverse, priority=PRIORITY_REDIRECT, cookie=self.cookie)
+        owned[self.key] = self
+        self.sent_at = self.controller.env.now
+        priority = PRIORITY_REDIRECT if self.tcp_src is None else PRIORITY_DRAIN
+        if self.edge is not None:
+            reverse = self._reverse(client_port)
+            self.datapath.add_flow(*reverse, priority=priority, cookie=self.cookie)
         idle = self.controller.calibration.switch_idle_timeout_s
-        forward = self._forward(edge, out_port)
-        self.datapath.add_flow(*forward, PRIORITY_REDIRECT, idle, self.cookie, buffer_id)
+        forward = self._forward(out_port)
+        self.datapath.add_flow(*forward, priority, idle, self.cookie, buffer_id)
 
     def repoint(
         self, client_port: int, old_endpoint: ServiceEndpoint, endpoint: ServiceEndpoint | None
     ) -> None:
         """Swap to ``endpoint``, make-before-break: drain, then install.
 
-        The client's in-flight connections (the gNB-conntrack snapshot,
-        half-open ones included) are pinned to ``old_endpoint`` one
-        forward drain per TCP source port, above the entries about to
-        be swapped, so established sessions keep their path while new
-        ones take the new one; one untimed reverse drain carries the old
-        instance's answers until the last forward drain idles out.
-        Nothing tracked, no conntrack, or no known old out-port: no
-        drain.
+        Each of the client's in-flight connections (the gNB-conntrack
+        snapshot, half-open ones included) that no drain pins yet is
+        pinned to ``old_endpoint``, the instance it began on, by a drain
+        of its own above the entries about to be swapped, so established
+        sessions keep their path while new ones take the new one.  A
+        drain already held stays where its connection began.  Nothing
+        tracked, no conntrack, or no known old out-port: no drain.
         """
-        service = self.service
-        conntrack = self.controller.conntrack
-        if conntrack is not None and (
-            ports := conntrack(self.client_ip, service.cloud_ip, service.port)
-        ):
-            if self.drained:
-                # A previous repoint's drains are still in the table; the
-                # connections they covered are part of this snapshot too.
-                self.datapath.delete_flows(cookie=self.drain_cookie)
-                self.drained = {}
-            old, old_out = self._toward(old_endpoint)
-            if old_out is not None:
-                if old is not None:
-                    reverse = self._reverse(old, client_port)
-                    self.datapath.add_flow(*reverse, PRIORITY_DRAIN, cookie=self.drain_cookie)
-                idle = self.controller.calibration.switch_idle_timeout_s
-                for tcp_src in ports:
-                    forward = self._forward(old, old_out, tcp_src)
-                    self.datapath.add_flow(*forward, PRIORITY_DRAIN, idle, self.drain_cookie)
-                self.drained = dict.fromkeys(ports, self.controller.env.now)
+        controller, service = self.controller, self.service
+        if controller.conntrack is not None:
+            owned = controller._redirects.setdefault(self.client_ip, {})
+            for tcp_src in controller.conntrack(self.client_ip, service.cloud_ip, service.port):
+                if (self.datapath.id, service.name, tcp_src) not in owned:
+                    drain = Redirect(controller, self.datapath, self.client_ip, service, tcp_src)
+                    drain.install(client_port, old_endpoint, None)
         self.install(client_port, endpoint, None)
 
-    def idled_out(self, message: FlowRemoved) -> bool:
-        """The switch reports one of this redirect's forward entries idle.
-
-        The redirect's own: delete its reverse entry and answer True — the
-        flow's clock starts.  A forward drain: forget its port, and with
-        the last one delete the reverse drain.  A report that lands less
-        than an idle timeout after its entry was last sent is of an entry
-        a later install replaced (none idles out sooner), and changes
-        nothing."""
-        tcp_src = message.match.tcp_src
-        drain = message.priority == PRIORITY_DRAIN
-        if drain:
-            sent_at = self.drained.get(tcp_src)
-        else:
-            sent_at = self.installed_at if self.installed else None
-        idle = self.controller.calibration.switch_idle_timeout_s
-        if sent_at is None or self.controller.env.now < sent_at + idle:
-            return False
-        if drain:
-            del self.drained[tcp_src]
-            if not self.drained:
-                self.datapath.delete_flows(cookie=self.drain_cookie)
-            return False
-        self.datapath.delete_flows(cookie=self.cookie)
-        self.installed = False
-        return True
+    def idled_out(self) -> None:
+        """The switch reports the forward entry idle: drop this redirect,
+        delete its reverse entry if one was sent, and — not for a drain —
+        start the flow's clock at the entry's last use, one switch idle
+        timeout ago.  A report that lands less than an idle timeout after
+        the entry was sent is of an entry a later install replaced (none
+        idles out sooner), and changes nothing."""
+        controller = self.controller
+        idle = controller.calibration.switch_idle_timeout_s
+        if controller.env.now < self.sent_at + idle:
+            return
+        del controller._redirects[self.client_ip][self.key]
+        if self.edge is not None:
+            self.datapath.delete_flows(cookie=self.cookie)
+        if self.tcp_src is None:
+            controller._follow(self.client_ip, self.service, controller.env.now - idle)
 
     def retire(self) -> None:
-        """Delete what the transitions above left, if the switch is
-        still ours."""
+        """Delete this redirect's entries, if the switch is still ours;
+        the caller has dropped it."""
         datapath = self.controller.datapaths.get(self.datapath.id)
-        if datapath is None:
-            return
-        if self.installed:
+        if datapath is not None:
             datapath.delete_flows(cookie=self.cookie)
-        if self.drained:
-            datapath.delete_flows(cookie=self.drain_cookie)
 
     def _toward(
         self, endpoint: ServiceEndpoint | None
@@ -271,26 +254,32 @@ class Redirect:
             return None, topology.cloud_port(self.datapath.id)
         return endpoint, topology.port_for(self.datapath.id, endpoint.ip)
 
-    def _reverse(self, edge: ServiceEndpoint, client_port: int):
-        """The entry that makes ``edge``'s answers the cloud address's."""
-        service = self.service
-        match = FlowMatch(ip_src=edge.ip, tcp_src=edge.port, ip_dst=self.client_ip)
+    def _reverse(self, client_port: int):
+        """The entry that makes :attr:`edge`'s answers (on one
+        connection, for a drain) the cloud address's."""
+        service, edge = self.service, self.edge
+        match = FlowMatch(
+            ip_src=edge.ip, tcp_src=edge.port, ip_dst=self.client_ip, tcp_dst=self.tcp_src
+        )
         return match, [
             SetField("ip_src", service.cloud_ip),
             SetField("tcp_src", service.port),
             Output(client_port),
         ]
 
-    def _forward(self, edge: ServiceEndpoint | None, out_port: int, tcp_src: int | None = None):
+    def _forward(self, out_port: int):
         """The entry that sends the client's packets (of one connection,
-        with ``tcp_src``) to ``edge``; toward the cloud nothing is
+        for a drain) to :attr:`edge`; toward the cloud nothing is
         rewritten."""
-        service = self.service
+        service, edge = self.service, self.edge
         rewrite = []
         if edge is not None:
             rewrite = [SetField("ip_dst", edge.ip), SetField("tcp_dst", edge.port)]
         match = FlowMatch(
-            ip_src=self.client_ip, tcp_src=tcp_src, ip_dst=service.cloud_ip, tcp_dst=service.port
+            ip_src=self.client_ip,
+            tcp_src=self.tcp_src,
+            ip_dst=service.cloud_ip,
+            tcp_dst=service.port,
         )
         return match, rewrite + [Output(out_port)]
 
@@ -339,11 +328,11 @@ class EdgeController(ForwardingApp):
         #: Optional request predictor for proactive deployment (§VII).
         self.predictor = None
         self.proactive_deployer = None
-        #: Every redirect this controller ever installed and has not
-        #: retired: client ip -> {(dpid, service name): owner}, both in
-        #: insertion order — the order retirements reach the switch in.
+        #: Every redirect whose forward entry is in a table: client ip ->
+        #: {(dpid, service name, tcp_src): owner}, both in insertion
+        #: order — the order retirements reach the switch in.
         self._redirects: dict[
-            IPv4Address, dict[tuple[int, str], Redirect]
+            IPv4Address, dict[tuple[int, str, int | None], Redirect]
         ] = {}
         #: Optional gNB-conntrack lookup the testbed wires in:
         #: ``(client_ip, dst_ip, dst_port) -> local source ports`` of
@@ -498,25 +487,19 @@ class EdgeController(ForwardingApp):
             self._install_intercept(datapath, service)
         # A rejoin after a power cycle: no FlowRemoved said the table emptied.
         for owned in self._redirects.values():
-            for (dpid, _), redirect in owned.items():
-                if dpid != datapath.id:
-                    continue
-                redirect.drained = {}
-                if redirect.installed:
-                    redirect.installed = False
+            for key in [key for key in owned if key[0] == datapath.id]:
+                redirect = owned.pop(key)
+                if redirect.tcp_src is None:
                     self._follow(redirect.client_ip, redirect.service, self.env.now)
 
     def on_flow_removed(self, datapath: Datapath, message: FlowRemoved) -> None:
-        """A redirect's forward entry or forward drain (the only timed
-        entries) idled out.  For the forward entry the flow's clock
-        starts at its last use, one switch idle timeout ago."""
+        """A redirect's forward entry (the only timed entry) idled out."""
         match = message.match
         service = self.registry.lookup(match.ip_dst, match.tcp_dst)
         owned = self._redirects.get(match.ip_src, {})
-        redirect = service and owned.get((datapath.id, service.name))
-        if redirect and redirect.idled_out(message):
-            since = self.env.now - self.calibration.switch_idle_timeout_s
-            self._follow(match.ip_src, service, since)
+        redirect = service and owned.get((datapath.id, service.name, match.tcp_src))
+        if redirect:
+            redirect.idled_out()
 
     def _follow(self, client_ip: IPv4Address, service: EdgeService, since: float) -> None:
         """Hold the client's memorized flow of ``service`` while one of
@@ -525,8 +508,8 @@ class EdgeController(ForwardingApp):
         flow = self.flow_memory.lookup(client_ip, service)
         if flow is None:
             return
-        for (_, name), redirect in self._redirects.get(client_ip, {}).items():
-            if redirect.installed and name == service.name:
+        for _, name, tcp_src in self._redirects.get(client_ip, {}):
+            if name == service.name and tcp_src is None:
                 self.flow_memory.hold(flow)
                 return
         self.flow_memory.release(flow, since)
@@ -633,11 +616,10 @@ class EdgeController(ForwardingApp):
     def _redirect(
         self, datapath: Datapath, client_ip: IPv4Address, service: EdgeService
     ) -> Redirect:
-        owned = self._redirects.setdefault(client_ip, {})
-        key = (datapath.id, service.name)
-        if key not in owned:
-            owned[key] = Redirect(self, datapath, client_ip, service)
-        return owned[key]
+        """The client's held redirect of ``service`` on ``datapath``, or
+        a new one, held once its install sends an add."""
+        held = self._redirects.get(client_ip, {}).get((datapath.id, service.name, None))
+        return held or Redirect(self, datapath, client_ip, service, None)
 
     def _attachment(self, client: ClientInfo) -> Datapath | None:
         """The switch ``client`` was last seen on — if it is ours and the

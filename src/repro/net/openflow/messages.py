@@ -77,10 +77,10 @@ class PacketOut:
 @dataclasses.dataclass
 class FlowRemoved:
     """Switch → controller: an entry idled out.  Its channel names the
-    switch; its match and priority name the entry."""
+    switch and its match the entry: the controller times one entry per
+    match, a redirect's forward entry."""
 
     match: FlowMatch
-    priority: int
 
 
 @dataclasses.dataclass

@@ -344,7 +344,7 @@ class OpenFlowSwitch(NetDevice):
         expired, deadline = self.table.sweep_and_deadline(self.env.now)
         if self.channel is not None:
             for entry in expired:
-                self.channel.send_to_controller(FlowRemoved(entry.match, entry.priority))
+                self.channel.send_to_controller(FlowRemoved(entry.match))
         # Entries may have been touched since this wake was armed (a
         # spurious wake): re-arm at the new earliest possible expiry, if
         # any entry can still expire.

@@ -9,8 +9,10 @@ from repro.core import HybridDockerK8sScheduler, LowLatencyScheduler
 from repro.core.schedulers import CloudOnlyScheduler
 from repro.net.packet import TCPFlags, TCPSegment
 from repro.observe import tap
+from repro.services import Calibration
 from repro.services.catalog import ASM, NGINX, NGINX_PY, RESNET
 from repro.testbed import C3Testbed, TestbedConfig
+from repro.workload import BigFlowsParams, TraceDriver, generate_trace
 
 
 def docker_testbed(**kwargs):
@@ -333,13 +335,15 @@ class TestUnregisteredTraffic:
 
 _SVC = "edge-203-0-113-1-80"  # NGINX registered at 203.0.113.1:80
 _R = f"redirect:{_SVC}:10.0.0.2"  # clients[0]; the cookie text is a wire format
-_D = f"drain:{_SVC}:10.0.0.2"
+_D = f"drain:{_SVC}:10.0.0.2:%d"  # one connection's, by its source port
 
 #: The distinct FlowMods of the table below, as :func:`_wire` renders them.
 _REV_R, _FWD_R = f"add {_R} p20 idle=0", f"add {_R} p20 idle=10"
 _REV_D, _FWD_D = f"add {_D} p25 idle=0", f"add {_D} p25 idle=10"
 _FROM_EGS = "match(ip_src=10.0.0.1, ip_dst=10.0.0.2, tcp_src=30080)"
 _FROM_FAR = "match(ip_src=10.0.0.22, ip_dst=10.0.0.2, tcp_src=30081)"
+_CONN_FROM_EGS = "match(ip_src=10.0.0.1, ip_dst=10.0.0.2, tcp_src=30080, tcp_dst=%d)"
+_CONN_FROM_FAR = "match(ip_src=10.0.0.22, ip_dst=10.0.0.2, tcp_src=30081, tcp_dst=%d)"
 _BACK = "-> set_field:ip_src=203.0.113.1,set_field:tcp_src=80,output:2 buffer=None"
 _ANY = "match(ip_src=10.0.0.2, ip_dst=203.0.113.1, tcp_dst=80)"
 _CONN = "match(ip_src=10.0.0.2, ip_dst=203.0.113.1, tcp_src=%d, tcp_dst=80)"
@@ -348,23 +352,24 @@ _TO_FAR = "-> set_field:ip_dst=10.0.0.22,set_field:tcp_dst=30081,output:23"
 _TO_CLOUD = "-> output:22"
 _FLOW_MODS = {
     "del R": f"delete {_R}",
-    "del D": f"delete {_D}",
     "R rev egs": f"{_REV_R} {_FROM_EGS} {_BACK}",
     "R rev far": f"{_REV_R} {_FROM_FAR} {_BACK}",
     "R fwd egs": f"{_FWD_R} {_ANY} {_TO_EGS} buffer=None",
     "R fwd egs buf7": f"{_FWD_R} {_ANY} {_TO_EGS} buffer=7",
     "R fwd egs buf8": f"{_FWD_R} {_ANY} {_TO_EGS} buffer=8",
     "R fwd far": f"{_FWD_R} {_ANY} {_TO_FAR} buffer=None",
+    "R fwd cloud": f"{_FWD_R} {_ANY} {_TO_CLOUD} buffer=None",
     "R fwd cloud buf7": f"{_FWD_R} {_ANY} {_TO_CLOUD} buffer=7",
-    "D rev egs": f"{_REV_D} {_FROM_EGS} {_BACK}",
-    "D rev far": f"{_REV_D} {_FROM_FAR} {_BACK}",
-    "D fwd egs :40000": f"{_FWD_D} {_CONN % 40000} {_TO_EGS} buffer=None",
-    "D fwd egs :40001": f"{_FWD_D} {_CONN % 40001} {_TO_EGS} buffer=None",
-    "D fwd far :40000": f"{_FWD_D} {_CONN % 40000} {_TO_FAR} buffer=None",
-    "D fwd far :40001": f"{_FWD_D} {_CONN % 40001} {_TO_FAR} buffer=None",
-    "D fwd cloud :40000": f"{_FWD_D} {_CONN % 40000} {_TO_CLOUD} buffer=None",
-    "D fwd cloud :40001": f"{_FWD_D} {_CONN % 40001} {_TO_CLOUD} buffer=None",
 }
+for _port in (40000, 40001):
+    _FLOW_MODS |= {
+        f"del D :{_port}": f"delete {_D % _port}",
+        f"D rev egs :{_port}": f"{_REV_D % _port} {_CONN_FROM_EGS % _port} {_BACK}",
+        f"D rev far :{_port}": f"{_REV_D % _port} {_CONN_FROM_FAR % _port} {_BACK}",
+        f"D fwd egs :{_port}": f"{_FWD_D % _port} {_CONN % _port} {_TO_EGS} buffer=None",
+        f"D fwd far :{_port}": f"{_FWD_D % _port} {_CONN % _port} {_TO_FAR} buffer=None",
+        f"D fwd cloud :{_port}": f"{_FWD_D % _port} {_CONN % _port} {_TO_CLOUD} buffer=None",
+    }
 
 #: case -> (steps, the FlowMods they put on the control channel, in order).
 #: Endpoints: ``egs`` 10.0.0.1:30080 (switch port 1), ``far`` 10.0.0.22:30081
@@ -379,7 +384,9 @@ _FLOW_MODS = {
 #: ``del R`` that found nothing); then for one drain lifetime: every timed
 #: entry reports its idle-out, so nothing asks, the reverse drain has no
 #: idle timeout, and a repoint that cannot pin a connection (no old
-#: out-port) sends no drain at all.
+#: out-port) sends no drain at all; then for one connection per drain:
+#: each drain has a cookie of its own and its reverse entry matches its
+#: port, and a repoint pins only the ports no drain holds yet.
 _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
     "install to an edge endpoint": (
         [("install", "egs", 7)],
@@ -412,15 +419,15 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
     "repoint with one connection, from an edge endpoint": (
         [("track", (40000,)), ("install", "egs", 7), ("repoint", "egs", "far")],
         [
-            "R rev egs", "R fwd egs buf7", "D rev egs", "D fwd egs :40000", "del R",
-            "R rev far", "R fwd far",
+            "R rev egs", "R fwd egs buf7", "D rev egs :40000", "D fwd egs :40000",
+            "del R", "R rev far", "R fwd far",
         ],
     ),
     "repoint with two connections, from an edge endpoint": (
         [("track", (40000, 40001)), ("install", "egs", 7), ("repoint", "egs", "far")],
         [
-            "R rev egs", "R fwd egs buf7", "D rev egs", "D fwd egs :40000",
-            "D fwd egs :40001", "del R", "R rev far", "R fwd far",
+            "R rev egs", "R fwd egs buf7", "D rev egs :40000", "D fwd egs :40000",
+            "D rev egs :40001", "D fwd egs :40001", "del R", "R rev far", "R fwd far",
         ],
     ),
     "repoint with one connection, from the cloud": (
@@ -434,15 +441,15 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
             "R rev egs", "R fwd egs",
         ],
     ),
-    "a second repoint deletes the first one's drains": (
+    "a second repoint keeps the first one's pins": (
         [
             ("track", (40000,)), ("install", "egs", 7), ("repoint", "egs", "far"),
             ("track", (40000, 40001)), ("repoint", "far", "egs"),
         ],
         [
-            "R rev egs", "R fwd egs buf7", "D rev egs", "D fwd egs :40000", "del R",
-            "R rev far", "R fwd far", "del D", "D rev far", "D fwd far :40000",
-            "D fwd far :40001", "del R", "R rev egs", "R fwd egs",
+            "R rev egs", "R fwd egs buf7", "D rev egs :40000", "D fwd egs :40000",
+            "del R", "R rev far", "R fwd far", "D rev far :40001", "D fwd far :40001",
+            "del R", "R rev egs", "R fwd egs",
         ],
     ),
     "repoint from an unknown port sends no drain": (
@@ -459,8 +466,8 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
             ("retire",),
         ],
         [
-            "R rev egs", "R fwd egs buf7", "D rev egs", "D fwd egs :40000", "del R",
-            "R rev far", "R fwd far", "del R", "del D",
+            "R rev egs", "R fwd egs buf7", "D rev egs :40000", "D fwd egs :40000",
+            "del R", "R rev far", "R fwd far", "del R", "del D :40000",
         ],
     ),
     "retire with nothing installed": (
@@ -473,8 +480,8 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
             ("detach",), ("retire",),
         ],
         [
-            "R rev egs", "R fwd egs buf7", "D rev egs", "D fwd egs :40000", "del R",
-            "R rev far", "R fwd far",
+            "R rev egs", "R fwd egs buf7", "D rev egs :40000", "D fwd egs :40000",
+            "del R", "R rev far", "R fwd far",
         ],
     ),
 }
@@ -540,8 +547,9 @@ def test_redirect_transitions_as_message_sequences(case):
             redirect.install(port, endpoints[args[0]], args[1])
         elif step == "repoint":
             redirect.repoint(port, endpoints[args[0]], endpoints[args[1]])
-        elif step == "retire":
-            redirect.retire()
+        elif step == "retire":  # all the client holds, as a handover does
+            for held in tb.controller._redirects.pop(client.ip, {}).values():
+                held.retire()
         else:
             assert step == "detach"
             tb.controller.detach(tb.switch)
@@ -569,7 +577,7 @@ def test_a_stale_idle_out_leaves_a_fresh_reinstall_alone():
         tb.settle(0.0001)  # half the channel's 200 µs hop
     redirect.install(port, endpoints["far"], None)
     tb.settle(0.01)
-    assert redirect.installed
+    assert tb.controller._redirects[client.ip] == {redirect.key: redirect}
     expected = ["R rev egs", "R fwd egs", "del R", "R rev far", "R fwd far"]
     assert sent == [_FLOW_MODS[name] for name in expected]
     assert len(ours()) == 2
@@ -600,12 +608,12 @@ def test_a_delete_reports_nothing():
     assert up == []
 
 
-def test_the_reverse_drain_goes_with_the_last_forward_drain():
-    """A repoint drains two connections.  The client keeps one of them
-    warm; the other's forward drain idles out, the switch reports it,
-    and the controller forgets that port and sends nothing.  When the
-    warm one goes quiet too, its report is the last, and the controller
-    deletes ``drain:`` — the reverse drain, which has no timer."""
+def test_each_drains_reverse_goes_with_its_forward():
+    """A repoint drains two connections, each with a forward and a
+    reverse entry of its own.  The client keeps one of them warm; the
+    other's forward drain idles out, the switch reports it, and the
+    controller drops that drain and deletes its reverse entry, which has
+    no timer.  The warm one's entries stay until it goes quiet too."""
     tb, service, endpoints, sent = _redirect_rig()
     client = tb.clients[0]
     port = tb.topology.port_for(tb.datapath.id, client.ip)
@@ -617,31 +625,138 @@ def test_the_reverse_drain_goes_with_the_last_forward_drain():
 
     def drains():
         return sorted(
-            (entry.match.tcp_src, entry.idle_timeout)
+            (entry.cookie, entry.idle_timeout)
             for entry in tb.switch.table
-            if entry.cookie == redirect.drain_cookie
+            if entry.cookie.startswith("drain:")
         )
 
+    def held():
+        return [key[2] for key in tb.controller._redirects[client.ip]]
+
     tb.settle(0.01)
-    assert drains() == [(30080, 0.0), (40000, idle_s), (40001, idle_s)]
+    assert drains() == [
+        (_D % 40000, 0.0), (_D % 40000, idle_s), (_D % 40001, 0.0), (_D % 40001, idle_s)
+    ]
+    assert held() == [None, 40000, 40001]
     for _ in range(5):  # 40000 stays warm for 20 s
         client._send_segment(service.cloud_ip, TCPSegment(40000, service.port, TCPFlags.ACK))
         tb.settle(idle_s * 0.4)
-    assert drains() == [(30080, 0.0), (40000, idle_s)]
-    assert list(redirect.drained) == [40000]
+    assert drains() == [(_D % 40000, 0.0), (_D % 40000, idle_s)]
+    assert held() == [40000]  # the redirect to far idled out too: nothing hit it
     tb.settle(2 * idle_s)
-    assert drains() == []
-    assert redirect.drained == {}
-    assert sent.count(_FLOW_MODS["del D"]) == 1
+    assert (drains(), held()) == ([], [])
+    assert [sent.count(_FLOW_MODS[f"del D :{p}"]) for p in (40000, 40001)] == [1, 1]
+
+
+def test_a_cloud_redirect_idles_out_with_nothing_to_delete():
+    """A redirect to the cloud has a forward entry and no reverse one.
+    When the switch reports the forward entry idle nothing of it is
+    left, so the controller drops it and sends nothing.  It used to
+    send a ``delete redirect:`` that removed nothing."""
+    tb, service, endpoints, sent = _redirect_rig()
+    client = tb.clients[0]
+    port = tb.topology.port_for(tb.datapath.id, client.ip)
+    redirect = tb.controller._redirect(tb.datapath, client.ip, service)
+    redirect.install(port, None, None)
+    assert sent == [_FLOW_MODS["R fwd cloud"]]
+    sent.clear()
+    tb.settle(2 * tb.controller.calibration.switch_idle_timeout_s)
+    assert [entry for entry in tb.switch.table if entry.cookie == redirect.cookie] == []
+    assert (tb.controller._redirects[client.ip], sent) == ({}, [])
+
+
+def test_a_drain_to_the_cloud_idles_out_with_nothing_to_delete():
+    """A repoint out of the cloud pins the tracked connection to the
+    cloud with a forward drain and no reverse one.  The client keeps its
+    redirect to egs warm on another connection; when the switch reports
+    the drain idle the controller drops it and sends nothing.  It used to
+    send a ``delete drain:`` that removed nothing."""
+    tb, service, endpoints, sent = _redirect_rig()
+    client = tb.clients[0]
+    port = tb.topology.port_for(tb.datapath.id, client.ip)
+    redirect = tb.controller._redirect(tb.datapath, client.ip, service)
+    tb.controller.conntrack = lambda *_: (40000,)
+    redirect.install(port, None, None)
+    redirect.repoint(port, endpoints["cloud"], endpoints["egs"])
+    sent.clear()
+    idle_s = tb.controller.calibration.switch_idle_timeout_s
+    for _ in range(5):  # the redirect stays warm for 20 s; the drain does not
+        client._send_segment(service.cloud_ip, TCPSegment(40001, service.port, TCPFlags.ACK))
+        tb.settle(idle_s * 0.4)
+    assert [entry for entry in tb.switch.table if entry.cookie == _D % 40000] == []
+    assert (list(tb.controller._redirects[client.ip]), sent) == ([redirect.key], [])
+
+
+def test_the_controller_holds_exactly_the_redirects_in_the_table():
+    """A short churn run — ``c3_churn``'s 0.5 s switch and 3 s FlowMemory
+    idle timeouts, idle scale-down, three services — under three
+    repoints of one service: out to the cloud while a client holds a
+    connection open, back to egs 0.2 s later while that connection's
+    drain is still held, and out again mid-trace, while a second client
+    holds one.  Whenever no control message is in flight the
+    controller holds exactly the redirects and drains whose forward
+    entries — the table's timed entries — are installed: none outlives
+    its entry, and none is missing."""
+    calibration = Calibration(switch_idle_timeout_s=0.5, memory_idle_timeout_s=3.0)
+    config = TestbedConfig(n_clients=8, cluster_types=("docker",), auto_scale_down=True)
+    tb = C3Testbed(config, calibration=calibration)
+    params = BigFlowsParams(
+        n_services=3, n_requests=150, duration_s=10.0, n_clients=8, min_requests_per_service=5
+    )
+    services = [tb.register_template(NGINX) for _ in range(params.n_services)]
+    for service in services:
+        tb.prepare_created(tb.docker_cluster, service)
+    tb.settle(1.0)
+    controller, channel, dpid = tb.controller, tb.datapath.channel, tb.datapath.id
+    moved = services[0]
+    cloud = ServiceEndpoint(moved.cloud_ip, moved.port)
+    tb.env.run_process(tb.clients[0].connect(moved.cloud_ip, moved.port, timeout=5.0))
+    instance = tb.docker_cluster.endpoint(moved.plan)
+    quiet, drains = [], []
+
+    def check():
+        if channel._up_at is not None or channel._down_at is not None:
+            return  # an idle-out's report or an add is on its way
+        held = [(ip, *key) for ip, owned in controller._redirects.items() for key in owned]
+        timed = [
+            (
+                entry.match.ip_src,
+                dpid,
+                controller.registry.lookup(entry.match.ip_dst, entry.match.tcp_dst).name,
+                entry.match.tcp_src,
+            )
+            for entry in tb.switch.table
+            if entry.idle_timeout
+        ]
+        assert sorted(held, key=repr) == sorted(timed, key=repr), tb.env.now
+        quiet.append(tb.env.now)
+        drains.extend(key for key in held if key[3] is not None)
+
+    start = tb.env.now
+    for tick in range(400):  # every 50 ms for 20 s
+        tb.env.call_at(start + tick * 0.05 + 0.01, check)
+    assert controller.repoint_service_flows(moved, "cloud", cloud) >= 1
+    tb.env.call_at(
+        start + 0.2, controller.repoint_service_flows, moved, tb.docker_cluster.name, instance
+    )
+    second = tb.clients[1].connect(moved.cloud_ip, moved.port, timeout=5.0)
+    tb.env.call_at(start + 4.9, tb.env.spawn, second)
+    tb.env.call_at(start + 5.0, controller.repoint_service_flows, moved, "cloud", cloud)
+    driver = TraceDriver(tb.env, tb.clients, services, recorder=tb.recorder)
+    driver.run(generate_trace(params, seed=1))
+    tb.env.run(until=start + 20.0)
+    assert len(quiet) > 200
+    assert {key[0] for key in drains} == {tb.clients[0].ip, tb.clients[1].ip}
 
 
 @pytest.mark.parametrize("how", ["handover", "unregister"])
 def test_retirement_order_does_not_depend_on_the_hash_seed(how):
     """Eight clients hold a live connection each and are repointed, so
-    each owns a ``redirect:`` and a ``drain:`` cookie; then each is
-    handed over (``update_client_location``) or, second case, the
-    service is unregistered.  Every client's ``redirect:`` delete
-    reaches the control channel before its ``drain:`` delete.
+    each owns a ``redirect:<service>:<client>`` and a
+    ``drain:<service>:<client>:<port>`` cookie; then each is handed over
+    (``update_client_location``) or, second case, the service is
+    unregistered.  Every client's ``redirect:`` delete reaches the
+    control channel before its ``drain:`` delete.
 
     Before a redirect had an owner the two cookies sat in a *set* of
     ``(dpid, cookie)`` tuples and went out in iteration order, so each
@@ -662,6 +777,11 @@ def test_retirement_order_does_not_depend_on_the_hash_seed(how):
     clients = tb.clients[:8]
     for client in clients:  # the first packet deploys, installs, and stays open
         tb.env.run_process(client.connect(service.cloud_ip, service.port, timeout=5.0))
+    tracked = {
+        client.ip: tb.controller.conntrack(client.ip, service.cloud_ip, service.port)
+        for client in clients
+    }
+    assert all(len(ports) == 1 for ports in tracked.values())
     moved = tb.controller.repoint_service_flows(
         service, far.name, ServiceEndpoint(far.ingress_host.ip, 30081)
     )
@@ -676,7 +796,9 @@ def test_retirement_order_does_not_depend_on_the_hash_seed(how):
         tb.controller.unregister_service(service)
     for client in clients:
         mine = f"{service.name}:{client.ip}"
-        assert [text for text in sent if text.endswith(f":{mine}")] == [
-            f"delete redirect:{mine}",
-            f"delete drain:{mine}",
-        ]
+        (port,) = tracked[client.ip]
+        assert [
+            text
+            for text in sent
+            if text == f"delete redirect:{mine}" or text.startswith(f"delete drain:{mine}:")
+        ] == [f"delete redirect:{mine}", f"delete drain:{mine}:{port}"]

@@ -32,7 +32,6 @@ from repro.faults import (
 )
 from repro.metrics import MetricsRecorder
 from repro.net.addressing import IPv4Address
-from repro.observe import tap
 from repro.services import build_catalog
 from repro.services.catalog import NGINX
 from repro.sim import Environment
@@ -689,9 +688,9 @@ class TestSwitchCrashMidConversation:
         """A power cycle empties the table and no FlowRemoved says so.
         On the switch's rejoin each flow its redirects held starts its
         clock, so the idle service still leaves ``memory_idle_timeout_s``
-        later instead of being held for ever; and each redirect forgets
-        the connections a repoint drained, so no later ``retire`` sends a
-        ``drain:`` delete that finds nothing."""
+        later instead of being held for ever; and the controller drops
+        every redirect and drain it held there, so no later ``retire``
+        sends a delete that finds nothing."""
         tb = C3Testbed(TestbedConfig(cluster_types=("docker",), auto_scale_down=True))
         far = tb.add_far_edge()
         svc = tb.register_template(NGINX)
@@ -702,17 +701,13 @@ class TestSwitchCrashMidConversation:
         tb.controller.conntrack = lambda *_: (40000,)
         far_endpoint = ServiceEndpoint(far.ingress_host.ip, 30081)
         assert tb.controller.repoint_service_flows(svc, far.name, far_endpoint) == 1
-        redirect = tb.controller._redirects[client.ip][(tb.datapath.id, svc.name)]
-        assert list(redirect.drained) == [40000]
+        held = tb.controller._redirects[client.ip]
+        assert [tcp_src for _, _, tcp_src in held] == [None, 40000]
         assert flow.deadline is None  # held by its redirect
         base = tb.env.now
         Injector(tb, FaultPlan().node_crash(1.0, "ovs", duration_s=1.0)).arm()
         tb.settle(2.5)
-        assert (redirect.installed, redirect.drained) == (False, {})
-        sent = []
-        tap(tb.datapath.channel, "send_to_switch", sent.append)
-        redirect.retire()
-        assert sent == []
+        assert held == {}
         idle_s = tb.controller.calibration.memory_idle_timeout_s
         assert flow.deadline == (base + 1.0) + 1.0 + idle_s
         tb.settle(idle_s)

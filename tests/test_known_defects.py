@@ -7,8 +7,8 @@ the marker.  A fixed defect's test stays as a
 regression test.  When no defect is open this file is a regression file
 and is renamed for it.
 
-Each defect sits in one transition of an owner (DESIGN.md §7): (a), (a′)
-and (b) in :class:`repro.core.controller.Redirect` ("A redirect's life"),
+Each defect sits in one transition of an owner (DESIGN.md §7): (a), (a′),
+(b) and (f) in :class:`repro.core.controller.Redirect` ("A redirect's life"),
 (c) and (d) where a :class:`repro.core.dispatcher.Deployment` hands over
 to one ("A deployment's life").
 
@@ -41,7 +41,7 @@ Fixed, with their regression tests:
     every drain its own idle timer, so the reverse drain lapsed while a
     connection the client kept warm held its forward drain.  Now only
     forward drains are timed; the switch reports each idle-out, and the
-    controller deletes the reverse drain with the last forward one:
+    controller deletes the reverse drain with it:
     :func:`test_a_drained_connection_still_answers_as_the_cloud`.
 (c) **A busy service was scaled down** — FlowMemory's clock moved only
     at packet-ins, so a client that kept its switch entries warm had
@@ -63,6 +63,14 @@ Fixed, with their regression tests:
     client sent to the cloud in that stop to the edge once the instance
     is back: a flow memorized to the cloud is replayed only while no
     cluster runs the service.
+(f) **A connection drained twice** — ``repoint``: a repoint over live
+    drains re-pinned every tracked connection to the instance being
+    left, so one that began two repoints back was sent to an instance
+    that never had it, and its own instance's answers reached the client
+    from their own address.  Now each drain is a ``Redirect`` of one
+    connection, pinned once, to the instance the connection began on,
+    and a later repoint pins only the connections no drain holds yet:
+    :func:`test_a_connection_drained_twice_keeps_its_instance`.
 """
 
 from __future__ import annotations
@@ -167,8 +175,48 @@ def test_a_drained_connection_still_answers_as_the_cloud():
     tb.settle(0.01)
     assert seen == [(service.cloud_ip, service.port)]
     tb.settle(2 * idle_s)
-    drain_cookie = f"drain:{service.name}:{client.ip}"
-    assert [entry for entry in tb.switch.table if entry.cookie == drain_cookie] == []
+    drains = f"drain:{service.name}:{client.ip}:"
+    assert [entry for entry in tb.switch.table if str(entry.cookie).startswith(drains)] == []
+
+
+def test_a_connection_drained_twice_keeps_its_instance():
+    """After one request the gNB tracks one connection, source port
+    40000, across two repoints: egs → far edge, then far edge → cloud.
+    The connection began on egs, so it must stay there: the client's
+    next segment on port 40000 reaches egs, and egs's answer reaches the
+    client from the cloud's address.
+
+    Before the fix the second repoint re-pinned every tracked port to
+    the instance being left, the far edge: the segment reached the far
+    edge, and egs's answer, which no reverse drain covered any longer,
+    reached the client from ``10.0.0.1:20000``.  The mutation "a repoint
+    re-pins a port it already drained" fails here the same way.
+    """
+    tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
+    far = tb.add_far_edge()
+    service = tb.register_template(NGINX)
+    tb.prepare_created(tb.docker_cluster, service)
+    client = tb.clients[0]
+    assert tb.run_request(client, service, NGINX.request).response.status == 200
+    instance = tb.docker_cluster.endpoint(service.plan)
+    controller = tb.controller
+    controller.conntrack = lambda *_: (40000,)
+    far_endpoint = ServiceEndpoint(far.ingress_host.ip, 30081)
+    assert controller.repoint_service_flows(service, far.name, far_endpoint) == 1
+    cloud = ServiceEndpoint(service.cloud_ip, service.port)
+    assert controller.repoint_service_flows(service, "cloud", cloud) == 1
+    tb.settle(0.01)
+    reached = []
+    for host in (tb.egs, far.ingress_host, tb.cloud):
+        tap(host, "receive", lambda packet, iface, name=host.name: reached.append(name))
+    client._send_segment(service.cloud_ip, TCPSegment(40000, service.port, TCPFlags.ACK))
+    tb.settle(0.01)
+    seen = []
+    tap(client, "receive", lambda packet, iface: seen.append((packet.ip_src, packet.tcp.src_port)))
+    answer = TCPSegment(instance.port, 40000, TCPFlags.ACK)
+    tb.egs._send_segment(client.ip, answer, src_ip=instance.ip)
+    tb.settle(0.01)
+    assert (reached, seen) == ([tb.egs.name], [(service.cloud_ip, service.port)])
 
 
 def test_a_deploy_in_flight_takes_one_slot():

@@ -301,7 +301,7 @@ class TestSwitchDataPlane:
             0.0,
         )
         env.run(until=3.0)
-        assert app.flow_removed == [FlowRemoved(FlowMatch(tcp_dst=80), 7)]
+        assert app.flow_removed == [FlowRemoved(FlowMatch(tcp_dst=80))]
         assert len(sw.table) == 0
 
     def test_flow_mod_delete_notifies(self):

@@ -1977,7 +1977,7 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
                         for flow in controller.flow_memory.flows_for_service(service)
                     ),
                     sorted(
-                        (str(ip), sorted(owned))
+                        (str(ip), sorted(owned, key=str))  # tcp_src: None or a port
                         for ip, owned in controller._redirects.items()
                     ),
                     cluster.is_running(service.plan),
@@ -2010,7 +2010,7 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
                     env.call_at(
                         sent,
                         channel.send_to_controller,
-                        FlowRemoved(FlowMatch(ip_src=host.ip), 0),
+                        FlowRemoved(FlowMatch(ip_src=host.ip)),
                     )
             else:
                 env.call_at(
