@@ -25,7 +25,9 @@ from repro.core.service_registry import EdgeService, ServiceRegistry
 from repro.core.state import ControlPlaneState, InstanceRecord
 from repro.metrics import MetricsRecorder
 from repro.net.addressing import IPv4Address
-from repro.net.openflow import FlowMatch, FlowRemoved, Output, PacketIn, SetField, ToController
+from repro.net.openflow import (
+    Commit, FlowMatch, FlowRemoved, Output, PacketIn, SetField, ToController
+)
 from repro.sdnfw import Datapath, SDNApp
 from repro.services.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.sim import Environment
@@ -38,7 +40,7 @@ PRIORITY_DEFAULT = 0  # match-all -> cloud uplink
 PRIORITY_INFRA = 2  # destination-based infrastructure forwarding
 PRIORITY_INTERCEPT = 10  # registered service -> controller
 PRIORITY_REDIRECT = 20  # per-(client, service) redirection
-PRIORITY_DRAIN = 25  # per-connection drain during make-before-break
+PRIORITY_DRAIN = 25  # a pin: the connections begun on one endpoint
 
 
 class SwitchTopology:
@@ -115,27 +117,28 @@ class ForwardingApp(SDNApp):
 
 
 class Redirect:
-    """One client's redirection to one service on one switch — of every
-    connection, or with ``tcp_src`` of one: the owner of one forward
-    entry and, toward an edge instance, of the reverse entry for it.
+    """One client's redirection to one service on one switch — of its new
+    connections, or with ``mark`` of those begun on one endpoint: the
+    owner of one forward entry and, toward an edge instance, of the
+    reverse entry for it.
 
-    *Forward* rewrites client → cloud address into client → instance and
-    releases the held first packet; *reverse* rewrites the instance's
-    answers back, so the client only ever sees the cloud address (§V).
-    A redirect sits at :data:`PRIORITY_REDIRECT` under the cookie
-    ``redirect:<service>:<client>``; a *drain* — a repoint's pin of one
-    connection to the instance it began on — at :data:`PRIORITY_DRAIN`
-    under ``drain:<service>:<client>:<port>``, its reverse entry matching
-    that port too.  The cookie text is a wire format
-    (``repro.ops.collector`` parses it).
+    *Forward* has the switch mark each SYN's connection with the
+    endpoint it rewrites to (the cloud's address included), rewrites
+    client → cloud address into client → instance and releases the held
+    first packet; *reverse* rewrites the instance's answers back, so the
+    client only ever sees the cloud address (§V).  A redirect sits at
+    :data:`PRIORITY_REDIRECT` under the cookie
+    ``redirect:<service>:<client>``; a *pin* — a repoint's hold on the
+    connections begun on the endpoint being left — matches that mark at
+    :data:`PRIORITY_DRAIN` under ``drain:<service>:<client>:<mark>``.
+    The cookie text is a wire format (``repro.ops.collector`` parses it).
 
-    The controller holds a redirect, keyed by its forward match
-    ``(dpid, service name, tcp_src)``, exactly while its forward entry
-    is in the table: from the add (sent at ``sent_at``) to the
-    idle-out, the delete or a power-cycled switch's rejoin.  Only the
-    forward entry has an idle timer, and the switch reports its idle-out
-    (FlowRemoved), which :meth:`idled_out` follows with the untimed
-    reverse entry.
+    The controller holds a redirect, keyed by ``(dpid, service name,
+    mark)``, exactly while its forward entry is in the table: from the
+    add (sent at ``sent_at``) to the idle-out, the delete or a
+    power-cycled switch's rejoin.  Only the forward entry has an idle
+    timer, and the switch reports its idle-out (FlowRemoved), which
+    :meth:`idled_out` follows with the untimed reverse entry.
 
     Each open race (ROADMAP item 3) is a few lines in one transition,
     here or in the :class:`~repro.core.dispatcher.Deployment` that hands
@@ -151,18 +154,18 @@ class Redirect:
         datapath: Datapath,
         client_ip: IPv4Address,
         service: EdgeService,
-        tcp_src: int | None,
+        mark: ServiceEndpoint | None,
     ) -> None:
         self.controller = controller
         self.datapath = datapath
         self.client_ip = client_ip
         self.service = service
-        self.tcp_src = tcp_src
-        self.key = (datapath.id, service.name, tcp_src)
-        if tcp_src is None:
+        self.mark = mark
+        self.key = (datapath.id, service.name, mark)
+        if mark is None:
             self.cookie = f"redirect:{service.name}:{client_ip}"
         else:
-            self.cookie = f"drain:{service.name}:{client_ip}:{tcp_src}"
+            self.cookie = f"drain:{service.name}:{client_ip}:{mark}"
         self.sent_at = 0.0
         #: The edge instance the reverse entry answers for; ``None``
         #: toward the cloud, where there is none.
@@ -187,7 +190,7 @@ class Redirect:
             return
         owned[self.key] = self
         self.sent_at = self.controller.env.now
-        priority = PRIORITY_REDIRECT if self.tcp_src is None else PRIORITY_DRAIN
+        priority = PRIORITY_REDIRECT if self.mark is None else PRIORITY_DRAIN
         if self.edge is not None:
             reverse = self._reverse(client_port)
             self.datapath.add_flow(*reverse, priority=priority, cookie=self.cookie)
@@ -198,28 +201,22 @@ class Redirect:
     def repoint(
         self, client_port: int, old_endpoint: ServiceEndpoint, endpoint: ServiceEndpoint | None
     ) -> None:
-        """Swap to ``endpoint``, make-before-break: drain, then install.
+        """Swap to ``endpoint``, make-before-break: pin, then install.
 
-        Each of the client's in-flight connections (the gNB-conntrack
-        snapshot, half-open ones included) that no drain pins yet is
-        pinned to ``old_endpoint``, the instance it began on, by a drain
-        of its own above the entries about to be swapped, so established
-        sessions keep their path while new ones take the new one.  A
-        drain already held stays where its connection began.  Nothing
-        tracked, no conntrack, or no known old out-port: no drain.
+        One pin above the entries about to be swapped holds the
+        connections the switch marked with ``old_endpoint`` — any SYN
+        that crosses it before the swap lands among them — on the
+        instance they began on; new ones take ``endpoint``.  A pin
+        already held stays; no known old out-port, no pin.
         """
-        controller, service = self.controller, self.service
-        if controller.conntrack is not None:
-            owned = controller._redirects.setdefault(self.client_ip, {})
-            for tcp_src in controller.conntrack(self.client_ip, service.cloud_ip, service.port):
-                if (self.datapath.id, service.name, tcp_src) not in owned:
-                    drain = Redirect(controller, self.datapath, self.client_ip, service, tcp_src)
-                    drain.install(client_port, old_endpoint, None)
+        pin = Redirect(self.controller, self.datapath, self.client_ip, self.service, old_endpoint)
+        if pin.key not in self.controller._redirects.get(self.client_ip, {}):
+            pin.install(client_port, old_endpoint, None)
         self.install(client_port, endpoint, None)
 
     def idled_out(self) -> None:
         """The switch reports the forward entry idle: drop this redirect,
-        delete its reverse entry if one was sent, and — not for a drain —
+        delete its reverse entry if one was sent, and — not for a pin —
         start the flow's clock at the entry's last use, one switch idle
         timeout ago.  A report that lands less than an idle timeout after
         the entry was sent is of an entry a later install replaced (none
@@ -231,7 +228,7 @@ class Redirect:
         del controller._redirects[self.client_ip][self.key]
         if self.edge is not None:
             self.datapath.delete_flows(cookie=self.cookie)
-        if self.tcp_src is None:
+        if self.mark is None:
             controller._follow(self.client_ip, self.service, controller.env.now - idle)
 
     def retire(self) -> None:
@@ -255,12 +252,10 @@ class Redirect:
         return endpoint, topology.port_for(self.datapath.id, endpoint.ip)
 
     def _reverse(self, client_port: int):
-        """The entry that makes :attr:`edge`'s answers (on one
-        connection, for a drain) the cloud address's."""
+        """The entry that makes :attr:`edge`'s answers the cloud
+        address's."""
         service, edge = self.service, self.edge
-        match = FlowMatch(
-            ip_src=edge.ip, tcp_src=edge.port, ip_dst=self.client_ip, tcp_dst=self.tcp_src
-        )
+        match = FlowMatch(ip_src=edge.ip, tcp_src=edge.port, ip_dst=self.client_ip)
         return match, [
             SetField("ip_src", service.cloud_ip),
             SetField("tcp_src", service.port),
@@ -268,20 +263,22 @@ class Redirect:
         ]
 
     def _forward(self, out_port: int):
-        """The entry that sends the client's packets (of one connection,
-        for a drain) to :attr:`edge`; toward the cloud nothing is
+        """The entry that marks each new connection with :attr:`edge` and
+        sends the client's packets (of the connections marked
+        :attr:`mark`, for a pin) there; toward the cloud nothing is
         rewritten."""
         service, edge = self.service, self.edge
-        rewrite = []
-        if edge is not None:
-            rewrite = [SetField("ip_dst", edge.ip), SetField("tcp_dst", edge.port)]
+        if edge is None:
+            actions = [Commit(ServiceEndpoint(service.cloud_ip, service.port))]
+        else:
+            actions = [Commit(edge), SetField("ip_dst", edge.ip), SetField("tcp_dst", edge.port)]
         match = FlowMatch(
             ip_src=self.client_ip,
-            tcp_src=self.tcp_src,
             ip_dst=service.cloud_ip,
             tcp_dst=service.port,
+            ct_mark=self.mark,
         )
-        return match, rewrite + [Output(out_port)]
+        return match, actions + [Output(out_port)]
 
 
 class EdgeController(ForwardingApp):
@@ -329,19 +326,11 @@ class EdgeController(ForwardingApp):
         self.predictor = None
         self.proactive_deployer = None
         #: Every redirect whose forward entry is in a table: client ip ->
-        #: {(dpid, service name, tcp_src): owner}, both in insertion
+        #: {(dpid, service name, mark): owner}, both in insertion
         #: order — the order retirements reach the switch in.
         self._redirects: dict[
-            IPv4Address, dict[tuple[int, str, int | None], Redirect]
+            IPv4Address, dict[tuple[int, str, ServiceEndpoint | None], Redirect]
         ] = {}
-        #: Optional gNB-conntrack lookup the testbed wires in:
-        #: ``(client_ip, dst_ip, dst_port) -> local source ports`` of
-        #: the client's in-flight connections
-        #: (:meth:`~repro.net.host.Host.tracked_ports`) — the sessions
-        #: :meth:`Redirect.repoint` keeps on their old path.
-        self.conntrack: _t.Callable[
-            [IPv4Address, IPv4Address, int], tuple[int, ...]
-        ] | None = None
         #: Diagnostics.
         self.stats = {
             "packet_in": 0,
@@ -489,7 +478,7 @@ class EdgeController(ForwardingApp):
         for owned in self._redirects.values():
             for key in [key for key in owned if key[0] == datapath.id]:
                 redirect = owned.pop(key)
-                if redirect.tcp_src is None:
+                if redirect.mark is None:
                     self._follow(redirect.client_ip, redirect.service, self.env.now)
 
     def on_flow_removed(self, datapath: Datapath, message: FlowRemoved) -> None:
@@ -497,7 +486,7 @@ class EdgeController(ForwardingApp):
         match = message.match
         service = self.registry.lookup(match.ip_dst, match.tcp_dst)
         owned = self._redirects.get(match.ip_src, {})
-        redirect = service and owned.get((datapath.id, service.name, match.tcp_src))
+        redirect = service and owned.get((datapath.id, service.name, match.ct_mark))
         if redirect:
             redirect.idled_out()
 
@@ -508,8 +497,8 @@ class EdgeController(ForwardingApp):
         flow = self.flow_memory.lookup(client_ip, service)
         if flow is None:
             return
-        for _, name, tcp_src in self._redirects.get(client_ip, {}):
-            if name == service.name and tcp_src is None:
+        for _, name, mark in self._redirects.get(client_ip, {}):
+            if name == service.name and mark is None:
                 self.flow_memory.hold(flow)
                 return
         self.flow_memory.release(flow, since)
@@ -641,11 +630,11 @@ class EdgeController(ForwardingApp):
         new instance, make-before-break.
 
         Runs in a single event-loop instant (no yields), so for every
-        covered client the conntrack snapshot, the per-connection drain
-        entries, and the redirect swap are one indivisible switch-over:
-        connections opened before it drain on the old path, connections
-        opened after it ride the new one.  Returns the number of flows
-        repointed.
+        covered client the pin toward the old endpoint and the redirect
+        swap are sent in one batch and land at the switch together:
+        connections the switch committed before the swap lands stay on
+        the old path, connections whose SYN reaches it after ride the
+        new one.  Returns the number of flows repointed.
         """
         repointed = 0
         for flow in self.flow_memory.flows_for_service(service):

@@ -363,7 +363,7 @@ class Dispatcher:
         #: Hook for "the BEST instance became ready after a no-waiting
         #: redirect", set by the owner: the controller's
         #: ``repoint_service_flows`` moves the memory and the data plane
-        #: (drains + fresh redirect entries) in one instant.
+        #: (pins + fresh redirect entries) in one instant.
         self.on_endpoint_ready: _t.Callable[
             [EdgeService, str, ServiceEndpoint], int
         ] | None = None

@@ -22,11 +22,11 @@ make-before-break (Fondo-Ferreiro et al., arXiv:2009.01716):
   checkpoint inside the downtime window.
 * **Make-before-break flip**: the destination instance is pulled,
   created, started, and port-ready *before* anything touches the
-  source.  The flip itself runs in a single event-loop instant — a
-  gNB-conntrack snapshot, per-connection drain entries at
-  :data:`~repro.core.controller.PRIORITY_DRAIN`, and the redirect swap
-  are indivisible — so in-flight packets drain on the old path while
-  new connections take the new one.
+  source.  The flip itself runs in a single event-loop instant — a pin
+  at :data:`~repro.core.controller.PRIORITY_DRAIN` of the connections
+  the switch committed toward the source, and the redirect swap, are
+  sent together — so those connections drain on the old path while
+  new ones take the new one.
 * **Abort safety**: every phase up to the flip runs under one abort
   path.  A fault (node crash, pod kill, link partition, registry
   outage), a protocol error, or a destination that stopped answering
@@ -556,7 +556,7 @@ class MigrationManager:
             )
             return self._finish_aborted(outcome)
 
-        # flip — one event-loop instant, no yields: drains in, redirects
+        # flip — one event-loop instant, no yields: pins in, redirects
         # swapped, memory repointed, instance published.
         endpoint = cluster.endpoint(plan)
         assert endpoint is not None
@@ -839,8 +839,8 @@ class MigrationManager:
 
         service, cluster = export.service, export.cluster
         # Make-before-break, source half (one instant): local flows
-        # flip to the remote destination with per-connection drains,
-        # then the dying instance is evicted.
+        # flip to the remote destination, the connections begun here
+        # pinned, then the dying instance is evicted.
         self.controller.repoint_service_flows(service, remote_name, dest_ep)
         self.controller.dispatcher.deployment(service, cluster).evict()
         export.released = True

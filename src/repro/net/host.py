@@ -247,13 +247,6 @@ class Host(NetDevice):
         #: Handshake waiters keyed by conn_id -> event fired with the
         #: SYN-ACK (or failed with ConnectionRefused).
         self._pending: dict[int, _t.Any] = {}
-        #: Conntrack view of half-open outbound handshakes:
-        #: conn_id -> (src_port, dst_ip, dst_port).  Registered before
-        #: the SYN leaves, so a snapshot taken at any instant covers
-        #: every connection that may already have segments in flight —
-        #: the make-before-break flip derives its per-connection drain
-        #: rules from this plus ``_connections``.
-        self._half_open: dict[int, tuple[int, IPv4Address, int]] = {}
         #: Readiness subscriptions: port -> events fired on open_port.
         self._port_waiters: dict[int, list[_t.Any]] = {}
         self._next_ephemeral = EPHEMERAL_BASE
@@ -292,33 +285,6 @@ class Host(NetDevice):
         """The application behind ``port``, or None while it is closed."""
         listener = self._listeners.get(port)
         return listener.app if listener is not None else None
-
-    def tracked_ports(
-        self, dst_ip: IPv4Address, dst_port: int
-    ) -> tuple[int, ...]:
-        """Local source ports of every connection — established *or*
-        half-open (SYN possibly in flight) — addressed to
-        ``dst_ip:dst_port``.
-
-        This is the gNB-conntrack view the make-before-break flip
-        snapshots: half-open handshakes register before their SYN is
-        transmitted, so a snapshot taken in the same event-loop instant
-        as a flow-table swap covers every connection whose segments
-        could still traverse the old path.  Sorted for determinism.
-        """
-        ports = {
-            conn.local_port
-            for conn in self._connections.values()
-            if conn.established
-            and conn.remote_ip == dst_ip
-            and conn.remote_port == dst_port
-        }
-        ports.update(
-            src_port
-            for src_port, ip, port in self._half_open.values()
-            if ip == dst_ip and port == dst_port
-        )
-        return tuple(sorted(ports))
 
     def crash(self) -> None:
         """Power-fail this host (failure injection).
@@ -390,7 +356,6 @@ class Host(NetDevice):
         src_port = self._allocate_port()
         reply_ev = self.env.event()
         self._pending[conn_id] = reply_ev
-        self._half_open[conn_id] = (src_port, dst_ip, dst_port)
 
         self._send_segment(
             dst_ip,
@@ -422,7 +387,6 @@ class Host(NetDevice):
                 deadline.cancel()
         finally:
             self._pending.pop(conn_id, None)
-            self._half_open.pop(conn_id, None)
 
         conn = Connection(self, conn_id, src_port, dst_ip, dst_port)
         self._connections[conn_id] = conn

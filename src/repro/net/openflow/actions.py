@@ -73,6 +73,20 @@ class SetField(Action):
 
 
 @dataclasses.dataclass(frozen=True)
+class Commit(Action):
+    """Connection tracking (OVS ``ct(commit, exec(set_field:<mark>->ct_mark))``):
+    a SYN records ``mark``, opaque to the switch, for its connection —
+    keyed by the 4-tuple it carries here, so this goes before any
+    rewrite — and a FIN or RST ends the connection.  Its later packets
+    match a ``FlowMatch.ct_mark`` of that mark."""
+
+    mark: _t.Any
+
+    def __str__(self) -> str:
+        return f"ct(commit,mark={self.mark})"
+
+
+@dataclasses.dataclass(frozen=True)
 class ToController(Action):
     """Punt the packet to the controller (buffered packet-in)."""
 

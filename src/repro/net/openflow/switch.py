@@ -7,7 +7,7 @@ import typing as _t
 from heapq import heappush
 
 from repro.net.device import NetDevice, NetworkInterface
-from repro.net.openflow.actions import Action, Drop, Output, SetField, ToController
+from repro.net.openflow.actions import Action, Commit, Drop, Output, SetField, ToController
 from repro.net.openflow.messages import (
     BarrierReply,
     BarrierRequest,
@@ -17,7 +17,7 @@ from repro.net.openflow.messages import (
     PacketOut,
 )
 from repro.net.openflow.table import FlowEntry, FlowTable
-from repro.net.packet import Packet
+from repro.net.packet import Packet, TCPFlags
 from repro.sim import Environment
 from repro.sim.events import NORMAL
 
@@ -26,6 +26,10 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Spacing of the grid a switch's flow-expiry wakeups land on.
 EXPIRY_SWEEP_INTERVAL_S = 0.25
+
+_SYN = TCPFlags.SYN
+#: The flag bits that end a tracked connection.
+_END_BITS = (TCPFlags.FIN | TCPFlags.RST).value
 
 
 class ControlChannel:
@@ -104,6 +108,10 @@ class OpenFlowSwitch(NetDevice):
     or an explicit packet-out — the "held request" of on-demand
     deployment with waiting.
 
+    Connection tracking costs no kernel event: a :class:`Commit` keeps
+    :attr:`connections`, and a lookup reads the mark of a non-SYN
+    packet's connection while an entry matches marks.
+
     A packet costs one heap entry per switch hop.  A link schedules
     :meth:`_ingress` directly at ``arrival + lookup_delay_s``
     (:meth:`fused_ingress`; the key and its guarantee are stated at
@@ -129,6 +137,9 @@ class OpenFlowSwitch(NetDevice):
         self._next_port = itertools.count(1)
         self._buffers: dict[int, tuple[Packet, int]] = {}
         self._next_buffer = itertools.count(1)
+        #: Tracked connections: a SYN's 4-tuple, as it reached a
+        #: commit, -> the mark committed for it; in commit order.
+        self.connections: dict[tuple, _t.Any] = {}
         #: Counters for tests and diagnostics.
         self.stats = {"rx": 0, "tx": 0, "miss": 0, "drop": 0, "punt": 0}
         # Expiry is deadline-driven: instead of a process sweeping the
@@ -160,11 +171,12 @@ class OpenFlowSwitch(NetDevice):
     def power_cycle(self) -> None:
         """Lose all volatile state (failure injection: switch crash).
 
-        Flow entries and held packet-in buffers are gone.  The
-        controller replays ``on_datapath_join`` when the switch comes
-        back, exactly as a real datapath re-handshakes.
+        Flow entries, tracked connections and held packet-in buffers are
+        gone.  The controller replays ``on_datapath_join`` when the
+        switch comes back, exactly as a real datapath re-handshakes.
         """
         self.table.clear()
+        self.connections.clear()
         self._buffers.clear()
 
     # -- data plane ---------------------------------------------------------
@@ -209,7 +221,11 @@ class OpenFlowSwitch(NetDevice):
         )
 
     def _pipeline(self, packet: Packet, in_port: int) -> None:
-        entry = self.table.lookup(packet)
+        table = self.table
+        mark = None
+        if table.marked and packet.tcp.flags is not _SYN:
+            mark = self.connections.get(packet.match_values())
+        entry = table.lookup(packet, mark)
         if entry is None:
             self.stats["miss"] += 1
             self._punt(packet, in_port, reason="no_match")
@@ -226,6 +242,12 @@ class OpenFlowSwitch(NetDevice):
                 action.apply(packet)
             elif isinstance(action, Output):
                 self._output(packet, action.port)
+            elif isinstance(action, Commit):  # a SYN takes the mark; FIN or RST ends it
+                flags = packet.tcp.flags
+                if flags is _SYN:
+                    self.connections[packet.match_values()] = action.mark
+                elif flags._value_ & _END_BITS:
+                    self.connections.pop(packet.match_values(), None)
             elif isinstance(action, ToController):
                 self._punt(packet, in_port, reason="action")
             elif isinstance(action, Drop):

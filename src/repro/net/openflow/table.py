@@ -14,18 +14,19 @@ from repro.net.packet import Packet
 _entry_ids = itertools.count(1)
 
 #: Match fields an index shape can bind, in canonical order.  The
-#: order matches the packet's cached ``match_values()`` tuple.
-_SHAPE_FIELDS = ("ip_src", "ip_dst", "tcp_src", "tcp_dst")
+#: order matches the packet's cached ``match_values()`` tuple, then
+#: the packet's connection mark.
+_SHAPE_FIELDS = ("ip_src", "ip_dst", "tcp_src", "tcp_dst", "ct_mark")
 
-#: Interned shape table: all 16 possible bound-field combinations,
+#: Interned shape table: all 32 possible bound-field combinations,
 #: indexed by bitmask over _SHAPE_FIELDS.  ``_shape_of`` returns one
 #: of these shared tuples instead of allocating a fresh one per call.
 _SHAPES: tuple[tuple[str, ...], ...] = tuple(
     tuple(f for bit, f in enumerate(_SHAPE_FIELDS) if mask >> bit & 1)
-    for mask in range(16)
+    for mask in range(32)
 )
 
-#: shape -> C-level getter slicing that shape's key out of a 4-tuple
+#: shape -> C-level getter slicing that shape's key out of a 5-tuple
 #: of match values.  Single-field shapes key their buckets by the bare
 #: value (no 1-tuple wrapper) — cheaper to build and to hash.
 _KEY_GETTERS: dict[tuple[str, ...], _t.Callable[[tuple], _t.Any]] = {}
@@ -46,12 +47,13 @@ def _shape_of(match: FlowMatch) -> tuple[str, ...]:
         | (match.ip_dst is not None) << 1
         | (match.tcp_src is not None) << 2
         | (match.tcp_dst is not None) << 3
+        | (match.ct_mark is not None) << 4
     ]
 
 
 def _match_values(match: FlowMatch) -> tuple:
-    """The match's field values in ``match_values()`` order."""
-    return (match.ip_src, match.ip_dst, match.tcp_src, match.tcp_dst)
+    """The match's field values in lookup order."""
+    return (match.ip_src, match.ip_dst, match.tcp_src, match.tcp_dst, match.ct_mark)
 
 
 class FlowEntry:
@@ -132,7 +134,8 @@ class FlowTable:
     install order: iteration, ``len`` and an O(1) :meth:`remove`.
 
     Lookup keys are sliced out of the packet's cached
-    :meth:`~repro.net.packet.Packet.match_values` tuple with interned
+    :meth:`~repro.net.packet.Packet.match_values` tuple, with the
+    switch's mark for the packet's connection appended, by interned
     per-shape ``itemgetter`` objects — the key is built in C from a
     tuple computed once per packet, not rebuilt field-by-field at
     every hop.  A cookie-keyed side index makes FlowMod deletes (the
@@ -158,6 +161,9 @@ class FlowTable:
         self._order = itertools.count(1)
         #: Largest size the table ever reached (benchmark metric).
         self.peak_size = 0
+        #: Live entries that match a connection mark: while there is
+        #: none, a lookup needs no packet's mark.
+        self.marked = 0
         #: Invoked with the entry after every install (the switch hooks
         #: this to re-arm its expiry wakeup, covering direct installs
         #: that bypass the FlowMod path).
@@ -181,9 +187,10 @@ class FlowTable:
         if self.on_insert is not None:
             self.on_insert(entry)
 
-    def lookup(self, packet: Packet) -> FlowEntry | None:
-        """Highest-priority matching entry, or ``None`` (table miss)."""
-        mv = packet.match_values()
+    def lookup(self, packet: Packet, mark: _t.Any) -> FlowEntry | None:
+        """Highest-priority matching entry, or ``None`` (table miss);
+        ``mark`` is the packet's connection's (``None``: it has none)."""
+        mv = packet.match_values() + (mark,)
         best_head: tuple | None = None
         for get_key, buckets in self._plans:
             bucket = buckets.get(get_key(mv))
@@ -207,6 +214,7 @@ class FlowTable:
         self._index.clear()
         self._plans.clear()
         self._by_cookie.clear()
+        self.marked = 0
 
     def remove_matching(self, cookie: _t.Any) -> list[FlowEntry]:
         """Remove the entries carrying ``cookie`` (a FlowMod delete);
@@ -264,6 +272,8 @@ class FlowTable:
             buckets[key] = [(-entry.priority, entry._order, entry)]
         else:
             bisect.insort(bucket, (-entry.priority, entry._order, entry))
+        if entry.match.ct_mark is not None:
+            self.marked += 1
         if entry.cookie is not None:
             holders = self._by_cookie.get(entry.cookie)
             if holders is None:
@@ -283,6 +293,8 @@ class FlowTable:
             if not buckets:
                 del self._index[shape]
                 self._plans = [(g, d) for g, d in self._plans if d is not buckets]
+        if entry.match.ct_mark is not None:
+            self.marked -= 1
         if entry.cookie is not None:
             holders = self._by_cookie.get(entry.cookie)
             if holders is not None:  # None: a delete popped them all

@@ -52,7 +52,7 @@ DEFAULT_BYTES_PER_PACKET = 600.0
 
 def _service_of(cookie: _t.Any) -> str | None:
     """The service a flow cookie names (``redirect:<service>:<client>``,
-    ``drain:<service>:<client>:<port>``, ``intercept:<service>``), else
+    ``drain:<service>:<client>:<mark>``, ``intercept:<service>``), else
     ``None``."""
     text = str(cookie or "")
     if text.startswith(("redirect:", "drain:")):

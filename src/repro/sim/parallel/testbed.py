@@ -21,9 +21,8 @@ loop.  Only the two seams are wired differently:
 
 What the monolith has once per federation, a partition has for itself:
 catalog and registries (pull traffic is site-local; the profiles make
-it deterministic), recorder, bandwidth ledger, and a conntrack over its
-own clients.  Addresses are computed, not allocated, so no object
-crosses the fork boundary.
+it deterministic), recorder and bandwidth ledger.  Addresses are
+computed, not allocated, so no object crosses the fork boundary.
 
 Build-in-worker: partitions are constructed *inside* the forked worker
 from a picklable :class:`TestbedReplay` (config + service schedule +
@@ -73,7 +72,6 @@ from repro.testbed.site import (
     FederationConfig,
     Site,
     TrunkWiring,
-    conntrack_over,
     migration_ledger,
 )
 
@@ -379,7 +377,6 @@ class SitePartitionModel:
         stack.start_ops(
             {f"site{i}": egs_ip(i) for i in range(config.n_sites)},
             migration_ledger(env, config),
-            conntrack_over(stack.clients),
         )
 
         # This site's share of the schedule.

@@ -182,16 +182,6 @@ class C3Testbed(BaseTestbed):
             self.switch, latency_s=CONTROL_CHANNEL_LATENCY_S
         )
 
-        def _conntrack(client_ip, dst_ip, dst_port):
-            # The gNB's connection-tracking view (drain installation):
-            # stood in for by the client host's own socket table.
-            for client in self.clients:
-                if client.ip == client_ip:
-                    return client.tracked_ports(dst_ip, dst_port)
-            return ()
-
-        self.controller.conntrack = _conntrack
-
         # -- operational surface (repro.ops) ---------------------------------
         self.collector: FlowStatsCollector | None = None
         if self.config.flow_stats_period_s is not None:

@@ -4,8 +4,8 @@
 :class:`~repro.testbed.site.Backbone` (see :mod:`repro.testbed.site`
 for the topology), wired with whole trunk links and replicas connected
 straight to the hub.  What exists once per federation here — catalog
-and registries, IP pools, recorder, bandwidth ledger, conntrack
-— is shared by every site.
+and registries, IP pools, recorder, bandwidth ledger — is shared by
+every site.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.testbed.site import (
     BaseTestbed,
     FederationConfig,
     Site,
-    conntrack_over,
     migration_ledger,
 )
 
@@ -78,9 +77,8 @@ class FederatedTestbed(BaseTestbed):
 
         self.ledger = migration_ledger(self.env, self.config)
         peers = {site.name: site.egs.ip for site in self.sites}
-        conntrack = conntrack_over(self.clients)
         for site in self.sites:
-            site.start_ops(peers, self.ledger, conntrack)
+            site.start_ops(peers, self.ledger)
         self.settle(0.1)
 
     def _build_site(self, index: int, scheduler: GlobalScheduler) -> Site:

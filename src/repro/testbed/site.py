@@ -32,8 +32,8 @@ a value handed to :class:`Site`:
 
 A wiring also hands in what it owns one of — per federation in one
 loop, per partition when sharded: the image catalog with its
-registries, the addresses, the recorder, the
-bandwidth ledger and the conntrack lookup.
+registries, the addresses, the recorder and the
+bandwidth ledger.
 
 The backbone runs the controller's plain
 :class:`~repro.core.controller.ForwardingApp` (no interception):
@@ -97,10 +97,6 @@ CONTROL_CHANNEL_LATENCY_S = 150e-6
 #: Puts a link on a site's trunk interface and returns it (the
 #: data-plane seam).
 TrunkWiring = _t.Callable[[NetworkInterface], Link | LinkEndpoint]
-
-#: ``(client_ip, dst_ip, dst_port) -> source ports`` of the client's
-#: live conversations: the gNB's connection-tracking view.
-Conntrack = _t.Callable[[IPv4Address, IPv4Address, int], tuple[int, ...]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -269,22 +265,6 @@ def migration_ledger(env: Environment, config: FederationConfig) -> BandwidthLed
     )
 
 
-def conntrack_over(hosts: _t.Iterable[Host]) -> Conntrack:
-    """The gNB's connection-tracking view over ``hosts``: which source
-    ports of a client have live (or half-open) conversations with a
-    service address.  Stood in for by the client host's own socket
-    table — identical information, zero protocol."""
-    by_ip = {host.ip: host for host in hosts}
-
-    def lookup(
-        client_ip: IPv4Address, dst_ip: IPv4Address, dst_port: int
-    ) -> tuple[int, ...]:
-        host = by_ip.get(client_ip)
-        return host.tracked_ports(dst_ip, dst_port) if host else ()
-
-    return lookup
-
-
 class Site:
     """Everything one radio site owns.
 
@@ -412,19 +392,15 @@ class Site:
         self,
         peers: _t.Mapping[str, IPv4Address],
         ledger: BandwidthLedger,
-        conntrack: Conntrack,
     ) -> None:
         """Add live migration and the operational surface.
 
         ``peers`` maps every site name to its EGS address.  ``ledger``
-        and ``conntrack`` reach as far as the wiring's event loop does:
-        sites in one loop share one ledger, so concurrent inbound
-        migrations cannot jointly oversubscribe a source trunk, and one
-        federation-wide conntrack, because a client that moved must
-        still be found by its origin site.
+        reaches as far as the wiring's event loop does: sites in one
+        loop share one, so concurrent inbound migrations cannot jointly
+        oversubscribe a source trunk.
         """
         config = self.config
-        self.controller.conntrack = conntrack
         self.manager = MigrationManager(
             self.env,
             self.name,

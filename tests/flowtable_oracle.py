@@ -7,7 +7,8 @@ two passes it replaced, written per entry (``expired`` here,
 ``FlowEntry.next_deadline``) over ``remove``: what expired, in table
 order, and when the next entry *could* expire.  ``touch`` is a matched
 packet as the switch's pipeline accounts for it, and ``matches`` the
-field-by-field semantics the table's indexed lookup implements.
+field-by-field semantics the table's indexed lookup implements, the
+connection mark among them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ from repro.net.openflow import FlowEntry, FlowMatch, FlowTable
 from repro.net.packet import Packet
 
 
-def matches(match: FlowMatch, packet: Packet) -> bool:
-    """Whether every non-wildcard field of ``match`` equals the packet's."""
+def matches(match: FlowMatch, packet: Packet, mark=None) -> bool:
+    """Whether every non-wildcard field of ``match`` equals the packet's,
+    ``mark`` standing for the mark its switch holds for its connection."""
+    if match.ct_mark is not None and mark != match.ct_mark:
+        return False
     if match.ip_src is not None and packet.ip_src != match.ip_src:
         return False
     if match.ip_dst is not None and packet.ip_dst != match.ip_dst:

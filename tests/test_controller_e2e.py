@@ -335,47 +335,52 @@ class TestUnregisteredTraffic:
 
 _SVC = "edge-203-0-113-1-80"  # NGINX registered at 203.0.113.1:80
 _R = f"redirect:{_SVC}:10.0.0.2"  # clients[0]; the cookie text is a wire format
-_D = f"drain:{_SVC}:10.0.0.2:%d"  # one connection's, by its source port
+_P = f"drain:{_SVC}:10.0.0.2:%s"  # the pin of the connections begun on one endpoint
+_MARK = {"egs": "10.0.0.1:30080", "far": "10.0.0.22:30081", "cloud": "203.0.113.1:80"}
 
 #: The distinct FlowMods of the table below, as :func:`_wire` renders them.
 _REV_R, _FWD_R = f"add {_R} p20 idle=0", f"add {_R} p20 idle=10"
-_REV_D, _FWD_D = f"add {_D} p25 idle=0", f"add {_D} p25 idle=10"
 _FROM_EGS = "match(ip_src=10.0.0.1, ip_dst=10.0.0.2, tcp_src=30080)"
 _FROM_FAR = "match(ip_src=10.0.0.22, ip_dst=10.0.0.2, tcp_src=30081)"
-_CONN_FROM_EGS = "match(ip_src=10.0.0.1, ip_dst=10.0.0.2, tcp_src=30080, tcp_dst=%d)"
-_CONN_FROM_FAR = "match(ip_src=10.0.0.22, ip_dst=10.0.0.2, tcp_src=30081, tcp_dst=%d)"
 _BACK = "-> set_field:ip_src=203.0.113.1,set_field:tcp_src=80,output:2 buffer=None"
 _ANY = "match(ip_src=10.0.0.2, ip_dst=203.0.113.1, tcp_dst=80)"
-_CONN = "match(ip_src=10.0.0.2, ip_dst=203.0.113.1, tcp_src=%d, tcp_dst=80)"
-_TO_EGS = "-> set_field:ip_dst=10.0.0.1,set_field:tcp_dst=30080,output:1"
-_TO_FAR = "-> set_field:ip_dst=10.0.0.22,set_field:tcp_dst=30081,output:23"
-_TO_CLOUD = "-> output:22"
+_MARKED = "match(ip_src=10.0.0.2, ip_dst=203.0.113.1, tcp_dst=80, ct_mark=%s)"
+_TO = {
+    "egs": "-> ct(commit,mark=10.0.0.1:30080),"
+    "set_field:ip_dst=10.0.0.1,set_field:tcp_dst=30080,output:1",
+    "far": "-> ct(commit,mark=10.0.0.22:30081),"
+    "set_field:ip_dst=10.0.0.22,set_field:tcp_dst=30081,output:23",
+    "cloud": "-> ct(commit,mark=203.0.113.1:80),output:22",
+}
 _FLOW_MODS = {
     "del R": f"delete {_R}",
     "R rev egs": f"{_REV_R} {_FROM_EGS} {_BACK}",
     "R rev far": f"{_REV_R} {_FROM_FAR} {_BACK}",
-    "R fwd egs": f"{_FWD_R} {_ANY} {_TO_EGS} buffer=None",
-    "R fwd egs buf7": f"{_FWD_R} {_ANY} {_TO_EGS} buffer=7",
-    "R fwd egs buf8": f"{_FWD_R} {_ANY} {_TO_EGS} buffer=8",
-    "R fwd far": f"{_FWD_R} {_ANY} {_TO_FAR} buffer=None",
-    "R fwd cloud": f"{_FWD_R} {_ANY} {_TO_CLOUD} buffer=None",
-    "R fwd cloud buf7": f"{_FWD_R} {_ANY} {_TO_CLOUD} buffer=7",
+    "R fwd egs": f"{_FWD_R} {_ANY} {_TO['egs']} buffer=None",
+    "R fwd egs buf7": f"{_FWD_R} {_ANY} {_TO['egs']} buffer=7",
+    "R fwd egs buf8": f"{_FWD_R} {_ANY} {_TO['egs']} buffer=8",
+    "R fwd far": f"{_FWD_R} {_ANY} {_TO['far']} buffer=None",
+    "R fwd cloud": f"{_FWD_R} {_ANY} {_TO['cloud']} buffer=None",
+    "R fwd cloud buf7": f"{_FWD_R} {_ANY} {_TO['cloud']} buffer=7",
 }
-for _port in (40000, 40001):
+for _at, _mark in _MARK.items():
     _FLOW_MODS |= {
-        f"del D :{_port}": f"delete {_D % _port}",
-        f"D rev egs :{_port}": f"{_REV_D % _port} {_CONN_FROM_EGS % _port} {_BACK}",
-        f"D rev far :{_port}": f"{_REV_D % _port} {_CONN_FROM_FAR % _port} {_BACK}",
-        f"D fwd egs :{_port}": f"{_FWD_D % _port} {_CONN % _port} {_TO_EGS} buffer=None",
-        f"D fwd far :{_port}": f"{_FWD_D % _port} {_CONN % _port} {_TO_FAR} buffer=None",
-        f"D fwd cloud :{_port}": f"{_FWD_D % _port} {_CONN % _port} {_TO_CLOUD} buffer=None",
+        f"del P {_at}": f"delete {_P % _mark}",
+        f"P fwd {_at}": (
+            f"add {_P % _mark} p25 idle=10 {_MARKED % _mark} {_TO[_at]} buffer=None"
+        ),
     }
+_FLOW_MODS |= {
+    "P rev egs": f"add {_P % _MARK['egs']} p25 idle=0 {_FROM_EGS} {_BACK}",
+    "P rev far": f"add {_P % _MARK['far']} p25 idle=0 {_FROM_FAR} {_BACK}",
+}
 
 #: case -> (steps, the FlowMods they put on the control channel, in order).
 #: Endpoints: ``egs`` 10.0.0.1:30080 (switch port 1), ``far`` 10.0.0.22:30081
 #: (port 23), ``nowhere`` (no port known), ``cloud`` as FlowMemory records it
 #: (203.0.113.1:80, uplink port 22), ``None`` as a resolution spells it; the
-#: client sits on port 2.  ``("track", ports)`` sets what conntrack answers.
+#: client sits on port 2.  ``("open", port)`` sends the client's SYN from
+#: ``port`` through the switch, which commits it with the redirect's mark.
 #: Recorded at b63004c, from the two open-coded installers and the two
 #: cookie-deleting loops ``Redirect`` replaced — not from the code under test;
 #: then edited for one redirect lifetime: the reverse entry has no idle
@@ -386,7 +391,11 @@ for _port in (40000, 40001):
 #: idle timeout, and a repoint that cannot pin a connection (no old
 #: out-port) sends no drain at all; then for one connection per drain:
 #: each drain has a cookie of its own and its reverse entry matches its
-#: port, and a repoint pins only the ports no drain holds yet.
+#: port, and a repoint pins only the ports no drain holds yet; then for
+#: the switch's connection tracking: every forward entry commits its
+#: endpoint's mark first, and a repoint sends one pin of the old
+#: endpoint's mark, however many connections the switch tracks — the
+#: controller reads none of them — unless that pin is held already.
 _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
     "install to an edge endpoint": (
         [("install", "egs", 7)],
@@ -408,52 +417,64 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
         [("install", "nowhere", 7), ("install", "egs", 8)],
         ["R rev egs", "R fwd egs buf8"],
     ),
-    "repoint without a conntrack is a reinstall": (
-        [("track", None), ("install", "egs", 7), ("repoint", "egs", "far")],
-        ["R rev egs", "R fwd egs buf7", "del R", "R rev far", "R fwd far"],
-    ),
-    "repoint with nothing tracked is a reinstall": (
-        [("track", ()), ("install", "egs", 7), ("repoint", "egs", "far")],
-        ["R rev egs", "R fwd egs buf7", "del R", "R rev far", "R fwd far"],
+    "repoint with no connection open still pins": (
+        [("install", "egs", 7), ("repoint", "egs", "far")],
+        [
+            "R rev egs", "R fwd egs buf7", "P rev egs", "P fwd egs", "del R", "R rev far",
+            "R fwd far",
+        ],
     ),
     "repoint with one connection, from an edge endpoint": (
-        [("track", (40000,)), ("install", "egs", 7), ("repoint", "egs", "far")],
+        [("install", "egs", 7), ("open", 40000), ("repoint", "egs", "far")],
         [
-            "R rev egs", "R fwd egs buf7", "D rev egs :40000", "D fwd egs :40000",
-            "del R", "R rev far", "R fwd far",
+            "R rev egs", "R fwd egs buf7", "P rev egs", "P fwd egs", "del R", "R rev far",
+            "R fwd far",
         ],
     ),
     "repoint with two connections, from an edge endpoint": (
-        [("track", (40000, 40001)), ("install", "egs", 7), ("repoint", "egs", "far")],
         [
-            "R rev egs", "R fwd egs buf7", "D rev egs :40000", "D fwd egs :40000",
-            "D rev egs :40001", "D fwd egs :40001", "del R", "R rev far", "R fwd far",
+            ("install", "egs", 7), ("open", 40000), ("open", 40001),
+            ("repoint", "egs", "far"),
+        ],
+        [
+            "R rev egs", "R fwd egs buf7", "P rev egs", "P fwd egs", "del R", "R rev far",
+            "R fwd far",
         ],
     ),
     "repoint with one connection, from the cloud": (
-        [("track", (40000,)), ("install", None, 7), ("repoint", "cloud", "egs")],
-        ["R fwd cloud buf7", "D fwd cloud :40000", "del R", "R rev egs", "R fwd egs"],
+        [("install", None, 7), ("open", 40000), ("repoint", "cloud", "egs")],
+        ["R fwd cloud buf7", "P fwd cloud", "del R", "R rev egs", "R fwd egs"],
     ),
     "repoint with two connections, from the cloud": (
-        [("track", (40000, 40001)), ("install", None, 7), ("repoint", "cloud", "egs")],
         [
-            "R fwd cloud buf7", "D fwd cloud :40000", "D fwd cloud :40001", "del R",
-            "R rev egs", "R fwd egs",
+            ("install", None, 7), ("open", 40000), ("open", 40001),
+            ("repoint", "cloud", "egs"),
         ],
+        ["R fwd cloud buf7", "P fwd cloud", "del R", "R rev egs", "R fwd egs"],
     ),
     "a second repoint keeps the first one's pins": (
         [
-            ("track", (40000,)), ("install", "egs", 7), ("repoint", "egs", "far"),
-            ("track", (40000, 40001)), ("repoint", "far", "egs"),
+            ("install", "egs", 7), ("open", 40000), ("repoint", "egs", "far"),
+            ("open", 40001), ("repoint", "far", "egs"),
         ],
         [
-            "R rev egs", "R fwd egs buf7", "D rev egs :40000", "D fwd egs :40000",
-            "del R", "R rev far", "R fwd far", "D rev far :40001", "D fwd far :40001",
-            "del R", "R rev egs", "R fwd egs",
+            "R rev egs", "R fwd egs buf7", "P rev egs", "P fwd egs", "del R", "R rev far",
+            "R fwd far", "P rev far", "P fwd far", "del R", "R rev egs", "R fwd egs",
+        ],
+    ),
+    "a repoint away from a pinned endpoint pins it once": (
+        [
+            ("install", "egs", 7), ("repoint", "egs", "far"), ("repoint", "far", "egs"),
+            ("repoint", "egs", "far"),
+        ],
+        [
+            "R rev egs", "R fwd egs buf7", "P rev egs", "P fwd egs", "del R", "R rev far",
+            "R fwd far", "P rev far", "P fwd far", "del R", "R rev egs", "R fwd egs",
+            "del R", "R rev far", "R fwd far",
         ],
     ),
     "repoint from an unknown port sends no drain": (
-        [("track", (40000,)), ("install", "nowhere", 7), ("repoint", "nowhere", "egs")],
+        [("install", "nowhere", 7), ("repoint", "nowhere", "egs")],
         ["R rev egs", "R fwd egs"],
     ),
     "retire before a repoint": (
@@ -461,13 +482,10 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
         ["R rev egs", "R fwd egs buf7", "del R"],
     ),
     "retire after a repoint": (
+        [("install", "egs", 7), ("open", 40000), ("repoint", "egs", "far"), ("retire",)],
         [
-            ("track", (40000,)), ("install", "egs", 7), ("repoint", "egs", "far"),
-            ("retire",),
-        ],
-        [
-            "R rev egs", "R fwd egs buf7", "D rev egs :40000", "D fwd egs :40000",
-            "del R", "R rev far", "R fwd far", "del R", "del D :40000",
+            "R rev egs", "R fwd egs buf7", "P rev egs", "P fwd egs", "del R", "R rev far",
+            "R fwd far", "del R", "del P egs",
         ],
     ),
     "retire with nothing installed": (
@@ -476,12 +494,12 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
     ),
     "retire after detach sends nothing": (
         [
-            ("track", (40000,)), ("install", "egs", 7), ("repoint", "egs", "far"),
+            ("install", "egs", 7), ("open", 40000), ("repoint", "egs", "far"),
             ("detach",), ("retire",),
         ],
         [
-            "R rev egs", "R fwd egs buf7", "D rev egs :40000", "D fwd egs :40000",
-            "del R", "R rev far", "R fwd far",
+            "R rev egs", "R fwd egs buf7", "P rev egs", "P fwd egs", "del R", "R rev far",
+            "R fwd far",
         ],
     ),
 }
@@ -528,6 +546,15 @@ def _redirect_rig():
     return tb, service, endpoints, sent
 
 
+def _open(tb, client, service, port: int) -> None:
+    """Send the client's SYN from ``port`` to the service; once it has
+    crossed the switch, the switch tracks its connection."""
+    tb.settle(0.001)  # what was sent to the switch has landed
+    client._send_segment(service.cloud_ip, TCPSegment(port, service.port, TCPFlags.SYN))
+    tb.settle(0.001)
+    assert (client.ip, service.cloud_ip, port, service.port) in tb.switch.connections
+
+
 @pytest.mark.parametrize("case", _TRANSITIONS)
 def test_redirect_transitions_as_message_sequences(case):
     """``Redirect.install`` / ``repoint`` / ``retire`` put exactly the
@@ -540,9 +567,8 @@ def test_redirect_transitions_as_message_sequences(case):
     port = tb.topology.port_for(tb.datapath.id, client.ip)
     redirect = tb.controller._redirect(tb.datapath, client.ip, service)
     for step, *args in steps:
-        if step == "track":
-            (ports,) = args
-            tb.controller.conntrack = ports if ports is None else lambda *_, p=ports: p
+        if step == "open":
+            _open(tb, client, service, args[0])
         elif step == "install":
             redirect.install(port, endpoints[args[0]], args[1])
         elif step == "repoint":
@@ -609,19 +635,22 @@ def test_a_delete_reports_nothing():
 
 
 def test_each_drains_reverse_goes_with_its_forward():
-    """A repoint drains two connections, each with a forward and a
-    reverse entry of its own.  The client keeps one of them warm; the
-    other's forward drain idles out, the switch reports it, and the
-    controller drops that drain and deletes its reverse entry, which has
-    no timer.  The warm one's entries stay until it goes quiet too."""
+    """A repoint pins the client's two connections to egs with one
+    forward and one reverse entry.  The client keeps one connection
+    warm, and the pin with it, reverse entry included; once it goes
+    quiet the forward pin idles out, the switch reports it, and the
+    controller drops the pin and deletes its reverse entry, which has
+    no timer."""
     tb, service, endpoints, sent = _redirect_rig()
     client = tb.clients[0]
     port = tb.topology.port_for(tb.datapath.id, client.ip)
     redirect = tb.controller._redirect(tb.datapath, client.ip, service)
-    tb.controller.conntrack = lambda *_: (40000, 40001)
     redirect.install(port, endpoints["egs"], None)
+    _open(tb, client, service, 40000)
+    _open(tb, client, service, 40001)
     redirect.repoint(port, endpoints["egs"], endpoints["far"])
     idle_s = tb.controller.calibration.switch_idle_timeout_s
+    pin = _P % _MARK["egs"]
 
     def drains():
         return sorted(
@@ -634,18 +663,16 @@ def test_each_drains_reverse_goes_with_its_forward():
         return [key[2] for key in tb.controller._redirects[client.ip]]
 
     tb.settle(0.01)
-    assert drains() == [
-        (_D % 40000, 0.0), (_D % 40000, idle_s), (_D % 40001, 0.0), (_D % 40001, idle_s)
-    ]
-    assert held() == [None, 40000, 40001]
+    assert drains() == [(pin, 0.0), (pin, idle_s)]
+    assert held() == [None, endpoints["egs"]]
     for _ in range(5):  # 40000 stays warm for 20 s
         client._send_segment(service.cloud_ip, TCPSegment(40000, service.port, TCPFlags.ACK))
         tb.settle(idle_s * 0.4)
-    assert drains() == [(_D % 40000, 0.0), (_D % 40000, idle_s)]
-    assert held() == [40000]  # the redirect to far idled out too: nothing hit it
+    assert drains() == [(pin, 0.0), (pin, idle_s)]
+    assert held() == [endpoints["egs"]]  # the redirect to far idled out: nothing hit it
     tb.settle(2 * idle_s)
     assert (drains(), held()) == ([], [])
-    assert [sent.count(_FLOW_MODS[f"del D :{p}"]) for p in (40000, 40001)] == [1, 1]
+    assert sent.count(_FLOW_MODS["del P egs"]) == 1
 
 
 def test_a_cloud_redirect_idles_out_with_nothing_to_delete():
@@ -666,24 +693,24 @@ def test_a_cloud_redirect_idles_out_with_nothing_to_delete():
 
 
 def test_a_drain_to_the_cloud_idles_out_with_nothing_to_delete():
-    """A repoint out of the cloud pins the tracked connection to the
-    cloud with a forward drain and no reverse one.  The client keeps its
+    """A repoint out of the cloud pins the client's connection to the
+    cloud with a forward pin and no reverse one.  The client keeps its
     redirect to egs warm on another connection; when the switch reports
-    the drain idle the controller drops it and sends nothing.  It used to
+    the pin idle the controller drops it and sends nothing.  It used to
     send a ``delete drain:`` that removed nothing."""
     tb, service, endpoints, sent = _redirect_rig()
     client = tb.clients[0]
     port = tb.topology.port_for(tb.datapath.id, client.ip)
     redirect = tb.controller._redirect(tb.datapath, client.ip, service)
-    tb.controller.conntrack = lambda *_: (40000,)
     redirect.install(port, None, None)
+    _open(tb, client, service, 40000)
     redirect.repoint(port, endpoints["cloud"], endpoints["egs"])
     sent.clear()
     idle_s = tb.controller.calibration.switch_idle_timeout_s
     for _ in range(5):  # the redirect stays warm for 20 s; the drain does not
         client._send_segment(service.cloud_ip, TCPSegment(40001, service.port, TCPFlags.ACK))
         tb.settle(idle_s * 0.4)
-    assert [entry for entry in tb.switch.table if entry.cookie == _D % 40000] == []
+    assert [entry for entry in tb.switch.table if entry.cookie == _P % _MARK["cloud"]] == []
     assert (list(tb.controller._redirects[client.ip]), sent) == ([redirect.key], [])
 
 
@@ -691,12 +718,12 @@ def test_the_controller_holds_exactly_the_redirects_in_the_table():
     """A short churn run — ``c3_churn``'s 0.5 s switch and 3 s FlowMemory
     idle timeouts, idle scale-down, three services — under three
     repoints of one service: out to the cloud while a client holds a
-    connection open, back to egs 0.2 s later while that connection's
-    drain is still held, and out again mid-trace, while a second client
-    holds one.  Whenever no control message is in flight the
-    controller holds exactly the redirects and drains whose forward
-    entries — the table's timed entries — are installed: none outlives
-    its entry, and none is missing."""
+    connection open, back to egs 0.2 s later while the pin of that
+    connection is still held, and out again mid-trace, while a second
+    client holds one.  Whenever no control message is in flight the
+    controller holds exactly the redirects and pins whose forward
+    entries — the table's timed entries — are installed, keyed by
+    their mark: none outlives its entry, and none is missing."""
     calibration = Calibration(switch_idle_timeout_s=0.5, memory_idle_timeout_s=3.0)
     config = TestbedConfig(n_clients=8, cluster_types=("docker",), auto_scale_down=True)
     tb = C3Testbed(config, calibration=calibration)
@@ -723,7 +750,7 @@ def test_the_controller_holds_exactly_the_redirects_in_the_table():
                 entry.match.ip_src,
                 dpid,
                 controller.registry.lookup(entry.match.ip_dst, entry.match.tcp_dst).name,
-                entry.match.tcp_src,
+                entry.match.ct_mark,
             )
             for entry in tb.switch.table
             if entry.idle_timeout
@@ -746,14 +773,67 @@ def test_the_controller_holds_exactly_the_redirects_in_the_table():
     driver.run(generate_trace(params, seed=1))
     tb.env.run(until=start + 20.0)
     assert len(quiet) > 200
-    assert {key[0] for key in drains} == {tb.clients[0].ip, tb.clients[1].ip}
+    assert {tb.clients[0].ip, tb.clients[1].ip} <= {key[0] for key in drains}
+
+
+def _swap_rig():
+    """One request has warmed the client's redirect to egs; the far edge
+    runs the service too.  Returns the testbed, the service, the client,
+    the far cluster, and the names of the instances the client's
+    segments reach from now on, in order."""
+    tb = docker_testbed()
+    far = tb.add_far_edge()
+    service = tb.register_template(NGINX)
+    tb.prepare_created(tb.docker_cluster, service)
+    tb.prepare_created(far, service)
+    tb.env.run_process(far.scale_up(service.plan))
+    client = tb.clients[0]
+    assert tb.run_request(client, service, NGINX.request).response.status == 200
+    seen = []
+    for host in (tb.egs, far.ingress_host):
+        tap(host, "receive", lambda packet, iface, name=host.name: seen.append((name, packet)))
+    return tb, service, client, far, seen
+
+
+def test_a_syn_in_the_swap_keeps_the_instance_it_began_on():
+    """The client's SYN reaches the switch after ``repoint_service_flows``
+    sent the swap to the far edge and before it lands, one control
+    channel hop later.  The old redirect commits its connection toward
+    egs, so the pin sent with the swap holds it there: its request
+    completes, and both of its segments reach egs.  The mutation "the
+    switch commits no mark" sends the request segment to the far edge,
+    which knows no such connection, and the request times out."""
+    tb, service, client, far, seen = _swap_rig()
+    crossed = []
+    tap(tb.switch, "_pipeline", lambda packet, in_port: crossed.append((tb.env.now, packet)))
+    request = tb.env.process(tb.http_request(client, service, NGINX.request, timeout=5.0))
+    swap_at = tb.env.now + 100e-6
+    endpoint = far.endpoint(service.plan)
+    tb.env.call_at(swap_at, tb.controller.repoint_service_flows, service, far.name, endpoint)
+    assert tb.env.run(until=request).response.status == 200
+    (syn_at,) = [at for at, packet in crossed if packet.tcp.flags is TCPFlags.SYN]
+    assert swap_at < syn_at < swap_at + tb.datapath.channel.latency_s
+    assert [name for name, packet in seen if packet.ip_src == client.ip] == ["egs", "egs"]
+
+
+def test_a_syn_after_the_swap_runs_whole_on_the_new_instance():
+    """Once the swap to the far edge has landed, a new connection's SYN
+    takes the new redirect, under the pin of egs: both of its request's
+    segments reach the far edge.  The mutation "a pin matches every
+    connection of the client" holds them on egs."""
+    tb, service, client, far, seen = _swap_rig()
+    tb.controller.repoint_service_flows(service, far.name, far.endpoint(service.plan))
+    tb.settle(0.01)
+    assert tb.run_request(client, service, NGINX.request, timeout=5.0).response.status == 200
+    name = far.ingress_host.name
+    assert [where for where, packet in seen if packet.ip_src == client.ip] == [name, name]
 
 
 @pytest.mark.parametrize("how", ["handover", "unregister"])
 def test_retirement_order_does_not_depend_on_the_hash_seed(how):
     """Eight clients hold a live connection each and are repointed, so
     each owns a ``redirect:<service>:<client>`` and a
-    ``drain:<service>:<client>:<port>`` cookie; then each is handed over
+    ``drain:<service>:<client>:<mark>`` cookie; then each is handed over
     (``update_client_location``) or, second case, the service is
     unregistered.  Every client's ``redirect:`` delete reaches the
     control channel before its ``drain:`` delete.
@@ -777,11 +857,12 @@ def test_retirement_order_does_not_depend_on_the_hash_seed(how):
     clients = tb.clients[:8]
     for client in clients:  # the first packet deploys, installs, and stays open
         tb.env.run_process(client.connect(service.cloud_ip, service.port, timeout=5.0))
-    tracked = {
-        client.ip: tb.controller.conntrack(client.ip, service.cloud_ip, service.port)
-        for client in clients
-    }
-    assert all(len(ports) == 1 for ports in tracked.values())
+    instance = tb.docker_cluster.endpoint(service.plan)
+    assert [  # the switch tracks each client's connection, begun on egs
+        marked
+        for (ip, *_), marked in tb.switch.connections.items()
+        if ip in {client.ip for client in clients}
+    ] == [instance] * 8
     moved = tb.controller.repoint_service_flows(
         service, far.name, ServiceEndpoint(far.ingress_host.ip, 30081)
     )
@@ -796,9 +877,8 @@ def test_retirement_order_does_not_depend_on_the_hash_seed(how):
         tb.controller.unregister_service(service)
     for client in clients:
         mine = f"{service.name}:{client.ip}"
-        (port,) = tracked[client.ip]
         assert [
             text
             for text in sent
             if text == f"delete redirect:{mine}" or text.startswith(f"delete drain:{mine}:")
-        ] == [f"delete redirect:{mine}", f"delete drain:{mine}:{port}"]
+        ] == [f"delete redirect:{mine}", f"delete drain:{mine}:{instance}"]

@@ -26,7 +26,10 @@ the instance stopped before its ``scale_down``, in the same instant.
 Since FlowMemory's 1 s sweep gave way to deadline expiry, no case pays a
 sweep tick per controller per simulated second: fourteen ``events``
 fell by the ticks the case spanned, ``a wait-ready timeout``'s 120 s
-by 120 (131 → 11).
+by 120 (131 → 11).  Since the switch tracks connections, every forward
+entry opens with its ``ct(commit,mark=…)``, and ``a background deploy
+repoints`` pins the connections begun on the far edge before its swap
+(one forward and one reverse ``drain:`` add, no event).
 """
 
 from __future__ import annotations
@@ -450,7 +453,7 @@ _EXPECTED: dict[str, dict] = {
                           'scale_up_s=0.347 wait_ready_s=0.06 total_s=0.464'),
             (2.879475318, 'add redirect:nginx:10.0.0.2 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
-            (2.879475318, 'add redirect:nginx:10.0.0.2 p20 '
+            (2.879475318, 'add redirect:nginx:10.0.0.2 p20 ct(commit,mark=10.0.0.1:20000),'
                           'ip_dst=10.0.0.1,tcp_dst=20000,output:1 buffer=1'),
         ],
         'breakers': {},
@@ -474,7 +477,7 @@ _EXPECTED: dict[str, dict] = {
                           'total_s=2.81331479'),
             (2.879475318, 'add redirect:nginx:10.0.0.2 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
-            (2.879475318, 'add redirect:nginx:10.0.0.2 p20 '
+            (2.879475318, 'add redirect:nginx:10.0.0.2 p20 ct(commit,mark=10.0.0.1:20000),'
                           'ip_dst=10.0.0.1,tcp_dst=20000,output:1 buffer=1'),
         ],
         'breakers': {},
@@ -493,19 +496,19 @@ _EXPECTED: dict[str, dict] = {
                           'total_s=0.407'),
             (2.879475318, 'add redirect:nginx:10.0.0.2 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
-            (2.879475318, 'add redirect:nginx:10.0.0.2 p20 '
+            (2.879475318, 'add redirect:nginx:10.0.0.2 p20 ct(commit,mark=10.0.0.1:20000),'
                           'ip_dst=10.0.0.1,tcp_dst=20000,output:1 buffer=1'),
             (2.879475318, 'outcome nginx@docker scaled=True scale_up_s=0.347 wait_ready_s=0.06 '
                           'total_s=0.407'),
             (2.879475318, 'add redirect:nginx:10.0.0.3 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:3 buffer=None'),
-            (2.879475318, 'add redirect:nginx:10.0.0.3 p20 '
+            (2.879475318, 'add redirect:nginx:10.0.0.3 p20 ct(commit,mark=10.0.0.1:20000),'
                           'ip_dst=10.0.0.1,tcp_dst=20000,output:1 buffer=2'),
             (2.879475318, 'outcome nginx@docker scaled=True scale_up_s=0.347 wait_ready_s=0.06 '
                           'total_s=0.407'),
             (2.879475318, 'add redirect:nginx:10.0.0.4 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:4 buffer=None'),
-            (2.879475318, 'add redirect:nginx:10.0.0.4 p20 '
+            (2.879475318, 'add redirect:nginx:10.0.0.4 p20 ct(commit,mark=10.0.0.1:20000),'
                           'ip_dst=10.0.0.1,tcp_dst=20000,output:1 buffer=3'),
         ],
         'breakers': {},
@@ -568,7 +571,7 @@ _EXPECTED: dict[str, dict] = {
                           'total_s=3.355535883'),
             (3.421696411, 'add redirect:nginx:10.0.0.2 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
-            (3.421696411, 'add redirect:nginx:10.0.0.2 p20 '
+            (3.421696411, 'add redirect:nginx:10.0.0.2 p20 ct(commit,mark=10.0.0.1:20000),'
                           'ip_dst=10.0.0.1,tcp_dst=20000,output:1 buffer=1'),
         ],
         'breakers': {},
@@ -589,7 +592,7 @@ _EXPECTED: dict[str, dict] = {
             (4.497491851, 'outcome nginx@far-docker'),
             (4.497491851, 'add redirect:nginx:10.0.0.2 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
-            (4.497491851, 'add redirect:nginx:10.0.0.2 p20 '
+            (4.497491851, 'add redirect:nginx:10.0.0.2 p20 ct(commit,mark=10.0.0.6:20000),'
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=1'),
             (4.514683867, 'breaker docker closed failures=1'),
             (4.515844395, 'docker pull nginx'),
@@ -603,7 +606,7 @@ _EXPECTED: dict[str, dict] = {
             (6.062764649, 'outcome nginx@far-docker'),
             (6.062764649, 'add redirect:nginx:10.0.0.3 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:3 buffer=None'),
-            (6.062764649, 'add redirect:nginx:10.0.0.3 p20 '
+            (6.062764649, 'add redirect:nginx:10.0.0.3 p20 ct(commit,mark=10.0.0.6:20000),'
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=2'),
             (6.079956665, 'breaker docker closed failures=2'),
             (6.081117193, 'docker pull nginx'),
@@ -617,13 +620,13 @@ _EXPECTED: dict[str, dict] = {
             (7.647174343, 'outcome nginx@far-docker'),
             (7.647174343, 'add redirect:nginx:10.0.0.4 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:4 buffer=None'),
-            (7.647174343, 'add redirect:nginx:10.0.0.4 p20 '
+            (7.647174343, 'add redirect:nginx:10.0.0.4 p20 ct(commit,mark=10.0.0.6:20000),'
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=3'),
             (7.664366359, 'breaker docker open failures=3'),
             (7.665526887, 'outcome nginx@far-docker'),
             (7.665526887, 'add redirect:nginx:10.0.0.5 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:5 buffer=None'),
-            (7.665526887, 'add redirect:nginx:10.0.0.5 p20 '
+            (7.665526887, 'add redirect:nginx:10.0.0.5 p20 ct(commit,mark=10.0.0.6:20000),'
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=4'),
             (7.682718903, 'breaker docker open failures=3'),
         ],
@@ -682,7 +685,7 @@ _EXPECTED: dict[str, dict] = {
         "log": [
             (5.305790108, 'add redirect:nginx:10.0.0.2 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
-            (5.305790108, 'add redirect:nginx:10.0.0.2 p20 '
+            (5.305790108, 'add redirect:nginx:10.0.0.2 p20 ct(commit,mark=10.0.0.6:20000),'
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=1'),
             (5.305790108, 'docker scale_up nginx'),
             (5.652790108, 'docker scale_up nginx -> None'),
@@ -691,10 +694,15 @@ _EXPECTED: dict[str, dict] = {
             (5.732790108, 'publish nginx@local/docker running=True port=20000'),
             (5.732790108, 'outcome nginx@docker scaled=True scale_up_s=0.347 wait_ready_s=0.08 '
                           'total_s=0.427'),
+            (5.732790108, 'add drain:nginx:10.0.0.2:10.0.0.6:20000 p25 '
+                          'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
+            (5.732790108, 'add drain:nginx:10.0.0.2:10.0.0.6:20000 p25 '
+                          'ct(commit,mark=10.0.0.6:20000),'
+                          'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=None'),
             (5.732790108, 'delete redirect:nginx:10.0.0.2'),
             (5.732790108, 'add redirect:nginx:10.0.0.2 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
-            (5.732790108, 'add redirect:nginx:10.0.0.2 p20 '
+            (5.732790108, 'add redirect:nginx:10.0.0.2 p20 ct(commit,mark=10.0.0.1:20000),'
                           'ip_dst=10.0.0.1,tcp_dst=20000,output:1 buffer=None'),
         ],
         'breakers': {},
@@ -706,7 +714,7 @@ _EXPECTED: dict[str, dict] = {
         "log": [
             (5.305790108, 'add redirect:nginx:10.0.0.2 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
-            (5.305790108, 'add redirect:nginx:10.0.0.2 p20 '
+            (5.305790108, 'add redirect:nginx:10.0.0.2 p20 ct(commit,mark=10.0.0.6:20000),'
                           'ip_dst=10.0.0.6,tcp_dst=20000,output:7 buffer=1'),
             (5.305790108, 'docker scale_up nginx'),
             (5.305790108, 'docker scale_up nginx raises DeployError'),
@@ -841,7 +849,7 @@ _EXPECTED: dict[str, dict] = {
                           'total_s=2.81331479'),
             (2.894475318, 'add redirect:nginx:10.0.0.2 p20 '
                           'ip_src=203.0.113.1,tcp_src=80,output:2 buffer=None'),
-            (2.894475318, 'add redirect:nginx:10.0.0.2 p20 '
+            (2.894475318, 'add redirect:nginx:10.0.0.2 p20 ct(commit,mark=10.0.0.1:20000),'
                           'ip_dst=10.0.0.1,tcp_dst=20000,output:1 buffer=1'),
             (2.93, 'state asm@docker running=False room=True blocked=False '
                    'degraded=False'),

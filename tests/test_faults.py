@@ -32,6 +32,7 @@ from repro.faults import (
 )
 from repro.metrics import MetricsRecorder
 from repro.net.addressing import IPv4Address
+from repro.net.packet import TCPFlags, TCPSegment
 from repro.services import build_catalog
 from repro.services.catalog import NGINX
 from repro.sim import Environment
@@ -688,9 +689,10 @@ class TestSwitchCrashMidConversation:
         """A power cycle empties the table and no FlowRemoved says so.
         On the switch's rejoin each flow its redirects held starts its
         clock, so the idle service still leaves ``memory_idle_timeout_s``
-        later instead of being held for ever; and the controller drops
-        every redirect and drain it held there, so no later ``retire``
-        sends a delete that finds nothing."""
+        later instead of being held for ever; the controller drops every
+        redirect and pin it held there, so no later ``retire`` sends a
+        delete that finds nothing; and the switch has lost the
+        connections it tracked."""
         tb = C3Testbed(TestbedConfig(cluster_types=("docker",), auto_scale_down=True))
         far = tb.add_far_edge()
         svc = tb.register_template(NGINX)
@@ -698,16 +700,19 @@ class TestSwitchCrashMidConversation:
         client = tb.clients[0]
         assert tb.run_request(client, svc, NGINX.request).response.status == 200
         flow = tb.controller.flow_memory.lookup(client.ip, svc)
-        tb.controller.conntrack = lambda *_: (40000,)
+        client._send_segment(svc.cloud_ip, TCPSegment(40000, svc.port, TCPFlags.SYN))
+        tb.settle(0.01)
+        instance = tb.docker_cluster.endpoint(svc.plan)
+        assert tb.switch.connections == {(client.ip, svc.cloud_ip, 40000, svc.port): instance}
         far_endpoint = ServiceEndpoint(far.ingress_host.ip, 30081)
         assert tb.controller.repoint_service_flows(svc, far.name, far_endpoint) == 1
         held = tb.controller._redirects[client.ip]
-        assert [tcp_src for _, _, tcp_src in held] == [None, 40000]
+        assert [marked for _, _, marked in held] == [None, instance]
         assert flow.deadline is None  # held by its redirect
         base = tb.env.now
         Injector(tb, FaultPlan().node_crash(1.0, "ovs", duration_s=1.0)).arm()
         tb.settle(2.5)
-        assert held == {}
+        assert (held, tb.switch.connections) == ({}, {})
         idle_s = tb.controller.calibration.memory_idle_timeout_s
         assert flow.deadline == (base + 1.0) + 1.0 + idle_s
         tb.settle(idle_s)

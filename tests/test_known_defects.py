@@ -67,10 +67,10 @@ Fixed, with their regression tests:
     drains re-pinned every tracked connection to the instance being
     left, so one that began two repoints back was sent to an instance
     that never had it, and its own instance's answers reached the client
-    from their own address.  Now each drain is a ``Redirect`` of one
-    connection, pinned once, to the instance the connection began on,
-    and a later repoint pins only the connections no drain holds yet:
-    :func:`test_a_connection_drained_twice_keeps_its_instance`.
+    from their own address.  Now the switch marks each connection at
+    its SYN with the instance it began on, a repoint's pin holds the
+    connections of one mark, and a later repoint leaves a held pin
+    alone: :func:`test_a_connection_drained_twice_keeps_its_instance`.
 """
 
 from __future__ import annotations
@@ -136,21 +136,22 @@ def test_an_instance_that_stays_silent_still_answers_as_the_cloud():
 
 
 def test_a_drained_connection_still_answers_as_the_cloud():
-    """After one request the service is repointed to a far edge while
-    the gNB tracks one connection, source port 40000, so the repoint
-    drains it: a forward drain to the old instance for port 40000 and a
-    reverse drain for the old instance's answers.  The client's packets
-    on that port keep hitting the forward drain, 4 s apart for 20 s —
-    twice the 10 s switch idle timeout — while the old instance sends
-    nothing.  Its next packet to the client must still leave the switch
-    with the cloud's address as its source, and once the client has been
-    quiet for two idle timeouts no ``drain:`` entry is left.
+    """After one request the client opens a connection from source port
+    40000, which the switch commits toward the instance, and the service
+    is repointed to a far edge, so the repoint pins the connections
+    begun on the old instance: a forward pin to it and a reverse pin for
+    its answers.  The client's packets on that port keep hitting the
+    forward pin, 4 s apart for 20 s — twice the 10 s switch idle
+    timeout — while the old instance sends nothing.  Its next packet to
+    the client must still leave the switch with the cloud's address as
+    its source, and once the client has been quiet for two idle timeouts
+    no ``drain:`` entry is left.
 
     Before the fix each drain idled out on its own timer: the reverse
     drain lapsed at 10 s, and that packet reached the client from
     ``10.0.0.1:20000``.  The mutation "the reverse drain keeps a timer"
-    (the switch idle timeout on its add in ``Redirect.repoint``) fails
-    here the same way.
+    (the switch idle timeout on its add in ``Redirect.install``) fails
+    here too: the reverse pin is gone before the old instance answers.
     """
     tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
     far = tb.add_far_edge()
@@ -159,7 +160,8 @@ def test_a_drained_connection_still_answers_as_the_cloud():
     client = tb.clients[0]
     assert tb.run_request(client, service, NGINX.request).response.status == 200
     instance = tb.docker_cluster.endpoint(service.plan)
-    tb.controller.conntrack = lambda *_: (40000,)
+    client._send_segment(service.cloud_ip, TCPSegment(40000, service.port, TCPFlags.SYN))
+    tb.settle(0.01)
     moved = tb.controller.repoint_service_flows(
         service, far.name, ServiceEndpoint(far.ingress_host.ip, 30081)
     )
@@ -168,6 +170,9 @@ def test_a_drained_connection_still_answers_as_the_cloud():
     for _ in range(5):
         client._send_segment(service.cloud_ip, TCPSegment(40000, service.port, TCPFlags.ACK))
         tb.settle(idle_s * 0.4)
+    drains = f"drain:{service.name}:{client.ip}:"
+    pinned = [entry for entry in tb.switch.table if str(entry.cookie).startswith(drains)]
+    assert sorted(entry.packet_count for entry in pinned) == [0, 5]  # the reverse pin, the forward
     seen = []
     tap(client, "receive", lambda packet, iface: seen.append((packet.ip_src, packet.tcp.src_port)))
     answer = TCPSegment(instance.port, 40000, TCPFlags.ACK)
@@ -175,22 +180,23 @@ def test_a_drained_connection_still_answers_as_the_cloud():
     tb.settle(0.01)
     assert seen == [(service.cloud_ip, service.port)]
     tb.settle(2 * idle_s)
-    drains = f"drain:{service.name}:{client.ip}:"
     assert [entry for entry in tb.switch.table if str(entry.cookie).startswith(drains)] == []
 
 
 def test_a_connection_drained_twice_keeps_its_instance():
-    """After one request the gNB tracks one connection, source port
-    40000, across two repoints: egs → far edge, then far edge → cloud.
-    The connection began on egs, so it must stay there: the client's
-    next segment on port 40000 reaches egs, and egs's answer reaches the
-    client from the cloud's address.
+    """After one request the client opens a connection from source port
+    40000, which the switch commits toward egs, across two repoints:
+    egs → far edge, then far edge → cloud.  The connection began on egs,
+    so it must stay there: the client's next segment on port 40000
+    reaches egs, and egs's answer reaches the client from the cloud's
+    address.
 
     Before the fix the second repoint re-pinned every tracked port to
     the instance being left, the far edge: the segment reached the far
     edge, and egs's answer, which no reverse drain covered any longer,
     reached the client from ``10.0.0.1:20000``.  The mutation "a repoint
-    re-pins a port it already drained" fails here the same way.
+    replaces the pins it holds" (each ``repoint`` deletes the client's
+    held pins before it pins) fails here the same way.
     """
     tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
     far = tb.add_far_edge()
@@ -200,7 +206,8 @@ def test_a_connection_drained_twice_keeps_its_instance():
     assert tb.run_request(client, service, NGINX.request).response.status == 200
     instance = tb.docker_cluster.endpoint(service.plan)
     controller = tb.controller
-    controller.conntrack = lambda *_: (40000,)
+    client._send_segment(service.cloud_ip, TCPSegment(40000, service.port, TCPFlags.SYN))
+    tb.settle(0.01)
     far_endpoint = ServiceEndpoint(far.ingress_host.ip, 30081)
     assert controller.repoint_service_flows(service, far.name, far_endpoint) == 1
     cloud = ServiceEndpoint(service.cloud_ip, service.port)

@@ -52,8 +52,8 @@ class TestFlowTable:
         high = FlowEntry(FlowMatch(tcp_dst=80), [Output(1)], priority=10)
         table.install(low, 0.0)
         table.install(high, 0.0)
-        assert table.lookup(_packet(dport=80)) is high
-        assert table.lookup(_packet(dport=22)) is low
+        assert table.lookup(_packet(dport=80), None) is high
+        assert table.lookup(_packet(dport=22), None) is low
 
     def test_tie_broken_by_install_order(self):
         table = FlowTable()
@@ -61,12 +61,12 @@ class TestFlowTable:
         second = FlowEntry(FlowMatch(), [Output(1)], priority=5)
         table.install(first, 0.0)
         table.install(second, 0.0)
-        assert table.lookup(_packet()) is first
+        assert table.lookup(_packet(), None) is first
 
     def test_miss_returns_none(self):
         table = FlowTable()
         table.install(FlowEntry(FlowMatch(tcp_dst=443), [Drop()]), 0.0)
-        assert table.lookup(_packet(dport=80)) is None
+        assert table.lookup(_packet(dport=80), None) is None
 
     def test_idle_timeout_expiry(self):
         table = FlowTable()

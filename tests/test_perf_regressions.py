@@ -48,11 +48,11 @@ def _packet(src, dst, sport, dport):
     )
 
 
-def _linear_lookup(table: FlowTable, packet: Packet) -> FlowEntry | None:
+def _linear_lookup(table: FlowTable, packet: Packet, mark=None) -> FlowEntry | None:
     """The O(n) semantics: first match by descending priority, earlier
     installs first within one."""
     for entry in sorted(table, key=lambda e: (-e.priority, e._order)):
-        if matches(entry.match, packet):
+        if matches(entry.match, packet, mark):
             return entry
     return None
 
@@ -65,6 +65,7 @@ _ips = st.integers(min_value=1, max_value=3).map(IPv4Address)
 _ports = st.integers(min_value=1, max_value=3)
 _maybe_ip = st.one_of(st.none(), _ips)
 _maybe_port = st.one_of(st.none(), _ports)
+_maybe_mark = st.one_of(st.none(), st.sampled_from(["a", "b"]))
 
 _matches = st.builds(
     FlowMatch,
@@ -72,6 +73,7 @@ _matches = st.builds(
     ip_dst=_maybe_ip,
     tcp_src=_maybe_port,
     tcp_dst=_maybe_port,
+    ct_mark=_maybe_mark,
 )
 
 #: An op is either an install (match, priority) or a removal of the
@@ -86,8 +88,9 @@ _ops = st.lists(
 )
 
 _probe_packets = st.lists(
-    st.builds(
-        _packet, src=_ips, dst=_ips, sport=_ports, dport=_ports
+    st.tuples(
+        st.builds(_packet, src=_ips, dst=_ips, sport=_ports, dport=_ports),
+        _maybe_mark,
     ),
     min_size=1,
     max_size=8,
@@ -107,8 +110,9 @@ def test_indexed_lookup_matches_linear_scan(ops, packets):
         elif live:
             victim = live.pop(arg % len(live))
             assert remove(table, victim)
-    for packet in packets:
-        assert table.lookup(packet) is _linear_lookup(table, packet)
+    assert table.marked == sum(entry.match.ct_mark is not None for entry in live)
+    for packet, mark in packets:
+        assert table.lookup(packet, mark) is _linear_lookup(table, packet, mark)
 
 
 @settings(max_examples=100, deadline=None)
@@ -131,7 +135,7 @@ def test_index_consistent_after_remove_matching(ops):
         assert not any(entry.cookie == doomed for entry in table)
         assert table.remove_matching(doomed) == []
     packet = _packet(1, 2, 1, 2)
-    assert table.lookup(packet) is _linear_lookup(table, packet)
+    assert table.lookup(packet, None) is _linear_lookup(table, packet)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,7 @@ _ips = st.integers(min_value=1, max_value=4).map(lambda i: IPv4Address(i))
 _ports = st.integers(min_value=1, max_value=4)
 _maybe_ip = st.one_of(st.none(), _ips)
 _maybe_port = st.one_of(st.none(), _ports)
+_maybe_mark = st.one_of(st.none(), st.sampled_from(["10.0.0.1:80", "10.0.0.2:80"]))
 
 _matches = st.builds(
     FlowMatch,
@@ -95,6 +96,7 @@ _matches = st.builds(
     ip_dst=_maybe_ip,
     tcp_src=_maybe_port,
     tcp_dst=_maybe_port,
+    ct_mark=_maybe_mark,
 )
 
 _entries = st.lists(
@@ -117,10 +119,11 @@ _packets = st.builds(
 
 
 @settings(max_examples=200, deadline=None)
-@given(entries=_entries, packet=_packets)
-def test_flow_table_lookup_matches_oracle(entries, packet):
+@given(entries=_entries, packet=_packets, mark=_maybe_mark)
+def test_flow_table_lookup_matches_oracle(entries, packet, mark):
     """Lookup always returns the highest-priority, earliest-installed
-    matching entry — the invariant transparent redirection rests on."""
+    matching entry — the invariant transparent redirection rests on —
+    for a packet whose connection holds ``mark`` (``None``: no mark)."""
     table = FlowTable()
     installed = []
     for i, (match, priority) in enumerate(entries):
@@ -128,9 +131,9 @@ def test_flow_table_lookup_matches_oracle(entries, packet):
         table.install(entry, now=float(i))
         installed.append(entry)
 
-    result = table.lookup(packet)
+    result = table.lookup(packet, mark)
 
-    candidates = [e for e in installed if matches(e.match, packet)]
+    candidates = [e for e in installed if matches(e.match, packet, mark)]
     if not candidates:
         assert result is None
     else:
