@@ -25,9 +25,8 @@ class DeployError(RuntimeError):
     """A deployment phase failed (missing image, bad state, timeout)."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ServiceEndpoint:
-    """Where a running service instance answers."""
+class ServiceEndpoint(_t.NamedTuple):
+    """Where a running service instance answers: an ``(ip, port)`` tuple."""
 
     ip: IPv4Address
     port: int

@@ -244,10 +244,8 @@ class Redirect:
         """``(edge, out_port)`` for ``endpoint``; ``edge`` is ``None``
         for the cloud in either spelling — a resolution's ``None``, or
         FlowMemory's record of the service's own address."""
-        service, topology = self.service, self.controller.topology
-        if endpoint is None or (
-            endpoint.ip == service.cloud_ip and endpoint.port == service.port
-        ):
+        topology = self.controller.topology
+        if endpoint is None or endpoint == self.service.address:
             return None, topology.cloud_port(self.datapath.id)
         return endpoint, topology.port_for(self.datapath.id, endpoint.ip)
 

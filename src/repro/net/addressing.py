@@ -1,29 +1,27 @@
 """IPv4 addresses and their allocator.
 
-A thin immutable wrapper around an integer — hashable, ordered, cheap
-to compare — with the dotted format used in logs and tests.
+An address is a built-in ``int`` that prints dotted: it hashes,
+compares and orders in C, as every flow-table key the switch builds
+holds two of them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 
+class IPv4Address(int):
+    """An IPv4 address: a 32-bit ``int`` whose ``str`` is dotted.
 
-@dataclasses.dataclass(frozen=True, order=True)
-class IPv4Address:
-    """An IPv4 address stored as a 32-bit integer."""
+    It hashes, compares and orders as its integer, so
+    ``IPv4Address.parse("0.0.0.5") == 5`` and ``hash(ip) == int(ip)``;
+    arithmetic on it gives a plain ``int``.
+    """
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= 0xFFFFFFFF:
-            raise ValueError(f"IPv4 value out of range: {self.value:#x}")
-
-    def __hash__(self) -> int:
-        # Addresses are dict keys on every flow-table lookup; the
-        # non-negative 32-bit value is its own perfect hash, cheaper
-        # than the generated hash((self.value,)) tuple round-trip.
-        return self.value
+    def __new__(cls, value: int) -> "IPv4Address":
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise ValueError(f"IPv4 value out of range: {value:#x}")
+        return super().__new__(cls, value)
 
     @classmethod
     def parse(cls, text: str) -> "IPv4Address":
@@ -39,7 +37,7 @@ class IPv4Address:
         return cls(value)
 
     def __str__(self) -> str:
-        return ".".join(str((self.value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+        return ".".join(str((self >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
     def __repr__(self) -> str:
         return f"IPv4Address({str(self)!r})"
@@ -49,7 +47,7 @@ class IPAllocator:
     """Hands out sequential addresses from a /24-style base."""
 
     def __init__(self, base: str = "10.0.0.0") -> None:
-        self._next = IPv4Address.parse(base).value + 1
+        self._next = IPv4Address.parse(base) + 1
 
     def allocate(self) -> IPv4Address:
         addr = IPv4Address(self._next)

@@ -46,17 +46,9 @@ _conn_ids = itertools.count(1)
 #: First ephemeral source port handed out by hosts.
 EPHEMERAL_BASE = 32768
 
-# Flag combinations and raw bit values, precomputed once: enum.Flag's
-# ``|`` and ``&`` allocate a fresh member per operation, which is
-# measurable at one ``receive()`` per packet — the demux below tests
-# raw ints instead.
 _PSH_ACK = TCPFlags.PSH | TCPFlags.ACK
 _PSH_ACK_FIN = _PSH_ACK | TCPFlags.FIN
 _SYN_ACK = TCPFlags.SYN | TCPFlags.ACK
-_RST_BIT = TCPFlags.RST.value
-_SYN_BIT = TCPFlags.SYN.value
-_FIN_BIT = TCPFlags.FIN.value
-_SYN_ACK_BITS = _SYN_ACK.value
 
 
 class ConnectionRefused(Exception):
@@ -436,10 +428,10 @@ class Host(NetDevice):
         requires.  Whatever wraps ``receive`` must call it last.
         """
         seg = packet.tcp
-        flag_bits = seg.flags.value
+        flags = seg.flags
 
         # Handshake replies for connections we initiated.
-        if flag_bits & _RST_BIT:
+        if flags & TCPFlags.RST:
             pending = self._pending.get(seg.conn_id)
             if pending is not None and not pending.triggered:
                 pending.fail(
@@ -453,13 +445,13 @@ class Host(NetDevice):
                 conn._reset("peer reset the connection")
             return
 
-        if flag_bits & _SYN_ACK_BITS == _SYN_ACK_BITS:
+        if flags & _SYN_ACK == _SYN_ACK:
             pending = self._pending.get(seg.conn_id)
             if pending is not None and not pending.triggered:
                 pending.succeed_tail(packet)
             return
 
-        if flag_bits & _SYN_BIT:
+        if flags & TCPFlags.SYN:
             self._handle_syn(packet)
             return
 
@@ -470,7 +462,7 @@ class Host(NetDevice):
             return
         if seg.payload is not None:
             if isinstance(seg.payload, HTTPRequest):
-                self._serve_request(conn, seg.payload, bool(flag_bits & _FIN_BIT))
+                self._serve_request(conn, seg.payload, bool(flags & TCPFlags.FIN))
             else:
                 reader = conn._offer(seg.payload)
                 if reader is not None:

@@ -27,9 +27,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Spacing of the grid a switch's flow-expiry wakeups land on.
 EXPIRY_SWEEP_INTERVAL_S = 0.25
 
-_SYN = TCPFlags.SYN
 #: The flag bits that end a tracked connection.
-_END_BITS = (TCPFlags.FIN | TCPFlags.RST).value
+_END_BITS = TCPFlags.FIN | TCPFlags.RST
 
 
 class ControlChannel:
@@ -223,7 +222,7 @@ class OpenFlowSwitch(NetDevice):
     def _pipeline(self, packet: Packet, in_port: int) -> None:
         table = self.table
         mark = None
-        if table.marked and packet.tcp.flags is not _SYN:
+        if table.marked and packet.tcp.flags != TCPFlags.SYN:
             mark = self.connections.get(packet.match_values())
         entry = table.lookup(packet, mark)
         if entry is None:
@@ -244,9 +243,9 @@ class OpenFlowSwitch(NetDevice):
                 self._output(packet, action.port)
             elif isinstance(action, Commit):  # a SYN takes the mark; FIN or RST ends it
                 flags = packet.tcp.flags
-                if flags is _SYN:
+                if flags == TCPFlags.SYN:
                     self.connections[packet.match_values()] = action.mark
-                elif flags._value_ & _END_BITS:
+                elif flags & _END_BITS:
                     self.connections.pop(packet.match_values(), None)
             elif isinstance(action, ToController):
                 self._punt(packet, in_port, reason="action")

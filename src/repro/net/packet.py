@@ -25,8 +25,6 @@ every subsequent switch hop; *set-field* rewrites invalidate it.
 from __future__ import annotations
 
 import dataclasses
-import enum
-import itertools
 import typing as _t
 
 from repro.net.addressing import IPv4Address
@@ -36,15 +34,21 @@ from repro.net.addressing import IPv4Address
 HEADER_BYTES = 66
 
 
-class TCPFlags(enum.Flag):
-    """The TCP flag subset the connection model uses."""
+class TCPFlags:
+    """The TCP flag bits the connection model uses, as plain ints: a
+    segment's ``flags`` is their ``|``, tested with ``&`` and ``==``."""
 
-    NONE = 0
-    SYN = enum.auto()
-    ACK = enum.auto()
-    FIN = enum.auto()
-    RST = enum.auto()
-    PSH = enum.auto()
+    SYN = 1
+    ACK = 2
+    FIN = 4
+    RST = 8
+    PSH = 16
+
+
+def flag_names(flags: int) -> str:
+    """``"SYN|ACK"`` for ``TCPFlags.SYN | TCPFlags.ACK``; ``"NONE"`` for 0."""
+    names = ("SYN", "ACK", "FIN", "RST", "PSH")
+    return "|".join(n for n in names if flags & getattr(TCPFlags, n)) or "NONE"
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -115,7 +119,7 @@ class TCPSegment:
         self,
         src_port: int,
         dst_port: int,
-        flags: TCPFlags,
+        flags: int,
         payload_bytes: int = 0,
         payload: _t.Any = None,
         conn_id: int = 0,
@@ -131,12 +135,9 @@ class TCPSegment:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"TCPSegment({self.src_port}, {self.dst_port}, {self.flags!r}, "
+            f"TCPSegment({self.src_port}, {self.dst_port}, {flag_names(self.flags)}, "
             f"payload_bytes={self.payload_bytes}, conn_id={self.conn_id})"
         )
-
-
-_packet_ids = itertools.count(1)
 
 
 class Packet:
@@ -151,7 +152,6 @@ class Packet:
         "ip_src",
         "ip_dst",
         "tcp",
-        "packet_id",
         "_mk",
     )
 
@@ -160,12 +160,10 @@ class Packet:
         ip_src: IPv4Address,
         ip_dst: IPv4Address,
         tcp: TCPSegment,
-        packet_id: int | None = None,
     ) -> None:
         self.ip_src = ip_src
         self.ip_dst = ip_dst
         self.tcp = tcp
-        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
         #: Cached (ip_src, ip_dst, src_port, dst_port) match-key tuple;
         #: ``None`` until the first flow-table lookup and after any
         #: header rewrite (see ``SetField.apply``).
@@ -195,9 +193,8 @@ class Packet:
         return mk
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        flags = self.tcp.flags.name or "NONE"
         return (
-            f"<Packet #{self.packet_id} {self.ip_src}:{self.tcp.src_port} -> "
-            f"{self.ip_dst}:{self.tcp.dst_port} [{flags}] "
+            f"<Packet {self.ip_src}:{self.tcp.src_port} -> "
+            f"{self.ip_dst}:{self.tcp.dst_port} [{flag_names(self.tcp.flags)}] "
             f"{self.tcp.payload_bytes}B>"
         )

@@ -37,14 +37,15 @@ class EchoApp:
 
 
 class Sink(NetDevice):
-    """A device that only logs what reaches it: ``(packet id, time)``."""
+    """A device that only logs what reaches it: ``(conn id, time)``;
+    a test tags each packet it sends by its segment's ``conn_id``."""
 
     def __init__(self, env: Environment, name: str = "sink") -> None:
         super().__init__(env, name)
         self.arrivals: list[tuple[int, float]] = []
 
     def receive(self, packet, iface) -> None:
-        self.arrivals.append((packet.packet_id, self.env.now))
+        self.arrivals.append((packet.tcp.conn_id, self.env.now))
 
 
 class MiniNet:

@@ -811,7 +811,7 @@ def test_a_syn_in_the_swap_keeps_the_instance_it_began_on():
     endpoint = far.endpoint(service.plan)
     tb.env.call_at(swap_at, tb.controller.repoint_service_flows, service, far.name, endpoint)
     assert tb.env.run(until=request).response.status == 200
-    (syn_at,) = [at for at, packet in crossed if packet.tcp.flags is TCPFlags.SYN]
+    (syn_at,) = [at for at, packet in crossed if packet.tcp.flags == TCPFlags.SYN]
     assert swap_at < syn_at < swap_at + tb.datapath.channel.latency_s
     assert [name for name, packet in seen if packet.ip_src == client.ip] == ["egs", "egs"]
 

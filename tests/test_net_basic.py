@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from repro.cluster import ServiceEndpoint
 from repro.net import (
     ConnectionRefused,
     ConnectionTimeout,
@@ -23,7 +26,7 @@ class TestAddressing:
     def test_ipv4_parse_and_str(self):
         ip = IPv4Address.parse("192.168.1.42")
         assert str(ip) == "192.168.1.42"
-        assert ip.value == (192 << 24) | (168 << 16) | (1 << 8) | 42
+        assert ip == (192 << 24) | (168 << 16) | (1 << 8) | 42
 
     @pytest.mark.parametrize("bad", ["1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d"])
     def test_ipv4_malformed_rejected(self, bad):
@@ -31,13 +34,43 @@ class TestAddressing:
             IPv4Address.parse(bad)
 
     def test_ipv4_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            IPv4Address(2**32)
+        for bad in (-1, 2**32):
+            with pytest.raises(ValueError):
+                IPv4Address(bad)
 
     def test_ipv4_ordering_and_hash(self):
         a, b = IPv4Address.parse("10.0.0.1"), IPv4Address.parse("10.0.0.2")
         assert a < b
         assert len({a, IPv4Address.parse("10.0.0.1")}) == 1
+
+    def test_ipv4_is_its_int(self):
+        """The hash is the 32-bit value, as it was before the address
+        was an ``int``: address-keyed dicts and sets iterate unchanged."""
+        ip = IPv4Address.parse("10.0.0.7")
+        assert hash(ip) == int(ip) == (10 << 24) | 7
+        assert IPv4Address.parse("0.0.0.5") == 5
+        assert type(ip + 1) is int
+
+    def test_ipv4_prints_dotted(self):
+        ip = IPv4Address.parse("10.1.2.3")
+        assert str(ip) == f"{ip}" == "%s" % ip == "10.1.2.3"
+        assert repr(ip) == "IPv4Address('10.1.2.3')"
+
+    def test_ipv4_pickles_as_itself(self):
+        """The sharded kernel pickles packets across its pipes."""
+        ip = IPv4Address.parse("10.0.0.1")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(ip, protocol))
+            assert type(back) is IPv4Address and back == ip
+
+    def test_service_endpoint_is_its_tuple(self):
+        ip = IPv4Address.parse("10.0.0.1")
+        endpoint = ServiceEndpoint(ip, 80)
+        assert str(endpoint) == f"{ip}:80" == "10.0.0.1:80"
+        assert endpoint == (ip, 80) and tuple(endpoint) == (ip, 80)
+        assert endpoint < ServiceEndpoint(ip, 81)
+        back = pickle.loads(pickle.dumps(endpoint))
+        assert type(back) is ServiceEndpoint and back == endpoint
 
     def test_allocators_are_sequential_and_unique(self):
         ips = IPAllocator("10.1.0.0")
@@ -55,14 +88,6 @@ class TestPacket:
             tcp=seg,
         )
         assert pkt.wire_size == HEADER_BYTES + 100
-
-    def test_packet_ids_unique(self):
-        kwargs = dict(
-            ip_src=IPv4Address.parse("10.0.0.1"),
-            ip_dst=IPv4Address.parse("10.0.0.2"),
-            tcp=TCPSegment(1, 2, TCPFlags.SYN),
-        )
-        assert Packet(**kwargs).packet_id != Packet(**kwargs).packet_id
 
     def test_http_sizes(self):
         req = HTTPRequest("POST", "/classify", body_bytes=85000, header_bytes=200)

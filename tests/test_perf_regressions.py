@@ -14,13 +14,16 @@ And budgets in exact counts, no host time: kernel events per warm
 request and per Kubernetes first request, Kubernetes-model calls per
 deployment, cancelled guards left on the deadline side heap, messages
 up the control channel per redirect idle-out, server-side connections
-left after a replay.
+left after a replay, Python-level ``__hash__`` / ``__eq__`` calls in a
+replay.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +296,34 @@ def test_one_shot_requests_leave_no_server_side_connections():
     tb, summary = replay(params=BigFlowsParams(n_requests=900, duration_s=20.0))
     assert summary.n_ok == 900
     assert len(tb.egs._connections) + len(tb.cloud._connections) == 0
+
+
+def test_no_python_level_hash_or_eq_in_a_replay():
+    """Every key the switch, host and controller hash or compare is a
+    built-in value — an address is an ``int``, an endpoint a tuple, the
+    TCP flags int bits — so a replay of 900 requests calls no ``__hash__``
+    or ``__eq__`` written in Python, a dataclass's generated ones (whose
+    ``co_filename`` is ``<string>``) included.  While ``IPv4Address`` and
+    ``ServiceEndpoint`` were dataclasses, this replay made 38 960 such
+    ``__hash__`` calls and 659 such ``__eq__`` calls."""
+    from repro.workload import BigFlowsParams
+    from tests.replayhelpers import replay
+
+    called = collections.Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in ("__hash__", "__eq__"):
+            called[f"{code.co_filename}:{code.co_firstlineno} {code.co_name}"] += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _, summary = replay(params=BigFlowsParams(n_requests=900, duration_s=20.0))
+    finally:
+        sys.setprofile(outer)
+    assert summary.n_ok == 900
+    assert dict(called) == {}
 
 
 # ---------------------------------------------------------------------------

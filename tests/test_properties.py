@@ -1288,12 +1288,14 @@ def _beyond_the_key(latency, calls) -> bool:
     )
 
 
-def _burst_packet(packet_id: int, wire: int, tcp_dst: int = 2) -> Packet:
+def _burst_packet(tag: int, wire: int, tcp_dst: int = 2) -> Packet:
+    """A packet tagged by its segment's ``conn_id``, which no hop reads."""
     return Packet(
         ip_src=IPv4Address(1),
         ip_dst=IPv4Address(2),
-        tcp=TCPSegment(1, tcp_dst, TCPFlags.PSH, payload_bytes=wire - HEADER_BYTES),
-        packet_id=packet_id,
+        tcp=TCPSegment(
+            1, tcp_dst, TCPFlags.PSH, payload_bytes=wire - HEADER_BYTES, conn_id=tag
+        ),
     )
 
 
@@ -1312,10 +1314,8 @@ def _arrivals(endpoint_type, latency, calls):
                 slots * _SLOT_S,
             )
             ends.append(link.end_a)
-    for packet_id, (slot, link, wire) in enumerate(calls):
-        env.call_at(
-            slot * _SLOT_S, ends[link].transmit, _burst_packet(packet_id, wire)
-        )
+    for tag, (slot, link, wire) in enumerate(calls):
+        env.call_at(slot * _SLOT_S, ends[link].transmit, _burst_packet(tag, wire))
     env.run()
     return sink.arrivals
 
@@ -1352,14 +1352,14 @@ _FORWARD, _MISS, _DROP = 2, 3, 4
 
 
 class _PuntLog:
-    """Stub control channel: ``(time, packet id)`` per packet-in."""
+    """Stub control channel: ``(time, conn id)`` per packet-in."""
 
     def __init__(self, env: Environment) -> None:
         self.env = env
         self.punts: list[tuple[float, int]] = []
 
     def send_to_controller(self, message) -> None:
-        self.punts.append((self.env.now, message.packet.packet_id))
+        self.punts.append((self.env.now, message.packet.tcp.conn_id))
 
 
 @st.composite
@@ -1397,7 +1397,7 @@ def _through_a_switch(endpoint_type, latency, calls, fates, lookup, flips):
     switch.channel = punts = _PuntLog(env)
     far = Sink(env, "far")
     looked_up = []
-    tap(switch, "_pipeline", lambda packet, in_port: looked_up.append((env.now, packet.packet_id)))
+    tap(switch, "_pipeline", lambda packet, in_port: looked_up.append((env.now, packet.tcp.conn_id)))
     links = []
     with mock.patch.object(link_module, "LinkEndpoint", endpoint_type):
         out_port, out_iface = switch.add_port()
@@ -1417,11 +1417,11 @@ def _through_a_switch(endpoint_type, latency, calls, fates, lookup, flips):
     switch.table.install(FlowEntry(FlowMatch(tcp_dst=_DROP), [Drop()]), 0.0)
     for slot, link, down in flips:
         env.call_at(slot * _SLOT_S, setattr, links[link], "down", down)
-    for packet_id, ((slot, link, wire), fate) in enumerate(zip(calls, fates)):
+    for tag, ((slot, link, wire), fate) in enumerate(zip(calls, fates)):
         env.call_at(
             slot * _SLOT_S,
             links[link].end_a.transmit,
-            _burst_packet(packet_id, wire, tcp_dst=fate),
+            _burst_packet(tag, wire, tcp_dst=fate),
         )
     env.run()
     return looked_up, far.arrivals, punts.punts, switch.stats
@@ -1572,7 +1572,7 @@ def _log_traffic(host: Host, log) -> None:
     def logged(direction):
         def observe(packet, *_iface):
             tcp = packet.tcp
-            log.append((env.now, name, direction, tcp.flags.value, tcp.payload_bytes))
+            log.append((env.now, name, direction, tcp.flags, tcp.payload_bytes))
 
         return observe
 

@@ -171,8 +171,7 @@ def _burst():
         Packet(
             a,
             b,
-            TCPSegment(40000, 80, TCPFlags.ACK, payload_bytes=size),
-            packet_id=i,
+            TCPSegment(40000, 80, TCPFlags.ACK, payload_bytes=size, conn_id=i),
         )
         for i, (_at, size) in enumerate(BURST)
     ]
@@ -202,7 +201,7 @@ def test_half_link_delivers_when_the_whole_link_does():
     sent = []
 
     def send(packet, arrival_ts):
-        sent.append((packet.packet_id, arrival_ts))
+        sent.append((packet.tcp.conn_id, arrival_ts))
 
     half = HalfLinkEndpoint(
         env, near.add_interface(), BANDWIDTH_BPS, LATENCY_S, send
