@@ -26,7 +26,7 @@ from repro.core.state import ControlPlaneState, InstanceRecord
 from repro.metrics import MetricsRecorder
 from repro.net.addressing import IPv4Address
 from repro.net.openflow import (
-    Commit, FlowMatch, FlowRemoved, Output, PacketIn, SetField, ToController
+    FlowMatch, FlowRemoved, Nat, Output, PacketIn, SetSrc, ToController
 )
 from repro.sdnfw import Datapath, SDNApp
 from repro.services.calibration import Calibration, DEFAULT_CALIBRATION
@@ -122,12 +122,13 @@ class Redirect:
     owner of one forward entry and, toward an edge instance, of the
     reverse entry for it.
 
-    *Forward* has the switch mark each SYN's connection with the
-    endpoint it rewrites to (the cloud's address included), rewrites
-    client → cloud address into client → instance and releases the held
-    first packet; *reverse* rewrites the instance's answers back, so the
-    client only ever sees the cloud address (§V).  A redirect sits at
-    :data:`PRIORITY_REDIRECT` under the cookie
+    *Forward* names the endpoint once, in a :class:`Nat` (OVS
+    ``ct(commit,nat(dst=…))``): the switch marks each SYN's connection
+    with it (the cloud's address included), rewrites client → cloud
+    address into client → instance, and the entry releases the held
+    first packet; *reverse* rewrites the instance's answers back with
+    one :class:`SetSrc`, so the client only ever sees the cloud address
+    (§V).  A redirect sits at :data:`PRIORITY_REDIRECT` under the cookie
     ``redirect:<service>:<client>``; a *pin* — a repoint's hold on the
     connections begun on the endpoint being left — matches that mark at
     :data:`PRIORITY_DRAIN` under ``drain:<service>:<client>:<mark>``.
@@ -232,11 +233,8 @@ class Redirect:
             controller._follow(self.client_ip, self.service, controller.env.now - idle)
 
     def retire(self) -> None:
-        """Delete this redirect's entries, if the switch is still ours;
-        the caller has dropped it."""
-        datapath = self.controller.datapaths.get(self.datapath.id)
-        if datapath is not None:
-            datapath.delete_flows(cookie=self.cookie)
+        """Delete this redirect's entries; the caller has dropped it."""
+        self.datapath.delete_flows(cookie=self.cookie)
 
     def _toward(
         self, endpoint: ServiceEndpoint | None
@@ -251,32 +249,25 @@ class Redirect:
 
     def _reverse(self, client_port: int):
         """The entry that makes :attr:`edge`'s answers the cloud
-        address's."""
-        service, edge = self.service, self.edge
+        address's: one :class:`SetSrc` to the service's address."""
+        edge = self.edge
         match = FlowMatch(ip_src=edge.ip, tcp_src=edge.port, ip_dst=self.client_ip)
-        return match, [
-            SetField("ip_src", service.cloud_ip),
-            SetField("tcp_src", service.port),
-            Output(client_port),
-        ]
+        return match, [SetSrc(self.service.address), Output(client_port)]
 
     def _forward(self, out_port: int):
-        """The entry that marks each new connection with :attr:`edge` and
-        sends the client's packets (of the connections marked
-        :attr:`mark`, for a pin) there; toward the cloud nothing is
-        rewritten."""
-        service, edge = self.service, self.edge
-        if edge is None:
-            actions = [Commit(ServiceEndpoint(service.cloud_ip, service.port))]
-        else:
-            actions = [Commit(edge), SetField("ip_dst", edge.ip), SetField("tcp_dst", edge.port)]
+        """The entry that sends the client's packets (of the connections
+        marked :attr:`mark`, for a pin) to :attr:`edge` — or to the
+        service's own address toward the cloud — through one :class:`Nat`,
+        which marks each new connection with that endpoint."""
+        service = self.service
+        endpoint = self.edge or service.address
         match = FlowMatch(
             ip_src=self.client_ip,
             ip_dst=service.cloud_ip,
             tcp_dst=service.port,
             ct_mark=self.mark,
         )
-        return match, actions + [Output(out_port)]
+        return match, [Nat(endpoint), Output(out_port)]
 
 
 class EdgeController(ForwardingApp):
@@ -628,11 +619,14 @@ class EdgeController(ForwardingApp):
         new instance, make-before-break.
 
         Runs in a single event-loop instant (no yields), so for every
-        covered client the pin toward the old endpoint and the redirect
-        swap are sent in one batch and land at the switch together:
-        connections the switch committed before the swap lands stay on
-        the old path, connections whose SYN reaches it after ride the
-        new one.  Returns the number of flows repointed.
+        client whose redirect is installed the pin toward the old
+        endpoint and the redirect swap are sent in one batch and land at
+        the switch together: connections the switch committed before the
+        swap lands stay on the old path, connections whose SYN reaches
+        it after ride the new one.  A flow with no redirect installed
+        (it idled out) changes only in memory; its next packet-in
+        installs toward ``endpoint`` from there.  Returns the number of
+        flows repointed.
         """
         repointed = 0
         for flow in self.flow_memory.flows_for_service(service):
@@ -640,10 +634,11 @@ class EdgeController(ForwardingApp):
                 continue
             client = self.dispatcher.client_locations.get(flow.client_ip)
             datapath = None if client is None else self._attachment(client)
-            if datapath is not None:
-                self._redirect(datapath, flow.client_ip, service).repoint(
-                    client.in_port, flow.endpoint, endpoint
-                )
+            held = datapath and self._redirects.get(flow.client_ip, {}).get(
+                (datapath.id, service.name, None)
+            )
+            if held:
+                held.repoint(client.in_port, flow.endpoint, endpoint)
                 self._follow(flow.client_ip, service, self.env.now)
             flow.cluster_name = cluster_name
             flow.endpoint = endpoint

@@ -250,7 +250,7 @@ class BandwidthLedger:
         return self.capacity_bps - self.committed(link)
 
     def reserve(self, links: _t.Sequence[str], rate_bps: int) -> bool:
-        """Commit ``rate_bps`` on every link, or nothing at all."""
+        """Reserve ``rate_bps`` on every link, or nothing at all."""
         if any(self.available(link) < rate_bps for link in links):
             return False
         for link in links:

@@ -1,22 +1,17 @@
 """OpenFlow actions.
 
-Actions are applied in list order; *set-field* rewrites happen before
-a subsequent *output*, which is how the transparent redirection
-rewrites the destination (client → edge) and the source (edge →
-client) addresses.
+Actions are applied in list order; a rewrite happens before a
+subsequent *output*, which is how the transparent redirection sends a
+client's connection to an edge instance (:class:`Nat`) and makes the
+instance's answers the cloud address's (:class:`SetSrc`).  The switch
+applies every action itself; none has a method it calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.net.addressing import IPv4Address
-from repro.net.packet import Packet
-
-#: Fields a :class:`SetField` action may rewrite: the IPv4/TCP
-#: addresses the transparent redirection swaps.
-REWRITABLE_FIELDS = frozenset({"ip_src", "ip_dst", "tcp_src", "tcp_dst"})
 
 
 class Action:
@@ -34,56 +29,32 @@ class Output(Action):
 
 
 @dataclasses.dataclass(frozen=True)
-class SetField(Action):
-    """Rewrite one header field.
+class Nat(Action):
+    """Destination NAT of a tracked connection (OVS
+    ``ct(commit,nat(dst=<ip>:<port>))``): a SYN records its connection —
+    keyed by the 4-tuple it carries before the rewrite — with ``endpoint``
+    as its mark, a FIN or RST ends the connection, and the packet is
+    readdressed to ``endpoint``.  Its later packets match a
+    ``FlowMatch.ct_mark`` of that endpoint.  ``endpoint`` is an ``(ip,
+    port)`` pair, a ``ServiceEndpoint`` as the controller sends it."""
 
-    The field/value pair is validated once at construction; ``apply``
-    is then a bare in-place assignment — no type checks, no
-    replacement-segment allocation — because it runs once per rewrite
-    action per switch hop, the hottest write in the data plane.
-    """
-
-    field: str
-    value: _t.Any
-
-    def __post_init__(self) -> None:
-        if self.field not in REWRITABLE_FIELDS:
-            raise ValueError(f"cannot rewrite field {self.field!r}")
-        if self.field in ("ip_src", "ip_dst"):
-            if not isinstance(self.value, IPv4Address):
-                raise TypeError(f"{self.field} needs an IPv4Address")
-        else:  # tcp_src / tcp_dst
-            # Normalise once so apply() can assign without int().
-            object.__setattr__(self, "value", int(self.value))
-
-    def apply(self, packet: Packet) -> None:
-        field = self.field
-        if field == "ip_dst":
-            packet.ip_dst = self.value
-        elif field == "ip_src":
-            packet.ip_src = self.value
-        elif field == "tcp_dst":
-            packet.tcp.dst_port = self.value
-        else:
-            packet.tcp.src_port = self.value
-        packet._mk = None  # invalidate the cached match-key tuple
+    endpoint: tuple[IPv4Address, int]
 
     def __str__(self) -> str:
-        return f"set_field:{self.field}={self.value}"
+        ip, port = self.endpoint
+        return f"ct(commit,nat(dst={ip}:{port}))"
 
 
 @dataclasses.dataclass(frozen=True)
-class Commit(Action):
-    """Connection tracking (OVS ``ct(commit, exec(set_field:<mark>->ct_mark))``):
-    a SYN records ``mark``, opaque to the switch, for its connection —
-    keyed by the 4-tuple it carries here, so this goes before any
-    rewrite — and a FIN or RST ends the connection.  Its later packets
-    match a ``FlowMatch.ct_mark`` of that mark."""
+class SetSrc(Action):
+    """Rewrite the packet's source address and port to ``endpoint``, an
+    ``(ip, port)`` pair."""
 
-    mark: _t.Any
+    endpoint: tuple[IPv4Address, int]
 
     def __str__(self) -> str:
-        return f"ct(commit,mark={self.mark})"
+        ip, port = self.endpoint
+        return f"set_src:{ip}:{port}"
 
 
 @dataclasses.dataclass(frozen=True)

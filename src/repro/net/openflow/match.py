@@ -17,7 +17,7 @@ from repro.net.addressing import IPv4Address
 @dataclasses.dataclass(frozen=True)
 class FlowMatch:
     """Match on any subset of the IPv4/TCP 4-tuple and the mark the switch
-    holds for the packet's connection (none for a SYN: ``Commit``)."""
+    holds for the packet's connection (none for a SYN: ``Nat``)."""
 
     ip_src: IPv4Address | None = None
     ip_dst: IPv4Address | None = None

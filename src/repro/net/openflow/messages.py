@@ -10,13 +10,6 @@ from repro.net.openflow.actions import Action
 from repro.net.openflow.match import FlowMatch
 from repro.net.packet import Packet
 
-_xids = itertools.count(1)
-
-
-def next_xid() -> int:
-    return next(_xids)
-
-
 @dataclasses.dataclass
 class PacketIn:
     """Switch → controller: a packet punted to the control plane.
@@ -31,7 +24,6 @@ class PacketIn:
     buffer_id: int
     packet: Packet
     in_port: int
-    reason: str = "no_match"
 
 
 @dataclasses.dataclass
@@ -55,7 +47,6 @@ class FlowMod:
     #: If set on an "add", the buffered packet is run through the new
     #: entry's actions immediately after installation.
     buffer_id: int | None = None
-    xid: int = dataclasses.field(default_factory=next_xid)
 
     def __post_init__(self) -> None:
         if self.command not in ("add", "delete"):
@@ -71,7 +62,6 @@ class PacketOut:
 
     actions: _t.Sequence[Action]
     buffer_id: int
-    xid: int = dataclasses.field(default_factory=next_xid)
 
 
 @dataclasses.dataclass
@@ -85,9 +75,10 @@ class FlowRemoved:
 
 @dataclasses.dataclass
 class BarrierRequest:
-    """Controller → switch: fence message ordering."""
+    """Controller → switch: fence message ordering; the reply carries
+    its ``xid``."""
 
-    xid: int = dataclasses.field(default_factory=next_xid)
+    xid: int = dataclasses.field(default_factory=itertools.count(1).__next__)
 
 
 @dataclasses.dataclass

@@ -7,7 +7,7 @@ import typing as _t
 from heapq import heappush
 
 from repro.net.device import NetDevice, NetworkInterface
-from repro.net.openflow.actions import Action, Commit, Drop, Output, SetField, ToController
+from repro.net.openflow.actions import Action, Drop, Nat, Output, SetSrc, ToController
 from repro.net.openflow.messages import (
     BarrierReply,
     BarrierRequest,
@@ -107,7 +107,7 @@ class OpenFlowSwitch(NetDevice):
     or an explicit packet-out — the "held request" of on-demand
     deployment with waiting.
 
-    Connection tracking costs no kernel event: a :class:`Commit` keeps
+    Connection tracking costs no kernel event: a :class:`Nat` keeps
     :attr:`connections`, and a lookup reads the mark of a non-SYN
     packet's connection while an entry matches marks.
 
@@ -137,7 +137,8 @@ class OpenFlowSwitch(NetDevice):
         self._buffers: dict[int, tuple[Packet, int]] = {}
         self._next_buffer = itertools.count(1)
         #: Tracked connections: a SYN's 4-tuple, as it reached a
-        #: commit, -> the mark committed for it; in commit order.
+        #: :class:`Nat`, -> the endpoint it was readdressed to (its
+        #: mark); in commit order.
         self.connections: dict[tuple, _t.Any] = {}
         #: Counters for tests and diagnostics.
         self.stats = {"rx": 0, "tx": 0, "miss": 0, "drop": 0, "punt": 0}
@@ -227,7 +228,7 @@ class OpenFlowSwitch(NetDevice):
         entry = table.lookup(packet, mark)
         if entry is None:
             self.stats["miss"] += 1
-            self._punt(packet, in_port, reason="no_match")
+            self._punt(packet, in_port)
             return
         entry.last_used = self.env._now
         entry.packet_count += 1
@@ -237,18 +238,23 @@ class OpenFlowSwitch(NetDevice):
         self, actions: _t.Sequence[Action], packet: Packet, in_port: int
     ) -> None:
         for action in actions:
-            if isinstance(action, SetField):
-                action.apply(packet)
-            elif isinstance(action, Output):
+            if isinstance(action, Output):
                 self._output(packet, action.port)
-            elif isinstance(action, Commit):  # a SYN takes the mark; FIN or RST ends it
-                flags = packet.tcp.flags
+            elif isinstance(action, Nat):  # a SYN takes the mark; FIN or RST ends it
+                tcp = packet.tcp
+                flags = tcp.flags
                 if flags == TCPFlags.SYN:
-                    self.connections[packet.match_values()] = action.mark
+                    self.connections[packet.match_values()] = action.endpoint
                 elif flags & _END_BITS:
                     self.connections.pop(packet.match_values(), None)
+                packet.ip_dst, tcp.dst_port = action.endpoint
+                packet._mk = None
+            elif isinstance(action, SetSrc):
+                tcp = packet.tcp
+                packet.ip_src, tcp.src_port = action.endpoint
+                packet._mk = None
             elif isinstance(action, ToController):
-                self._punt(packet, in_port, reason="action")
+                self._punt(packet, in_port)
             elif isinstance(action, Drop):
                 self.stats["drop"] += 1
                 return
@@ -263,7 +269,7 @@ class OpenFlowSwitch(NetDevice):
         self.stats["tx"] += 1
         iface.send(packet)
 
-    def _punt(self, packet: Packet, in_port: int, reason: str) -> None:
+    def _punt(self, packet: Packet, in_port: int) -> None:
         if self.channel is None:
             self.stats["drop"] += 1
             return
@@ -276,7 +282,6 @@ class OpenFlowSwitch(NetDevice):
                 buffer_id=buffer_id,
                 packet=packet,
                 in_port=in_port,
-                reason=reason,
             )
         )
 

@@ -11,8 +11,6 @@ from repro.net.openflow.actions import Action
 from repro.net.openflow.match import FlowMatch
 from repro.net.packet import Packet
 
-_entry_ids = itertools.count(1)
-
 #: Match fields an index shape can bind, in canonical order.  The
 #: order matches the packet's cached ``match_values()`` tuple, then
 #: the packet's connection mark.
@@ -68,7 +66,6 @@ class FlowEntry:
     """
 
     __slots__ = (
-        "entry_id",
         "match",
         "actions",
         "priority",
@@ -89,7 +86,6 @@ class FlowEntry:
     ) -> None:
         if idle_timeout < 0:
             raise ValueError("idle_timeout must be >= 0")
-        self.entry_id = next(_entry_ids)
         self.match = match
         self.actions = list(actions)
         self.priority = priority
@@ -113,7 +109,7 @@ class FlowEntry:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         acts = ", ".join(str(a) for a in self.actions)
-        return f"<FlowEntry #{self.entry_id} p{self.priority} {self.match} -> [{acts}]>"
+        return f"<FlowEntry p{self.priority} {self.match} -> [{acts}]>"
 
 
 class FlowTable:

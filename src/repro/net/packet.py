@@ -143,9 +143,9 @@ class TCPSegment:
 class Packet:
     """A simulated IPv4/TCP packet.
 
-    Mutable on purpose: OpenFlow *set-field* actions rewrite header
-    fields in place as the packet traverses a switch, exactly like the
-    paper's transparent redirection does.
+    Mutable on purpose: OpenFlow rewrite actions (``Nat``, ``SetSrc``)
+    rewrite header fields in place as the packet traverses a switch,
+    exactly like the paper's transparent redirection does.
     """
 
     __slots__ = (
@@ -166,7 +166,7 @@ class Packet:
         self.tcp = tcp
         #: Cached (ip_src, ip_dst, src_port, dst_port) match-key tuple;
         #: ``None`` until the first flow-table lookup and after any
-        #: header rewrite (see ``SetField.apply``).
+        #: header rewrite (``OpenFlowSwitch._apply_actions``).
         self._mk: tuple | None = None
 
     @property

@@ -105,7 +105,7 @@ class SDNApp:
         if bound_to is not None and bound_to is not self:
             raise ValueError(
                 f"switch {switch.name!r} is already bound to controller "
-                f"{bound_to.name!r}; detach it first"
+                f"{bound_to.name!r}; a switch belongs to one controller"
             )
         channel = ControlChannel(self.env, latency_s=latency_s)
         channel.bind(switch, self)
@@ -114,15 +114,6 @@ class SDNApp:
         self.datapaths[switch.datapath_id] = datapath
         self.on_datapath_join(datapath)
         return datapath
-
-    def detach(self, switch: OpenFlowSwitch) -> None:
-        """Disconnect a switch, freeing it to attach elsewhere."""
-        datapath = self.datapaths.pop(switch.datapath_id, None)
-        if datapath is None:
-            raise ValueError(
-                f"switch {switch.name!r} is not attached to {self.name!r}"
-            )
-        switch.channel = None
 
     # -- dispatch ------------------------------------------------------------
 

@@ -342,15 +342,13 @@ _MARK = {"egs": "10.0.0.1:30080", "far": "10.0.0.22:30081", "cloud": "203.0.113.
 _REV_R, _FWD_R = f"add {_R} p20 idle=0", f"add {_R} p20 idle=10"
 _FROM_EGS = "match(ip_src=10.0.0.1, ip_dst=10.0.0.2, tcp_src=30080)"
 _FROM_FAR = "match(ip_src=10.0.0.22, ip_dst=10.0.0.2, tcp_src=30081)"
-_BACK = "-> set_field:ip_src=203.0.113.1,set_field:tcp_src=80,output:2 buffer=None"
+_BACK = "-> set_src:203.0.113.1:80,output:2 buffer=None"
 _ANY = "match(ip_src=10.0.0.2, ip_dst=203.0.113.1, tcp_dst=80)"
 _MARKED = "match(ip_src=10.0.0.2, ip_dst=203.0.113.1, tcp_dst=80, ct_mark=%s)"
 _TO = {
-    "egs": "-> ct(commit,mark=10.0.0.1:30080),"
-    "set_field:ip_dst=10.0.0.1,set_field:tcp_dst=30080,output:1",
-    "far": "-> ct(commit,mark=10.0.0.22:30081),"
-    "set_field:ip_dst=10.0.0.22,set_field:tcp_dst=30081,output:23",
-    "cloud": "-> ct(commit,mark=203.0.113.1:80),output:22",
+    "egs": "-> ct(commit,nat(dst=10.0.0.1:30080)),output:1",
+    "far": "-> ct(commit,nat(dst=10.0.0.22:30081)),output:23",
+    "cloud": "-> ct(commit,nat(dst=203.0.113.1:80)),output:22",
 }
 _FLOW_MODS = {
     "del R": f"delete {_R}",
@@ -395,7 +393,12 @@ _FLOW_MODS |= {
 #: the switch's connection tracking: every forward entry commits its
 #: endpoint's mark first, and a repoint sends one pin of the old
 #: endpoint's mark, however many connections the switch tracks — the
-#: controller reads none of them — unless that pin is held already.
+#: controller reads none of them — unless that pin is held already; then
+#: for one action per endpoint: a forward entry's commit and destination
+#: rewrites are one ``ct(commit,nat(dst=…))`` (toward the cloud too, to
+#: the service's own address), a reverse entry's two source rewrites one
+#: ``set_src``, and the case of a retire after the controller let its
+#: switch go left with the only way to let one go.
 _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
     "install to an edge endpoint": (
         [("install", "egs", 7)],
@@ -492,16 +495,6 @@ _TRANSITIONS: dict[str, tuple[list[tuple], list[str]]] = {
         [("retire",)],
         [],
     ),
-    "retire after detach sends nothing": (
-        [
-            ("install", "egs", 7), ("open", 40000), ("repoint", "egs", "far"),
-            ("detach",), ("retire",),
-        ],
-        [
-            "R rev egs", "R fwd egs buf7", "P rev egs", "P fwd egs", "del R", "R rev far",
-            "R fwd far",
-        ],
-    ),
 }
 
 
@@ -573,12 +566,10 @@ def test_redirect_transitions_as_message_sequences(case):
             redirect.install(port, endpoints[args[0]], args[1])
         elif step == "repoint":
             redirect.repoint(port, endpoints[args[0]], endpoints[args[1]])
-        elif step == "retire":  # all the client holds, as a handover does
+        else:
+            assert step == "retire"  # all the client holds, as a handover does
             for held in tb.controller._redirects.pop(client.ip, {}).values():
                 held.retire()
-        else:
-            assert step == "detach"
-            tb.controller.detach(tb.switch)
     assert sent == [_FLOW_MODS[name] for name in expected]
 
 
@@ -824,6 +815,26 @@ def test_a_syn_after_the_swap_runs_whole_on_the_new_instance():
     tb, service, client, far, seen = _swap_rig()
     tb.controller.repoint_service_flows(service, far.name, far.endpoint(service.plan))
     tb.settle(0.01)
+    assert tb.run_request(client, service, NGINX.request, timeout=5.0).response.status == 200
+    name = far.ingress_host.name
+    assert [where for where, packet in seen if packet.ip_src == client.ip] == [name, name]
+
+
+def test_a_repoint_after_the_idle_out_sends_nothing():
+    """The client's redirect to egs has idled out, and its flow is still
+    memorized.  A repoint to the far edge then has no installed redirect
+    to move and no connection to pin: it changes the memorized flow and
+    sends the switch nothing.  The client's next request installs toward
+    the far edge from memory, and both of its segments reach it.  It
+    used to send a pin of egs and an install toward the far edge."""
+    tb, service, client, far, seen = _swap_rig()
+    tb.settle(tb.controller.calibration.switch_idle_timeout_s + 1.0)
+    assert tb.controller._redirects[client.ip] == {}
+    sent = _sent_to_switch(tb)
+    endpoint = far.endpoint(service.plan)
+    assert tb.controller.repoint_service_flows(service, far.name, endpoint) == 1
+    assert sent == []
+    assert tb.controller.flow_memory.lookup(client.ip, service).endpoint == endpoint
     assert tb.run_request(client, service, NGINX.request, timeout=5.0).response.status == 200
     name = far.ingress_host.name
     assert [where for where, packet in seen if packet.ip_src == client.ip] == [name, name]
