@@ -32,9 +32,6 @@ from repro.sdnfw import Datapath, SDNApp
 from repro.services.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.sim import Environment
 
-if _t.TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.ops.model import ServiceRateView
-
 #: Flow priorities, lowest to highest.
 PRIORITY_DEFAULT = 0  # match-all -> cloud uplink
 PRIORITY_INFRA = 2  # destination-based infrastructure forwarding
@@ -292,6 +289,7 @@ class EdgeController(ForwardingApp):
         self.registry = registry
         self.clusters = list(clusters)
         self.calibration = calibration
+        self.packet_in_processing_s = calibration.controller_processing_s
         #: Scale idle services down when their last memorized flow expires.
         self.auto_scale_down = auto_scale_down
         self.recorder = recorder if recorder is not None else MetricsRecorder()
@@ -381,16 +379,18 @@ class EdgeController(ForwardingApp):
         return self.proactive_deployer
 
     def observe_service_rates(
-        self, rates: "_t.Iterable[ServiceRateView]"
+        self, rates: _t.Iterable[tuple[str, float]]
     ) -> None:
-        """One flow-stats window (``FlowStatsCollector.on_service_rates``):
-        a service whose counters advanced had an arrival, at the
+        """One flow-stats window's ``(service, packets_per_s)`` pairs
+        (``FlowStatsCollector.on_service_rates``, called at the window's
+        end): a service whose counters advanced had an arrival, at the
         window's resolution."""
         if self.predictor is None:
             return
-        for rate in rates:
-            if rate.packets_per_s > 0:
-                self.predictor.observe(rate.service_name, rate.observed_at)
+        now = self.env.now
+        for service_name, packets_per_s in rates:
+            if packets_per_s > 0:
+                self.predictor.observe(service_name, now)
 
     def add_cluster(self, cluster: EdgeCluster) -> None:
         """Register an additional edge cluster at runtime."""
@@ -495,12 +495,12 @@ class EdgeController(ForwardingApp):
     # -- packet-in handling ----------------------------------------------------------
 
     def on_packet_in(self, datapath: Datapath, message: PacketIn) -> None:
+        """Runs once the controller has spent its processing time on the
+        packet-in: the channel lands it then (``ControlChannel``).  The
+        handler starts hot, inside that entry; what its first segment
+        pushes (a deployment's urgent start) still runs before the next
+        packet-in of this instant, which the channel pushed back first."""
         self.stats["packet_in"] += 1
-        # Hot: the handler's first segment only arms its processing-delay
-        # timer, and we return to the kernel.  What that push precedes
-        # is the rest of this delivery's batch, and of that only another
-        # packet-in pushes at the timer's instant: its handler's timer,
-        # armed after this one, as it would be started cold.
         self.env.spawn(
             self._handle_packet_in(datapath, message),
             name=f"pktin:{message.buffer_id}",
@@ -508,7 +508,10 @@ class EdgeController(ForwardingApp):
         )
 
     def _handle_packet_in(self, datapath: Datapath, message: PacketIn):
-        yield self.env.timeout(self.calibration.controller_processing_s)
+        """Answer one packet-in, its processing time already paid
+        (:attr:`packet_in_processing_s`, from the calibration's
+        ``controller_processing_s``): from FlowMemory on the spot, or
+        through the dispatcher, which may wait on a deployment."""
         packet = message.packet
         service = self.registry.lookup(packet.ip_dst, packet.tcp.dst_port)
         if service is None:

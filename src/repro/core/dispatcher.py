@@ -174,8 +174,8 @@ class Deployment:
         processed; the one place it is not — the waiters of a shared
         *failed* deployment re-resolving — has every sibling take this
         same branch in the same order.  The guard is traffic, not
-        caution (packet-ins that land in one batch time out together:
-        18 of ``c3_churn``'s 7 092 answers).  Without it the latency
+        caution (packet-ins sent in one instant are handled at one
+        instant: 18 of ``c3_churn``'s 7 081 answers).  Without it the latency
         md5s of ``c3_replay``, ``c3_churn`` and ``fed_replay`` move at
         seed 42; the shortcut property in ``tests/test_properties.py``
         names the instant (contract in DESIGN.md §6).

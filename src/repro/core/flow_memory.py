@@ -71,6 +71,9 @@ class FlowMemory:
         # for the state's lifetime) and use it directly on the hot path.
         self.state = state if state is not None else ControlPlaneState()
         self._flows = self.state.flows
+        #: Service name -> how many flows of it are memorized; written
+        #: wherever ``_flows`` is, and a name leaves at 0.
+        self._in_use: dict[str, int] = {}
         self._wake_at: float | None = None  # when the armed wake fires
 
     # -- core operations ---------------------------------------------------
@@ -96,6 +99,8 @@ class FlowMemory:
                 degraded_from=degraded_from,
             )
             self._flows[flow.key] = flow
+            name = service.name
+            self._in_use[name] = self._in_use.get(name, 0) + 1
         else:
             flow.cluster_name = cluster_name
             flow.endpoint = endpoint
@@ -119,7 +124,8 @@ class FlowMemory:
             self.env.call_at(deadline, self._expire, deadline)
 
     def forget(self, flow: MemorizedFlow) -> None:
-        self._flows.pop(flow.key, None)
+        if self._flows.pop(flow.key, None) is not None:
+            self._drop_use(flow.service.name)
 
     def forget_client(self, client_ip: IPv4Address) -> list[MemorizedFlow]:
         """Drop every memorized flow of one client (mobility
@@ -131,7 +137,8 @@ class FlowMemory:
             flow for flow in self._flows.values() if flow.client_ip == client_ip
         ]
         for flow in stale:
-            self._flows.pop(flow.key, None)
+            del self._flows[flow.key]
+            self._drop_use(flow.service.name)
         return stale
 
     # -- service-level queries -------------------------------------------------
@@ -141,9 +148,14 @@ class FlowMemory:
 
     def service_in_use(self, service: EdgeService) -> bool:
         """Does any client still have a memorized flow to this service?"""
-        return any(
-            f.service.name == service.name for f in self._flows.values()
-        )
+        return service.name in self._in_use
+
+    def _drop_use(self, name: str) -> None:
+        left = self._in_use[name] - 1
+        if left:
+            self._in_use[name] = left
+        else:
+            del self._in_use[name]
 
     def mark_service_degraded(
         self, service: EdgeService, preferred_cluster: str
@@ -173,7 +185,8 @@ class FlowMemory:
         now = self.env.now
         expired = [f for f in self._flows.values() if f.deadline is not None and f.deadline <= now]
         for flow in expired:
-            self._flows.pop(flow.key, None)
+            del self._flows[flow.key]
+            self._drop_use(flow.service.name)
         pending = [flow.deadline for flow in self._flows.values() if flow.deadline is not None]
         self._wake_at = min(pending, default=None)
         if pending:

@@ -46,6 +46,24 @@ class ControlChannel:
     Batches sent at different instants land at their own instants;
     two that land on one float pop in send order (the heap key's
     ``sched_at``).
+
+    A packet-in is handled when its controller's processing time ends
+    (:attr:`SDNApp.packet_in_processing_s`, ``p``).  When ``p > 0``, the
+    packet-ins sent in one instant skip the batch: one entry lands them
+    at ``at = (send + latency_s) + p``, keyed ``(at, NORMAL, landing,
+    landing, seq)`` with ``landing = send + latency_s`` and ``seq``
+    drawn at the first send.  That is the key of the processing timer a
+    handler started at the landing would arm, but for ``seq``.  The
+    entry hands over one packet-in per pop, in send order, and pushes
+    the rest back under the same key first: whatever a handler pushes
+    ahead of that key (an urgent start) runs before the next handler,
+    and no handler finds the instant quiet while another is due in it.
+    A batch that would have held only packet-ins costs no entry.  Exact
+    up to one boundary: an entry that fires exactly at ``at`` and was
+    pushed at the landing instant before that timer would have been
+    armed (ahead of the landing's pop, or by a message ahead of the
+    packet-in in its batch) ran before the handler and now runs after
+    it.
     """
 
     def __init__(self, env: Environment, latency_s: float = 200e-6) -> None:
@@ -61,18 +79,45 @@ class ControlChannel:
         self._up_at: float | None = None
         self._down: list = []
         self._down_at: float | None = None
+        # The packet-ins of the last instant that sent any while the
+        # controller takes processing time, and that instant.
+        self._packet_ins: list = []
+        self._packet_ins_at: float | None = None
 
     def bind(self, switch: "OpenFlowSwitch", controller: "SDNApp") -> None:
         self.switch = switch
         self.controller = controller
 
     def send_to_controller(self, message: _t.Any) -> None:
-        now = self.env._now
+        env = self.env
+        now = env._now
+        if type(message) is PacketIn and self.controller is not None:
+            processing_s = self.controller.packet_in_processing_s
+            if processing_s:
+                if self._packet_ins_at == now:
+                    self._packet_ins.append(message)
+                    return
+                self._packet_ins, self._packet_ins_at = [message], now
+                landing = now + self.latency_s
+                seq = next(env._seq)
+                heappush(
+                    env._queue,
+                    (
+                        landing + processing_s,
+                        NORMAL,
+                        landing,
+                        landing,
+                        seq,
+                        self._land_packet_in,
+                        (self._packet_ins, 0, landing, seq),
+                    ),
+                )
+                return
         if self._up_at == now:
             self._up.append(message)
         else:
             self._up, self._up_at = [message], now
-            self.env.call_later(self.latency_s, self._deliver_up, self._up)
+            env.call_later(self.latency_s, self._deliver_up, self._up)
 
     def send_to_switch(self, message: _t.Any) -> None:
         now = self.env._now
@@ -88,6 +133,29 @@ class ControlChannel:
         if self.controller is not None and self.switch is not None:
             for message in batch:
                 self.controller.dispatch_switch_message(self.switch, message)
+
+    def _land_packet_in(
+        self, batch: list, index: int, landing: float, seq: int
+    ) -> None:
+        """Hand over ``batch[index]``, the rest pushed back first (the
+        channel was bound when the batch was sent)."""
+        if batch is self._packet_ins:
+            self._packet_ins_at = None
+        env = self.env
+        if index + 1 < len(batch):
+            heappush(
+                env._queue,
+                (
+                    env._now,
+                    NORMAL,
+                    landing,
+                    landing,
+                    seq,
+                    self._land_packet_in,
+                    (batch, index + 1, landing, seq),
+                ),
+            )
+        self.controller.dispatch_switch_message(self.switch, batch[index])
 
     def _deliver_down(self, batch: list) -> None:
         if batch is self._down:

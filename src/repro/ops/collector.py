@@ -97,10 +97,11 @@ class FlowStatsCollector:
         self.period_s = float(period_s)
         self.bytes_per_packet = float(bytes_per_packet)
         self.recorder = recorder
-        #: Called with each window's rates at the end of :meth:`collect`
-        #: (set by the testbed builders, not by users).
+        #: Called with each window's ``(service, packets_per_s)`` pairs
+        #: at the end of :meth:`collect` (set by the testbed builders,
+        #: not by users).
         self.on_service_rates: (
-            _t.Callable[[tuple[ServiceRateView, ...]], None] | None
+            _t.Callable[[tuple[tuple[str, float], ...]], None] | None
         ) = None
         #: Ticks executed (diagnostics; counters only).
         self.collections = 0
@@ -112,9 +113,14 @@ class FlowStatsCollector:
         #: Flow cookie -> the service it counts for (None: none), parsed
         #: once per distinct cookie rather than per entry per tick.
         self._cookie_service: dict[_t.Any, str | None] = {}
-        # Latest local observations (tuples of frozen rows).
+        # Latest local observations: the link rows, and the last
+        # window's rates with its instant and length, whose rows are
+        # built at their first read (``None`` until then).
         self._link_views: tuple[LinkStatsRecord, ...] = ()
-        self._rate_views: tuple[ServiceRateView, ...] = ()
+        self._rates: tuple[tuple[str, float], ...] = ()
+        self._rates_at = 0.0
+        self._rates_window = 0.0
+        self._rate_views: tuple[ServiceRateView, ...] | None = ()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -167,19 +173,20 @@ class FlowStatsCollector:
             if self.state is not None:
                 self.state.publish_link_stats(record)
         self._link_views = tuple(records)
-        self._rate_views = self._collect_service_rates(now, window)
+        self._rates = self._collect_service_rates(window)
+        self._rates_at, self._rates_window = now, window
+        self._rate_views = None
         self._last_time = now
         self._last_tx = tx
         if self.recorder is not None:
             self.recorder.count(f"ops/collections/{self.site}")
         if self.on_service_rates is not None:
-            self.on_service_rates(self._rate_views)
+            self.on_service_rates(self._rates)
         return self._link_views
 
-    def _collect_service_rates(
-        self, now: float, window: float
-    ) -> tuple[ServiceRateView, ...]:
-        """Per-service packet rates from flow-cookie counter deltas."""
+    def _collect_service_rates(self, window: float) -> tuple[tuple[str, float], ...]:
+        """Per-service packet rates from flow-cookie counter deltas, as
+        ``(service, packets_per_s)`` in service order."""
         totals: dict[str, int] = {}
         services = self._cookie_service
         for entry in self.switch.table:
@@ -189,7 +196,7 @@ class FlowStatsCollector:
                 service = services[entry.cookie] = _service_of(entry.cookie)
             if service is not None:
                 totals[service] = totals.get(service, 0) + int(entry.packet_count)
-        views: list[ServiceRateView] = []
+        rates: list[tuple[str, float]] = []
         for service in sorted(totals):
             previous = self._last_service_packets.get(service, 0)
             delta = totals[service] - previous
@@ -198,22 +205,26 @@ class FlowStatsCollector:
                 # can step backwards.  Treat the new total as the rate
                 # floor rather than reporting a negative rate.
                 delta = totals[service]
-            views.append(
-                ServiceRateView(
-                    site=self.site,
-                    service_name=service,
-                    observed_at=now,
-                    window_s=window,
-                    packets_per_s=delta / window,
-                )
-            )
+            rates.append((service, delta / window))
         self._last_service_packets = totals
-        return tuple(views)
+        return tuple(rates)
 
     # -- read-model accessors ----------------------------------------------
 
     def service_rate_views(self) -> tuple[ServiceRateView, ...]:
-        """This site's latest per-service rate observations."""
+        """This site's latest per-service rate observations, built at
+        the first read after a collection."""
+        if self._rate_views is None:
+            self._rate_views = tuple(
+                ServiceRateView(
+                    site=self.site,
+                    service_name=service,
+                    observed_at=self._rates_at,
+                    window_s=self._rates_window,
+                    packets_per_s=packets_per_s,
+                )
+                for service, packets_per_s in self._rates
+            )
         return self._rate_views
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

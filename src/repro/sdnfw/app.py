@@ -78,10 +78,18 @@ class Datapath:
 class SDNApp:
     """Base class for controller applications.
 
-    Subclasses override the ``on_*`` handlers.  Handlers run inline
-    (zero simulated duration) — model controller processing cost by
-    spawning processes from the handler, as the edge controller does.
+    Subclasses override the ``on_*`` handlers.  Handlers run inline,
+    in zero simulated duration, when their message is handed over.  A
+    packet-in is handed over :attr:`packet_in_processing_s` after it
+    reached the controller: the channel lands it when that processing
+    time ends (:class:`~repro.net.openflow.switch.ControlChannel`), so
+    the cost is paid before ``on_packet_in`` runs and costs no timer.
+    Any other wait is a process spawned from the handler.
     """
+
+    #: Simulated processing time of each packet-in before
+    #: :meth:`on_packet_in` runs; read by the channel at each send.
+    packet_in_processing_s: float = 0.0
 
     def __init__(self, env: Environment, name: str = "sdn-app") -> None:
         self.env = env

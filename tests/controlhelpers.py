@@ -1,14 +1,16 @@
 """The control plane's slow twin, and a count of what the fast one saved.
 
 ``Deployment.deploy`` answers on the spot when the instance already
-runs and nothing else is due at that instant, and
-``EdgeController.on_packet_in`` starts its handler inside the
-packet-in's delivery.  :func:`deployments_on_the_heap` puts both back on
-the heap — every *deploy* that is not an in-flight join is a pipeline
-process (an urgent start and a completion), every handler starts
-through its own ``_Initialize`` — which is the control plane as it was
-before either shortcut.  ``tests/test_properties.py`` holds the two to
-one trace.
+runs and nothing else is due at that instant; the control channel lands
+a packet-in when the controller's processing time ends, on one heap
+entry; and ``EdgeController.on_packet_in`` starts its handler inside
+that entry.  :func:`deployments_on_the_heap` puts all three back on the
+heap: every *deploy* that is not an in-flight join is a pipeline process
+(an urgent start and a completion); every packet-in lands in its batch,
+``latency_s`` after the send; and every handler starts there through
+its own ``_Initialize`` and waits out the processing time on a timer.
+That is the control plane as it was before any of the three shortcuts.
+``tests/test_properties.py`` holds the two to one trace.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from unittest import mock
 
 from repro.core.controller import EdgeController
 from repro.core.dispatcher import Deployment
+from repro.net.openflow.switch import ControlChannel
 
 
 def _deploy_as_a_process(self):
@@ -39,19 +42,39 @@ def _deploy_as_a_process(self):
     return outcome
 
 
+def _send_in_the_batch(self, message) -> None:
+    """``ControlChannel.send_to_controller`` with every message, a
+    packet-in too, in the batch that lands ``latency_s`` after the send."""
+    now = self.env._now
+    if self._up_at == now:
+        self._up.append(message)
+    else:
+        self._up, self._up_at = [message], now
+        self.env.call_later(self.latency_s, self._deliver_up, self._up)
+
+
+def _processed_then_handled(self, datapath, message):
+    """The handler behind a timer of the controller's processing time."""
+    yield self.env.timeout(self.packet_in_processing_s)
+    yield from self._handle_packet_in(datapath, message)
+
+
 def _on_packet_in_cold(self, datapath, message) -> None:
     self.stats["packet_in"] += 1
     self.env.spawn(
-        self._handle_packet_in(datapath, message),
+        _processed_then_handled(self, datapath, message),
         name=f"pktin:{message.buffer_id}",
     )
 
 
 @contextlib.contextmanager
 def deployments_on_the_heap():
-    """Every deployment question a process, every handler started cold."""
+    """Every deployment question a process, every packet-in landed in
+    its batch, every handler started cold and behind a timer."""
     with mock.patch.object(
         Deployment, "deploy", _deploy_as_a_process
+    ), mock.patch.object(
+        ControlChannel, "send_to_controller", _send_in_the_batch
     ), mock.patch.object(EdgeController, "on_packet_in", _on_packet_in_cold):
         yield
 

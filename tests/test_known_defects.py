@@ -10,7 +10,17 @@ and is renamed for it.
 Each defect sits in one transition of an owner (DESIGN.md §7): (a), (a′),
 (b) and (f) in :class:`repro.core.controller.Redirect` ("A redirect's life"),
 (c) and (d) where a :class:`repro.core.dispatcher.Deployment` hands over
-to one ("A deployment's life").
+to one ("A deployment's life"), (g) in the switch's connection table.
+
+Open, with a directed reproduction (ROADMAP item 3):
+
+(g) **A connection-table entry outlives its connection after a
+    handover** — ``OpenFlowSwitch.connections`` drops an entry only at a
+    FIN or RST through a forward entry of the switch that committed it,
+    or at a power cycle; a connection whose FIN leaves through another
+    switch after its client's handover stays for ever.  Seen: 13 entries
+    left at the end of full-size ``handover_storm``, seed 42:
+    :func:`test_a_connection_that_ends_through_another_switch_leaves_no_entry`.
 
 Open, with no directed reproduction yet:
 
@@ -74,6 +84,8 @@ Fixed, with their regression tests:
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.cluster.plan import ServiceEndpoint
 from repro.net.packet import TCPFlags, TCPSegment
@@ -224,6 +236,33 @@ def test_a_connection_drained_twice_keeps_its_instance():
     tb.egs._send_segment(client.ip, answer, src_ip=instance.ip)
     tb.settle(0.01)
     assert (reached, seen) == ([tb.egs.name], [(service.cloud_ip, service.port)])
+
+
+@pytest.mark.xfail(reason="(g): the switch that committed a connection keeps it")
+def test_a_connection_that_ends_through_another_switch_leaves_no_entry():
+    """After one request the client opens a connection from source port
+    40000, which the main switch commits, and hands over to a second
+    gNB; its FIN for that connection leaves through the gNB's switch.
+    Once it has, no switch may hold the connection: the main switch
+    still does, and will until it is power-cycled."""
+    tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
+    gnb = tb.add_gnb()
+    service = tb.register_template(NGINX)
+    tb.prepare_created(tb.docker_cluster, service)
+    client = tb.clients[0]
+    assert tb.run_request(client, service, NGINX.request).response.status == 200
+
+    def held():
+        return [key for key in tb.switch.connections if key[2] == 40000]
+
+    client._send_segment(service.cloud_ip, TCPSegment(40000, service.port, TCPFlags.SYN))
+    tb.settle(0.01)
+    committed = held()
+    tb.move_client(client, gnb)
+    fin = TCPSegment(40000, service.port, TCPFlags.FIN | TCPFlags.ACK)
+    client._send_segment(service.cloud_ip, fin)
+    tb.settle(0.01)
+    assert (len(committed), held()) == (1, [])
 
 
 def test_a_deploy_in_flight_takes_one_slot():

@@ -506,6 +506,39 @@ class TestControlChannel:
         ]
         assert _channel_entries(popped) == 2
 
+    def test_packet_ins_land_when_processing_ends_one_per_pop(self, monkeypatch):
+        """With controller processing time ``p``, the packet-ins sent in
+        one instant skip their batch and land at ``send + latency + p``,
+        one per pop, in send order, the rest due at that instant while
+        each is handled; the batch lands what else was sent, and one
+        that held only packet-ins costs no entry."""
+        env = Environment()
+        ends = _ChannelEnds(env, 200e-6)
+        ends.packet_in_processing_s = 800e-6
+        first, second = (PacketIn(1, buffer_id, None, 1) for buffer_id in (1, 2))
+        quiet = []
+        tap(ends, "dispatch_switch_message", lambda switch, message: quiet.append(env.quiet_now()))
+        popped = record_popped_entries(monkeypatch)
+
+        def burst():
+            ends.channel.send_to_controller(first)
+            ends.channel.send_to_controller("x")
+            ends.channel.send_to_controller(second)
+
+        env.call_at(0.001, burst)
+        env.call_at(0.003, ends.channel.send_to_controller, first)
+        env.run()
+        landed = 0.001 + 200e-6
+        assert ends.handled == [
+            (landed, "up", "x"),
+            (landed + 800e-6, "up", first),
+            (landed + 800e-6, "up", second),
+            (0.003 + 200e-6 + 800e-6, "up", first),
+        ]
+        assert quiet == [True, False, True, True]
+        names = [getattr(entry, "__name__", "") for entry in popped]
+        assert (names.count("_deliver_up"), names.count("_land_packet_in")) == (1, 3)
+
     def test_barrier_reply_is_handled_after_all_sent_before_it(self, monkeypatch):
         env = Environment()
         sw = MiniNet(env).switch()

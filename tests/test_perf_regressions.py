@@ -407,36 +407,40 @@ def test_warm_request_event_budget(monkeypatch):
 
 def test_flow_memory_miss_event_budget(monkeypatch):
     """A first request from a new client to an instance that already
-    runs costs the warm request's 10 plus the control path's 3: the
-    packet-in's channel hop (``_deliver_up``), the handler's
-    processing-delay timer, and one channel hop for both flow-mods
+    runs costs the warm request's 10 plus the control path's 2: the
+    packet-in, landed when the controller's processing time ends
+    (``_land_packet_in``: the channel hop and the processing delay in
+    one entry), and one channel hop for both flow-mods
     (``_deliver_down``: the reverse entry, then the forward entry and
-    the release, sent in one instant and landed in one batch).  The handler
-    starts inside the packet-in's delivery and ends without an entry;
-    with nothing to deploy ``Dispatcher.ensure_deployed`` is not a
-    process — so nothing is started (``_Initialize``) and the only
-    ``Process`` that pops is the client's own, which ``run_request``
-    waits on."""
+    the release, sent in one instant and landed in one batch).  It was
+    3 while the packet-in's hop (``_deliver_up``) and the handler's
+    processing-delay timer were two entries.  The handler starts
+    inside the packet-in's entry and ends without an entry; with
+    nothing to deploy ``Dispatcher.ensure_deployed`` is not a process —
+    so nothing is started (``_Initialize``) and the only ``Process``
+    that pops is the client's own, which ``run_request`` waits on."""
     (events, names, _, _), tb = _request_on_a_warm_testbed(monkeypatch, 1)
     deployments = tb.controller.dispatcher.recorder.series("deployments")
     assert len(deployments) == 1  # the first client's; none for this one
-    assert events == 10 + 3
+    assert events == 10 + 2
     assert names.count("_deliver") == names.count("_ingress") == 4
-    assert names.count("_deliver_up") == 1
+    assert names.count("_land_packet_in") == 1
+    assert names.count("_deliver_up") == 0
     assert names.count("_deliver_down") == 1
-    assert names.count("Timeout") == 2  # handler delay, service time
+    assert names.count("Timeout") == 1  # the service time
     assert names.count("Process") == 1
     assert names.count("_Initialize") == 0
 
 
 def test_redirect_idle_out_costs_two_up_channel_messages(monkeypatch):
     """A redirect that idles out on the switch and is reinstalled from
-    FlowMemory costs the control channel two batches up (``_deliver_up``):
-    the forward entry's FlowRemoved — the redirect's only timed entry,
-    and what starts the memorized flow's clock — and the packet-in.  The
-    reverse entry has no timer; the controller deletes it on the
-    FlowRemoved, and a delete reports nothing.  It was one while no
-    entry reported its idle-out, and 3 when every entry did."""
+    FlowMemory costs the control channel two entries up: the forward
+    entry's FlowRemoved (``_deliver_up``) — the redirect's only timed
+    entry, and what starts the memorized flow's clock — and the
+    packet-in (``_land_packet_in``).  The reverse entry has no timer;
+    the controller deletes it on the FlowRemoved, and a delete reports
+    nothing.  It was one while no entry reported its idle-out, and 3
+    when every entry did."""
     tb, popped, service = _warm_docker_testbed(monkeypatch)
     client = tb.clients[0]
     cookie = f"redirect:{service.name}:{client.ip}"
@@ -448,7 +452,8 @@ def test_redirect_idle_out_costs_two_up_channel_messages(monkeypatch):
     hits = tb.controller.stats["memory_hits"]
     assert tb.run_request(client, service).response.ok
     assert tb.controller.stats["memory_hits"] == hits + 1
-    assert _popped_names(popped).count("_deliver_up") == 2
+    assert _popped_names(popped).count("_deliver_up") == 1
+    assert _popped_names(popped).count("_land_packet_in") == 1
 
 
 def _k8s_first_request(monkeypatch):
@@ -485,8 +490,8 @@ def _k8s_first_request(monkeypatch):
 
 
 def test_k8s_first_request_event_budget(monkeypatch):
-    """A first request on Kubernetes costs 114 kernel events, 41 fewer
-    than the 155 it cost with a relay process behind every informer
+    """A first request on Kubernetes costs 113 kernel events, 41 fewer
+    than the 154 it cost with a relay process behind every informer
     handler and every work-queue wake-up a ``StoreGet`` entry
     (``tests/k8shelpers.relays_on_the_heap`` composed with
     ``wakes_on_the_heap``: the control loops as they were, count for
@@ -502,15 +507,17 @@ def test_k8s_first_request_event_budget(monkeypatch):
       each worker resumes inside the delivery that woke it, and no
       ``get`` is an entry.
 
-    The relay twin alone counts 4 fewer than it did (151): the relays'
+    The relay twin alone counts 4 fewer than it did (150): the relays'
     reads of a non-empty channel at a quiet instant are in place too.
     All four counts were 5 higher (119, 160, 156, 133) while FlowMemory
     swept once a simulated second: five of its ticks fell inside the
-    request.
+    request, and one higher (114, 155, 151, 128) while the packet-in's
+    hop and the handler's processing timer were two entries.
 
     The control channel's part is the same in all four counts: the
-    packet-in's hop up and one hop down, which lands the reverse entry,
-    the forward entry and the release together (``_deliver_down``)."""
+    packet-in, landed when its processing time ends (``_land_packet_in``),
+    and one hop down, which lands the reverse entry, the forward entry
+    and the release together (``_deliver_down``)."""
     from tests.k8shelpers import relays_on_the_heap, wakes_on_the_heap
 
     with relays_on_the_heap(), wakes_on_the_heap():
@@ -524,14 +531,15 @@ def test_k8s_first_request_event_budget(monkeypatch):
     popped, _, events, watch_events, _ = _k8s_first_request(monkeypatch)
     assert watch_events == heap_watch_events == 17
     assert sum(name.startswith("relay:") for name in heap_resumed) == 17
-    assert heap_events == 155
-    assert relay_events == heap_events - 4 == 151
-    assert woken_events == heap_events - 27 == 128
+    assert heap_events == 154
+    assert relay_events == heap_events - 4 == 150
+    assert woken_events == heap_events - 27 == 127
     assert len(woken) == 14 and all(name.endswith("-worker") for name in woken)
-    assert events == woken_events - 14 == 114
+    assert events == woken_events - 14 == 113
 
     kinds = [getattr(entry, "__qualname__", "") for entry in popped]
-    assert kinds.count("ControlChannel._deliver_up") == 1
+    assert kinds.count("ControlChannel._land_packet_in") == 1
+    assert kinds.count("ControlChannel._deliver_up") == 0
     assert kinds.count("ControlChannel._deliver_down") == 1
     assert kinds.count("APIServer._deliver") == 7
     assert kinds.count("APIServer._wake") == 0
@@ -557,7 +565,7 @@ def _every_boundary_tapped():
         Host: "receive open_port close_port",
         NetworkInterface: "send",
         OpenFlowSwitch: "_pipeline handle_controller_message",
-        ControlChannel: "send_to_controller _deliver_up send_to_switch _deliver_down",
+        ControlChannel: "send_to_controller _deliver_up _land_packet_in send_to_switch _deliver_down",
         EdgeController: "repoint_service_flows",
         Deployment: "publish",
         Event: "_succeed_here",
@@ -573,7 +581,7 @@ def _every_boundary_tapped():
 
 @pytest.mark.parametrize(
     "budget, events",
-    [("warm_request", 10), ("flow_memory_miss", 10 + 3), ("k8s_first_request", 114)],
+    [("warm_request", 10), ("flow_memory_miss", 10 + 2), ("k8s_first_request", 113)],
 )
 def test_event_budgets_hold_with_every_boundary_tapped(monkeypatch, budget, events):
     """The three event budgets above, run once more with a no-op

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.controller import EdgeController
+from repro.core.flow_memory import FlowMemory
 from repro.core.federation import SharedStateHub
 from repro.core.schedulers.base import ClientInfo
 from repro.core.service_registry import EdgeService
@@ -29,7 +31,7 @@ from repro.k8s import (
     matches_selector,
 )
 from repro.k8s.kubeproxy import KubeProxy
-from repro.cluster.base import DeployError
+from repro.cluster.base import DeployError, ServiceEndpoint
 from repro.net import (
     ConnectionRefused,
     ConnectionTimeout,
@@ -41,7 +43,7 @@ from repro.net import link as link_module
 from repro.net.addressing import IPAllocator, IPv4Address
 from repro.net.device import NetDevice
 from repro.net.link import Link, LinkEndpoint
-from repro.net.openflow.messages import FlowRemoved
+from repro.net.openflow.messages import FlowRemoved, PacketIn
 from repro.net.openflow.switch import ControlChannel
 from repro.net.openflow import (
     Drop,
@@ -61,6 +63,7 @@ from repro.testbed import C3Testbed, TestbedConfig
 from repro.workload import BigFlowsParams, TraceDriver, generate_trace
 
 from tests.controlhelpers import counted_shortcuts, deployments_on_the_heap
+from tests.flowmemory_oracle import service_in_use as scanned_in_use
 from tests.flowtable_oracle import matches
 from tests.kernel_oracle import step
 from tests.kubeproxy_oracle import (
@@ -1855,9 +1858,11 @@ _storm_plants = st.lists(
     st.tuples(
         st.integers(0, 7),  # which handler's instant
         st.sampled_from(("observe", "scale-down", "flow-removed")),
-        # Scheduled from the launch — ahead of the handler's timer — or
-        # from half a hop before the instant: behind it.
-        st.sampled_from(("ahead", "behind")),
+        # Scheduled from the launch — ahead of the handler — from half
+        # a channel hop after its packet-in was sent — ahead of it too,
+        # since its timer would have been armed at the landing — or from
+        # half a hop before the instant: behind it.
+        st.sampled_from(("ahead", "in-hop", "behind")),
     ),
     max_size=2,
 )
@@ -1882,25 +1887,36 @@ def _message_summary(message) -> tuple:
 
 
 @contextlib.contextmanager
-def _logged_channels(log):
+def _logged_channels(log, packet_in_batches):
     """Every control message of every channel, when sent and when
     delivered, in both directions: a delivery lands a batch, and logs
-    one line per message in it, in send order."""
+    one line per message in it, in send order.  A packet-in is logged
+    where its handler starts, and each batch that held only packet-ins
+    appends its instant to ``packet_in_batches``."""
 
     def logged(name):
         def observe(channel, operand):
             for message in operand if name.startswith("_deliver") else (operand,):
-                log.append(
-                    (channel.env.now, channel.switch.name, name, *_message_summary(message))
-                )
+                if name != "_deliver_up" or type(message) is not PacketIn:
+                    log.append(
+                        (channel.env.now, channel.switch.name, name, *_message_summary(message))
+                    )
+            if name == "_deliver_up" and all(type(m) is PacketIn for m in operand):
+                packet_in_batches.append(channel.env.now)
 
         return observe
+
+    def handled(controller, datapath, message):
+        log.append(
+            (controller.env.now, datapath.switch.name, "handled", *_message_summary(message))
+        )
 
     with contextlib.ExitStack() as stack:
         for name in (
             "send_to_controller", "_deliver_up", "send_to_switch", "_deliver_down"
         ):
             stack.callback(tap(ControlChannel, name, logged(name)))
+        stack.callback(tap(EdgeController, "_handle_packet_in", handled))
         yield
 
 
@@ -1923,13 +1939,15 @@ def _sent_to_land_at(at: float, delay: float) -> float | None:
 
 def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
     """Run one storm of first requests on a real C³ control plane;
-    ``(log, samples, events processed, packet-ins, handler instants)``.
+    ``(log, samples, events processed, packet-ins, handler instants,
+    landings of batches that held only packet-ins)``.
 
     ``handler_instants`` are those of a run without them — where the
     plants are aimed; without them nothing is planted."""
     log: list[tuple] = []
     samples: list[tuple] = []
-    with _logged_channels(log):
+    packet_in_batches: list[float] = []
+    with _logged_channels(log, packet_in_batches):
         tb = C3Testbed(
             TestbedConfig(n_clients=1, cluster_types=("docker",)),
             # 35 ms: a boot (60 ms) ends between two polls, not on one.
@@ -2016,39 +2034,53 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
                         FlowRemoved(FlowMatch(ip_src=host.ip)),
                     )
             else:
-                env.call_at(
-                    at - _HOP_S / 2 if where == "behind" else env.now,
-                    env.call_at, at, observe, kind == "scale-down",
-                )
+                planted_at = {
+                    "ahead": env.now,
+                    # Half a hop after the send: behind it, and ahead of
+                    # the landing.
+                    "in-hop": at
+                    - controller.packet_in_processing_s
+                    - tb.switch.channel.latency_s / 2,
+                    "behind": at - _HOP_S / 2,
+                }[where]
+                env.call_at(planted_at, env.call_at, at, observe, kind == "scale-down")
         env.run(until=env.now + 8.0)
-    delay = controller.calibration.controller_processing_s
     return (
         log,
         sorted(samples),
         env.events_processed,
         controller.stats["packet_in"],
-        [
-            entry[0] + delay
-            for entry in log
-            if entry[2:4] == ("_deliver_up", "PacketIn")
-        ],
+        [entry[0] for entry in log if entry[2] == "handled"],
+        packet_in_batches,
     )
 
 
 # Two clients four launch steps (800 µs) apart behind one switch, the
-# instance running: the second packet-in is delivered at the instant
-# the first handler's processing delay ends; the handler's timer pops
-# first (it was armed earlier), sees the delivery due and asks through
-# a process — the packet-in is dispatched before that handler sends its
-# flow-mods.  Without the guard it sends them first.
+# instance running: the second packet-in's channel hop ends at the
+# instant the first handler runs.  In the twin its landing is due there,
+# so the first handler's deploy is a process; on the channel that lands
+# packet-ins when their processing ends nothing is due, and it answers
+# on the spot: the same trace, the landing and the process's two
+# entries fewer.
 _TIMER_MEETS_PACKET_IN = (False, "running", [(False, 0), (False, 4)], [])
-# Two clients in lockstep: both packet-ins land in one batch, and both
-# handlers' timers fire at one instant.
+# Two clients in lockstep: both packet-ins are sent in one instant, and
+# both handlers run at one instant, the second due while the first runs.
 _LOCKSTEP_STORM = (False, "running", [(False, 0), (False, 0)], [])
 # An observer planted behind a handler's timer at its instant reads
 # FlowMemory before the handler writes it.
 _OBSERVER_BEHIND = (
     False, "running", [(False, 0), (False, 2)], [(0, "observe", "behind")],
+)
+# An observer planted from half a channel hop after the packet-ins were
+# sent, at the first handler's instant: it runs before the handler, as
+# it would before a timer armed at the landing.
+_OBSERVER_IN_HOP = (
+    False, "running", [(False, 0), (False, 0)], [(0, "observe", "in-hop")],
+)
+# Two switches' packet-ins sent in one instant, two up one channel and
+# one up the other: their handlers run at one instant, in send order.
+_TWO_CHANNELS_IN_LOCKSTEP = (
+    True, "running", [(False, 0), (False, 0), (True, 0)], [],
 )
 # The port is open and ``wait_ready`` has 10 ms to its next poll: both
 # requests join the deployment in flight and are released when it ends.
@@ -2065,32 +2097,38 @@ _FAILS_WITH_TWO_WAITERS = (True, "failing", [(False, 0), (True, 0)], [])
 @example(storm=_OBSERVER_BEHIND)
 @example(storm=_PORT_OPEN_NOT_READY)
 @example(storm=_FAILS_WITH_TWO_WAITERS)
+@example(storm=_OBSERVER_IN_HOP)
+@example(storm=_TWO_CHANNELS_IN_LOCKSTEP)
 def test_deployment_shortcut_is_the_process_it_replaces(storm):
     """A real ``EdgeController`` and ``Dispatcher`` over one or two real
     switches and a Docker cluster; 2-4 clients' first requests in
-    lockstep and one or more launch steps apart, so that handler timers
-    meet packet-in deliveries; the instance running, scaled down, its
-    port open with ``wait_ready`` still polling, or failing to start
-    under two waiters; a ``FlowRemoved`` for a client's entry delivered
-    at a handler's instant, and an observer planted at one — ahead of
-    the timer or behind it — that reads FlowMemory, ``_redirects``
-    and ``is_running`` and in some draws calls ``scale_down_idle``.  The
+    lockstep and one or more launch steps apart, so that handlers meet
+    packet-in landings and each other; the instance running, scaled
+    down, its port open with ``wait_ready`` still polling, or failing
+    to start under two waiters; a ``FlowRemoved`` for a client's entry
+    delivered at a handler's instant, and an observer planted at one —
+    ahead of the handler, from inside its packet-in's channel hop, or
+    behind it — that reads FlowMemory, ``_redirects`` and
+    ``is_running`` and in some draws calls ``scale_down_idle``.  The
     ordered log — every control message, sent and delivered, both
-    directions, with its instant; every ``open_port`` / ``close_port``;
-    the observer's readings — and the sorted ``time_total``s are equal
-    whether ``ensure_deployed`` answers on the spot and handlers start
-    hot, or every answer is a process and every handler starts cold
-    (``tests/controlhelpers.deployments_on_the_heap``, the control
-    plane as it was); and the event counts differ by exactly two per
-    shortcut taken plus one per handler.
+    directions, with its instant, a packet-in where its handler starts;
+    every ``open_port`` / ``close_port``; the observer's readings — and
+    the sorted ``time_total``s are equal whether ``ensure_deployed``
+    answers on the spot, packet-ins land when their processing ends and
+    handlers start hot there, or every answer is a process, every
+    packet-in lands in its batch and every handler starts cold behind a
+    processing timer (``tests/controlhelpers.deployments_on_the_heap``,
+    the control plane as it was); and the event counts differ by
+    exactly two per shortcut taken, one per handler and one per batch
+    that held only packet-ins.
 
     Mutations this fails under (run on a scratch copy; the examples
     above are what hypothesis shrank them to):
 
     (a) no "nothing else due now" guard in ``ensure_deployed`` —
-        ``_TIMER_MEETS_PACKET_IN`` (and ``_OBSERVER_BEHIND``): the first
+        ``_LOCKSTEP_STORM`` (and ``_OBSERVER_BEHIND``): the first
         handler's flow-mods are sent before the second packet-in is
-        delivered, not after.  On the pipelined control channel it
+        handled, not after.  On the pipelined control channel it
         moves the latency md5s of ``c3_replay``, ``c3_churn`` and
         ``fed_replay`` at seed 42 (``cold_deploy``, ``handover_storm``
         and ``shard_replay`` stay equal); while the channel was
@@ -2109,15 +2147,98 @@ def test_deployment_shortcut_is_the_process_it_replaces(storm):
         property's to see (a Docker cluster has no ``Store``, and every
         ``Store`` under ``src/`` has one consumer):
         ``test_store_preserves_fifo_order`` holds it, at ``getters=2``.
+    (e) all packet-ins of one instant handed over in one pop
+        (``ControlChannel._land_packet_in`` pushing nothing back) —
+        ``_LOCKSTEP_STORM``: nothing is due while the first handler
+        runs, so it answers on the spot and sends its flow-mods before
+        the second packet-in is handled; and ``_PORT_OPEN_NOT_READY``:
+        the same trace, one entry short of the count.
+    (f) the fused entry keyed at its send instant (``sched_at`` and
+        ``parent_sched_at`` the send, not the landing, on the first push
+        and the push-back alike) — ``_OBSERVER_IN_HOP``: the handler
+        runs before the observer planted inside its channel hop.
+        Keyed so on its first push only, ``_TWO_CHANNELS_IN_LOCKSTEP``:
+        the other channel's handler runs between the two of this one.
+    (g) the rest pushed back after the handler, not before — the same
+        as (e) at ``_LOCKSTEP_STORM``.
     """
     with deployments_on_the_heap():
         instants = _packet_in_storm(*storm)[4]
-        heap_log, heap_samples, heap_events, _, _ = _packet_in_storm(*storm, instants)
+        heap_log, heap_samples, heap_events, _, _, landings = _packet_in_storm(
+            *storm, instants
+        )
     with counted_shortcuts() as taken:
-        log, samples, events, handlers, _ = _packet_in_storm(*storm, instants)
+        log, samples, events, handlers, _, fast_landings = _packet_in_storm(*storm, instants)
     assert log == heap_log
     assert samples == heap_samples
-    assert heap_events - events == 2 * len(taken) + handlers
+    assert fast_landings == []
+    assert heap_events - events == 2 * len(taken) + handlers + len(landings)
+
+
+# ---------------------------------------------------------------------------
+# FlowMemory: a per-service count vs the scan it replaced
+# ---------------------------------------------------------------------------
+
+_memory_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("remember"), st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.just("release"), st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.just("hold"), st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.just("forget"), st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.just("forget_client"), st.integers(0, 2)),
+        # Past 0, 1 or 2 idle timeouts: expiries at their own deadlines.
+        st.tuples(st.just("advance"), st.sampled_from((0.5, 1.0, 2.5))),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_memory_ops)
+def test_service_in_use_is_the_scan_it_replaced(ops):
+    """Three clients, three services, and random sequences of
+    ``remember``, ``release`` (the clock started now), ``hold``,
+    ``forget``, ``forget_client`` and runs of the clock that expire
+    flows: after every step, for every service, ``service_in_use``
+    answers what a scan of every memorized flow answers
+    (``tests/flowmemory_oracle.service_in_use``) — and so it does
+    inside ``on_expire``, which the controller's scale-down asks."""
+    env = Environment()
+    clients = [IPv4Address(10 + i) for i in range(3)]
+    services = [
+        EdgeService(f"edge-{i}", IPv4Address(100 + i), 80, None, "", "")
+        for i in range(3)
+    ]
+    endpoint = ServiceEndpoint(IPv4Address(200), 30000)
+    seen: list[tuple] = []
+
+    def in_use():
+        return [(memory.service_in_use(s), scanned_in_use(memory, s)) for s in services]
+
+    memory = FlowMemory(
+        env, idle_timeout_s=1.0, on_expire=lambda flow: seen.append(tuple(in_use()))
+    )
+    for op in ops:
+        if op[0] == "remember":
+            memory.remember(clients[op[1]], services[op[2]], "docker", endpoint)
+        elif op[0] == "forget_client":
+            memory.forget_client(clients[op[1]])
+        elif op[0] == "advance":
+            env.run(until=env.now + op[1])
+        else:
+            flow = memory.lookup(clients[op[1]], services[op[2]])
+            if flow is not None:
+                if op[0] == "release":
+                    memory.release(flow, env.now)
+                elif op[0] == "hold":
+                    memory.hold(flow)
+                else:
+                    memory.forget(flow)
+        for fast, scanned in in_use():
+            assert fast == scanned
+    for answers in seen:
+        for fast, scanned in answers:
+            assert fast == scanned
 
 
 # ---------------------------------------------------------------------------
