@@ -182,41 +182,67 @@ class EdgeCluster(abc.ABC):
         before the deadline, between it and that tick, or never, the
         wait returns at the poll loop's instant with its answer.
 
+        The wait yields the port-open event itself.  The deadline is a
+        side-heap guard (:meth:`~repro.sim.environment.Environment.deadline`)
+        armed when the wait starts, so it is due at ``deadline`` to the
+        bit; when it fires first it drops the subscription and wakes the
+        wait, and the wait cancels it when it returns — a wait that ends
+        in time leaves no entry behind on the main heap.  Exactness
+        boundary: an opening port resumes the wait at the event's own
+        pop, one pop earlier in the same instant than an ``AnyOf`` of
+        the event and a deadline timer would; a fired guard wakes it
+        within the deadline's instant, from which it walks to the next
+        tick.
+
         A subclass that overrides :meth:`is_running` with a readiness
         that is not a port opening on the ingress host gets the literal
         poll loop.  No cluster under ``src/`` does; the loop is the
         reference the port wait is held to, and the readiness of the
         scripted test cluster (``tests/test_dispatcher_unit.py``).
         """
-        deadline = self.env.now + timeout_s
+        env = self.env
+        deadline = env.now + timeout_s
         if type(self).is_running is not EdgeCluster.is_running:
             # Custom readiness: the literal §VI poll loop.
             while True:
                 if self.is_running(plan):
                     return True
-                if self.env.now >= deadline:
+                if env.now >= deadline:
                     return False
-                yield self.env.timeout(poll_interval_s)
-        # The poll grid: call time plus repeated float addition of the
-        # interval, mirroring the old loop's timeout accumulation.
-        tick = self.env.now
-        while True:
-            if self.is_running(plan):
-                return True
-            if self.env.now >= deadline:
-                return False
-            port = self._ports[plan.service_name]
-            open_ev = self.ingress_host.port_open_event(port)
-            yield open_ev | self.env.timeout_at(deadline)
+                yield env.timeout(poll_interval_s)
+
+        def wake(_guard) -> None:
             if not open_ev.triggered:
                 self.ingress_host.abandon_port_waiter(port, open_ev)
-            # Resume sampling on the poll grid: advance to the first
-            # tick at or after the wake and re-check there — exactly
-            # where the poll loop would have seen the port open.
-            while tick < self.env.now:
-                tick += poll_interval_s
-            if tick > self.env.now:
-                yield self.env.timeout_at(tick)
+                open_ev.succeed(None)
+
+        # The poll grid: call time plus repeated float addition of the
+        # interval, mirroring the old loop's timeout accumulation.
+        tick = env.now
+        guard = None
+        try:
+            while True:
+                if self.is_running(plan):
+                    return True
+                if env.now >= deadline:
+                    return False
+                if guard is None:
+                    # Armed at the call instant: due at ``deadline`` exactly.
+                    guard = env.deadline(timeout_s)
+                    _t.cast(list, guard.callbacks).append(wake)
+                port = self._ports[plan.service_name]
+                open_ev = self.ingress_host.port_open_event(port)
+                yield open_ev
+                # Resume sampling on the poll grid: advance to the first
+                # tick at or after the wake and re-check there — exactly
+                # where the poll loop would have seen the port open.
+                while tick < env.now:
+                    tick += poll_interval_s
+                if tick > env.now:
+                    yield env.timeout_at(tick)
+        finally:
+            if guard is not None:
+                guard.cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r} d={self.distance}>"

@@ -290,8 +290,15 @@ class Containerd:
         container.state = ContainerState.RUNNING
         container.started_at = self.env.now
         container.exit_code = None
+        # Hot when its first act is the boot timer: that push happens in
+        # this step instead of at an ``_Initialize`` pop, which moves the
+        # order only against an entry due exactly when the boot ends and
+        # pushed in between.  A zero boot starts cold: its
+        # ``timeout(0.0)`` would pop ahead of what the caller pushes now.
         self.env.spawn(
-            self._boot_application(container), name=f"boot:{container.spec.name}"
+            self._boot_application(container),
+            name=f"boot:{container.spec.name}",
+            hot=container.spec.boot_time_s > 0,
         )
 
     def _boot_application(self, container: Container):

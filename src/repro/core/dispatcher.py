@@ -179,6 +179,17 @@ class Deployment:
         md5s of ``c3_replay``, ``c3_churn`` and ``fed_replay`` move at
         seed 42; the shortcut property in ``tests/test_properties.py``
         names the instant (contract in DESIGN.md §6).
+
+        **The pipeline starts hot**: the owner is registered first, and
+        the pipeline's first segment runs here, not at the pop of an
+        ``_Initialize`` entry — the next pop, unless an entry ahead of
+        ``NORMAL`` is due now (``Environment.urgent_now``: another
+        process's urgent start, a ``run(until=…)`` stop), which would
+        run first; then it starts cold.  Exactness boundary: the first
+        segment (its reads of the cluster, its first push) now runs
+        before, not after, whatever the rest of the entry being
+        processed does; the order differs only for an entry that is due
+        exactly at that push's instant and is pushed in between.
         """
         if self.process is not None:
             outcome = yield self.process
@@ -186,8 +197,10 @@ class Deployment:
         env = self.dispatcher.env
         if self.cluster.is_running(self.service.plan) and env.quiet_now():
             return DeploymentOutcome(self.service.name, self.cluster.name)
-        self.process = env.process(self._pipeline(), name=f"deploy:{self.key}")
         self.dispatcher.deployments[self.key] = self
+        self.process = Process(
+            env, self._pipeline(), name=f"deploy:{self.key}", hot=not env.urgent_now()
+        )
         try:
             outcome = yield self.process
         finally:

@@ -101,9 +101,14 @@ class Kubelet:
             if pod.status.phase != "Pending" or uid in self._starting:
                 continue
             self._starting.add(uid)
-            # Pod startups run concurrently (one pod worker each).
+            # Pod startups run concurrently (one pod worker each).  Hot
+            # when its first act is the sync timer (as the boot in
+            # ``Containerd.start``; a zero one would overtake this step's
+            # pushes).
             self.env.spawn(
-                self._start_pod(pod), name=f"podworker:{pod.metadata.name}"
+                self._start_pod(pod),
+                name=f"podworker:{pod.metadata.name}",
+                hot=self.api.profile.kubelet_sync_s > 0,
             )
 
     # -- pod lifecycle --------------------------------------------------------
@@ -133,8 +138,12 @@ class Kubelet:
         self.pod_containers[pod.metadata.uid] = containers
         self.api.touch(pod)
 
+        # A lone pending ``ready`` is waited on directly: the pod goes on
+        # at its pop, one pop before an ``AllOf`` of one would have.
         ready_events = [c.ready for c in containers if not c.ready.triggered]
-        if ready_events:
+        if len(ready_events) == 1:
+            yield ready_events[0]
+        elif ready_events:
             yield AllOf(self.env, ready_events)
 
         pod.status.phase = "Running"
@@ -149,9 +158,13 @@ class Kubelet:
         )
         if current is pod and (yield from self._update_status(pod)):
             for container in containers:
+                # Hot while its first act is to wait on ``exited``, which
+                # nothing else waits on; once that has popped, the
+                # monitor would act at once, and starts cold.
                 self.env.spawn(
                     self._restart_monitor(pod, container),
                     name=f"restart-mon:{container.spec.name}",
+                    hot=not container.exited.processed,
                 )
         else:
             # Pod was deleted while starting: clean up.

@@ -145,6 +145,18 @@ class Environment:
         queue = self._queue
         return not queue or queue[0][0] > self._now
 
+    def urgent_now(self) -> bool:
+        """Whether an entry ahead of ``NORMAL`` is due at this instant:
+        another process's urgent start, or a ``run(until=…)`` stop.
+
+        Such an entry pops before a process started now through its
+        ``_Initialize`` entry would, so a hot start — the new process's
+        first segment run in its creator's step — keeps the cold start's
+        order only when there is none (``Deployment.deploy``).
+        """
+        queue = self._queue
+        return bool(queue) and queue[0][0] == self._now and queue[0][1] < NORMAL
+
     # -- factories -------------------------------------------------------
 
     def event(self) -> Event:
@@ -387,10 +399,11 @@ class Environment:
                 )
                 stop.callbacks.append(self._stop_callback)
 
-        # The loop below is step() unrolled with the hot locals bound
-        # once: at millions of events per run, the per-event method
-        # call, attribute reloads, and counter writes are measurable.
-        # Any semantic change here must be mirrored in step().
+        # The loop below binds its hot locals once: at millions of
+        # events per run, per-event method calls, attribute reloads and
+        # counter writes are measurable.  ``tests/kernel_oracle.step``
+        # is the one-entry reference it is held to; a semantic change
+        # here must be mirrored there.
         #
         # Cyclic gc is the other per-event tax: the default gen-0
         # threshold (700) makes the collector scan the young generation

@@ -67,9 +67,17 @@ class Process(Event):
         instead of via an urgent start event.  High-volume spawners
         (the trace driver starts one process per request) use this to
         skip the per-process start event; the first resumption then
-        runs at creation time rather than at the next scheduler step,
-        so it is only equivalent when the creator would otherwise
-        yield to the scheduler immediately.
+        runs at creation time rather than at the next scheduler step.
+        It is the cold start exactly when the creator would otherwise
+        yield to the scheduler immediately.  Otherwise its boundary is
+        the one the deployment path states at each of its hot starts
+        (a pipeline, a container's boot, a pod worker, a restart
+        monitor): the first segment's push happens in the creator's
+        step, not at the start entry's pop, so the order differs only
+        for an entry due exactly at that push's instant and pushed in
+        between — provided that segment only pushes or registers, and
+        nothing ahead of ``NORMAL`` is due now
+        (``Environment.urgent_now``), which would have run first.
     """
 
     __slots__ = ("_generator", "name")

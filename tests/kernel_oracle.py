@@ -2,11 +2,11 @@
 
 :func:`step` processes exactly one heap entry the plain way: one pop,
 one clock write, one count, the callbacks.  ``Environment.run`` and
-``run_below`` are this unrolled with the hot locals bound once — the
-``step()`` that ``run``'s comment asks every semantic change to be
-mirrored in is this function.  It lived on ``Environment`` until no
-caller under ``src/`` needed it; tests single-step with it to look at
-the world between two entries of one instant.
+``run_below`` are this unrolled with the hot locals bound once, and
+``run``'s comment asks every semantic change there to be mirrored
+here.  It lived on ``Environment`` until no caller under ``src/``
+needed it; tests single-step with it to look at the world between two
+entries of one instant.
 
 It pops through ``repro.sim.environment.heapq``, the name tests patch
 to count pops.

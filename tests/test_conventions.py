@@ -268,6 +268,7 @@ _NOT_TAPS = {
     "test_perf_regressions.py::receive": "the hand-rolled shape bench's spy_sources uses, tested",
     "nethelpers.py::flag": "slow twin: a Deadline.cancel that only flags",
     "controlhelpers.py::watched": "result observation: did Deployment.deploy ever yield",
+    "controlhelpers.py::cold": "slow twin: starts a hand-off's process cold, its yields relayed",
 }
 
 

@@ -10,7 +10,8 @@ and is renamed for it.
 Each defect sits in one transition of an owner (DESIGN.md §7): (a), (a′),
 (b) and (f) in :class:`repro.core.controller.Redirect` ("A redirect's life"),
 (c) and (d) where a :class:`repro.core.dispatcher.Deployment` hands over
-to one ("A deployment's life"), (g) in the switch's connection table.
+to one ("A deployment's life"), (g) in the switch's connection table,
+(h) in the controller's packet-in handler.
 
 Open, with a directed reproduction (ROADMAP item 3):
 
@@ -21,6 +22,14 @@ Open, with a directed reproduction (ROADMAP item 3):
     switch after its client's handover stays for ever.  Seen: 13 entries
     left at the end of full-size ``handover_storm``, seed 42:
     :func:`test_a_connection_that_ends_through_another_switch_leaves_no_entry`.
+(h) **A closing segment that misses is answered with a redirect** —
+    ``EdgeController._handle_packet_in``: after a handover, a FIN (any
+    non-SYN segment of a connection begun elsewhere) that misses at the
+    new switch is punted and answered with a forward and a reverse
+    entry, the forward one timed for ``switch_idle_timeout_s``, for a
+    connection that is ending.  Seen: (g)'s reproduction, one punt and
+    both FlowMods for the FIN alone:
+    :func:`test_a_fin_that_misses_after_a_handover_installs_no_redirect`.
 
 Open, with no directed reproduction yet:
 
@@ -263,6 +272,33 @@ def test_a_connection_that_ends_through_another_switch_leaves_no_entry():
     client._send_segment(service.cloud_ip, fin)
     tb.settle(0.01)
     assert (len(committed), held()) == (1, [])
+
+
+@pytest.mark.xfail(reason="(h): a closing segment that misses is answered with a redirect")
+def test_a_fin_that_misses_after_a_handover_installs_no_redirect():
+    """(g)'s setup: after the handover, the FIN for the connection from
+    port 40000 misses at the gNB's switch and is punted.  The connection
+    is ending, so the controller should install nothing for it; it
+    sends a forward and a reverse entry."""
+    tb = C3Testbed(TestbedConfig(cluster_types=("docker",)))
+    gnb = tb.add_gnb()
+    service = tb.register_template(NGINX)
+    tb.prepare_created(tb.docker_cluster, service)
+    client = tb.clients[0]
+    assert tb.run_request(client, service, NGINX.request).response.status == 200
+    client._send_segment(service.cloud_ip, TCPSegment(40000, service.port, TCPFlags.SYN))
+    tb.settle(0.01)
+    tb.move_client(client, gnb)
+    added = []
+    tap(
+        gnb.channel,
+        "send_to_switch",
+        lambda message: getattr(message, "command", None) == "add" and added.append(message.cookie),
+    )
+    fin = TCPSegment(40000, service.port, TCPFlags.FIN | TCPFlags.ACK)
+    client._send_segment(service.cloud_ip, fin)
+    tb.settle(0.01)
+    assert added == []
 
 
 def test_a_deploy_in_flight_takes_one_slot():

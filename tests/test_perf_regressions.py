@@ -490,8 +490,8 @@ def _k8s_first_request(monkeypatch):
 
 
 def test_k8s_first_request_event_budget(monkeypatch):
-    """A first request on Kubernetes costs 113 kernel events, 41 fewer
-    than the 154 it cost with a relay process behind every informer
+    """A first request on Kubernetes costs 107 kernel events, 41 fewer
+    than the 148 it cost with a relay process behind every informer
     handler and every work-queue wake-up a ``StoreGet`` entry
     (``tests/k8shelpers.relays_on_the_heap`` composed with
     ``wakes_on_the_heap``: the control loops as they were, count for
@@ -507,12 +507,17 @@ def test_k8s_first_request_event_budget(monkeypatch):
       each worker resumes inside the delivery that woke it, and no
       ``get`` is an entry.
 
-    The relay twin alone counts 4 fewer than it did (150): the relays'
+    The relay twin alone counts 4 fewer than it did (144): the relays'
     reads of a non-empty channel at a quiet instant are in place too.
     All four counts were 5 higher (119, 160, 156, 133) while FlowMemory
     swept once a simulated second: five of its ticks fell inside the
-    request, and one higher (114, 155, 151, 128) while the packet-in's
-    hop and the handler's processing timer were two entries.
+    request, one higher (114, 155, 151, 128) while the packet-in's
+    hop and the handler's processing timer were two entries, and six
+    higher (113, 154, 150, 127) while the deployment's hand-offs were
+    heap entries: the starts of the pipeline, the pod worker, the
+    container's boot and its restart monitor, an ``AllOf`` of the one
+    container's ``ready`` and the ``AnyOf`` of ``wait_ready``
+    (``tests/controlhelpers.handoffs_on_the_heap``).
 
     The control channel's part is the same in all four counts: the
     packet-in, landed when its processing time ends (``_land_packet_in``),
@@ -531,11 +536,11 @@ def test_k8s_first_request_event_budget(monkeypatch):
     popped, _, events, watch_events, _ = _k8s_first_request(monkeypatch)
     assert watch_events == heap_watch_events == 17
     assert sum(name.startswith("relay:") for name in heap_resumed) == 17
-    assert heap_events == 154
-    assert relay_events == heap_events - 4 == 150
-    assert woken_events == heap_events - 27 == 127
+    assert heap_events == 148
+    assert relay_events == heap_events - 4 == 144
+    assert woken_events == heap_events - 27 == 121
     assert len(woken) == 14 and all(name.endswith("-worker") for name in woken)
-    assert events == woken_events - 14 == 113
+    assert events == woken_events - 14 == 107
 
     kinds = [getattr(entry, "__qualname__", "") for entry in popped]
     assert kinds.count("ControlChannel._land_packet_in") == 1
@@ -581,7 +586,7 @@ def _every_boundary_tapped():
 
 @pytest.mark.parametrize(
     "budget, events",
-    [("warm_request", 10), ("flow_memory_miss", 10 + 2), ("k8s_first_request", 113)],
+    [("warm_request", 10), ("flow_memory_miss", 10 + 2), ("k8s_first_request", 107)],
 )
 def test_event_budgets_hold_with_every_boundary_tapped(monkeypatch, budget, events):
     """The three event budgets above, run once more with a no-op
@@ -608,22 +613,28 @@ def test_event_budgets_hold_with_every_boundary_tapped(monkeypatch, budget, even
 def test_nothing_pops_to_do_nothing(request, monkeypatch):
     """Over a Kubernetes first request, then one first request /
     FlowMemory-expiry scale-down / re-scale-up cycle on Kubernetes and
-    on Docker, every popped ``Event`` has somebody to tell — a non-empty
-    callback list — except a latch: an event a *later* waiter may still
-    yield, so it fires whether or not one is there yet.  There are two
-    under ``src/``: ``Container.ready``, fired by
-    ``Containerd._boot_application`` (the Docker adapter polls the port
-    instead of yielding it; caught here by identity), and the ``done``
-    event ``MigrationManager.migrate`` hands out, fired by
-    ``_run_admitted`` (no migration runs here).  A ``Store.put`` nobody
-    can wait on, or the end of a process nobody holds, is not an entry
-    at all (before that rule, each ``put`` popped an event of its own)."""
+    on Docker, each settled past the readiness deadline of its last
+    deployment, every popped ``Event`` has somebody to tell — a callback
+    that is not an already-fired condition's ``_check`` — except a
+    latch: an event a *later* waiter may still yield, so it fires
+    whether or not one is there yet.  There are two under ``src/``:
+    ``Container.ready``, fired by ``Containerd._boot_application`` (the
+    Docker adapter polls the port instead of yielding it; caught here by
+    identity), and the ``done`` event ``MigrationManager.migrate`` hands
+    out, fired by ``_run_admitted`` (no migration runs here).  A
+    ``Store.put`` nobody can wait on, or the end of a process nobody
+    holds, is not an entry at all (before that rule, each ``put`` popped
+    an event of its own); nor is a readiness deadline a wait outlived
+    (while ``wait_ready`` raced an ``AnyOf`` against a main-heap timer,
+    that timer popped ``READY_TIMEOUT_S`` later to tell a condition that
+    had fired)."""
     import dataclasses
 
     from repro.containers.containerd import Containerd
+    from repro.core.dispatcher import READY_TIMEOUT_S
     from repro.services import DEFAULT_CALIBRATION
     from repro.services.catalog import NGINX
-    from repro.sim.events import Event
+    from repro.sim.events import PENDING, Condition, Event
     from repro.testbed import C3Testbed, TestbedConfig
 
     from tests.nethelpers import record_popped_entries
@@ -631,8 +642,12 @@ def test_nothing_pops_to_do_nothing(request, monkeypatch):
     latches: list[Event] = []
     idle: list[Event] = []
 
+    def told(callback) -> bool:
+        condition = getattr(callback, "__self__", None)
+        return not (isinstance(condition, Condition) and condition._value is not PENDING)
+
     def note(item):
-        if isinstance(item[5], Event) and not item[5].callbacks:
+        if isinstance(item[5], Event) and not any(map(told, item[5].callbacks or ())):
             idle.append(item[5])
 
     request.addfinalizer(
@@ -655,8 +670,8 @@ def test_nothing_pops_to_do_nothing(request, monkeypatch):
         assert tb.controller.stats["scale_downs"] == 1
         assert not tb.clusters[0].is_running(service.plan)
         assert tb.run_request(tb.clients[0], service).response.ok
-        tb.settle(1.0)
-    assert len(popped) > 450  # 482: the run is long enough to be a check
+        tb.settle(READY_TIMEOUT_S + 1.0)
+    assert len(popped) > 450  # 610: the run is long enough to be a check
     assert [event for event in idle if event not in latches] == []
     assert len(idle) == 2  # Docker's two boots
 

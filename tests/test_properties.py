@@ -62,7 +62,11 @@ from repro.sim import Environment, Resource, Store
 from repro.testbed import C3Testbed, TestbedConfig
 from repro.workload import BigFlowsParams, TraceDriver, generate_trace
 
-from tests.controlhelpers import counted_shortcuts, deployments_on_the_heap
+from tests.controlhelpers import (
+    counted_hot_starts,
+    counted_shortcuts,
+    deployments_on_the_heap,
+)
 from tests.flowmemory_oracle import service_in_use as scanned_in_use
 from tests.flowtable_oracle import matches
 from tests.kernel_oracle import step
@@ -1867,6 +1871,9 @@ _storm_plants = st.lists(
     max_size=2,
 )
 _storms = st.tuples(
+    # The cluster the storm deploys to: a Docker engine, or Kubernetes
+    # (a pod worker, its lone container's ``ready``, a restart monitor).
+    st.sampled_from(("docker", "k8s")),
     st.booleans(),  # a second switch (a gNB trunked to the first)
     # The instance when the SYNs arrive: up; created but scaled down (the
     # first packet-in deploys, the others join it); its port open this
@@ -1937,10 +1944,17 @@ def _sent_to_land_at(at: float, delay: float) -> float | None:
     return None
 
 
-def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
+def _looking(observe):
+    """A process whose whole life is one look (no scale-down)."""
+    observe(False)
+    yield from ()
+
+
+def _packet_in_storm(kind, two_switches, state, clients, plants, handler_instants=()):
     """Run one storm of first requests on a real C³ control plane;
     ``(log, samples, events processed, packet-ins, handler instants,
-    landings of batches that held only packet-ins)``.
+    landings of batches that held only packet-ins, deadlines still armed
+    at the end)``.
 
     ``handler_instants`` are those of a run without them — where the
     plants are aimed; without them nothing is planted."""
@@ -1949,19 +1963,22 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
     packet_in_batches: list[float] = []
     with _logged_channels(log, packet_in_batches):
         tb = C3Testbed(
-            TestbedConfig(n_clients=1, cluster_types=("docker",)),
+            TestbedConfig(n_clients=1, cluster_types=(kind,)),
             # 35 ms: a boot (60 ms) ends between two polls, not on one.
             calibration=dataclasses.replace(
                 DEFAULT_CALIBRATION, port_poll_interval_s=0.035
             ),
         )
         env, controller = tb.env, tb.controller
-        dispatcher, cluster = controller.dispatcher, tb.docker_cluster
+        dispatcher, cluster = controller.dispatcher, tb.clusters[0]
         gnb = tb.add_gnb() if two_switches else None
         service = tb.register_template(NGINX)
         tb.prepare_created(cluster, service)
         hosts = [tb.new_client(gnb if on_gnb else None) for on_gnb, _ in clients]
         _log_ports(tb.egs, log)
+        # A phase call is logged where the pipeline makes it: in its
+        # first segment, when the instance is created already.
+        tap(cluster, "scale_up", lambda plan: log.append((env.now, cluster.name, "scale_up")))
         if state == "running":
             env.run_process(dispatcher.ensure_deployed(service, cluster))
         elif state == "failing":
@@ -2009,6 +2026,10 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
 
         if state == "opening":
             dispatcher.deploy_in_background(service, cluster)
+            # Another process started in the same step: its urgent start
+            # is due, and runs first, when the background deploy starts
+            # its pipeline.
+            env.spawn(_looking(observe))
             open_port = tb.egs.open_port
 
             def open_then_launch(port, *args):
@@ -2052,6 +2073,7 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
         controller.stats["packet_in"],
         [entry[0] for entry in log if entry[2] == "handled"],
         packet_in_batches,
+        sum(not guard.cancelled for _, _, guard in env._deadlines),
     )
 
 
@@ -2062,32 +2084,38 @@ def _packet_in_storm(two_switches, state, clients, plants, handler_instants=()):
 # packet-ins when their processing ends nothing is due, and it answers
 # on the spot: the same trace, the landing and the process's two
 # entries fewer.
-_TIMER_MEETS_PACKET_IN = (False, "running", [(False, 0), (False, 4)], [])
+_TIMER_MEETS_PACKET_IN = ("docker", False, "running", [(False, 0), (False, 4)], [])
 # Two clients in lockstep: both packet-ins are sent in one instant, and
 # both handlers run at one instant, the second due while the first runs.
-_LOCKSTEP_STORM = (False, "running", [(False, 0), (False, 0)], [])
+_LOCKSTEP_STORM = ("docker", False, "running", [(False, 0), (False, 0)], [])
 # An observer planted behind a handler's timer at its instant reads
 # FlowMemory before the handler writes it.
 _OBSERVER_BEHIND = (
-    False, "running", [(False, 0), (False, 2)], [(0, "observe", "behind")],
+    "docker", False, "running", [(False, 0), (False, 2)], [(0, "observe", "behind")],
 )
 # An observer planted from half a channel hop after the packet-ins were
 # sent, at the first handler's instant: it runs before the handler, as
 # it would before a timer armed at the landing.
 _OBSERVER_IN_HOP = (
-    False, "running", [(False, 0), (False, 0)], [(0, "observe", "in-hop")],
+    "docker", False, "running", [(False, 0), (False, 0)], [(0, "observe", "in-hop")],
 )
 # Two switches' packet-ins sent in one instant, two up one channel and
 # one up the other: their handlers run at one instant, in send order.
 _TWO_CHANNELS_IN_LOCKSTEP = (
-    True, "running", [(False, 0), (False, 0), (True, 0)], [],
+    "docker", True, "running", [(False, 0), (False, 0), (True, 0)], [],
 )
 # The port is open and ``wait_ready`` has 10 ms to its next poll: both
 # requests join the deployment in flight and are released when it ends.
-_PORT_OPEN_NOT_READY = (False, "opening", [(False, 0), (False, 0)], [])
+# The background deploy started its pipeline cold: the process started
+# in its step was due first, and looked first.
+_PORT_OPEN_NOT_READY = ("docker", False, "opening", [(False, 0), (False, 0)], [])
 # Two requests wait for a deployment that fails; both re-resolve to the
 # farther cluster at one instant, sharing one process in the twin.
-_FAILS_WITH_TWO_WAITERS = (True, "failing", [(False, 0), (True, 0)], [])
+_FAILS_WITH_TWO_WAITERS = ("docker", True, "failing", [(False, 0), (True, 0)], [])
+# Two first requests to a Kubernetes service created but scaled down:
+# the pipeline, the pod worker, the boot and the restart monitor start
+# hot, and the pod waits on its one container's ``ready`` itself.
+_KUBERNETES_SCALES_UP = ("k8s", False, "created", [(False, 0), (False, 0)], [])
 
 
 @settings(max_examples=150, deadline=None)
@@ -2099,9 +2127,10 @@ _FAILS_WITH_TWO_WAITERS = (True, "failing", [(False, 0), (True, 0)], [])
 @example(storm=_FAILS_WITH_TWO_WAITERS)
 @example(storm=_OBSERVER_IN_HOP)
 @example(storm=_TWO_CHANNELS_IN_LOCKSTEP)
+@example(storm=_KUBERNETES_SCALES_UP)
 def test_deployment_shortcut_is_the_process_it_replaces(storm):
     """A real ``EdgeController`` and ``Dispatcher`` over one or two real
-    switches and a Docker cluster; 2-4 clients' first requests in
+    switches and a Docker or a Kubernetes cluster; 2-4 clients' first requests in
     lockstep and one or more launch steps apart, so that handlers meet
     packet-in landings and each other; the instance running, scaled
     down, its port open with ``wait_ready`` still polling, or failing
@@ -2109,18 +2138,22 @@ def test_deployment_shortcut_is_the_process_it_replaces(storm):
     delivered at a handler's instant, and an observer planted at one —
     ahead of the handler, from inside its packet-in's channel hop, or
     behind it — that reads FlowMemory, ``_redirects`` and
-    ``is_running`` and in some draws calls ``scale_down_idle``.  The
-    ordered log — every control message, sent and delivered, both
-    directions, with its instant, a packet-in where its handler starts;
-    every ``open_port`` / ``close_port``; the observer's readings — and
-    the sorted ``time_total``s are equal whether ``ensure_deployed``
-    answers on the spot, packet-ins land when their processing ends and
-    handlers start hot there, or every answer is a process, every
-    packet-in lands in its batch and every handler starts cold behind a
-    processing timer (``tests/controlhelpers.deployments_on_the_heap``,
-    the control plane as it was); and the event counts differ by
-    exactly two per shortcut taken, one per handler and one per batch
-    that held only packet-ins.
+    ``is_running`` and in some draws calls ``scale_down_idle``; while
+    the port opens, a second process started in the background deploy's
+    step.  The ordered log — every control message, sent and delivered,
+    both directions, with its instant, a packet-in where its handler
+    starts; every ``scale_up`` call; every ``open_port`` /
+    ``close_port``; the observer's readings — the sorted
+    ``time_total``s and the deadlines still armed at the end are equal
+    whether ``ensure_deployed`` answers on the spot, packet-ins land
+    when their processing ends and handlers start hot there, and a
+    deployment's hand-offs cost no entry, or every answer is a process,
+    every packet-in lands in its batch, every handler starts cold behind
+    a processing timer and every hand-off is an entry
+    (``tests/controlhelpers.deployments_on_the_heap``, the control plane
+    as it was); and the event counts differ by exactly two per shortcut
+    taken, one per handler, one per batch that held only packet-ins,
+    one per hot start and one per condition or timer the twin popped.
 
     Mutations this fails under (run on a scratch copy; the examples
     above are what hypothesis shrank them to):
@@ -2161,18 +2194,37 @@ def test_deployment_shortcut_is_the_process_it_replaces(storm):
         the other channel's handler runs between the two of this one.
     (g) the rest pushed back after the handler, not before — the same
         as (e) at ``_LOCKSTEP_STORM``.
+    (h) the pipeline started hot while an urgent entry is due now
+        (``hot=True`` for ``hot=not env.urgent_now()``) —
+        ``_PORT_OPEN_NOT_READY``: its ``scale_up`` runs before the
+        process started in its step takes its look.
+    (i) the readiness guard never cancelled — every example: a guard
+        is left armed.
+    (j) the readiness wait returning at the port's opening, off the
+        poll grid — every example.
+    It cannot see a boot started hot at a zero boot time (no caller
+    pushes anything due now after ``Containerd.start``) nor a restart
+    monitor started hot once its container's exit has popped (no storm
+    crashes a container).
     """
     with deployments_on_the_heap():
         instants = _packet_in_storm(*storm)[4]
-        heap_log, heap_samples, heap_events, _, _, landings = _packet_in_storm(
+    with deployments_on_the_heap() as paid:
+        heap_log, heap_samples, heap_events, _, _, landings, heap_armed = _packet_in_storm(
             *storm, instants
         )
-    with counted_shortcuts() as taken:
-        log, samples, events, handlers, _, fast_landings = _packet_in_storm(*storm, instants)
+        conditions = paid()
+    with counted_shortcuts() as taken, counted_hot_starts() as hot:
+        log, samples, events, handlers, _, fast_landings, armed = _packet_in_storm(
+            *storm, instants
+        )
     assert log == heap_log
     assert samples == heap_samples
+    assert armed == heap_armed
     assert fast_landings == []
-    assert heap_events - events == 2 * len(taken) + handlers + len(landings)
+    assert heap_events - events == (
+        2 * len(taken) + handlers + len(landings) + len(hot) + conditions
+    )
 
 
 # ---------------------------------------------------------------------------
