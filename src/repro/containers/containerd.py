@@ -280,8 +280,9 @@ class Containerd:
             )
         with self._start_slots.request() as slot:
             yield slot
-            yield self.env.timeout(self.profile.namespace_setup_s)
-            yield self.env.timeout(self.profile.runtime_spawn_s)
+            yield self.env.delays(
+                self.profile.namespace_setup_s, self.profile.runtime_spawn_s
+            )
         if container.started_at is not None:
             # Restart: give watchers fresh lifecycle events.
             container.exited = Event(self.env)

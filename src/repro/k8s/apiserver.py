@@ -152,9 +152,10 @@ class APIServer:
         self._resource_version = 0
         #: API request counter, for tests.
         self.stats = {"requests": 0, "events": 0}
-        #: Failure injection: requests issued before this instant block
-        #: until it passes (a stalled apiserver is slow, not dead).
-        self._stalled_until = 0.0
+        #: Failure injection, ``(instant, stalled until)`` per
+        #: :meth:`stall_for`: a request issued before a stall's end
+        #: blocks until it passes (a stalled apiserver is slow, not dead).
+        self.stall_changes: list[tuple[float, float]] = []
 
     # -- helpers ----------------------------------------------------------
 
@@ -163,16 +164,44 @@ class APIServer:
         waits for the residual stall before its normal latency."""
         if duration_s < 0:
             raise ValueError("duration_s must be >= 0")
-        self._stalled_until = max(
-            self._stalled_until, self.env.now + duration_s
-        )
+        now = self.env.now
+        until = max(self._stalled_until_at(now), now + duration_s)
+        self.stall_changes.append((now, until))
 
-    def _latency(self):
+    def _stalled_until_at(self, when: float) -> float:
+        """The stall in force at instant ``when`` (one set at ``when``
+        itself counts: it was scheduled before the request it meets
+        there, so it ran first)."""
+        for at, until in reversed(self.stall_changes):
+            if at <= when:
+                return until
+        return 0.0
+
+    def _latency(self, lead: float | None = None):
+        """One request's latency (generator), counted at the call.
+
+        ``lead`` is a delay the caller waits before it issues the
+        request, at ``issued = now + lead``: the lead and the latency
+        are one heap entry (``Environment.delays``), and at its pop the
+        request reads the stall as of ``issued`` — a stall set later
+        does not delay it.  Under a stall it then waits on one more
+        entry, at the instant the chain of lead, stall and latency gave,
+        float for float, keyed at this pop instead of the stall's end.
+        """
         self.stats["requests"] += 1
-        stalled_until = self._stalled_until
-        if stalled_until > self.env.now:
-            yield self.env.timeout(stalled_until - self.env.now)
-        yield self.env.timeout(self.profile.api_latency_s)
+        env = self.env
+        latency = self.profile.api_latency_s
+        if lead is not None:
+            issued = env.now + lead
+            yield env.delays(lead, latency)
+            until = self._stalled_until_at(issued)
+            if until > issued:
+                yield env.timeout_at((issued + (until - issued)) + latency)
+            return
+        stalled_until = self._stalled_until_at(env.now)
+        if stalled_until > env.now:
+            yield env.timeout(stalled_until - env.now)
+        yield env.timeout(latency)
 
     def _bump(self, meta: ObjectMeta) -> None:
         self._resource_version += 1
@@ -309,9 +338,12 @@ class APIServer:
             raise NotFound(f"{kind} {namespace}/{name}")
         return obj
 
-    def try_get(self, kind: str, name: str, namespace: str = "default"):
-        """Like :meth:`get` but returns ``None`` instead of raising."""
-        yield from self._latency()
+    def try_get(
+        self, kind: str, name: str, namespace: str = "default", lead: float | None = None
+    ):
+        """Like :meth:`get` but returns ``None`` instead of raising;
+        issued after waiting ``lead`` first (:meth:`_latency`)."""
+        yield from self._latency(lead)
         return self._stores[kind].get((namespace, name))
 
     def list_nowait(

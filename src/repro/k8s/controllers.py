@@ -3,7 +3,8 @@
 Both follow the informer + work-queue pattern: event handlers the API
 server calls with each watch event enqueue object keys; a single worker
 dequeues, pays the sync delay, and reconciles desired versus observed
-state through the API server.
+state through the API server.  The sync delay and a reconcile's first
+read are one heap entry: nothing is read or written between them.
 """
 
 from __future__ import annotations
@@ -54,15 +55,19 @@ class DeploymentController:
     def _worker(self):
         while True:
             action, payload = yield self._queue.get()
-            yield self.env.timeout(self.api.profile.deployment_sync_s)
+            sync_s = self.api.profile.deployment_sync_s
             if action == "delete":
+                # The cascade reads the store at the sync's end.
+                yield self.env.timeout(sync_s)
                 yield from self._cascade_delete(payload)
             else:
-                yield from self._reconcile(payload)
+                yield from self._reconcile(payload, sync_s)
 
-    def _reconcile(self, key: tuple[str, str]):
+    def _reconcile(self, key: tuple[str, str], sync_s: float):
+        """Reconcile ``key``, whose first read is issued once the sync
+        delay ``sync_s`` has passed (one entry: ``APIServer.try_get``)."""
         namespace, name = key
-        deployment = yield from self.api.try_get("Deployment", name, namespace)
+        deployment = yield from self.api.try_get("Deployment", name, namespace, lead=sync_s)
         if deployment is None:
             return
         rs_name = f"{name}-rs"
@@ -131,11 +136,13 @@ class ReplicaSetController:
     def _worker(self):
         while True:
             action, payload = yield self._queue.get()
-            yield self.env.timeout(self.api.profile.replicaset_sync_s)
+            sync_s = self.api.profile.replicaset_sync_s
             if action == "delete":
+                # The cascade reads the store at the sync's end.
+                yield self.env.timeout(sync_s)
                 yield from self._cascade_delete(payload)
             else:
-                yield from self._reconcile(payload)
+                yield from self._reconcile(payload, sync_s)
 
     def _pods_of(self, rs: ReplicaSet) -> list[Pod]:
         pods = self.api.list_nowait(
@@ -144,9 +151,11 @@ class ReplicaSetController:
         # The kubelet writes the phase in place: read it, never index it.
         return [p for p in pods if p.status.phase not in ("Succeeded", "Failed")]
 
-    def _reconcile(self, key: tuple[str, str]):
+    def _reconcile(self, key: tuple[str, str], sync_s: float):
+        """Reconcile ``key`` after the sync delay, as the deployment
+        controller does."""
         namespace, name = key
-        rs = yield from self.api.try_get("ReplicaSet", name, namespace)
+        rs = yield from self.api.try_get("ReplicaSet", name, namespace, lead=sync_s)
         if rs is None:
             return
         pods = self._pods_of(rs)

@@ -115,13 +115,18 @@ class Kubelet:
 
     def _start_pod(self, pod: Pod):
         profile = self.api.profile
-        yield self.env.timeout(profile.kubelet_sync_s)
-        yield self.env.timeout(profile.sandbox_setup_s)
+        # The sync, the sandbox and the first container's image check
+        # are one entry: nothing is read or written between them.
+        first_check = (profile.image_check_s,) if pod.spec.containers else ()
+        yield self.env.delays(
+            profile.kubelet_sync_s, profile.sandbox_setup_s, *first_check
+        )
 
         containers: list[Container] = []
         try:
-            for cdef in pod.spec.containers:
-                yield self.env.timeout(profile.image_check_s)
+            for index, cdef in enumerate(pod.spec.containers):
+                if index:
+                    yield self.env.timeout(profile.image_check_s)
                 if not self.runtime.images.has_image(cdef.image.reference):
                     yield from self.runtime.pull(cdef.image, self.image_registry)
                 spec = self._container_spec(pod, cdef)
@@ -158,13 +163,15 @@ class Kubelet:
         )
         if current is pod and (yield from self._update_status(pod)):
             for container in containers:
-                # Hot while its first act is to wait on ``exited``, which
-                # nothing else waits on; once that has popped, the
-                # monitor would act at once, and starts cold.
+                # Hot: its first act waits on ``exited``, which nothing
+                # else waits on, or, once that has popped, acts at once —
+                # here instead of at its start entry's pop, which would
+                # have been next: this loop is the last act of a step
+                # resumed by a popped timer, and pushes nothing urgent.
                 self.env.spawn(
                     self._restart_monitor(pod, container),
                     name=f"restart-mon:{container.spec.name}",
-                    hot=not container.exited.processed,
+                    hot=True,
                 )
         else:
             # Pod was deleted while starting: clean up.

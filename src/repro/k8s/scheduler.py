@@ -86,9 +86,11 @@ class KubeScheduler:
     def _worker(self):
         while True:
             key = yield self._queue.get()
-            yield self.env.timeout(self.api.profile.scheduler_sync_s)
             namespace, name = key
-            pod = yield from self.api.try_get("Pod", name, namespace)
+            # The sync delay and the read are one heap entry.
+            pod = yield from self.api.try_get(
+                "Pod", name, namespace, lead=self.api.profile.scheduler_sync_s
+            )
             if pod is None or pod.spec.node_name is not None:
                 continue
             choice = self.policy(pod, self._node_infos())

@@ -20,7 +20,8 @@ reproduction is fully self-contained:
 
 Each primitive pushes its own heap entry (there is no generic
 ``schedule``), and a process runs until it yields: nothing interrupts
-it, and no register names the running process.
+it, and no register names the running process.  A chain of back-to-back
+delays is one entry (``Environment.delays``).
 
 Simulated time is a ``float`` in **seconds**; determinism does not depend
 on float tie-breaking because every scheduled event carries a strictly

@@ -167,6 +167,42 @@ class Environment:
         """Create an event firing after ``delay`` simulated seconds."""
         return Timeout(self, delay, value)
 
+    def delays(self, *delays: float) -> Event:
+        """One event for a chain of back-to-back delays: what ``yield
+        timeout(d1); yield timeout(d2); …`` waits, at one heap entry
+        instead of one per delay.
+
+        It fires at ``t_n = ((t0 + d1) + d2) + …``, summed link by link,
+        so every instant is the float the chain gave, with the value
+        ``None``.  Its key is the last link's, ``(t_n, NORMAL, t_{n-1},
+        t_{n-1}, seq)``, with ``seq`` drawn at the call (the trick of
+        :class:`repro.net.link.LinkEndpoint`).
+
+        **Exactness boundary.**  The skipped entries did nothing but
+        push the next link, so nothing can tell them gone — not
+        :meth:`quiet_now` or :meth:`urgent_now` either: what they would
+        have stood in front of pops behind a do-nothing entry.  The key
+        differs from the chain's only against an entry pushed exactly at
+        the last skipped instant ``t_{n-1}`` and due exactly at ``t_n``:
+        the fused entry goes first, where the chain went by which of the
+        two popped first at ``t_{n-1}``.  Two fused chains in lockstep
+        (the same instants at every link) keep their order.  A caller
+        must read and write nothing at a skipped instant: a link that
+        does is the end of one chain and the start of the next.
+        ``tests/k8shelpers.delays_on_the_heap`` puts every chain back.
+        """
+        before = at = self._now
+        for delay in delays:
+            if delay < 0:
+                raise ValueError(f"negative delay {delay!r}")
+            before, at = at, at + float(delay)
+        event = Event(self)
+        event._value = None
+        heapq.heappush(
+            self._queue, (at, NORMAL, before, before, next(self._seq), event)
+        )
+        return event
+
     def deadline(self, delay: float, value: _t.Any = None) -> Deadline:
         """A guard timeout: like :meth:`timeout`, but cancellable.
 

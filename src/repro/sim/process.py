@@ -77,7 +77,10 @@ class Process(Event):
         for an entry due exactly at that push's instant and pushed in
         between — provided that segment only pushes or registers, and
         nothing ahead of ``NORMAL`` is due now
-        (``Environment.urgent_now``), which would have run first.
+        (``Environment.urgent_now``), which would have run first.  A
+        segment that acts is exact where its start entry would have
+        been the next to pop (the restart monitor, at the kubelet's
+        spawn).
     """
 
     __slots__ = ("_generator", "name")

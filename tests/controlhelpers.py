@@ -10,8 +10,9 @@ heap: every *deploy* that is not an in-flight join is a pipeline process
 ``latency_s`` after the send; and every handler starts there through
 its own ``_Initialize`` and waits out the processing time on a timer.
 It also puts a deployment's six hand-offs back
-(:func:`handoffs_on_the_heap`).  That is the control plane as it was
-before any of these shortcuts.  ``tests/test_properties.py`` holds the
+(:func:`handoffs_on_the_heap`), and every chain of delays
+(``tests/k8shelpers.delays_on_the_heap``).  That is the control plane as
+it was before any of these shortcuts.  ``tests/test_properties.py`` holds the
 two to one trace.
 """
 
@@ -27,6 +28,7 @@ from repro.core.dispatcher import Deployment
 from repro.net.openflow.switch import ControlChannel
 from repro.observe import tap
 from repro.sim import AllOf, Event, Process
+from tests.k8shelpers import delays_on_the_heap
 
 #: The processes a deployment starts hot where its first act allows:
 #: the pipeline, a container's boot, a pod worker, a restart monitor.
@@ -199,14 +201,14 @@ def counted_hot_starts() -> _t.Iterator[list[str]]:
 def deployments_on_the_heap() -> _t.Iterator[_t.Callable[[], int]]:
     """Every deployment question a process, every packet-in landed in
     its batch, every handler started cold and behind a timer, and every
-    hand-off of :func:`handoffs_on_the_heap` an entry (whose count it
-    yields)."""
-    with handoffs_on_the_heap() as paid, mock.patch.object(
+    hand-off of :func:`handoffs_on_the_heap` and every link of a chain of
+    delays an entry (whose count it yields)."""
+    with handoffs_on_the_heap() as paid, delays_on_the_heap() as chained, mock.patch.object(
         Deployment, "deploy", _deploy_as_a_process
     ), mock.patch.object(
         ControlChannel, "send_to_controller", _send_in_the_batch
     ), mock.patch.object(EdgeController, "on_packet_in", _on_packet_in_cold):
-        yield paid
+        yield lambda: paid() + chained()
 
 
 class _Watched(_Relayed):

@@ -15,16 +15,24 @@ what that replaced: every wake-up and every non-empty ``get`` is a
 ``StoreGet`` entry.  Composed, the two are the control loops as they
 were before either; ``tests/test_properties.py`` holds each twin and
 the code to one trace.
+
+A chain of back-to-back delays is one heap entry
+(``Environment.delays``), and so are a control loop's sync delay and
+the request it issues after it (``APIServer._latency``'s ``lead``).
+:func:`delays_on_the_heap` puts back what that replaced: one
+``Timeout`` per delay, and the lead a ``Timeout`` of its own ahead of
+the request.
 """
 
 from __future__ import annotations
 
 import contextlib
+import typing as _t
 from unittest import mock
 
 from repro.k8s.apiserver import APIServer, WatchEvent
-from repro.sim import Environment, Store
-from repro.sim.events import Event
+from repro.sim import Environment, Store, Timeout
+from repro.sim.events import NORMAL, Event
 from repro.sim.resources import StoreGet
 
 _subscribe = APIServer.subscribe
@@ -118,3 +126,110 @@ def wakes_on_the_heap():
         Store, "put", _put_waking_on_the_heap
     ), mock.patch.object(StoreGet, "__init__", _get_on_the_heap):
         yield
+
+
+class Chains:
+    """What :func:`delays_on_the_heap` put back.  Called, it counts the
+    entries so far popped that the fast run saved.  ``met`` lists each
+    ``(t_{n-1}, t_n)`` at which the fused entry would have popped in
+    another order than the chain's last link: an entry pushed at
+    ``t_{n-1}`` and due at ``t_n`` went first in the chain, and the
+    fused entry's key puts it behind (``Environment.delays``'s
+    exactness boundary)."""
+
+    def __init__(self) -> None:
+        self.paid: list[Event] = []
+        self.met: list[tuple[float, float]] = []
+        #: id of a chain's last link -> (the link, the seq its fused
+        #: entry would have drawn at the call).
+        self._last: dict[int, tuple[Event, int]] = {}
+
+    def __call__(self) -> int:
+        return sum(event.processed for event in self.paid)
+
+    def last_link(self, env: Environment, delay: float, call_seq: int) -> Timeout:
+        """Push a chain's last link, ``delay`` from now, noting each
+        entry ahead of it that its fused entry would have gone behind."""
+        now = env.now
+        at = now + float(delay)
+        fused = (now, call_seq)
+        for entry in env._queue:
+            if entry[0] == at and entry[1] == NORMAL and entry[2] == now:
+                link, seq = self._last.get(id(entry[5]), (None, None))
+                key = (now, seq) if link is entry[5] else (entry[3], entry[4])
+                if fused < key:
+                    self.met.append((now, at))
+        link = Timeout(env, delay)
+        self._last[id(link)] = (link, call_seq)
+        return link
+
+
+def _chained(chains: Chains):
+    """``Environment.delays`` as the chain it stands for: a ``Timeout``
+    of the first delay whose pop creates the next one and moves the
+    waiter's callbacks onto it — the entry, and the key, the waiter's
+    own next ``timeout`` would have pushed there."""
+
+    def delays(env, *delays):
+        call_seq = next(env._seq)
+        first, *rest = delays
+        link = Timeout(env, first)
+        if rest:
+            _relink(link, rest, chains, call_seq)
+        return link
+
+    return delays
+
+
+def _relink(link: Event, rest: list[float], chains: Chains, call_seq: int) -> None:
+    callbacks = _t.cast(list, link.callbacks)
+    chains.paid.append(link)
+
+    def next_link(_popped: Event) -> None:
+        # ``callbacks`` is the list the kernel loop is iterating: what
+        # follows this callback (the waiter) moves to the next link.
+        waiters = callbacks[1:]
+        del callbacks[1:]
+        if rest[1:]:
+            following = Timeout(link.env, rest[0])
+            _relink(following, rest[1:], chains, call_seq)
+        else:
+            following = chains.last_link(link.env, rest[0], call_seq)
+        _t.cast(list, following.callbacks).extend(waiters)
+
+    callbacks.append(next_link)
+
+
+def _lead_on_the_heap(chains: Chains):
+    """``APIServer._latency`` as it was: the lead a ``Timeout`` of its
+    own; then the request counted, the stall read and waited out, and
+    the latency paid, each at its own instant."""
+
+    def latency(api, lead=None):
+        env = api.env
+        if lead is not None:
+            call_seq = next(env._seq)
+            waited = env.timeout(lead)
+            chains.paid.append(waited)
+            yield waited
+        api.stats["requests"] += 1
+        stalled_until = api._stalled_until_at(env.now)
+        if stalled_until > env.now:
+            yield env.timeout(stalled_until - env.now)
+        elif lead is not None:
+            yield chains.last_link(env, api.profile.api_latency_s, call_seq)
+            return
+        yield env.timeout(api.profile.api_latency_s)
+
+    return latency
+
+
+@contextlib.contextmanager
+def delays_on_the_heap() -> _t.Iterator[Chains]:
+    """Every chain of delays one ``Timeout`` per delay, and every lead
+    a ``Timeout`` ahead of its request."""
+    chains = Chains()
+    with mock.patch.object(Environment, "delays", _chained(chains)), mock.patch.object(
+        APIServer, "_latency", _lead_on_the_heap(chains)
+    ):
+        yield chains

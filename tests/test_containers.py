@@ -335,6 +335,26 @@ class TestContainerd:
         boot_wait = env.run(until=proc)
         assert boot_wait == pytest.approx(2.0, rel=1e-6)
 
+    def test_a_zero_boot_starts_behind_what_its_caller_pushes_next(self):
+        """A zero boot starts cold: its ``timeout(0.0)``, pushed at the
+        start entry's pop, stands behind what the caller of ``start``
+        pushes due now in its own step.  Started hot, in the caller's
+        step, it would go first, and the container would be ready when
+        the caller's entry pops."""
+        env = Environment()
+        node, rt, reg, image, spec = self._ready_containerd(env, boot_time=0.0)
+        seen = []
+
+        def go(env):
+            yield from rt.pull(image, reg)
+            container = yield from rt.create(spec)
+            yield from rt.start(container)
+            env.call_later(0.0, lambda: seen.append(container.ready.triggered))
+            yield container.ready
+
+        env.run(until=env.process(go(env)))
+        assert seen == [False]
+
     def test_start_concurrency_limited(self):
         env = Environment()
         node = _node(env)

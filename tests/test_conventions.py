@@ -87,6 +87,36 @@ def test_a_store_get_is_the_operand_of_a_yield():
     assert loose == []
 
 
+def _yields_a_timeout(node: ast.stmt) -> bool:
+    return (
+        isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Yield)
+        and isinstance(node.value.value, ast.Call)
+        and isinstance(node.value.value.func, ast.Attribute)
+        and node.value.value.func.attr == "timeout"
+    )
+
+
+def test_back_to_back_delays_are_one_entry():
+    """``yield env.timeout(a)`` directly followed by ``yield
+    env.timeout(b)`` pops an entry whose only act is to push the next:
+    nothing runs between the two.  Such a pair is one
+    ``env.delays(a, b)`` (its exactness boundary is at
+    ``Environment.delays``)."""
+    pairs = []
+    for path in sorted(_ROOT.rglob("*.py")):
+        module = path.relative_to(_ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for field in ("body", "orelse", "finalbody"):
+                body = getattr(node, field, None)
+                if not isinstance(body, list):
+                    continue
+                for first, second in zip(body, body[1:]):
+                    if _yields_a_timeout(first) and _yields_a_timeout(second):
+                        pairs.append(f"{module}:{second.lineno}")
+    assert pairs == []
+
+
 def _imports(node: ast.AST, module: str) -> bool:
     """Does ``node`` import ``module`` (or anything under it)?"""
     if isinstance(node, ast.Import):

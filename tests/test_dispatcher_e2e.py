@@ -49,9 +49,16 @@ waits on its lone container's ``ready`` itself and ``wait_ready`` on
 the port-open event under a side-heap guard — all seventeen fell, by
 the hand-offs each case makes: 26 → 23, 59 → 56, 46 → 43, 15 → 12,
 18 → 14, 60 → 57, 61 → 58, 3 → 2, 3 → 2, 11 → 10, 27 → 24, 16 → 15,
-51 → 48, 33 → 27, 86 → 84, 413 → 409 and 70 → 67, in table order;
-under ``tests/controlhelpers.handoffs_on_the_heap`` every case costs
-its old count again, with the same log.
+51 → 48, 33 → 27, 86 → 84, 413 → 409 and 70 → 67, in table order.
+Since a chain of back-to-back delays is one entry (``Environment.delays``:
+containerd's namespace setup and runtime spawn, and on Kubernetes the
+controllers' sync delays with their first reads), thirteen fell by the
+chains each case waits: 23 → 22, 56 → 55, 43 → 42, 12 → 11, 14 → 13,
+57 → 56, 10 → 9, 24 → 23, 48 → 47, 27 → 25, 84 → 83, 409 → 407 and
+67 → 66, in table order.  Under ``tests/k8shelpers.delays_on_the_heap``
+every case costs its count before that again, and under
+``tests/controlhelpers.handoffs_on_the_heap`` as well the count before
+the hand-offs, with the same log.
 """
 
 from __future__ import annotations
@@ -480,7 +487,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 23,
+        'events': 22,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'cold deploy, image not cached': {
@@ -504,7 +511,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 56,
+        'events': 55,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'three waiters join one deploy': {
@@ -535,7 +542,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 43,
+        'events': 42,
         'flows': [
             ('10.0.0.2', 'docker', None),
             ('10.0.0.3', 'docker', None),
@@ -555,7 +562,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 12,
+        'events': 11,
         'flows': [],
     },
     'already running, at a busy instant': {
@@ -572,7 +579,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 14,
+        'events': 13,
         'flows': [],
     },
     'a retryable pull fault, retried and cured': {
@@ -598,7 +605,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {'deploy_retries/docker': 1},
-        'events': 57,
+        'events': 56,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'retries exhausted: the breaker fed, degraded to a far cluster': {
@@ -700,7 +707,7 @@ _EXPECTED: dict[str, dict] = {
         'breakers': {'docker': []},
         'counters': {'deploy_failures/docker': 1},
         # The wait wakes at its deadline, then at the grid tick after it.
-        'events': 10,
+        'events': 9,
         'flows': [],
     },
     'a background deploy repoints': {
@@ -729,7 +736,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 24,
+        'events': 23,
         'flows': [('10.0.0.2', 'docker', None)],
     },
     'a background failure marks the service degraded': {
@@ -768,7 +775,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 48,
+        'events': 47,
     },
     'idle scale-down over two clusters': {
         "log": [
@@ -795,7 +802,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 27,
+        'events': 25,
         'flows': [],
     },
     'a migration released, evicted, drained and scaled down': {
@@ -817,7 +824,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 84,
+        'events': 83,
     },
     'a migration abort, then a completion, feed migration:site0': {
         "log": [
@@ -840,7 +847,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {'migration:site0': []},
         'counters': {},
-        'events': 409,
+        'events': 407,
     },
     'capacity checked while a deployment is in flight': {
         "log": [
@@ -880,7 +887,7 @@ _EXPECTED: dict[str, dict] = {
         ],
         'breakers': {},
         'counters': {},
-        'events': 67,
+        'events': 66,
         'flows': [('10.0.0.2', 'docker', None)],
     },
 }

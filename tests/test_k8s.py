@@ -90,6 +90,55 @@ class TestSelectors:
         assert matches_selector({"a": "1"}, {})
 
 
+def _first_read_lands(stall_at: float, duration_s: float) -> float:
+    """The instant the deployment controller's first read of a new
+    Deployment returns — when its next read is made — with the API
+    server stalled from ``stall_at`` for ``duration_s``."""
+    from repro.k8s.controllers import DeploymentController
+    from repro.observe import tap
+
+    env = Environment()
+    api = APIServer(env)
+    DeploymentController(env, api)
+    reads = []
+    untap = tap(APIServer, "try_get", lambda api, kind, *_, **__: reads.append((kind, env.now)))
+    try:
+        env.process(api.create(_deployment("web", _image())))
+        env.call_at(stall_at, api.stall_for, duration_s)
+        env.run(until=1.0)
+    finally:
+        untap()
+    return next(at for kind, at in reads if kind == "ReplicaSet")
+
+
+#: Created at 0, the Deployment's ADDED is delivered at ``api + watch``
+#: (30 ms), the controller's read is issued a sync delay later (90 ms)
+#: and lands at 102 ms.  Stalls set before the sync delay, inside it,
+#: and after the read was issued.
+_STALLS = {"before": (0.02, 0.1), "inside": (0.05, 0.1), "after": (0.095, 0.1)}
+
+
+@pytest.mark.parametrize("when", sorted(_STALLS))
+def test_a_stall_delays_a_read_issued_after_a_lead_as_of_its_issue(when):
+    """A controller's sync delay and its first read are one heap entry,
+    so the read learns of a stall only when that entry pops, after the
+    request was issued: it must read the stall as of the issue instant.
+    It lands when the chain of the sync's ``Timeout``, the stall's and
+    the latency's would have landed it (``tests/k8shelpers.delays_on_the_heap``),
+    and a stall set after the issue does not delay it."""
+    from tests.k8shelpers import delays_on_the_heap
+
+    profile = K8sProfile()
+    with delays_on_the_heap():
+        chained = _first_read_lands(*_STALLS[when])
+    assert _first_read_lands(*_STALLS[when]) == chained
+    issued = (profile.api_latency_s + profile.watch_latency_s) + profile.deployment_sync_s
+    if when == "after":
+        assert chained == issued + profile.api_latency_s
+    else:
+        assert chained > issued + profile.api_latency_s
+
+
 class TestAPIServer:
     def test_create_get_update_delete(self):
         env = Environment()

@@ -490,45 +490,56 @@ def _k8s_first_request(monkeypatch):
 
 
 def test_k8s_first_request_event_budget(monkeypatch):
-    """A first request on Kubernetes costs 107 kernel events, 41 fewer
+    """A first request on Kubernetes costs 96 kernel events, 52 fewer
     than the 148 it cost with a relay process behind every informer
-    handler and every work-queue wake-up a ``StoreGet`` entry
-    (``tests/k8shelpers.relays_on_the_heap`` composed with
-    ``wakes_on_the_heap``: the control loops as they were, count for
-    count).  Its 17 watch events — one per subscriber of each write —
-    arrive in 7 delivery entries, one per write, and every handler runs
-    inside its delivery: nothing else was due at any of those instants,
-    so no fallback wake-up (``_wake``) pops.  What went:
+    handler, every work-queue wake-up a ``StoreGet`` entry and every
+    delay of a chain its own ``Timeout`` (``tests/k8shelpers.relays_on_the_heap``
+    composed with ``wakes_on_the_heap`` and ``delays_on_the_heap``: the
+    control loops as they were, count for count).  Its 17 watch events
+    — one per subscriber of each write — arrive in 7 delivery entries,
+    one per write, and every handler runs inside its delivery: nothing
+    else was due at any of those instants, so no fallback wake-up
+    (``_wake``) pops.  What went:
 
     * 27 — per watch event a ``_fan_out`` onto the subscriber's channel
       (17 entries folded into 7) and a ``StoreGet`` resuming the relay
       that read it (17);
     * 14 — the ``StoreGet``s resuming the workers the work queues feed:
       each worker resumes inside the delivery that woke it, and no
-      ``get`` is an entry.
+      ``get`` is an entry;
+    * 11 — the delays that only pushed the next one
+      (``Environment.delays``): the replica-set controller's sync delay
+      ahead of its first read (4 syncs), the deployment controller's
+      (3) and the scheduler's (1), the kubelet's sync and sandbox ahead
+      of the image check (2), and containerd's namespace setup ahead of
+      the runtime spawn (1).
 
-    The relay twin alone counts 4 fewer than it did (144): the relays'
-    reads of a non-empty channel at a quiet instant are in place too.
-    All four counts were 5 higher (119, 160, 156, 133) while FlowMemory
-    swept once a simulated second: five of its ticks fell inside the
-    request, one higher (114, 155, 151, 128) while the packet-in's
-    hop and the handler's processing timer were two entries, and six
-    higher (113, 154, 150, 127) while the deployment's hand-offs were
-    heap entries: the starts of the pipeline, the pod worker, the
-    container's boot and its restart monitor, an ``AllOf`` of the one
-    container's ``ready`` and the ``AnyOf`` of ``wait_ready``
-    (``tests/controlhelpers.handoffs_on_the_heap``).
+    The relay twin alone counts 133, 4 fewer than the three twins less
+    the 11: the relays' reads of a non-empty channel at a quiet instant
+    are in place too.  The fast count and the two single twins were 11
+    higher (107, 144, 121; the full twin 148) while a chain of delays
+    was one entry per delay.  Before that, all four (fast, full, relays,
+    wakes) were six higher (113, 154, 150, 127) while the deployment's
+    hand-offs were heap entries: the starts of the pipeline, the pod
+    worker, the container's boot and its restart monitor, an ``AllOf``
+    of the one container's ``ready`` and the ``AnyOf`` of
+    ``wait_ready`` (``tests/controlhelpers.handoffs_on_the_heap``); one
+    higher again (114, 155, 151, 128) while the packet-in's hop and the
+    handler's processing timer were two entries; and 5 higher again
+    (119, 160, 156, 133) while FlowMemory swept once a simulated second:
+    five of its ticks fell inside the request.
 
     The control channel's part is the same in all four counts: the
     packet-in, landed when its processing time ends (``_land_packet_in``),
     and one hop down, which lands the reverse entry, the forward entry
     and the release together (``_deliver_down``)."""
-    from tests.k8shelpers import relays_on_the_heap, wakes_on_the_heap
+    from tests.k8shelpers import delays_on_the_heap, relays_on_the_heap, wakes_on_the_heap
 
-    with relays_on_the_heap(), wakes_on_the_heap():
+    with relays_on_the_heap(), wakes_on_the_heap(), delays_on_the_heap() as chains:
         _, heap_resumed, heap_events, heap_watch_events, _ = _k8s_first_request(
             monkeypatch
         )
+        chained = chains()
     with relays_on_the_heap():
         relay_events = _k8s_first_request(monkeypatch)[2]
     with wakes_on_the_heap():
@@ -537,10 +548,11 @@ def test_k8s_first_request_event_budget(monkeypatch):
     assert watch_events == heap_watch_events == 17
     assert sum(name.startswith("relay:") for name in heap_resumed) == 17
     assert heap_events == 148
-    assert relay_events == heap_events - 4 == 144
-    assert woken_events == heap_events - 27 == 121
+    assert chained == 11
+    assert relay_events == heap_events - 4 - chained == 133
+    assert woken_events == heap_events - 27 - chained == 110
     assert len(woken) == 14 and all(name.endswith("-worker") for name in woken)
-    assert events == woken_events - 14 == 107
+    assert events == woken_events - 14 == 96
 
     kinds = [getattr(entry, "__qualname__", "") for entry in popped]
     assert kinds.count("ControlChannel._land_packet_in") == 1
@@ -586,7 +598,7 @@ def _every_boundary_tapped():
 
 @pytest.mark.parametrize(
     "budget, events",
-    [("warm_request", 10), ("flow_memory_miss", 10 + 2), ("k8s_first_request", 107)],
+    [("warm_request", 10), ("flow_memory_miss", 10 + 2), ("k8s_first_request", 96)],
 )
 def test_event_budgets_hold_with_every_boundary_tapped(monkeypatch, budget, events):
     """The three event budgets above, run once more with a no-op

@@ -849,12 +849,13 @@ def _k8s_schedule(nodes, profile, steps):
     log: list[tuple] = []
 
     def logged(verb):
-        def observe(api, *args):
+        def observe(api, *args, lead=0.0):
+            # At the instant the request is issued: after its lead.
             if verb in ("create", "update"):
                 kind, key = args[0].kind, args[0].metadata.name
             else:
                 kind, key = args[0], args[1:2]
-            log.append((api.env.now, verb, kind, key))
+            log.append((api.env.now + lead, verb, kind, key))
 
         return observe
 
@@ -1034,10 +1035,22 @@ _WAKES_IN_PUT_ORDER = (1, _ALL_AT_ONCE, [(0.0, [("deploy", 1, None)])])
 _GET_BEHIND_AN_ENTRY_DUE_NOW = (1, _ALL_AT_ONCE, [(0.0, [("deploy", 2, None)])])
 
 
+# One node, API latency 200 ms, watch 90 ms: web0 deployed at 0.25 s,
+# scaled to 1 at 0.5 s and deleted at 0.6 s.  At 0.8 s the deployment
+# controller's fused sync-and-read must land after the Deployment's
+# delete, whose request was issued inside the sync delay.
+_READ_BEHIND_A_DELETE = (
+    1,
+    K8sProfile(api_latency_s=0.2, watch_latency_s=0.09),
+    [(0.25, [("deploy", 1, None)]), (0.25, [("scale", 0, 1)]), (0.1, [("delete-deployment", 0)])],
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(schedule=_k8s_schedules)
 @example(schedule=_WAKES_IN_PUT_ORDER)
 @example(schedule=_GET_BEHIND_AN_ENTRY_DUE_NOW)
+@example(schedule=_READ_BEHIND_A_DELETE)
 def test_work_queue_wakeups_are_the_entries_they_replace(schedule):
     """The schedules above, on a real ``KubernetesCluster``.  The
     ordered log and the final pod table are equal whether a worker woken
@@ -1063,11 +1076,37 @@ def test_work_queue_wakeups_are_the_entries_they_replace(schedule):
     All six ``cold_deploy`` digests stay equal under each of (a), (b)
     and (c): the md5s cannot see them.  The twin equals the store it
     replaced (``Store.put`` / ``StoreGet`` as they were under ``src/``)
-    on 3 000 of 3 000 schedules, event counts included."""
-    from tests.k8shelpers import wakes_on_the_heap
+    on 3 000 of 3 000 schedules, event counts included.
 
-    with wakes_on_the_heap():
+    Composed with ``delays_on_the_heap`` — every chain of delays
+    (``Environment.delays``) one ``Timeout`` per delay, every lead of a
+    read (``APIServer._latency``) a ``Timeout`` of its own — the heap
+    side is also the control loops before chains were fused, on every
+    schedule inside the fused key's exactness boundary.  A schedule
+    beyond it (the twin pushed a chain's last link behind an entry
+    pushed at the same instant and due with it: 24 of 1 000 random
+    schedules, of which 9 then log otherwise) is held to the wake-ups'
+    twin alone.  Mutations of ``Environment.delays`` this fails under,
+    on 976 schedules inside the boundary:
+
+    (d) the fused entry keyed at the chain's first instant, not its
+        last skipped one — 1 of 976, ``_READ_BEHIND_A_DELETE``: the
+        deployment controller reads ahead of a delete it read after.
+    (e) the delays summed as ``t0 + (d1 + d2)`` — 469 of 976.
+
+    A stall read at the fused entry's pop instead of the read's issue
+    instant is not this property's to see (no schedule stalls the API
+    server): ``tests/test_k8s.py`` holds it
+    (``test_a_stall_delays_a_read_issued_after_a_lead_as_of_its_issue``)."""
+    from tests.k8shelpers import delays_on_the_heap, wakes_on_the_heap
+
+    with wakes_on_the_heap(), delays_on_the_heap() as chains:
         heap_log, heap_pods, heap_events = _k8s_schedule(*schedule)
+    if chains.met:
+        # Beyond the fused key (``Environment.delays``): the wake-ups
+        # alone are held to the store as it was.
+        with wakes_on_the_heap():
+            heap_log, heap_pods, heap_events = _k8s_schedule(*schedule)
     log, pods, events = _k8s_schedule(*schedule)
     assert log == heap_log
     assert pods == heap_pods
@@ -2149,11 +2188,13 @@ def test_deployment_shortcut_is_the_process_it_replaces(storm):
     when their processing ends and handlers start hot there, and a
     deployment's hand-offs cost no entry, or every answer is a process,
     every packet-in lands in its batch, every handler starts cold behind
-    a processing timer and every hand-off is an entry
-    (``tests/controlhelpers.deployments_on_the_heap``, the control plane
-    as it was); and the event counts differ by exactly two per shortcut
-    taken, one per handler, one per batch that held only packet-ins,
-    one per hot start and one per condition or timer the twin popped.
+    a processing timer and every hand-off and every link of a chain of
+    delays is an entry (``tests/controlhelpers.deployments_on_the_heap``,
+    the control plane as it was); and the event counts differ by
+    exactly two per shortcut taken, one per handler, one per batch that
+    held only packet-ins, one per hot start and one per condition,
+    timer or chained delay the twin popped.  (No storm of 1 300 random
+    ones met the fused delays' exactness boundary.)
 
     Mutations this fails under (run on a scratch copy; the examples
     above are what hypothesis shrank them to):
@@ -2202,10 +2243,12 @@ def test_deployment_shortcut_is_the_process_it_replaces(storm):
         is left armed.
     (j) the readiness wait returning at the port's opening, off the
         poll grid — every example.
+    (k) the delays of a chain summed as ``t0 + (d1 + d2)`` — random
+        draws: containerd's start lands off the chain's instant.
     It cannot see a boot started hot at a zero boot time (no caller
-    pushes anything due now after ``Containerd.start``) nor a restart
-    monitor started hot once its container's exit has popped (no storm
-    crashes a container).
+    pushes anything due now after ``Containerd.start``):
+    ``tests/test_containers.py`` holds that
+    (``test_a_zero_boot_starts_behind_what_its_caller_pushes_next``).
     """
     with deployments_on_the_heap():
         instants = _packet_in_storm(*storm)[4]
