@@ -183,7 +183,7 @@ class EdgeCluster(abc.ABC):
         wait returns at the poll loop's instant with its answer.
 
         The wait yields the port-open event itself.  The deadline is a
-        side-heap guard (:meth:`~repro.sim.environment.Environment.deadline`)
+        expiry-heap guard (:meth:`~repro.sim.environment.Environment.deadline`)
         armed when the wait starts, so it is due at ``deadline`` to the
         bit; when it fires first it drops the subscription and wakes the
         wait, and the wait cancels it when it returns — a wait that ends

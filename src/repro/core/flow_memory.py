@@ -15,6 +15,7 @@ its clock started — when the switch reports the redirect idle.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import typing as _t
 
 from repro.cluster.base import ServiceEndpoint
@@ -22,6 +23,7 @@ from repro.core.service_registry import EdgeService
 from repro.core.state import ControlPlaneState
 from repro.net.addressing import IPv4Address
 from repro.sim import Environment
+from repro.sim.expiry import Expiry, by_order
 
 
 @dataclasses.dataclass
@@ -41,6 +43,10 @@ class MemorizedFlow:
     degraded_from: str | None = None
     #: When the flow expires; ``None`` while a redirect holds it.
     deadline: float | None = None
+    #: The ``seq`` of the flow's entry on its memory's expiry heap
+    #: (``None``: none is live), and its place in the memory's order.
+    _seq: int | None = dataclasses.field(default=None, repr=False, compare=False)
+    _order: int = dataclasses.field(default=0, repr=False, compare=False)
 
     @property
     def key(self) -> tuple[IPv4Address, str]:
@@ -74,7 +80,8 @@ class FlowMemory:
         #: Service name -> how many flows of it are memorized; written
         #: wherever ``_flows`` is, and a name leaves at 0.
         self._in_use: dict[str, int] = {}
-        self._wake_at: float | None = None  # when the armed wake fires
+        self._expiry = Expiry(env, self._deadline, self._expire, by_order)
+        self._next_order = itertools.count()
 
     # -- core operations ---------------------------------------------------
 
@@ -97,6 +104,7 @@ class FlowMemory:
                 endpoint=endpoint,
                 created_at=self.env.now,
                 degraded_from=degraded_from,
+                _order=next(self._next_order),
             )
             self._flows[flow.key] = flow
             name = service.name
@@ -115,17 +123,18 @@ class FlowMemory:
     def hold(self, flow: MemorizedFlow) -> None:
         """A redirect of the flow is installed: it cannot expire."""
         flow.deadline = None
+        self._unclock(flow)
 
     def release(self, flow: MemorizedFlow, since: float) -> None:
         """No redirect of the flow is installed: it expires ``idle_timeout_s`` after ``since``."""
-        flow.deadline = deadline = since + self.idle_timeout_s
-        if self._wake_at is None or deadline < self._wake_at:
-            self._wake_at = deadline
-            self.env.call_at(deadline, self._expire, deadline)
+        self._unclock(flow)
+        flow.deadline = since + self.idle_timeout_s
+        flow._seq = self._expiry.push(flow.deadline, flow)
 
     def forget(self, flow: MemorizedFlow) -> None:
         if self._flows.pop(flow.key, None) is not None:
             self._drop_use(flow.service.name)
+            self._unclock(flow)
 
     def forget_client(self, client_ip: IPv4Address) -> list[MemorizedFlow]:
         """Drop every memorized flow of one client (mobility
@@ -137,8 +146,7 @@ class FlowMemory:
             flow for flow in self._flows.values() if flow.client_ip == client_ip
         ]
         for flow in stale:
-            del self._flows[flow.key]
-            self._drop_use(flow.service.name)
+            self.forget(flow)
         return stale
 
     # -- service-level queries -------------------------------------------------
@@ -179,18 +187,20 @@ class FlowMemory:
 
     # -- expiry ---------------------------------------------------------------------
 
-    def _expire(self, at: float) -> None:
-        if at != self._wake_at:
-            return  # superseded by an earlier wake
-        now = self.env.now
-        expired = [f for f in self._flows.values() if f.deadline is not None and f.deadline <= now]
+    def _unclock(self, flow: MemorizedFlow) -> None:
+        """The flow's entry on the expiry heap, if any, goes stale."""
+        if flow._seq is not None:
+            flow._seq = None
+            self._expiry.discard(1)
+
+    def _deadline(self, entry: tuple) -> float | None:
+        """A flow is due at the deadline of its live entry."""
+        return entry[0] if entry[2]._seq == entry[1] else None
+
+    def _expire(self, expired: list[MemorizedFlow]) -> None:
         for flow in expired:
-            del self._flows[flow.key]
-            self._drop_use(flow.service.name)
-        pending = [flow.deadline for flow in self._flows.values() if flow.deadline is not None]
-        self._wake_at = min(pending, default=None)
-        if pending:
-            self.env.call_at(self._wake_at, self._expire, self._wake_at)
+            flow._seq = None  # its entry left the heap
+            self.forget(flow)
         # Callbacks run after the removal pass so service_in_use
         # reflects the post-expiry state.
         if self.on_expire is not None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import typing as _t
 from heapq import heappush
+from math import inf, nextafter
 
 from repro.net.device import NetDevice, NetworkInterface
 from repro.net.openflow.actions import Action, Drop, Nat, Output, SetSrc, ToController
@@ -20,6 +21,7 @@ from repro.net.openflow.table import FlowEntry, FlowTable
 from repro.net.packet import Packet, TCPFlags
 from repro.sim import Environment
 from repro.sim.events import NORMAL
+from repro.sim.expiry import Expiry, by_order
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sdnfw.app import SDNApp
@@ -198,7 +200,17 @@ class OpenFlowSwitch(NetDevice):
         super().__init__(env, name)
         self.datapath_id = datapath_id
         self.lookup_delay_s = float(lookup_delay_s)
-        self.table = FlowTable()
+        # Timed entries idle out through an expiry heap woken on the grid
+        # the fixed-interval sweeper ticked on (FlowRemoved instants kept).
+        self.table = FlowTable(
+            Expiry(
+                env,
+                self._idle_deadline,
+                self._idled_out,
+                by_order,
+                EXPIRY_SWEEP_INTERVAL_S,
+            )
+        )
         self.channel: ControlChannel | None = None
         self._ports: dict[int, NetworkInterface] = {}
         self._next_port = itertools.count(1)
@@ -210,17 +222,6 @@ class OpenFlowSwitch(NetDevice):
         self.connections: dict[tuple, _t.Any] = {}
         #: Counters for tests and diagnostics.
         self.stats = {"rx": 0, "tx": 0, "miss": 0, "drop": 0, "punt": 0}
-        # Expiry is deadline-driven: instead of a process sweeping the
-        # table every ``EXPIRY_SWEEP_INTERVAL_S`` even when idle, the
-        # switch wakes only at the sweep-grid tick covering the
-        # earliest possible expiry.  The grid (construction time plus
-        # multiples of the interval, accumulated in float exactly as
-        # the old fixed-interval sweeper did) is kept so FlowRemoved
-        # messages fire at byte-identical simulated times.
-        self._grid_cursor = env.now
-        self._wake_at: float | None = None
-        self._wake_gen = 0
-        self.table.on_insert = self._entry_installed
 
     # -- ports -----------------------------------------------------------
 
@@ -394,53 +395,25 @@ class OpenFlowSwitch(NetDevice):
         packet, in_port = held
         self._apply_actions(actions, packet, in_port)
 
-    # -- deadline-driven expiry --------------------------------------------------
+    # -- idle expiry ----------------------------------------------------------------
 
-    def _entry_installed(self, entry: FlowEntry) -> None:
-        """Table hook: arm the expiry wakeup for a fresh entry."""
-        deadline = entry.next_deadline()
-        if deadline is not None:
-            self._schedule_expiry_wake(deadline)
+    def _idle_deadline(self, entry: tuple) -> float | None:
+        """``None`` once the entry left the table, ``now`` once it is idle
+        by the test ``now - last_used >= idle_timeout`` (not by the sum
+        ``last_used + idle_timeout``: they can differ in the last place),
+        else its deadline, later than now."""
+        rule = entry[2]
+        if rule not in self.table:
+            return None
+        now = self.env._now
+        if now - rule.last_used >= rule.idle_timeout:
+            return now
+        at = rule.last_used + rule.idle_timeout
+        return at if at > now else nextafter(now, inf)
 
-    def _next_grid_tick(self, deadline: float) -> float:
-        """First future sweep-grid tick at or after ``deadline``.
-
-        The grid is the tick sequence the old fixed-interval sweeper
-        produced: construction time plus repeated float addition of
-        the interval.  Reproducing that accumulation (rather than
-        computing ``start + k * interval``) keeps expiry times
-        byte-identical to the polling implementation.
-        """
-        interval = EXPIRY_SWEEP_INTERVAL_S
-        now = self.env.now
-        while self._grid_cursor <= now:
-            self._grid_cursor += interval
-        tick = self._grid_cursor
-        while tick < deadline:
-            tick += interval
-        return tick
-
-    def _schedule_expiry_wake(self, deadline: float) -> None:
-        if self._wake_at is not None and self._wake_at <= deadline:
-            return  # the armed wakeup already covers this deadline
-        tick = self._next_grid_tick(deadline)
-        if self._wake_at is not None and self._wake_at <= tick:
-            return
-        self._wake_at = tick
-        self._wake_gen += 1
-        gen = self._wake_gen
-        self.env.call_at(tick, self._expiry_wake, gen)
-
-    def _expiry_wake(self, gen: int) -> None:
-        if gen != self._wake_gen:
-            return  # superseded by an earlier wakeup
-        self._wake_at = None
-        expired, deadline = self.table.sweep_and_deadline(self.env.now)
+    def _idled_out(self, entries: list[FlowEntry]) -> None:
+        """Remove what idled out and report it, in install order."""
+        self.table._bulk_remove(entries)
         if self.channel is not None:
-            for entry in expired:
+            for entry in entries:
                 self.channel.send_to_controller(FlowRemoved(entry.match))
-        # Entries may have been touched since this wake was armed (a
-        # spurious wake): re-arm at the new earliest possible expiry, if
-        # any entry can still expire.
-        if deadline is not None:
-            self._schedule_expiry_wake(deadline)

@@ -10,6 +10,7 @@ import typing as _t
 from repro.net.openflow.actions import Action
 from repro.net.openflow.match import FlowMatch
 from repro.net.packet import Packet
+from repro.sim.expiry import Expiry
 
 #: Match fields an index shape can bind, in canonical order.  The
 #: order matches the packet's cached ``match_values()`` tuple, then
@@ -96,17 +97,6 @@ class FlowEntry:
         #: Table-assigned install order (tie-break within a priority).
         self._order: int = 0
 
-    def next_deadline(self) -> float | None:
-        """Earliest simulated time this entry *could* expire.
-
-        The idle deadline moves forward with every matched packet, so a
-        deadline computed now is a lower bound — the entry is never
-        expired before it, but may survive past it.
-        """
-        if self.idle_timeout:
-            return self.last_used + self.idle_timeout
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         acts = ", ".join(str(a) for a in self.actions)
         return f"<FlowEntry p{self.priority} {self.match} -> [{acts}]>"
@@ -138,11 +128,13 @@ class FlowTable:
     controller's teardown path) independent of table size.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, expiry: Expiry) -> None:
+        #: Where the timed entries' idle deadlines are kept (its switch's).
+        self.expiry = expiry
         # Insertion-ordered set of the live entries.
         self._entries: dict[FlowEntry, None] = {}
         #: Mutation counter: bumped on every install and every removal
-        #: (FlowMod delete, idle-timeout sweep, direct remove).
+        #: (FlowMod delete, idle-out, power cycle).
         #: Published per switch by the ops read model
         #: (``SwitchView.table_epoch``): equal epochs mean an unchanged
         #: table.
@@ -160,16 +152,15 @@ class FlowTable:
         #: Live entries that match a connection mark: while there is
         #: none, a lookup needs no packet's mark.
         self.marked = 0
-        #: Invoked with the entry after every install (the switch hooks
-        #: this to re-arm its expiry wakeup, covering direct installs
-        #: that bypass the FlowMod path).
-        self.on_insert: _t.Callable[[FlowEntry], None] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> _t.Iterator[FlowEntry]:
         return iter(self._entries)
+
+    def __contains__(self, entry: object) -> bool:
+        return entry in self._entries
 
     def install(self, entry: FlowEntry, now: float) -> None:
         self.epoch += 1
@@ -180,8 +171,8 @@ class FlowTable:
         if len(entries) > self.peak_size:
             self.peak_size = len(entries)
         self._index_add(entry)
-        if self.on_insert is not None:
-            self.on_insert(entry)
+        if entry.idle_timeout:
+            self.expiry.push(now + entry.idle_timeout, entry)
 
     def lookup(self, packet: Packet, mark: _t.Any) -> FlowEntry | None:
         """Highest-priority matching entry, or ``None`` (table miss);
@@ -211,48 +202,25 @@ class FlowTable:
         self._plans.clear()
         self._by_cookie.clear()
         self.marked = 0
+        self.expiry.clear()
 
     def remove_matching(self, cookie: _t.Any) -> list[FlowEntry]:
         """Remove the entries carrying ``cookie`` (a FlowMod delete);
         returns them in install order."""
         removed = self._by_cookie.pop(cookie, [])
         self._bulk_remove(removed)
+        # Their deadlines stay on the expiry heap, stale.
+        self.expiry.discard(sum(1 for entry in removed if entry.idle_timeout))
         return removed
 
     def _bulk_remove(self, removed: list[FlowEntry]) -> None:
+        """Drop installed entries (a delete's, or idle-outs)."""
         if not removed:
             return
         self.epoch += 1
         for entry in removed:
             del self._entries[entry]
             self._index_discard(entry)
-
-    def sweep_and_deadline(self, now: float) -> tuple[list[FlowEntry], float | None]:
-        """Remove what idled out and find when the rest could, in one pass.
-
-        The deadline-driven expiry wake needs both — what expired, and
-        when the next survivor *could* expire — and with low idle
-        timeouts the table is scanned at every sweep-grid tick, so it
-        is a single loop over inlined timeout arithmetic
-        (``tests/flowtable_oracle.py`` is the two-pass reference:
-        ``expired`` per entry, then :meth:`FlowEntry.next_deadline`).
-        Returns ``(expired, earliest)``: ``expired`` lists the removed
-        entries in install order, and ``earliest`` is the surviving
-        entries' earliest possible expiry (or ``None``).
-        """
-        expired: list[FlowEntry] = []
-        earliest: float | None = None
-        for entry in self._entries:
-            idle = entry.idle_timeout
-            if idle:
-                if now - entry.last_used >= idle:
-                    expired.append(entry)
-                    continue
-                deadline = entry.last_used + idle
-                if earliest is None or deadline < earliest:
-                    earliest = deadline
-        self._bulk_remove(expired)
-        return expired, earliest
 
     # -- index maintenance ----------------------------------------------
 

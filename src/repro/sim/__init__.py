@@ -23,6 +23,10 @@ Each primitive pushes its own heap entry (there is no generic
 it, and no register names the running process.  A chain of back-to-back
 delays is one entry (``Environment.delays``).
 
+Guard timeouts, a switch's idle timeouts and FlowMemory's flows keep
+their deadlines on an :class:`~repro.sim.expiry.Expiry`: one heap, one
+armed wake at the earliest, and no timed table is scanned.
+
 Simulated time is a ``float`` in **seconds**; determinism does not depend
 on float tie-breaking because every scheduled event carries a strictly
 increasing sequence number.

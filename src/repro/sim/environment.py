@@ -5,16 +5,11 @@ from __future__ import annotations
 import gc
 import heapq
 import typing as _t
-from heapq import heapify  # bound here: tests swap ``heapq`` to watch the main heap
 from itertools import count
 
 from repro.sim.events import Event, NORMAL, PENDING, Timeout
+from repro.sim.expiry import Expiry
 from repro.sim.process import Process, _Detached
-
-#: Compact the deadline side heap once more than this share of at least
-#: ``_COMPACT_FLOOR`` entries is cancelled (asyncio's timer-heap rule).
-_CANCELLED_SHARE = 0.5
-_COMPACT_FLOOR = 64
 
 
 class SimulationError(RuntimeError):
@@ -22,16 +17,12 @@ class SimulationError(RuntimeError):
 
 
 class Deadline(Event):
-    """A cancellable guard timeout living in the deadline side-heap.
-
-    Unlike :class:`Timeout`, creation pushes nothing onto the main
-    event heap: the environment tracks the deadline in a side-heap and
-    keeps a single armed wakeup for the earliest one.  ``cancel()``
-    (the normal outcome — the guarded operation won the race) flags and
-    counts the entry, which leaves when it surfaces at the top or when
-    the side heap is compacted; a second ``cancel()``, or one after the
-    deadline fired, does nothing.  A deadline that does fire succeeds
-    through the regular event path at its exact scheduled time.
+    """A cancellable guard timeout on the environment's expiry heap
+    (:class:`~repro.sim.expiry.Expiry`): creating one pushes nothing
+    onto the main event heap.  ``cancel()`` (the normal outcome — the
+    guarded operation won the race) counts it stale; a second
+    ``cancel()``, or one after the deadline fired, does nothing.  A
+    deadline that fires succeeds at its exact scheduled time.
     """
 
     __slots__ = ("_dvalue", "cancelled")
@@ -43,20 +34,20 @@ class Deadline(Event):
 
     def cancel(self) -> None:
         if self.cancelled or self._value is not PENDING:
-            return  # counted already, or off the side heap
+            return  # counted already, or off the expiry heap
         self.cancelled = True
-        env = self.env
-        env._deadlines_cancelled += 1
-        heap = env._deadlines
-        if (
-            len(heap) >= _COMPACT_FLOOR
-            and env._deadlines_cancelled > _CANCELLED_SHARE * len(heap)
-        ):
-            # Exact: the armed wakeup and the minimum live entry stay
-            # put, and unique (at, seq) keys keep the firing order.
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
-            heapify(heap)
-            env._deadlines_cancelled = 0
+        self.env._deadlines.discard(1)
+
+
+def _guard_deadline(entry: tuple) -> float | None:
+    """A guard is due at its instant until it is cancelled."""
+    return None if entry[2].cancelled else entry[0]
+
+
+def _fire_guards(guards: list[Deadline]) -> None:
+    for guard in guards:
+        if guard._value is PENDING:
+            guard.succeed(guard._dvalue)
 
 
 class EmptySchedule(Exception):
@@ -104,16 +95,8 @@ class Environment:
         #: Total heap entries processed since construction — the
         #: denominator of the events/sec throughput metric.
         self.events_processed = 0
-        # Deadline side-heap: (time, local_seq, Deadline) entries with
-        # their own tie-break counter, plus a single armed main-heap
-        # wakeup for the earliest entry (generation-tagged so a
-        # superseded wakeup turns into a no-op), and how many of its
-        # entries are cancelled (``Deadline.cancel`` compacts on it).
-        self._deadlines: list[tuple] = []
-        self._deadlines_cancelled = 0
-        self._deadline_seq = count()
-        self._deadline_gen = 0
-        self._deadline_wake_at: float | None = None
+        #: The guard timeouts of :meth:`deadline`, off the main heap.
+        self._deadlines = Expiry(self, _guard_deadline, _fire_guards)
 
     # -- inspection ------------------------------------------------------
 
@@ -209,47 +192,17 @@ class Environment:
         Use for deadlines that usually do *not* fire (request guards,
         watchdogs): call ``.cancel()`` on the returned event once the
         guarded operation wins the race and the deadline stops costing
-        anything.  The deadline is parked in a side-heap, so a guard
-        never occupies the main event heap — a replay cancels tens of
-        thousands of 120 s request guards, and their depth would tax
-        every push and pop; compaction frees them long before they are
-        due (:class:`Deadline`).
+        anything.  The deadline is kept on an expiry heap
+        (:class:`~repro.sim.expiry.Expiry`), so a guard never occupies
+        the main event heap — a replay cancels tens of thousands of 120 s
+        request guards, and their depth would tax every push and pop;
+        compaction frees them long before they are due (:class:`Deadline`).
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         event = Deadline(self, value)
-        at = self._now + delay
-        heapq.heappush(
-            self._deadlines, (at, next(self._deadline_seq), event)
-        )
-        wake = self._deadline_wake_at
-        if wake is None or at < wake:
-            self._deadline_wake_at = at
-            self._deadline_gen += 1
-            self.call_at(at, self._deadline_fire, self._deadline_gen)
+        self._deadlines.push(self._now + delay, event)
         return event
-
-    def _deadline_fire(self, gen: int) -> None:
-        if gen != self._deadline_gen:
-            return  # superseded by an earlier arming
-        self._deadline_wake_at = None
-        heap = self._deadlines
-        now = self._now
-        pop = heapq.heappop
-        while heap and heap[0][0] <= now:
-            event = pop(heap)[2]
-            if event.cancelled:
-                self._deadlines_cancelled -= 1
-            elif event._value is PENDING:
-                event.succeed(event._dvalue)
-        while heap and heap[0][2].cancelled:
-            pop(heap)
-            self._deadlines_cancelled -= 1
-        if heap:
-            at = heap[0][0]
-            self._deadline_wake_at = at
-            self._deadline_gen += 1
-            self.call_at(at, self._deadline_fire, self._deadline_gen)
 
     def process(
         self,

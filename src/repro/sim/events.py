@@ -314,7 +314,7 @@ def guard_timeout(
     receives as a thrown exception at its ``yield``.  The exception
     message is assembled lazily — winners never pay for the
     formatting.  The caller must still ``deadline.cancel()`` after a
-    successful wait: only a cancelled deadline leaves the side heap
+    successful wait: only a cancelled deadline leaves the expiry heap
     before it is due, and with it this closure, ``event`` and its value.
     """
 

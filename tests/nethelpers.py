@@ -103,10 +103,9 @@ def record_popped_entries(monkeypatch, note=None) -> list:
 
     def recording_pop(queue):
         item = heapq.heappop(queue)
-        if len(item) >= 6:  # not the deadline side-heap's 3-tuples
-            popped.append(item[5])
-            if note is not None:
-                note(item)
+        popped.append(item[5])
+        if note is not None:
+            note(item)
         return item
 
     monkeypatch.setattr(
@@ -128,12 +127,12 @@ def handoff_on_the_heap():
 
 @contextlib.contextmanager
 def guards_purged_at_the_top():
-    """The deadline side heap's lazy twin: ``Deadline.cancel`` only
-    flags the guard — fired or not, twice or once — so a cancelled guard
-    leaves the side heap when it surfaces at the top at a wakeup, never
-    earlier: the kernel as it was before compaction.  Nothing counts the
-    flags up; the count ``_deadline_fire`` counts down goes negative and
-    is never read."""
+    """The lazy twin of the guards' expiry heap: ``Deadline.cancel``
+    only flags the guard — fired or not, twice or once — so a cancelled
+    guard leaves ``env._deadlines`` (a :class:`repro.sim.expiry.Expiry`)
+    when it surfaces at the top at a wake, never earlier: the kernel as it
+    was before compaction.  Nothing counts the flags up; the ``stale``
+    count the wake counts down goes negative and is never read."""
 
     def flag(deadline) -> None:
         deadline.cancelled = True

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.plan import ServiceEndpoint
 from repro.net import IPv4Address
@@ -19,13 +21,12 @@ from repro.net.openflow import (
     ToController,
 )
 from repro.net.openflow.switch import ControlChannel, OpenFlowSwitch
-from repro.net.openflow.table import FlowTable
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.observe import tap
 from repro.sdnfw import SDNApp
 from repro.sim import Environment
 
-from tests.flowtable_oracle import earliest_deadline, matches, sweep_expired, touch
+from tests.flowtable_oracle import SweptExpiry, bare_table, matches, sweep_expired, touch
 from tests.nethelpers import EchoApp, MiniNet, record_popped_entries, run_request
 
 
@@ -49,7 +50,7 @@ class TestFlowMatch:
 
 class TestFlowTable:
     def test_priority_order(self):
-        table = FlowTable()
+        table = bare_table()
         low = FlowEntry(FlowMatch(), [Drop()], priority=1)
         high = FlowEntry(FlowMatch(tcp_dst=80), [Output(1)], priority=10)
         table.install(low, 0.0)
@@ -58,7 +59,7 @@ class TestFlowTable:
         assert table.lookup(_packet(dport=22), None) is low
 
     def test_tie_broken_by_install_order(self):
-        table = FlowTable()
+        table = bare_table()
         first = FlowEntry(FlowMatch(), [Drop()], priority=5)
         second = FlowEntry(FlowMatch(), [Output(1)], priority=5)
         table.install(first, 0.0)
@@ -66,12 +67,12 @@ class TestFlowTable:
         assert table.lookup(_packet(), None) is first
 
     def test_miss_returns_none(self):
-        table = FlowTable()
+        table = bare_table()
         table.install(FlowEntry(FlowMatch(tcp_dst=443), [Drop()]), 0.0)
         assert table.lookup(_packet(dport=80), None) is None
 
     def test_idle_timeout_expiry(self):
-        table = FlowTable()
+        table = bare_table()
         entry = FlowEntry(FlowMatch(), [Drop()], idle_timeout=5.0)
         table.install(entry, 0.0)
         assert sweep_expired(table, 4.0) == []
@@ -81,13 +82,13 @@ class TestFlowTable:
         assert len(table) == 0
 
     def test_zero_timeout_never_expires(self):
-        table = FlowTable()
+        table = bare_table()
         entry = FlowEntry(FlowMatch(), [Drop()])
         table.install(entry, 0.0)
         assert sweep_expired(table, 1e9) == []
 
     def test_remove_matching_by_cookie(self):
-        table = FlowTable()
+        table = bare_table()
         a = FlowEntry(FlowMatch(tcp_dst=80), [Drop()], cookie="svc-a")
         b = FlowEntry(FlowMatch(tcp_dst=81), [Drop()], cookie="svc-b")
         table.install(a, 0.0)
@@ -95,41 +96,125 @@ class TestFlowTable:
         removed = table.remove_matching(cookie="svc-a")
         assert removed == [a] and len(table) == 1
 
-class TestFusedSweep:
-    """``sweep_and_deadline`` is ``sweep_expired`` + ``earliest_deadline``
-    in one pass; the two-pass pair (``tests/flowtable_oracle.py``) is
-    the reference."""
 
-    @staticmethod
-    def _populated_table(n: int = 400) -> tuple[FlowTable, list[FlowEntry]]:
-        table = FlowTable()
-        entries = []
-        for i in range(n):
+#: Instants an op may run at, past either start: the sweep grid's ticks
+#: and instants off it, many of them inexact in binary (0.05 steps).
+_INSTANTS = [k * 0.05 for k in range(3, 120)]
+#: An op: ``(instant, late, kind, argument)``.  A late op is scheduled
+#: at its instant, so it runs behind a wake due then; the others run
+#: ahead of it.
+_table_ops = st.tuples(
+    st.sampled_from(_INSTANTS),
+    st.booleans(),
+    st.sampled_from(("install", "install", "install", "touch", "touch", "delete", "power")),
+    st.tuples(st.sampled_from((0.0, 0.1, 0.25, 0.4, 1.0, 2.5)), st.integers(0, 2)),
+)
+
+# A sum that reaches the wake's tick while the test does not, and a test
+# that holds one float before its sum (on a grid begun at 0.1), each at
+# a wake another entry arms: the table's test decides both.
+_SUM_AHEAD_OF_THE_TEST = (0.0, [(61.50000000000001, False, "install", (10.0, 0))])
+_TEST_AHEAD_OF_THE_SUM = (
+    0.1,
+    [(1.3500000000000003, False, "install", (2.5, 0)), (3.7, False, "install", (0.1, 1))],
+)
+# Entries idle out together, installed out of deadline order, one of them
+# refreshed and one deleted before the wake.
+_OUT_OF_ORDER = (
+    0.0,
+    [
+        (0.05, False, "install", (1.0, 0)),
+        (0.1, False, "install", (0.4, 1)),
+        (0.15, False, "install", (0.25, 2)),
+        (0.3, True, "touch", (0.0, 1)),
+        (0.35, False, "delete", (0.0, 2)),
+    ],
+)
+
+# A wake re-arms behind an entry refreshed since its push: the top's key
+# is stale, and the earliest deadline is another entry's.
+_REFRESHED_TOP = (
+    0.0,
+    [
+        (0.15, False, "install", (1.0, 0)),
+        (0.2, False, "install", (1.0, 1)),
+        (0.25, False, "install", (0.25, 2)),
+        (0.4, False, "touch", (0.0, 0)),
+    ],
+)
+
+
+def _expiry_run(start, ops, swept):
+    """Run ``ops`` against a switch's table (``swept``: a bare table under
+    ``tests/flowtable_oracle.SweptExpiry``): the FlowRemoved log
+    ``(instant, tcp_dst)``, the entries left, every ``call_at`` as
+    ``(instant, due)``, and the kernel events."""
+    env = Environment(start)
+    removed: list[tuple[float, int]] = []
+    calls: list[tuple[float, float]] = []
+
+    class Channel:
+        def send_to_controller(self, message):
+            removed.append((env.now, message.match.tcp_dst))
+
+    if swept:
+        table = bare_table()
+        expiry = SweptExpiry(env, table, Channel().send_to_controller)
+        install, power_cycle = expiry.install, table.clear
+    else:
+        switch = OpenFlowSwitch(env, "s", 1)
+        switch.channel = Channel()
+        table, power_cycle = switch.table, switch.power_cycle
+
+        def install(entry):
+            table.install(entry, env.now)
+
+    entries: list[FlowEntry] = []
+
+    def op(kind, idle, which):
+        if kind == "install":
             entry = FlowEntry(
-                FlowMatch(tcp_dst=1024 + i),
-                [Drop()],
-                # Mix of idle timeouts and immortal entries.
-                idle_timeout=float(i % 7) if i % 3 else 0.0,
-                priority=i % 4,
+                FlowMatch(tcp_dst=len(entries)), [Drop()], idle_timeout=idle,
+                cookie=f"c{which}",
             )
-            table.install(entry, i * 0.01)
-            if i % 5 == 0:
-                touch(entry, i * 0.01 + 0.5)
             entries.append(entry)
-        return table, entries
+            install(entry)
+        elif kind == "touch":
+            if entries and entries[which % len(entries)] in table:
+                touch(entries[which % len(entries)], env.now)
+        elif kind == "delete":
+            table.remove_matching(f"c{which}")
+        else:
+            power_cycle()
 
-    def test_matches_two_pass_reference(self):
-        now = 5.0
-        fused_table, _ = self._populated_table()
-        ref_table, _ = self._populated_table()
-        expired, earliest = fused_table.sweep_and_deadline(now)
-        ref_expired = sweep_expired(ref_table, now)
+    detach = tap(env, "call_at", lambda at, fn, *args: calls.append((env.now, at)))
+    try:
+        for at, late, kind, (idle, which) in ops:
+            if late:
+                env.call_at(at, env.call_at, at, op, kind, idle, which)
+            else:
+                env.call_at(at, op, kind, idle, which)
+        env.run()
+    finally:
+        detach()
+    return removed, [entry.match.tcp_dst for entry in table], calls, env.events_processed
 
-        assert earliest == earliest_deadline(ref_table)
-        assert [e.match.tcp_dst for e in expired] == [
-            e.match.tcp_dst for e in ref_expired
-        ]
-        assert expired and len(fused_table) == len(ref_table) > 0
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.sampled_from((0.0, 0.1)), ops=st.lists(_table_ops, max_size=40))
+@example(*_SUM_AHEAD_OF_THE_TEST)
+@example(*_TEST_AHEAD_OF_THE_SUM)
+@example(*_OUT_OF_ORDER)
+@example(*_REFRESHED_TOP)
+def test_expiry_heap_is_the_sweep_it_replaced(start, ops):
+    """Installs of timed and untimed entries, matched packets, FlowMod
+    deletes and power cycles, ahead of and behind the wakes due at their
+    instant: the switch's expiry heap removes what the two-pass sweep
+    removed, at the same instants, reported in install order, and leaves
+    the same table; and it arms its wakes at the same instants for the
+    same ticks, at the same kernel events
+    (``tests/flowtable_oracle.SweptExpiry``)."""
+    assert _expiry_run(start, ops, swept=False) == _expiry_run(start, ops, swept=True)
 
 
 class TestNat:
@@ -175,7 +260,7 @@ class TestNat:
         cache, so the next hop's lookup reads the rewritten header."""
         sw, pkt = self._switch(), _packet()
         ip, port = self.EDGE
-        table = FlowTable()
+        table = bare_table()
         table.install(FlowEntry(FlowMatch(ip_dst=ip, tcp_dst=port), [Drop()]), 0.0)
         table.install(FlowEntry(FlowMatch(ip_src=ip, tcp_src=port), [Drop()]), 0.0)
         assert table.lookup(pkt, None) is None  # caches the old values

@@ -12,7 +12,7 @@ Three contracts the optimisations must not bend:
 
 And budgets in exact counts, no host time: kernel events per warm
 request and per Kubernetes first request, Kubernetes-model calls per
-deployment, cancelled guards left on the deadline side heap, messages
+deployment, cancelled guards left on the guards' expiry heap, messages
 up the control channel per redirect idle-out, server-side connections
 left after a replay, Python-level ``__hash__`` / ``__eq__`` calls in a
 replay.
@@ -30,13 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.addressing import IPv4Address
-from repro.net.openflow import Drop, FlowEntry, FlowMatch, FlowTable
+from repro.net.openflow import Drop, FlowEntry, FlowMatch, FlowMod, FlowTable
 from repro.net.openflow.switch import OpenFlowSwitch
 from repro.net.packet import Packet, TCPFlags, TCPSegment
 from repro.observe import tap
 from repro.sim import Environment
 
-from tests.flowtable_oracle import matches, remove, sweep_expired, touch
+from tests.flowtable_oracle import bare_table, matches, remove, sweep_expired, touch
 
 
 def _packet(src, dst, sport, dport):
@@ -103,7 +103,7 @@ _probe_packets = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(ops=_ops, packets=_probe_packets)
 def test_indexed_lookup_matches_linear_scan(ops, packets):
-    table = FlowTable()
+    table = bare_table()
     live: list[FlowEntry] = []
     for i, (kind, arg, priority) in enumerate(ops):
         if kind == "install":
@@ -121,7 +121,7 @@ def test_indexed_lookup_matches_linear_scan(ops, packets):
 @settings(max_examples=100, deadline=None)
 @given(ops=_ops)
 def test_index_consistent_after_remove_matching(ops):
-    table = FlowTable()
+    table = bare_table()
     cookies = set()
     for i, (kind, arg, priority) in enumerate(ops):
         if kind == "install":
@@ -209,7 +209,7 @@ def test_deadline_expiry_matches_interval_sweeper(seed):
 
     # Reference: a bare table swept by the seed's fixed-interval loop.
     ref_env = Environment()
-    ref_table = FlowTable()
+    ref_table = bare_table()
     ref_removals = _reference_sweeper(ref_env, ref_table, interval=0.25)
     _apply_script(ref_env, ref_table, script)
     ref_env.run(until=20.0)
@@ -226,9 +226,19 @@ def test_deadline_expiry_matches_interval_sweeper(seed):
     assert len(switch.table) == len(ref_table)
 
 
+def _bounded(expiry, table) -> bool:
+    """A switch's expiry heap counts exactly the entries it holds for
+    keys that left the table, and holds fewer entries than its
+    compaction floor or no more of those than of live ones."""
+    stale = sum(entry[2] not in table for entry in expiry.heap)
+    return stale == expiry.stale and (len(expiry.heap) < 64 or 2 * stale <= len(expiry.heap))
+
+
 def test_expiry_wakes_only_when_needed():
     """An idle switch schedules zero events; entries arm exactly the
-    ticks needed (no quarter-second heartbeat)."""
+    ticks needed (no quarter-second heartbeat), and FlowMod deletes and
+    a power cycle leave its expiry heap bounded and its last wake with
+    nothing to do."""
     env = Environment()
     switch = OpenFlowSwitch(env, "sw", datapath_id=1)
     assert len(env) == 0  # no sweeper process on an empty table
@@ -241,6 +251,22 @@ def test_expiry_wakes_only_when_needed():
     assert len(switch.table) == 0
     # Table empty again: nothing left on the heap.
     assert len(env) == 0
+
+    expiry = switch.table.expiry
+    for i in range(100):
+        switch.table.install(
+            FlowEntry(FlowMatch(tcp_dst=i), [Drop()], idle_timeout=5.0, cookie=i % 10),
+            env.now,
+        )
+    for cookie in range(7):  # ten deletes each: the sixth compacts
+        switch.handle_controller_message(FlowMod(command="delete", cookie=cookie))
+        assert _bounded(expiry, switch.table)
+    assert (len(expiry.heap), expiry.stale) == (40, 10)
+    switch.power_cycle()
+    assert _bounded(expiry, switch.table) and expiry.heap == []
+    assert len(env) == 1  # the armed wake, which finds nothing
+    env.run()
+    assert len(env) == 0 and env.now == 15.0
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +294,7 @@ def test_cancelled_request_guards_do_not_pile_up():
     """A replay arms two 120 s guards per request (``Host.connect``,
     ``Connection.recv``) and, every request winning, cancels both; 20 s
     of trace end before the first guard is due, so no wakeup ever purges
-    one.  What is left on the deadline side heap is fewer entries than
+    one.  What is left on the guards' expiry heap is fewer entries than
     its compaction floor, all of them cancelled — not two per request,
     each holding its guard's closure, the reply it guarded and that
     reply's packet (1 800 entries here when cancelling only flagged)."""
@@ -278,10 +304,26 @@ def test_cancelled_request_guards_do_not_pile_up():
     params = BigFlowsParams(n_requests=900, duration_s=20.0)
     tb, summary = replay(params=params)
     assert summary.n_ok == 900
-    heap = tb.env._deadlines
+    heap = tb.env._deadlines.heap
     assert len(heap) < 64
     assert all(entry[2].cancelled for entry in heap)
-    assert tb.env._deadlines_cancelled == len(heap)
+    assert tb.env._deadlines.stale == len(heap)
+    # The switch's own expiry heap stays bounded through the replay's
+    # idle-outs, a FlowMod delete of everything timed left and a power
+    # cycle; the last wake then finds nothing, and an idle switch holds
+    # no main-heap entry.
+    switch = tb.switch
+    expiry = switch.table.expiry
+    assert _bounded(expiry, switch.table)
+    for cookie in {entry.cookie: None for entry in switch.table if entry.idle_timeout}:
+        switch.handle_controller_message(FlowMod(command="delete", cookie=cookie))
+        assert _bounded(expiry, switch.table)
+    assert len(expiry.heap) < 64  # nothing timed is left
+    switch.power_cycle()
+    assert expiry.heap == [] and expiry.stale == 0
+    if expiry.wake_at is not None:
+        tb.env.run(until=expiry.wake_at + 0.01)
+    assert expiry.wake_at is None and expiry.heap == []
 
 
 def test_one_shot_requests_leave_no_server_side_connections():

@@ -49,7 +49,6 @@ from repro.net.openflow import (
     Drop,
     FlowEntry,
     FlowMatch,
-    FlowTable,
     OpenFlowSwitch,
     Output,
 )
@@ -67,8 +66,8 @@ from tests.controlhelpers import (
     counted_shortcuts,
     deployments_on_the_heap,
 )
-from tests.flowmemory_oracle import service_in_use as scanned_in_use
-from tests.flowtable_oracle import matches
+from tests.flowmemory_oracle import ScannedMemory, service_in_use as scanned_in_use
+from tests.flowtable_oracle import bare_table, matches
 from tests.kernel_oracle import step
 from tests.kubeproxy_oracle import (
     Backend,
@@ -131,7 +130,7 @@ def test_flow_table_lookup_matches_oracle(entries, packet, mark):
     """Lookup always returns the highest-priority, earliest-installed
     matching entry — the invariant transparent redirection rests on —
     for a packet whose connection holds ``mark`` (``None``: no mark)."""
-    table = FlowTable()
+    table = bare_table()
     installed = []
     for i, (match, priority) in enumerate(entries):
         entry = FlowEntry(match, [Drop()], priority=priority)
@@ -245,7 +244,7 @@ def test_store_preserves_fifo_order(items, getters):
 #: and how long after its creation it is cancelled — mostly at once, but
 #: at its due instant and after it fired too — or never.  One draw per
 #: guard: a schedule has up to 400, and of 3 000 drawn schedules 1 251
-#: compact the side heap two to six times and 448 once.
+#: compact the expiry heap two to six times and 448 once.
 _GUARD_INSTANTS = 12
 _GUARD_DELAYS = (0, 1, 2, 3, 3, 5, 8, 13)
 _GUARD_CANCELS = (None, 0, 0, 0, 0, 0, 1, 2, 4, 9)
@@ -294,7 +293,7 @@ def _guard_run(schedule):
     return fired, env.events_processed, draws, env
 
 
-# 64 guards cancelled at once compact the side heap, at instant 0, with
+# 64 guards cancelled at once compact the expiry heap, at instant 0, with
 # live guards on it: one due later; six due at two tied instants; one
 # created after the cancels were scheduled and due at their instant.
 _ONE_LIVE_GUARD = [(0, 5, None)] + [(0, 5, 0)] * 64
@@ -315,17 +314,19 @@ def test_compacted_side_heap_fires_the_guards_the_lazy_one_does(schedule):
     at the instant and in the order it fires when ``cancel`` only flags
     it (``tests/nethelpers.guards_purged_at_the_top``, the kernel as it
     was), with the same kernel events and the same sequence numbers
-    drawn from the main heap at the same instants; and the side heap
-    and its cancelled count are empty at the end.
+    drawn from the main heap at the same instants; and the guards'
+    expiry heap (``env._deadlines``) and its stale count are empty at
+    the end.
 
-    Mutations of the compaction this fails under (run on a scratch
-    copy; the counts of 3 000 draws are in ROADMAP Verdicts):
+    Mutations of ``Expiry.discard``'s compaction this fails under (rows
+    of ``tools/mutants.json``; the counts of 3 000 draws are in ROADMAP
+    Verdicts):
 
     (a) re-arming the wakeup at the compacted heap's top —
         ``_ONE_LIVE_GUARD``: an extra main-heap entry and draw;
-    (b) re-numbering the local sequence while rebuilding, in the heap
-        list's order — ``_TIED_LIVE_GUARDS``: guards due at one instant
-        fire out of order;
+    (b) re-numbering the sequence while rebuilding, in the heap list's
+        order — ``_TIED_LIVE_GUARDS``: guards due at one instant fire
+        out of order;
     (c) dropping the live guards due at or before now as well —
         ``_LIVE_GUARD_DUE_NOW``: a guard due at the compaction's
         instant, whose wakeup has not popped yet, never fires.
@@ -334,7 +335,7 @@ def test_compacted_side_heap_fires_the_guards_the_lazy_one_does(schedule):
         lazy = _guard_run(schedule)[:3]
     *compacted, env = _guard_run(schedule)
     assert compacted == list(lazy)
-    assert env._deadlines == [] and env._deadlines_cancelled == 0
+    assert env._deadlines.heap == [] and env._deadlines.stale == 0
 
 
 # ---------------------------------------------------------------------------
@@ -2112,7 +2113,7 @@ def _packet_in_storm(kind, two_switches, state, clients, plants, handler_instant
         controller.stats["packet_in"],
         [entry[0] for entry in log if entry[2] == "handled"],
         packet_in_batches,
-        sum(not guard.cancelled for _, _, guard in env._deadlines),
+        sum(not guard.cancelled for _, _, guard in env._deadlines.heap),
     )
 
 
@@ -2334,6 +2335,110 @@ def test_service_in_use_is_the_scan_it_replaced(ops):
     for answers in seen:
         for fast, scanned in answers:
             assert fast == scanned
+
+
+#: As ``_memory_ops``, and a release may start the clock in the past, so
+#: deadlines come out of release order and supersede the armed wake.
+_clock_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("remember"), st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(
+            st.just("release"), st.integers(0, 2), st.integers(0, 2),
+            st.sampled_from((0.0, 0.0, 0.25, 0.5)),
+        ),
+        st.tuples(st.just("hold"), st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.just("forget"), st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.just("forget_client"), st.integers(0, 2)),
+        st.tuples(st.just("advance"), st.sampled_from((0.25, 0.5, 1.0, 2.5))),
+    ),
+    max_size=40,
+)
+# The later release's deadline is the earlier one: the wake it arms
+# re-arms at the instant of the wake it superseded.
+_REARMED_AT_A_SUPERSEDED_WAKE = [
+    ("remember", 0, 0), ("remember", 1, 0), ("release", 0, 0, 0.0),
+    ("release", 1, 0, 0.5), ("advance", 2.5),
+]
+# Released, held and released again at one deadline: it expires once.
+_RELEASED_TWICE_AT_ONE_DEADLINE = [
+    ("remember", 0, 0), ("release", 0, 0, 0.0), ("hold", 0, 0),
+    ("release", 0, 0, 0.0), ("advance", 2.5),
+]
+# Two flows due at one wake, the later-memorized one released first.
+_DUE_TOGETHER = [
+    ("remember", 0, 1), ("remember", 0, 0), ("release", 0, 0, 0.0),
+    ("release", 0, 1, 0.0), ("advance", 2.5),
+]
+
+
+def _memory_run(ops, scanned):
+    """Run ``ops`` on a FlowMemory (``scanned``: its two-scan reference):
+    the expiry log ``(instant, client, service)`` in ``on_expire`` order,
+    the flows left with their deadlines, every ``call_at`` as ``(instant,
+    due)``, and the kernel events.  An expiry of a flow of service 0
+    restarts the clock of its client's held flow of service 1, as a
+    callback that writes the memory would."""
+    env = Environment()
+    clients = [IPv4Address(10 + i) for i in range(3)]
+    services = [
+        EdgeService(f"edge-{i}", IPv4Address(100 + i), 80, None, "", "")
+        for i in range(3)
+    ]
+    endpoint = ServiceEndpoint(IPv4Address(200), 30000)
+    log: list[tuple] = []
+    calls: list[tuple[float, float]] = []
+
+    def expired(flow):
+        log.append((env.now, str(flow.client_ip), flow.service.name))
+        if flow.service is services[0]:
+            other = memory.lookup(flow.client_ip, services[1])
+            if other is not None and other.deadline is None:
+                memory.release(other, env.now)
+
+    memory = (ScannedMemory if scanned else FlowMemory)(
+        env, idle_timeout_s=1.0, on_expire=expired
+    )
+    detach = tap(env, "call_at", lambda at, fn, *args: calls.append((env.now, at)))
+    try:
+        for op in ops:
+            if op[0] == "remember":
+                memory.remember(clients[op[1]], services[op[2]], "docker", endpoint)
+            elif op[0] == "forget_client":
+                memory.forget_client(clients[op[1]])
+            elif op[0] == "advance":
+                env.run(until=env.now + op[1])
+            else:
+                flow = memory.lookup(clients[op[1]], services[op[2]])
+                if flow is None:
+                    continue
+                if op[0] == "release":
+                    memory.release(flow, env.now - op[3])
+                elif op[0] == "hold":
+                    memory.hold(flow)
+                else:
+                    memory.forget(flow)
+        env.run()
+    finally:
+        detach()
+    left = [(str(flow.client_ip), flow.service.name, flow.deadline) for flow in memory._flows.values()]
+    return log, left, calls, env.events_processed
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_clock_ops)
+@example(ops=_REARMED_AT_A_SUPERSEDED_WAKE)
+@example(ops=_RELEASED_TWICE_AT_ONE_DEADLINE)
+@example(ops=_DUE_TOGETHER)
+def test_memory_expiry_is_the_scans_it_replaced(ops):
+    """Random sequences of ``remember``, ``release`` (the clock started
+    now or in the past), ``hold``, ``forget``, ``forget_client`` and runs
+    of the clock, with an ``on_expire`` that restarts another flow's
+    clock: FlowMemory on its expiry heap expires the flows the two scans
+    expired (``tests/flowmemory_oracle.ScannedMemory``), at the same
+    instants and in the memory's order, leaves the same flows, and arms
+    its wakes at the same instants for the same deadlines, at the same
+    kernel events."""
+    assert _memory_run(ops, scanned=False) == _memory_run(ops, scanned=True)
 
 
 # ---------------------------------------------------------------------------

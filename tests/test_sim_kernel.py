@@ -85,9 +85,9 @@ class TestEnvironment:
             env.deadline(1.0 + i).cancel()
         # One armed wakeup for the earliest guard, whatever their number.
         assert len(env) == 1
-        # The 64th cancel emptied the side heap; 36 have piled up since,
+        # The 64th cancel emptied the expiry heap; 36 have piled up since,
         # below the compaction floor.
-        assert len(env._deadlines) == env._deadlines_cancelled == 100 - 64
+        assert len(env._deadlines.heap) == env._deadlines.stale == 100 - 64
         env.run()
         assert env.events_processed == 1
         assert len(env) == 0
@@ -135,23 +135,24 @@ class TestEnvironment:
 
 
 class TestDeadlineCancel:
-    """``Deadline.cancel`` counts the cancelled entries still on the side
-    heap — the count compaction reads — and nothing else."""
+    """``Deadline.cancel`` counts the cancelled entries still on the
+    guards' expiry heap — the ``stale`` count compaction reads — and
+    nothing else."""
 
     def test_a_second_cancel_is_not_counted(self):
         env = Environment()
         guard = env.deadline(1.0)
         guard.cancel()
         guard.cancel()
-        assert env._deadlines_cancelled == 1
+        assert env._deadlines.stale == 1
         env.run()
-        assert env._deadlines_cancelled == 0
+        assert env._deadlines.stale == 0
 
     def test_a_cancel_after_the_guard_fired_is_not_counted(self):
         """A reply and its guard due at one instant, the guard's wakeup
         first: the guard fires, the reply still wins (``guard_timeout``
         fails only a pending event), and the waiter cancels a guard that
-        has left the side heap."""
+        has left the expiry heap."""
         env = Environment()
         reply = env.event()
         got = []
@@ -163,7 +164,7 @@ class TestDeadlineCancel:
             got.append((yield reply))
             assert guard.triggered
             guard.cancel()
-            got.append((guard.cancelled, env._deadlines_cancelled))
+            got.append((guard.cancelled, env._deadlines.stale))
 
         env.process(waiter())
         env.run()
@@ -178,9 +179,9 @@ class TestDeadlineCancel:
         for i, guard in enumerate(guards):
             if i % 4:
                 guard.cancel()  # 150 of them; the 101st compacts
-        assert (len(env._deadlines), env._deadlines_cancelled) == (200 - 101, 49)
+        assert (len(env._deadlines.heap), env._deadlines.stale) == (200 - 101, 49)
         env.run()
-        assert env._deadlines == [] and env._deadlines_cancelled == 0
+        assert env._deadlines.heap == [] and env._deadlines.stale == 0
         assert fired == sorted(range(0, 200, 4), key=lambda i: i % 7)
 
 
